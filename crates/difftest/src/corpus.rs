@@ -173,10 +173,7 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
             // recombined tally — cold, then warm from the on-disk
             // store — must match the reference engine byte-for-byte
             // (docs/INCREMENTAL.md, oracle layer 8 for the corpus).
-            let dir = std::env::temp_dir().join(format!(
-                "casted-corpus-sections-{}-{name}-{scheme}",
-                std::process::id()
-            ));
+            let dir = crate::oracle::scratch_dir(&format!("corpus-sections-{name}-{scheme}"));
             let _ = std::fs::remove_dir_all(&dir);
             if let Ok(store) = casted_faults::SectionStore::open(&dir) {
                 for pass in ["cold", "warm"] {
@@ -203,10 +200,7 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
             // end, cold then warm from the on-disk artifact store,
             // must be byte-identical to the monolithic `prepare`
             // above (docs/PIPELINE.md).
-            let dir = std::env::temp_dir().join(format!(
-                "casted-corpus-stages-{}-{name}-{scheme}",
-                std::process::id()
-            ));
+            let dir = crate::oracle::scratch_dir(&format!("corpus-stages-{name}-{scheme}"));
             let _ = std::fs::remove_dir_all(&dir);
             if let Ok(store) = casted_util::store::ArtifactStore::open(&dir) {
                 let reference = crate::oracle::staged_fingerprint(&prep);

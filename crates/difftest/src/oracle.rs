@@ -415,11 +415,7 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         // rerun, which is still required to be exact, not a
         // divergence.
         let stage = format!("sections:{scheme}:iw2d2");
-        let dir = std::env::temp_dir().join(format!(
-            "casted-difftest-sections-{}-{:x}-{scheme}",
-            std::process::id(),
-            cfg.seed
-        ));
+        let dir = scratch_dir(&format!("difftest-sections-{:x}-{scheme}", cfg.seed));
         let _ = std::fs::remove_dir_all(&dir);
         match casted_faults::SectionStore::open(&dir) {
             Ok(store) => {
@@ -461,11 +457,7 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         let legacy = prepare(&m, scheme, &mc)
             .map_err(|e| Divergence::new(&stage, format!("monolithic prepare failed: {e}")))?;
         let reference = staged_fingerprint(&legacy);
-        let dir = std::env::temp_dir().join(format!(
-            "casted-difftest-stages-{}-{:x}-{scheme}",
-            std::process::id(),
-            cfg.seed
-        ));
+        let dir = scratch_dir(&format!("difftest-stages-{:x}-{scheme}", cfg.seed));
         let _ = std::fs::remove_dir_all(&dir);
         if let Ok(store) = ArtifactStore::open(&dir) {
             let input = module_content_key(&m);
@@ -681,6 +673,16 @@ fn probe_recovery_scheme(
         }
     }
     Ok(injections.len())
+}
+
+/// A fresh on-disk store directory for one store-backed check. The
+/// process id and a per-process sequence number make it unique, so
+/// checks of the same case running on parallel threads (the test
+/// harness runs several suites at once) never share a store.
+pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir().join(format!("casted-{tag}-{}-{seq}", std::process::id()))
 }
 
 /// Canonical bytes of a `Prepared` — what "byte-identical" means for

@@ -791,7 +791,7 @@ fn run_campaign_cold(
                         .iter()
                         .map(|&i| {
                             let (verdict, blocks) =
-                                run_section_trial(sp, cap, j, injections[i], max_cycles);
+                                run_section_trial(cap, j, injections[i], max_cycles);
                             visited.extend(blocks);
                             entry_of(verdict, &trace.result)
                         })

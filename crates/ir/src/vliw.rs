@@ -16,7 +16,7 @@ use crate::machine::{Cluster, MachineConfig};
 use crate::reg::Reg;
 
 /// Instructions issued in one cycle, separated per cluster.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bundle {
     /// `slots[cluster][k]` = k-th instruction issued by that cluster
     /// this cycle; at most `issue_width` entries per cluster.
@@ -45,7 +45,7 @@ impl Bundle {
 }
 
 /// The schedule of one basic block.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduledBlock {
     /// The block this schedule belongs to.
     pub block: BlockId,

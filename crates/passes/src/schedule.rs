@@ -188,7 +188,8 @@ fn weighted_cost(sp: &ScheduledProgram, freq: &[u64]) -> u64 {
 /// adaptive placement (CASTED's BUG) runs up to three passes,
 /// feeding each pass's global register-placement view back into the
 /// next ([`Hints`]) and keeping the schedule with the lowest
-/// frequency-weighted static cost.
+/// frequency-weighted static cost; it stops early once a pass
+/// reproduces the previous pass's schedule exactly.
 pub fn schedule_function(
     module: &Module,
     config: &MachineConfig,
@@ -199,13 +200,25 @@ pub fn schedule_function(
     if placement.is_adaptive() {
         let mut best_cost = schedule_cost(&best, &freq);
         let mut hints = collect_hints(&best, &freq);
+        // The previous candidate when it lost to `best` (`None`: the
+        // previous candidate *is* `best`).
+        let mut prev: Option<ScheduledProgram> = None;
         for _ in 0..2 {
             let cand = schedule_once(module, config, placement, &hints);
+            // A candidate identical to the previous one has its cost
+            // (already weighed against `best`) and its hints, so every
+            // later candidate would repeat it: stop without simulating.
+            if same_schedule(&cand, prev.as_ref().unwrap_or(&best)) {
+                break;
+            }
             let cost = schedule_cost(&cand, &freq);
             hints = collect_hints(&cand, &freq);
             if cost < best_cost {
                 best = cand;
                 best_cost = cost;
+                prev = None;
+            } else {
+                prev = Some(cand);
             }
         }
         // The paper (§II-A): "CASTED uses these parameters to decide
@@ -229,6 +242,12 @@ pub fn schedule_function(
         }
     }
     best
+}
+
+/// Two schedules of the same module place and bundle every
+/// instruction identically.
+fn same_schedule(a: &ScheduledProgram, b: &ScheduledProgram) -> bool {
+    a.assignment == b.assignment && a.home == b.home && a.blocks == b.blocks
 }
 
 /// Cost of a candidate schedule for the refinement loop: the timing

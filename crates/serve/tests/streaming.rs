@@ -264,14 +264,27 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
         .expect("bind loopback");
         let addr = server.addr();
 
-        // Occupy the only worker with a streaming campaign...
+        // Occupy the only worker with a streaming campaign... The 1 ms
+        // deadline applies to this job too: when other tests load the
+        // host, the idle worker can take longer than that to wake, and
+        // the stream is dropped as `Expired` — correct behaviour under
+        // this config, not the case this test is about — so resend it
+        // until it gets the worker.
         let mut a = Client::connect(addr).unwrap();
-        a.send_raw(&encode_request(&stream_req(3_000, 50))).unwrap();
-        let first = a.read_reply().unwrap().expect("stream start");
-        assert!(matches!(
-            decode_response(&first).unwrap(),
-            Response::Progress { .. }
-        ));
+        let mut occupied = false;
+        for _ in 0..100 {
+            a.send_raw(&encode_request(&stream_req(3_000, 50))).unwrap();
+            let first = a.read_reply().unwrap().expect("stream start");
+            match decode_response(&first).unwrap() {
+                Response::Progress { .. } => {
+                    occupied = true;
+                    break;
+                }
+                Response::Expired => {}
+                other => panic!("{model:?}: unexpected first stream frame {other:?}"),
+            }
+        }
+        assert!(occupied, "{model:?}: the stream never reached the worker");
 
         // ...then queue a job that can only wait (and go stale).
         let tag = match model {

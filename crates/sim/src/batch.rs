@@ -92,6 +92,7 @@ use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{CmpKind, Opcode, Operand, Reg, RegClass};
 
 use crate::checkpoint::GoldenTrace;
+use crate::decode::DecodedProgram;
 use crate::machine::{Injection, MachineState};
 
 /// Default number of lanes stepped together by the batched campaign
@@ -313,6 +314,8 @@ enum LaneStatus {
 /// overlay.
 pub struct BatchState<'a> {
     sp: &'a ScheduledProgram,
+    /// The campaign's decoded program (owned by the golden trace).
+    dp: &'a DecodedProgram,
     /// The shared structural machine, replaying the golden run.
     leader: MachineState,
     max_cycles: u64,
@@ -385,7 +388,7 @@ impl<'a> BatchState<'a> {
     /// trace with no snapshots still batches correctly).
     pub fn new(
         sp: &'a ScheduledProgram,
-        trace: &GoldenTrace,
+        trace: &'a GoldenTrace,
         ckpt_idx: usize,
         injections: &[Injection],
         max_cycles: u64,
@@ -412,6 +415,7 @@ impl<'a> BatchState<'a> {
         };
         BatchState {
             sp,
+            dp: &trace.decoded,
             leader,
             max_cycles,
             rbed: trace.rbed_active(),
@@ -563,14 +567,11 @@ impl<'a> BatchState<'a> {
     /// caller's lane order (the order of `injections` passed to
     /// [`BatchState::new`]).
     pub fn run(mut self) -> (Vec<LaneVerdict>, BatchStats) {
-        let sp = self.sp;
-        let func = sp.module.entry_fn();
-        let config = &sp.config;
-        let delay = config.inter_cluster_delay as u64;
-        let lat = &config.latency;
+        let func = self.sp.module.entry_fn();
+        let dp = self.dp;
         let n = self.inj.len();
 
-        // Leader-side phase-1 buffers, mirrored from `run_machine`.
+        // Leader-side phase-1 buffer, mirrored from `run_machine`.
         let mut val_buf: Vec<Val> = Vec::with_capacity(64);
         // Scratch for a lane's operand values on the slow path.
         let mut lane_scratch: Vec<Val> = Vec::with_capacity(8);
@@ -580,17 +581,15 @@ impl<'a> BatchState<'a> {
         // lane has differing words, or halts. Everything else is a
         // no-op on the lane's overlay and is skipped wholesale.
         let mut active_lanes: Vec<usize> = Vec::new();
-        let mut meta_buf: Vec<(casted_ir::Cluster, casted_ir::InsnId, u32, u32)> =
-            Vec::with_capacity(16);
 
         'outer: while self.live > 0 {
-            let sb = &sp.blocks[self.leader.block.index()];
+            let bundles = dp.block(self.leader.block);
 
-            while self.leader.bundle_idx < sb.bundles.len() {
+            while self.leader.bundle_idx < bundles.len() {
                 if self.live == 0 {
                     break 'outer;
                 }
-                let bundle = &sb.bundles[self.leader.bundle_idx];
+                let bundle = &bundles[self.leader.bundle_idx];
                 if self.leader.cycle > self.max_cycles {
                     // The cycle count is structural (shared): every
                     // surviving lane's own run hits the watchdog at
@@ -602,16 +601,13 @@ impl<'a> BatchState<'a> {
                 // ---- stall until every operand is usable (shared) ----
                 let st = &mut self.leader;
                 let mut issue = st.cycle;
-                for (cluster, iid) in bundle.iter() {
-                    let insn = func.insn(iid);
-                    for r in insn.reg_uses() {
-                        let (mut avail, writer) = st.ready.get(r);
-                        if writer != cluster.0 {
-                            avail += delay;
-                            st.stats.cross_reads += 1;
-                        }
-                        issue = issue.max(avail);
+                for &(r, reader) in dp.stalls(bundle) {
+                    let (mut avail, writer) = st.ready.get(r);
+                    if writer != reader {
+                        avail += dp.delay;
+                        st.stats.cross_reads += 1;
                     }
+                    issue = issue.max(avail);
                 }
                 st.stats.stall_cycles += issue - st.cycle;
                 st.stats.bundles += 1;
@@ -622,29 +618,14 @@ impl<'a> BatchState<'a> {
                 // reads the same operand list from its own registers.
                 // Values written later in this bundle are *not* seen —
                 // exactly `run_machine`'s two-phase rule.
+                let ops = dp.ops(bundle);
+                let operands = dp.operands(bundle);
                 val_buf.clear();
-                meta_buf.clear();
-                let mut bundle_has_mem = false;
-                let mut bundle_has_halt = false;
-                for (cluster, iid) in bundle.iter() {
-                    let insn = func.insn(iid);
-                    match insn.op {
-                        Opcode::Load | Opcode::FLoad | Opcode::Store | Opcode::FStore => {
-                            bundle_has_mem = true;
-                        }
-                        Opcode::Halt => bundle_has_halt = true,
-                        _ => {}
-                    }
-                    let off = val_buf.len() as u32;
-                    for o in &insn.uses {
-                        val_buf.push(match o {
-                            Operand::Reg(r) => self.leader.rf.get(*r),
-                            Operand::Imm(v) => Val::I(*v),
-                            Operand::FImm(v) => Val::F(*v),
-                        });
-                    }
-                    meta_buf.push((cluster, iid, off, insn.uses.len() as u32));
-                }
+                val_buf.extend(operands.iter().map(|o| match *o {
+                    Operand::Reg(r) => self.leader.rf.get(r),
+                    Operand::Imm(v) => Val::I(v),
+                    Operand::FImm(v) => Val::F(v),
+                }));
                 // A lane is *active* this bundle iff the bundle reads
                 // or redefines one of its differing registers, touches
                 // memory while it holds differing words, or halts —
@@ -653,21 +634,20 @@ impl<'a> BatchState<'a> {
                 self.stamp += 1;
                 active_lanes.clear();
                 if self.materialized_live > 0 {
-                    for (_c, iid) in bundle.iter() {
-                        let insn = func.insn(iid);
-                        for o in &insn.uses {
+                    for insn in ops {
+                        for o in &operands[insn.operand_range()] {
                             if let Operand::Reg(r) = o {
                                 self.collect_reg_lanes(*r, &mut active_lanes);
                             }
                         }
-                        for &d in &insn.defs {
+                        if let Some(d) = insn.def {
                             self.collect_reg_lanes(d, &mut active_lanes);
                         }
                     }
-                    if bundle_has_mem {
+                    if bundle.has_mem {
                         self.collect_mem_lanes(&mut active_lanes);
                     }
-                    if bundle_has_halt {
+                    if bundle.has_halt {
                         let mut li = 0;
                         while li < self.live_list.len() {
                             let lane = self.live_list[li];
@@ -689,27 +669,22 @@ impl<'a> BatchState<'a> {
                         if self.reg_diff[lane].count == 0 {
                             continue;
                         }
-                        let mut s = 0u32;
-                        for (_c, iid) in bundle.iter() {
-                            for o in &func.insn(iid).uses {
-                                if let Operand::Reg(r) = o {
-                                    if self.reg_diff[lane].get(*r) {
-                                        let ri = self.flat(*r);
-                                        let v = self.reg_over[lane][ri];
-                                        self.ovr[lane].push((s, v));
-                                    }
+                        for (s, o) in operands.iter().enumerate() {
+                            if let Operand::Reg(r) = o {
+                                if self.reg_diff[lane].get(*r) {
+                                    let ri = self.flat(*r);
+                                    let v = self.reg_over[lane][ri];
+                                    self.ovr[lane].push((s as u32, v));
                                 }
-                                s += 1;
                             }
                         }
                     }
                 }
 
                 // ---- phase 2: execute and write back, leader first ----
-                for k in 0..meta_buf.len() {
-                    let (cluster, iid, off, len) = meta_buf[k];
-                    let range = off as usize..(off + len) as usize;
-                    let insn = func.insn(iid);
+                for insn in ops {
+                    let range = insn.operand_range();
+                    let cluster = insn.cluster;
                     let st = &mut self.leader;
                     st.stats.dyn_insns += 1;
                     st.stats.per_cluster[cluster.index()] += 1;
@@ -735,26 +710,20 @@ impl<'a> BatchState<'a> {
                                 };
                                 match loaded {
                                     Ok(v) => {
-                                        let mut l =
-                                            st.cache.access(addr as u64).max(lat.load_hit);
-                                        let l1_lat = config
-                                            .cache_levels
-                                            .first()
-                                            .map(|c| c.latency)
-                                            .unwrap_or(lat.load_hit);
-                                        if l > l1_lat {
+                                        let d = insn.def.expect("load defines a register");
+                                        let mut l = st.cache.access(addr as u64).max(dp.load_hit);
+                                        if l > dp.l1_lat {
                                             st.mshr.retain(|&c| c > issue);
-                                            if st.mshr.len() >= config.mshr_entries {
+                                            if st.mshr.len() >= dp.mshr_entries {
                                                 if let Some(&min) = st.mshr.iter().min() {
                                                     l += (min.saturating_sub(issue)) as u32;
                                                 }
                                             }
                                             st.mshr.push(issue + l as u64);
                                         }
-                                        st.rf.set(insn.defs[0], v);
-                                        st.ready
-                                            .set(insn.defs[0], issue + l as u64, cluster.0);
-                                        leader_def = Some((insn.defs[0], v, l));
+                                        st.rf.set(d, v);
+                                        st.ready.set(d, issue + l as u64, cluster.0);
+                                        leader_def = Some((d, v, l));
                                     }
                                     Err(_) => {
                                         // The leader is the golden
@@ -816,11 +785,10 @@ impl<'a> BatchState<'a> {
                             Opcode::Nop => {}
                             op => match eval_pure(op, vals) {
                                 Ok(v) => {
-                                    let latency = op.latency(lat);
-                                    st.rf.set(insn.defs[0], v);
-                                    st.ready
-                                        .set(insn.defs[0], issue + latency as u64, cluster.0);
-                                    leader_def = Some((insn.defs[0], v, latency));
+                                    let d = insn.def.expect("pure op defines a register");
+                                    st.rf.set(d, v);
+                                    st.ready.set(d, issue + insn.latency as u64, cluster.0);
+                                    leader_def = Some((d, v, insn.latency));
                                 }
                                 Err(_) => {
                                     self.retire_all_live(LaneVerdict::Diverged);
@@ -1052,7 +1020,7 @@ impl<'a> BatchState<'a> {
                         }
                         let victim = match self.inj[lane].target {
                             Some(r) => Some(r),
-                            None => insn.def(),
+                            None => insn.def,
                         };
                         let Some(d) = victim else {
                             // No victim here: every due lane slides to
@@ -1222,66 +1190,8 @@ mod tests {
     use crate::checkpoint::golden_with_checkpoints;
     use crate::machine::{simulate_quiet, SimOptions};
     use casted_ir::interp::StopReason;
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
-    use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module};
-    use std::collections::HashMap;
-
-    fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
-        let func = m.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = HashMap::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: m.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
-
-    fn looping_module(iters: i64) -> Module {
-        let mut m = Module::new("t");
-        let (_, addr) =
-            m.add_global("g", casted_ir::func::GlobalClass::Int, 16, (0..16).collect());
-        let mut b = FunctionBuilder::new("main");
-        let body = b.new_block("body");
-        let done = b.new_block("done");
-        let acc = b.imm(0);
-        let i = b.imm(0);
-        b.br(body);
-        b.switch_to(body);
-        let base = b.imm(addr);
-        let m16 = b.binop(Opcode::And, Operand::Reg(i), Operand::Imm(15));
-        let sh = b.binop(Opcode::Shl, Operand::Reg(m16), Operand::Imm(3));
-        let ea = b.binop(Opcode::Add, Operand::Reg(base), Operand::Reg(sh));
-        let v = b.load(ea, 0);
-        let acc1 = b.binop(Opcode::Add, Operand::Reg(acc), Operand::Reg(v));
-        b.push(Opcode::MovI, vec![acc], vec![Operand::Reg(acc1)]);
-        let i1 = b.binop(Opcode::Add, Operand::Reg(i), Operand::Imm(1));
-        b.push(Opcode::MovI, vec![i], vec![Operand::Reg(i1)]);
-        let p = b.cmp(casted_ir::CmpKind::Lt, Operand::Reg(i), Operand::Imm(iters));
-        b.br_cond(p, body, done);
-        b.switch_to(done);
-        b.out(Operand::Reg(acc));
-        b.halt_imm(0);
-        let id = m.add_function(b.finish());
-        m.entry = Some(id);
-        m
-    }
+    use crate::testutil::{looping_module, sequential};
+    use casted_ir::{FunctionBuilder, MachineConfig, Module};
 
     /// Classify a from-scratch faulty run the way `casted_faults`
     /// does, reduced to what a batch verdict can be compared against.

@@ -60,10 +60,13 @@ use std::collections::HashMap;
 
 use casted_ir::interp::OutVal;
 use casted_ir::vliw::ScheduledProgram;
-use casted_ir::{Opcode, Reg, RegClass};
+use casted_ir::{BlockId, Opcode, Reg, RegClass};
 use casted_util::hash::Fnv64;
 
-use crate::machine::{run_machine, Boundary, Injection, MachineState, SimOptions, SimResult};
+use crate::decode::DecodedProgram;
+use crate::machine::{
+    run_decoded, run_machine, Boundary, Injection, MachineState, SimOptions, SimResult,
+};
 
 /// Snapshot cadence and fingerprint cadence for one golden run.
 #[derive(Clone, Copy, Debug)]
@@ -155,30 +158,25 @@ impl LiveMask {
 /// all operand reads happen before all writebacks (VLIW parallel
 /// read), so a register used and defined in the same bundle counts as
 /// upward-exposed.
-pub(crate) fn live_in_masks(sp: &ScheduledProgram) -> Vec<LiveMask> {
+pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<LiveMask> {
     use std::collections::HashSet;
     let func = sp.module.entry_fn();
-    let n = sp.blocks.len();
+    let n = dp.block_count();
     let mut use_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
     let mut def_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, sb) in sp.blocks.iter().enumerate() {
+    for i in 0..n {
         let (u, d) = (&mut use_set[i], &mut def_set[i]);
-        for bundle in &sb.bundles {
-            for (_c, iid) in bundle.iter() {
-                for r in func.insn(iid).reg_uses() {
-                    if !d.contains(&r) {
-                        u.insert(r);
-                    }
+        for bundle in dp.block(BlockId(i as u32)) {
+            for &(r, _) in dp.stalls(bundle) {
+                if !d.contains(&r) {
+                    u.insert(r);
                 }
             }
-            for (_c, iid) in bundle.iter() {
-                let insn = func.insn(iid);
-                for &r in &insn.defs {
-                    d.insert(r);
-                }
-                if matches!(insn.op, Opcode::Br | Opcode::BrCond) {
-                    for t in [insn.target, insn.target2].into_iter().flatten() {
+            for op in dp.ops(bundle) {
+                d.extend(op.def);
+                if matches!(op.op, Opcode::Br | Opcode::BrCond) {
+                    for t in [op.target, op.target2].into_iter().flatten() {
                         if !succs[i].contains(&t.index()) {
                             succs[i].push(t.index());
                         }
@@ -327,6 +325,9 @@ pub struct GoldenTrace {
     /// for every other scheme). Replays run under the same plan so
     /// restored accumulators keep advancing.
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
+    /// The program decoded once for the whole campaign: the golden
+    /// passes, every replay and every batch leader run on it.
+    pub(crate) decoded: DecodedProgram,
 }
 
 impl GoldenTrace {
@@ -394,9 +395,10 @@ pub fn golden_with_checkpoints_rbed(
     sp: &ScheduledProgram,
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
 ) -> GoldenTrace {
-    let result = crate::machine::simulate(sp, &SimOptions::default());
+    let decoded = DecodedProgram::new(sp);
+    let result = run_decoded(sp, &decoded, &SimOptions::default(), true);
     let plan = CheckpointPlan::for_golden(result.stats.dyn_insns);
-    let live = live_in_masks(sp);
+    let live = live_in_masks(sp, &decoded);
 
     let instrumented_opts = SimOptions {
         rbed: rbed.clone(),
@@ -408,7 +410,7 @@ pub fn golden_with_checkpoints_rbed(
     let mut next_sample = plan.sample_every;
     let mut st = checkpoints[0].clone();
     let replayed = run_machine(
-        sp,
+        &decoded,
         &instrumented_opts,
         &mut st,
         false,
@@ -439,6 +441,7 @@ pub fn golden_with_checkpoints_rbed(
         fingerprints,
         live,
         rbed,
+        decoded,
     }
 }
 
@@ -494,7 +497,7 @@ pub fn replay_trial(
         ..SimOptions::default()
     };
     let mut attempts = 0u32;
-    let finished = run_machine(sp, &opts, &mut st, false, &mut |st: &MachineState| {
+    let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
         if !st.injected || st.bundle_idx != 0 || attempts >= MAX_CONVERGENCE_ATTEMPTS {
             return Boundary::Continue;
         }
@@ -566,7 +569,7 @@ pub fn replay_trial_observed(
     let mut attempts = 0u32;
     let mut visited: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     let mut converged_at: Option<u64> = None;
-    let finished = run_machine(sp, &opts, &mut st, false, &mut |st: &MachineState| {
+    let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
         if !st.injected {
             // The pre-landing stretch replays the golden path; its
             // effect on the state at the site is pinned by the cache
@@ -614,65 +617,8 @@ pub fn replay_trial_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
-    use casted_ir::{Cluster, CmpKind, FunctionBuilder, MachineConfig, Module, Operand};
-    use std::collections::HashMap as Map;
-
-    fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
-        let func = m.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = Map::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: m.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
-
-    fn looping_module(iters: i64) -> Module {
-        let mut m = Module::new("t");
-        let (_, addr) = m.add_global("g", casted_ir::func::GlobalClass::Int, 16, (0..16).collect());
-        let mut b = FunctionBuilder::new("main");
-        let body = b.new_block("body");
-        let done = b.new_block("done");
-        let acc = b.imm(0);
-        let i = b.imm(0);
-        b.br(body);
-        b.switch_to(body);
-        let base = b.imm(addr);
-        let m16 = b.binop(Opcode::And, Operand::Reg(i), Operand::Imm(15));
-        let sh = b.binop(Opcode::Shl, Operand::Reg(m16), Operand::Imm(3));
-        let ea = b.binop(Opcode::Add, Operand::Reg(base), Operand::Reg(sh));
-        let v = b.load(ea, 0);
-        let acc1 = b.binop(Opcode::Add, Operand::Reg(acc), Operand::Reg(v));
-        b.push(Opcode::MovI, vec![acc], vec![Operand::Reg(acc1)]);
-        let i1 = b.binop(Opcode::Add, Operand::Reg(i), Operand::Imm(1));
-        b.push(Opcode::MovI, vec![i], vec![Operand::Reg(i1)]);
-        let p = b.cmp(CmpKind::Lt, Operand::Reg(i), Operand::Imm(iters));
-        b.br_cond(p, body, done);
-        b.switch_to(done);
-        b.out(Operand::Reg(acc));
-        b.halt_imm(0);
-        let id = m.add_function(b.finish());
-        m.entry = Some(id);
-        m
-    }
+    use crate::testutil::{looping_module, sequential};
+    use casted_ir::{FunctionBuilder, MachineConfig, Module};
 
     fn result_eq(a: &SimResult, b: &SimResult) -> bool {
         a.stop == b.stop

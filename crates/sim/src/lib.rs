@@ -31,10 +31,13 @@
 pub mod batch;
 pub mod cache;
 pub mod checkpoint;
+mod decode;
 pub mod machine;
 pub mod rbed;
 pub mod section;
 pub mod stats;
+#[cfg(test)]
+mod testutil;
 
 pub use batch::{
     run_batch, run_batch_auto, BatchState, BatchStats, LaneVerdict, DEFAULT_LANE_WIDTH,

@@ -6,6 +6,7 @@ use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{Opcode, Operand, Reg, RegClass};
 
 use crate::cache::CacheHierarchy;
+use crate::decode::DecodedProgram;
 use crate::stats::SimStats;
 
 /// A transient fault to inject (paper §IV-C): at the
@@ -300,11 +301,12 @@ pub(crate) enum Boundary {
     Stop,
 }
 
-/// Execute `sp` starting from `st` until it stops, mutating `st` in
-/// place. `boundary` is invoked at every bundle boundary (immediately
-/// before the bundle at `st.bundle_idx` issues) and may stop the run
-/// early; the checkpoint engine uses it to capture snapshots during
-/// the golden run and to test convergence during replays. When
+/// Execute the decoded program `dp` starting from `st` until it
+/// stops, mutating `st` in place. `boundary` is invoked at every
+/// bundle boundary (immediately before the bundle at `st.bundle_idx`
+/// issues) and may stop the run early; the checkpoint engine uses it
+/// to capture snapshots during the golden run and to test convergence
+/// during replays. When
 /// `flush_metrics` is false the run stays out of the `sim.*` counters
 /// (fault-injection trials would otherwise swamp them and make the
 /// two campaign engines' counter snapshots incomparable).
@@ -314,18 +316,15 @@ pub(crate) enum Boundary {
 /// end-of-block branch/halt resolution, watchdog check per bundle,
 /// injection after writeback — are exactly those of the historical
 /// single-function `simulate`; `simulate` itself is now a thin
-/// wrapper over a fresh state and a no-op hook.
+/// wrapper over one decode, a fresh state and a no-op hook.
 pub(crate) fn run_machine(
-    sp: &ScheduledProgram,
+    dp: &DecodedProgram,
     opts: &SimOptions,
     st: &mut MachineState,
     flush_metrics: bool,
     boundary: &mut dyn FnMut(&MachineState) -> Boundary,
 ) -> Option<SimResult> {
-    let func = sp.module.entry_fn();
-    let config = &sp.config;
-    let delay = config.inter_cluster_delay as u64;
-    let lat = &config.latency;
+    let delay = dp.delay;
     let inj = opts.injection;
 
     // Install the RBED digest accumulator on a fresh state; a state
@@ -337,11 +336,9 @@ pub(crate) fn run_machine(
         }
     }
 
-    // Reusable per-bundle operand buffers (the simulator's hottest
+    // Reusable phase-1 operand buffer (the simulator's hottest
     // allocation site otherwise).
     let mut val_buf: Vec<Val> = Vec::with_capacity(64);
-    let mut meta_buf: Vec<(casted_ir::Cluster, casted_ir::InsnId, u32, u32)> =
-        Vec::with_capacity(16);
 
     let mut trace: Vec<TraceEntry> = Vec::new();
     // Span-timed per run; counters are flushed in bulk on exit, so the
@@ -373,54 +370,42 @@ pub(crate) fn run_machine(
     }
 
     loop {
-        let sb = &sp.blocks[st.block.index()];
+        let bundles = dp.block(st.block);
 
-        while st.bundle_idx < sb.bundles.len() {
+        while st.bundle_idx < bundles.len() {
             if boundary(st) == Boundary::Stop {
                 return None;
             }
-            let bundle = &sb.bundles[st.bundle_idx];
+            let bundle = &bundles[st.bundle_idx];
             if st.cycle > opts.max_cycles {
                 finish!(StopReason::Timeout, st.cycle);
             }
             // ---- stall until every operand of the bundle is usable ----
             let mut issue = st.cycle;
-            for (cluster, iid) in bundle.iter() {
-                let insn = func.insn(iid);
-                for r in insn.reg_uses() {
-                    let (mut avail, writer) = st.ready.get(r);
-                    if writer != cluster.0 {
-                        avail += delay;
-                        st.stats.cross_reads += 1;
-                    }
-                    issue = issue.max(avail);
+            for &(r, reader) in dp.stalls(bundle) {
+                let (mut avail, writer) = st.ready.get(r);
+                if writer != reader {
+                    avail += delay;
+                    st.stats.cross_reads += 1;
                 }
+                issue = issue.max(avail);
             }
             st.stats.stall_cycles += issue - st.cycle;
             st.stats.bundles += 1;
 
             // ---- phase 1: read all operands (VLIW parallel read) ----
             val_buf.clear();
-            meta_buf.clear();
-            for (cluster, iid) in bundle.iter() {
-                let insn = func.insn(iid);
-                let off = val_buf.len() as u32;
-                for o in &insn.uses {
-                    val_buf.push(match o {
-                        Operand::Reg(r) => st.rf.get(*r),
-                        Operand::Imm(v) => Val::I(*v),
-                        Operand::FImm(v) => Val::F(*v),
-                    });
-                }
-                meta_buf.push((cluster, iid, off, insn.uses.len() as u32));
-            }
+            val_buf.extend(dp.operands(bundle).iter().map(|o| match *o {
+                Operand::Reg(r) => st.rf.get(r),
+                Operand::Imm(v) => Val::I(v),
+                Operand::FImm(v) => Val::F(v),
+            }));
 
             // ---- phase 2: execute and write back ----
             let mut detect_fired = false;
-            for k in 0..meta_buf.len() {
-                let (cluster, iid, off, len) = meta_buf[k];
-                let vals = &val_buf[off as usize..(off + len) as usize];
-                let insn = func.insn(iid);
+            for insn in dp.ops(bundle) {
+                let vals = &val_buf[insn.operand_range()];
+                let cluster = insn.cluster;
                 st.stats.dyn_insns += 1;
                 st.stats.per_cluster[cluster.index()] += 1;
                 if trace.len() < opts.trace_limit {
@@ -428,7 +413,7 @@ pub(crate) fn run_machine(
                         cycle: issue,
                         block: st.block,
                         cluster,
-                        insn: iid,
+                        insn: insn.iid,
                         stalled: issue - st.cycle,
                     });
                 }
@@ -440,11 +425,8 @@ pub(crate) fn run_machine(
                 let mut retired_val: Option<Val> = None;
 
                 // Completion helper: set value + scoreboard.
-                let write_def = |rf: &mut RegFile,
-                                 ready: &mut Ready,
-                                 d: Reg,
-                                 v: Val,
-                                 latency: u32| {
+                let write_def = |rf: &mut RegFile, ready: &mut Ready, v: Val, latency: u32| {
+                    let d = insn.def.expect("value-producing instruction defines a register");
                     rf.set(d, v);
                     ready.set(d, issue + latency as u64, cluster.0);
                 };
@@ -460,19 +442,14 @@ pub(crate) fn run_machine(
                         };
                         match loaded {
                             Ok(v) => {
-                                let mut l = st.cache.access(addr as u64).max(lat.load_hit);
+                                let mut l = st.cache.access(addr as u64).max(dp.load_hit);
                                 // Bounded MSHRs: a miss beyond the L1
                                 // latency occupies an entry; when all
                                 // entries are busy the new miss queues
                                 // behind the oldest.
-                                let l1_lat = config
-                                    .cache_levels
-                                    .first()
-                                    .map(|c| c.latency)
-                                    .unwrap_or(lat.load_hit);
-                                if l > l1_lat {
+                                if l > dp.l1_lat {
                                     st.mshr.retain(|&c| c > issue);
-                                    if st.mshr.len() >= config.mshr_entries {
+                                    if st.mshr.len() >= dp.mshr_entries {
                                         if let Some(&min) = st.mshr.iter().min() {
                                             l += (min.saturating_sub(issue)) as u32;
                                         }
@@ -480,7 +457,7 @@ pub(crate) fn run_machine(
                                     st.mshr.push(issue + l as u64);
                                 }
                                 retired_val = Some(v);
-                                write_def(&mut st.rf, &mut st.ready, insn.defs[0], v, l);
+                                write_def(&mut st.rf, &mut st.ready, v, l);
                             }
                             Err(e) => finish!(StopReason::Exception(e), issue + 1),
                         }
@@ -552,20 +529,14 @@ pub(crate) fn run_machine(
                                 st.stats.corrections += 1;
                             }
                             retired_val = Some(v);
-                            write_def(
-                                &mut st.rf,
-                                &mut st.ready,
-                                insn.defs[0],
-                                v,
-                                insn.op.latency(lat),
-                            )
+                            write_def(&mut st.rf, &mut st.ready, v, insn.latency)
                         }
                         Err(e) => finish!(StopReason::Exception(e), issue + 1),
                     },
-                    op => match eval_pure(op, &vals) {
+                    op => match eval_pure(op, vals) {
                         Ok(v) => {
                             retired_val = Some(v);
-                            write_def(&mut st.rf, &mut st.ready, insn.defs[0], v, op.latency(lat))
+                            write_def(&mut st.rf, &mut st.ready, v, insn.latency)
                         }
                         Err(e) => finish!(StopReason::Exception(e), issue + 1),
                     },
@@ -596,7 +567,7 @@ pub(crate) fn run_machine(
                     if !st.injected && st.stats.dyn_insns >= inj.at_dyn_insn {
                         let victim = match inj.target {
                             Some(r) => Some(r),
-                            None => insn.def(),
+                            None => insn.def,
                         };
                         if let Some(d) = victim {
                             let flipped = inj.flip(st.rf.get(d), d.class.bits());
@@ -641,11 +612,23 @@ pub(crate) fn run_machine(
     }
 }
 
+/// Run `sp`, already decoded as `dp`, from power-on to its stop —
+/// the whole-run entry the campaign engines use so one decode serves
+/// every run of a campaign.
+pub(crate) fn run_decoded(
+    sp: &ScheduledProgram,
+    dp: &DecodedProgram,
+    opts: &SimOptions,
+    flush_metrics: bool,
+) -> SimResult {
+    let mut st = MachineState::fresh(sp);
+    run_machine(dp, opts, &mut st, flush_metrics, &mut |_| Boundary::Continue)
+        .expect("no boundary hook can stop this run")
+}
+
 /// Run `sp` to completion (or exception/detection/timeout).
 pub fn simulate(sp: &ScheduledProgram, opts: &SimOptions) -> SimResult {
-    let mut st = MachineState::fresh(sp);
-    run_machine(sp, opts, &mut st, true, &mut |_| Boundary::Continue)
-        .expect("no boundary hook can stop this run")
+    run_decoded(sp, &DecodedProgram::new(sp), opts, true)
 }
 
 /// Like [`simulate`] but without flushing `sim.*` metrics: the entry
@@ -654,9 +637,7 @@ pub fn simulate(sp: &ScheduledProgram, opts: &SimOptions) -> SimResult {
 /// (and make the reference and checkpointed campaign engines'
 /// counter snapshots incomparable).
 pub fn simulate_quiet(sp: &ScheduledProgram, opts: &SimOptions) -> SimResult {
-    let mut st = MachineState::fresh(sp);
-    run_machine(sp, opts, &mut st, false, &mut |_| Boundary::Continue)
-        .expect("no boundary hook can stop this run")
+    run_decoded(sp, &DecodedProgram::new(sp), opts, false)
 }
 
 #[cfg(test)]
@@ -664,45 +645,7 @@ mod tests {
     use super::*;
     use casted_ir::interp;
     use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module};
-    use self::casted_passes_for_tests::*;
-
-    /// Small local reimplementation hooks: we cannot depend on
-    /// casted-passes (dependency cycle), so tests build trivial
-    /// one-cluster sequential schedules by hand.
-    mod casted_passes_for_tests {
-        use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
-        use casted_ir::{Cluster, MachineConfig, Module};
-        use std::collections::HashMap;
-
-        /// Sequential single-cluster schedule: one instruction per
-        /// bundle, program order.
-        pub fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
-            let func = module.entry_fn();
-            let mut assignment = vec![None; func.insns.len()];
-            let mut home = HashMap::new();
-            let mut blocks = Vec::new();
-            for (bid, block) in func.iter_blocks() {
-                let mut bundles = Vec::new();
-                for &iid in &block.insns {
-                    assignment[iid.index()] = Some(Cluster::MAIN);
-                    for &d in &func.insn(iid).defs {
-                        home.entry(d).or_insert(Cluster::MAIN);
-                    }
-                    let mut b = Bundle::empty(config.clusters);
-                    b.slots[0].push(iid);
-                    bundles.push(b);
-                }
-                blocks.push(ScheduledBlock { block: bid, bundles });
-            }
-            ScheduledProgram {
-                module: module.clone(),
-                config,
-                assignment,
-                home,
-                blocks,
-            }
-        }
-    }
+    use crate::testutil::sequential;
 
     fn demo_module() -> Module {
         let mut m = Module::new("t");
@@ -860,7 +803,7 @@ mod tests {
 
         let mk = |delay: u32, split: bool| {
             let config = MachineConfig::perfect_memory(2, delay);
-            let mut sp = casted_passes_for_tests::sequential(&m, config);
+            let mut sp = sequential(&m, config);
             if split {
                 // Move the add (2nd insn) to cluster 1.
                 let f = sp.module.entry_fn();
@@ -906,7 +849,6 @@ mod tests {
 mod trace_tests {
     use super::*;
     use casted_ir::{FunctionBuilder, MachineConfig, Module, Opcode, Operand};
-    use std::collections::HashMap;
 
     fn tiny() -> casted_ir::vliw::ScheduledProgram {
         let mut m = Module::new("t");
@@ -917,30 +859,7 @@ mod trace_tests {
         b.halt_imm(0);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let config = MachineConfig::perfect_memory(1, 1);
-        let func = m.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = HashMap::new();
-        let mut bundles = Vec::new();
-        for &iid in &func.block(func.entry).insns {
-            assignment[iid.index()] = Some(casted_ir::Cluster::MAIN);
-            for &d in &func.insn(iid).defs {
-                home.entry(d).or_insert(casted_ir::Cluster::MAIN);
-            }
-            let mut bu = casted_ir::vliw::Bundle::empty(config.clusters);
-            bu.slots[0].push(iid);
-            bundles.push(bu);
-        }
-        casted_ir::vliw::ScheduledProgram {
-            blocks: vec![casted_ir::vliw::ScheduledBlock {
-                block: m.entry_fn().entry,
-                bundles,
-            }],
-            module: m,
-            config,
-            assignment,
-            home,
-        }
+        crate::testutil::sequential(&m, MachineConfig::perfect_memory(1, 1))
     }
 
     #[test]

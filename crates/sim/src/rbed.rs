@@ -39,6 +39,7 @@ use std::sync::Arc;
 use casted_ir::vliw::ScheduledProgram;
 use casted_util::hash::Fnv64;
 
+use crate::decode::DecodedProgram;
 use crate::machine::{run_machine, Boundary, MachineState, SimOptions};
 use crate::section::{MAX_SECTIONS, MIN_SECTION_SPAN};
 
@@ -91,13 +92,14 @@ impl RbedState {
 /// golden digest at each crossing. `golden_dyn` is the golden run's
 /// dynamic length (the campaign already has it from its golden run).
 pub fn rbed_plan(sp: &ScheduledProgram, golden_dyn: u64) -> Arc<RbedPlan> {
+    let dp = DecodedProgram::new(sp);
     let mut bounds = Vec::new();
     if golden_dyn > 0 {
         let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
         let mut last = 0u64;
         let mut st = MachineState::fresh(sp);
         run_machine(
-            sp,
+            &dp,
             &SimOptions::default(),
             &mut st,
             false,
@@ -130,7 +132,7 @@ pub fn rbed_plan(sp: &ScheduledProgram, golden_dyn: u64) -> Arc<RbedPlan> {
         rbed: Some(record),
         ..SimOptions::default()
     };
-    run_machine(sp, &opts, &mut st, false, &mut |_| Boundary::Continue)
+    run_machine(&dp, &opts, &mut st, false, &mut |_| Boundary::Continue)
         .expect("no boundary hook can stop this run");
     let digests = st
         .rbed
@@ -149,38 +151,10 @@ pub fn rbed_plan(sp: &ScheduledProgram, golden_dyn: u64) -> Arc<RbedPlan> {
 mod tests {
     use super::*;
     use casted_ir::interp::StopReason;
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
-    use casted_ir::{CmpKind, Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
-    use std::collections::HashMap;
+    use crate::testutil::sequential;
+    use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 
     use crate::machine::{simulate_quiet, Injection};
-
-    fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
-        let func = m.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = HashMap::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: m.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
 
     fn looping_module(iters: i64) -> Module {
         let mut m = Module::new("t");

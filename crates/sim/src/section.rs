@@ -44,6 +44,7 @@ use casted_ir::{Reg, RegClass};
 use casted_util::hash::Fnv64;
 
 use crate::checkpoint::{fingerprint, live_in_masks, LiveMask};
+use crate::decode::DecodedProgram;
 use crate::machine::{run_machine, Boundary, Injection, MachineState, SimOptions, SimResult};
 
 /// Upper bound on sections per program. More sections mean finer
@@ -91,6 +92,9 @@ pub struct SectionCapture {
     /// `sections.last().hi == golden_dyn`.
     pub sections: Vec<Section>,
     live: Vec<LiveMask>,
+    /// The program decoded once for the capture and every bounded
+    /// trial.
+    decoded: DecodedProgram,
 }
 
 impl SectionCapture {
@@ -128,7 +132,8 @@ pub enum SectionTrial {
 /// instructions; in-span fingerprints are sampled at a quarter of
 /// that target (floored), and at every cut.
 pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCapture {
-    let live = live_in_masks(sp);
+    let decoded = DecodedProgram::new(sp);
+    let live = live_in_masks(sp, &decoded);
     let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
     let cadence = (span_target / 4).max(16);
 
@@ -141,7 +146,7 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
     let mut next_sample = cadence;
 
     run_machine(
-        sp,
+        &decoded,
         &SimOptions::default(),
         &mut st,
         false,
@@ -195,7 +200,11 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
         fingerprints: cur_fps,
     });
 
-    SectionCapture { sections, live }
+    SectionCapture {
+        sections,
+        live,
+        decoded,
+    }
 }
 
 /// Run one injection trial bounded to its section.
@@ -207,7 +216,6 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
 /// on the edited program is instruction-for-instruction identical, so
 /// its verdict is too).
 pub fn run_section_trial(
-    sp: &ScheduledProgram,
     capture: &SectionCapture,
     section: usize,
     inj: Injection,
@@ -230,7 +238,7 @@ pub fn run_section_trial(
     let mut attempts = 0u32;
     let mut converged = false;
     let mut visited: BTreeSet<u32> = BTreeSet::new();
-    let finished = run_machine(sp, &opts, &mut st, false, &mut |st: &MachineState| {
+    let finished = run_machine(&capture.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
         visited.insert(st.block.index() as u32);
         let dyn_insns = st.stats.dyn_insns;
         if st.injected && st.bundle_idx == 0 && attempts < MAX_CONVERGENCE_ATTEMPTS {
@@ -269,7 +277,7 @@ pub fn run_section_trial(
 /// code did not (liveness flows backward), and which the convergence
 /// fingerprints depend on.
 pub fn block_validation_hashes(sp: &ScheduledProgram) -> Vec<(u64, u64)> {
-    let live = live_in_masks(sp);
+    let live = live_in_masks(sp, &DecodedProgram::new(sp));
     let func = sp.module.entry_fn();
     sp.blocks
         .iter()
@@ -386,65 +394,8 @@ fn full_state_digest(sp: &ScheduledProgram, st: &MachineState) -> u64 {
 mod tests {
     use super::*;
     use crate::checkpoint::golden_with_checkpoints;
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
-    use casted_ir::{CmpKind, Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
-    use std::collections::HashMap as Map;
-
-    fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
-        let func = m.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = Map::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: m.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
-
-    fn looping_module(iters: i64) -> Module {
-        let mut m = Module::new("t");
-        let (_, addr) = m.add_global("g", casted_ir::func::GlobalClass::Int, 16, (0..16).collect());
-        let mut b = FunctionBuilder::new("main");
-        let body = b.new_block("body");
-        let done = b.new_block("done");
-        let acc = b.imm(0);
-        let i = b.imm(0);
-        b.br(body);
-        b.switch_to(body);
-        let base = b.imm(addr);
-        let m16 = b.binop(Opcode::And, Operand::Reg(i), Operand::Imm(15));
-        let sh = b.binop(Opcode::Shl, Operand::Reg(m16), Operand::Imm(3));
-        let ea = b.binop(Opcode::Add, Operand::Reg(base), Operand::Reg(sh));
-        let v = b.load(ea, 0);
-        let acc1 = b.binop(Opcode::Add, Operand::Reg(acc), Operand::Reg(v));
-        b.push(Opcode::MovI, vec![acc], vec![Operand::Reg(acc1)]);
-        let i1 = b.binop(Opcode::Add, Operand::Reg(i), Operand::Imm(1));
-        b.push(Opcode::MovI, vec![i], vec![Operand::Reg(i1)]);
-        let p = b.cmp(CmpKind::Lt, Operand::Reg(i), Operand::Imm(iters));
-        b.br_cond(p, body, done);
-        b.switch_to(done);
-        b.out(Operand::Reg(acc));
-        b.halt_imm(0);
-        let id = m.add_function(b.finish());
-        m.entry = Some(id);
-        m
-    }
+    use crate::testutil::{looping_module, sequential};
+    use casted_ir::{MachineConfig, Opcode};
 
     #[test]
     fn partition_tiles_the_trace_exactly() {
@@ -490,7 +441,7 @@ mod tests {
                     ..SimOptions::default()
                 },
             );
-            let (verdict, visited) = run_section_trial(&sp, &cap, cap.section_of(at), inj, max_cycles);
+            let (verdict, visited) = run_section_trial(&cap, cap.section_of(at), inj, max_cycles);
             assert!(!visited.is_empty());
             match verdict {
                 SectionTrial::Finished(r) => {

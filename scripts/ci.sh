@@ -30,6 +30,24 @@ cargo run --release --offline -q -p casted-bench --bin difftest -- \
 cmp "$log_dir/fuzz1.log" "$log_dir/fuzz2.log"
 tail -n 1 "$log_dir/fuzz1.log"
 
+echo "== perfbench correctness (self-tests + pinned simulated statistics) =="
+# perfbench is its own workspace (perfbench/Cargo.toml). Its tests cover
+# the metric-doc coverage and the corrupted-expected self-tests; a short
+# perf_grid run then checks every cell's output against the interpreter
+# ("correct" in the last-line JSON verdict) and its cycles/dyn insns/
+# bundles/nop slots against the counts pinned in perfbench/expected/
+# (the "pinned work counts" line).
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload perf_grid --seed 1 --seconds 2 --trace 0 > "$log_dir/perfbench.out"
+if ! tail -n 1 "$log_dir/perfbench.out" | grep -q '"correct": true' \
+  || ! grep -q '^pinned work counts: unchanged$' "$log_dir/perfbench.out"; then
+  echo "perfbench perf_grid check failed:" >&2
+  cat "$log_dir/perfbench.out" >&2
+  exit 1
+fi
+echo "perfbench perf_grid correct, pinned counts unchanged"
+
 echo "== metrics snapshot determinism (quick sweep, counter-only) =="
 # Two metrics-enabled quick sweeps: the counter-only snapshots must be
 # byte-identical (counters record what work was done, never how fast —
@@ -176,13 +194,18 @@ if [ -z "$addr" ]; then
   exit 1
 fi
 "$client_bin" --addr "$addr" ping | grep -q pong
+# Multi-line replies go to a file before grep: `client | grep -q`
+# lets grep exit at its first match, and the client's next line then
+# fails on the closed pipe (pipefail turns that into a CI failure).
 "$client_bin" --addr "$addr" compile  --file "$smoke_src" --scheme casted --issue 2 --delay 2 \
-  | grep -q '^bundles: '
+  > "$log_dir/compile.out"
+grep -q '^bundles: ' "$log_dir/compile.out"
 "$client_bin" --addr "$addr" simulate --file "$smoke_src" --scheme casted --issue 2 --delay 2 \
   > "$log_dir/sim1.out"
 grep -q '^cycles: ' "$log_dir/sim1.out"
 "$client_bin" --addr "$addr" inject   --file "$smoke_src" --scheme casted --issue 2 --delay 2 \
-  --trials 60 --seed 0xCA57ED --engine checkpointed | grep -q '^trials: 60$'
+  --trials 60 --seed 0xCA57ED --engine checkpointed > "$log_dir/inject.out"
+grep -q '^trials: 60$' "$log_dir/inject.out"
 # The repeated identical request must be served from the cache and be
 # byte-identical to the first reply.
 "$client_bin" --addr "$addr" simulate --file "$smoke_src" --scheme casted --issue 2 --delay 2 \

@@ -122,3 +122,49 @@ fn snapshot_strips_every_timing_and_host_dependent_metric() {
         assert!(snap.contains(key), "expected {key} in snapshot:\n{snap}");
     }
 }
+
+/// Every metric name a backticked span of `docs/OBSERVABILITY.md`
+/// spells out, with `{a,b}` brace lists expanded (several lists in one
+/// name expand to every combination).
+fn documented_names(doc: &str) -> std::collections::BTreeSet<String> {
+    fn expand(name: &str, out: &mut std::collections::BTreeSet<String>) {
+        match (name.find('{'), name.find('}')) {
+            (Some(open), Some(close)) if open < close => {
+                for alt in name[open + 1..close].split(',') {
+                    expand(&format!("{}{}{}", &name[..open], alt, &name[close + 1..]), out);
+                }
+            }
+            _ => {
+                out.insert(name.to_string());
+            }
+        }
+    }
+    let mut names = std::collections::BTreeSet::new();
+    for (i, span) in doc.split('`').enumerate() {
+        // Odd pieces sit between a pair of backticks.
+        if i % 2 == 1 {
+            expand(span.trim(), &mut names);
+        }
+    }
+    names
+}
+
+#[test]
+fn observability_doc_names_every_snapshot_counter() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/OBSERVABILITY.md"
+    ))
+    .expect("read docs/OBSERVABILITY.md");
+    let documented = documented_names(&doc);
+    let golden = std::fs::read_to_string(GOLDEN).expect("read the golden counter snapshot");
+    let missing: Vec<&str> = golden
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+        .filter(|key| *key != "counters" && !documented.contains(*key))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "counters missing from docs/OBSERVABILITY.md: {missing:?}"
+    );
+}
