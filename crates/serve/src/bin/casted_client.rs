@@ -28,9 +28,8 @@
 //! the partial tally is printed.
 //!
 //! `bench` needs no `--addr`: it spawns its own fleet next to the
-//! current executable — a thread-per-connection baseline server, an
-//! event-driven server, and routed shard fleets of 1, 2 and 4 event
-//! shards — then measures cached throughput on each over `--samples`
+//! current executable — a single server and routed shard fleets of 1,
+//! 2 and 4 shards — then measures cached throughput on each over `--samples`
 //! interleaved rounds (median/MAD), plus a cold-path (cache-miss) row.
 //! Results land in `BENCH_serve.json` at the workspace root.
 
@@ -566,17 +565,8 @@ fn run_bench(o: &Opts) -> Result<(), String> {
 
     let arg = |s: &str| s.to_string();
     let mut fleet = Fleet::new();
-    eprintln!("bench: spawning fleet (baseline, event, 1/2/4-shard)...");
-    let threads_addr = fleet.spawn(
-        &serve_bin,
-        &[arg("--conn-model"), arg("threads")],
-        "serve-threads",
-    )?;
-    let event_addr = fleet.spawn(
-        &serve_bin,
-        &[arg("--conn-model"), arg("event")],
-        "serve-event",
-    )?;
+    eprintln!("bench: spawning fleet (single server, 1/2/4-shard)...");
+    let event_addr = fleet.spawn(&serve_bin, &[], "serve-event")?;
     // Shard fleets: each curve point gets its own shards + router so
     // caches are independent and shutdown is per-fleet.
     let mut router_addrs: Vec<(usize, String)> = Vec::new();
@@ -585,7 +575,7 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         for i in 0..n {
             let shard_addr = fleet.spawn(
                 &serve_bin,
-                &[arg("--conn-model"), arg("event"), arg("--workers"), arg("2")],
+                &[arg("--workers"), arg("2")],
                 &format!("shard-{n}x-{i}"),
             )?;
             router_args.push(arg("--shard"));
@@ -620,7 +610,8 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         .collect();
 
     eprintln!("bench: warming caches...");
-    for addr in [&threads_addr, &event_addr] {
+    {
+        let addr = &event_addr;
         let mut c = Client::connect(addr).map_err(|e| format!("warm {addr}: {e}"))?;
         let reply = c.request_raw(&cached_payload).map_err(|e| e.to_string())?;
         if reply.get(1) != Some(&3) {
@@ -643,16 +634,12 @@ fn run_bench(o: &Opts) -> Result<(), String> {
     let samples = o.samples.max(5);
     let cold_per_conn = (o.requests / 25).max(8);
     let cached = std::slice::from_ref(&cached_payload);
-    let mut threads_cached = Row { samples: vec![] };
     let mut event_cached = Row { samples: vec![] };
     let mut event_cold = Row { samples: vec![] };
     let mut shard_rows: Vec<(usize, Row)> =
         router_addrs.iter().map(|(n, _)| (*n, Row { samples: vec![] })).collect();
     for sample in 0..samples {
         eprintln!("bench: sample {}/{samples}", sample + 1);
-        threads_cached
-            .samples
-            .push(run_load(&threads_addr, o.conns, cached, o.requests)?);
         event_cached
             .samples
             .push(run_load(&event_addr, o.conns, cached, o.requests)?);
@@ -670,13 +657,12 @@ fn run_bench(o: &Opts) -> Result<(), String> {
     }
 
     eprintln!("bench: shutting down fleet...");
-    let mut signal = vec![threads_addr.clone(), event_addr.clone()];
+    let mut signal = vec![event_addr.clone()];
     signal.extend(router_addrs.iter().map(|(_, a)| a.clone()));
     fleet.shutdown(&signal)?;
 
     let staged = bench_staged_compile(o)?;
 
-    let (threads_med, _) = threads_cached.stats();
     let (event_med, _) = event_cached.stats();
     let shard_meds: Vec<(usize, f64)> =
         shard_rows.iter().map(|(n, r)| (*n, r.stats().0)).collect();
@@ -687,11 +673,7 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         .unwrap_or(f64::NAN);
 
     println!("rows (median req/s over {samples} samples, {} conns):", o.conns);
-    println!("  threads_cached: {threads_med:.0}");
-    println!(
-        "  event_cached:   {event_med:.0}  ({:.2}x threads)",
-        event_med / threads_med
-    );
+    println!("  event_cached:   {event_med:.0}");
     for (n, med) in &shard_meds {
         println!("  shard{n}_cached:  {med:.0}  ({:.2}x shard1)", med / shard1);
     }
@@ -703,10 +685,7 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         staged.warm_per_sec / staged.cold_per_sec
     );
 
-    let mut rows = vec![
-        ("threads_cached".to_string(), threads_cached.json()),
-        ("event_cached".to_string(), event_cached.json()),
-    ];
+    let mut rows = vec![("event_cached".to_string(), event_cached.json())];
     for (n, row) in &shard_rows {
         rows.push((format!("shard{n}_cached"), row.json()));
     }
@@ -715,22 +694,16 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         .iter()
         .map(|(name, body)| format!("    \"{name}\": {body}"))
         .collect();
-    let ratios_json: Vec<String> = std::iter::once(format!(
-        "    \"event_over_threads\": {:.2}",
-        event_med / threads_med
-    ))
-    .chain(
-        shard_meds
-            .iter()
-            .filter(|(n, _)| *n != 1)
-            .map(|(n, med)| format!("    \"shard{n}_over_shard1\": {:.2}", med / shard1)),
-    )
-    .collect();
+    let ratios_json: Vec<String> = shard_meds
+        .iter()
+        .filter(|(n, _)| *n != 1)
+        .map(|(n, med)| format!("    \"shard{n}_over_shard1\": {:.2}", med / shard1))
+        .collect();
 
     // Ratios are architecture-sensitive: on a single-core host every
-    // process shares the one CPU, so event-vs-threads and the shard
-    // curve are bounded by total per-request CPU, not by connection
-    // handling. Record the core count so readers can interpret them.
+    // process shares the one CPU, so the shard curve is bounded by
+    // total per-request CPU, not by connection handling. Record the
+    // core count so readers can interpret them.
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -2,17 +2,14 @@
 //!
 //! ```text
 //! casted-serve [--addr HOST:PORT] [--workers N] [--queue N]
-//!              [--conn-model event|threads]
 //!              [--cache-bytes N] [--max-cycles N] [--max-trials N]
 //!              [--quota-burst N] [--quota-refill N] [--queue-deadline-ms N]
 //!              [--section-cache DIR] [--artifact-cache DIR]
 //!              [--metrics] [--metrics-counters]
 //! ```
 //!
-//! `--conn-model` picks the connection layer: `event` (default) is the
-//! epoll-driven single-loop model; `threads` is the portable
-//! thread-per-connection fallback (also chosen automatically where the
-//! poll backend is unavailable).
+//! One epoll-driven event loop serves every connection; where the poll
+//! backend is unavailable the server refuses to start.
 //!
 //! `--quota-burst` / `--quota-refill` enable per-client token-bucket
 //! admission (burst capacity / refill per second); `--queue-deadline-ms`
@@ -41,12 +38,12 @@
 use std::process::ExitCode;
 
 use casted_serve::cache::CacheConfig;
-use casted_serve::server::{ConnModel, Server, ServerConfig};
+use casted_serve::server::{Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: casted-serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--conn-model event|threads] [--cache-bytes N] [--max-cycles N] [--max-trials N] \
+         [--cache-bytes N] [--max-cycles N] [--max-trials N] \
          [--quota-burst N] [--quota-refill N] [--queue-deadline-ms N] \
          [--section-cache DIR] [--artifact-cache DIR] [--metrics] [--metrics-counters]"
     );
@@ -74,13 +71,6 @@ fn main() -> ExitCode {
             "--addr" => cfg.addr = parse("--addr", args.next()),
             "--workers" => cfg.workers = parse("--workers", args.next()),
             "--queue" => cfg.queue_depth = parse("--queue", args.next()),
-            "--conn-model" => {
-                let v: String = parse("--conn-model", args.next());
-                cfg.conn_model = ConnModel::parse(&v).unwrap_or_else(|| {
-                    eprintln!("casted-serve: bad value {v:?} for --conn-model");
-                    usage();
-                })
-            }
             "--quota-burst" => cfg.admission.quota_burst = parse("--quota-burst", args.next()),
             "--quota-refill" => {
                 cfg.admission.quota_refill_per_sec = parse("--quota-refill", args.next())
@@ -121,7 +111,7 @@ fn main() -> ExitCode {
     let server = match Server::start(cfg) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("casted-serve: bind failed: {e}");
+            eprintln!("casted-serve: start failed: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -1,13 +1,14 @@
 //! The event-driven connection front end.
 //!
 //! One loop thread owns the listener and every connection through
-//! [`casted_util::poll`] (epoll on Linux): nonblocking accepts,
-//! readiness-driven reads with incremental frame assembly, buffered
-//! nonblocking writes. Cache hits, pings, counters and admission
-//! rejections are answered inline on the loop; cache-missing work is
-//! queued for the worker pool, which posts encoded reply frames back
-//! through [`Shared::post_completion`] plus a poller wakeup — the loop
-//! never sleeps and never polls a flag.
+//! [`casted_util::poll`] (epoll on Linux); the socket side of each
+//! connection (frame assembly, buffered writes, write interest) is the
+//! shared [`FramedConn`] core the router drives too. Cache hits,
+//! pings, counters and admission rejections are answered inline on
+//! the loop; cache-missing work is queued for the worker pool, which
+//! posts encoded reply frames back through [`Shared::post_completion`]
+//! plus a poller wakeup — the loop never sleeps and never polls a
+//! flag.
 //!
 //! Per-connection state machine:
 //!
@@ -26,20 +27,20 @@
 //! is flushed, then closes the remaining connections and returns.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, Shutdown as SockShutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use casted_util::poll::{Event, Interest, Poller};
+use casted_util::poll::{Event, Poller};
 
-use crate::protocol::{cache_key, decode_request, encode_response, Request, Response, MAX_FRAME};
-use crate::server::{admit, kind_counter, Job, PushError, ReplySink, Shared};
+use crate::conn::{accept_pending, FramedConn};
+use crate::protocol::{cache_key, decode_request, Request, Response};
+use crate::server::{admit, kind_counter, Job, PushError, Shared};
 
 /// Poller token for the listener; connection tokens count up from 1.
 /// (`u64::MAX` is the poller's internal wakeup token.)
-const LISTENER: u64 = 0;
+pub(crate) const LISTENER: u64 = 0;
 
 /// Frames buffered behind a busy connection before further requests
 /// get an immediate `Busy` instead — bounds per-connection memory the
@@ -51,13 +52,8 @@ const INBOX_CAP: usize = 64;
 const WAIT_SLICE: Duration = Duration::from_millis(500);
 
 struct Conn {
-    stream: TcpStream,
+    io: FramedConn,
     peer: IpAddr,
-    /// Raw inbound bytes not yet assembled into a frame.
-    rbuf: Vec<u8>,
-    /// Outbound bytes; `wpos..` is the unwritten tail.
-    wbuf: Vec<u8>,
-    wpos: usize,
     /// Complete request payloads waiting for the connection to go idle.
     inbox: VecDeque<Vec<u8>>,
     /// A job for this connection is queued or executing.
@@ -69,90 +65,17 @@ struct Conn {
     pending_cancel: bool,
     /// Latency span from dispatch to terminal frame.
     span: Option<casted_obs::Span>,
-    close_after_flush: bool,
-    dead: bool,
-    write_interest: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, peer: IpAddr) -> Conn {
-        Conn {
-            stream,
-            peer,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            inbox: VecDeque::new(),
-            busy: false,
-            stream_cancel: None,
-            pending_cancel: false,
-            span: None,
-            close_after_flush: false,
-            dead: false,
-            write_interest: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.wpos == self.wbuf.len()
-    }
-
-    /// Queue one length-prefixed frame for writing.
-    fn push_frame(&mut self, payload: &[u8]) {
-        self.wbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(payload);
-    }
-
-    fn push_response(&mut self, resp: &Response) {
-        self.push_frame(&encode_response(resp));
-    }
-
-    /// Write until clean or `WouldBlock`.
-    fn flush(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        self.wbuf.clear();
-        self.wpos = 0;
-        if self.close_after_flush {
-            self.dead = true;
-        }
-    }
 }
 
 /// Run the loop until shutdown completes. Never returns while a queued
-/// job's reply is undelivered.
+/// job's reply is undelivered. `listener` is nonblocking and already
+/// registered on `poller` under [`LISTENER`].
 pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, poller: Poller) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    // A missing notifier only costs wakeup latency: the wait below is
-    // bounded by WAIT_SLICE, so completions still drain.
-    *shared
-        .notifier
-        .lock()
-        .unwrap_or_else(|e| e.into_inner()) = poller.notifier().ok();
-    if poller.add(&listener, LISTENER, Interest::Read).is_err() {
-        return;
-    }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 1;
     let mut events: Vec<Event> = Vec::new();
-    // Jobs queued through the Loop sink whose terminal frame has not
-    // come back yet; the drain waits for this to reach zero.
+    // Jobs queued for a connection whose terminal frame has not come
+    // back yet; the drain waits for this to reach zero.
     let mut pending_jobs: usize = 0;
     let mut listener_live = true;
 
@@ -163,7 +86,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, poller: Poller) {
                 let _ = poller.remove(&listener);
                 listener_live = false;
             }
-            if pending_jobs == 0 && conns.values().all(|c| c.flushed()) {
+            if pending_jobs == 0 && conns.values().all(|c| c.io.flushed()) {
                 break;
             }
         }
@@ -187,7 +110,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, poller: Poller) {
             let Some(conn) = conns.get_mut(&c.conn) else {
                 continue;
             };
-            conn.push_frame(&c.payload);
+            conn.io.push_frame(&c.payload);
             if c.terminal {
                 conn.busy = false;
                 conn.stream_cancel = None;
@@ -196,7 +119,7 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, poller: Poller) {
                     // The cancel lost the race with the final chunk:
                     // the terminal was a full `Injected`, so the
                     // Cancel request still gets its own reply.
-                    conn.push_response(&Response::Err(
+                    conn.io.push_response(&Response::Err(
                         "cancel arrived after campaign completion".into(),
                     ));
                 }
@@ -206,7 +129,28 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, poller: Poller) {
         // 2. Socket readiness.
         for ev in &events {
             if ev.token == LISTENER {
-                accept_ready(&listener, &poller, &mut conns, &mut next_token, stopping);
+                accept_pending(&listener, |stream, addr| {
+                    if stopping {
+                        return; // drained on the floor; the drop closes it
+                    }
+                    casted_obs::inc("serve.connections");
+                    let token = next_token;
+                    next_token += 1;
+                    if let Ok(io) = FramedConn::register(stream, &poller, token) {
+                        conns.insert(
+                            token,
+                            Conn {
+                                io,
+                                peer: addr.ip(),
+                                inbox: VecDeque::new(),
+                                busy: false,
+                                stream_cancel: None,
+                                pending_cancel: false,
+                                span: None,
+                            },
+                        );
+                    }
+                });
             } else if let Some(conn) = conns.get_mut(&ev.token) {
                 if ev.readable || ev.closed {
                     conn_read(conn);
@@ -217,129 +161,48 @@ pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, poller: Poller) {
         // 3. Dispatch idle connections' inboxes, flush, retire.
         let mut dead: Vec<u64> = Vec::new();
         for (&token, conn) in conns.iter_mut() {
-            while !conn.busy && !conn.dead && !conn.close_after_flush {
+            while !conn.busy && !conn.io.dead && !conn.io.close_after_flush {
                 let Some(payload) = conn.inbox.pop_front() else {
                     break;
                 };
                 dispatch(shared, conn, token, payload, &mut pending_jobs);
             }
-            conn.flush();
-            if !conn.dead {
-                let want_write = !conn.flushed();
-                if want_write != conn.write_interest {
-                    let interest = if want_write {
-                        Interest::ReadWrite
-                    } else {
-                        Interest::Read
-                    };
-                    if poller.modify(&conn.stream, token, interest).is_ok() {
-                        conn.write_interest = want_write;
-                    }
-                }
-            }
-            if conn.dead {
+            conn.io.flush(&poller, token);
+            if conn.io.dead {
                 dead.push(token);
             }
         }
         for token in dead {
             if let Some(conn) = conns.remove(&token) {
-                // A campaign streaming to a vanished client stops at
-                // its next chunk boundary.
-                if let Some(cancel) = &conn.stream_cancel {
-                    cancel.store(true, Ordering::SeqCst);
-                }
-                let _ = poller.remove(&conn.stream);
+                close(&conn, &poller);
             }
         }
     }
 
     for (_, conn) in conns.drain() {
-        if let Some(cancel) = &conn.stream_cancel {
-            cancel.store(true, Ordering::SeqCst);
-        }
-        let _ = poller.remove(&conn.stream);
-        let _ = conn.stream.shutdown(SockShutdown::Both);
+        close(&conn, &poller);
     }
 }
 
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    stopping: bool,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, addr)) => {
-                if stopping {
-                    continue; // drained on the floor; the drop closes it
-                }
-                casted_obs::inc("serve.connections");
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let token = *next_token;
-                *next_token += 1;
-                if poller.add(&stream, token, Interest::Read).is_err() {
-                    continue;
-                }
-                conns.insert(token, Conn::new(stream, addr.ip()));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
+/// Retire a connection. A campaign still streaming to it stops at its
+/// next chunk boundary.
+fn close(conn: &Conn, poller: &Poller) {
+    if let Some(cancel) = &conn.stream_cancel {
+        cancel.store(true, Ordering::SeqCst);
     }
+    conn.io.close(poller);
 }
 
-/// Drain readable bytes and assemble complete frames into the inbox
-/// (or act on them immediately: Cancel during a stream).
+/// Assemble readable frames into the inbox (or act on them at once: a
+/// Cancel during a stream).
 fn conn_read(conn: &mut Conn) {
-    let mut buf = [0u8; 16 * 1024];
-    let mut eof = false;
-    loop {
-        match conn.stream.read(&mut buf) {
-            Ok(0) => {
-                eof = true;
-                break;
-            }
-            Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
-    }
-    while conn.rbuf.len() >= 4 && !conn.close_after_flush {
-        let len = u32::from_le_bytes([conn.rbuf[0], conn.rbuf[1], conn.rbuf[2], conn.rbuf[3]])
-            as usize;
-        if len > MAX_FRAME {
-            // Oversized length prefix: structured reply, then close —
-            // the byte stream beyond this point is untrustworthy.
-            casted_obs::inc("serve.errors");
-            conn.push_response(&Response::Err(format!(
-                "bad frame: length {len} exceeds limit {MAX_FRAME}"
-            )));
-            conn.close_after_flush = true;
-            conn.rbuf.clear();
-            break;
-        }
-        if conn.rbuf.len() < 4 + len {
-            break; // partial frame; more bytes next readiness
-        }
-        let payload = conn.rbuf[4..4 + len].to_vec();
-        conn.rbuf.drain(..4 + len);
+    let inbound = conn.io.read();
+    for payload in inbound.frames {
         route_frame(conn, payload);
     }
-    if eof {
-        if let Some(cancel) = &conn.stream_cancel {
-            cancel.store(true, Ordering::SeqCst);
-        }
-        conn.dead = true;
+    if let Some(len) = inbound.oversized {
+        casted_obs::inc("serve.errors");
+        conn.io.reject_oversized(len);
     }
 }
 
@@ -360,7 +223,7 @@ fn route_frame(conn: &mut Conn, payload: Vec<u8>) {
         }
         if conn.inbox.len() >= INBOX_CAP {
             casted_obs::inc("serve.busy");
-            conn.push_response(&Response::Busy);
+            conn.io.push_response(&Response::Busy);
             return;
         }
     }
@@ -392,7 +255,7 @@ fn dispatch(
                     3 => "serve.requests.simulate",
                     _ => "serve.requests.inject",
                 });
-                conn.push_frame(&bytes);
+                conn.io.push_frame(&bytes);
                 return;
             }
             checked_key = Some(key);
@@ -402,8 +265,9 @@ fn dispatch(
         Ok(r) => r,
         Err(e) => {
             casted_obs::inc("serve.errors");
-            conn.push_response(&Response::Err(format!("bad request: {e}")));
-            conn.close_after_flush = true;
+            conn.io
+                .push_response(&Response::Err(format!("bad request: {e}")));
+            conn.io.close_after_flush = true;
             return;
         }
     };
@@ -411,25 +275,27 @@ fn dispatch(
     match req {
         Request::Ping => {
             let _span = casted_obs::span("serve.request_ns");
-            conn.push_response(&Response::Pong);
+            conn.io.push_response(&Response::Pong);
         }
         Request::Counters => {
             let _span = casted_obs::span("serve.request_ns");
-            conn.push_response(&Response::Counters(casted_obs::snapshot_json()));
+            conn.io
+                .push_response(&Response::Counters(casted_obs::snapshot_json()));
         }
         Request::Shutdown => {
-            conn.push_response(&Response::ShuttingDown);
-            conn.close_after_flush = true;
+            conn.io.push_response(&Response::ShuttingDown);
+            conn.io.close_after_flush = true;
             shared.initiate_shutdown();
         }
         Request::Cancel => {
             // Reaching dispatch means no stream is in flight here (a
             // mid-stream Cancel is consumed in `route_frame`).
-            conn.push_response(&Response::Err("no streaming campaign in flight".into()));
+            conn.io
+                .push_response(&Response::Err("no streaming campaign in flight".into()));
         }
         req @ Request::InjectStream { .. } => {
             if let Some(resp) = admit(shared, conn.peer) {
-                conn.push_response(&resp);
+                conn.io.push_response(&resp);
                 return;
             }
             let cancel = Arc::new(AtomicBool::new(false));
@@ -439,7 +305,7 @@ fn dispatch(
                 key: cache_key(&payload),
                 enqueued: Instant::now(),
                 cancel: Some(cancel.clone()),
-                sink: ReplySink::Loop { conn: token },
+                conn: token,
             }) {
                 Ok(depth) => {
                     casted_obs::gauge_set("serve.queue_depth", depth as u64);
@@ -450,9 +316,9 @@ fn dispatch(
                 }
                 Err(PushError::Full) => {
                     casted_obs::inc("serve.busy");
-                    conn.push_response(&Response::Busy);
+                    conn.io.push_response(&Response::Busy);
                 }
-                Err(PushError::Closed) => conn.push_response(&Response::ShuttingDown),
+                Err(PushError::Closed) => conn.io.push_response(&Response::ShuttingDown),
             }
         }
         req => {
@@ -462,12 +328,12 @@ fn dispatch(
             if checked_key.is_none() {
                 if let Some(bytes) = shared.cache.get(key) {
                     let _span = casted_obs::span("serve.request_ns");
-                    conn.push_frame(&bytes);
+                    conn.io.push_frame(&bytes);
                     return;
                 }
             }
             if let Some(resp) = admit(shared, conn.peer) {
-                conn.push_response(&resp);
+                conn.io.push_response(&resp);
                 return;
             }
             let span = casted_obs::span("serve.request_ns");
@@ -476,7 +342,7 @@ fn dispatch(
                 key,
                 enqueued: Instant::now(),
                 cancel: None,
-                sink: ReplySink::Loop { conn: token },
+                conn: token,
             }) {
                 Ok(depth) => {
                     casted_obs::gauge_set("serve.queue_depth", depth as u64);
@@ -486,9 +352,9 @@ fn dispatch(
                 }
                 Err(PushError::Full) => {
                     casted_obs::inc("serve.busy");
-                    conn.push_response(&Response::Busy);
+                    conn.io.push_response(&Response::Busy);
                 }
-                Err(PushError::Closed) => conn.push_response(&Response::ShuttingDown),
+                Err(PushError::Closed) => conn.io.push_response(&Response::ShuttingDown),
             }
         }
     }

@@ -12,11 +12,11 @@
 //!   canonical request bytes → encoded reply bytes) with LRU eviction
 //!   under a byte budget.
 //! - [`server`] — the serving core: an event-driven connection layer
-//!   (`casted_util::poll`, epoll on Linux) with a portable
-//!   thread-per-connection fallback, a bounded job queue drained by
-//!   the `casted_util` thread pool, explicit backpressure (`Busy` on
-//!   queue-full), per-request simulated-cycle deadlines, graceful
-//!   drain-then-exit.
+//!   (`casted_util::poll`, epoll on Linux) over the nonblocking
+//!   framed-connection core the router shares, a bounded job queue
+//!   drained by the `casted_util` thread pool, explicit backpressure
+//!   (`Busy` on queue-full), per-request simulated-cycle deadlines,
+//!   graceful drain-then-exit.
 //! - [`admission`] — opt-in per-client token-bucket quotas and
 //!   deadline-aware queue drop, beyond the binary `Busy` signal.
 //! - [`router`] — a front process that content-hashes each request and
@@ -34,6 +34,7 @@
 pub mod admission;
 pub mod cache;
 pub mod client;
+mod conn;
 mod evloop;
 pub mod protocol;
 pub mod router;

@@ -27,31 +27,31 @@
 //! drains, and exits.
 //!
 //! Internally the router runs [`RouterConfig::loops`] independent
-//! event loops (same `casted_util::poll` machinery as the server's);
-//! a blocking acceptor hands each new client to a loop round-robin,
-//! and each loop owns its clients plus their per-client backend
-//! connections outright — no shared connection state, so loops never
-//! contend. Routing decisions sniff the canonical tag byte instead of
-//! fully decoding requests, which keeps the relay cost per frame far
-//! below a shard's per-request work — that is what lets the 2- and
-//! 4-shard configurations actually scale (BENCH_serve.json). Like the
-//! server's event model this is Linux-only; [`Router::start`] fails
-//! cleanly where the poll backend is unavailable.
+//! event loops, each driving the framed-connection core (`conn.rs`)
+//! that the server's event loop drives too; a blocking acceptor hands
+//! each new client to a loop round-robin, and each loop owns its
+//! clients plus their per-client backend connections outright — no
+//! shared connection state, so loops never contend. Routing decisions
+//! sniff the canonical tag byte instead of fully decoding requests,
+//! which keeps the relay cost per frame far below a shard's
+//! per-request work (BENCH_serve.json). Like the server this is
+//! Linux-only; [`Router::start`] fails cleanly where the poll backend
+//! is unavailable.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use casted_util::codec::{read_frame, write_frame};
-use casted_util::poll::{Event, Interest, Notifier, Poller};
+use casted_util::poll::{Event, Notifier, Poller};
 
+use crate::conn::FramedConn;
 use crate::protocol::{
-    cache_key, decode_request, encode_request, encode_response, Request, Response, MAX_FRAME,
-    PROTOCOL_VERSION,
+    cache_key, decode_request, encode_request, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
 
 const INBOX_CAP: usize = 64;
@@ -294,113 +294,17 @@ struct Relay {
     awaiting_extra: bool,
 }
 
-struct Buffered {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    write_interest: bool,
-    dead: bool,
-}
-
-impl Buffered {
-    fn new(stream: TcpStream) -> Buffered {
-        Buffered {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            write_interest: false,
-            dead: false,
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.wpos == self.wbuf.len()
-    }
-
-    fn push_frame(&mut self, payload: &[u8]) {
-        self.wbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(payload);
-    }
-
-    fn push_response(&mut self, resp: &Response) {
-        self.push_frame(&encode_response(resp));
-    }
-
-    fn flush(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        self.wbuf.clear();
-        self.wpos = 0;
-    }
-
-    /// Read until `WouldBlock`/EOF; returns the complete frames
-    /// assembled so far and whether the connection is finished.
-    fn read_frames(&mut self) -> (Vec<Vec<u8>>, bool) {
-        let mut buf = [0u8; 16 * 1024];
-        let mut closed = false;
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => self.rbuf.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    closed = true;
-                    break;
-                }
-            }
-        }
-        let mut frames = Vec::new();
-        while self.rbuf.len() >= 4 {
-            let len =
-                u32::from_le_bytes([self.rbuf[0], self.rbuf[1], self.rbuf[2], self.rbuf[3]])
-                    as usize;
-            if len > MAX_FRAME {
-                closed = true;
-                self.rbuf.clear();
-                break;
-            }
-            if self.rbuf.len() < 4 + len {
-                break;
-            }
-            frames.push(self.rbuf[4..4 + len].to_vec());
-            self.rbuf.drain(..4 + len);
-        }
-        (frames, closed)
-    }
-}
-
 struct ClientConn {
-    io: Buffered,
+    io: FramedConn,
     inbox: VecDeque<Vec<u8>>,
     relay: Option<Relay>,
     /// shard index → backend token, opened lazily per client so reply
     /// streams from different clients never interleave on one socket.
     backends: HashMap<usize, u64>,
-    close_after_flush: bool,
 }
 
 struct BackendConn {
-    io: Buffered,
+    io: FramedConn,
     client: u64,
     shard: usize,
 }
@@ -439,25 +343,19 @@ fn run_loop(
             &mut *inbox.streams.lock().unwrap_or_else(|e| e.into_inner()),
         );
         for stream in adopted {
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
             let token = next_token;
             next_token += 1;
-            if poller.add(&stream, token, Interest::Read).is_err() {
-                continue;
+            if let Ok(io) = FramedConn::register(stream, &poller, token) {
+                clients.insert(
+                    token,
+                    ClientConn {
+                        io,
+                        inbox: VecDeque::new(),
+                        relay: None,
+                        backends: HashMap::new(),
+                    },
+                );
             }
-            clients.insert(
-                token,
-                ClientConn {
-                    io: Buffered::new(stream),
-                    inbox: VecDeque::new(),
-                    relay: None,
-                    backends: HashMap::new(),
-                    close_after_flush: false,
-                },
-            );
         }
 
         for ev in &events {
@@ -479,7 +377,7 @@ fn run_loop(
                 let Some(client) = clients.get_mut(&token) else {
                     break;
                 };
-                if client.relay.is_some() || client.io.dead || client.close_after_flush {
+                if client.relay.is_some() || client.io.dead || client.io.close_after_flush {
                     break;
                 }
                 let Some(payload) = client.inbox.pop_front() else {
@@ -501,23 +399,16 @@ fn run_loop(
         // Flush + interest + reap, both maps.
         let mut dead_clients: Vec<u64> = Vec::new();
         for (&token, client) in clients.iter_mut() {
-            client.io.flush();
-            if client.io.flushed() && client.close_after_flush {
-                client.io.dead = true;
-            }
+            client.io.flush(&poller, token);
             if client.io.dead {
                 dead_clients.push(token);
-            } else {
-                update_interest(&poller, token, &mut client.io);
             }
         }
         let mut dead_backends: Vec<u64> = Vec::new();
         for (&token, backend) in backends.iter_mut() {
-            backend.io.flush();
+            backend.io.flush(&poller, token);
             if backend.io.dead {
                 dead_backends.push(token);
-            } else {
-                update_interest(&poller, token, &mut backend.io);
             }
         }
         for token in dead_clients {
@@ -529,26 +420,10 @@ fn run_loop(
     }
 
     for (_, c) in clients.drain() {
-        let _ = poller.remove(&c.io.stream);
-        let _ = c.io.stream.shutdown(SockShutdown::Both);
+        c.io.close(&poller);
     }
     for (_, b) in backends.drain() {
-        let _ = poller.remove(&b.io.stream);
-        let _ = b.io.stream.shutdown(SockShutdown::Both);
-    }
-}
-
-fn update_interest(poller: &Poller, token: u64, io: &mut Buffered) {
-    let want_write = !io.flushed();
-    if want_write != io.write_interest {
-        let interest = if want_write {
-            Interest::ReadWrite
-        } else {
-            Interest::Read
-        };
-        if poller.modify(&io.stream, token, interest).is_ok() {
-            io.write_interest = want_write;
-        }
+        b.io.close(&poller);
     }
 }
 
@@ -560,9 +435,9 @@ fn client_read(
     let Some(client) = clients.get_mut(&token) else {
         return;
     };
-    let (frames, closed) = client.io.read_frames();
+    let inbound = client.io.read();
     let mut forward_cancel: Option<u64> = None;
-    for payload in frames {
+    for payload in inbound.frames {
         match &mut client.relay {
             Some(relay)
                 if relay.streaming && sniff_tag(&payload) == Some(TAG_CANCEL) =>
@@ -577,8 +452,8 @@ fn client_read(
             _ => client.inbox.push_back(payload),
         }
     }
-    if closed {
-        client.io.dead = true;
+    if let Some(len) = inbound.oversized {
+        client.io.reject_oversized(len);
     }
     if let Some(btok) = forward_cancel {
         if let Some(backend) = backends.get_mut(&btok) {
@@ -592,15 +467,16 @@ fn backend_read(
     backends: &mut HashMap<u64, BackendConn>,
     token: u64,
 ) {
-    let (frames, closed, client_token) = {
-        let Some(backend) = backends.get_mut(&token) else {
-            return;
-        };
-        let (frames, closed) = backend.io.read_frames();
-        (frames, closed, backend.client)
+    let Some(backend) = backends.get_mut(&token) else {
+        return;
     };
-    if let Some(client) = clients.get_mut(&client_token) {
-        for payload in frames {
+    let inbound = backend.io.read();
+    if inbound.oversized.is_some() {
+        // A shard never sends one: treat its stream as lost.
+        backend.io.dead = true;
+    }
+    if let Some(client) = clients.get_mut(&backend.client) {
+        for payload in inbound.frames {
             // Relay verbatim — byte-identity is the router's contract.
             client.io.push_frame(&payload);
             let Some(relay) = client.relay.as_mut() else {
@@ -632,11 +508,6 @@ fn backend_read(
             if done {
                 client.relay = None;
             }
-        }
-    }
-    if closed {
-        if let Some(backend) = backends.get_mut(&token) {
-            backend.io.dead = true;
         }
     }
 }
@@ -681,7 +552,7 @@ fn dispatch(
             shutdown_shards(shards);
             if let Some(client) = clients.get_mut(&token) {
                 client.io.push_response(&Response::ShuttingDown);
-                client.close_after_flush = true;
+                client.io.close_after_flush = true;
             }
             shared.initiate_shutdown();
         }
@@ -723,7 +594,7 @@ fn dispatch(
             };
             if let Some(client) = clients.get_mut(&token) {
                 client.io.push_response(&Response::Err(msg));
-                client.close_after_flush = true;
+                client.io.close_after_flush = true;
             }
         }
     }
@@ -748,15 +619,12 @@ fn ensure_backend(
     }
     // Loopback connect: effectively instant, done inline.
     let stream = TcpStream::connect(&shards[shard])?;
-    let _ = stream.set_nodelay(true);
-    stream.set_nonblocking(true)?;
     let token = *next_token;
     *next_token += 1;
-    poller.add(&stream, token, Interest::Read)?;
     backends.insert(
         token,
         BackendConn {
-            io: Buffered::new(stream),
+            io: FramedConn::register(stream, poller, token)?,
             client: client_token,
             shard,
         },
@@ -795,12 +663,10 @@ fn drop_client(
     let Some(client) = clients.remove(&token) else {
         return;
     };
-    let _ = poller.remove(&client.io.stream);
-    let _ = client.io.stream.shutdown(SockShutdown::Both);
+    client.io.close(poller);
     for (_, btok) in client.backends {
         if let Some(backend) = backends.remove(&btok) {
-            let _ = poller.remove(&backend.io.stream);
-            let _ = backend.io.stream.shutdown(SockShutdown::Both);
+            backend.io.close(poller);
         }
     }
 }
@@ -816,8 +682,7 @@ fn drop_backend(
     let Some(backend) = backends.remove(&token) else {
         return;
     };
-    let _ = poller.remove(&backend.io.stream);
-    let _ = backend.io.stream.shutdown(SockShutdown::Both);
+    backend.io.close(poller);
     if let Some(client) = clients.get_mut(&backend.client) {
         client.backends.remove(&backend.shard);
         if client.relay.as_ref().is_some_and(|r| r.backend == token) {
@@ -826,7 +691,7 @@ fn drop_backend(
             client
                 .io
                 .push_response(&Response::Err("shard connection lost".into()));
-            client.close_after_flush = true;
+            client.io.close_after_flush = true;
         }
     }
 }

@@ -1,21 +1,18 @@
 //! The long-lived compile-and-simulate server.
 //!
-//! Two connection models share one worker/cache/queue core, selected
-//! by [`ServerConfig::conn_model`]:
+//! One event-loop thread (`evloop.rs`) owns every connection through
+//! `casted_util::poll` (epoll), driving the framed-connection core in
+//! `conn.rs` that `casted-router` shares; one worker/cache/queue core
+//! executes the work:
 //!
 //! ```text
-//!  EVENT (default on Linux)              THREADS (portable fallback,
-//!                                         bench baseline)
-//!  one event-loop thread                  one thread per connection
-//!  (casted_util::poll / epoll):           (blocking reads/writes):
-//!    nonblocking accept                     blocking accept, unblocked
-//!    readiness-driven reads,                at shutdown by a loopback
-//!    incremental frame assembly             self-connect
-//!    buffered nonblocking writes          Condvar-latched drain — no
-//!    worker completions via a               sleep loops anywhere
-//!    poller wakeup — no sleeps
-//!                      \            /
-//!                       ▼          ▼
+//!  event loop (casted_util::poll / epoll):
+//!    nonblocking accept
+//!    readiness-driven reads, incremental frame assembly
+//!    buffered nonblocking writes
+//!    worker completions via a poller wakeup — no sleeps
+//!                       │
+//!                       ▼
 //!          cache lookup ──hit──► reply (never queues)
 //!                │ miss
 //!                ▼
@@ -62,54 +59,28 @@
 //! queue: workers drain every already-accepted job, every in-flight
 //! reply is written, then idle connections are dropped and the server
 //! exits. New work during the drain gets [`Response::ShuttingDown`].
-//! Neither model sleeps its way through the drain: the event loop
-//! exits when its last pending job's reply is flushed, and the threads
-//! model waits on a Condvar latch notified by every completion.
+//! Nothing sleeps its way through the drain: the event loop exits when
+//! its last pending job's reply is flushed.
+//!
+//! The server needs the poll backend: on targets without it
+//! [`Server::start`] fails with [`std::io::ErrorKind::Unsupported`].
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind, Write};
-use std::net::{IpAddr, Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io;
+use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use casted::service_api;
-use casted_util::codec::{read_frame, write_frame};
 use casted_util::poll;
 use casted_util::pool::{pool_threads, run_pool};
 
 use crate::admission::{Admission, AdmissionConfig, TokenBuckets};
 use crate::cache::{Cache, CacheConfig};
-use crate::protocol::{
-    cache_key, decode_request, encode_response, Request, Response, MAX_FRAME,
-};
-
-/// How connections are served.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ConnModel {
-    /// Event-driven: one loop thread owns every socket through
-    /// `casted_util::poll` (epoll). Falls back to [`ConnModel::Threads`]
-    /// at runtime on targets without the poll backend.
-    #[default]
-    Event,
-    /// One blocking thread per connection — the portable fallback and
-    /// the bench baseline the event model is measured against.
-    Threads,
-}
-
-impl ConnModel {
-    /// Parse a `--conn-model` flag value.
-    pub fn parse(s: &str) -> Option<ConnModel> {
-        match s.to_ascii_lowercase().as_str() {
-            "event" => Some(ConnModel::Event),
-            "threads" => Some(ConnModel::Threads),
-            _ => None,
-        }
-    }
-}
+use crate::protocol::{encode_response, Request, Response};
 
 /// Progress-frame period (in trials) when a streaming request asks
 /// for `every == 0` ("server default").
@@ -154,8 +125,6 @@ pub struct ServerConfig {
     /// cache contract is unchanged. `None` (the default) compiles
     /// monolithically.
     pub artifact_cache: Option<std::path::PathBuf>,
-    /// Connection-handling model (see [`ConnModel`]).
-    pub conn_model: ConnModel,
     /// Admission control (quotas + queue deadlines); defaults off.
     pub admission: AdmissionConfig,
 }
@@ -171,28 +140,9 @@ impl Default for ServerConfig {
             max_trials: 20_000,
             section_cache: None,
             artifact_cache: None,
-            conn_model: ConnModel::default(),
             admission: AdmissionConfig::default(),
         }
     }
-}
-
-/// Where a finished job's frames go.
-pub(crate) enum ReplySink {
-    /// Threads model, one-shot request: terminal payload over a
-    /// channel back to the connection thread.
-    Channel(mpsc::SyncSender<Vec<u8>>),
-    /// Threads model, streaming request: the worker writes every frame
-    /// (progress + terminal) straight to this socket clone — the
-    /// connection thread stays off the write side until `done` fires
-    /// (`true` = campaign completed, `false` = cancelled).
-    Socket {
-        writer: TcpStream,
-        done: mpsc::SyncSender<bool>,
-    },
-    /// Event model: frames are posted to the loop's completion queue
-    /// (followed by a poller wakeup) addressed to this connection.
-    Loop { conn: u64 },
 }
 
 /// One queued unit of work.
@@ -202,7 +152,8 @@ pub(crate) struct Job {
     pub(crate) enqueued: Instant,
     /// Cancel flag for streaming jobs (checked at chunk boundaries).
     pub(crate) cancel: Option<Arc<AtomicBool>>,
-    pub(crate) sink: ReplySink,
+    /// Event-loop token of the connection the reply frames go to.
+    pub(crate) conn: u64,
 }
 
 /// One frame produced by a worker for the event loop to deliver.
@@ -289,45 +240,6 @@ impl JobQueue {
     }
 }
 
-/// Drain latch: counters whose decrements notify a Condvar, so
-/// shutdown waits exactly as long as the work takes (bounded by a
-/// deadline) instead of sleep-polling.
-struct Latch {
-    gate: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new() -> Latch {
-        Latch {
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn notify(&self) {
-        let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.cv.notify_all();
-    }
-
-    /// Block until `done()` or the deadline; wakes on every
-    /// [`Latch::notify`].
-    fn wait_until(&self, deadline: Instant, done: impl Fn() -> bool) {
-        let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        while !done() {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (g2, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = g2;
-        }
-    }
-}
-
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) queue: JobQueue,
@@ -335,18 +247,10 @@ pub(crate) struct Shared {
     pub(crate) pipeline: Option<casted::stages::ArtifactPipeline>,
     pub(crate) buckets: TokenBuckets,
     pub(crate) stop: AtomicBool,
-    /// Event-model reply path: worker → loop.
+    /// Reply path: worker → loop.
     pub(crate) completions: Mutex<Vec<Completion>>,
-    pub(crate) notifier: Mutex<Option<poll::Notifier>>,
-    // Threads-model bookkeeping.
-    active_conns: AtomicUsize,
-    in_flight: AtomicUsize,
-    latch: Latch,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicUsize,
-    /// Bound address, used by the threads model to unblock a blocking
-    /// `accept` at shutdown with a loopback self-connect.
-    self_addr: SocketAddr,
+    /// Wakes the event loop out of its kernel wait.
+    notifier: poll::Notifier,
 }
 
 impl Shared {
@@ -355,14 +259,7 @@ impl Shared {
             return;
         }
         self.queue.close();
-        // Wake the event loop out of its kernel wait...
-        if let Some(n) = &*self.notifier.lock().unwrap_or_else(|e| e.into_inner()) {
-            n.notify();
-        }
-        // ...and unblock a threads-model accept with a self-connect
-        // (harmless no-op for the event model's nonblocking listener).
-        let _ = TcpStream::connect_timeout(&self.self_addr, Duration::from_millis(200));
-        self.latch.notify();
+        self.notifier.notify();
     }
 
     /// Post one worker-produced frame to the event loop and wake it.
@@ -371,9 +268,7 @@ impl Shared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(c);
-        if let Some(n) = &*self.notifier.lock().unwrap_or_else(|e| e.into_inner()) {
-            n.notify();
-        }
+        self.notifier.notify();
     }
 }
 
@@ -381,7 +276,6 @@ impl Shared {
 /// [`ServerHandle::shutdown`]) drains and stops it.
 pub struct Server {
     addr: SocketAddr,
-    model: ConnModel,
     shared: Arc<Shared>,
     supervisor: Option<JoinHandle<()>>,
 }
@@ -399,18 +293,9 @@ impl Server {
             Some(dir) => Some(casted::stages::ArtifactPipeline::open(dir)?),
             None => None,
         };
-        // Resolve the connection model: Event needs the poll backend;
-        // without it (non-Linux targets) fall back to Threads so one
-        // binary serves everywhere.
-        let poller = match cfg.conn_model {
-            ConnModel::Event => poll::Poller::new().ok(),
-            ConnModel::Threads => None,
-        };
-        let model = if poller.is_some() {
-            ConnModel::Event
-        } else {
-            ConnModel::Threads
-        };
+        let poller = poll::Poller::new()?;
+        listener.set_nonblocking(true)?;
+        poller.add(&listener, crate::evloop::LISTENER, poll::Interest::Read)?;
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.queue_depth),
             cache: Cache::new(&cfg.cache),
@@ -419,13 +304,7 @@ impl Server {
             cfg,
             stop: AtomicBool::new(false),
             completions: Mutex::new(Vec::new()),
-            notifier: Mutex::new(None),
-            active_conns: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            latch: Latch::new(),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicUsize::new(0),
-            self_addr: addr,
+            notifier: poller.notifier()?,
         });
         let sh = shared.clone();
         let supervisor = std::thread::Builder::new()
@@ -433,7 +312,6 @@ impl Server {
             .spawn(move || supervise(listener, sh, poller))?;
         Ok(Server {
             addr,
-            model,
             shared,
             supervisor: Some(supervisor),
         })
@@ -442,12 +320,6 @@ impl Server {
     /// The bound address (useful with an ephemeral `:0` bind).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The connection model actually serving (the configured one, or
-    /// the threads fallback when the poll backend is unavailable).
-    pub fn model(&self) -> ConnModel {
-        self.model
     }
 
     /// Block until the server exits (a client sent `Shutdown`).
@@ -475,9 +347,8 @@ impl Drop for Server {
     }
 }
 
-/// Host the worker pool, run the chosen connection front end, then
-/// sequence the drain.
-fn supervise(listener: TcpListener, shared: Arc<Shared>, poller: Option<poll::Poller>) {
+/// Host the worker pool, run the event loop, then sequence the drain.
+fn supervise(listener: TcpListener, shared: Arc<Shared>, poller: poll::Poller) {
     let workers = shared.cfg.workers.clamp(1, pool_threads());
     let pool_shared = shared.clone();
     let pool_host = std::thread::Builder::new()
@@ -494,72 +365,11 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, poller: Option<poll::Po
         })
         .expect("spawn worker pool host");
 
-    match poller {
-        Some(poller) => crate::evloop::run(listener, &shared, poller),
-        None => accept_loop_threads(listener, &shared),
-    }
+    crate::evloop::run(listener, &shared, poller);
 
     // The queue is closed (initiate_shutdown); workers finish every
     // accepted job, then exit.
     let _ = pool_host.join();
-
-    // Threads model: wait (Condvar latch, no sleep loops) for the
-    // connection threads to finish writing in-flight replies, then
-    // unblock the ones idling in a read and wait for them to exit.
-    // The event loop already flushed and closed everything itself.
-    shared.latch.wait_until(Instant::now() + Duration::from_secs(5), || {
-        shared.in_flight.load(Ordering::SeqCst) == 0
-    });
-    for (_, s) in shared.conns.lock().unwrap_or_else(|e| e.into_inner()).drain() {
-        let _ = s.shutdown(SockShutdown::Both);
-    }
-    shared.latch.wait_until(Instant::now() + Duration::from_secs(2), || {
-        shared.active_conns.load(Ordering::SeqCst) == 0
-    });
-}
-
-/// Threads-model front end: blocking accept, one thread per
-/// connection. Shutdown unblocks the accept with a loopback
-/// self-connect (see [`Shared::initiate_shutdown`]) — no nonblocking
-/// poll, no sleep backoff.
-fn accept_loop_threads(listener: TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            // The self-connect (or a straggler racing the drain).
-            return;
-        }
-        casted_obs::inc("serve.connections");
-        let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed) as u64;
-        if let Ok(clone) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(id, clone);
-        }
-        shared.active_conns.fetch_add(1, Ordering::SeqCst);
-        let sh = shared.clone();
-        let _ = std::thread::Builder::new()
-            .name("serve-conn".into())
-            .spawn(move || {
-                handle_conn(&sh, stream);
-                sh.conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
-                sh.active_conns.fetch_sub(1, Ordering::SeqCst);
-                sh.latch.notify();
-            });
-    }
 }
 
 /// One worker: pop, (maybe drop as expired), execute, cache, deliver —
@@ -610,28 +420,14 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Route one frame to wherever the job's connection lives.
+/// Post one frame to the event loop for the job's connection.
 fn deliver(shared: &Arc<Shared>, job: &Job, payload: Vec<u8>, terminal: bool, cancelled: bool) {
-    match &job.sink {
-        ReplySink::Channel(tx) => {
-            // The connection thread may have died; a lost reply is fine.
-            let _ = tx.send(payload);
-        }
-        ReplySink::Socket { writer, done } => {
-            let _ = write_frame(&mut (&*writer), &payload);
-            if terminal {
-                let _ = done.send(!cancelled);
-            }
-        }
-        ReplySink::Loop { conn } => {
-            shared.post_completion(Completion {
-                conn: *conn,
-                payload,
-                terminal,
-                cancelled,
-            });
-        }
-    }
+    shared.post_completion(Completion {
+        conn: job.conn,
+        payload,
+        terminal,
+        cancelled,
+    });
 }
 
 pub(crate) struct Encoded {
@@ -794,10 +590,6 @@ fn execute(shared: &Arc<Shared>, req: &Request) -> Response {
     }
 }
 
-fn send_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    write_frame(stream, &encode_response(resp))
-}
-
 pub(crate) fn kind_counter(req: &Request) -> &'static str {
     match req {
         Request::Ping => "serve.requests.ping",
@@ -827,274 +619,4 @@ pub(crate) fn admit(shared: &Shared, peer: IpAddr) -> Option<Response> {
             Some(Response::Throttled { retry_after_ms })
         }
     }
-}
-
-// ----------------- threads-model connection handling -----------------
-
-enum Flow {
-    Continue,
-    Close,
-}
-
-/// Serve one connection: a sequence of request/response frames until
-/// EOF, a protocol error, or shutdown.
-fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip())
-        .unwrap_or(IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
-    // Frames read ahead while a streaming campaign occupied the
-    // connection; served in order once it finishes.
-    let mut pending: VecDeque<Vec<u8>> = VecDeque::new();
-    loop {
-        let payload = match pending.pop_front() {
-            Some(p) => p,
-            None => match read_frame(&mut stream, MAX_FRAME) {
-                Ok(Some(p)) => p,
-                Ok(None) => return, // clean EOF
-                Err(e) if e.kind() == ErrorKind::InvalidData => {
-                    // Oversized length prefix: structured reply, close.
-                    casted_obs::inc("serve.errors");
-                    let _ =
-                        send_response(&mut stream, &Response::Err(format!("bad frame: {e}")));
-                    return;
-                }
-                Err(_) => return, // truncated mid-frame / connection reset
-            },
-        };
-        match dispatch(shared, &mut stream, peer, payload, &mut pending) {
-            Flow::Continue => {}
-            Flow::Close => return,
-        }
-    }
-}
-
-/// Handle one complete request frame on a threads-model connection.
-fn dispatch(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    peer: IpAddr,
-    payload: Vec<u8>,
-    pending: &mut VecDeque<Vec<u8>>,
-) -> Flow {
-    let _span = casted_obs::span("serve.request_ns");
-    casted_obs::inc("serve.requests");
-    let req = match decode_request(&payload) {
-        Ok(r) => r,
-        Err(e) => {
-            // Malformed request: structured reply, then close — the
-            // stream offset is not trustworthy any more.
-            casted_obs::inc("serve.errors");
-            let _ = send_response(stream, &Response::Err(format!("bad request: {e}")));
-            return Flow::Close;
-        }
-    };
-    casted_obs::inc(kind_counter(&req));
-    match req {
-        Request::Ping => {
-            if send_response(stream, &Response::Pong).is_err() {
-                return Flow::Close;
-            }
-        }
-        Request::Counters => {
-            let snap = casted_obs::snapshot_json();
-            if send_response(stream, &Response::Counters(snap)).is_err() {
-                return Flow::Close;
-            }
-        }
-        Request::Shutdown => {
-            let _ = send_response(stream, &Response::ShuttingDown);
-            shared.initiate_shutdown();
-            return Flow::Close;
-        }
-        Request::Cancel => {
-            // No stream in flight on this connection (an in-flight one
-            // is handled inside `stream_intercept`).
-            if send_response(
-                stream,
-                &Response::Err("no streaming campaign in flight".into()),
-            )
-            .is_err()
-            {
-                return Flow::Close;
-            }
-        }
-        req @ Request::InjectStream { .. } => {
-            if let Some(resp) = admit(shared, peer) {
-                return match send_response(stream, &resp) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                };
-            }
-            let writer = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => {
-                    let _ = send_response(
-                        stream,
-                        &Response::Err("cannot clone connection for streaming".into()),
-                    );
-                    return Flow::Close;
-                }
-            };
-            let cancel = Arc::new(AtomicBool::new(false));
-            let (tx, rx) = mpsc::sync_channel(1);
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let pushed = shared.queue.try_push(Job {
-                req,
-                key: cache_key(&payload),
-                enqueued: Instant::now(),
-                cancel: Some(cancel.clone()),
-                sink: ReplySink::Socket { writer, done: tx },
-            });
-            let flow = match pushed {
-                Ok(depth) => {
-                    casted_obs::gauge_set("serve.queue_depth", depth as u64);
-                    stream_intercept(stream, rx, &cancel, pending)
-                }
-                Err(PushError::Full) => {
-                    casted_obs::inc("serve.busy");
-                    match send_response(stream, &Response::Busy) {
-                        Ok(()) => Flow::Continue,
-                        Err(_) => Flow::Close,
-                    }
-                }
-                Err(PushError::Closed) => match send_response(stream, &Response::ShuttingDown) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                },
-            };
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            shared.latch.notify();
-            if matches!(flow, Flow::Close) {
-                return Flow::Close;
-            }
-        }
-        req => {
-            // One-shot work request: cache → admission → queue → worker.
-            let key = cache_key(&payload);
-            if let Some(bytes) = shared.cache.get(key) {
-                if write_frame(stream, &bytes).is_err() {
-                    return Flow::Close;
-                }
-                return Flow::Continue;
-            }
-            if let Some(resp) = admit(shared, peer) {
-                return match send_response(stream, &resp) {
-                    Ok(()) => Flow::Continue,
-                    Err(_) => Flow::Close,
-                };
-            }
-            let (tx, rx) = mpsc::sync_channel(1);
-            shared.in_flight.fetch_add(1, Ordering::SeqCst);
-            let pushed = shared.queue.try_push(Job {
-                req,
-                key,
-                enqueued: Instant::now(),
-                cancel: None,
-                sink: ReplySink::Channel(tx),
-            });
-            let outcome = match pushed {
-                Ok(depth) => {
-                    casted_obs::gauge_set("serve.queue_depth", depth as u64);
-                    match rx.recv() {
-                        Ok(bytes) => write_frame(stream, &bytes),
-                        Err(_) => {
-                            send_response(stream, &Response::Err("worker unavailable".into()))
-                        }
-                    }
-                }
-                Err(PushError::Full) => {
-                    casted_obs::inc("serve.busy");
-                    send_response(stream, &Response::Busy)
-                }
-                Err(PushError::Closed) => send_response(stream, &Response::ShuttingDown),
-            };
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            shared.latch.notify();
-            if outcome.is_err() {
-                return Flow::Close;
-            }
-            let _ = stream.flush();
-        }
-    }
-    Flow::Continue
-}
-
-/// While a streaming job owns the connection's write side, the
-/// connection thread keeps reading: a [`Request::Cancel`] flips the
-/// campaign's cancel flag, anything else is read ahead into `pending`
-/// for after the stream. Returns when the worker signals completion.
-fn stream_intercept(
-    stream: &mut TcpStream,
-    rx: mpsc::Receiver<bool>,
-    cancel: &Arc<AtomicBool>,
-    pending: &mut VecDeque<Vec<u8>>,
-) -> Flow {
-    let mut pending_cancel = false;
-    let mut failed = false;
-    let completed = loop {
-        // Reads block indefinitely while the client is quiet (stream
-        // completion is observed on the next frame). Only when frames
-        // were read ahead do we time-bound the read, so their replies
-        // are not stalled behind a silent client.
-        let _ = stream.set_read_timeout(if pending.is_empty() {
-            None
-        } else {
-            Some(Duration::from_millis(25))
-        });
-        match read_frame(stream, MAX_FRAME) {
-            Ok(Some(frame)) => match rx.try_recv() {
-                Ok(completed) => {
-                    pending.push_back(frame);
-                    break completed;
-                }
-                Err(_) => {
-                    if matches!(decode_request(&frame), Ok(Request::Cancel)) {
-                        casted_obs::inc("serve.requests.cancel");
-                        cancel.store(true, Ordering::SeqCst);
-                        pending_cancel = true;
-                    } else {
-                        pending.push_back(frame);
-                    }
-                }
-            },
-            Ok(None) => {
-                // Client hung up: cancel the campaign, wait it out.
-                cancel.store(true, Ordering::SeqCst);
-                failed = true;
-                break rx.recv().unwrap_or(false);
-            }
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-            {
-                if let Ok(completed) = rx.try_recv() {
-                    break completed;
-                }
-            }
-            Err(_) => {
-                cancel.store(true, Ordering::SeqCst);
-                failed = true;
-                break rx.recv().unwrap_or(false);
-            }
-        }
-    };
-    let _ = stream.set_read_timeout(None);
-    if failed {
-        return Flow::Close;
-    }
-    if pending_cancel && completed {
-        // The cancel lost the race with the final chunk: the client
-        // saw a terminal `Injected`, so its Cancel still needs a
-        // reply to keep the request/reply ledger balanced.
-        if send_response(
-            stream,
-            &Response::Err("cancel arrived after campaign completion".into()),
-        )
-        .is_err()
-        {
-            return Flow::Close;
-        }
-    }
-    Flow::Continue
 }

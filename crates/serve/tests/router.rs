@@ -1,19 +1,26 @@
 //! Integration tests for the shard router over real loopback TCP:
 //! routed replies are byte-identical to a single-process server's,
 //! routing is consistent (no duplicated cache entries across shards),
-//! and streaming + cancellation work through the relay.
+//! streaming + cancellation work through the relay, a hostile length
+//! prefix gets the server's structured reply, and a shard dying
+//! mid-stream costs its client a structured error, never a hang.
 //!
 //! The router requires the event backend; on targets without it these
 //! tests are skipped at runtime via `poll::available()`.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use casted::service_api::JobSpec;
 use casted::Scheme;
 use casted_faults::Engine;
 use casted_serve::client::Client;
-use casted_serve::protocol::{decode_response, encode_request, Request, Response};
+use casted_serve::protocol::{
+    decode_response, encode_request, encode_response, Request, Response, MAX_FRAME,
+};
 use casted_serve::router::{Router, RouterConfig};
 use casted_serve::server::{Server, ServerConfig};
 use casted_util::poll;
@@ -242,4 +249,116 @@ fn streaming_and_cancel_work_through_the_router() {
     for s in shards {
         s.shutdown();
     }
+}
+
+#[test]
+fn oversized_length_prefix_gets_structured_err_and_clean_close() {
+    if !poll::available() {
+        eprintln!("poll backend unavailable; skipping router test");
+        return;
+    }
+    let (shards, router) = start_fleet(1);
+
+    // Mirrors the server's hardening case: the prefix alone earns the
+    // structured reply, before any read of the (absent) payload.
+    let mut raw = TcpStream::connect(router.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    raw.flush().unwrap();
+    let reply = casted_util::codec::read_frame(&mut raw, MAX_FRAME)
+        .unwrap()
+        .expect("structured reply to oversized frame");
+    assert_eq!(
+        decode_response(&reply).unwrap(),
+        Response::Err(format!(
+            "bad frame: length {} exceeds limit {MAX_FRAME}",
+            u32::MAX
+        ))
+    );
+    assert_eq!(
+        casted_util::codec::read_frame(&mut raw, MAX_FRAME).unwrap(),
+        None,
+        "router must close after an oversized prefix"
+    );
+
+    // The router itself is unharmed.
+    let mut client = Client::connect(router.addr()).unwrap();
+    assert!(matches!(
+        client.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}
+
+#[test]
+fn shard_dying_mid_stream_yields_err_then_eof() {
+    if !poll::available() {
+        eprintln!("poll backend unavailable; skipping router test");
+        return;
+    }
+    // A fake shard: takes the relayed campaign, reports one chunk of
+    // progress, then dies.
+    let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+    let fake_addr = fake.local_addr().unwrap();
+    let progress = encode_response(&Response::Progress {
+        done: 25,
+        counts: [25, 0, 0, 0, 0, 0],
+    });
+    let shard_progress = progress.clone();
+    let shard = std::thread::spawn(move || {
+        let (mut s, _) = fake.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let relayed = casted_util::codec::read_frame(&mut s, MAX_FRAME)
+            .unwrap()
+            .expect("relayed request");
+        casted_util::codec::write_frame(&mut s, &shard_progress).unwrap();
+        s.flush().unwrap();
+        relayed
+    });
+    let router = Router::start(RouterConfig {
+        shards: vec![fake_addr.to_string()],
+        loops: 1,
+        ..RouterConfig::default()
+    })
+    .expect("router start");
+
+    let req = Request::InjectStream {
+        spec: spec(3),
+        trials: 2_000,
+        seed: 0xCA57ED,
+        engine: Engine::default(),
+        every: 25,
+    };
+    let mut client = Client::connect(router.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    client.send_raw(&encode_request(&req)).unwrap();
+    let relayed = shard.join().expect("fake shard");
+    assert_eq!(relayed, encode_request(&req), "the request relays verbatim");
+
+    assert_eq!(
+        client.read_reply().unwrap(),
+        Some(progress),
+        "the progress frame written before the shard died arrives first"
+    );
+    assert_eq!(
+        decode_response(&client.read_reply().unwrap().expect("error frame")).unwrap(),
+        Response::Err("shard connection lost".into())
+    );
+    assert_eq!(
+        client.read_reply().unwrap(),
+        None,
+        "the router closes the client after the shard error"
+    );
+
+    // Another client of the same router is unaffected.
+    let mut other = Client::connect(router.addr()).unwrap();
+    other.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        other.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
+    router.shutdown();
 }

@@ -1,6 +1,5 @@
 //! Integration tests for the streaming-campaign protocol extension
-//! and structured admission control, over real loopback TCP, in both
-//! connection models (event-driven and thread-per-connection).
+//! and structured admission control, over real loopback TCP.
 //!
 //! The core contracts under test:
 //! * the terminal frame of a streaming campaign is **byte-identical**
@@ -22,11 +21,9 @@ use casted_faults::Engine;
 use casted_serve::admission::AdmissionConfig;
 use casted_serve::client::Client;
 use casted_serve::protocol::{decode_response, encode_request, Request, Response};
-use casted_serve::server::{ConnModel, Server, ServerConfig};
+use casted_serve::server::{Server, ServerConfig};
 
 const SRC: &str = "fn main() { var s: int = 0; for i in 0..40 { s = s + i * i; } out(s); }";
-
-const MODELS: [ConnModel; 2] = [ConnModel::Event, ConnModel::Threads];
 
 fn spec() -> JobSpec {
     JobSpec {
@@ -37,9 +34,8 @@ fn spec() -> JobSpec {
     }
 }
 
-fn start(model: ConnModel) -> Server {
+fn start() -> Server {
     Server::start(ServerConfig {
-        conn_model: model,
         workers: 2,
         ..ServerConfig::default()
     })
@@ -76,296 +72,275 @@ fn stream_frames(client: &mut Client, req: &Request) -> Vec<Vec<u8>> {
 
 #[test]
 fn streaming_final_frame_is_byte_identical_to_non_streaming_reply() {
-    for model in MODELS {
-        let server = start(model);
-        let mut client = Client::connect(server.addr()).unwrap();
+    let server = start();
+    let mut client = Client::connect(server.addr()).unwrap();
 
-        let frames = stream_frames(&mut client, &stream_req(200, 50));
-        let (progress, terminal) = frames.split_at(frames.len() - 1);
-        assert!(
-            !progress.is_empty(),
-            "{model:?}: a 200-trial campaign at every=50 must emit progress frames"
-        );
-        let mut last_done = 0;
-        for frame in progress {
-            match decode_response(frame).unwrap() {
-                Response::Progress { done, counts } => {
-                    assert!(done > last_done, "{model:?}: progress must be monotone");
-                    assert_eq!(done % 50, 0, "{model:?}: chunks land on every-boundaries");
-                    assert_eq!(
-                        counts.iter().sum::<u64>(),
-                        done,
-                        "{model:?}: tally must account for every completed trial"
-                    );
-                    last_done = done;
-                }
-                other => panic!("{model:?}: unexpected mid-stream frame {other:?}"),
+    let frames = stream_frames(&mut client, &stream_req(200, 50));
+    let (progress, terminal) = frames.split_at(frames.len() - 1);
+    assert!(
+        !progress.is_empty(),
+        "a 200-trial campaign at every=50 must emit progress frames"
+    );
+    let mut last_done = 0;
+    for frame in progress {
+        match decode_response(frame).unwrap() {
+            Response::Progress { done, counts } => {
+                assert!(done > last_done, "progress must be monotone");
+                assert_eq!(done % 50, 0, "chunks land on every-boundaries");
+                assert_eq!(
+                    counts.iter().sum::<u64>(),
+                    done,
+                    "tally must account for every completed trial"
+                );
+                last_done = done;
             }
+            other => panic!("unexpected mid-stream frame {other:?}"),
         }
-
-        // The exact bytes a non-streaming Inject writes for this job.
-        let plain = client
-            .request_raw(&encode_request(&Request::Inject {
-                spec: spec(),
-                trials: 200,
-                seed: 0xCA57ED,
-                engine: Engine::default(),
-            }))
-            .unwrap();
-        assert_eq!(
-            terminal[0], plain,
-            "{model:?}: streaming terminal frame must be byte-identical to the \
-             non-streaming reply"
-        );
-        server.shutdown();
     }
+
+    // The exact bytes a non-streaming Inject writes for this job.
+    let plain = client
+        .request_raw(&encode_request(&Request::Inject {
+            spec: spec(),
+            trials: 200,
+            seed: 0xCA57ED,
+            engine: Engine::default(),
+        }))
+        .unwrap();
+    assert_eq!(
+        terminal[0], plain,
+        "streaming terminal frame must be byte-identical to the \
+         non-streaming reply"
+    );
+    server.shutdown();
 }
 
 #[test]
 fn cancel_mid_campaign_prefix_matches_and_server_stays_healthy() {
-    for model in MODELS {
-        let server = start(model);
-        let addr = server.addr();
-        let req = stream_req(5_000, 25);
+    let server = start();
+    let addr = server.addr();
+    let req = stream_req(5_000, 25);
 
-        // Reference run, uncancelled: record the tally at every chunk.
-        let mut reference = Client::connect(addr).unwrap();
-        let mut tally_at = std::collections::HashMap::new();
-        for frame in stream_frames(&mut reference, &req) {
-            if let Response::Progress { done, counts } = decode_response(&frame).unwrap() {
-                tally_at.insert(done, counts);
-            }
+    // Reference run, uncancelled: record the tally at every chunk.
+    let mut reference = Client::connect(addr).unwrap();
+    let mut tally_at = std::collections::HashMap::new();
+    for frame in stream_frames(&mut reference, &req) {
+        if let Response::Progress { done, counts } = decode_response(&frame).unwrap() {
+            tally_at.insert(done, counts);
         }
-
-        // Cancelled run: stop at the first progress frame.
-        let mut client = Client::connect(addr).unwrap();
-        let terminal = client
-            .request_stream(&req, &mut |_done, _counts| false)
-            .unwrap();
-        let Response::Cancelled { done, counts } = terminal else {
-            panic!("{model:?}: expected Cancelled, got {terminal:?}");
-        };
-        assert!(
-            done > 0 && done < 5_000,
-            "{model:?}: cancel must land mid-campaign (done={done})"
-        );
-        assert_eq!(
-            Some(&counts),
-            tally_at.get(&done),
-            "{model:?}: partial tally must prefix-match the uncancelled run at {done} trials"
-        );
-
-        // The same connection keeps working after a cancel...
-        assert!(matches!(
-            client.request(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
-        // ...and so does real work on a fresh connection.
-        let mut fresh = Client::connect(addr).unwrap();
-        match fresh
-            .request(&Request::Simulate {
-                spec: spec(),
-                max_cycles: u64::MAX,
-            })
-            .unwrap()
-        {
-            Response::Simulated(_) => {}
-            other => panic!("{model:?}: post-cancel simulate failed: {other:?}"),
-        }
-        server.shutdown();
     }
+
+    // Cancelled run: stop at the first progress frame.
+    let mut client = Client::connect(addr).unwrap();
+    let terminal = client
+        .request_stream(&req, &mut |_done, _counts| false)
+        .unwrap();
+    let Response::Cancelled { done, counts } = terminal else {
+        panic!("expected Cancelled, got {terminal:?}");
+    };
+    assert!(
+        done > 0 && done < 5_000,
+        "cancel must land mid-campaign (done={done})"
+    );
+    assert_eq!(
+        Some(&counts),
+        tally_at.get(&done),
+        "partial tally must prefix-match the uncancelled run at {done} trials"
+    );
+
+    // The same connection keeps working after a cancel...
+    assert!(matches!(
+        client.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
+    // ...and so does real work on a fresh connection.
+    let mut fresh = Client::connect(addr).unwrap();
+    match fresh
+        .request(&Request::Simulate {
+            spec: spec(),
+            max_cycles: u64::MAX,
+        })
+        .unwrap()
+    {
+        Response::Simulated(_) => {}
+        other => panic!("post-cancel simulate failed: {other:?}"),
+    }
+    server.shutdown();
 }
 
 #[test]
 fn cancel_without_a_stream_is_a_structured_error() {
-    for model in MODELS {
-        let server = start(model);
-        let mut client = Client::connect(server.addr()).unwrap();
-        match client.request(&Request::Cancel).unwrap() {
-            Response::Err(msg) => assert!(
-                msg.contains("no streaming campaign"),
-                "{model:?}: unexpected message {msg:?}"
-            ),
-            other => panic!("{model:?}: expected Err, got {other:?}"),
-        }
-        server.shutdown();
+    let server = start();
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.request(&Request::Cancel).unwrap() {
+        Response::Err(msg) => assert!(
+            msg.contains("no streaming campaign"),
+            "unexpected message {msg:?}"
+        ),
+        other => panic!("expected Err, got {other:?}"),
     }
+    server.shutdown();
 }
 
 #[test]
 fn quota_exhaustion_yields_throttled_with_retry_hint() {
-    for model in MODELS {
-        let server = Server::start(ServerConfig {
-            conn_model: model,
-            workers: 2,
-            admission: AdmissionConfig {
-                quota_burst: 2,
-                quota_refill_per_sec: 1,
-                queue_deadline_ms: 0,
-            },
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback");
-        let mut client = Client::connect(server.addr()).unwrap();
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        admission: AdmissionConfig {
+            quota_burst: 2,
+            quota_refill_per_sec: 1,
+            queue_deadline_ms: 0,
+        },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).unwrap();
 
-        // Distinct sources so every request is a cache miss (hits are
-        // free and do not consume quota).
-        let work = |i: u64| Request::Simulate {
-            spec: JobSpec {
-                source: format!("fn main() {{ out({i}); }}"),
-                scheme: Scheme::Casted,
-                issue: 2,
-                delay: 2,
-            },
-            max_cycles: u64::MAX,
-        };
-        for i in 0..2 {
-            match client.request(&work(i)).unwrap() {
-                Response::Simulated(_) => {}
-                other => panic!("{model:?}: burst request {i} rejected: {other:?}"),
-            }
-        }
-        match client.request(&work(2)).unwrap() {
-            Response::Throttled { retry_after_ms } => assert!(
-                retry_after_ms > 0 && retry_after_ms <= 3_600_000,
-                "{model:?}: retry hint out of range: {retry_after_ms}"
-            ),
-            other => panic!("{model:?}: expected Throttled, got {other:?}"),
-        }
-
-        // Control traffic is never quota-limited.
-        assert!(matches!(
-            client.request(&Request::Ping).unwrap(),
-            Response::Pong
-        ));
-        // Cache hits are free: re-request admitted work while throttled.
-        match client.request(&work(0)).unwrap() {
+    // Distinct sources so every request is a cache miss (hits are
+    // free and do not consume quota).
+    let work = |i: u64| Request::Simulate {
+        spec: JobSpec {
+            source: format!("fn main() {{ out({i}); }}"),
+            scheme: Scheme::Casted,
+            issue: 2,
+            delay: 2,
+        },
+        max_cycles: u64::MAX,
+    };
+    for i in 0..2 {
+        match client.request(&work(i)).unwrap() {
             Response::Simulated(_) => {}
-            other => panic!("{model:?}: cache hit must bypass quota: {other:?}"),
+            other => panic!("burst request {i} rejected: {other:?}"),
         }
-        server.shutdown();
     }
+    match client.request(&work(2)).unwrap() {
+        Response::Throttled { retry_after_ms } => assert!(
+            retry_after_ms > 0 && retry_after_ms <= 3_600_000,
+            "retry hint out of range: {retry_after_ms}"
+        ),
+        other => panic!("expected Throttled, got {other:?}"),
+    }
+
+    // Control traffic is never quota-limited.
+    assert!(matches!(
+        client.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
+    // Cache hits are free: re-request admitted work while throttled.
+    match client.request(&work(0)).unwrap() {
+        Response::Simulated(_) => {}
+        other => panic!("cache hit must bypass quota: {other:?}"),
+    }
+    server.shutdown();
 }
 
 #[test]
 fn queue_deadline_drops_stale_jobs_before_execution() {
     casted_obs::set_enabled(true);
-    for model in MODELS {
-        let server = Server::start(ServerConfig {
-            conn_model: model,
-            workers: 1, // single worker: the stream below occupies it
-            admission: AdmissionConfig {
-                quota_burst: 0,
-                quota_refill_per_sec: 0,
-                queue_deadline_ms: 1,
-            },
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback");
-        let addr = server.addr();
+    let server = Server::start(ServerConfig {
+        workers: 1, // single worker: the stream below occupies it
+        admission: AdmissionConfig {
+            quota_burst: 0,
+            quota_refill_per_sec: 0,
+            queue_deadline_ms: 1,
+        },
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr();
 
-        // Occupy the only worker with a streaming campaign... The 1 ms
-        // deadline applies to this job too: when other tests load the
-        // host, the idle worker can take longer than that to wake, and
-        // the stream is dropped as `Expired` — correct behaviour under
-        // this config, not the case this test is about — so resend it
-        // until it gets the worker.
-        let mut a = Client::connect(addr).unwrap();
-        let mut occupied = false;
-        for _ in 0..100 {
-            a.send_raw(&encode_request(&stream_req(3_000, 50))).unwrap();
-            let first = a.read_reply().unwrap().expect("stream start");
-            match decode_response(&first).unwrap() {
-                Response::Progress { .. } => {
-                    occupied = true;
-                    break;
-                }
-                Response::Expired => {}
-                other => panic!("{model:?}: unexpected first stream frame {other:?}"),
-            }
-        }
-        assert!(occupied, "{model:?}: the stream never reached the worker");
-
-        // ...then queue a job that can only wait (and go stale).
-        let tag = match model {
-            ConnModel::Event => 7,
-            ConnModel::Threads => 8,
-        };
-        let mut b = Client::connect(addr).unwrap();
-        b.send_raw(&encode_request(&Request::Simulate {
-            spec: JobSpec {
-                source: format!("fn main() {{ out({tag}); }}"),
-                scheme: Scheme::Casted,
-                issue: 2,
-                delay: 2,
-            },
-            max_cycles: u64::MAX,
-        }))
-        .unwrap();
-
-        // Drain A to its terminal so the worker reaches B's job.
-        loop {
-            let frame = a.read_reply().unwrap().expect("mid-stream EOF");
-            if decode_response(&frame).unwrap().terminal() {
+    // Occupy the only worker with a streaming campaign... The 1 ms
+    // deadline applies to this job too: when other tests load the
+    // host, the idle worker can take longer than that to wake, and
+    // the stream is dropped as `Expired` — correct behaviour under
+    // this config, not the case this test is about — so resend it
+    // until it gets the worker.
+    let mut a = Client::connect(addr).unwrap();
+    let mut occupied = false;
+    for _ in 0..100 {
+        a.send_raw(&encode_request(&stream_req(3_000, 50))).unwrap();
+        let first = a.read_reply().unwrap().expect("stream start");
+        match decode_response(&first).unwrap() {
+            Response::Progress { .. } => {
+                occupied = true;
                 break;
             }
+            Response::Expired => {}
+            other => panic!("unexpected first stream frame {other:?}"),
         }
-        let reply = decode_response(&b.read_reply().unwrap().unwrap()).unwrap();
-        assert!(
-            matches!(reply, Response::Expired),
-            "{model:?}: stale queued job must expire, got {reply:?}"
-        );
-
-        // The drop is observable.
-        let expired = match a.request(&Request::Counters).unwrap() {
-            Response::Counters(json) => json
-                .split("\"serve.admission.expired\": ")
-                .nth(1)
-                .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-                .and_then(|s| s.parse::<u64>().ok())
-                .unwrap_or(0),
-            other => panic!("{model:?}: unexpected counters reply {other:?}"),
-        };
-        assert!(
-            expired >= 1,
-            "{model:?}: serve.admission.expired must count the drop"
-        );
-        server.shutdown();
     }
+    assert!(occupied, "the stream never reached the worker");
+
+    // ...then queue a job that can only wait (and go stale).
+    let mut b = Client::connect(addr).unwrap();
+    b.send_raw(&encode_request(&Request::Simulate {
+        spec: JobSpec {
+            source: "fn main() { out(7); }".into(),
+            scheme: Scheme::Casted,
+            issue: 2,
+            delay: 2,
+        },
+        max_cycles: u64::MAX,
+    }))
+    .unwrap();
+
+    // Drain A to its terminal so the worker reaches B's job.
+    loop {
+        let frame = a.read_reply().unwrap().expect("mid-stream EOF");
+        if decode_response(&frame).unwrap().terminal() {
+            break;
+        }
+    }
+    let reply = decode_response(&b.read_reply().unwrap().unwrap()).unwrap();
+    assert!(
+        matches!(reply, Response::Expired),
+        "stale queued job must expire, got {reply:?}"
+    );
+
+    // The drop is observable.
+    let expired = match a.request(&Request::Counters).unwrap() {
+        Response::Counters(json) => json
+            .split("\"serve.admission.expired\": ")
+            .nth(1)
+            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(0),
+        other => panic!("unexpected counters reply {other:?}"),
+    };
+    assert!(expired >= 1, "serve.admission.expired must count the drop");
+    server.shutdown();
 }
 
 #[test]
 fn shutdown_drains_on_wakeups_not_sleep_timing() {
-    for model in MODELS {
-        let server = start(model);
-        let addr = server.addr();
+    let server = start();
+    let addr = server.addr();
 
-        // Idle connections plus one completed request: the drain must
-        // not wait on any of them, and must not poll-sleep either.
-        let _idle: Vec<Client> = (0..4).map(|_| Client::connect(addr).unwrap()).collect();
-        let mut client = Client::connect(addr).unwrap();
-        match client
-            .request(&Request::Simulate {
-                spec: spec(),
-                max_cycles: u64::MAX,
-            })
-            .unwrap()
-        {
-            Response::Simulated(_) => {}
-            other => panic!("{model:?}: warm-up failed: {other:?}"),
-        }
-
-        let start = Instant::now();
-        assert!(matches!(
-            client.request(&Request::Shutdown).unwrap(),
-            Response::ShuttingDown
-        ));
-        server.wait();
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(2),
-            "{model:?}: drain took {elapsed:?}; shutdown must be wakeup-driven, \
-             not sleep-polled"
-        );
+    // Idle connections plus one completed request: the drain must
+    // not wait on any of them, and must not poll-sleep either.
+    let _idle: Vec<Client> = (0..4).map(|_| Client::connect(addr).unwrap()).collect();
+    let mut client = Client::connect(addr).unwrap();
+    match client
+        .request(&Request::Simulate {
+            spec: spec(),
+            max_cycles: u64::MAX,
+        })
+        .unwrap()
+    {
+        Response::Simulated(_) => {}
+        other => panic!("warm-up failed: {other:?}"),
     }
+
+    let start = Instant::now();
+    assert!(matches!(
+        client.request(&Request::Shutdown).unwrap(),
+        Response::ShuttingDown
+    ));
+    server.wait();
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "drain took {elapsed:?}; shutdown must be wakeup-driven, \
+         not sleep-polled"
+    );
 }

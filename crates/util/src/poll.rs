@@ -8,11 +8,10 @@
 //! two Linux architectures the project targets (x86_64, aarch64).
 //!
 //! On any other target [`Poller::new`] returns
-//! [`std::io::ErrorKind::Unsupported`] and callers fall back to a
-//! portable readiness-**thread** model (in `casted-serve` that is the
-//! thread-per-connection path, which doubles as the bench baseline) —
-//! the fallback is selected at runtime, so one binary builds
-//! everywhere.
+//! [`std::io::ErrorKind::Unsupported`], so the workspace still builds
+//! everywhere, but there is no fallback: `casted-serve` and
+//! `casted-router` refuse to start, and [`available`] is the runtime
+//! gate their tests check.
 //!
 //! ## Model
 //!

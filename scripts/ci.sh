@@ -30,7 +30,7 @@ cargo run --release --offline -q -p casted-bench --bin difftest -- \
 cmp "$log_dir/fuzz1.log" "$log_dir/fuzz2.log"
 tail -n 1 "$log_dir/fuzz1.log"
 
-echo "== perfbench correctness (self-tests + pinned simulated statistics) =="
+echo "== perfbench correctness (self-tests + pinned simulated statistics + serve replies) =="
 # perfbench is its own workspace (perfbench/Cargo.toml). Its tests cover
 # the metric-doc coverage and the corrupted-expected self-tests; a short
 # perf_grid run then checks every cell's output against the interpreter
@@ -47,6 +47,17 @@ if ! tail -n 1 "$log_dir/perfbench.out" | grep -q '"correct": true' \
   exit 1
 fi
 echo "perfbench perf_grid correct, pinned counts unchanged"
+# serve_mix drives a live casted-serve through the connection core and
+# checks every reply byte for byte against the direct service_api
+# result ("correct" in the last-line verdict).
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload serve_mix --seed 1 --seconds 2 --trace 0 > "$log_dir/perfbench_serve.out"
+if ! tail -n 1 "$log_dir/perfbench_serve.out" | grep -q '"correct": true'; then
+  echo "perfbench serve_mix check failed:" >&2
+  cat "$log_dir/perfbench_serve.out" >&2
+  exit 1
+fi
+echo "perfbench serve_mix correct"
 
 echo "== metrics snapshot determinism (quick sweep, counter-only) =="
 # Two metrics-enabled quick sweeps: the counter-only snapshots must be

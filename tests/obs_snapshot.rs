@@ -168,3 +168,53 @@ fn observability_doc_names_every_snapshot_counter() {
         "counters missing from docs/OBSERVABILITY.md: {missing:?}"
     );
 }
+
+/// Every `"serve.…"` string literal in the serving crate's sources:
+/// the metric names `casted-serve` and `casted-router` record. The
+/// quick grid never runs the service, so the golden snapshot cannot
+/// vouch for these.
+fn serve_metric_literals() -> std::collections::BTreeSet<String> {
+    fn walk(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
+        for entry in std::fs::read_dir(dir).expect("read serve source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).expect("read serve source");
+                for piece in src.split("\"serve.").skip(1) {
+                    let rest = piece.split('"').next().unwrap_or_default();
+                    out.insert(format!("serve.{rest}"));
+                }
+            }
+        }
+    }
+    let mut names = std::collections::BTreeSet::new();
+    walk(
+        std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../serve/src")),
+        &mut names,
+    );
+    names
+}
+
+#[test]
+fn observability_doc_names_every_serve_metric() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/OBSERVABILITY.md"
+    ))
+    .expect("read docs/OBSERVABILITY.md");
+    let documented = documented_names(&doc);
+    let emitted = serve_metric_literals();
+    assert!(
+        emitted.contains("serve.requests") && emitted.contains("serve.request_ns"),
+        "the source scan found no serve metrics: {emitted:?}"
+    );
+    let missing: Vec<&String> = emitted
+        .iter()
+        .filter(|n| !documented.contains(*n))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "serve metrics missing from docs/OBSERVABILITY.md: {missing:?}"
+    );
+}
