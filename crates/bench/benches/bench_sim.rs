@@ -25,7 +25,8 @@ fn bench_cache(c: &mut Bench) {
     let cfg = casted::ir::MachineConfig::itanium2_like(2, 2);
     c.bench_function("cache_hierarchy_stream", |b| {
         b.iter(|| {
-            let mut cache = casted_sim::CacheHierarchy::new(&cfg);
+            // The stream below stays under 4096 + 200_000 bytes.
+            let mut cache = casted_sim::CacheHierarchy::new(&cfg, 4096 + 200_000);
             let mut acc = 0u64;
             for i in 0..10_000u64 {
                 acc += cache.access(4096 + (i * 72) % 200_000) as u64;

@@ -178,6 +178,11 @@ impl RegFile {
             RegClass::Pr => self.pr[reg.index as usize] = v.as_b(),
         }
     }
+
+    /// Heap bytes held by the three register arrays.
+    pub fn heap_bytes(&self) -> usize {
+        (self.gp.capacity() + self.fp.capacity()) * 8 + self.pr.capacity()
+    }
 }
 
 fn operand_val(rf: &RegFile, op: &Operand) -> Val {

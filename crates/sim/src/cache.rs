@@ -1,4 +1,16 @@
 //! Set-associative, LRU, inclusive cache hierarchy (Table I).
+//!
+//! Each level allocates only the sets and ways the simulated program's
+//! memory can reach. The simulator accesses the cache only after
+//! `check_addr` has accepted the address (`addr < words * 8`), so every
+//! line index is below `L = ceil(reachable_bytes / line_bytes)`. A level
+//! keeps `min(sets, L)` sets of `min(ways, ceil(L / sets))` ways: no set
+//! can then hold more distinct lines than it has allocated ways, so the
+//! small layout never evicts where the full one would not, both fill the
+//! first invalid way, and hits, LRU stamps, latencies and [`CacheStats`]
+//! are identical to the full configured geometry. The Table I L3 alone
+//! is 24,576 ways (393 KB of tags and stamps); a MiniC kernel reaches at
+//! most 864 of its lines, and every checkpoint clones this state.
 
 use casted_ir::{CacheLevelConfig, MachineConfig};
 
@@ -25,11 +37,18 @@ impl CacheStats {
     }
 }
 
-/// One cache level: `sets × ways` of line tags with LRU stamps.
+/// One cache level: the reachable `sets × ways` of line tags with LRU
+/// stamps.
 #[derive(Clone)]
 struct Level {
     cfg: CacheLevelConfig,
-    sets: usize,
+    /// Set-index mask of the full geometry (`cfg.sets() - 1`).
+    set_mask: usize,
+    /// Lines the program can address; a line at or past this bound
+    /// could alias a way the full geometry keeps apart, so it panics.
+    lines: u64,
+    /// Allocated ways per set (`<= cfg.ways`).
+    ways: usize,
     /// `tags[set * ways + way]` = line address or `u64::MAX` (invalid).
     tags: Vec<u64>,
     /// LRU timestamp parallel to `tags`.
@@ -38,36 +57,53 @@ struct Level {
     /// Indices of ways that have ever been filled, in fill order.
     /// Lines are never invalidated, so this is exactly the valid set;
     /// it lets `fingerprint_into` scale with residency instead of
-    /// scanning every way of a mostly-empty multi-megabyte level.
+    /// scanning every allocated way.
     touched: Vec<u32>,
 }
 
 impl Level {
-    fn new(cfg: CacheLevelConfig) -> Self {
+    fn new(cfg: CacheLevelConfig, reachable_bytes: u64) -> Self {
         let sets = cfg.sets();
-        let ways = cfg.ways;
+        let lines = reachable_bytes.div_ceil(cfg.line_bytes as u64);
+        let sets_alloc = sets.min(lines as usize);
+        // With a power-of-two set count, lines `< L` spread at most
+        // `ceil(L / sets)` to a set. Any other count indexes through a
+        // mask with holes, which can crowd a set more; keep every way.
+        let ways = if sets.is_power_of_two() {
+            cfg.ways.min(lines.div_ceil(sets as u64) as usize)
+        } else {
+            cfg.ways
+        };
         Level {
-            cfg,
-            sets,
-            tags: vec![u64::MAX; sets * ways],
-            stamp: vec![0; sets * ways],
+            set_mask: sets - 1,
+            lines,
+            ways,
+            tags: vec![u64::MAX; sets_alloc * ways],
+            stamp: vec![0; sets_alloc * ways],
             tick: 0,
             touched: Vec::new(),
+            cfg,
         }
     }
 
-    fn line_of(&self, addr: u64) -> u64 {
-        addr / self.cfg.line_bytes as u64
+    /// Line index and first allocated way of the set holding `addr`.
+    #[inline]
+    fn locate(&self, addr: u64) -> (u64, usize) {
+        let line = addr / self.cfg.line_bytes as u64;
+        assert!(
+            line < self.lines,
+            "cache access at {addr:#x} is past the {} reachable lines of {}",
+            self.lines,
+            self.cfg.name
+        );
+        (line, ((line as usize) & self.set_mask) * self.ways)
     }
 
     /// Probe for `addr`; on hit refresh LRU and return true.
     fn probe(&mut self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set = (line as usize) & (self.sets - 1);
-        let ways = self.cfg.ways;
+        let (line, base) = self.locate(addr);
         self.tick += 1;
-        for w in 0..ways {
-            let idx = set * ways + w;
+        for idx in base..base + self.ways {
             if self.tags[idx] == line {
                 self.stamp[idx] = self.tick;
                 return true;
@@ -78,13 +114,10 @@ impl Level {
 
     /// Insert the line for `addr`, evicting the LRU way.
     fn fill(&mut self, addr: u64) {
-        let line = self.line_of(addr);
-        let set = (line as usize) & (self.sets - 1);
-        let ways = self.cfg.ways;
+        let (line, base) = self.locate(addr);
         self.tick += 1;
-        let mut victim = set * ways;
-        for w in 0..ways {
-            let idx = set * ways + w;
+        let mut victim = base;
+        for idx in base..base + self.ways {
             if self.tags[idx] == u64::MAX {
                 victim = idx;
                 break;
@@ -99,6 +132,15 @@ impl Level {
         self.tags[victim] = line;
         self.stamp[victim] = self.tick;
     }
+
+    /// Index of allocated slot `idx` in the full configured geometry.
+    fn logical_index(&self, idx: usize) -> u64 {
+        ((idx / self.ways) * self.cfg.ways + idx % self.ways) as u64
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.tags.capacity() + self.stamp.capacity()) * 8 + self.touched.capacity() * 4
+    }
 }
 
 /// The full hierarchy. `access` returns the latency of the satisfying
@@ -106,7 +148,9 @@ impl Level {
 ///
 /// `Clone` snapshots the complete replacement state (tags, LRU stamps,
 /// counters), which is what lets the checkpoint engine resume a run
-/// with bit-identical cache timing (see `crate::checkpoint`).
+/// with bit-identical cache timing (see `crate::checkpoint`). Sized to
+/// the reachable memory (module doc), a clone costs a few KB for a
+/// MiniC kernel instead of the ~430 KB of the full Table I geometry.
 #[derive(Clone)]
 pub struct CacheHierarchy {
     levels: Vec<Level>,
@@ -118,14 +162,15 @@ pub struct CacheHierarchy {
 }
 
 impl CacheHierarchy {
-    /// Build the hierarchy described by `config`.
-    pub fn new(config: &MachineConfig) -> Self {
+    /// Build the hierarchy described by `config` for a program that
+    /// addresses bytes `[0, reachable_bytes)`. Accessing an address at
+    /// or past that bound panics.
+    pub fn new(config: &MachineConfig, reachable_bytes: u64) -> Self {
         CacheHierarchy {
             levels: config
                 .cache_levels
                 .iter()
-                .cloned()
-                .map(Level::new)
+                .map(|cfg| Level::new(cfg.clone(), reachable_bytes))
                 .collect(),
             memory_latency: config.memory_latency,
             perfect_latency: config.latency.load_hit,
@@ -163,13 +208,14 @@ impl CacheHierarchy {
 
     /// Absorb the timing-relevant replacement state into `h`: per
     /// level, the LRU tick plus every *valid* line's `(index, tag,
-    /// stamp)`. Two hierarchies that hash equal respond identically
+    /// stamp)`. `index` is `set * ways + way` in the full configured
+    /// geometry, so the digest does not depend on how much of it is
+    /// allocated. Two hierarchies that hash equal respond identically
     /// to every future access sequence, which is what the convergence
     /// pruning in `crate::checkpoint` relies on.
     ///
     /// Valid ways are enumerated through the fill-order `touched`
-    /// list, so the cost scales with residency rather than capacity
-    /// (the L3 alone has tens of thousands of mostly-empty ways).
+    /// list, so the cost scales with residency rather than capacity.
     /// Fill order is part of the hashed sequence, but that costs no
     /// pruning in practice: `tick` counts every probe and fill, so
     /// two runs whose access histories diverged at all already hash
@@ -181,11 +227,17 @@ impl CacheHierarchy {
             h.write_u64_round(level.tick);
             for &idx in &level.touched {
                 let idx = idx as usize;
-                h.write_u64_round(idx as u64);
+                h.write_u64_round(level.logical_index(idx));
                 h.write_u64_round(level.tags[idx]);
                 h.write_u64_round(level.stamp[idx]);
             }
         }
+    }
+
+    /// Heap bytes held by the replacement state and the counters.
+    pub fn heap_bytes(&self) -> usize {
+        let levels: usize = self.levels.iter().map(Level::heap_bytes).sum();
+        levels + self.stats.hits.capacity() * 8
     }
 }
 
@@ -197,9 +249,12 @@ mod tests {
         MachineConfig::itanium2_like(2, 1)
     }
 
+    /// Twice the L3: every level is allocated in full.
+    const FULL: u64 = 8 << 20;
+
     #[test]
     fn first_access_misses_second_hits() {
-        let mut c = CacheHierarchy::new(&cfg());
+        let mut c = CacheHierarchy::new(&cfg(), FULL);
         assert_eq!(c.access(4096), 150);
         assert_eq!(c.access(4096), 1);
         assert_eq!(c.access(4096 + 32), 1, "same 64B line");
@@ -209,7 +264,7 @@ mod tests {
 
     #[test]
     fn l1_eviction_falls_back_to_l2() {
-        let mut c = CacheHierarchy::new(&cfg());
+        let mut c = CacheHierarchy::new(&cfg(), FULL);
         // L1: 16K, 64B lines, 4-way -> 64 sets. Fill one set with 5
         // lines (stride = 64 sets * 64B = 4096B) to evict the first.
         for i in 0..5u64 {
@@ -222,7 +277,7 @@ mod tests {
 
     #[test]
     fn streaming_beyond_l3_goes_to_memory() {
-        let mut c = CacheHierarchy::new(&cfg());
+        let mut c = CacheHierarchy::new(&cfg(), FULL);
         // Touch 6 MB with 128-byte stride: twice the L3.
         let lines = 6 * 1024 * 1024 / 128;
         for i in 0..lines as u64 {
@@ -236,7 +291,7 @@ mod tests {
 
     #[test]
     fn perfect_memory_has_flat_latency() {
-        let mut c = CacheHierarchy::new(&MachineConfig::perfect_memory(1, 1));
+        let mut c = CacheHierarchy::new(&MachineConfig::perfect_memory(1, 1), FULL);
         for i in 0..1000u64 {
             assert_eq!(c.access(i * 8192), 1);
         }
@@ -245,7 +300,7 @@ mod tests {
 
     #[test]
     fn lru_keeps_hot_line() {
-        let mut c = CacheHierarchy::new(&cfg());
+        let mut c = CacheHierarchy::new(&cfg(), FULL);
         // Hot line A, then stream 4 conflicting lines while re-touching
         // A between fills: A must stay resident in L1.
         let a = 4096u64;
@@ -255,5 +310,27 @@ mod tests {
             c.access(a);
         }
         assert_eq!(c.access(a), 1);
+    }
+
+    #[test]
+    fn allocation_follows_reachable_memory() {
+        let full = CacheHierarchy::new(&cfg(), FULL);
+        let small = CacheHierarchy::new(&cfg(), 64 * 1024);
+        // 64 KB: 1,024 L1 lines over 64 sets (all 4 ways), 512 L2 and
+        // L3 lines over 256 and 2,048 sets (2 ways and 1 way).
+        let ways =
+            |c: &CacheHierarchy| -> Vec<usize> { c.levels.iter().map(|l| l.tags.len()).collect() };
+        assert_eq!(ways(&full), vec![256, 2048, 24576]);
+        assert_eq!(ways(&small), vec![256, 512, 512]);
+        assert!(small.heap_bytes() * 10 < full.heap_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "reachable lines")]
+    fn access_past_reachable_memory_panics() {
+        // Line 512 of L3 would share set 0's only allocated way with
+        // line 0 in a 64 KB layout; it must panic, not alias.
+        let mut c = CacheHierarchy::new(&cfg(), 64 * 1024);
+        c.access(64 * 1024);
     }
 }

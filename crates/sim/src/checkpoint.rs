@@ -78,9 +78,13 @@ pub struct CheckpointPlan {
 }
 
 /// Hard cap on captured checkpoints: each one clones the full machine
-/// state (memory + cache tags dominate), so √N is additionally bounded
-/// to keep a campaign's resident footprint modest. With 128 buckets
-/// the expected fast-forward remainder is N/256 — already negligible.
+/// state, so √N is additionally bounded to keep a campaign's resident
+/// footprint modest. The clone is dominated by the memory image and
+/// the cache state, both sized by the program's memory: 14–110 KB of
+/// memory plus 8–34 KB of cache for the MiniC kernels, so 128 of them
+/// hold 3.6–20 MB per campaign (`GoldenTrace::snapshot_bytes`). With
+/// 128 buckets the expected fast-forward remainder is N/256 — already
+/// negligible.
 pub const MAX_CHECKPOINTS: u64 = 128;
 
 /// Convergence checks a replayed trial attempts before giving up and
@@ -341,6 +345,13 @@ impl GoldenTrace {
         self.fingerprints.len() as u64
     }
 
+    /// Heap bytes held by the captured checkpoints. It scales with the
+    /// program's memory and registers, not with the machine's cache
+    /// capacity (see `crate::cache`).
+    pub fn snapshot_bytes(&self) -> usize {
+        self.checkpoints.iter().map(MachineState::heap_bytes).sum()
+    }
+
     /// Index of the checkpoint a trial with injection site
     /// `at_dyn_insn` restores: the last snapshot whose
     /// dynamic-instruction count is *strictly below* the site.
@@ -381,8 +392,12 @@ impl GoldenTrace {
 /// length (the same single `sim.*` flush the reference engine's
 /// golden run performs, keeping counter snapshots engine-agnostic),
 /// then a quiet instrumented pass sized by [`CheckpointPlan`]. The
-/// second pass costs one extra golden run per campaign — noise next
-/// to the hundreds of trials it accelerates.
+/// second pass costs one extra golden run per campaign. That is not
+/// noise for short campaigns: on the 8-trial Fig. 9 cells of the
+/// `coverage_campaign` benchmark, golden capture alone takes about 55%
+/// of what the whole campaigns take (`faults.golden_s` 2.5–2.8 s
+/// against Σ`faults.campaign_s.*` 4.4–4.5 s, traced, 2-vCPU x86-64
+/// host). It amortises only over hundreds of trials.
 pub fn golden_with_checkpoints(sp: &ScheduledProgram) -> GoldenTrace {
     golden_with_checkpoints_rbed(sp, None)
 }
@@ -635,6 +650,21 @@ mod tests {
         let big = CheckpointPlan::for_golden(1_000_000);
         assert!(big.interval >= 1_000_000 / MAX_CHECKPOINTS);
         assert!(big.sample_every < big.interval);
+    }
+
+    #[test]
+    fn snapshot_footprint_scales_with_the_program_not_the_cache() {
+        let m = looping_module(200);
+        let table_i = MachineConfig::itanium2_like(2, 2);
+        let mut big_l3 = table_i.clone();
+        big_l3.cache_levels[2].size_bytes *= 8;
+        let t = golden_with_checkpoints(&sequential(&m, table_i));
+        let big = golden_with_checkpoints(&sequential(&m, big_l3));
+        assert_eq!(t.checkpoints_taken(), big.checkpoints_taken());
+        assert_eq!(t.snapshot_bytes(), big.snapshot_bytes());
+        // Far below one Table I L3 (tags + stamps) per checkpoint.
+        let l3_bytes = 3 * 1024 * 1024 / 128 * 16;
+        assert!(t.snapshot_bytes() * 10 < t.checkpoints_taken() as usize * l3_bytes);
     }
 
     #[test]

@@ -247,10 +247,13 @@ impl MachineState {
         let func = sp.module.entry_fn();
         let mut stats = SimStats::default();
         stats.per_cluster = vec![0; sp.config.clusters];
+        let mem = Memory::for_module(&sp.module);
         MachineState {
             rf: RegFile::for_function(func),
-            mem: Memory::for_module(&sp.module),
-            cache: CacheHierarchy::new(&sp.config),
+            // Every cache access follows a `check_addr` against this
+            // memory, so the cache need only cover its bytes.
+            cache: CacheHierarchy::new(&sp.config, mem.len_words() as u64 * 8),
+            mem,
             ready: Ready::new(func),
             stats,
             stream: Vec::new(),
@@ -278,6 +281,23 @@ impl MachineState {
     /// Values emitted so far.
     pub fn stream_len(&self) -> usize {
         self.stream.len()
+    }
+
+    /// Heap bytes this state owns, i.e. what a snapshot of it holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let ready = self.ready.gp.capacity() + self.ready.fp.capacity() + self.ready.pr.capacity();
+        let rbed = self.rbed.as_ref().map_or(0, |r| {
+            size_of::<crate::rbed::RbedState>() + r.recorded.capacity() * 8
+        });
+        self.rf.heap_bytes()
+            + self.mem.len_words() * 8
+            + self.cache.heap_bytes()
+            + ready * size_of::<(u64, u8)>()
+            + (self.stats.per_cluster.capacity() + self.stats.cache.hits.capacity()) * 8
+            + self.stream.capacity() * size_of::<OutVal>()
+            + self.mshr.capacity() * 8
+            + rbed
     }
 }
 

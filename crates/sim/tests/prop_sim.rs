@@ -7,9 +7,11 @@
 
 use casted_ir::testgen::{random_module, GenOptions};
 use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
-use casted_ir::{interp, Cluster, MachineConfig, Module};
-use casted_sim::{simulate, SimOptions};
+use casted_ir::{interp, CacheLevelConfig, Cluster, MachineConfig, Module};
+use casted_sim::{simulate, CacheHierarchy, SimOptions};
+use casted_util::hash::Fnv64;
 use casted_util::prop::run_cases;
+use casted_util::rng::Rng;
 use casted_util::{prop_assert, prop_assert_eq};
 use std::collections::HashMap;
 
@@ -137,4 +139,99 @@ fn casted_faults_lite_classify(golden: &casted_sim::SimResult, r: &casted_sim::S
             if same { 0 } else { 3 }
         }
     }
+}
+
+/// A machine whose cache levels have unusual line sizes and set
+/// counts, including set counts that are not powers of two.
+fn odd_cache_config(rng: &mut Rng) -> MachineConfig {
+    let mut m = MachineConfig::itanium2_like(rng.gen_range(1usize..=4), 1);
+    let n = rng.gen_range(1usize..=3);
+    m.cache_levels = (0..n)
+        .map(|i| {
+            let line_bytes = *rng.pick(&[8usize, 24, 48, 64, 96, 256]);
+            let ways = rng.gen_range(1usize..=6);
+            let sets = *rng.pick(&[1usize, 2, 3, 8, 12, 64, 256]);
+            CacheLevelConfig {
+                name: ["L1", "L2", "L3"][i],
+                size_bytes: sets * ways * line_bytes,
+                line_bytes,
+                ways,
+                latency: 1 + 4 * i as u32,
+            }
+        })
+        .collect();
+    m
+}
+
+fn digest(c: &CacheHierarchy) -> u64 {
+    let mut h = Fnv64::new();
+    c.fingerprint_into(&mut h);
+    h.finish()
+}
+
+/// A hierarchy sized to the memory a program can address behaves
+/// exactly like one with every set and way of the configuration
+/// allocated: same latency, same statistics and same fingerprint after
+/// every access.
+#[test]
+fn cache_sized_to_memory_matches_full_capacity() {
+    run_cases("cache_sized_to_memory_matches_full_capacity", 48, |rng| {
+        let cfg = match rng.gen_range(0u32..4) {
+            0 | 1 => {
+                MachineConfig::itanium2_like(rng.gen_range(1usize..=4), rng.gen_range(1u32..=4))
+            }
+            2 => MachineConfig::perfect_memory(rng.gen_range(1usize..=4), 1),
+            _ => odd_cache_config(rng),
+        };
+        let capacity = cfg
+            .cache_levels
+            .iter()
+            .map(|l| l.size_bytes)
+            .max()
+            .unwrap_or(4096) as u64;
+        let last_line = cfg.cache_levels.last().map_or(8, |l| l.line_bytes) as u64;
+        let mem_bytes = match rng.gen_range(0u32..5) {
+            0 => capacity,
+            1 => capacity + last_line,
+            2 => 8 * rng.gen_range(1u64..=64),
+            _ => 8 * rng.gen_range(1u64..=(capacity * 5 / 4) / 8 + 1),
+        };
+        let words = (mem_bytes / 8).max(1);
+        let mut sized = CacheHierarchy::new(&cfg, words * 8);
+        let mut full = CacheHierarchy::new(&cfg, (words * 8).max(capacity));
+        prop_assert!(sized.heap_bytes() <= full.heap_bytes());
+        prop_assert_eq!(digest(&sized), digest(&full));
+        // Conflict strides of every level, so sets fill and evict.
+        let strides: Vec<u64> = cfg
+            .cache_levels
+            .iter()
+            .map(|l| (l.sets() * l.line_bytes) as u64)
+            .chain([8, 136])
+            .collect();
+        let mut addr = 8 * rng.below(words);
+        for step in 0..1500 {
+            addr = match rng.gen_range(0u32..4) {
+                0 => 8 * rng.below(words),
+                1 | 2 => (addr + *rng.pick(&strides)) % (words * 8) / 8 * 8,
+                _ => addr,
+            };
+            let (a, b) = (sized.access(addr), full.access(addr));
+            prop_assert_eq!(
+                a,
+                b,
+                "latency of access {} at {:#x} ({} words)",
+                step,
+                addr,
+                words
+            );
+            prop_assert_eq!(&sized.stats, &full.stats, "stats after access {}", step);
+            prop_assert_eq!(
+                digest(&sized),
+                digest(&full),
+                "fingerprint after access {}",
+                step
+            );
+        }
+        Ok(())
+    });
 }

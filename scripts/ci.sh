@@ -30,7 +30,7 @@ cargo run --release --offline -q -p casted-bench --bin difftest -- \
 cmp "$log_dir/fuzz1.log" "$log_dir/fuzz2.log"
 tail -n 1 "$log_dir/fuzz1.log"
 
-echo "== perfbench correctness (self-tests + pinned simulated statistics + serve replies) =="
+echo "== perfbench correctness (self-tests + pinned simulated statistics + campaign tallies + serve replies) =="
 # perfbench is its own workspace (perfbench/Cargo.toml). Its tests cover
 # the metric-doc coverage and the corrupted-expected self-tests; a short
 # perf_grid run then checks every cell's output against the interpreter
@@ -58,6 +58,20 @@ if ! tail -n 1 "$log_dir/perfbench_serve.out" | grep -q '"correct": true'; then
   exit 1
 fi
 echo "perfbench serve_mix correct"
+# coverage_campaign runs the 42 Fig. 9 cells as campaigns on the default
+# engine and checks every tally against the reference engine's, pinned
+# under perfbench/expected/ ("correct" in the last-line verdict). Its
+# pinned engine work counts are printed, not gated: engine changes may
+# move them while the tallies stay exact.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload coverage_campaign --seed 1 --seconds 2 --trace 0 > "$log_dir/perfbench_cov.out"
+if ! tail -n 1 "$log_dir/perfbench_cov.out" | grep -q '"correct": true'; then
+  echo "perfbench coverage_campaign check failed:" >&2
+  cat "$log_dir/perfbench_cov.out" >&2
+  exit 1
+fi
+grep -E '^(pinned work counts|!!! simulated statistics changed)' "$log_dir/perfbench_cov.out" || true
+echo "perfbench coverage_campaign correct"
 
 echo "== metrics snapshot determinism (quick sweep, counter-only) =="
 # Two metrics-enabled quick sweeps: the counter-only snapshots must be

@@ -169,52 +169,81 @@ fn observability_doc_names_every_snapshot_counter() {
     );
 }
 
+/// Calls `f` with the text of every `.rs` file under `dir`.
+fn for_each_source(dir: &std::path::Path, f: &mut dyn FnMut(&str)) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            for_each_source(&path, f);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            f(&std::fs::read_to_string(&path).expect("read source"));
+        }
+    }
+}
+
 /// Every `"serve.…"` string literal in the serving crate's sources:
-/// the metric names `casted-serve` and `casted-router` record. The
+/// the metric names `casted-serve` and `casted-router` record, the
+/// ones chosen by helper functions and `match` arms included. The
 /// quick grid never runs the service, so the golden snapshot cannot
 /// vouch for these.
 fn serve_metric_literals() -> std::collections::BTreeSet<String> {
-    fn walk(dir: &std::path::Path, out: &mut std::collections::BTreeSet<String>) {
-        for entry in std::fs::read_dir(dir).expect("read serve source dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let src = std::fs::read_to_string(&path).expect("read serve source");
-                for piece in src.split("\"serve.").skip(1) {
-                    let rest = piece.split('"').next().unwrap_or_default();
-                    out.insert(format!("serve.{rest}"));
-                }
+    let mut names = std::collections::BTreeSet::new();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../serve/src");
+    for_each_source(std::path::Path::new(dir), &mut |src| {
+        for piece in src.split("\"serve.").skip(1) {
+            let rest = piece.split('"').next().unwrap_or_default();
+            names.insert(format!("serve.{rest}"));
+        }
+    });
+    names
+}
+
+/// The string literal passed as the first argument of every
+/// `casted_obs::{inc,add,gauge_set,observe_ns,span}` call in any
+/// crate, also when the literal sits on the line after the call.
+fn recorded_metric_literals() -> std::collections::BTreeSet<String> {
+    let mut names = std::collections::BTreeSet::new();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/..");
+    for_each_source(std::path::Path::new(dir), &mut |src| {
+        for piece in src.split("casted_obs::").skip(1) {
+            let Some((func, args)) = piece.split_once('(') else {
+                continue;
+            };
+            if !["inc", "add", "gauge_set", "observe_ns", "span"].contains(&func) {
+                continue;
+            }
+            if let Some(lit) = args.trim_start().strip_prefix('"') {
+                names.insert(lit.split('"').next().unwrap_or_default().to_string());
             }
         }
-    }
-    let mut names = std::collections::BTreeSet::new();
-    walk(
-        std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../serve/src")),
-        &mut names,
-    );
+    });
     names
 }
 
 #[test]
-fn observability_doc_names_every_serve_metric() {
+fn observability_doc_names_every_recorded_metric() {
     let doc = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../docs/OBSERVABILITY.md"
     ))
     .expect("read docs/OBSERVABILITY.md");
     let documented = documented_names(&doc);
-    let emitted = serve_metric_literals();
+    let serve = serve_metric_literals();
     assert!(
-        emitted.contains("serve.requests") && emitted.contains("serve.request_ns"),
-        "the source scan found no serve metrics: {emitted:?}"
+        serve.contains("serve.requests") && serve.contains("serve.request_ns"),
+        "the source scan found no serve metrics: {serve:?}"
     );
-    let missing: Vec<&String> = emitted
-        .iter()
+    let recorded = recorded_metric_literals();
+    assert!(
+        recorded.contains("sim.cycles") && recorded.contains("passes.sched.cross_cluster_edges"),
+        "the source scan found no recording calls: {recorded:?}"
+    );
+    let missing: Vec<&String> = serve
+        .union(&recorded)
         .filter(|n| !documented.contains(*n))
         .collect();
     assert!(
         missing.is_empty(),
-        "serve metrics missing from docs/OBSERVABILITY.md: {missing:?}"
+        "metrics missing from docs/OBSERVABILITY.md: {missing:?}"
     );
 }
