@@ -25,11 +25,12 @@ use std::time::Instant;
 
 use casted_faults::{
     run_campaign_engine, run_campaign_engine_lanes, run_campaign_incremental, CampaignConfig,
-    Engine, SectionStore, DEFAULT_LANE_WIDTH,
+    Engine, DEFAULT_LANE_WIDTH,
 };
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::MachineConfig;
 use casted_util::bench::median_mad;
+use casted_util::store::ArtifactStore;
 
 const TRIALS: usize = 300;
 const SAMPLES: usize = 5;
@@ -238,7 +239,7 @@ fn main() {
     let mut warm_rates = Vec::with_capacity(samples);
     for s in 0..samples {
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SectionStore::open(&dir).expect("open bench section store");
+        let store = ArtifactStore::open(&dir).expect("open bench section store");
         let t0 = Instant::now();
         for cell in &inc_cells {
             casted_util::bench::black_box(run_campaign_incremental(&cell.sp, &campaign, &store));

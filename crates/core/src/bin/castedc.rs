@@ -305,7 +305,7 @@ fn main() -> ExitCode {
                 replay_detect: args.scheme.replay_detect(),
             };
             let r = if args.incremental {
-                let store = match casted_faults::SectionStore::open(std::path::Path::new(
+                let store = match casted_util::store::ArtifactStore::open(std::path::Path::new(
                     &args.section_cache,
                 )) {
                     Ok(s) => s,

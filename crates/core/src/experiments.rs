@@ -494,7 +494,7 @@ pub fn coverage_sweep_incremental(
     campaign: &CampaignConfig,
     store_dir: &std::path::Path,
 ) -> Vec<CoveragePoint> {
-    let store = casted_faults::SectionStore::open(store_dir)
+    let store = casted_util::store::ArtifactStore::open(store_dir)
         .unwrap_or_else(|e| panic!("cannot open section cache {}: {e}", store_dir.display()));
     let modules: Vec<(String, casted_ir::Module)> = benchmarks
         .iter()

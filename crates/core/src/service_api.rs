@@ -21,13 +21,12 @@
 //! a recomputed one — the property `casted-serve`'s content-addressed
 //! cache rests on (see `docs/SERVING.md`).
 
-use casted_faults::{
-    run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine, Outcome, SectionStore,
-};
+use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine, Outcome};
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::MachineConfig;
 use casted_passes::Scheme;
 use casted_sim::{simulate_quiet, SimOptions};
+use casted_util::store::ArtifactStore;
 use casted_util::Fnv64;
 
 /// Bounds on machine parameters a request may ask for. Issue widths
@@ -339,34 +338,39 @@ pub fn inject_stream_with(
     Ok((reply_of(&r), completed))
 }
 
-/// [`inject_tally`] through the compositional section cache: the
-/// campaign keys each golden-trace section into the on-disk store at
-/// `section_cache`, so a repeat request — or a request for an *edited*
-/// program sharing most sections — recombines cached section evidence
-/// and re-injects only what changed. The reply is byte-identical to
-/// [`inject_tally`] on any engine (the recombination exactness
-/// guarantee, `docs/INCREMENTAL.md`), which is what lets
-/// `casted-serve` substitute this path under its exact-reply cache:
-/// whole-request hits still come from the reply cache, and misses now
-/// degrade to *partial* section hits instead of cold campaigns.
-pub fn inject_tally_incremental(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    section_cache: &std::path::Path,
-    max_cycles: u64,
-) -> Result<InjectReply, String> {
-    inject_tally_incremental_with(spec, trials, seed, section_cache, max_cycles, None)
-}
-
-/// [`inject_tally_incremental`], optionally through the staged artifact
-/// pipeline — both caches compose: compile artifacts memoize the front
-/// half, section evidence memoizes the campaign.
+/// [`inject_tally_incremental_in`] on the section store at
+/// `section_cache`, opened for this one request. Long-lived hosts
+/// (`casted-serve`) open the store once and call the `_in` form.
 pub fn inject_tally_incremental_with(
     spec: &JobSpec,
     trials: u64,
     seed: u64,
     section_cache: &std::path::Path,
+    max_cycles: u64,
+    pipeline: Option<&crate::stages::ArtifactPipeline>,
+) -> Result<InjectReply, String> {
+    let store = ArtifactStore::open(section_cache)
+        .map_err(|e| format!("cannot open section cache {}: {e}", section_cache.display()))?;
+    inject_tally_incremental_in(spec, trials, seed, &store, max_cycles, pipeline)
+}
+
+/// [`inject_tally`] through the compositional section cache: the
+/// campaign keys each golden-trace section into `store`, so a repeat
+/// request — or a request for an *edited* program sharing most
+/// sections — recombines cached section evidence and re-injects only
+/// what changed. The reply is byte-identical to [`inject_tally`] on
+/// any engine (the recombination exactness guarantee,
+/// `docs/INCREMENTAL.md`), which is what lets `casted-serve`
+/// substitute this path under its exact-reply cache: whole-request
+/// hits still come from the reply cache, and misses now degrade to
+/// *partial* section hits instead of cold campaigns. An optional
+/// staged artifact pipeline composes with it: compile artifacts
+/// memoize the front half, section evidence memoizes the campaign.
+pub fn inject_tally_incremental_in(
+    spec: &JobSpec,
+    trials: u64,
+    seed: u64,
+    store: &ArtifactStore,
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
 ) -> Result<InjectReply, String> {
@@ -385,15 +389,13 @@ pub fn inject_tally_incremental_with(
             screen.stop
         ));
     }
-    let store = SectionStore::open(section_cache)
-        .map_err(|e| format!("cannot open section cache {}: {e}", section_cache.display()))?;
     let cfg = CampaignConfig {
         trials: trials as usize,
         seed,
         replay_detect: spec.scheme.replay_detect(),
         ..Default::default()
     };
-    let r = run_campaign_incremental(&prep.sp, &cfg, &store);
+    let r = run_campaign_incremental(&prep.sp, &cfg, store);
     Ok(reply_of(&r))
 }
 
@@ -513,10 +515,10 @@ mod tests {
         let s = spec(Scheme::Casted);
         let dir = std::env::temp_dir().join(format!("casted-api-sect-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold = inject_tally_incremental(&s, 40, 7, &dir, u64::MAX).unwrap();
+        let cold = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
         let full = inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap();
         assert_eq!(cold, full, "incremental reply diverged from the engines");
-        let warm = inject_tally_incremental(&s, 40, 7, &dir, u64::MAX).unwrap();
+        let warm = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
         assert_eq!(warm, cold, "warm recombination changed the reply");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -527,7 +529,7 @@ mod tests {
         s.source = "fn main() { var x: int = 1; for i in 0..1000000 { x = x + i; } out(x); }".into();
         let dir = std::env::temp_dir().join(format!("casted-api-screen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let err = inject_tally_incremental(&s, 10, 1, &dir, 100).unwrap_err();
+        let err = inject_tally_incremental_with(&s, 10, 1, &dir, 100, None).unwrap_err();
         assert!(err.contains("must halt"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

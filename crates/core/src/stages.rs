@@ -241,13 +241,6 @@ impl ArtifactPipeline {
         })
     }
 
-    /// Open with an LRU byte budget (see [`ArtifactStore`]).
-    pub fn open_with_budget(dir: &Path, budget: u64) -> io::Result<ArtifactPipeline> {
-        Ok(ArtifactPipeline {
-            store: ArtifactStore::open_with_budget(dir, budget)?,
-        })
-    }
-
     /// The underlying store (for diagnostics and tests).
     pub fn store(&self) -> &ArtifactStore {
         &self.store

@@ -173,24 +173,31 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
             // recombined tally — cold, then warm from the on-disk
             // store — must match the reference engine byte-for-byte
             // (docs/INCREMENTAL.md, oracle layer 8 for the corpus).
+            // Each pass opens a fresh store handle, so the warm pass
+            // reads disk, not the cold handle's front cache.
             let dir = crate::oracle::scratch_dir(&format!("corpus-sections-{name}-{scheme}"));
             let _ = std::fs::remove_dir_all(&dir);
-            if let Ok(store) = casted_faults::SectionStore::open(&dir) {
-                for pass in ["cold", "warm"] {
-                    let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
-                    if inc.tally != reference.tally {
-                        let detail = format!(
-                            "incremental ({pass}) diverged: reference {:?} vs {:?} (sections {:?})",
-                            reference.tally.counts, inc.tally.counts, inc.engine.sections
-                        );
-                        let _ = std::fs::remove_dir_all(&dir);
-                        return Err(Divergence::new_corpus(
-                            name,
-                            &format!("sections:{stage}"),
-                            detail,
-                        ));
-                    }
+            let mut usable = true;
+            for pass in ["cold", "warm"] {
+                let Ok(store) = casted_util::store::ArtifactStore::open(&dir) else {
+                    usable = false;
+                    break;
+                };
+                let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
+                if inc.tally != reference.tally {
+                    let detail = format!(
+                        "incremental ({pass}) diverged: reference {:?} vs {:?} (sections {:?})",
+                        reference.tally.counts, inc.tally.counts, inc.engine.sections
+                    );
+                    let _ = std::fs::remove_dir_all(&dir);
+                    return Err(Divergence::new_corpus(
+                        name,
+                        &format!("sections:{stage}"),
+                        detail,
+                    ));
                 }
+            }
+            if usable {
                 checks += 1;
             }
             let _ = std::fs::remove_dir_all(&dir);

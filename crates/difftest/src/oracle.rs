@@ -410,37 +410,41 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         // section-cache campaign must recombine to the same tally
         // bytes as the engines, cold (all sections freshly injected)
         // AND warm (all sections recombined from the store written by
-        // the cold run). Only tallies are compared: a store that fails
+        // the cold run). Each pass opens a fresh store handle, so the
+        // warm pass reads the on-disk store, not the cold handle's
+        // front cache. Only tallies are compared: a store that fails
         // to persist (full disk, read-only tmp) degrades to a cold
         // rerun, which is still required to be exact, not a
         // divergence.
         let stage = format!("sections:{scheme}:iw2d2");
         let dir = scratch_dir(&format!("difftest-sections-{:x}-{scheme}", cfg.seed));
         let _ = std::fs::remove_dir_all(&dir);
-        match casted_faults::SectionStore::open(&dir) {
-            Ok(store) => {
-                for pass in ["cold", "warm"] {
-                    let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
-                    if reference.tally != inc.tally {
-                        let _ = std::fs::remove_dir_all(&dir);
-                        return Err(Divergence::new(
-                            &stage,
-                            format!(
-                                "incremental ({pass}) recombination diverged over {ENGINE_TRIALS} trials: reference {:?} vs incremental {:?} (sections {:?}, case {})",
-                                reference.tally.counts,
-                                inc.tally.counts,
-                                inc.engine.sections,
-                                cfg.replay_line(None)
-                            ),
-                        ));
-                    }
-                }
-                let _ = std::fs::remove_dir_all(&dir);
-                stages += 1;
-            }
+        let mut usable = true;
+        for pass in ["cold", "warm"] {
             // No usable tmp dir on this host: skip the layer rather
             // than fail a case for an environment problem.
-            Err(_) => {}
+            let Ok(store) = ArtifactStore::open(&dir) else {
+                usable = false;
+                break;
+            };
+            let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
+            if reference.tally != inc.tally {
+                let _ = std::fs::remove_dir_all(&dir);
+                return Err(Divergence::new(
+                    &stage,
+                    format!(
+                        "incremental ({pass}) recombination diverged over {ENGINE_TRIALS} trials: reference {:?} vs incremental {:?} (sections {:?}, case {})",
+                        reference.tally.counts,
+                        inc.tally.counts,
+                        inc.engine.sections,
+                        cfg.replay_line(None)
+                    ),
+                ));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        if usable {
+            stages += 1;
         }
     }
 

@@ -17,7 +17,7 @@ use casted_util::Rng;
 
 pub mod sections;
 
-pub use sections::{run_campaign_incremental, SectionStats, SectionStore};
+pub use sections::{run_campaign_incremental, SectionStats};
 
 use casted_ir::interp::StopReason;
 use casted_ir::vliw::ScheduledProgram;

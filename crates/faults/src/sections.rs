@@ -53,14 +53,19 @@
 //! lookup additionally validates that every block the recorded runs
 //! visited still has the same code hash and live-in-mask hash on the
 //! current program; any mismatch is a miss and the section is
-//! re-injected. Records carry a whole-file checksum — a corrupted
-//! byte anywhere turns the record into a miss, never a wrong tally
-//! (the sabotage self-test below pins this).
+//! re-injected.
+//!
+//! ## Storage
+//!
+//! Records live in the workspace's one on-disk store,
+//! [`ArtifactStore`], as two artifact kinds: [`KIND_SECT`] (section
+//! records) and [`KIND_PROG`] (program records). The store's envelope
+//! checks the version, key, kind and a whole-file checksum, so a
+//! corrupted byte anywhere turns the record into a miss, never a wrong
+//! tally (the sabotage self-tests below pin this); the codecs here
+//! encode only the payload, and decode it strictly canonically.
 
 use std::collections::BTreeSet;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
@@ -68,17 +73,24 @@ use casted_ir::RegClass;
 use casted_sim::section::{block_validation_hashes, capture_sections, run_section_trial, SectionTrial};
 use casted_sim::{golden_with_checkpoints, replay_trial_observed, GoldenTrace, Injection, TrialRun};
 use casted_util::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
-use casted_util::hash::{fnv1a, Fnv64};
+use casted_util::hash::Fnv64;
 use casted_util::pool::run_pool;
+use casted_util::store::ArtifactStore;
 use casted_util::Rng;
 
 use crate::{classify, CampaignConfig, CampaignResult, EngineStats, Outcome, Tally};
 
 /// Bumped on any change to the record encoding *or* to the meaning of
 /// any hashed key component (hash inputs, digest coverage, section
-/// cutting policy). Part of the key, so stale-format records simply
-/// miss instead of decoding garbage.
-pub const STORE_FORMAT_VERSION: u64 = 2;
+/// cutting policy). Part of every key, so stale-format records simply
+/// miss instead of decoding garbage. (The store's envelope has its own
+/// `casted_util::store::STORE_FORMAT_VERSION`.)
+pub const SECTION_FORMAT_VERSION: u64 = 3;
+
+/// Artifact kind of a [`SectionRecord`] (`{key:016x}.sect`).
+pub const KIND_SECT: &str = "sect";
+/// Artifact kind of a [`ProgramRecord`] (`{key:016x}.prog`).
+pub const KIND_PROG: &str = "prog";
 
 /// Section-cache accounting for one incremental campaign.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -168,7 +180,7 @@ pub struct ProgramRecord {
 pub fn program_key(sp: &ScheduledProgram, hashes: &[(u64, u64)]) -> u64 {
     let func = sp.module.entry_fn();
     let mut h = Fnv64::new();
-    h.write_u64(STORE_FORMAT_VERSION);
+    h.write_u64(SECTION_FORMAT_VERSION);
     h.write(format!("{:?}", sp.config).as_bytes());
     h.write_u64(func.entry.index() as u64);
     h.write_u64(hashes.len() as u64);
@@ -220,7 +232,7 @@ pub fn section_key(
     injections: &[Injection],
 ) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(STORE_FORMAT_VERSION);
+    h.write_u64(SECTION_FORMAT_VERSION);
     // MachineConfig derives Debug over every field; the Debug form is
     // injective on its values and hashed once per section.
     h.write(format!("{:?}", sp.config).as_bytes());
@@ -291,10 +303,8 @@ fn get_validation(payload: &[u8], pos: &mut usize) -> Option<Vec<(u32, u64, u64)
     Some(validation)
 }
 
-fn encode_record(key: u64, rec: &SectionRecord) -> Vec<u8> {
+fn encode_record(rec: &SectionRecord) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_uvarint(&mut buf, STORE_FORMAT_VERSION);
-    put_uvarint(&mut buf, key);
     put_uvarint(&mut buf, rec.entries.len() as u64);
     for e in &rec.entries {
         match e {
@@ -332,26 +342,11 @@ fn encode_record(key: u64, rec: &SectionRecord) -> Vec<u8> {
         }
     }
     put_validation(&mut buf, &rec.validation);
-    let sum = fnv1a(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
 
-fn decode_record(key: u64, bytes: &[u8]) -> Option<SectionRecord> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    if fnv1a(payload) != u64::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
+fn decode_record(payload: &[u8]) -> Option<SectionRecord> {
     let mut pos = 0;
-    if get_uvarint(payload, &mut pos)? != STORE_FORMAT_VERSION {
-        return None;
-    }
-    if get_uvarint(payload, &mut pos)? != key {
-        return None;
-    }
     let n = get_uvarint(payload, &mut pos)?;
     let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
@@ -392,10 +387,8 @@ fn decode_record(key: u64, bytes: &[u8]) -> Option<SectionRecord> {
     Some(SectionRecord { entries, validation })
 }
 
-fn encode_program(key: u64, rec: &ProgramRecord) -> Vec<u8> {
+fn encode_program(rec: &ProgramRecord) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_uvarint(&mut buf, STORE_FORMAT_VERSION);
-    put_uvarint(&mut buf, key);
     put_uvarint(&mut buf, rec.golden_cycles);
     put_uvarint(&mut buf, rec.golden_dyn);
     put_ivarint(&mut buf, rec.halt_code);
@@ -406,26 +399,11 @@ fn encode_program(key: u64, rec: &ProgramRecord) -> Vec<u8> {
         put_uvarint(&mut buf, hi);
         put_uvarint(&mut buf, digest);
     }
-    let sum = fnv1a(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }
 
-fn decode_program(key: u64, bytes: &[u8]) -> Option<ProgramRecord> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    if fnv1a(payload) != u64::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
+fn decode_program(payload: &[u8]) -> Option<ProgramRecord> {
     let mut pos = 0;
-    if get_uvarint(payload, &mut pos)? != STORE_FORMAT_VERSION {
-        return None;
-    }
-    if get_uvarint(payload, &mut pos)? != key {
-        return None;
-    }
     let golden_cycles = get_uvarint(payload, &mut pos)?;
     let golden_dyn = get_uvarint(payload, &mut pos)?;
     let halt_code = get_ivarint(payload, &mut pos)?;
@@ -444,70 +422,10 @@ fn decode_program(key: u64, bytes: &[u8]) -> Option<ProgramRecord> {
     Some(ProgramRecord { golden_cycles, golden_dyn, halt_code, stream, partition })
 }
 
-/// On-disk content-addressed store: one file per section key under a
-/// flat directory, `"{key:016x}.sect"`, encoded with the canonical
-/// codec and protected by a whole-file FNV checksum. `casted_util`
-/// and `std` only.
-pub struct SectionStore {
-    dir: PathBuf,
-}
-
-impl SectionStore {
-    /// Open (creating the directory if needed).
-    pub fn open(dir: &Path) -> io::Result<SectionStore> {
-        std::fs::create_dir_all(dir)?;
-        Ok(SectionStore { dir: dir.to_path_buf() })
-    }
-
-    fn path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.sect"))
-    }
-
-    fn prog_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.prog"))
-    }
-
-    /// Load and integrity-check a record. Any damage — truncation, a
-    /// flipped byte, a foreign format — returns `None` (a cache miss),
-    /// never a wrong record.
-    pub fn load(&self, key: u64) -> Option<SectionRecord> {
-        let bytes = std::fs::read(self.path(key)).ok()?;
-        decode_record(key, &bytes)
-    }
-
-    /// Persist a record atomically (temp file + rename), so a reader
-    /// never observes a half-written record even across concurrent
-    /// campaigns sharing the directory.
-    pub fn save(&self, key: u64, rec: &SectionRecord) -> io::Result<()> {
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, encode_record(key, rec))?;
-        std::fs::rename(&tmp, self.path(key))
-    }
-
-    /// Load and integrity-check a program record; any damage is a
-    /// miss, exactly like [`SectionStore::load`].
-    pub fn load_program(&self, key: u64) -> Option<ProgramRecord> {
-        let bytes = std::fs::read(self.prog_path(key)).ok()?;
-        decode_program(key, &bytes)
-    }
-
-    /// Persist a program record atomically (same temp + rename
-    /// discipline as [`SectionStore::save`]).
-    pub fn save_program(&self, key: u64, rec: &ProgramRecord) -> io::Result<()> {
-        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.dir.join(format!(
-            ".tmpp-{}-{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, encode_program(key, rec))?;
-        std::fs::rename(&tmp, self.prog_path(key))
-    }
+/// Load a section record; a missing, damaged or non-canonical record
+/// is a miss.
+fn load_record(store: &ArtifactStore, key: u64) -> Option<SectionRecord> {
+    decode_record(&store.load(KIND_SECT, key)?)
 }
 
 /// Classify stored halt evidence against the current golden run — the
@@ -528,6 +446,63 @@ fn classify_halt_evidence(
     } else {
         Outcome::DataCorrupt
     }
+}
+
+/// Does every `(block, code hash, live hash)` triple still match the
+/// current program's `hashes`?
+fn validates(validation: &[(u32, u64, u64)], hashes: &[(u64, u64)]) -> bool {
+    validation
+        .iter()
+        .all(|&(block, code, live)| hashes.get(block as usize) == Some(&(code, live)))
+}
+
+/// The validation list of a set of visited blocks on the current
+/// program.
+fn validation_of(blocks: impl IntoIterator<Item = u32>, hashes: &[(u64, u64)]) -> Vec<(u32, u64, u64)> {
+    blocks
+        .into_iter()
+        .map(|b| {
+            let (code, live) = hashes[b as usize];
+            (b, code, live)
+        })
+        .collect()
+}
+
+/// Classify one stored entry against the golden summary
+/// `(golden_code, golden_stream)`. `None` for an escape without
+/// reusable evidence: it needs a whole-program replay.
+fn resolve(
+    entry: &TrialEntry,
+    golden_code: i64,
+    golden_stream: &[OutVal],
+    hashes: &[(u64, u64)],
+) -> Option<Outcome> {
+    Some(match entry {
+        TrialEntry::Resolved(o) => *o,
+        TrialEntry::Halted { code, stream } => {
+            classify_halt_evidence(golden_code, golden_stream, *code, stream)
+        }
+        TrialEntry::Escaped(Some(ev)) if validates(&ev.validation, hashes) => match &ev.outcome {
+            EscapeOutcome::Resolved(o) => *o,
+            EscapeOutcome::Halted { code, stream } => {
+                classify_halt_evidence(golden_code, golden_stream, *code, stream)
+            }
+            EscapeOutcome::Converged => Outcome::Benign,
+        },
+        TrialEntry::Escaped(_) => return None,
+    })
+}
+
+/// The frozen injection stream: identical draw order to every other
+/// engine.
+fn frozen_stream(cfg: &CampaignConfig, golden_dyn: u64) -> Vec<Injection> {
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    (0..cfg.trials)
+        .map(|_| {
+            let (at, bit) = crate::draw_injection(&mut rng, golden_dyn);
+            Injection::single(at, bit, None)
+        })
+        .collect()
 }
 
 /// Turn one bounded trial verdict into its stored evidence.
@@ -568,7 +543,7 @@ fn entry_of(trial: SectionTrial, golden: &casted_sim::SimResult) -> TrialEntry {
 pub fn run_campaign_incremental(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
-    store: &SectionStore,
+    store: &ArtifactStore,
 ) -> CampaignResult {
     // The section evidence vocabulary predates the recovery-capable
     // schemes: halt evidence is `(exit code, stream)` only, so a vote
@@ -581,7 +556,7 @@ pub fn run_campaign_incremental(
     }
     let hashes = block_validation_hashes(sp);
     let pkey = program_key(sp, &hashes);
-    if let Some(prog) = store.load_program(pkey) {
+    if let Some(prog) = store.load(KIND_PROG, pkey).as_deref().and_then(decode_program) {
         if let Some(result) = recombine_from_cache(sp, cfg, store, &hashes, &prog) {
             return result;
         }
@@ -589,13 +564,6 @@ pub fn run_campaign_incremental(
     run_campaign_cold(sp, cfg, store, &hashes, pkey)
 }
 
-/// The fully-warm fast path: with a validated [`ProgramRecord`] and
-/// every consulted section record — per-escape evidence included —
-/// intact, the whole campaign recombines from the store without
-/// simulating a single cycle, golden run included. Any gap (a missing
-/// or stale section, an escape without reusable evidence, a damaged
-/// partition) returns `None` and the caller falls back to the full
-/// path.
 /// Whether the scheduled program contains any majority-vote
 /// instruction (the TMRED transform) — see the vocabulary gate in
 /// [`run_campaign_incremental`].
@@ -607,10 +575,17 @@ fn program_has_votes(sp: &ScheduledProgram) -> bool {
         .any(|i| i.op == casted_ir::Opcode::Vote)
 }
 
+/// The fully-warm fast path: with a validated [`ProgramRecord`] and
+/// every consulted section record — per-escape evidence included —
+/// intact, the whole campaign recombines from the store without
+/// simulating a single cycle, golden run included. Any gap (a missing
+/// or stale section, an escape without reusable evidence, a damaged
+/// partition) returns `None` and the caller falls back to the full
+/// path.
 fn recombine_from_cache(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
-    store: &SectionStore,
+    store: &ArtifactStore,
     hashes: &[(u64, u64)],
     prog: &ProgramRecord,
 ) -> Option<CampaignResult> {
@@ -625,15 +600,7 @@ fn recombine_from_cache(
     let golden_cycles = prog.golden_cycles;
     let golden_dyn = prog.golden_dyn;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-    // The frozen stream: identical draw order to every other engine.
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = crate::draw_injection(&mut rng, golden_dyn);
-            Injection::single(at, bit, None)
-        })
-        .collect();
+    let injections = frozen_stream(cfg, golden_dyn);
 
     let span = casted_obs::span("faults.campaign_ns");
     let nsec = prog.partition.len();
@@ -646,11 +613,6 @@ fn recombine_from_cache(
         buckets[j].push(i);
     }
 
-    let valid = |v: &[(u32, u64, u64)]| {
-        v.iter()
-            .all(|&(block, code, live)| hashes.get(block as usize) == Some(&(code, live)))
-    };
-
     let mut stats = SectionStats { total: nsec as u64, ..SectionStats::default() };
     let mut slots: Vec<Option<Outcome>> = vec![None; cfg.trials];
     for (j, ids) in buckets.iter().enumerate() {
@@ -661,25 +623,12 @@ fn recombine_from_cache(
         let slice: Vec<Injection> = ids.iter().map(|&i| injections[i]).collect();
         let key =
             section_key(sp, max_cycles, golden_cycles, golden_dyn, lo, hi, start_digest, &slice);
-        let rec = store.load(key)?;
-        if rec.entries.len() != ids.len() || !valid(&rec.validation) {
+        let rec = load_record(store, key)?;
+        if rec.entries.len() != ids.len() || !validates(&rec.validation, hashes) {
             return None;
         }
         for (&i, entry) in ids.iter().zip(&rec.entries) {
-            slots[i] = Some(match entry {
-                TrialEntry::Resolved(o) => *o,
-                TrialEntry::Halted { code, stream } => {
-                    classify_halt_evidence(prog.halt_code, &prog.stream, *code, stream)
-                }
-                TrialEntry::Escaped(Some(ev)) if valid(&ev.validation) => match &ev.outcome {
-                    EscapeOutcome::Resolved(o) => *o,
-                    EscapeOutcome::Halted { code, stream } => {
-                        classify_halt_evidence(prog.halt_code, &prog.stream, *code, stream)
-                    }
-                    EscapeOutcome::Converged => Outcome::Benign,
-                },
-                TrialEntry::Escaped(_) => return None,
-            });
+            slots[i] = Some(resolve(entry, prog.halt_code, &prog.stream, hashes)?);
         }
         stats.hit += 1;
         stats.recombined += ids.len() as u64;
@@ -702,7 +651,7 @@ fn recombine_from_cache(
 fn run_campaign_cold(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
-    store: &SectionStore,
+    store: &ArtifactStore,
     hashes: &[(u64, u64)],
     pkey: u64,
 ) -> CampaignResult {
@@ -716,15 +665,7 @@ fn run_campaign_cold(
     let golden_cycles = trace.result.stats.cycles;
     let golden_dyn = trace.result.stats.dyn_insns;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-    // The frozen stream: identical draw order to every other engine.
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = crate::draw_injection(&mut rng, golden_dyn);
-            Injection::single(at, bit, None)
-        })
-        .collect();
+    let injections = frozen_stream(cfg, golden_dyn);
 
     let span = casted_obs::span("faults.campaign_ns");
 
@@ -738,13 +679,6 @@ fn run_campaign_cold(
         debug_assert!(inj.at_dyn_insn >= 1 && inj.at_dyn_insn <= golden_dyn);
         buckets[cap.section_of(inj.at_dyn_insn)].push(i);
     }
-
-    let validates = |rec: &SectionRecord, trials: usize| {
-        rec.entries.len() == trials
-            && rec.validation.iter().all(|&(block, code, live)| {
-                hashes.get(block as usize) == Some(&(code, live))
-            })
-    };
 
     // Consult the store per non-empty section.
     let mut stats = SectionStats { total: nsec as u64, ..SectionStats::default() };
@@ -760,8 +694,8 @@ fn run_campaign_cold(
         keys[j] = section_key(
             sp, max_cycles, golden_cycles, golden_dyn, sec.lo, sec.hi, sec.start_digest, &slice,
         );
-        match store.load(keys[j]) {
-            Some(rec) if validates(&rec, ids.len()) => {
+        match load_record(store, keys[j]) {
+            Some(rec) if rec.entries.len() == ids.len() && validates(&rec.validation, hashes) => {
                 stats.hit += 1;
                 stats.recombined += ids.len() as u64;
                 cached[j] = Some(rec);
@@ -796,14 +730,7 @@ fn run_campaign_cold(
                             entry_of(verdict, &trace.result)
                         })
                         .collect();
-                    let validation: Vec<(u32, u64, u64)> = visited
-                        .into_iter()
-                        .map(|b| {
-                            let (code, live) = hashes[b as usize];
-                            (b, code, live)
-                        })
-                        .collect();
-                    (j, SectionRecord { entries, validation })
+                    (j, SectionRecord { entries, validation: validation_of(visited, hashes) })
                 }
             })
             .collect(),
@@ -818,10 +745,6 @@ fn run_campaign_cold(
     // the *current* golden run; escapes resolve from cached evidence
     // where it still validates, and only the rest replay
     // whole-program — pooled, in trial order.
-    let valid = |v: &[(u32, u64, u64)]| {
-        v.iter()
-            .all(|&(block, code, live)| hashes.get(block as usize) == Some(&(code, live)))
-    };
     let mut slots: Vec<Option<Outcome>> = vec![None; cfg.trials];
     // (trial, section, entry index) per escape needing a live replay.
     let mut pending: Vec<(usize, usize, usize)> = Vec::new();
@@ -831,31 +754,10 @@ fn run_campaign_cold(
         }
         let rec = cached[j].as_ref().expect("every consulted section resolved");
         for (k, (&i, entry)) in ids.iter().zip(&rec.entries).enumerate() {
-            slots[i] = match entry {
-                TrialEntry::Resolved(o) => Some(*o),
-                TrialEntry::Halted { code, stream } => Some(classify_halt_evidence(
-                    golden_code,
-                    &trace.result.stream,
-                    *code,
-                    stream,
-                )),
-                TrialEntry::Escaped(Some(ev)) if valid(&ev.validation) => {
-                    Some(match &ev.outcome {
-                        EscapeOutcome::Resolved(o) => *o,
-                        EscapeOutcome::Halted { code, stream } => classify_halt_evidence(
-                            golden_code,
-                            &trace.result.stream,
-                            *code,
-                            stream,
-                        ),
-                        EscapeOutcome::Converged => Outcome::Benign,
-                    })
-                }
-                TrialEntry::Escaped(_) => {
-                    pending.push((i, j, k));
-                    None
-                }
-            };
+            slots[i] = resolve(entry, golden_code, &trace.result.stream, hashes);
+            if slots[i].is_none() {
+                pending.push((i, j, k));
+            }
         }
     }
     pending.sort_unstable();
@@ -904,17 +806,10 @@ fn run_campaign_cold(
                 vset.extend(sec.golden_blocks.iter().copied());
             }
         }
-        let validation: Vec<(u32, u64, u64)> = vset
-            .into_iter()
-            .map(|b| {
-                let (code, live) = hashes[b as usize];
-                (b, code, live)
-            })
-            .collect();
         let rec = cached[j].as_mut().expect("escape came from a resolved section");
         rec.entries[k] = TrialEntry::Escaped(Some(EscapeEvidence {
             outcome: evidence_outcome,
-            validation,
+            validation: validation_of(vset, hashes),
         }));
         dirty[j] = true;
     }
@@ -925,20 +820,18 @@ fn run_campaign_cold(
     for (j, rec) in cached.iter().enumerate() {
         if dirty[j] {
             if let Some(rec) = rec {
-                let _ = store.save(keys[j], rec);
+                let _ = store.save(KIND_SECT, keys[j], &encode_record(rec));
             }
         }
     }
-    let _ = store.save_program(
-        pkey,
-        &ProgramRecord {
-            golden_cycles,
-            golden_dyn,
-            halt_code: golden_code,
-            stream: trace.result.stream.clone(),
-            partition: cap.sections.iter().map(|s| (s.lo, s.hi, s.start_digest)).collect(),
-        },
-    );
+    let prog = ProgramRecord {
+        golden_cycles,
+        golden_dyn,
+        halt_code: golden_code,
+        stream: trace.result.stream.clone(),
+        partition: cap.sections.iter().map(|s| (s.lo, s.hi, s.start_digest)).collect(),
+    };
+    let _ = store.save(KIND_PROG, pkey, &encode_program(&prog));
 
     let mut tally = Tally::default();
     for o in slots {
@@ -960,6 +853,7 @@ mod tests {
     use casted_ir::vliw::{Bundle, ScheduledBlock};
     use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
     use std::collections::HashMap as Map;
+    use std::path::PathBuf;
 
     fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
         let func = module.entry_fn();
@@ -1021,13 +915,13 @@ mod tests {
         sequential(&summing_module(200), MachineConfig::itanium2_like(2, 2))
     }
 
-    fn tmp_store(tag: &str) -> (PathBuf, SectionStore) {
+    fn tmp_store(tag: &str) -> (PathBuf, ArtifactStore) {
         let dir = std::env::temp_dir().join(format!(
             "casted-sections-{tag}-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        (dir.clone(), SectionStore::open(&dir).expect("open store"))
+        (dir.clone(), ArtifactStore::open(&dir).expect("open store"))
     }
 
     #[test]
@@ -1056,15 +950,13 @@ mod tests {
             ],
             validation: vec![(0, 1, 2), (9, u64::MAX, 0x1234)],
         };
-        let bytes = encode_record(42, &rec);
-        assert_eq!(decode_record(42, &bytes), Some(rec.clone()));
-        // Wrong key: the echo check rejects.
-        assert_eq!(decode_record(43, &bytes), None);
+        let bytes = encode_record(&rec);
+        assert_eq!(decode_record(&bytes), Some(rec.clone()));
         // Truncation and trailing garbage both reject.
-        assert_eq!(decode_record(42, &bytes[..bytes.len() - 1]), None);
+        assert_eq!(decode_record(&bytes[..bytes.len() - 1]), None);
         let mut longer = bytes.clone();
         longer.push(0);
-        assert_eq!(decode_record(42, &longer), None);
+        assert_eq!(decode_record(&longer), None);
     }
 
     /// The headline claim at unit scale: cold incremental == cold full
@@ -1098,7 +990,8 @@ mod tests {
     }
 
     /// Codec round-trip for the whole-program record, plus the same
-    /// damage rejections as the section codec.
+    /// damage rejections as the section codec. (Key, kind and checksum
+    /// binding are the store envelope's, pinned in `casted_util::store`.)
     #[test]
     fn program_record_codec_round_trips() {
         let rec = ProgramRecord {
@@ -1108,13 +1001,12 @@ mod tests {
             stream: vec![OutVal::Int(1), OutVal::Float(-0.5)],
             partition: vec![(0, 100, 11), (100, 7890, u64::MAX)],
         };
-        let bytes = encode_program(7, &rec);
-        assert_eq!(decode_program(7, &bytes), Some(rec.clone()));
-        assert_eq!(decode_program(8, &bytes), None);
-        assert_eq!(decode_program(7, &bytes[..bytes.len() - 1]), None);
+        let bytes = encode_program(&rec);
+        assert_eq!(decode_program(&bytes), Some(rec.clone()));
+        assert_eq!(decode_program(&bytes[..bytes.len() - 1]), None);
         let mut longer = bytes.clone();
         longer.push(0);
-        assert_eq!(decode_program(7, &longer), None);
+        assert_eq!(decode_program(&longer), None);
     }
 
     /// A corrupted program record degrades to the full path (golden
@@ -1138,11 +1030,15 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&victim, &bytes).expect("write sabotage");
 
+        // Fresh handles from here on: the cold handle's write-through
+        // front cache would answer from memory and never see the damage.
+        let store = ArtifactStore::open(&dir).expect("reopen store");
         let warm = run_campaign_incremental(&sp, &cfg, &store);
         assert_eq!(warm.tally, cold.tally, "sabotaged program record changed the tally");
         assert!(warm.engine.checkpoints > 0, "damage must force the full path");
         assert_eq!(warm.engine.sections.miss, 0, "section records were untouched");
 
+        let store = ArtifactStore::open(&dir).expect("reopen store");
         let healed = run_campaign_incremental(&sp, &cfg, &store);
         assert_eq!(healed.tally, cold.tally);
         assert_eq!(healed.engine.checkpoints, 0, "heal must restore the fast path");
@@ -1202,6 +1098,9 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&victim, &bytes).expect("write sabotage");
 
+        // Fresh handles from here on: the cold handle's write-through
+        // front cache would answer from memory and never see the damage.
+        let store = ArtifactStore::open(&dir).expect("reopen store");
         let warm = run_campaign_incremental(&sp, &cfg, &store);
         assert_eq!(warm.tally, cold.tally, "sabotaged cache changed the tally");
         assert_eq!(
@@ -1211,7 +1110,8 @@ mod tests {
         );
         assert_eq!(warm.engine.sections.hit + 1, cold.engine.sections.miss);
 
-        // And the re-injection healed the store.
+        // And the re-injection healed the store on disk.
+        let store = ArtifactStore::open(&dir).expect("reopen store");
         let healed = run_campaign_incremental(&sp, &cfg, &store);
         assert_eq!(healed.engine.sections.miss, 0);
         assert_eq!(healed.tally, cold.tally);

@@ -7,14 +7,13 @@
 //! stack (docs/INCREMENTAL.md); the integration, difftest and ci.sh
 //! levels enforce the same bytes at larger scales.
 
-use casted_faults::{
-    run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine, SectionStore,
-};
+use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine};
 use casted_ir::interp::StopReason;
 use casted_ir::testgen::{random_module, GenOptions};
 use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
 use casted_ir::{Cluster, MachineConfig, Module, Opcode};
 use casted_sim::{simulate_quiet, SimOptions};
+use casted_util::store::ArtifactStore;
 use std::path::PathBuf;
 
 fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
@@ -51,16 +50,16 @@ fn halts(sp: &ScheduledProgram) -> bool {
     )
 }
 
-fn fresh_store(tag: &str) -> (PathBuf, SectionStore) {
+fn fresh_store(tag: &str) -> (PathBuf, ArtifactStore) {
     let dir = std::env::temp_dir().join(format!("casted-prop-sections-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    (dir.clone(), SectionStore::open(&dir).expect("open store"))
+    (dir.clone(), ArtifactStore::open(&dir).expect("open store"))
 }
 
 /// Assert the incremental campaign's tally equals a cold full
 /// campaign on every engine. `seed_token` names the failing case the
 /// way difftest REPLAY tokens do.
-fn assert_exact(sp: &ScheduledProgram, cfg: &CampaignConfig, store: &SectionStore, seed_token: &str) {
+fn assert_exact(sp: &ScheduledProgram, cfg: &CampaignConfig, store: &ArtifactStore, seed_token: &str) {
     let inc = run_campaign_incremental(sp, cfg, store);
     for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
         let full = run_campaign_engine(sp, cfg, engine);

@@ -77,6 +77,7 @@ use std::time::{Duration, Instant};
 use casted::service_api;
 use casted_util::poll;
 use casted_util::pool::{pool_threads, run_pool};
+use casted_util::store::ArtifactStore;
 
 use crate::admission::{Admission, AdmissionConfig, TokenBuckets};
 use crate::cache::{Cache, CacheConfig};
@@ -104,8 +105,9 @@ pub struct ServerConfig {
     pub max_cycles: u64,
     /// Maximum Monte-Carlo trials a single inject request may ask for.
     pub max_trials: u64,
-    /// On-disk section store for inject requests. When set, inject
-    /// misses run through the compositional campaign
+    /// On-disk section store for inject requests, opened once by
+    /// [`Server::start`] (which fails if the directory is unusable).
+    /// When set, inject misses run through the compositional campaign
     /// (`casted_faults::run_campaign_incremental`) keyed into this
     /// directory, so requests for similar programs become *partial*
     /// cache hits (only changed sections re-inject) while replies stay
@@ -245,6 +247,9 @@ pub(crate) struct Shared {
     pub(crate) queue: JobQueue,
     pub(crate) cache: Cache,
     pub(crate) pipeline: Option<casted::stages::ArtifactPipeline>,
+    /// The section store of `cfg.section_cache`, open for the server's
+    /// lifetime.
+    pub(crate) sections: Option<ArtifactStore>,
     pub(crate) buckets: TokenBuckets,
     pub(crate) stop: AtomicBool,
     /// Reply path: worker → loop.
@@ -293,6 +298,10 @@ impl Server {
             Some(dir) => Some(casted::stages::ArtifactPipeline::open(dir)?),
             None => None,
         };
+        let sections = match &cfg.section_cache {
+            Some(dir) => Some(ArtifactStore::open(dir)?),
+            None => None,
+        };
         let poller = poll::Poller::new()?;
         listener.set_nonblocking(true)?;
         poller.add(&listener, crate::evloop::LISTENER, poll::Interest::Read)?;
@@ -300,6 +309,7 @@ impl Server {
             queue: JobQueue::new(cfg.queue_depth),
             cache: Cache::new(&cfg.cache),
             pipeline,
+            sections,
             buckets: TokenBuckets::new(&cfg.admission),
             cfg,
             stop: AtomicBool::new(false),
@@ -573,9 +583,9 @@ fn execute(shared: &Arc<Shared>, req: &Request) -> Response {
             // The incremental path is engine-agnostic (its recombined
             // reply is byte-identical to every engine's), so the
             // request's engine choice only matters on the cold path.
-            let result = match &shared.cfg.section_cache {
-                Some(dir) => service_api::inject_tally_incremental_with(
-                    spec, *trials, *seed, dir, cap, pipeline,
+            let result = match &shared.sections {
+                Some(store) => service_api::inject_tally_incremental_in(
+                    spec, *trials, *seed, store, cap, pipeline,
                 ),
                 None => {
                     service_api::inject_tally_with(spec, *trials, *seed, *engine, cap, pipeline)

@@ -11,11 +11,14 @@
 //!   retry hint; queue-deadline expiry yields `Expired` without the
 //!   job ever executing;
 //! * graceful shutdown drains promptly — it is driven by wakeups, not
-//!   sleep timing.
+//!   sleep timing;
+//! * with a section store, inject replies stay byte-identical to the
+//!   reference engine and a reply-cache miss on a seen program reuses
+//!   sections; an unusable store directory fails `Server::start`.
 
 use std::time::{Duration, Instant};
 
-use casted::service_api::JobSpec;
+use casted::service_api::{self, JobSpec};
 use casted::Scheme;
 use casted_faults::Engine;
 use casted_serve::admission::AdmissionConfig;
@@ -343,4 +346,54 @@ fn shutdown_drains_on_wakeups_not_sleep_timing() {
         "drain took {elapsed:?}; shutdown must be wakeup-driven, \
          not sleep-polled"
     );
+}
+
+#[test]
+fn section_store_replies_are_exact_and_reuse_sections() {
+    casted_obs::set_enabled(true);
+    let dir = std::env::temp_dir().join(format!("casted-serve-sections-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        section_cache: Some(dir.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("start with a section store");
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reference = service_api::inject_tally(&spec(), 60, 7, Engine::Reference, u64::MAX).unwrap();
+    // The whitespace edit misses the reply cache; the section store
+    // answers it.
+    for source in [SRC.to_string(), SRC.replace("{ ", "{\n    ")] {
+        let req = Request::Inject {
+            spec: JobSpec { source, ..spec() },
+            trials: 60,
+            seed: 7,
+            engine: Engine::default(),
+        };
+        match client.request(&req).unwrap() {
+            Response::Injected(r) => assert_eq!(r, reference, "section-store reply diverged"),
+            other => panic!("unexpected inject reply {other:?}"),
+        }
+    }
+    let hits = match client.request(&Request::Counters).unwrap() {
+        Response::Counters(json) => json
+            .split("\"faults.sections.hit\": ")
+            .nth(1)
+            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(0),
+        other => panic!("unexpected counters reply {other:?}"),
+    };
+    assert!(hits >= 1, "the edited request must recombine cached sections");
+    server.shutdown();
+
+    // A store directory under a regular file cannot be created.
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"x").unwrap();
+    let started = Server::start(ServerConfig {
+        section_cache: Some(file.join("sections")),
+        ..ServerConfig::default()
+    });
+    assert!(started.is_err(), "an unusable section dir must fail start");
+    let _ = std::fs::remove_dir_all(&dir);
 }

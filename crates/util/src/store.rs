@@ -1,15 +1,17 @@
-//! On-disk content-addressed artifact store for the staged compile
-//! pipeline (see `docs/PIPELINE.md`).
+//! The workspace's one on-disk content-addressed store. The staged
+//! compile pipeline keeps its stage artifacts here (see
+//! `docs/PIPELINE.md`), and the compositional fault campaigns keep
+//! their section evidence and program records here as the `sect` and
+//! `prog` kinds (`casted-faults::sections`, `docs/INCREMENTAL.md`).
 //!
-//! The store follows the discipline the fault-campaign section store
-//! (`casted-faults::sections`) established: one file per artifact under
-//! a flat directory, named `"{key:016x}.{kind}"`, an envelope that
-//! echoes the format version, the key and the kind, a whole-file FNV-1a
-//! checksum tail, strictly canonical decoding, and atomic temp+rename
-//! writes. Any damage — a flipped byte, a truncation, a foreign or
-//! out-of-date format — makes [`ArtifactStore::load`] return `None`: a
-//! cache **miss**, never wrong bytes. The pipeline then recomputes the
-//! stage and re-saves, healing the store in place.
+//! One file per artifact under a flat directory, named
+//! `"{key:016x}.{kind}"`, an envelope that echoes the format version,
+//! the key and the kind, a whole-file FNV-1a checksum tail, strictly
+//! canonical decoding, and atomic temp+rename writes; callers encode
+//! only their payload. Any damage — a flipped byte, a truncation, a
+//! foreign or out-of-date format — makes [`ArtifactStore::load`]
+//! return `None`: a cache **miss**, never wrong bytes. The caller then
+//! recomputes and re-saves, healing the store in place.
 //!
 //! On top of that the store enforces a shared LRU byte budget across
 //! all artifact kinds: an in-memory recency index is seeded from a
@@ -21,14 +23,16 @@
 //! just track recency independently.
 //!
 //! A bounded **in-memory front cache** sits over the disk layer:
-//! artifacts are content-addressed and immutable, so a decoded payload
-//! can be kept in a process-local map and served on repeat loads
-//! without re-reading or re-checksumming the file. Long-lived hosts
-//! (`casted-serve`) hit it on every hot compile stage;
+//! artifacts are content-addressed, so a verified payload can be kept
+//! in a process-local map and served on repeat loads without
+//! re-reading or re-checksumming the file. Long-lived hosts
+//! (`casted-serve`) hit it on every hot compile stage and section;
 //! [`ArtifactStore::load_traced`] reports which layer answered so
 //! callers can count memory hits (`compile.stages.mem_hit`). The
 //! front cache has its own LRU byte budget, independent of the disk
-//! budget, and is write-through: a save lands in both layers.
+//! budget, and is write-through: a save lands in both layers and
+//! replaces what either held under that key (a section record gains
+//! escape evidence under its unchanged key).
 
 use std::collections::HashMap;
 use std::io;
@@ -134,21 +138,17 @@ pub struct ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// Open (creating the directory if needed) with no byte budget.
+    /// Open (creating the directory if needed) with no byte budget and
+    /// the default in-memory front-cache budget.
     pub fn open(dir: &Path) -> io::Result<ArtifactStore> {
-        ArtifactStore::open_with_budget(dir, u64::MAX)
+        ArtifactStore::open_with_budgets(dir, u64::MAX, DEFAULT_MEM_BUDGET)
     }
 
     /// Open with a shared LRU byte budget across all artifact kinds and
-    /// the default in-memory front-cache budget.
-    /// Existing files are indexed oldest-first by modification time, so
-    /// eviction order survives a reopen.
-    pub fn open_with_budget(dir: &Path, budget: u64) -> io::Result<ArtifactStore> {
-        ArtifactStore::open_with_budgets(dir, budget, DEFAULT_MEM_BUDGET)
-    }
-
-    /// Open with explicit disk and memory budgets. A `mem_budget` of 0
-    /// disables the front cache (every load re-reads disk).
+    /// an explicit memory budget. A `mem_budget` of 0 disables the
+    /// front cache (every load re-reads disk). Existing files are
+    /// indexed oldest-first by modification time, so eviction order
+    /// survives a reopen.
     pub fn open_with_budgets(dir: &Path, budget: u64, mem_budget: u64) -> io::Result<ArtifactStore> {
         std::fs::create_dir_all(dir)?;
         let mut found: Vec<(String, u64, std::time::SystemTime)> = Vec::new();
@@ -239,16 +239,16 @@ impl ArtifactStore {
         Some(entry.payload.clone())
     }
 
-    /// Insert a payload into the front cache, evicting
-    /// least-recently-used entries past the memory budget. Artifacts
-    /// are immutable per key, so an existing entry is left alone.
+    /// Insert a payload into the front cache, replacing any entry
+    /// under the same key, then evict least-recently-used entries past
+    /// the memory budget.
     fn mem_put(&self, kind: &str, key: u64, payload: &[u8]) {
-        if self.mem_budget == 0 || payload.len() as u64 > self.mem_budget {
-            return;
-        }
         let mut mem = self.mem.lock();
         let slot = (kind.to_string(), key);
-        if mem.entries.contains_key(&slot) {
+        if let Some(old) = mem.entries.remove(&slot) {
+            mem.total -= old.payload.len() as u64;
+        }
+        if self.mem_budget == 0 || payload.len() as u64 > self.mem_budget {
             return;
         }
         let seq = mem.next_seq;
@@ -604,6 +604,18 @@ mod tests {
     }
 
     #[test]
+    fn save_replaces_the_front_cache_entry() {
+        let dir = temp_store_dir("mem-replace");
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.save("sect", 3, b"first").unwrap();
+        assert_eq!(store.load("sect", 3).unwrap(), b"first");
+        store.save("sect", 3, b"second!").unwrap();
+        assert_eq!(store.load_traced("sect", 3).unwrap(), (b"second!".to_vec(), LoadSource::Memory));
+        assert_eq!(store.mem_resident_bytes(), 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn mem_front_cache_promotes_disk_loads() {
         let dir = temp_store_dir("mem-promote");
         {
@@ -649,7 +661,7 @@ mod tests {
             store.save("ir", 10, b"ten").unwrap();
             store.save("ir", 11, b"eleven").unwrap();
         }
-        let store = ArtifactStore::open_with_budget(&dir, u64::MAX).unwrap();
+        let store = ArtifactStore::open_with_budgets(&dir, u64::MAX, DEFAULT_MEM_BUDGET).unwrap();
         assert!(store.resident_bytes() > 0);
         assert_eq!(store.load("ir", 10).unwrap(), b"ten");
         assert_eq!(store.load("ir", 11).unwrap(), b"eleven");

@@ -192,9 +192,12 @@ fi
 echo "staged compile byte-identical cold and warm ($stage_hits warm stage hits, $cfg_hits after a config-only change)"
 
 echo "== casted-serve loopback smoke (offline, ephemeral port) =="
-# Start the service on an ephemeral loopback port, push one request of
-# each kind through casted-client, assert the content-addressed cache
-# reports a hit for a repeated identical request, then shut down
+# Start the service on an ephemeral loopback port with both on-disk
+# stores (section cache + artifact cache), push one request of each
+# kind through casted-client, assert the content-addressed cache
+# reports a hit for a repeated identical request, assert a
+# whitespace-edited inject (a reply-cache miss) is answered from the
+# section store with a byte-identical reply, then shut down
 # gracefully — the server must drain and exit 0. Everything is local
 # TCP; no network access is involved. See docs/SERVING.md.
 serve_bin=target/release/casted-serve
@@ -203,7 +206,8 @@ smoke_src="$log_dir/smoke.mc"
 cat > "$smoke_src" <<'EOF'
 fn main() { var s: int = 0; for i in 0..60 { s = s + i * i; } out(s); }
 EOF
-"$serve_bin" --metrics-counters > "$log_dir/serve.log" &
+"$serve_bin" --metrics-counters --section-cache "$log_dir/serve-sections" \
+  --artifact-cache "$log_dir/serve-artifacts" > "$log_dir/serve.log" &
 serve_pid=$!
 # A failure below must not orphan the server.
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$log_dir"' EXIT
@@ -231,6 +235,12 @@ grep -q '^cycles: ' "$log_dir/sim1.out"
 "$client_bin" --addr "$addr" inject   --file "$smoke_src" --scheme casted --issue 2 --delay 2 \
   --trials 60 --seed 0xCA57ED --engine checkpointed > "$log_dir/inject.out"
 grep -q '^trials: 60$' "$log_dir/inject.out"
+# Same program, different bytes: misses the reply cache, recombines
+# from the section store, and must print the identical reply.
+sed 's/ /  /g' "$smoke_src" > "$log_dir/smoke_ws.mc"
+"$client_bin" --addr "$addr" inject   --file "$log_dir/smoke_ws.mc" --scheme casted --issue 2 --delay 2 \
+  --trials 60 --seed 0xCA57ED --engine checkpointed > "$log_dir/inject_ws.out"
+cmp "$log_dir/inject.out" "$log_dir/inject_ws.out"
 # The repeated identical request must be served from the cache and be
 # byte-identical to the first reply.
 "$client_bin" --addr "$addr" simulate --file "$smoke_src" --scheme casted --issue 2 --delay 2 \
@@ -243,10 +253,16 @@ if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
+section_hits="$(sed -n 's/.*"faults\.sections\.hit": \([0-9]*\).*/\1/p' "$log_dir/serve_counters.json")"
+if [ -z "$section_hits" ] || [ "$section_hits" -lt 1 ]; then
+  echo "expected at least one faults.sections.hit, got '${section_hits:-none}'" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
 "$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
 wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
 grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
-echo "serve smoke green (cache hits: $hits, graceful exit 0)"
+echo "serve smoke green (cache hits: $hits, section hits: $section_hits, graceful exit 0)"
 
 echo "== sharded serving smoke (router + 2 shards, streaming cancel) =="
 # A router fronting two shard servers, all on ephemeral loopback

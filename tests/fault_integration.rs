@@ -103,7 +103,8 @@ fn engines_agree_on_real_workload_across_schemes() {
 /// and property tests pin on generated modules.
 #[test]
 fn incremental_rerun_after_kernel_edit_is_exact() {
-    use casted_faults::{run_campaign_incremental, SectionStore};
+    use casted_faults::run_campaign_incremental;
+    use casted_util::store::ArtifactStore;
 
     let module = casted_workloads::by_name("mpeg2dec").unwrap().compile().unwrap();
     let cfg = MachineConfig::itanium2_like(2, 2);
@@ -123,7 +124,7 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = SectionStore::open(&dir).expect("open section store");
+    let store = ArtifactStore::open(&dir).expect("open section store");
 
     // Cold run populates the store and must already match the engines.
     let prep = casted::build(&module, Scheme::Casted, &cfg).unwrap();
