@@ -1,32 +1,26 @@
-//! Campaign throughput: the checkpointed and batched fault-injection
-//! engines against the reference engine, measured in **trials/sec**
-//! over the quick coverage grid (three representative benchmarks ×
-//! all six schemes at issue 2, delay 2 — the same cells `fig9
-//! --quick` runs). A per-scheme breakdown (batched engine) records
-//! what each protection level costs in campaign throughput: TMRED
-//! trials retire ~3x the instructions, RBED trials add the digest
-//! side computation.
+//! Campaign throughput: the checkpointed fault-injection engine
+//! against the reference engine, measured in **trials/sec** over the
+//! quick coverage grid (three representative benchmarks × all six
+//! schemes at issue 2, delay 2 — the same cells `fig9 --quick` runs).
+//! A per-scheme breakdown (checkpointed engine) records what each
+//! protection level costs in campaign throughput: TMRED trials retire
+//! ~3x the instructions, RBED trials add the digest side computation.
 //!
-//! All engines consume the identical frozen injection stream and, as
+//! Both engines consume the identical frozen injection stream and, as
 //! a precondition of the measurement, are cross-checked here to
-//! produce byte-identical tallies. The batched engine is additionally
-//! swept over lane widths (8–300 lanes per batch) to expose how the
-//! structure-of-arrays stepping scales with batch width. Results are printed in the
-//! in-repo runner's format and written to `BENCH_faults.json` at the
-//! workspace root (median/MAD over the timed samples, plus each
-//! engine's speedup over reference) so the perf trajectory has a
-//! recorded datapoint; see `docs/PERFORMANCE.md` for the field
-//! reference. Samples are interleaved round-robin across all engines
-//! and widths so slow host drift cannot bias one row's median.
+//! produce byte-identical tallies. Results are printed in the in-repo
+//! runner's format and written to `BENCH_faults.json` at the
+//! workspace root (median/MAD over the timed samples, plus the
+//! checkpointed engine's speedup over reference) so the perf
+//! trajectory has a recorded datapoint; see `docs/PERFORMANCE.md` for
+//! the field reference. Samples are interleaved round-robin across the
+//! engines so slow host drift cannot bias one row's median.
 //! `CASTED_BENCH_QUICK=1` drops to a single sample for smoke runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use casted_faults::{
-    run_campaign_engine, run_campaign_engine_lanes, run_campaign_incremental, CampaignConfig,
-    Engine, DEFAULT_LANE_WIDTH,
-};
+use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::MachineConfig;
 use casted_util::bench::median_mad;
@@ -34,7 +28,6 @@ use casted_util::store::ArtifactStore;
 
 const TRIALS: usize = 300;
 const SAMPLES: usize = 5;
-const LANE_SWEEP: &[usize] = &[8, 16, 64, 150, 300];
 
 struct Cell {
     label: String,
@@ -86,14 +79,13 @@ fn cell_campaign(base: &CampaignConfig, cell: &Cell) -> CampaignConfig {
 }
 
 /// Time one full pass over the grid with `engine`; returns trials/sec.
-fn sample(cells: &[Cell], campaign: &CampaignConfig, engine: Engine, lanes: usize) -> f64 {
+fn sample(cells: &[Cell], campaign: &CampaignConfig, engine: Engine) -> f64 {
     let t0 = Instant::now();
     for cell in cells {
-        casted_util::bench::black_box(run_campaign_engine_lanes(
+        casted_util::bench::black_box(run_campaign_engine(
             &cell.sp,
             &cell_campaign(campaign, cell),
             engine,
-            lanes,
         ));
     }
     let secs = t0.elapsed().as_secs_f64();
@@ -109,13 +101,13 @@ fn sample(cells: &[Cell], campaign: &CampaignConfig, engine: Engine, lanes: usiz
 fn measure_all(
     cells: &[Cell],
     campaign: &CampaignConfig,
-    configs: &[(Engine, usize)],
+    configs: &[Engine],
     samples: usize,
 ) -> Vec<(f64, f64)> {
     let mut rates: Vec<Vec<f64>> = vec![Vec::with_capacity(samples); configs.len()];
     for _ in 0..samples {
-        for (i, &(engine, lanes)) in configs.iter().enumerate() {
-            rates[i].push(sample(cells, campaign, engine, lanes));
+        for (i, &engine) in configs.iter().enumerate() {
+            rates[i].push(sample(cells, campaign, engine));
         }
     }
     rates.iter_mut().map(|r| median_mad(r)).collect()
@@ -142,51 +134,21 @@ fn main() {
     for cell in &cells {
         let ccfg = cell_campaign(&campaign, cell);
         let r = run_campaign_engine(&cell.sp, &ccfg, Engine::Reference);
-        for engine in [Engine::Checkpointed, Engine::Batched] {
-            let other = run_campaign_engine(&cell.sp, &ccfg, engine);
-            assert_eq!(
-                r.tally,
-                other.tally,
-                "{}: {} disagrees with reference",
-                cell.label,
-                engine.name()
-            );
-        }
+        let other = run_campaign_engine(&cell.sp, &ccfg, Engine::Checkpointed);
+        assert_eq!(r.tally, other.tally, "{}: checkpointed disagrees with reference", cell.label);
     }
 
-    let mut configs: Vec<(Engine, usize)> = vec![
-        (Engine::Reference, 0),
-        (Engine::Checkpointed, 0),
-        (Engine::Batched, DEFAULT_LANE_WIDTH),
-    ];
-    configs.extend(LANE_SWEEP.iter().map(|&w| (Engine::Batched, w)));
-    let measured = measure_all(&cells, &campaign, &configs, samples);
-
+    let engines = [Engine::Reference, Engine::Checkpointed];
+    let measured = measure_all(&cells, &campaign, &engines, samples);
     let (ref_med, ref_mad) = measured[0];
     let (ckpt_med, ckpt_mad) = measured[1];
-    let (batch_med, batch_mad) = measured[2];
     let ckpt_speedup = ckpt_med / ref_med;
-    let batch_speedup = batch_med / ref_med;
 
     print_row("faults_campaign/reference", ref_med, ref_mad, samples);
     print_row("faults_campaign/checkpointed", ckpt_med, ckpt_mad, samples);
-    print_row(
-        &format!("faults_campaign/batched(w={DEFAULT_LANE_WIDTH})"),
-        batch_med,
-        batch_mad,
-        samples,
-    );
-
-    let mut sweep = Vec::new();
-    for (&w, &(med, mad)) in LANE_SWEEP.iter().zip(&measured[3..]) {
-        print_row(&format!("faults_campaign/batched/lanes={w}"), med, mad, samples);
-        sweep.push((w, med, mad));
-    }
-
     println!("checkpointed/reference speedup: {ckpt_speedup:.2}x (median trials/sec)");
-    println!("batched/reference speedup: {batch_speedup:.2}x (median trials/sec)");
 
-    // Per-scheme breakdown on the batched engine: same trials, same
+    // Per-scheme breakdown on the checkpointed engine: same trials, same
     // seed, but each scheme's binary does different work per trial —
     // this is the campaign-side cost of the protection ladder.
     let mut scheme_rows: Vec<(&str, f64, f64)> = Vec::new();
@@ -199,11 +161,10 @@ fn main() {
                     cells.iter().filter(|c| c.scheme == scheme).collect();
                 let t0 = Instant::now();
                 for cell in &subset {
-                    casted_util::bench::black_box(run_campaign_engine_lanes(
+                    casted_util::bench::black_box(run_campaign_engine(
                         &cell.sp,
                         &cell_campaign(&campaign, cell),
-                        Engine::Batched,
-                        DEFAULT_LANE_WIDTH,
+                        Engine::Checkpointed,
                     ));
                 }
                 rates[i].push(
@@ -228,7 +189,7 @@ fn main() {
     // Restricted to the dup-compare/NOED cells: the section evidence
     // vocabulary cannot recombine vote corrections or digest plans
     // (recovery-scheme campaigns fall back to the standard engine),
-    // so including them would only re-measure the batched rows.
+    // so including them would only re-measure the checkpointed rows.
     let cacheable = |c: &&Cell| !c.scheme.corrects() && !c.scheme.replay_detect();
     let edited = quick_grid_cells(true);
     let inc_cells: Vec<&Cell> = cells.iter().filter(cacheable).collect();
@@ -282,7 +243,6 @@ fn main() {
     let _ = writeln!(json, "  \"cells\": {},", cells.len());
     let _ = writeln!(json, "  \"trials_per_campaign\": {TRIALS},");
     let _ = writeln!(json, "  \"samples\": {samples},");
-    let _ = writeln!(json, "  \"lane_width\": {DEFAULT_LANE_WIDTH},");
     let _ = writeln!(json, "  \"trials_per_sec\": {{");
     let _ = writeln!(
         json,
@@ -290,23 +250,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"checkpointed\": {{\"median\": {ckpt_med:.1}, \"mad\": {ckpt_mad:.1}}},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"batched\": {{\"median\": {batch_med:.1}, \"mad\": {batch_mad:.1}}}"
+        "    \"checkpointed\": {{\"median\": {ckpt_med:.1}, \"mad\": {ckpt_mad:.1}}}"
     );
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"lane_sweep\": [");
-    for (i, (w, med, mad)) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"lanes\": {w}, \"median\": {med:.1}, \"mad\": {mad:.1}, \"speedup\": {:.2}}}{comma}",
-            med / ref_med
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"per_scheme\": {{");
     for (i, (name, med, mad)) in scheme_rows.iter().enumerate() {
         let comma = if i + 1 < scheme_rows.len() { "," } else { "" };
@@ -327,8 +273,7 @@ fn main() {
     );
     let _ = writeln!(json, "    \"speedup_incremental_warm\": {inc_speedup:.2}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"speedup_median\": {ckpt_speedup:.2},");
-    let _ = writeln!(json, "  \"speedup_batched_median\": {batch_speedup:.2}");
+    let _ = writeln!(json, "  \"speedup_median\": {ckpt_speedup:.2}");
     let _ = writeln!(json, "}}");
 
     // cargo runs bench targets with the package directory as cwd;

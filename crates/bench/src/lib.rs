@@ -38,7 +38,7 @@ pub struct RunOpts {
     /// Write the deterministic counter-only metrics snapshot here
     /// (byte-reproducible for seeded runs; what CI `cmp`s).
     pub metrics_counters: Option<PathBuf>,
-    /// Fault-campaign engine (`--engine reference|checkpointed|batched`).
+    /// Fault-campaign engine (`--engine reference|checkpointed`).
     /// All produce byte-identical tallies; CI cross-checks them.
     pub engine: casted_faults::Engine,
     /// Run fault campaigns through the compositional section cache
@@ -105,12 +105,7 @@ pub fn parse_args() -> RunOpts {
                 let name = args
                     .next()
                     .unwrap_or_else(|| panic!("--engine needs {}", casted_faults::Engine::ACCEPTED));
-                opts.engine = casted_faults::Engine::parse(&name).unwrap_or_else(|| {
-                    panic!(
-                        "unknown engine {name:?} (accepted values: {})",
-                        casted_faults::Engine::ACCEPTED
-                    )
-                });
+                opts.engine = casted_faults::Engine::parse(&name).unwrap_or_else(|e| panic!("{e}"));
             }
             "--incremental" => opts.incremental = true,
             "--section-cache" => {

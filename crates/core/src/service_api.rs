@@ -477,8 +477,6 @@ mod tests {
         assert_eq!(a, b);
         let r = inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap();
         assert_eq!(a, r, "engines must agree field for field");
-        let bt = inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap();
-        assert_eq!(a, bt, "batched engine must agree field for field");
         assert_eq!(a.trials, 40);
         assert_eq!(a.counts.iter().sum::<u64>(), 40);
     }
@@ -497,13 +495,13 @@ mod tests {
             })
             .unwrap();
         assert!(completed);
-        assert_eq!(reply, inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap());
+        assert_eq!(reply, inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap());
         assert_eq!(updates.iter().map(|(d, _)| *d).collect::<Vec<_>>(), vec![16, 32]);
 
         let (partial, completed) =
             inject_stream_with(&s, 40, 7, u64::MAX, 16, None, &mut |_, _| false).unwrap();
         assert!(!completed);
-        assert_eq!(partial, inject_tally(&s, 16, 7, Engine::Batched, u64::MAX).unwrap());
+        assert_eq!(partial, inject_tally(&s, 16, 7, Engine::Reference, u64::MAX).unwrap());
     }
 
     /// The serve-facing exactness contract: the incremental path's
@@ -516,7 +514,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("casted-api-sect-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cold = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
-        let full = inject_tally(&s, 40, 7, Engine::Batched, u64::MAX).unwrap();
+        let full = inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap();
         assert_eq!(cold, full, "incremental reply diverged from the engines");
         let warm = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
         assert_eq!(warm, cold, "warm recombination changed the reply");

@@ -149,23 +149,16 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
                 ..Default::default()
             };
             let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-            for engine in [
-                casted_faults::Engine::Checkpointed,
-                casted_faults::Engine::Batched,
-            ] {
-                let other = casted_faults::run_campaign_engine(&prep.sp, &ccfg, engine);
-                if reference.tally != other.tally {
-                    return Err(Divergence::new_corpus(
-                        name,
-                        &format!("engines:{stage}"),
-                        format!(
-                            "campaign engines diverged: reference {:?} vs {} {:?}",
-                            reference.tally.counts,
-                            engine.name(),
-                            other.tally.counts
-                        ),
-                    ));
-                }
+            let other = casted_faults::run_campaign(&prep.sp, &ccfg);
+            if reference.tally != other.tally {
+                return Err(Divergence::new_corpus(
+                    name,
+                    &format!("engines:{stage}"),
+                    format!(
+                        "campaign engines diverged: reference {:?} vs checkpointed {:?}",
+                        reference.tally.counts, other.tally.counts
+                    ),
+                ));
             }
             checks += 1;
 

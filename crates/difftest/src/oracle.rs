@@ -387,20 +387,6 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
                 ),
             ));
         }
-        let batched =
-            casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Batched);
-        if reference.tally != batched.tally {
-            return Err(Divergence::new(
-                stage,
-                format!(
-                    "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs batched {:?} (lanes {}, diverged {})",
-                    reference.tally.counts,
-                    batched.tally.counts,
-                    batched.engine.batch.lanes,
-                    batched.engine.batch.divergences,
-                ),
-            ));
-        }
         for c in reference.tally.counts {
             digest.write_u64(c as u64);
         }
@@ -508,7 +494,7 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
     //  * zero-fault equivalence — the scheduled program re-interprets
     //    and simulates to the golden stream (which layer 5 proved
     //    equal to the NOED baseline bit for bit);
-    //  * engine agreement — all three campaign engines produce the
+    //  * engine agreement — both campaign engines produce the
     //    same tally with `replay_detect` wired per the registry;
     //  * targeted probes (library-free cases only) — strikes at
     //    `Provenance::Original` defs must never classify as silent
@@ -565,17 +551,15 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
             ..Default::default()
         };
         let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-        for engine in [casted_faults::Engine::Checkpointed, casted_faults::Engine::Batched] {
-            let got = casted_faults::run_campaign_engine(&prep.sp, &ccfg, engine);
-            if reference.tally != got.tally {
-                return Err(Divergence::new(
-                    format!("engines:{stage}"),
-                    format!(
-                        "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs {engine:?} {:?}",
-                        reference.tally.counts, got.tally.counts,
-                    ),
-                ));
-            }
+        let got = casted_faults::run_campaign(&prep.sp, &ccfg);
+        if reference.tally != got.tally {
+            return Err(Divergence::new(
+                format!("engines:{stage}"),
+                format!(
+                    "campaign engines diverged over {ENGINE_TRIALS} trials: reference {:?} vs checkpointed {:?}",
+                    reference.tally.counts, got.tally.counts,
+                ),
+            ));
         }
         for c in reference.tally.counts {
             digest.write_u64(c as u64);

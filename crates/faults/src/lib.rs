@@ -22,11 +22,10 @@ pub use sections::{run_campaign_incremental, SectionStats};
 use casted_ir::interp::StopReason;
 use casted_ir::vliw::ScheduledProgram;
 use casted_sim::{
-    golden_with_checkpoints_rbed, rbed_plan, replay_trial, run_batch, simulate, simulate_quiet,
-    BatchStats, GoldenTrace, Injection, LaneVerdict, RbedPlan, SimOptions, SimResult, TrialRun,
+    rbed_plan, replay_trial, simulate, simulate_quiet, GoldenRun, GoldenTrace, Injection,
+    RbedPlan, SimOptions, SimResult, TrialRun,
 };
 
-pub use casted_sim::DEFAULT_LANE_WIDTH;
 pub use casted_sim::{rbed_plan as build_rbed_plan, RbedPlan as RbedDigestPlan};
 
 /// The paper's five outcome classes of §IV-C, plus the `Corrected`
@@ -182,39 +181,36 @@ impl std::fmt::Display for Tally {
     }
 }
 
-/// Which campaign engine to run. All engines produce byte-identical
+/// Which campaign engine to run. Both engines produce byte-identical
 /// [`Tally`] results from the same seed — an invariant enforced by
 /// unit tests here, a difftest oracle layer and a `scripts/ci.sh`
 /// byte-compare (see docs/PERFORMANCE.md).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Historical engine: every trial re-simulates from cycle 0.
+    /// Historical engine: every trial re-simulates from cycle 0. Kept
+    /// as the specification the fast engine is checked against.
     Reference,
-    /// Checkpoint/replay engine: golden-run snapshots, fast-forward
-    /// to the injection site, convergence pruning, pooled trials.
-    Checkpointed,
-    /// Batched structure-of-arrays engine: N trials stepped in
-    /// lockstep over the shared instruction stream from a shared
-    /// checkpoint, paying the structural per-instruction work once per
-    /// batch; structurally diverging lanes fall back to the
-    /// checkpointed replay path (see `casted_sim::batch`).
+    /// Checkpoint/replay engine: golden snapshots taken where the
+    /// trials land, fast-forward to the injection site, convergence
+    /// pruning, pooled trials.
     #[default]
-    Batched,
+    Checkpointed,
 }
 
 impl Engine {
     /// Accepted `--engine` flag values, for error messages at every
     /// flag site.
-    pub const ACCEPTED: &'static str = "reference|checkpointed|batched";
+    pub const ACCEPTED: &'static str = "reference|checkpointed";
 
     /// Parse a `--engine` flag value (case-insensitive, so `Reference`
-    /// and `BATCHED` work as well as the canonical lowercase names).
-    pub fn parse(s: &str) -> Option<Engine> {
+    /// works as well as the canonical lowercase names). Anything else
+    /// — the removed `batched` engine included — is an error naming
+    /// the accepted values.
+    pub fn parse(s: &str) -> Result<Engine, String> {
         match s.to_ascii_lowercase().as_str() {
-            "reference" => Some(Engine::Reference),
-            "checkpointed" => Some(Engine::Checkpointed),
-            "batched" => Some(Engine::Batched),
-            _ => None,
+            "reference" => Ok(Engine::Reference),
+            "checkpointed" => Ok(Engine::Checkpointed),
+            _ => Err(format!("unknown engine '{s}' (accepted: {})", Engine::ACCEPTED)),
         }
     }
 
@@ -223,25 +219,33 @@ impl Engine {
         match self {
             Engine::Reference => "reference",
             Engine::Checkpointed => "checkpointed",
-            Engine::Batched => "batched",
         }
     }
 }
 
+/// Always zero: the batched engine these counted is gone. The struct
+/// stays only because the benchmark (`perfbench/src/coverage.rs`)
+/// reads these five fields.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchStats {
+    pub lanes: u64,
+    pub lane_insn_steps: u64,
+    pub bundles_stepped: u64,
+    pub divergences: u64,
+    pub retired_converged: u64,
+}
+
 /// Engine-side work accounting for one campaign (all zero under
-/// [`Engine::Reference`]). The checkpoint fields cover snapshot
-/// capture and the single-trial replay path — which the batched
-/// engine also uses, for diverged lanes and singleton batches.
+/// [`Engine::Reference`]): snapshot capture and the replay path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Golden-run snapshots captured (incl. the power-on state).
     pub checkpoints: u64,
-    /// Golden-prefix instructions single-trial replays skipped via
-    /// fast-forward.
+    /// Golden-prefix instructions replays skipped via fast-forward.
     pub skipped_insns: u64,
-    /// Single-trial replays ended early by convergence pruning.
+    /// Replays ended early by convergence pruning.
     pub pruned_trials: u64,
-    /// Batched-engine lane accounting (zeroed for the other engines).
+    /// Always zero (see [`BatchStats`]).
     pub batch: BatchStats,
     /// Incremental-campaign section accounting (zeroed unless the
     /// campaign ran through [`run_campaign_incremental`]).
@@ -466,32 +470,22 @@ pub fn run_campaign_reference(sp: &ScheduledProgram, cfg: &CampaignConfig) -> Ca
 
 /// [`run_campaign`] with an explicit engine choice.
 pub fn run_campaign_engine(sp: &ScheduledProgram, cfg: &CampaignConfig, engine: Engine) -> CampaignResult {
-    run_campaign_engine_lanes(sp, cfg, engine, DEFAULT_LANE_WIDTH)
+    campaign_core(sp, cfg, engine, &mut |rng, dyn_insns| {
+        draw_output_injection(rng, dyn_insns, cfg.flip)
+    })
 }
 
-/// [`run_campaign_engine`] with an explicit batch lane width — only
-/// meaningful for [`Engine::Batched`] (the `bench_faults` lane-count
-/// sweep drives this); the other engines ignore it. The tally is
-/// independent of the width: lane grouping never changes per-trial
-/// classification, only how much structural work is shared.
-pub fn run_campaign_engine_lanes(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    engine: Engine,
-    lane_width: usize,
-) -> CampaignResult {
-    let flip = cfg.flip;
-    campaign_core(sp, cfg, engine, lane_width, &mut |rng, dyn_insns| {
-        let (at, bit) = draw_injection(rng, dyn_insns);
-        let phase = draw_burst_phase(rng, flip);
-        Injection {
-            at_dyn_insn: at,
-            bit,
-            target: None,
-            width: flip.width(),
-            phase,
-        }
-    })
+/// One trial of the instruction-output model's frozen stream: the
+/// `(at, bit)` pair, then the burst phase.
+pub(crate) fn draw_output_injection(rng: &mut Rng, dyn_insns: u64, flip: FlipModel) -> Injection {
+    let (at, bit) = draw_injection(rng, dyn_insns);
+    Injection {
+        at_dyn_insn: at,
+        bit,
+        target: None,
+        width: flip.width(),
+        phase: draw_burst_phase(rng, flip),
+    }
 }
 
 /// [`run_campaign`] in incremental chunks, reporting the running tally
@@ -520,35 +514,38 @@ pub fn run_campaign_streaming(
     chunk: usize,
     progress: &mut dyn FnMut(u64, &Tally) -> bool,
 ) -> (CampaignResult, bool) {
-    let trace = golden_with_checkpoints_rbed(sp, campaign_rbed_plan(sp, cfg));
-    assert!(
-        matches!(trace.result.stop, StopReason::Halt(_)),
-        "campaign target must run fault-free to completion, got {:?}",
-        trace.result.stop
-    );
-    let golden_cycles = trace.result.stats.cycles;
-    let golden_dyn = trace.result.stats.dyn_insns;
-    let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
+    let mut draw = |rng: &mut Rng, dyn_insns| draw_output_injection(rng, dyn_insns, cfg.flip);
+    checkpointed_campaign(sp, cfg, &mut draw, chunk, progress)
+}
 
-    // Pre-draw the whole frozen stream up front (the same order every
-    // engine uses), then execute it chunk by chunk.
+/// The checkpointed engine: the golden run, the frozen injection
+/// stream drawn from its dynamic length, golden capture at the drawn
+/// sites ([`GoldenRun::capture`]), then the replays on
+/// [`casted_util::pool::run_pool`], `chunk` trials at a time with
+/// `progress` between chunks (see [`run_campaign_streaming`]). The
+/// per-trial draw order through `draw` is the frozen stream contract;
+/// results come back in input order, so the tally reduction is
+/// independent of thread interleaving and byte-identical to the
+/// reference engine's.
+fn checkpointed_campaign(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
+    chunk: usize,
+    progress: &mut dyn FnMut(u64, &Tally) -> bool,
+) -> (CampaignResult, bool) {
+    let golden = GoldenRun::new(sp);
+    assert_halts(&golden.result);
+    let golden_cycles = golden.result.stats.cycles;
+    let golden_dyn = golden.result.stats.dyn_insns;
+    let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
+    let rbed = campaign_rbed_plan(sp, cfg, golden_dyn);
     let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = draw_injection(&mut rng, golden_dyn);
-            let phase = draw_burst_phase(&mut rng, cfg.flip);
-            Injection {
-                at_dyn_insn: at,
-                bit,
-                target: None,
-                width: cfg.flip.width(),
-                phase,
-            }
-        })
-        .collect();
+    let injections: Vec<Injection> = (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
+    let sites: Vec<u64> = injections.iter().map(|inj| inj.at_dyn_insn).collect();
+    let trace = golden.capture(sp, &sites, rbed);
 
     let span = casted_obs::span("faults.campaign_ns");
-    let chunk = chunk.max(1);
     let mut tally = Tally::default();
     let mut engine_stats = EngineStats {
         checkpoints: trace.checkpoints_taken(),
@@ -556,7 +553,7 @@ pub fn run_campaign_streaming(
     };
     let mut done: u64 = 0;
     let mut completed = true;
-    for injs in injections.chunks(chunk) {
+    for injs in injections.chunks(chunk.max(1)) {
         let outcomes = run_pool(
             injs.iter()
                 .map(|&inj| {
@@ -595,47 +592,40 @@ pub fn run_campaign_streaming(
     )
 }
 
+/// The refusal every engine shares: a campaign target must halt
+/// fault-free, or no trial has a reference to be classified against.
+fn assert_halts(golden: &SimResult) {
+    assert!(
+        matches!(golden.stop, StopReason::Halt(_)),
+        "campaign target must run fault-free to completion, got {:?}",
+        golden.stop
+    );
+}
+
 /// Build the campaign's RBED digest plan when [`CampaignConfig::
-/// replay_detect`] is set (`None` otherwise): one quiet golden run for
-/// the dynamic length, then [`casted_sim::rbed_plan`]'s two recording
-/// passes. Never-halting targets fall through to the engines' own
-/// `must run fault-free to completion` refusal.
+/// replay_detect`] is set (`None` otherwise), from the golden run's
+/// dynamic length: [`casted_sim::rbed_plan`]'s two recording passes.
 fn campaign_rbed_plan(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
+    golden_dyn: u64,
 ) -> Option<std::sync::Arc<RbedPlan>> {
-    if !cfg.replay_detect {
-        return None;
-    }
-    let golden = simulate_quiet(sp, &SimOptions::default());
-    Some(rbed_plan(sp, golden.stats.dyn_insns))
+    cfg.replay_detect.then(|| rbed_plan(sp, golden_dyn))
 }
 
 /// Shared campaign driver: draw the frozen injection stream, run
 /// every trial on the chosen engine, reduce the tally in trial order.
-///
-/// The checkpointed path **pre-draws all injections up front** (the
-/// per-trial draw order through `draw` is unchanged — the frozen
-/// stream contract), replays each against the golden trace, and runs
-/// the replays on [`casted_util::pool::run_pool`]. Results come back
-/// in input order, so the tally reduction is independent of thread
-/// interleaving and the tallies of both engines are byte-identical.
 fn campaign_core(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     engine: Engine,
-    lane_width: usize,
     draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
 ) -> CampaignResult {
     match engine {
         Engine::Reference => {
             let golden = simulate(sp, &SimOptions::default());
-            assert!(
-                matches!(golden.stop, StopReason::Halt(_)),
-                "campaign target must run fault-free to completion, got {:?}",
-                golden.stop
-            );
-            let rbed = campaign_rbed_plan(sp, cfg);
+            assert_halts(&golden);
+            let rbed = campaign_rbed_plan(sp, cfg, golden.stats.dyn_insns);
             let max_cycles = golden.stats.cycles.saturating_mul(cfg.timeout_factor);
             let mut rng = Rng::seed_from_u64(cfg.seed);
             let mut tally = Tally::default();
@@ -653,182 +643,7 @@ fn campaign_core(
             }
         }
         Engine::Checkpointed => {
-            let trace = golden_with_checkpoints_rbed(sp, campaign_rbed_plan(sp, cfg));
-            assert!(
-                matches!(trace.result.stop, StopReason::Halt(_)),
-                "campaign target must run fault-free to completion, got {:?}",
-                trace.result.stop
-            );
-            let golden_cycles = trace.result.stats.cycles;
-            let golden_dyn = trace.result.stats.dyn_insns;
-            let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let injections: Vec<Injection> =
-                (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
-
-            let span = casted_obs::span("faults.campaign_ns");
-            let outcomes = run_pool(
-                injections
-                    .into_iter()
-                    .map(|inj| {
-                        let trace: &GoldenTrace = &trace;
-                        move || {
-                            let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
-                            let outcome = match run {
-                                TrialRun::Finished(r) => classify(&trace.result, &r),
-                                TrialRun::Converged => Outcome::Benign,
-                            };
-                            (outcome, rs)
-                        }
-                    })
-                    .collect(),
-            );
-
-            let mut tally = Tally::default();
-            let mut engine_stats = EngineStats {
-                checkpoints: trace.checkpoints_taken(),
-                ..EngineStats::default()
-            };
-            for (outcome, rs) in outcomes {
-                tally.record(outcome);
-                engine_stats.skipped_insns += rs.skipped_insns;
-                engine_stats.pruned_trials += rs.pruned as u64;
-            }
-            record_campaign_metrics(&tally, Some(&engine_stats), span);
-            CampaignResult {
-                tally,
-                golden_cycles,
-                golden_dyn,
-                engine: engine_stats,
-            }
-        }
-        Engine::Batched => {
-            let trace = golden_with_checkpoints_rbed(sp, campaign_rbed_plan(sp, cfg));
-            assert!(
-                matches!(trace.result.stop, StopReason::Halt(_)),
-                "campaign target must run fault-free to completion, got {:?}",
-                trace.result.stop
-            );
-            let golden_cycles = trace.result.stats.cycles;
-            let golden_dyn = trace.result.stats.dyn_insns;
-            let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let injections: Vec<Injection> =
-                (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
-
-            let span = casted_obs::span("faults.campaign_ns");
-
-            // Sort trials by injection site and cut the sorted order
-            // into lane_width batches. Each batch restores the
-            // checkpoint strictly before its *earliest* site (the
-            // identical rule a single-trial replay uses, via
-            // `restore_index`); lanes with later sites stay virtual —
-            // costing nothing — until the shared leader reaches them,
-            // so one leader replay is amortized over the whole batch
-            // even when its sites span several checkpoint buckets,
-            // and the leaders' combined stepping telescopes to about
-            // one pass over the golden run per campaign. A singleton
-            // batch would be one lane of pure overhead — those trials
-            // go straight to `replay_trial`.
-            let lane_width = lane_width.max(2);
-            let mut order: Vec<usize> = (0..injections.len()).collect();
-            order.sort_by_key(|&i| (injections[i].at_dyn_insn, i));
-            let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
-            for chunk in order.chunks(lane_width) {
-                let ckpt = trace.restore_index(injections[chunk[0]].at_dyn_insn);
-                batches.push((ckpt, chunk.to_vec()));
-            }
-
-            let results = run_pool(
-                batches
-                    .into_iter()
-                    .map(|(ckpt, ids)| {
-                        let trace: &GoldenTrace = &trace;
-                        let injections: &[Injection] = &injections;
-                        move || {
-                            let mut outcomes: Vec<(usize, Outcome)> =
-                                Vec::with_capacity(ids.len());
-                            let mut bstats = BatchStats::default();
-                            let (mut skipped, mut pruned) = (0u64, 0u64);
-                            let replay_one = |inj: Injection,
-                                                  skipped: &mut u64,
-                                                  pruned: &mut u64| {
-                                let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
-                                *skipped += rs.skipped_insns;
-                                *pruned += rs.pruned as u64;
-                                match run {
-                                    TrialRun::Finished(r) => classify(&trace.result, &r),
-                                    TrialRun::Converged => Outcome::Benign,
-                                }
-                            };
-                            if ids.len() == 1 {
-                                let o = replay_one(injections[ids[0]], &mut skipped, &mut pruned);
-                                outcomes.push((ids[0], o));
-                            } else {
-                                let injs: Vec<Injection> =
-                                    ids.iter().map(|&i| injections[i]).collect();
-                                let (verdicts, bs) =
-                                    run_batch(sp, trace, ckpt, &injs, max_cycles);
-                                bstats.accumulate(bs);
-                                for (&trial, &v) in ids.iter().zip(&verdicts) {
-                                    let o = match v {
-                                        LaneVerdict::Halted {
-                                            matches_golden: true,
-                                        }
-                                        | LaneVerdict::Converged => Outcome::Benign,
-                                        LaneVerdict::Halted {
-                                            matches_golden: false,
-                                        } => Outcome::DataCorrupt,
-                                        LaneVerdict::Detected => Outcome::Detected,
-                                        LaneVerdict::Exception => Outcome::Exception,
-                                        LaneVerdict::Timeout => Outcome::Timeout,
-                                        // The batch proves nothing
-                                        // about a structurally
-                                        // diverged lane: replay that
-                                        // one trial on the exact path.
-                                        LaneVerdict::Diverged => replay_one(
-                                            injections[trial],
-                                            &mut skipped,
-                                            &mut pruned,
-                                        ),
-                                    };
-                                    outcomes.push((trial, o));
-                                }
-                            }
-                            (outcomes, bstats, skipped, pruned)
-                        }
-                    })
-                    .collect(),
-            );
-
-            // Reduce in trial order regardless of batch shapes or pool
-            // interleaving: outcomes land in per-trial slots first.
-            let mut slots: Vec<Option<Outcome>> = vec![None; cfg.trials];
-            let mut engine_stats = EngineStats {
-                checkpoints: trace.checkpoints_taken(),
-                ..EngineStats::default()
-            };
-            for (outcomes, bs, skipped, pruned) in results {
-                engine_stats.batch.accumulate(bs);
-                engine_stats.skipped_insns += skipped;
-                engine_stats.pruned_trials += pruned;
-                for (i, o) in outcomes {
-                    slots[i] = Some(o);
-                }
-            }
-            let mut tally = Tally::default();
-            for o in slots {
-                tally.record(o.expect("every trial classified exactly once"));
-            }
-            record_campaign_metrics(&tally, Some(&engine_stats), span);
-            CampaignResult {
-                tally,
-                golden_cycles,
-                golden_dyn,
-                engine: engine_stats,
-            }
+            checkpointed_campaign(sp, cfg, draw, cfg.trials, &mut |_, _| true).0
         }
     }
 }
@@ -849,12 +664,11 @@ fn outcome_counter(o: Outcome) -> &'static str {
 /// outcome tallies and trial count as deterministic counters, the
 /// campaign wall-time and trial throughput as timing metrics (span
 /// histogram + `faults.trials_per_sec` gauge, both excluded from the
-/// counter-only snapshot). The checkpointed and batched engines also
-/// flush their `faults.checkpoint.*` / `faults.batch.*` work counters
-/// — and incremental campaigns their `faults.sections.*` cache
-/// counters — the only counter-snapshot keys on which the engines are
-/// allowed to differ (`scripts/ci.sh` strips exactly these before its
-/// byte-compare).
+/// counter-only snapshot). The checkpointed engine also flushes its
+/// `faults.checkpoint.*` work counters — and incremental campaigns
+/// their `faults.sections.*` cache counters — the only
+/// counter-snapshot keys on which the engines are allowed to differ
+/// (`scripts/ci.sh` strips exactly these before its byte-compare).
 pub(crate) fn record_campaign_metrics(
     tally: &Tally,
     engine: Option<&EngineStats>,
@@ -872,18 +686,6 @@ pub(crate) fn record_campaign_metrics(
         casted_obs::add("faults.checkpoint.taken", es.checkpoints);
         casted_obs::add("faults.checkpoint.skipped_insns", es.skipped_insns);
         casted_obs::add("faults.checkpoint.pruned", es.pruned_trials);
-        if es.batch.lanes > 0 {
-            casted_obs::add("faults.batch.lanes", es.batch.lanes);
-            casted_obs::add("faults.batch.bundles", es.batch.bundles_stepped);
-            casted_obs::add("faults.batch.lane_steps", es.batch.lane_insn_steps);
-            casted_obs::add("faults.batch.divergences", es.batch.divergences);
-            casted_obs::add("faults.batch.skipped_insns", es.batch.skipped_insns);
-            casted_obs::add("faults.batch.retired.converged", es.batch.retired_converged);
-            casted_obs::add("faults.batch.retired.finished", es.batch.retired_finished);
-            casted_obs::add("faults.batch.retired.detected", es.batch.retired_detected);
-            casted_obs::add("faults.batch.retired.exception", es.batch.retired_exception);
-            casted_obs::add("faults.batch.retired.timeout", es.batch.retired_timeout);
-        }
         if es.sections.total > 0 {
             casted_obs::add("faults.sections.total", es.sections.total);
             casted_obs::add("faults.sections.hit", es.sections.hit);
@@ -1039,7 +841,7 @@ mod tests {
         });
         assert!(completed);
         assert_eq!(res.tally.total(), 40);
-        for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+        for engine in [Engine::Reference, Engine::Checkpointed] {
             let full = run_campaign_engine(&sp, &cfg, engine);
             assert_eq!(res.tally, full.tally, "streaming vs {engine:?}");
             assert_eq!(res.golden_cycles, full.golden_cycles);
@@ -1233,53 +1035,26 @@ mod tests {
         );
     }
 
-    /// The batched engine joins the same equivalence class: same seed,
-    /// same trials ⇒ byte-identical tally to the reference engine —
-    /// and the batches genuinely ran lanes (the speedup is real work
-    /// sharing, not everything falling back to single-trial replay).
+    /// Golden capture is sized by the drawn sites: an 8-trial
+    /// campaign clones at most one state per trial on top of the
+    /// power-on snapshot, and the default engine is the checkpointed
+    /// one.
     #[test]
-    fn batched_engine_agrees_with_reference() {
+    fn eight_trial_campaign_takes_at_most_nine_snapshots() {
         let sp = unprotected();
         let cfg = CampaignConfig {
-            trials: 80,
+            trials: 8,
             ..Default::default()
         };
-        let reference = run_campaign_reference(&sp, &cfg);
-        let batched = run_campaign_engine(&sp, &cfg, Engine::Batched);
-        assert_eq!(reference.tally, batched.tally, "batched engine diverged");
-        assert_eq!(reference.golden_cycles, batched.golden_cycles);
-        assert_eq!(reference.golden_dyn, batched.golden_dyn);
-        assert!(batched.engine.batch.lanes > 0, "no lanes ever batched");
-        assert!(
-            batched.engine.batch.lanes > batched.engine.batch.divergences,
-            "every lane diverged — the batch engine shared no work: {:?}",
-            batched.engine.batch
-        );
-        // And the default entry point is the batched engine.
-        let default = run_campaign(&sp, &cfg);
-        assert_eq!(default.tally, batched.tally);
-        assert_eq!(default.engine, batched.engine);
-    }
-
-    /// The tally (and therefore every published number) is independent
-    /// of the lane width — width only changes how much structural work
-    /// is shared, never per-trial classification.
-    #[test]
-    fn batched_tally_is_lane_width_independent() {
-        let sp = unprotected();
-        let cfg = CampaignConfig {
-            trials: 60,
-            ..Default::default()
-        };
-        let base = run_campaign_engine_lanes(&sp, &cfg, Engine::Batched, 2);
-        for width in [4usize, 16, 64] {
-            let r = run_campaign_engine_lanes(&sp, &cfg, Engine::Batched, width);
-            assert_eq!(base.tally, r.tally, "lane width {width} changed the tally");
-        }
+        let r = run_campaign(&sp, &cfg);
+        assert!(r.engine.checkpoints >= 1 && r.engine.checkpoints <= 9, "{:?}", r.engine);
+        assert_eq!(r.engine.batch, BatchStats::default());
+        assert_eq!(r.tally, run_campaign_reference(&sp, &cfg).tally);
+        assert_eq!(Engine::default(), Engine::Checkpointed);
     }
 
     /// Regression (satellite): one-dynamic-instruction programs (`halt`
-    /// alone) must campaign cleanly under all three engines and agree:
+    /// alone) must campaign cleanly under both engines and agree:
     /// the lone instruction has no output register, every strike
     /// slides off the end, and all trials are Benign.
     #[test]
@@ -1297,17 +1072,15 @@ mod tests {
         let reference = run_campaign_reference(&sp, &cfg);
         assert_eq!(reference.golden_dyn, 1);
         assert_eq!(reference.tally.count(Outcome::Benign), 25);
-        for engine in [Engine::Checkpointed, Engine::Batched] {
-            let r = run_campaign_engine(&sp, &cfg, engine);
-            assert_eq!(r.tally, reference.tally, "{} diverged", engine.name());
-        }
+        let r = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+        assert_eq!(r.tally, reference.tally);
     }
 
     /// Regression (satellite): zero-dynamic-instruction programs (an
     /// empty entry block that falls through) cannot be campaign
-    /// targets — the golden run never halts — and all three engines
-    /// must refuse identically instead of panicking deep inside
-    /// checkpoint or batch bookkeeping.
+    /// targets — the golden run never halts — and both engines must
+    /// refuse identically instead of panicking deep inside checkpoint
+    /// bookkeeping.
     #[test]
     fn zero_insn_program_is_refused_identically_by_all_engines() {
         let mut m = Module::new("t");
@@ -1320,7 +1093,7 @@ mod tests {
             trials: 5,
             ..Default::default()
         };
-        for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+        for engine in [Engine::Reference, Engine::Checkpointed] {
             let sp = sp.clone();
             let cfg = cfg.clone();
             let err = std::panic::catch_unwind(move || run_campaign_engine(&sp, &cfg, engine))
@@ -1365,13 +1138,17 @@ mod tests {
 
     #[test]
     fn engine_parse_round_trips() {
-        for e in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
+        for e in [Engine::Reference, Engine::Checkpointed] {
+            assert_eq!(Engine::parse(e.name()), Ok(e));
             // Every canonical name appears in the advertised flag help.
             assert!(Engine::ACCEPTED.contains(e.name()));
         }
-        assert_eq!(Engine::parse("warp-drive"), None);
-        assert_eq!(Engine::default(), Engine::Batched);
+        assert!(Engine::parse("warp-drive").is_err());
+        assert_eq!(Engine::default(), Engine::Checkpointed);
+        // The removed batched engine is refused with the accepted
+        // values, not silently mapped to another engine.
+        let err = Engine::parse("batched").unwrap_err();
+        assert!(err.contains("batched") && err.contains(Engine::ACCEPTED), "{err}");
     }
 
     /// Regression (satellite): `parse` used to silently reject case
@@ -1379,11 +1156,10 @@ mod tests {
     /// fallback to the default engine.
     #[test]
     fn engine_parse_is_case_insensitive() {
-        assert_eq!(Engine::parse("Reference"), Some(Engine::Reference));
-        assert_eq!(Engine::parse("CHECKPOINTED"), Some(Engine::Checkpointed));
-        assert_eq!(Engine::parse("Batched"), Some(Engine::Batched));
-        assert_eq!(Engine::parse("bAtChEd"), Some(Engine::Batched));
-        assert_eq!(Engine::parse(""), None);
+        assert_eq!(Engine::parse("Reference"), Ok(Engine::Reference));
+        assert_eq!(Engine::parse("CHECKPOINTED"), Ok(Engine::Checkpointed));
+        assert_eq!(Engine::parse("cHeCkPoInTeD"), Ok(Engine::Checkpointed));
+        assert!(Engine::parse("").is_err());
     }
 
     /// Regression (satellite): `safe_fraction` subtracted two
@@ -1479,7 +1255,7 @@ pub fn run_campaign_with_model_engine(
     ];
     let total: u32 = counts.iter().sum();
     let flip = cfg.flip;
-    campaign_core(sp, cfg, engine, DEFAULT_LANE_WIDTH, &mut |rng, dyn_insns| {
+    campaign_core(sp, cfg, engine, &mut |rng, dyn_insns| {
         let (at, bit) = draw_injection(rng, dyn_insns);
         let mut pick = rng.gen_range(0..total.max(1));
         let target = if pick < counts[0] {

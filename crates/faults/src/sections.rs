@@ -71,7 +71,7 @@ use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::RegClass;
 use casted_sim::section::{block_validation_hashes, capture_sections, run_section_trial, SectionTrial};
-use casted_sim::{golden_with_checkpoints, replay_trial_observed, GoldenTrace, Injection, TrialRun};
+use casted_sim::{replay_trial_observed, GoldenRun, Injection, TrialRun};
 use casted_util::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use casted_util::hash::Fnv64;
 use casted_util::pool::run_pool;
@@ -498,10 +498,7 @@ fn resolve(
 fn frozen_stream(cfg: &CampaignConfig, golden_dyn: u64) -> Vec<Injection> {
     let mut rng = Rng::seed_from_u64(cfg.seed);
     (0..cfg.trials)
-        .map(|_| {
-            let (at, bit) = crate::draw_injection(&mut rng, golden_dyn);
-            Injection::single(at, bit, None)
-        })
+        .map(|_| crate::draw_output_injection(&mut rng, golden_dyn, cfg.flip))
         .collect()
 }
 
@@ -655,15 +652,11 @@ fn run_campaign_cold(
     hashes: &[(u64, u64)],
     pkey: u64,
 ) -> CampaignResult {
-    let trace: GoldenTrace = golden_with_checkpoints(sp);
-    assert!(
-        matches!(trace.result.stop, StopReason::Halt(_)),
-        "campaign target must run fault-free to completion, got {:?}",
-        trace.result.stop
-    );
-    let StopReason::Halt(golden_code) = trace.result.stop else { unreachable!() };
-    let golden_cycles = trace.result.stats.cycles;
-    let golden_dyn = trace.result.stats.dyn_insns;
+    let golden = GoldenRun::new(sp);
+    crate::assert_halts(&golden.result);
+    let StopReason::Halt(golden_code) = golden.result.stop else { unreachable!() };
+    let golden_cycles = golden.result.stats.cycles;
+    let golden_dyn = golden.result.stats.dyn_insns;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
     let injections = frozen_stream(cfg, golden_dyn);
 
@@ -714,7 +707,7 @@ fn run_campaign_cold(
             .iter()
             .map(|&j| {
                 let cap = &cap;
-                let trace = &trace;
+                let golden = &golden.result;
                 let hashes: &[(u64, u64)] = hashes;
                 let ids: &[usize] = &buckets[j];
                 let injections: &[Injection] = &injections;
@@ -727,7 +720,7 @@ fn run_campaign_cold(
                             let (verdict, blocks) =
                                 run_section_trial(cap, j, injections[i], max_cycles);
                             visited.extend(blocks);
-                            entry_of(verdict, &trace.result)
+                            entry_of(verdict, golden)
                         })
                         .collect();
                     (j, SectionRecord { entries, validation: validation_of(visited, hashes) })
@@ -754,13 +747,18 @@ fn run_campaign_cold(
         }
         let rec = cached[j].as_ref().expect("every consulted section resolved");
         for (k, (&i, entry)) in ids.iter().zip(&rec.entries).enumerate() {
-            slots[i] = resolve(entry, golden_code, &trace.result.stream, hashes);
+            slots[i] = resolve(entry, golden_code, &golden.result.stream, hashes);
             if slots[i].is_none() {
                 pending.push((i, j, k));
             }
         }
     }
     pending.sort_unstable();
+    // Golden capture only for the escapes that replay: snapshots and
+    // fingerprints at their sites, none at all when every trial
+    // resolved from section evidence.
+    let sites: Vec<u64> = pending.iter().map(|&(i, _, _)| injections[i].at_dyn_insn).collect();
+    let trace = golden.capture(sp, &sites, None);
     let mut engine_stats = EngineStats {
         checkpoints: trace.checkpoints_taken(),
         sections: stats,
@@ -968,7 +966,7 @@ mod tests {
         let cfg = CampaignConfig { trials: 120, ..Default::default() };
         let (dir, store) = tmp_store("coldwarm");
         let cold = run_campaign_incremental(&sp, &cfg, &store);
-        for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+        for engine in [Engine::Reference, Engine::Checkpointed] {
             let full = run_campaign_engine(&sp, &cfg, engine);
             assert_eq!(cold.tally, full.tally, "{} disagrees", engine.name());
             assert_eq!(cold.golden_cycles, full.golden_cycles);

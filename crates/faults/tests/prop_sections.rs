@@ -1,7 +1,7 @@
 //! Property test for the compositional section-cache campaign
 //! (`casted_faults::sections`): over random programs and random
 //! edits, a recombined incremental tally is **byte-identical** to a
-//! cold full campaign of the *current* program — on all three
+//! cold full campaign of the *current* program — on both
 //! engines, whatever mix of cached and fresh sections the store
 //! supplied. This is the unit/property level of the four-level gate
 //! stack (docs/INCREMENTAL.md); the integration, difftest and ci.sh
@@ -61,7 +61,7 @@ fn fresh_store(tag: &str) -> (PathBuf, ArtifactStore) {
 /// way difftest REPLAY tokens do.
 fn assert_exact(sp: &ScheduledProgram, cfg: &CampaignConfig, store: &ArtifactStore, seed_token: &str) {
     let inc = run_campaign_incremental(sp, cfg, store);
-    for engine in [Engine::Reference, Engine::Checkpointed, Engine::Batched] {
+    for engine in [Engine::Reference, Engine::Checkpointed] {
         let full = run_campaign_engine(sp, cfg, engine);
         assert_eq!(
             inc.tally,

@@ -7,14 +7,15 @@
 //! * **RBED detects by replay digest** — the code is NOED's schedule
 //!   byte for byte, yet every stream-visible corruption NOED would
 //!   let through as SDC turns into `Detected` at a chunk boundary.
-//! * **Engine invariance** — all three campaign engines (reference,
-//!   checkpointed, batched) stay byte-identical for the new schemes
-//!   under both the single-bit and burst flip models.
+//! * **Engine invariance** — the reference engine, the checkpointed
+//!   engine and its streamed form stay byte-identical for the new
+//!   schemes under both the single-bit and burst flip models.
 //! * **Zero-fault equivalence** — fault-free TMRED and RBED runs
 //!   produce NOED's exact output stream and halt code.
 
 use casted_faults::{
-    run_campaign, run_campaign_engine, CampaignConfig, Engine, FlipModel, Outcome,
+    run_campaign, run_campaign_engine, run_campaign_streaming, CampaignConfig, Engine, FlipModel,
+    Outcome,
 };
 use casted_ir::interp::StopReason;
 use casted_ir::vliw::ScheduledProgram;
@@ -146,11 +147,13 @@ fn three_engines_agree_for_recovery_schemes() {
                 ..campaign_cfg(scheme, 60)
             };
             let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
-            for engine in [Engine::Checkpointed, Engine::Batched] {
-                let got = run_campaign_engine(&sp, &cfg, engine);
+            let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+            let (streamed, completed) = run_campaign_streaming(&sp, &cfg, 16, &mut |_, _| true);
+            assert!(completed);
+            for (path, got) in [("checkpointed", checkpointed), ("streamed", streamed)] {
                 assert_eq!(
                     reference.tally, got.tally,
-                    "{scheme:?}/{flip:?}: {engine:?} diverged from reference"
+                    "{scheme:?}/{flip:?}: {path} diverged from reference"
                 );
                 assert_eq!(reference.golden_cycles, got.golden_cycles);
                 assert_eq!(reference.golden_dyn, got.golden_dyn);

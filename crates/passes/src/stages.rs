@@ -12,10 +12,10 @@
 //! That last clause is the invalidation contract (pinned by the
 //! key-stability tests below): the scheduler reads `clusters`,
 //! `issue_width`, `inter_cluster_delay` and the instruction latencies —
-//! and nothing else — so cache geometry, memory latency, MSHR count,
-//! fault-campaign trial counts or batch lane widths must never
-//! invalidate a schedule artifact, and no machine-config field at all
-//! may invalidate an ED artifact. A schedule artifact is likewise
+//! and nothing else — so cache geometry, memory latency, MSHR count
+//! or fault-campaign trial counts must never invalidate a schedule
+//! artifact, and no machine-config field at all may invalidate an ED
+//! artifact. A schedule artifact is likewise
 //! serialized *without* its embedded `MachineConfig`; the caller's
 //! current config is re-installed on decode (exact, because the key
 //! pins every scheduler-visible field).

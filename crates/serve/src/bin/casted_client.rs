@@ -14,7 +14,7 @@
 //!
 //! shared job options:  --scheme noed|sced|dced|casted|tmred|rbed  --issue N  --delay N
 //! simulate option:     --max-cycles N
-//! inject options:      --trials N  --seed N  --engine reference|checkpointed|batched
+//! inject options:      --trials N  --seed N  --engine reference|checkpointed
 //!                      --stream  --every N  --cancel-after N
 //! bench options:       --requests N (per conn per sample)  --conns N
 //!                      --samples N  --out PATH
@@ -51,7 +51,7 @@ fn usage() -> ! {
          <ping|compile|simulate|inject|counters|shutdown|bench> [options]\n\
          job options: --file F | --source S  --scheme noed|sced|dced|casted|tmred|rbed  --issue N  --delay N\n\
          simulate: --max-cycles N\n\
-         inject: --trials N --seed N --engine reference|checkpointed|batched\n\
+         inject: --trials N --seed N --engine reference|checkpointed\n\
          \x20       --stream --every N --cancel-after N\n\
          bench: --requests N --conns N --samples N --out PATH (no --addr; spawns its own fleet)"
     );
@@ -149,11 +149,8 @@ fn parse_args() -> Opts {
             "--seed" => o.seed = parse_num("--seed", need("--seed", args.next())),
             "--engine" => {
                 let v = need("--engine", args.next());
-                o.engine = Engine::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "casted-client: unknown engine {v:?} (accepted values: {})",
-                        Engine::ACCEPTED
-                    );
+                o.engine = Engine::parse(&v).unwrap_or_else(|e| {
+                    eprintln!("casted-client: {e}");
                     usage();
                 });
             }

@@ -219,7 +219,6 @@ fn engine_to_u8(e: Engine) -> u8 {
     match e {
         Engine::Reference => 0,
         Engine::Checkpointed => 1,
-        Engine::Batched => 2,
     }
 }
 
@@ -227,8 +226,11 @@ fn engine_from_u8(b: u8) -> Result<Engine, String> {
     match b {
         0 => Ok(Engine::Reference),
         1 => Ok(Engine::Checkpointed),
-        2 => Ok(Engine::Batched),
-        other => Err(format!("unknown engine tag {other}")),
+        2 => Err(format!(
+            "engine tag 2 (the removed batched engine) is not served (accepted: {})",
+            Engine::ACCEPTED
+        )),
+        other => Err(format!("unknown engine tag {other} (accepted: {})", Engine::ACCEPTED)),
     }
 }
 
@@ -593,7 +595,7 @@ mod tests {
                 spec: spec(),
                 trials: 300,
                 seed: 0xCA57ED,
-                engine: Engine::Batched,
+                engine: Engine::Reference,
             },
             Request::Counters,
             Request::Shutdown,
@@ -601,7 +603,7 @@ mod tests {
                 spec: spec(),
                 trials: 5000,
                 seed: 0xCA57ED,
-                engine: Engine::Batched,
+                engine: Engine::Checkpointed,
                 every: 250,
             },
             Request::Cancel,

@@ -48,14 +48,14 @@ fn gen_request(rng: &mut Rng) -> Request {
             spec: gen_spec(rng),
             trials: rng.next_u64(),
             seed: rng.next_u64(),
-            engine: *rng.pick(&[Engine::Reference, Engine::Checkpointed, Engine::Batched]),
+            engine: *rng.pick(&[Engine::Reference, Engine::Checkpointed]),
         },
         4 => Request::Counters,
         5 => Request::InjectStream {
             spec: gen_spec(rng),
             trials: rng.next_u64(),
             seed: rng.next_u64(),
-            engine: *rng.pick(&[Engine::Reference, Engine::Checkpointed, Engine::Batched]),
+            engine: *rng.pick(&[Engine::Reference, Engine::Checkpointed]),
             every: rng.next_u64(),
         },
         6 => Request::Cancel,
@@ -131,6 +131,37 @@ fn prop_request_roundtrip() {
     });
 }
 
+/// Engine tag 2 named the batched engine, which is removed: an inject
+/// request carrying it decodes to an error that lists the accepted
+/// engines, never to another engine. The tag's byte is found as the
+/// one byte where the Reference and Checkpointed encodings differ.
+#[test]
+fn prop_removed_engine_tag_is_a_structured_err() {
+    prop::run_cases("removed_engine_tag", 128, |rng| {
+        let (spec, trials, seed, every) =
+            (gen_spec(rng), rng.next_u64(), rng.next_u64(), rng.next_u64());
+        let encode = |engine| {
+            if every % 2 == 0 {
+                encode_request(&Request::Inject { spec: spec.clone(), trials, seed, engine })
+            } else {
+                let spec = spec.clone();
+                encode_request(&Request::InjectStream { spec, trials, seed, engine, every })
+            }
+        };
+        let (reference, checkpointed) = (encode(Engine::Reference), encode(Engine::Checkpointed));
+        let diff: Vec<usize> =
+            (0..reference.len()).filter(|&i| reference[i] != checkpointed[i]).collect();
+        prop_assert_eq!(diff.len(), 1);
+        let mut removed = reference;
+        removed[diff[0]] = 2;
+        match decode_request(&removed) {
+            Err(e) => prop_assert!(e.contains(Engine::ACCEPTED), "error lists no engines: {e}"),
+            Ok(req) => prop_assert!(false, "engine tag 2 decoded: {req:?}"),
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn prop_response_roundtrip() {
     prop::run_cases("response_roundtrip", 256, |rng| {
@@ -200,7 +231,7 @@ fn truncation_at_every_cut_is_rejected() {
             },
             trials: 5_000,
             seed: 0xCA57ED,
-            engine: Engine::Batched,
+            engine: Engine::Checkpointed,
             every: 100,
         }),
         encode_request(&Request::Cancel),

@@ -10,19 +10,24 @@
 //!
 //! This module removes the redundancy twice over:
 //!
-//! 1. **Golden snapshots + fast-forward replay.** During one quiet
-//!    golden run, [`golden_with_checkpoints`] clones the machine's
-//!    complete live state ([`MachineState`]) at ~√N evenly spaced
-//!    dynamic-instruction counts. A trial with injection site `at`
-//!    restores the last checkpoint *strictly before* `at` and
-//!    simulates only the suffix. Strictness matters: the injection
-//!    condition is `dyn_insns >= at`, so resuming from `dyn < at`
-//!    reproduces the original landing site exactly.
+//! 1. **Golden snapshots + fast-forward replay.** A campaign pre-draws
+//!    its whole frozen injection stream from the golden run's dynamic
+//!    length ([`GoldenRun`]), so it knows every injection site before
+//!    the instrumented golden pass starts. [`GoldenRun::capture`] then
+//!    clones the machine's complete live state ([`MachineState`]) at
+//!    the last bundle boundary *strictly before* each distinct site
+//!    (at site quantiles beyond [`MAX_CHECKPOINTS`]). A trial restores
+//!    the last checkpoint strictly before its site and simulates only
+//!    the suffix — usually nothing of the golden prefix at all.
+//!    Strictness matters: the injection condition is `dyn_insns >=
+//!    at`, so resuming from `dyn < at` reproduces the original landing
+//!    site exactly.
 //! 2. **Convergence pruning.** Most faults are benign, and a benign
 //!    faulty run usually *re-converges* with the golden run long
 //!    before halting (the flipped value is overwritten or masked).
 //!    The golden run records an FNV-64 fingerprint of the full
-//!    machine state at sampled block entries; a faulty trial whose
+//!    machine state at sampled block entries — only the few a trial
+//!    can consult, just after each site — and a faulty trial whose
 //!    post-injection state fingerprints equal at the same dynamic
 //!    instruction is classified Benign on the spot.
 //!
@@ -77,14 +82,14 @@ pub struct CheckpointPlan {
     pub sample_every: u64,
 }
 
-/// Hard cap on captured checkpoints: each one clones the full machine
-/// state, so √N is additionally bounded to keep a campaign's resident
-/// footprint modest. The clone is dominated by the memory image and
-/// the cache state, both sized by the program's memory: 14–110 KB of
-/// memory plus 8–34 KB of cache for the MiniC kernels, so 128 of them
-/// hold 3.6–20 MB per campaign (`GoldenTrace::snapshot_bytes`). With
-/// 128 buckets the expected fast-forward remainder is N/256 — already
-/// negligible.
+/// Hard cap on the snapshots one capture clones mid-run (the power-on
+/// state comes on top): each one clones the full machine state, so a
+/// campaign with more distinct injection sites than this snapshots at
+/// site quantiles instead, and the trials between two quantiles
+/// fast-forward the gap. The clone is dominated by the memory image
+/// and the cache state, both sized by the program's memory: 14–110 KB
+/// of memory plus 8–34 KB of cache for the MiniC kernels, so 128 of
+/// them hold 3.6–20 MB per campaign (`GoldenTrace::snapshot_bytes`).
 pub const MAX_CHECKPOINTS: u64 = 128;
 
 /// Convergence checks a replayed trial attempts before giving up and
@@ -95,13 +100,17 @@ pub const MAX_CHECKPOINTS: u64 = 128;
 /// Timeout), so further full-state fingerprints would be pure
 /// overhead. The cap affects only speed, never results: an unpruned
 /// trial is simulated to its natural stop and classified normally.
+/// The capture records the first `MAX_CONVERGENCE_ATTEMPTS + 1`
+/// sample points at or after each site and no others; a table miss
+/// is simply no attempt, so this too changes speed, never a verdict.
 const MAX_CONVERGENCE_ATTEMPTS: u32 = 8;
 
 impl CheckpointPlan {
     /// Choose spacing from the golden dynamic length: ~√N checkpoint
     /// buckets (capped), fingerprint samples at a quarter of the
     /// checkpoint interval (bounded below so tiny programs don't
-    /// fingerprint at every block).
+    /// fingerprint at every block). The site-less captures snapshot on
+    /// the bucket grid; campaigns use only `sample_every`.
     pub fn for_golden(dyn_insns: u64) -> Self {
         let buckets = ((dyn_insns as f64).sqrt() as u64).clamp(1, MAX_CHECKPOINTS);
         let interval = (dyn_insns / buckets).max(16);
@@ -110,6 +119,16 @@ impl CheckpointPlan {
             interval,
             sample_every,
         }
+    }
+
+    /// The √N grid as injection sites, `1 + k * interval`, for the
+    /// site-less captures: one snapshot per bucket, as if a trial
+    /// landed at each bucket's start.
+    fn grid_sites(&self, dyn_insns: u64) -> Vec<u64> {
+        (0..MAX_CHECKPOINTS)
+            .map(|k| 1 + k * self.interval)
+            .take_while(|&s| s <= dyn_insns)
+            .collect()
     }
 }
 
@@ -330,8 +349,8 @@ pub struct GoldenTrace {
     /// restored accumulators keep advancing.
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
     /// The program decoded once for the whole campaign: the golden
-    /// passes, every replay and every batch leader run on it.
-    pub(crate) decoded: DecodedProgram,
+    /// passes and every replay run on it.
+    decoded: DecodedProgram,
 }
 
 impl GoldenTrace {
@@ -366,98 +385,163 @@ impl GoldenTrace {
             .partition_point(|c| c.stats.dyn_insns < at_dyn_insn)
             .saturating_sub(1)
     }
-
-    /// The snapshot at `idx`, if captured (the batch engine restores
-    /// through this; `None` lets callers fall back to the power-on
-    /// state instead of indexing out of bounds).
-    pub(crate) fn checkpoint(&self, idx: usize) -> Option<&MachineState> {
-        self.checkpoints.get(idx)
-    }
-
-    /// Whether this golden run was instrumented with an RBED digest
-    /// plan. The batch engine needs only the flag: a lane whose
-    /// computed values all equal the leader's carries the golden
-    /// digest by construction, and any lane computing a differing
-    /// value is handed back to the exact replay path (see
-    /// `batch.rs`), so the batch never evaluates digests itself.
-    pub(crate) fn rbed_active(&self) -> bool {
-        self.rbed.is_some()
-    }
 }
 
-/// Run the golden (fault-free) simulation, capturing checkpoints and
-/// convergence fingerprints.
-///
-/// Two passes: a plain metrics-flushing run to learn the dynamic
-/// length (the same single `sim.*` flush the reference engine's
-/// golden run performs, keeping counter snapshots engine-agnostic),
-/// then a quiet instrumented pass sized by [`CheckpointPlan`]. The
-/// second pass costs one extra golden run per campaign. That is not
-/// noise for short campaigns: on the 8-trial Fig. 9 cells of the
-/// `coverage_campaign` benchmark, golden capture alone takes about 55%
-/// of what the whole campaigns take (`faults.golden_s` 2.5–2.8 s
-/// against Σ`faults.campaign_s.*` 4.4–4.5 s, traced, 2-vCPU x86-64
-/// host). It amortises only over hundreds of trials.
-pub fn golden_with_checkpoints(sp: &ScheduledProgram) -> GoldenTrace {
-    golden_with_checkpoints_rbed(sp, None)
+/// The first, metrics-flushing pass of a golden capture: the
+/// fault-free result, on the program decoded once for the campaign.
+/// A campaign reads the dynamic length off [`GoldenRun::result`],
+/// draws its frozen injection stream, and hands the drawn sites to
+/// [`GoldenRun::capture`].
+pub struct GoldenRun {
+    /// The fault-free result.
+    pub result: SimResult,
+    decoded: DecodedProgram,
 }
 
-/// [`golden_with_checkpoints`] with an optional RBED digest plan: the
-/// instrumented pass runs with the accumulator installed, so every
-/// snapshot and fingerprint carries the mid-run digest state a replay
-/// needs to resume checking from.
-pub fn golden_with_checkpoints_rbed(
-    sp: &ScheduledProgram,
-    rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
-) -> GoldenTrace {
-    let decoded = DecodedProgram::new(sp);
-    let result = run_decoded(sp, &decoded, &SimOptions::default(), true);
-    let plan = CheckpointPlan::for_golden(result.stats.dyn_insns);
-    let live = live_in_masks(sp, &decoded);
+impl GoldenRun {
+    /// Run `sp` fault-free once, flushing `sim.*` metrics exactly once
+    /// — the same single flush the reference engine's golden run
+    /// performs, which keeps counter snapshots engine-agnostic.
+    pub fn new(sp: &ScheduledProgram) -> Self {
+        let decoded = DecodedProgram::new(sp);
+        let result = run_decoded(sp, &decoded, &SimOptions::default(), true);
+        GoldenRun { result, decoded }
+    }
 
-    let instrumented_opts = SimOptions {
-        rbed: rbed.clone(),
-        ..SimOptions::default()
-    };
-    let mut checkpoints = vec![MachineState::fresh(sp)];
-    let mut fingerprints: HashMap<u64, u64> = HashMap::new();
-    let mut next_ckpt = plan.interval;
-    let mut next_sample = plan.sample_every;
-    let mut st = checkpoints[0].clone();
-    let replayed = run_machine(
-        &decoded,
-        &instrumented_opts,
-        &mut st,
-        false,
-        &mut |st: &MachineState| {
+    /// The second, quiet pass: re-run the golden program instrumented
+    /// for the trials at `sites` (1-based dynamic-instruction counts,
+    /// in any order, duplicates allowed) and stop once nothing later
+    /// can be consulted.
+    ///
+    /// * **Snapshots.** The power-on state, plus a clone at the last
+    ///   bundle boundary strictly before each distinct site — the
+    ///   boundary whose bundle retires the site's instruction, so
+    ///   sites sharing a bundle share a snapshot. With more than
+    ///   [`MAX_CHECKPOINTS`] distinct sites, only the sites at that
+    ///   many quantiles get one. Sites past the run (the degenerate
+    ///   `u64::MAX` draw) never land and get none.
+    /// * **Fingerprints.** Only the first `MAX_CONVERGENCE_ATTEMPTS +
+    ///   1` points of the unchanged `sample_every` schedule at or
+    ///   after each site: a replay consults no more than that.
+    /// * **Stop.** Once the last snapshot is cloned and the last
+    ///   site's fingerprint window is recorded.
+    ///
+    /// With `rbed` the pass runs with the digest accumulator
+    /// installed, so every snapshot and fingerprint carries the
+    /// mid-run digest state a replay needs to resume checking from.
+    pub fn capture(
+        self,
+        sp: &ScheduledProgram,
+        sites: &[u64],
+        rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
+    ) -> GoldenTrace {
+        let GoldenRun { result, decoded } = self;
+        let golden_dyn = result.stats.dyn_insns;
+        let plan = CheckpointPlan::for_golden(golden_dyn);
+        let live = live_in_masks(sp, &decoded);
+
+        let mut sites: Vec<u64> = sites
+            .iter()
+            .copied()
+            .filter(|&s| (1..=golden_dyn).contains(&s))
+            .collect();
+        sites.sort_unstable();
+        sites.dedup();
+        let n = sites.len();
+        let cap = MAX_CHECKPOINTS as usize;
+        let snap_sites: Vec<u64> = if n <= cap {
+            sites.clone()
+        } else {
+            (0..cap).map(|q| sites[q * n / cap]).collect()
+        };
+
+        let opts = SimOptions {
+            rbed: rbed.clone(),
+            ..SimOptions::default()
+        };
+        let mut checkpoints = vec![MachineState::fresh(sp)];
+        let mut fingerprints: HashMap<u64, u64> = HashMap::new();
+        let (mut next_snap, mut next_site, mut window) = (0usize, 0usize, 0u32);
+        let mut next_sample = plan.sample_every;
+        let mut st = checkpoints[0].clone();
+        let finished = run_machine(&decoded, &opts, &mut st, false, &mut |st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
-            if dyn_insns >= next_ckpt && (checkpoints.len() as u64) < MAX_CHECKPOINTS {
-                checkpoints.push(st.clone());
-                next_ckpt = (dyn_insns / plan.interval + 1) * plan.interval;
+            // This boundary is the last one strictly before every
+            // pending snapshot site its bundle retires: the golden
+            // run's next boundary is `dyn_insns + retired` onward.
+            if next_snap < snap_sites.len() {
+                let bundle = &decoded.block(st.block)[st.bundle_idx];
+                let retired = decoded.ops(bundle).len() as u64;
+                let next_boundary = dyn_insns + retired;
+                if next_boundary >= snap_sites[next_snap] {
+                    // The power-on boundary is the snapshot already held.
+                    if checkpoints.last().map_or(true, |c| c.cycle != st.cycle) {
+                        checkpoints.push(st.clone());
+                    }
+                    while next_snap < snap_sites.len() && snap_sites[next_snap] <= next_boundary {
+                        next_snap += 1;
+                    }
+                }
             }
             // Fingerprints only at block entries, where the pending
             // branch/halt slots are empty and a per-block live mask is
             // exact (mid-block boundaries would need per-bundle masks).
             if st.bundle_idx == 0 && dyn_insns >= next_sample {
-                fingerprints.insert(dyn_insns, fingerprint(st, &live[st.block.index()]));
                 next_sample = (dyn_insns / plan.sample_every + 1) * plan.sample_every;
+                if next_site < n && sites[next_site] <= dyn_insns {
+                    while next_site < n && sites[next_site] <= dyn_insns {
+                        next_site += 1;
+                    }
+                    window = MAX_CONVERGENCE_ATTEMPTS + 1;
+                }
+                if window > 0 {
+                    window -= 1;
+                    fingerprints.insert(dyn_insns, fingerprint(st, &live[st.block.index()]));
+                }
             }
-            Boundary::Continue
-        },
-    )
-    .expect("golden capture run cannot be stopped by the hook");
-    debug_assert_eq!(replayed.stop, result.stop);
-    debug_assert_eq!(replayed.stats.dyn_insns, result.stats.dyn_insns);
+            if next_snap == snap_sites.len() && next_site == n && window == 0 {
+                Boundary::Stop
+            } else {
+                Boundary::Continue
+            }
+        });
+        if let Some(replayed) = finished {
+            debug_assert_eq!(replayed.stop, result.stop);
+            debug_assert_eq!(replayed.stats.dyn_insns, golden_dyn);
+        }
 
-    GoldenTrace {
-        result,
-        plan,
-        checkpoints,
-        fingerprints,
-        live,
-        rbed,
-        decoded,
+        GoldenTrace {
+            result,
+            plan,
+            checkpoints,
+            fingerprints,
+            live,
+            rbed,
+            decoded,
+        }
     }
+}
+
+/// Run the golden (fault-free) simulation and capture checkpoints and
+/// convergence fingerprints for trials anywhere in the run: a
+/// [`GoldenRun`] captured at the √N grid of [`CheckpointPlan`] as its
+/// sites. Campaigns know their sites and capture at those instead,
+/// which on an 8-trial Fig. 9 cell clones at most 9 states where the
+/// grid clones up to 128.
+pub fn golden_with_checkpoints(sp: &ScheduledProgram) -> GoldenTrace {
+    golden_with_checkpoints_rbed(sp, None)
+}
+
+/// [`golden_with_checkpoints`] with an optional RBED digest plan (see
+/// [`GoldenRun::capture`]).
+pub fn golden_with_checkpoints_rbed(
+    sp: &ScheduledProgram,
+    rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
+) -> GoldenTrace {
+    let golden = GoldenRun::new(sp);
+    let dyn_insns = golden.result.stats.dyn_insns;
+    let sites = CheckpointPlan::for_golden(dyn_insns).grid_sites(dyn_insns);
+    golden.capture(sp, &sites, rbed)
 }
 
 /// How one replayed trial ended.
@@ -556,8 +640,8 @@ pub fn replay_trial(
 /// replay verdict stays reusable exactly while every post-injection
 /// block (and, for a converged verdict, the golden path up to the
 /// convergence point) is unchanged. Kept separate from
-/// [`replay_trial`] so the checkpointed/batched engines' hot path
-/// pays no per-bundle bookkeeping.
+/// [`replay_trial`] so the checkpointed engine's hot path pays no
+/// per-bundle bookkeeping.
 pub fn replay_trial_observed(
     sp: &ScheduledProgram,
     trace: &GoldenTrace,

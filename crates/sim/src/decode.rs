@@ -6,9 +6,9 @@
 //! flattening the slots, chasing the arena, filtering register reads
 //! once for the stall check and again for the operand read, looking up
 //! latencies — costs more than executing the bundle. [`DecodedProgram`]
-//! does that walk once, in O(static instructions), and the cycle loops
-//! (`machine::run_machine`, the batched engine's leader loop) and the
-//! scheduled-code liveness walk iterate only these arrays.
+//! does that walk once, in O(static instructions), and the cycle loop
+//! (`machine::run_machine`) and the scheduled-code liveness walk
+//! iterate only these arrays.
 //!
 //! Per bundle it holds three contiguous slices, in `Bundle::iter`
 //! order (cluster by cluster, slot by slot):
@@ -54,17 +54,12 @@ impl DecodedOp {
     }
 }
 
-/// One bundle: ranges into the program-wide arrays plus two summary
-/// flags the batched engine uses to pick the lanes a bundle can touch.
+/// One bundle: ranges into the program-wide arrays.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DecodedBundle {
     ops: (u32, u32),
     operands: (u32, u32),
     stalls: (u32, u32),
-    /// Some instruction loads or stores.
-    pub(crate) has_mem: bool,
-    /// Some instruction halts.
-    pub(crate) has_halt: bool,
 }
 
 /// A [`ScheduledProgram`] flattened for the cycle loops, plus the
@@ -112,17 +107,9 @@ impl DecodedProgram {
             for bundle in &sb.bundles {
                 let (ops_lo, opnd_lo, stalls_lo) =
                     (dp.ops.len(), dp.operands.len(), dp.stalls.len());
-                let (mut has_mem, mut has_halt) = (false, false);
                 for (cluster, iid) in bundle.iter() {
                     let insn = func.insn(iid);
                     debug_assert!(insn.defs.len() <= 1, "multi-def instruction {iid:?}");
-                    match insn.op {
-                        Opcode::Load | Opcode::FLoad | Opcode::Store | Opcode::FStore => {
-                            has_mem = true
-                        }
-                        Opcode::Halt => has_halt = true,
-                        _ => {}
-                    }
                     dp.ops.push(DecodedOp {
                         cluster,
                         iid,
@@ -142,8 +129,6 @@ impl DecodedProgram {
                     ops: (ops_lo as u32, dp.ops.len() as u32),
                     operands: (opnd_lo as u32, dp.operands.len() as u32),
                     stalls: (stalls_lo as u32, dp.stalls.len() as u32),
-                    has_mem,
-                    has_halt,
                 });
             }
         }

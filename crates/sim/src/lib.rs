@@ -28,7 +28,6 @@
 //! bit-identical to the interpreter's — an invariant the integration
 //! tests enforce.
 
-pub mod batch;
 pub mod cache;
 pub mod checkpoint;
 mod decode;
@@ -39,13 +38,10 @@ pub mod stats;
 #[cfg(test)]
 mod testutil;
 
-pub use batch::{
-    run_batch, run_batch_auto, BatchState, BatchStats, LaneVerdict, DEFAULT_LANE_WIDTH,
-};
 pub use cache::{CacheHierarchy, CacheStats};
 pub use checkpoint::{
     golden_with_checkpoints, golden_with_checkpoints_rbed, replay_trial, replay_trial_observed,
-    CheckpointPlan, GoldenTrace, ReplayStats, TrialRun,
+    CheckpointPlan, GoldenRun, GoldenTrace, ReplayStats, TrialRun, MAX_CHECKPOINTS,
 };
 pub use machine::{
     simulate, simulate_quiet, Injection, MachineState, SimOptions, SimResult, TraceEntry,

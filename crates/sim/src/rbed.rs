@@ -64,7 +64,7 @@ impl RbedPlan {
 }
 
 /// Per-run digest accumulator carried inside [`MachineState`] so that
-/// checkpoint snapshots and batch-lane leaders resume it exactly.
+/// checkpoint snapshots resume it exactly.
 #[derive(Clone)]
 pub(crate) struct RbedState {
     /// Running digest of every retired result so far.

@@ -6,9 +6,14 @@
 //!   stream, full stats, injected flag) to simulating the same
 //!   injection from scratch — unless it was convergence-pruned, in
 //!   which case the from-scratch run must classify Benign against the
-//!   golden run, and
+//!   golden run;
 //! * an uninjected run resumed from every captured checkpoint
-//!   reproduces the golden result exactly.
+//!   reproduces the golden result exactly; and
+//! * a capture at drawn sites (duplicates, several sites in one
+//!   bundle, the first and last instruction, more distinct sites than
+//!   `MAX_CHECKPOINTS`) replays every site exactly, and — while the
+//!   distinct sites fit under the cap — restores each trial from the
+//!   last bundle boundary strictly before its site.
 //!
 //! Driven by the in-repo harness (`casted_util::prop`).
 
@@ -16,8 +21,8 @@ use casted_ir::testgen::{random_module, GenOptions};
 use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
 use casted_ir::{Cluster, MachineConfig, Module};
 use casted_sim::{
-    golden_with_checkpoints, replay_trial, simulate_quiet, Injection, SimOptions, SimResult,
-    TrialRun,
+    golden_with_checkpoints, replay_trial, simulate_quiet, GoldenRun, Injection, SimOptions,
+    SimResult, TrialRun, MAX_CHECKPOINTS,
 };
 use casted_util::prop::run_cases;
 use casted_util::{prop_assert, prop_assert_eq};
@@ -61,6 +66,36 @@ fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
         home,
         blocks,
     }
+}
+
+/// Greedy packed schedule on cluster 0: consecutive instructions of a
+/// block share a bundle of up to `width` while none reads a register
+/// an earlier one in the bundle defines. Operands are read before any
+/// writeback (VLIW parallel read), so the packing keeps the sequential
+/// schedule's values and only moves the timing — and it puts several
+/// dynamic instructions behind one bundle boundary.
+fn packed(module: &Module, config: MachineConfig, width: usize) -> ScheduledProgram {
+    let mut sp = sequential(module, config);
+    let func = module.entry_fn();
+    for sb in &mut sp.blocks {
+        let mut bundles: Vec<Bundle> = Vec::new();
+        let mut defs: Vec<casted_ir::Reg> = Vec::new();
+        for b in std::mem::take(&mut sb.bundles) {
+            let iid = b.slots[0][0];
+            let insn = func.insn(iid);
+            let joins = bundles.last().is_some_and(|last| {
+                last.slots[0].len() < width && !insn.reg_uses().any(|r| defs.contains(&r))
+            });
+            if !joins {
+                bundles.push(Bundle::empty(sp.config.clusters));
+                defs.clear();
+            }
+            bundles.last_mut().unwrap().slots[0].push(iid);
+            defs.extend(insn.defs.iter().copied());
+        }
+        sb.bundles = bundles;
+    }
+    sp
 }
 
 fn bit_identical(a: &SimResult, b: &SimResult) -> bool {
@@ -163,6 +198,109 @@ fn resume_from_any_checkpoint_reproduces_golden_run() {
             }
             (TrialRun::Converged, _) => {
                 return Err("uninjected resume cannot be pruned".into());
+            }
+        }
+        Ok(())
+    });
+}
+
+/// For every retired instruction (0-based), the dynamic-instruction
+/// count at the boundary before the bundle that retired it: the last
+/// boundary strictly before that 1-based site. Bundles issue in
+/// strictly increasing cycles, so a bundle is a run of equal cycles in
+/// the golden trace.
+fn bundle_starts(sp: &ScheduledProgram) -> Vec<u64> {
+    let traced = simulate_quiet(
+        sp,
+        &SimOptions {
+            trace_limit: usize::MAX,
+            ..SimOptions::default()
+        },
+    );
+    let mut starts = Vec::with_capacity(traced.trace.len());
+    for (i, e) in traced.trace.iter().enumerate() {
+        let start = match i {
+            0 => 0,
+            _ if traced.trace[i - 1].cycle == e.cycle => starts[i - 1],
+            _ => i as u64,
+        };
+        starts.push(start);
+    }
+    starts
+}
+
+#[test]
+fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
+    run_cases("capture_at_drawn_sites", 24, |rng| {
+        let m = random_module(rng.gen_range(0..1u64 << 48), &opts());
+        let sp = packed(&m, random_config(rng), rng.gen_range(2..=4usize));
+        let golden = GoldenRun::new(&sp);
+        let g = golden.result.clone();
+        if !matches!(g.stop, casted_ir::interp::StopReason::Halt(_)) {
+            return Ok(());
+        }
+        let n = g.stats.dyn_insns;
+        let starts = bundle_starts(&sp);
+        prop_assert_eq!(starts.len() as u64, n);
+
+        // Site 1, site N, duplicates, every instruction of one
+        // multi-instruction bundle, and random sites — past the cap
+        // in half of the cases when the run is long enough.
+        let mut sites = vec![1, n, n, 1];
+        if let Some(i) = (1..n as usize).find(|&i| starts[i] == starts[i - 1]) {
+            let lo = starts[i];
+            sites.extend((lo + 1..=n).take_while(|&s| starts[s as usize - 1] == lo));
+        }
+        let over_cap = n > 2 * MAX_CHECKPOINTS && rng.gen_range(0..2u32) == 0;
+        let extra = if over_cap { 2 * MAX_CHECKPOINTS } else { rng.gen_range(0..100u64) };
+        for _ in 0..extra {
+            let s = rng.gen_range(1..=n);
+            sites.push(s);
+            if rng.gen_range(0..4u32) == 0 {
+                sites.push(s);
+            }
+        }
+        let mut distinct = sites.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let fits = distinct.len() as u64 <= MAX_CHECKPOINTS;
+        prop_assert_eq!(fits, !over_cap);
+
+        let trace = golden.capture(&sp, &sites, None);
+        let cap = distinct.len().min(MAX_CHECKPOINTS as usize) as u64;
+        prop_assert!(trace.checkpoints_taken() <= cap + 1);
+        let max_cycles = g.stats.cycles.saturating_mul(10);
+        for &at in &distinct {
+            let inj = Injection::single(at, rng.gen_range(0..64u32), None);
+            let scratch = simulate_quiet(
+                &sp,
+                &SimOptions {
+                    max_cycles,
+                    injection: Some(inj),
+                    ..SimOptions::default()
+                },
+            );
+            let (run, stats) = replay_trial(&sp, &trace, inj, max_cycles);
+            prop_assert!(stats.skipped_insns < at, "site {at} restored at {}", stats.skipped_insns);
+            if fits {
+                prop_assert_eq!(stats.skipped_insns, starts[at as usize - 1]);
+            }
+            match run {
+                TrialRun::Finished(r) => prop_assert!(
+                    bit_identical(&r, &scratch),
+                    "replay of site {at} diverged: {:?} vs scratch {:?}",
+                    r.stop,
+                    scratch.stop
+                ),
+                TrialRun::Converged => {
+                    prop_assert!(stats.pruned);
+                    prop_assert_eq!(scratch.stop, g.stop);
+                    prop_assert!(
+                        scratch.stream.len() == g.stream.len()
+                            && scratch.stream.iter().zip(&g.stream).all(|(x, y)| x.bit_eq(y)),
+                        "pruned trial at site {at} is not benign from scratch"
+                    );
+                }
             }
         }
         Ok(())

@@ -89,26 +89,23 @@ test -s "$log_dir/metrics_full.json"
 grep -c '"' "$log_dir/counters1.json" > /dev/null
 echo "counter snapshots identical ($(grep -c ':' "$log_dir/counters1.json") counters)"
 
-echo "== campaign engine cross-check (fig9 --quick, all three engines) =="
-# The checkpointed engine (snapshots, fast-forward replay, convergence
-# pruning) and the batched engine (lockstep lanes over one shared
-# golden replay — see docs/PERFORMANCE.md for both) must reproduce the
-# reference engine byte for byte: identical coverage CSV, and
-# identical counter snapshot once each engine's own work counters
-# (faults.checkpoint.*, faults.batch.* and faults.sections.*, the only
+echo "== campaign engine cross-check (fig9 --quick, both engines) =="
+# The checkpointed engine (snapshots where the trials land,
+# fast-forward replay, convergence pruning — see docs/PERFORMANCE.md)
+# must reproduce the reference engine byte for byte: identical
+# coverage CSV, and identical counter snapshot once the engine's own
+# work counters (faults.checkpoint.* and faults.sections.*, the only
 # permitted differences) are stripped.
-for engine in reference checkpointed batched; do
+for engine in reference checkpointed; do
   mkdir -p "$log_dir/eng_$engine"
   cargo run --release --offline -q -p casted-bench --bin fig9 -- \
     --quick --engine "$engine" --out "$log_dir/eng_$engine" \
     --metrics-counters "$log_dir/eng_$engine/counters.json" > /dev/null
-  grep -v 'faults\.\(checkpoint\|batch\|sections\)\.' "$log_dir/eng_$engine/counters.json" \
+  grep -v 'faults\.\(checkpoint\|sections\)\.' "$log_dir/eng_$engine/counters.json" \
     > "$log_dir/eng_$engine/common.json"
 done
-for engine in checkpointed batched; do
-  cmp "$log_dir/eng_reference/fig9.csv" "$log_dir/eng_$engine/fig9.csv"
-  cmp "$log_dir/eng_reference/common.json" "$log_dir/eng_$engine/common.json"
-done
+cmp "$log_dir/eng_reference/fig9.csv" "$log_dir/eng_checkpointed/fig9.csv"
+cmp "$log_dir/eng_reference/common.json" "$log_dir/eng_checkpointed/common.json"
 # The quick grid must actually cover the recovery schemes and the
 # 4-cluster machine (docs/SCHEMES.md): TMRED rows must report
 # corrections (last CSV column nonzero somewhere), RBED rows must
@@ -138,7 +135,7 @@ for pass in cold warm; do
     --quick --incremental --section-cache "$log_dir/section-store" \
     --out "$log_dir/inc_$pass" \
     --metrics-counters "$log_dir/inc_$pass/counters.json" > /dev/null
-  grep -v 'faults\.\(checkpoint\|batch\|sections\)\.' "$log_dir/inc_$pass/counters.json" \
+  grep -v 'faults\.\(checkpoint\|sections\)\.' "$log_dir/inc_$pass/counters.json" \
     > "$log_dir/inc_$pass/common.json"
   cmp "$log_dir/eng_reference/fig9.csv" "$log_dir/inc_$pass/fig9.csv"
 done

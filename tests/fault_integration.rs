@@ -55,9 +55,8 @@ fn protection_reduces_silent_corruption() {
     );
 }
 
-/// The checkpointed engine (golden-run snapshots, fast-forward
-/// replay, convergence pruning) and the batched engine (lockstep
-/// lanes over one shared golden replay) must both tally
+/// The checkpointed engine (golden snapshots at the trials' sites,
+/// fast-forward replay, convergence pruning) must tally
 /// byte-identically to the reference engine on a real workload under
 /// every scheme — the integration-level face of the equivalence the
 /// unit tests, the difftest oracle layer and `scripts/ci.sh` all pin.
@@ -83,15 +82,6 @@ fn engines_agree_on_real_workload_across_schemes() {
             "{scheme}: checkpoint engine did no engine work: {:?}",
             checkpointed.engine
         );
-        let batched = run_campaign_engine(&prep.sp, &ccfg, Engine::Batched);
-        assert_eq!(reference.tally, batched.tally, "{scheme}: batched engine diverged");
-        assert_eq!(reference.golden_cycles, batched.golden_cycles, "{scheme}");
-        assert_eq!(reference.golden_dyn, batched.golden_dyn, "{scheme}");
-        assert!(
-            batched.engine.batch.lanes > 0,
-            "{scheme}: batched engine ran no lanes: {:?}",
-            batched.engine.batch
-        );
     }
 }
 
@@ -110,7 +100,7 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
     let cfg = MachineConfig::itanium2_like(2, 2);
     // Enough trials that the frozen stream (seed 7) deterministically
     // lands at least one injection in the epilogue section the edit
-    // below invalidates. Cold baselines use the batched engine — the
+    // below invalidates. Cold baselines use the default engine — the
     // engines are byte-identical (pinned by the unit, property,
     // difftest and CI layers), so any of them is "the" full campaign.
     let ccfg = CampaignConfig {
@@ -129,8 +119,8 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
     // Cold run populates the store and must already match the engines.
     let prep = casted::build(&module, Scheme::Casted, &cfg).unwrap();
     let cold = run_campaign_incremental(&prep.sp, &ccfg, &store);
-    let reference = run_campaign_engine(&prep.sp, &ccfg, Engine::Batched);
-    assert_eq!(cold.tally, reference.tally, "cold incremental != batched");
+    let reference = run_campaign_engine(&prep.sp, &ccfg, Engine::Checkpointed);
+    assert_eq!(cold.tally, reference.tally, "cold incremental != checkpointed");
     assert!(cold.engine.sections.total > 1, "workload should split into sections");
 
     // Edit one kernel: change the program's exit code. The epilogue
@@ -155,7 +145,7 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
         "edit did not invalidate any section: {:?}",
         warm.engine.sections
     );
-    let ereference = run_campaign_engine(&eprep.sp, &ccfg, Engine::Batched);
+    let ereference = run_campaign_engine(&eprep.sp, &ccfg, Engine::Checkpointed);
     assert_eq!(
         warm.tally, ereference.tally,
         "recombined tally != cold campaign of the edited program"
