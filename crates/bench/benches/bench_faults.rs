@@ -8,10 +8,10 @@
 //!
 //! Both engines consume the identical frozen injection stream and, as
 //! a precondition of the measurement, are cross-checked here to
-//! produce byte-identical tallies. Results are printed in the in-repo
-//! runner's format and written to `BENCH_faults.json` at the
-//! workspace root (median/MAD over the timed samples, plus the
-//! checkpointed engine's speedup over reference) so the perf
+//! produce byte-identical tallies. Results are printed one row per
+//! measurement and written to `BENCH_faults.json` at the workspace
+//! root (median/MAD over the timed samples, the checkpointed engine's
+//! speedup over reference, and the host's CPU count) so the perf
 //! trajectory has a recorded datapoint; see `docs/PERFORMANCE.md` for
 //! the field reference. Samples are interleaved round-robin across the
 //! engines so slow host drift cannot bias one row's median.
@@ -82,7 +82,7 @@ fn cell_campaign(base: &CampaignConfig, cell: &Cell) -> CampaignConfig {
 fn sample(cells: &[Cell], campaign: &CampaignConfig, engine: Engine) -> f64 {
     let t0 = Instant::now();
     for cell in cells {
-        casted_util::bench::black_box(run_campaign_engine(
+        std::hint::black_box(run_campaign_engine(
             &cell.sp,
             &cell_campaign(campaign, cell),
             engine,
@@ -161,7 +161,7 @@ fn main() {
                     cells.iter().filter(|c| c.scheme == scheme).collect();
                 let t0 = Instant::now();
                 for cell in &subset {
-                    casted_util::bench::black_box(run_campaign_engine(
+                    std::hint::black_box(run_campaign_engine(
                         &cell.sp,
                         &cell_campaign(&campaign, cell),
                         Engine::Checkpointed,
@@ -203,7 +203,7 @@ fn main() {
         let store = ArtifactStore::open(&dir).expect("open bench section store");
         let t0 = Instant::now();
         for cell in &inc_cells {
-            casted_util::bench::black_box(run_campaign_incremental(&cell.sp, &campaign, &store));
+            std::hint::black_box(run_campaign_incremental(&cell.sp, &campaign, &store));
         }
         cold_rates.push(trials_per_pass / t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
@@ -216,7 +216,7 @@ fn main() {
                     cell.label
                 );
             }
-            casted_util::bench::black_box(r);
+            std::hint::black_box(r);
         }
         warm_rates.push(trials_per_pass / t0.elapsed().as_secs_f64());
     }
@@ -240,6 +240,8 @@ fn main() {
         json,
         "  \"grid\": \"quick coverage grid: cjpeg+h263enc+181.mcf x 6 schemes, issue 2, delay 2\","
     );
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"cells\": {},", cells.len());
     let _ = writeln!(json, "  \"trials_per_campaign\": {TRIALS},");
     let _ = writeln!(json, "  \"samples\": {samples},");

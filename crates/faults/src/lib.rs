@@ -280,18 +280,25 @@ pub fn classify(golden: &SimResult, faulty: &SimResult) -> Outcome {
                     .zip(&faulty.stream)
                     .all(|(a, b)| a.bit_eq(b));
             if same_code && same_stream {
-                // Golden output with vote corrections performed means
-                // the scheme *repaired* the strike rather than the
-                // strike being naturally masked.
-                if faulty.stats.corrections > 0 {
-                    Outcome::Corrected
-                } else {
-                    Outcome::Benign
-                }
+                golden_halt_outcome(faulty.stats.corrections)
             } else {
                 Outcome::DataCorrupt
             }
         }
+    }
+}
+
+/// The class of a trial that halts with the golden exit code and
+/// stream, given its final vote-correction count: with corrections the
+/// scheme *repaired* the strike (Corrected), without them the strike
+/// was naturally masked (Benign). [`classify`] applies it to a halted
+/// run and the replay engines to a trial that converged
+/// ([`TrialRun::Converged`]).
+pub(crate) fn golden_halt_outcome(corrections: u64) -> Outcome {
+    if corrections > 0 {
+        Outcome::Corrected
+    } else {
+        Outcome::Benign
     }
 }
 
@@ -539,7 +546,7 @@ fn checkpointed_campaign(
     let golden_cycles = golden.result.stats.cycles;
     let golden_dyn = golden.result.stats.dyn_insns;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-    let rbed = campaign_rbed_plan(sp, cfg, golden_dyn);
+    let rbed = cfg.replay_detect.then(|| golden.rbed_plan(sp));
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let injections: Vec<Injection> = (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
     let sites: Vec<u64> = injections.iter().map(|inj| inj.at_dyn_insn).collect();
@@ -562,7 +569,9 @@ fn checkpointed_campaign(
                         let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
                         let outcome = match run {
                             TrialRun::Finished(r) => classify(&trace.result, &r),
-                            TrialRun::Converged => Outcome::Benign,
+                            TrialRun::Converged { corrections } => {
+                                golden_halt_outcome(corrections)
+                            }
                         };
                         (outcome, rs)
                     }
@@ -602,17 +611,6 @@ fn assert_halts(golden: &SimResult) {
     );
 }
 
-/// Build the campaign's RBED digest plan when [`CampaignConfig::
-/// replay_detect`] is set (`None` otherwise), from the golden run's
-/// dynamic length: [`casted_sim::rbed_plan`]'s two recording passes.
-fn campaign_rbed_plan(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    golden_dyn: u64,
-) -> Option<std::sync::Arc<RbedPlan>> {
-    cfg.replay_detect.then(|| rbed_plan(sp, golden_dyn))
-}
-
 /// Shared campaign driver: draw the frozen injection stream, run
 /// every trial on the chosen engine, reduce the tally in trial order.
 fn campaign_core(
@@ -625,7 +623,7 @@ fn campaign_core(
         Engine::Reference => {
             let golden = simulate(sp, &SimOptions::default());
             assert_halts(&golden);
-            let rbed = campaign_rbed_plan(sp, cfg, golden.stats.dyn_insns);
+            let rbed = cfg.replay_detect.then(|| rbed_plan(sp, golden.stats.dyn_insns));
             let max_cycles = golden.stats.cycles.saturating_mul(cfg.timeout_factor);
             let mut rng = Rng::seed_from_u64(cfg.seed);
             let mut tally = Tally::default();
@@ -1130,9 +1128,12 @@ mod tests {
         );
         let reference = run_campaign_reference(&sp, &cfg);
         assert_eq!(reference.tally, checkpointed.tally);
-        // Pruned trials are a subset of the Benign class.
+        // Pruned trials halt like the golden run: Benign, or Corrected
+        // when a vote repaired the strike.
         assert!(
-            checkpointed.engine.pruned_trials <= checkpointed.tally.count(Outcome::Benign) as u64
+            checkpointed.engine.pruned_trials
+                <= (checkpointed.tally.count(Outcome::Benign)
+                    + checkpointed.tally.count(Outcome::Corrected)) as u64
         );
     }
 

@@ -19,8 +19,8 @@
 //! claim, enforced at four levels — see `docs/INCREMENTAL.md`):
 //!
 //! * [`TrialEntry::Resolved`] — Detected / Exception / Timeout stops,
-//!   and convergence-proved Benign. These classifications cannot
-//!   depend on anything outside the (validated) section.
+//!   and convergence-proved Benign or Corrected. These classifications
+//!   cannot depend on anything outside the (validated) section.
 //! * [`TrialEntry::Halted`] — the trial halted in-span. Halts
 //!   classify *against the current golden run* (exit code + output
 //!   stream), which an edit downstream of the section can change, so
@@ -113,7 +113,7 @@ pub struct SectionStats {
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrialEntry {
     /// Section-local classification: Detected, Exception, Timeout, or
-    /// convergence-proved Benign.
+    /// convergence-proved Benign or Corrected.
     Resolved(Outcome),
     /// Halted in-span; classified against the current golden run at
     /// recombine time.
@@ -511,15 +511,15 @@ fn entry_of(trial: SectionTrial, golden: &casted_sim::SimResult) -> TrialEntry {
             StopReason::Timeout => TrialEntry::Resolved(Outcome::Timeout),
             StopReason::Halt(code) => TrialEntry::Halted { code, stream: r.stream },
         },
-        SectionTrial::Converged => {
+        SectionTrial::Converged { corrections } => {
             // Convergence proves the trial equals the golden run from
             // the convergence point on; resolve it now. (The stored
-            // Benign stays valid across edits the validation admits:
+            // verdict stays valid across edits the validation admits:
             // a hit implies the golden in-span states are unchanged,
             // so the convergence re-proves itself — see
             // docs/INCREMENTAL.md.)
             debug_assert!(matches!(golden.stop, StopReason::Halt(_)));
-            TrialEntry::Resolved(Outcome::Benign)
+            TrialEntry::Resolved(crate::golden_halt_outcome(corrections))
         }
         SectionTrial::Escaped => TrialEntry::Escaped(None),
     }
@@ -788,7 +788,13 @@ fn run_campaign_cold(
                 };
                 (o, eo)
             }
-            TrialRun::Converged => (Outcome::Benign, EscapeOutcome::Converged),
+            // Vote programs stay outside the section vocabulary, so a
+            // converged escape is Benign; a Corrected one is still
+            // stored exactly, as a resolved verdict.
+            TrialRun::Converged { corrections } => match crate::golden_halt_outcome(corrections) {
+                Outcome::Benign => (Outcome::Benign, EscapeOutcome::Converged),
+                o => (o, EscapeOutcome::Resolved(o)),
+            },
         };
         slots[i] = Some(outcome);
         // Evidence validation surface: the blocks the replay visited

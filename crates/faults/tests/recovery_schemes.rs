@@ -10,18 +10,22 @@
 //! * **Engine invariance** — the reference engine, the checkpointed
 //!   engine and its streamed form stay byte-identical for the new
 //!   schemes under both the single-bit and burst flip models.
+//! * **Vote-repaired trials prune** — on a real kernel, TMRED trials a
+//!   vote repaired still converge with the golden run, so the
+//!   checkpointed engine stops them early and they stay `Corrected`.
 //! * **Zero-fault equivalence** — fault-free TMRED and RBED runs
 //!   produce NOED's exact output stream and halt code.
 
 use casted_faults::{
-    run_campaign, run_campaign_engine, run_campaign_streaming, CampaignConfig, Engine, FlipModel,
-    Outcome,
+    draw_injection, run_campaign, run_campaign_engine, run_campaign_streaming, CampaignConfig,
+    Engine, FlipModel, Outcome,
 };
 use casted_ir::interp::StopReason;
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 use casted_passes::{prepare, Scheme};
-use casted_sim::{simulate_quiet, SimOptions};
+use casted_sim::{replay_trial, simulate_quiet, GoldenRun, Injection, SimOptions, TrialRun};
+use casted_util::Rng;
 
 /// Small arithmetic workload: sums a global table through a loop,
 /// prints intermediate accumulators — enough dynamic length for a
@@ -160,6 +164,50 @@ fn three_engines_agree_for_recovery_schemes() {
             }
         }
     }
+}
+
+#[test]
+fn tmred_campaign_prunes_vote_repaired_trials_exactly() {
+    let module = casted_workloads::by_name("mpeg2dec")
+        .expect("kernel exists")
+        .compile()
+        .expect("kernel compiles");
+    let sp = prepare(&module, Scheme::Tmred, &MachineConfig::itanium2_like(2, 2))
+        .unwrap()
+        .sp;
+    let cfg = campaign_cfg(Scheme::Tmred, 24);
+    let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+    let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
+    assert_eq!(checkpointed.tally, reference.tally);
+
+    // Replay the campaign's frozen stream trial by trial to see which
+    // trials the engine pruned and with what correction count.
+    let golden = GoldenRun::new(&sp);
+    let golden_dyn = golden.result.stats.dyn_insns;
+    let max_cycles = golden.result.stats.cycles * cfg.timeout_factor;
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    let injections: Vec<Injection> = (0..cfg.trials)
+        .map(|_| {
+            let (at, bit) = draw_injection(&mut rng, golden_dyn);
+            Injection::single(at, bit, None)
+        })
+        .collect();
+    let sites: Vec<u64> = injections.iter().map(|inj| inj.at_dyn_insn).collect();
+    let trace = golden.capture(&sp, &sites, None);
+    let (mut pruned, mut pruned_corrected) = (0u64, 0u64);
+    for inj in injections {
+        let (run, _) = replay_trial(&sp, &trace, inj, max_cycles);
+        if let TrialRun::Converged { corrections } = run {
+            pruned += 1;
+            pruned_corrected += (corrections > 0) as u64;
+        }
+    }
+    assert_eq!(pruned, checkpointed.engine.pruned_trials);
+    assert!(
+        pruned_corrected > 0,
+        "no Corrected trial was pruned: {:?}, {pruned} pruned",
+        checkpointed.tally
+    );
 }
 
 #[test]

@@ -29,7 +29,9 @@
 //!    machine state at sampled block entries — only the few a trial
 //!    can consult, just after each site — and a faulty trial whose
 //!    post-injection state fingerprints equal at the same dynamic
-//!    instruction is classified Benign on the spot.
+//!    instruction stops on the spot. It halts like the golden run, so
+//!    its class follows from its vote-correction count alone: Benign
+//!    with none, Corrected (TMRED repaired the strike) with some.
 //!
 //! ## Why replay is exact
 //!
@@ -54,8 +56,17 @@
 //! precisely what lets a "flipped a dead register" trial converge.
 //! Fingerprint equality at the same dynamic instruction therefore
 //! implies the faulty suffix replays the golden suffix exactly: same
-//! halt code, same remaining stream, same cycles — i.e. Benign, the
-//! same class a full run would produce. The only approximation is the
+//! halt code, same remaining stream, same cycles.
+//!
+//! The one counter left out is `stats.corrections`, TMRED's count of
+//! votes that disagreed: execution never reads it, so it cannot steer
+//! the suffix. Hashing it would stop every vote-repaired trial from
+//! matching. Instead each golden sample keeps the golden count at that
+//! point, and a matched trial ends with its own count plus the golden
+//! suffix's corrections (`golden final − golden at the match`): the
+//! suffix runs the same votes on the same values. The pruned trial
+//! gets the class a full run would give it — Corrected when that count
+//! is nonzero, Benign otherwise. The only approximation is the
 //! 64-bit digest itself: a prune requires an FNV-64 collision *and*
 //! an unequal state to misclassify, which is vanishingly unlikely and
 //! continuously cross-checked by the difftest engine-equivalence
@@ -253,10 +264,10 @@ pub(crate) fn fingerprint(st: &MachineState, live: &LiveMask) -> u64 {
     h.write_u64_round(st.cycle);
     h.write_u64_round(st.block.index() as u64);
     h.write_u64_round(st.stats.dyn_insns);
-    // Corrections performed so far (TMRED): a trial whose vote masked
-    // a strike must not prune to Benign — it is Corrected, a distinct
-    // outcome — so the counter is part of observable state.
-    h.write_u64_round(st.stats.corrections);
+    // `stats.corrections` (TMRED's vote count) is left out: execution
+    // never reads it, so a vote-repaired trial can still match. The
+    // sample keeps the golden count beside the digest instead (see
+    // [`Sample`] and the module docs).
     // RBED accumulator: register/memory reconvergence does not imply
     // digest reconvergence (the divergent values were already
     // absorbed), so a pruned trial must have the golden digest too.
@@ -332,6 +343,37 @@ pub(crate) fn fingerprint(st: &MachineState, live: &LiveMask) -> u64 {
     h.finish()
 }
 
+/// One golden convergence sample: the [`fingerprint`] at a block
+/// entry plus the golden vote-correction count there, which the
+/// fingerprint leaves out.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Sample {
+    fp: u64,
+    corrections: u64,
+}
+
+impl Sample {
+    pub(crate) fn of(st: &MachineState, live: &LiveMask) -> Self {
+        Sample {
+            fp: fingerprint(st, live),
+            corrections: st.stats.corrections,
+        }
+    }
+
+    /// If the trial state `st` matches this sample, the vote-correction
+    /// count its full run ends with: its own count plus the golden
+    /// suffix's, `golden_final` being the golden run's final count.
+    pub(crate) fn converged(
+        &self,
+        st: &MachineState,
+        live: &LiveMask,
+        golden_final: u64,
+    ) -> Option<u64> {
+        (self.fp == fingerprint(st, live))
+            .then(|| golden_final - self.corrections + st.stats.corrections)
+    }
+}
+
 /// The golden run plus everything a replay needs: checkpoints ordered
 /// by dynamic-instruction count (the power-on state first) and the
 /// fingerprint table keyed by dynamic instruction.
@@ -342,7 +384,7 @@ pub struct GoldenTrace {
     /// Chosen cadence.
     pub plan: CheckpointPlan,
     checkpoints: Vec<MachineState>,
-    fingerprints: HashMap<u64, u64>,
+    fingerprints: HashMap<u64, Sample>,
     live: Vec<LiveMask>,
     /// RBED digest plan the golden run was instrumented with (`None`
     /// for every other scheme). Replays run under the same plan so
@@ -385,6 +427,16 @@ impl GoldenTrace {
             .partition_point(|c| c.stats.dyn_insns < at_dyn_insn)
             .saturating_sub(1)
     }
+
+    /// Convergence check of a replay at the block entry `st`: counts an
+    /// attempt when the golden run sampled this dynamic-instruction
+    /// count, and on a match returns the trial's final correction count
+    /// (see [`Sample::converged`]).
+    fn probe(&self, st: &MachineState, attempts: &mut u32) -> Option<u64> {
+        let golden = self.fingerprints.get(&st.stats.dyn_insns)?;
+        *attempts += 1;
+        golden.converged(st, &self.live[st.block.index()], self.result.stats.corrections)
+    }
 }
 
 /// The first, metrics-flushing pass of a golden capture: the
@@ -406,6 +458,12 @@ impl GoldenRun {
         let decoded = DecodedProgram::new(sp);
         let result = run_decoded(sp, &decoded, &SimOptions::default(), true);
         GoldenRun { result, decoded }
+    }
+
+    /// The campaign's RBED digest plan ([`crate::rbed_plan`]), built on
+    /// the program this run already decoded.
+    pub fn rbed_plan(&self, sp: &ScheduledProgram) -> std::sync::Arc<crate::rbed::RbedPlan> {
+        crate::rbed::rbed_plan_decoded(sp, &self.decoded, self.result.stats.dyn_insns)
     }
 
     /// The second, quiet pass: re-run the golden program instrumented
@@ -460,7 +518,7 @@ impl GoldenRun {
             ..SimOptions::default()
         };
         let mut checkpoints = vec![MachineState::fresh(sp)];
-        let mut fingerprints: HashMap<u64, u64> = HashMap::new();
+        let mut fingerprints: HashMap<u64, Sample> = HashMap::new();
         let (mut next_snap, mut next_site, mut window) = (0usize, 0usize, 0u32);
         let mut next_sample = plan.sample_every;
         let mut st = checkpoints[0].clone();
@@ -496,7 +554,7 @@ impl GoldenRun {
                 }
                 if window > 0 {
                     window -= 1;
-                    fingerprints.insert(dyn_insns, fingerprint(st, &live[st.block.index()]));
+                    fingerprints.insert(dyn_insns, Sample::of(st, &live[st.block.index()]));
                 }
             }
             if next_snap == snap_sites.len() && next_site == n && window == 0 {
@@ -549,8 +607,10 @@ pub enum TrialRun {
     /// The trial ran to a stop; classify its result normally.
     Finished(SimResult),
     /// The post-injection state re-converged with the golden run: the
-    /// remainder is provably identical, the trial is Benign.
-    Converged,
+    /// remainder is provably identical, so the trial halts like the
+    /// golden run. `corrections` is the vote-correction count the full
+    /// run would end with: Corrected if nonzero, Benign otherwise.
+    Converged { corrections: u64 },
 }
 
 /// Engine-side accounting for one replayed trial.
@@ -567,7 +627,8 @@ pub struct ReplayStats {
 /// suffix, and prune on post-injection convergence. For a trial that
 /// runs to a stop, the returned [`SimResult`] is bit-identical to a
 /// full `simulate` of the same injection (the property test pins
-/// this), so classification is unchanged; a pruned trial is Benign.
+/// this), so classification is unchanged; a pruned trial carries the
+/// full run's final correction count.
 pub fn replay_trial(
     sp: &ScheduledProgram,
     trace: &GoldenTrace,
@@ -596,6 +657,7 @@ pub fn replay_trial(
         ..SimOptions::default()
     };
     let mut attempts = 0u32;
+    let mut converged = None;
     let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
         if !st.injected || st.bundle_idx != 0 || attempts >= MAX_CONVERGENCE_ATTEMPTS {
             return Boundary::Continue;
@@ -605,23 +667,20 @@ pub fn replay_trial(
         // dynamic-instruction count. The fingerprint also binds the
         // block id, cycle and stream, so an aligned count in a
         // diverged run cannot false-match.
-        match trace.fingerprints.get(&st.stats.dyn_insns) {
-            Some(&golden_fp) => {
-                attempts += 1;
-                if golden_fp == fingerprint(st, &trace.live[st.block.index()]) {
-                    Boundary::Stop
-                } else {
-                    Boundary::Continue
-                }
-            }
-            None => Boundary::Continue,
+        converged = trace.probe(st, &mut attempts);
+        if converged.is_some() {
+            Boundary::Stop
+        } else {
+            Boundary::Continue
         }
     });
 
     match finished {
         Some(result) => (TrialRun::Finished(result), stats),
         None => (
-            TrialRun::Converged,
+            TrialRun::Converged {
+                corrections: converged.expect("only convergence stops a replay"),
+            },
             ReplayStats {
                 pruned: true,
                 ..stats
@@ -667,7 +726,7 @@ pub fn replay_trial_observed(
     };
     let mut attempts = 0u32;
     let mut visited: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut converged_at: Option<u64> = None;
+    let mut converged: Option<(u64, u64)> = None;
     let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
         if !st.injected {
             // The pre-landing stretch replays the golden path; its
@@ -679,15 +738,10 @@ pub fn replay_trial_observed(
         if st.bundle_idx != 0 || attempts >= MAX_CONVERGENCE_ATTEMPTS {
             return Boundary::Continue;
         }
-        match trace.fingerprints.get(&st.stats.dyn_insns) {
-            Some(&golden_fp) => {
-                attempts += 1;
-                if golden_fp == fingerprint(st, &trace.live[st.block.index()]) {
-                    converged_at = Some(st.stats.dyn_insns);
-                    Boundary::Stop
-                } else {
-                    Boundary::Continue
-                }
+        match trace.probe(st, &mut attempts) {
+            Some(corrections) => {
+                converged = Some((st.stats.dyn_insns, corrections));
+                Boundary::Stop
             }
             None => Boundary::Continue,
         }
@@ -701,15 +755,18 @@ pub fn replay_trial_observed(
     let blocks = visited.into_iter().collect();
     match finished {
         Some(result) => (TrialRun::Finished(result), stats, blocks, None),
-        None => (
-            TrialRun::Converged,
-            ReplayStats {
-                pruned: true,
-                ..stats
-            },
-            blocks,
-            converged_at,
-        ),
+        None => {
+            let (at, corrections) = converged.expect("only convergence stops a replay");
+            (
+                TrialRun::Converged { corrections },
+                ReplayStats {
+                    pruned: true,
+                    ..stats
+                },
+                blocks,
+                Some(at),
+            )
+        }
     }
 }
 
@@ -793,10 +850,11 @@ mod tests {
                     );
                     assert!(st.skipped_insns < at);
                 }
-                (TrialRun::Converged, _) => {
+                (TrialRun::Converged { corrections }, _) => {
                     // Pruned trials must be ones a full run classifies
                     // Benign: same halt + bit-equal stream as golden.
                     assert_eq!(scratch.stop, t.result.stop, "pruned a non-benign trial");
+                    assert_eq!(corrections, scratch.stats.corrections);
                     assert!(
                         scratch.stream.len() == t.result.stream.len()
                             && scratch
@@ -829,7 +887,7 @@ mod tests {
                 assert_eq!(r.stop, t.result.stop);
                 assert!(!r.injected);
             }
-            TrialRun::Converged => panic!("cannot converge without an injection"),
+            TrialRun::Converged { .. } => panic!("cannot converge without an injection"),
         }
     }
 
@@ -860,7 +918,7 @@ mod tests {
                 assert!(!r.injected);
                 assert_eq!(st.skipped_insns, 0);
             }
-            (TrialRun::Converged, _) => panic!("cannot converge without an injection"),
+            (TrialRun::Converged { .. }, _) => panic!("cannot converge without an injection"),
         }
     }
 
@@ -884,7 +942,7 @@ mod tests {
                     assert_eq!(r.stop, t.result.stop);
                     assert!(!r.injected, "halt has no def: the strike must slide off");
                 }
-                (TrialRun::Converged, _) => panic!("cannot converge without an injection"),
+                (TrialRun::Converged { .. }, _) => panic!("cannot converge without an injection"),
             }
         }
     }
@@ -902,7 +960,7 @@ mod tests {
         let mut pruned = 0;
         for at in (1..t.result.stats.dyn_insns).step_by(11) {
             let inj = Injection::single(at, 1, None);
-            if let (TrialRun::Converged, st) = replay_trial(&sp, &t, inj, max_cycles) {
+            if let (TrialRun::Converged { .. }, st) = replay_trial(&sp, &t, inj, max_cycles) {
                 assert!(st.pruned);
                 pruned += 1;
             }

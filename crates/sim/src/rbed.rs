@@ -51,8 +51,10 @@ pub struct RbedPlan {
     /// is the golden run's dynamic length. Empty only for the
     /// degenerate zero-length program.
     pub bounds: Vec<u64>,
-    /// Golden digest at each boundary crossing. Empty while the plan
-    /// is being recorded; same length as `bounds` afterwards.
+    /// Golden digest at each boundary crossing; same length as
+    /// `bounds` in a finished plan. Empty in a plan being built: the
+    /// run then only accumulates, and records the digest at each
+    /// crossing it has a bound for.
     pub digests: Vec<u64>,
 }
 
@@ -72,7 +74,9 @@ pub(crate) struct RbedState {
     /// Index of the next unconsumed boundary in `plan.bounds`.
     pub(crate) next: usize,
     pub(crate) plan: Arc<RbedPlan>,
-    /// Digests captured at each crossing (record mode only).
+    /// Digests captured at each crossing (record mode only; the
+    /// one-pass [`rbed_plan`] reads `acc` instead, so only the tests'
+    /// two-pass oracle records).
     pub(crate) recorded: Vec<u64>,
 }
 
@@ -87,63 +91,59 @@ impl RbedState {
     }
 }
 
-/// Build the check-mode plan for `sp` in two quiet golden passes:
-/// one to place boundaries at golden block entries, one to record the
-/// golden digest at each crossing. `golden_dyn` is the golden run's
-/// dynamic length (the campaign already has it from its golden run).
+/// Build the check-mode plan for `sp` in one quiet golden pass.
+/// `golden_dyn` is the golden run's dynamic length (the campaign
+/// already has it from its golden run).
 pub fn rbed_plan(sp: &ScheduledProgram, golden_dyn: u64) -> Arc<RbedPlan> {
-    let dp = DecodedProgram::new(sp);
-    let mut bounds = Vec::new();
+    rbed_plan_decoded(sp, &DecodedProgram::new(sp), golden_dyn)
+}
+
+/// [`rbed_plan`] on a program already decoded. The pass runs with the
+/// digest accumulator on and no bounds to cross; the boundary hook
+/// places each bound at a golden block entry and records the running
+/// digest right there. That is the digest a check-mode run compares
+/// at the crossing: the bound's instruction closed the bundle before
+/// the block entry, and nothing retires in between. The final bound's
+/// digest is the accumulator after the run, which the halt's bundle
+/// closes the same way.
+pub(crate) fn rbed_plan_decoded(
+    sp: &ScheduledProgram,
+    dp: &DecodedProgram,
+    golden_dyn: u64,
+) -> Arc<RbedPlan> {
+    let (mut bounds, mut digests) = (Vec::new(), Vec::new());
     if golden_dyn > 0 {
         let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
         let mut last = 0u64;
         let mut st = MachineState::fresh(sp);
-        run_machine(
-            &dp,
-            &SimOptions::default(),
-            &mut st,
-            false,
-            &mut |st: &MachineState| {
-                let dyn_insns = st.stats.dyn_insns;
-                if st.bundle_idx == 0
-                    && dyn_insns > last
-                    && dyn_insns - last >= span_target
-                    && dyn_insns < golden_dyn
-                    && bounds.len() + 1 < MAX_SECTIONS
-                {
-                    bounds.push(dyn_insns);
-                    last = dyn_insns;
-                }
-                Boundary::Continue
-            },
-        )
-        .expect("golden boundary capture cannot be stopped by the hook");
+        let opts = SimOptions {
+            rbed: Some(Arc::new(RbedPlan {
+                bounds: Vec::new(),
+                digests: Vec::new(),
+            })),
+            ..SimOptions::default()
+        };
+        let digest =
+            |st: &MachineState| st.rbed.as_deref().expect("accumulator installed").acc.finish();
+        run_machine(dp, &opts, &mut st, false, &mut |st: &MachineState| {
+            let dyn_insns = st.stats.dyn_insns;
+            if st.bundle_idx == 0
+                && dyn_insns > last
+                && dyn_insns - last >= span_target
+                && dyn_insns < golden_dyn
+                && bounds.len() + 1 < MAX_SECTIONS
+            {
+                bounds.push(dyn_insns);
+                digests.push(digest(st));
+                last = dyn_insns;
+            }
+            Boundary::Continue
+        })
+        .expect("golden digest capture cannot be stopped by the hook");
+        debug_assert_eq!(st.stats.dyn_insns, golden_dyn);
         bounds.push(golden_dyn);
+        digests.push(digest(&st));
     }
-
-    // Record pass: rerun with the digest machinery on and no golden
-    // digests yet; every crossing appends to `recorded`.
-    let record = Arc::new(RbedPlan {
-        bounds: bounds.clone(),
-        digests: Vec::new(),
-    });
-    let mut st = MachineState::fresh(sp);
-    let opts = SimOptions {
-        rbed: Some(record),
-        ..SimOptions::default()
-    };
-    run_machine(&dp, &opts, &mut st, false, &mut |_| Boundary::Continue)
-        .expect("no boundary hook can stop this run");
-    let digests = st
-        .rbed
-        .take()
-        .map(|r| r.recorded)
-        .unwrap_or_default();
-    debug_assert_eq!(
-        digests.len(),
-        bounds.len(),
-        "golden run must cross every boundary exactly once"
-    );
     Arc::new(RbedPlan { bounds, digests })
 }
 
@@ -177,6 +177,74 @@ mod tests {
         let id = m.add_function(b.finish());
         m.entry = Some(id);
         m
+    }
+
+    /// The two-pass construction the one-pass [`rbed_plan`] replaced:
+    /// one pass places the bounds, a second records the digest at each
+    /// crossing. Kept as the oracle for the one-pass plan.
+    fn two_pass_plan(sp: &ScheduledProgram, golden_dyn: u64) -> RbedPlan {
+        let dp = DecodedProgram::new(sp);
+        let mut bounds = Vec::new();
+        if golden_dyn > 0 {
+            let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
+            let mut last = 0u64;
+            let mut st = MachineState::fresh(sp);
+            run_machine(&dp, &SimOptions::default(), &mut st, false, &mut |st: &MachineState| {
+                let dyn_insns = st.stats.dyn_insns;
+                if st.bundle_idx == 0
+                    && dyn_insns > last
+                    && dyn_insns - last >= span_target
+                    && dyn_insns < golden_dyn
+                    && bounds.len() + 1 < MAX_SECTIONS
+                {
+                    bounds.push(dyn_insns);
+                    last = dyn_insns;
+                }
+                Boundary::Continue
+            })
+            .unwrap();
+            bounds.push(golden_dyn);
+        }
+        let record = Arc::new(RbedPlan {
+            bounds: bounds.clone(),
+            digests: Vec::new(),
+        });
+        let mut st = MachineState::fresh(sp);
+        let opts = SimOptions {
+            rbed: Some(record),
+            ..SimOptions::default()
+        };
+        run_machine(&dp, &opts, &mut st, false, &mut |_| Boundary::Continue).unwrap();
+        let digests = st.rbed.take().map(|r| r.recorded).unwrap_or_default();
+        RbedPlan { bounds, digests }
+    }
+
+    fn assert_same_plan(sp: &ScheduledProgram, what: &str) {
+        let golden = simulate_quiet(sp, &SimOptions::default());
+        let one = rbed_plan(sp, golden.stats.dyn_insns);
+        let two = two_pass_plan(sp, golden.stats.dyn_insns);
+        assert_eq!(one.bounds, two.bounds, "{what}: bounds");
+        assert_eq!(one.digests, two.digests, "{what}: digests");
+        assert_eq!(one.digests.len(), one.bounds.len(), "{what}");
+    }
+
+    #[test]
+    fn one_pass_plan_matches_the_two_pass_construction() {
+        for (m, config) in [
+            (looping_module(200), MachineConfig::perfect_memory(1, 1)),
+            (looping_module(120), MachineConfig::itanium2_like(2, 2)),
+        ] {
+            assert_same_plan(&sequential(&m, config), "looping module");
+        }
+        // Every kernel, on the schedule the RBED scheme compiles to.
+        for w in casted_workloads::all() {
+            let m = w.compile().expect("kernel compiles");
+            let config = MachineConfig::itanium2_like(2, 2);
+            let sp = casted_passes::prepare(&m, casted_passes::Scheme::Rbed, &config)
+                .expect("kernel prepares")
+                .sp;
+            assert_same_plan(&sp, w.name);
+        }
     }
 
     #[test]

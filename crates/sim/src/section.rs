@@ -16,8 +16,9 @@
 //!   full run's landing exactly — the same argument `checkpoint.rs`
 //!   makes for its snapshots, which are states of the very same run).
 //! * The trial executes **bounded to its span**: it may converge with
-//!   the golden run at an in-span fingerprint sample (Benign, the
-//!   checkpoint engine's pruning argument), stop naturally in-span
+//!   the golden run at an in-span fingerprint sample (it then halts
+//!   like the golden run, the checkpoint engine's pruning argument),
+//!   stop naturally in-span
 //!   (its [`SimResult`] is bit-identical to a full run's), or
 //!   **escape** past `b_{j+1}` still diverged — in which case the
 //!   campaign layer replays that one trial against the whole-program
@@ -43,7 +44,7 @@ use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{Reg, RegClass};
 use casted_util::hash::Fnv64;
 
-use crate::checkpoint::{fingerprint, live_in_masks, LiveMask};
+use crate::checkpoint::{live_in_masks, LiveMask, Sample};
 use crate::decode::DecodedProgram;
 use crate::machine::{run_machine, Boundary, Injection, MachineState, SimOptions, SimResult};
 
@@ -83,7 +84,7 @@ pub struct Section {
     /// Masked golden fingerprints at sampled in-span block entries
     /// (keyed by dynamic-instruction count), including the exit
     /// fingerprint at `hi` for every section but the last.
-    fingerprints: HashMap<u64, u64>,
+    fingerprints: HashMap<u64, Sample>,
 }
 
 /// The section plan plus everything a bounded trial run needs.
@@ -92,6 +93,9 @@ pub struct SectionCapture {
     /// `sections.last().hi == golden_dyn`.
     pub sections: Vec<Section>,
     live: Vec<LiveMask>,
+    /// The golden run's final vote-correction count (see
+    /// [`SectionTrial::Converged`]).
+    golden_corrections: u64,
     /// The program decoded once for the capture and every bounded
     /// trial.
     decoded: DecodedProgram,
@@ -114,8 +118,9 @@ pub enum SectionTrial {
     /// replay-exactness argument as the checkpoint engine).
     Finished(SimResult),
     /// The post-injection state re-converged with the golden run at an
-    /// in-span sample: provably Benign.
-    Converged,
+    /// in-span sample, so it halts like the golden run; `corrections`
+    /// is the vote-correction count the full run ends with.
+    Converged { corrections: u64 },
     /// The trial left its span still diverged (or with the injection
     /// still pending). No in-span conclusion is possible; the caller
     /// must replay it against the whole-program golden trace.
@@ -141,7 +146,7 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
     let mut st = MachineState::fresh(sp);
     let mut cur_start = st.clone();
     let mut cur_lo = 0u64;
-    let mut cur_fps: HashMap<u64, u64> = HashMap::new();
+    let mut cur_fps: HashMap<u64, Sample> = HashMap::new();
     let mut cur_blocks: BTreeSet<u32> = BTreeSet::new();
     let mut next_sample = cadence;
 
@@ -163,8 +168,7 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
                     // the boundary still counts), so the entered
                     // block's live mask belongs to *both* sections'
                     // validation sets.
-                    let fp = fingerprint(st, &live[st.block.index()]);
-                    cur_fps.insert(dyn_insns, fp);
+                    cur_fps.insert(dyn_insns, Sample::of(st, &live[st.block.index()]));
                     cur_blocks.insert(st.block.index() as u32);
                     sections.push(Section {
                         lo: cur_lo,
@@ -178,7 +182,7 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
                     cur_lo = dyn_insns;
                     next_sample = dyn_insns + cadence;
                 } else if dyn_insns >= next_sample {
-                    cur_fps.insert(dyn_insns, fingerprint(st, &live[st.block.index()]));
+                    cur_fps.insert(dyn_insns, Sample::of(st, &live[st.block.index()]));
                     next_sample = dyn_insns + cadence;
                 }
             }
@@ -203,6 +207,7 @@ pub fn capture_sections(sp: &ScheduledProgram, golden_dyn: u64) -> SectionCaptur
     SectionCapture {
         sections,
         live,
+        golden_corrections: st.stats.corrections,
         decoded,
     }
 }
@@ -236,16 +241,17 @@ pub fn run_section_trial(
         ..SimOptions::default()
     };
     let mut attempts = 0u32;
-    let mut converged = false;
+    let mut converged = None;
     let mut visited: BTreeSet<u32> = BTreeSet::new();
     let finished = run_machine(&capture.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
         visited.insert(st.block.index() as u32);
         let dyn_insns = st.stats.dyn_insns;
         if st.injected && st.bundle_idx == 0 && attempts < MAX_CONVERGENCE_ATTEMPTS {
-            if let Some(&golden_fp) = sec.fingerprints.get(&dyn_insns) {
+            if let Some(golden) = sec.fingerprints.get(&dyn_insns) {
                 attempts += 1;
-                if golden_fp == fingerprint(st, &capture.live[st.block.index()]) {
-                    converged = true;
+                let live = &capture.live[st.block.index()];
+                converged = golden.converged(st, live, capture.golden_corrections);
+                if converged.is_some() {
                     return Boundary::Stop;
                 }
             }
@@ -261,10 +267,10 @@ pub fn run_section_trial(
     // Final position, for the no-hook fallthrough stop (see capture).
     visited.insert(st.block.index() as u32);
 
-    let verdict = match finished {
-        Some(result) => SectionTrial::Finished(result),
-        None if converged => SectionTrial::Converged,
-        None => SectionTrial::Escaped,
+    let verdict = match (finished, converged) {
+        (Some(result), _) => SectionTrial::Finished(result),
+        (None, Some(corrections)) => SectionTrial::Converged { corrections },
+        (None, None) => SectionTrial::Escaped,
     };
     (verdict, visited.into_iter().collect())
 }
@@ -449,10 +455,12 @@ mod tests {
                     assert_eq!(r.stream.len(), scratch.stream.len());
                     assert!(r.stream.iter().zip(&scratch.stream).all(|(a, b)| a.bit_eq(b)));
                 }
-                SectionTrial::Converged => {
-                    // Convergence claims Benign: the scratch run must
-                    // agree (same halt, bit-equal stream as golden).
+                SectionTrial::Converged { corrections } => {
+                    // Convergence claims the golden halt: the scratch
+                    // run must agree (same halt, bit-equal stream as
+                    // golden, same correction count).
                     assert_eq!(scratch.stop, t.result.stop, "site {at} pruned non-benign");
+                    assert_eq!(corrections, scratch.stats.corrections, "site {at}");
                     assert!(scratch
                         .stream
                         .iter()
@@ -467,7 +475,7 @@ mod tests {
                             assert_eq!(r.stop, scratch.stop, "site {at}");
                             assert!(r.stream.iter().zip(&scratch.stream).all(|(a, b)| a.bit_eq(b)));
                         }
-                        crate::checkpoint::TrialRun::Converged => {
+                        crate::checkpoint::TrialRun::Converged { .. } => {
                             assert_eq!(scratch.stop, t.result.stop, "site {at}");
                         }
                     }

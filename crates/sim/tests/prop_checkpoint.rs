@@ -5,8 +5,10 @@
 //! * a replayed faulty trial is **bit-identical** (stop reason,
 //!   stream, full stats, injected flag) to simulating the same
 //!   injection from scratch — unless it was convergence-pruned, in
-//!   which case the from-scratch run must classify Benign against the
-//!   golden run;
+//!   which case the from-scratch run must halt like the golden run,
+//!   with the vote-correction count the pruned replay reported (on
+//!   TMR-transformed programs, where a vote-repaired strike can
+//!   converge, that count is nonzero and the trial is Corrected);
 //! * an uninjected run resumed from every captured checkpoint
 //!   reproduces the golden result exactly; and
 //! * a capture at drawn sites (duplicates, several sites in one
@@ -20,6 +22,7 @@
 use casted_ir::testgen::{random_module, GenOptions};
 use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
 use casted_ir::{Cluster, MachineConfig, Module};
+use casted_passes::{prepare, Scheme};
 use casted_sim::{
     golden_with_checkpoints, replay_trial, simulate_quiet, GoldenRun, Injection, SimOptions,
     SimResult, TrialRun, MAX_CHECKPOINTS,
@@ -152,25 +155,83 @@ fn replay_is_bit_identical_to_scratch_run() {
                         "restored a checkpoint at/after the injection site"
                     );
                 }
-                (TrialRun::Converged, stats) => {
+                (TrialRun::Converged { corrections }, stats) => {
                     prop_assert!(stats.pruned);
-                    // Pruning claims the trial is Benign: the scratch
-                    // run must agree (same halt, bit-equal stream).
-                    prop_assert_eq!(scratch.stop, golden.stop);
-                    prop_assert!(
-                        scratch.stream.len() == golden.stream.len()
-                            && scratch
-                                .stream
-                                .iter()
-                                .zip(&golden.stream)
-                                .all(|(x, y)| x.bit_eq(y)),
-                        "pruned trial (at={at} bit={bit}) is not benign from scratch"
-                    );
+                    check_pruned(&golden, &scratch, corrections, at)?;
                 }
             }
         }
         Ok(())
     });
+}
+
+/// A pruned trial claims the golden halt and a final correction
+/// count: the scratch run must halt like the golden run with a
+/// bit-equal stream and end with exactly that count, so it classifies
+/// the same way (Corrected if the count is nonzero, Benign otherwise).
+fn check_pruned(
+    golden: &SimResult,
+    scratch: &SimResult,
+    corrections: u64,
+    at: u64,
+) -> Result<(), String> {
+    prop_assert_eq!(scratch.stop, golden.stop);
+    prop_assert!(
+        scratch.stream.len() == golden.stream.len()
+            && scratch.stream.iter().zip(&golden.stream).all(|(x, y)| x.bit_eq(y)),
+        "pruned trial at site {at} does not halt like the golden run from scratch"
+    );
+    prop_assert_eq!(corrections, scratch.stats.corrections);
+    Ok(())
+}
+
+/// TMR-transformed programs, where a strike the votes repaired can
+/// still converge: every replay is exact, and a pruned one reports the
+/// scratch run's final correction count. Some pruned trials must be
+/// vote-repaired, or the property says nothing about them.
+#[test]
+fn tmr_replay_reports_the_full_runs_corrections() {
+    let mut repaired = 0u32;
+    run_cases("tmr_replay_reports_the_full_runs_corrections", 16, |rng| {
+        let m = random_module(rng.gen_range(0..1u64 << 48), &opts());
+        let sp = prepare(&m, Scheme::Tmred, &random_config(rng))
+            .map_err(|e| format!("TMR prepare failed: {e}"))?
+            .sp;
+        let golden = simulate_quiet(&sp, &SimOptions::default());
+        if !matches!(golden.stop, casted_ir::interp::StopReason::Halt(_)) {
+            return Ok(());
+        }
+        prop_assert_eq!(golden.stats.corrections, 0);
+        let trace = golden_with_checkpoints(&sp);
+        let max_cycles = golden.stats.cycles.saturating_mul(10);
+        for _ in 0..12 {
+            let at = rng.gen_range(1..=golden.stats.dyn_insns);
+            let inj = Injection::single(at, rng.gen_range(0..64u32), None);
+            let scratch = simulate_quiet(
+                &sp,
+                &SimOptions {
+                    max_cycles,
+                    injection: Some(inj),
+                    ..SimOptions::default()
+                },
+            );
+            match replay_trial(&sp, &trace, inj, max_cycles) {
+                (TrialRun::Finished(r), _) => prop_assert!(
+                    bit_identical(&r, &scratch),
+                    "replay of site {at} diverged: {:?} vs scratch {:?}",
+                    r.stop,
+                    scratch.stop
+                ),
+                (TrialRun::Converged { corrections }, stats) => {
+                    prop_assert!(stats.pruned);
+                    check_pruned(&golden, &scratch, corrections, at)?;
+                    repaired += (corrections > 0) as u32;
+                }
+            }
+        }
+        Ok(())
+    });
+    assert!(repaired > 0, "no vote-repaired trial converged: the TMR property is vacuous");
 }
 
 #[test]
@@ -196,7 +257,7 @@ fn resume_from_any_checkpoint_reproduces_golden_run() {
                     golden.stop
                 );
             }
-            (TrialRun::Converged, _) => {
+            (TrialRun::Converged { .. }, _) => {
                 return Err("uninjected resume cannot be pruned".into());
             }
         }
@@ -292,14 +353,9 @@ fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
                     r.stop,
                     scratch.stop
                 ),
-                TrialRun::Converged => {
+                TrialRun::Converged { corrections } => {
                     prop_assert!(stats.pruned);
-                    prop_assert_eq!(scratch.stop, g.stop);
-                    prop_assert!(
-                        scratch.stream.len() == g.stream.len()
-                            && scratch.stream.iter().zip(&g.stream).all(|(x, y)| x.bit_eq(y)),
-                        "pruned trial at site {at} is not benign from scratch"
-                    );
+                    check_pruned(&g, &scratch, corrections, at)?;
                 }
             }
         }

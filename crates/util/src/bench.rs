@@ -1,211 +1,21 @@
-//! Wall-clock bench runner for `harness = false` bench targets — the
-//! replacement for `criterion`.
+//! Robust summary statistics for hand-rolled benchmark loops — the
+//! part of `criterion` the workspace still uses.
 //!
-//! Each benchmark is warmed up, then timed for a fixed number of
-//! samples; the report shows the per-iteration **median** and **MAD**
-//! (median absolute deviation), which are robust to scheduler noise.
-//! The API deliberately mirrors the subset of criterion the workspace
-//! used, so bench targets read the same:
+//! Benchmarks that do their own sampling (campaign trials/sec in
+//! `bench_faults`, request rates in `casted-client bench`) report the
+//! per-sample **median** and **MAD** (median absolute deviation),
+//! which are robust to scheduler noise:
 //!
 //! ```no_run
-//! use casted_util::bench::{Bench, BenchId};
-//! use casted_util::{bench_group, bench_main};
+//! use casted_util::bench::median_mad;
 //!
-//! fn my_bench(c: &mut Bench) {
-//!     let mut g = c.benchmark_group("group");
-//!     g.sample_size(10);
-//!     g.bench_with_input(BenchId::from_parameter("case"), &42, |b, &x| {
-//!         b.iter(|| x * 2)
-//!     });
-//!     g.finish();
-//! }
-//!
-//! bench_group!(benches, my_bench);
-//! bench_main!(benches);
+//! let mut rates = vec![710.0, 702.5, 731.9, 698.0, 715.2];
+//! let (median, mad) = median_mad(&mut rates);
+//! println!("median {median:.1}/s  mad {mad:.1}");
 //! ```
-//!
-//! CLI: the first non-flag argument is a substring filter (cargo
-//! passes `--bench` and friends, which are ignored). Set
-//! `CASTED_BENCH_QUICK=1` to run a single sample per benchmark — used
-//! by CI smoke runs where only "does every bench path execute"
-//! matters.
 
-use std::time::{Duration, Instant};
-
-/// Re-export: defeat the optimiser on inputs/outputs inside `iter`.
-pub use std::hint::black_box;
-
-/// Target wall-clock time for one timed sample.
-const TARGET_SAMPLE: Duration = Duration::from_millis(40);
-/// Warmup budget before sampling starts.
-const WARMUP: Duration = Duration::from_millis(150);
-
-/// A benchmark identifier, shown as the case name inside a group.
-pub struct BenchId(String);
-
-impl BenchId {
-    /// Criterion-style constructor from any displayable parameter.
-    pub fn from_parameter<D: std::fmt::Display>(p: D) -> Self {
-        BenchId(p.to_string())
-    }
-}
-
-/// Passed to the benchmark closure; call [`Bencher::iter`] with the
-/// code under measurement.
-pub struct Bencher {
-    iters: u64,
-    elapsed: Duration,
-}
-
-impl Bencher {
-    /// Time `f`, `iters` times back to back.
-    pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            black_box(f());
-        }
-        self.elapsed = start.elapsed();
-    }
-}
-
-/// Top-level runner: holds the CLI filter and run options.
-pub struct Bench {
-    filter: Option<String>,
-    quick: bool,
-    default_samples: usize,
-    ran: usize,
-}
-
-impl Default for Bench {
-    fn default() -> Self {
-        Bench {
-            filter: None,
-            quick: false,
-            default_samples: 10,
-            ran: 0,
-        }
-    }
-}
-
-impl Bench {
-    /// Build from `std::env` (CLI args + `CASTED_BENCH_QUICK`).
-    pub fn from_args() -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
-        let quick = std::env::var("CASTED_BENCH_QUICK").map(|v| v == "1").unwrap_or(false);
-        Bench {
-            filter,
-            quick,
-            default_samples: 10,
-            ran: 0,
-        }
-    }
-
-    /// Called by [`bench_main!`] after all groups ran: if a filter
-    /// matched nothing, say so instead of exiting silently.
-    pub fn report_if_empty(&self) {
-        if self.ran == 0 {
-            if let Some(f) = &self.filter {
-                eprintln!("warning: filter {f:?} matched no benchmarks in this target");
-            }
-        }
-    }
-
-    /// Open a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> Group<'_> {
-        Group {
-            bench: self,
-            name: name.to_string(),
-            sample_size: None,
-        }
-    }
-
-    /// Run a single ungrouped benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) {
-        let samples = self.default_samples;
-        self.run_one(name, samples, f);
-    }
-
-    fn run_one<F: FnMut(&mut Bencher)>(&mut self, name: &str, samples: usize, mut f: F) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        self.ran += 1;
-        // Warmup + calibration: run single iterations until the warmup
-        // budget is spent, tracking the fastest observed time.
-        let mut best = Duration::MAX;
-        let warmup_start = Instant::now();
-        loop {
-            let mut b = Bencher { iters: 1, elapsed: Duration::ZERO };
-            f(&mut b);
-            best = best.min(b.elapsed.max(Duration::from_nanos(1)));
-            if warmup_start.elapsed() >= WARMUP || self.quick {
-                break;
-            }
-        }
-        let iters = (TARGET_SAMPLE.as_nanos() / best.as_nanos().max(1))
-            .clamp(1, 1_000_000) as u64;
-        let samples = if self.quick { 1 } else { samples.max(3) };
-
-        let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut b = Bencher { iters, elapsed: Duration::ZERO };
-            f(&mut b);
-            per_iter.push(b.elapsed.as_nanos() as f64 / iters as f64);
-        }
-        let (median, mad) = median_mad(&mut per_iter);
-        println!(
-            "bench {name:<50} median {:>10}  mad {:>9}  (n={samples}, {iters} iter/sample)",
-            fmt_ns(median),
-            fmt_ns(mad),
-        );
-    }
-}
-
-/// A named group; mirrors `criterion::BenchmarkGroup`.
-pub struct Group<'a> {
-    bench: &'a mut Bench,
-    name: String,
-    sample_size: Option<usize>,
-}
-
-impl Group<'_> {
-    /// Set the number of timed samples for benchmarks in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = Some(n);
-        self
-    }
-
-    /// Benchmark a closure over one input value.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let full = format!("{}/{}", self.name, id.0);
-        let samples = self.sample_size.unwrap_or(self.bench.default_samples);
-        self.bench.run_one(&full, samples, |b| f(b, input));
-        self
-    }
-
-    /// Benchmark a plain closure.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        let full = format!("{}/{}", self.name, name);
-        let samples = self.sample_size.unwrap_or(self.bench.default_samples);
-        self.bench.run_one(&full, samples, f);
-        self
-    }
-
-    /// End the group (kept for criterion API parity; no-op).
-    pub fn finish(self) {}
-}
-
-/// Median and median-absolute-deviation of a sample set. Public so
-/// bench targets that do their own sampling (e.g. campaign
-/// throughput, where the metric is trials/sec rather than ns/iter)
-/// report the same robust statistics as the runner.
+/// Median and median-absolute-deviation of a sample set (sorts `xs`
+/// in place).
 pub fn median_mad(xs: &mut [f64]) -> (f64, f64) {
     let med = median(xs);
     let mut devs: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
@@ -223,42 +33,6 @@ fn median(xs: &mut [f64]) -> f64 {
     }
 }
 
-/// Human-readable nanosecond quantity.
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Define a bench group function from benchmark functions
-/// (`criterion_group!` parity).
-#[macro_export]
-macro_rules! bench_group {
-    ($group:ident, $($f:path),+ $(,)?) => {
-        pub fn $group(c: &mut $crate::bench::Bench) {
-            $($f(c);)+
-        }
-    };
-}
-
-/// Define `main` running the given groups (`criterion_main!` parity).
-#[macro_export]
-macro_rules! bench_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::bench::Bench::from_args();
-            $($group(&mut c);)+
-            c.report_if_empty();
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,51 +43,5 @@ mod tests {
         let (med, mad) = median_mad(&mut xs);
         assert_eq!(med, 10.0);
         assert_eq!(mad, 1.0);
-    }
-
-    #[test]
-    fn formatting_picks_units() {
-        assert_eq!(fmt_ns(12.3), "12.3 ns");
-        assert_eq!(fmt_ns(12_300.0), "12.30 µs");
-        assert_eq!(fmt_ns(12_300_000.0), "12.30 ms");
-        assert_eq!(fmt_ns(2_500_000_000.0), "2.500 s");
-    }
-
-    #[test]
-    fn runner_respects_filter_and_runs_matches() {
-        let mut c = Bench {
-            filter: Some("yes".into()),
-            quick: true,
-            default_samples: 3,
-            ran: 0,
-        };
-        let mut ran = Vec::new();
-        {
-            let mut g = c.benchmark_group("g");
-            g.bench_function("yes_one", |b| {
-                ran.push("yes_one");
-                b.iter(|| 1 + 1)
-            });
-        }
-        {
-            let mut g = c.benchmark_group("g");
-            g.bench_function("no_one", |b| {
-                ran.push("no_one");
-                b.iter(|| 1 + 1)
-            });
-        }
-        // Warmup + sampling both invoke the closure; only the
-        // filter-matching benchmark may appear.
-        assert!(!ran.is_empty());
-        assert!(ran.iter().all(|n| *n == "yes_one"), "{ran:?}");
-    }
-
-    #[test]
-    fn bencher_measures_iterations() {
-        let mut b = Bencher { iters: 100, elapsed: Duration::ZERO };
-        let mut count = 0u64;
-        b.iter(|| count += 1);
-        assert_eq!(count, 100);
-        assert!(b.elapsed > Duration::ZERO);
     }
 }

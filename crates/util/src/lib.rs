@@ -15,8 +15,8 @@
 //! * [`prop`] — a minimal property-testing harness (seeded case
 //!   generator, no shrinking) driven by [`rng::Rng`]. Replaces
 //!   `proptest` in the `prop_*.rs` test files.
-//! * [`bench`] — a wall-clock bench runner (warmup + N samples +
-//!   median/MAD report) for `harness = false` bench targets. Replaces
+//! * [`bench`] — median/MAD statistics for the hand-rolled benchmark
+//!   loops (`bench_faults`, `casted-client bench`). Replaces
 //!   `criterion`.
 //! * [`hash`] — streaming 64-bit FNV-1a digests, the shared
 //!   fingerprint format of the golden tests and of the
