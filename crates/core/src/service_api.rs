@@ -231,32 +231,20 @@ pub fn simulate_stats_with(
     }
 }
 
-/// *Inject* request: Monte-Carlo fault campaign with an explicit
-/// engine, trial count and seed.
+/// The preamble every inject request shares: prepare `spec`, screen
+/// the target, and build the campaign configuration.
 ///
 /// The campaign engines `assert!` the golden run halts, so the target
 /// is pre-screened here under the same cycle deadline as
 /// [`simulate_stats`] — a non-terminating or trapping program is an
 /// `Err` reply, not a worker panic.
-pub fn inject_tally(
+fn inject_setup(
     spec: &JobSpec,
     trials: u64,
     seed: u64,
-    engine: Engine,
-    max_cycles: u64,
-) -> Result<InjectReply, String> {
-    inject_tally_with(spec, trials, seed, engine, max_cycles, None)
-}
-
-/// [`inject_tally`], optionally through the staged artifact pipeline.
-pub fn inject_tally_with(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    engine: Engine,
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
-) -> Result<InjectReply, String> {
+) -> Result<(casted_passes::Prepared, CampaignConfig), String> {
     let prep = prepare_via(spec, pipeline)?;
     let screen = simulate_quiet(
         &prep.sp,
@@ -278,8 +266,33 @@ pub fn inject_tally_with(
         replay_detect: spec.scheme.replay_detect(),
         ..Default::default()
     };
-    let r = run_campaign_engine(&prep.sp, &cfg, engine);
-    Ok(reply_of(&r))
+    Ok((prep, cfg))
+}
+
+/// *Inject* request: Monte-Carlo fault campaign with an explicit
+/// engine, trial count and seed. The target is screened first (see
+/// `inject_setup`).
+pub fn inject_tally(
+    spec: &JobSpec,
+    trials: u64,
+    seed: u64,
+    engine: Engine,
+    max_cycles: u64,
+) -> Result<InjectReply, String> {
+    inject_tally_with(spec, trials, seed, engine, max_cycles, None)
+}
+
+/// [`inject_tally`], optionally through the staged artifact pipeline.
+pub fn inject_tally_with(
+    spec: &JobSpec,
+    trials: u64,
+    seed: u64,
+    engine: Engine,
+    max_cycles: u64,
+    pipeline: Option<&crate::stages::ArtifactPipeline>,
+) -> Result<InjectReply, String> {
+    let (prep, cfg) = inject_setup(spec, trials, seed, max_cycles, pipeline)?;
+    Ok(reply_of(&run_campaign_engine(&prep.sp, &cfg, engine)))
 }
 
 /// [`inject_tally`] in streaming form: the campaign runs in chunks of
@@ -302,27 +315,7 @@ pub fn inject_stream_with(
     pipeline: Option<&crate::stages::ArtifactPipeline>,
     progress: &mut dyn FnMut(u64, &[u64; 6]) -> bool,
 ) -> Result<(InjectReply, bool), String> {
-    let prep = prepare_via(spec, pipeline)?;
-    let screen = simulate_quiet(
-        &prep.sp,
-        &SimOptions {
-            max_cycles,
-            injection: None,
-            ..SimOptions::default()
-        },
-    );
-    if !matches!(screen.stop, StopReason::Halt(_)) {
-        return Err(format!(
-            "campaign target must halt fault-free within {max_cycles} cycles, got {:?}",
-            screen.stop
-        ));
-    }
-    let cfg = CampaignConfig {
-        trials: trials as usize,
-        seed,
-        replay_detect: spec.scheme.replay_detect(),
-        ..Default::default()
-    };
+    let (prep, cfg) = inject_setup(spec, trials, seed, max_cycles, pipeline)?;
     let (r, completed) = casted_faults::run_campaign_streaming(
         &prep.sp,
         &cfg,
@@ -374,29 +367,8 @@ pub fn inject_tally_incremental_in(
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
 ) -> Result<InjectReply, String> {
-    let prep = prepare_via(spec, pipeline)?;
-    let screen = simulate_quiet(
-        &prep.sp,
-        &SimOptions {
-            max_cycles,
-            injection: None,
-            ..SimOptions::default()
-        },
-    );
-    if !matches!(screen.stop, StopReason::Halt(_)) {
-        return Err(format!(
-            "campaign target must halt fault-free within {max_cycles} cycles, got {:?}",
-            screen.stop
-        ));
-    }
-    let cfg = CampaignConfig {
-        trials: trials as usize,
-        seed,
-        replay_detect: spec.scheme.replay_detect(),
-        ..Default::default()
-    };
-    let r = run_campaign_incremental(&prep.sp, &cfg, store);
-    Ok(reply_of(&r))
+    let (prep, cfg) = inject_setup(spec, trials, seed, max_cycles, pipeline)?;
+    Ok(reply_of(&run_campaign_incremental(&prep.sp, &cfg, store)))
 }
 
 fn reply_of(r: &casted_faults::CampaignResult) -> InjectReply {

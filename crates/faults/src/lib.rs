@@ -239,11 +239,14 @@ pub struct BatchStats {
 /// [`Engine::Reference`]): snapshot capture and the replay path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Golden-run snapshots captured (incl. the power-on state).
+    /// Golden-run snapshots captured (incl. the power-on state). On
+    /// the incremental path: the section starts.
     pub checkpoints: u64,
-    /// Golden-prefix instructions replays skipped via fast-forward.
+    /// Golden-prefix instructions replays skipped via fast-forward. On
+    /// the incremental path: those the escape replays skipped.
     pub skipped_insns: u64,
-    /// Replays ended early by convergence pruning.
+    /// Replays ended early by convergence pruning. On the incremental
+    /// path: escape replays that re-converged.
     pub pruned_trials: u64,
     /// Always zero (see [`BatchStats`]).
     pub batch: BatchStats,
@@ -566,22 +569,24 @@ fn checkpointed_campaign(
                 .map(|&inj| {
                     let trace: &GoldenTrace = &trace;
                     move || {
-                        let (run, rs) = replay_trial(sp, trace, inj, max_cycles);
+                        let (run, skipped) = replay_trial(trace, inj, max_cycles, None, None);
+                        let pruned = matches!(run, TrialRun::Converged { .. });
                         let outcome = match run {
                             TrialRun::Finished(r) => classify(&trace.result, &r),
-                            TrialRun::Converged { corrections } => {
+                            TrialRun::Converged { corrections, .. } => {
                                 golden_halt_outcome(corrections)
                             }
+                            TrialRun::Escaped => unreachable!("no span end, no escape"),
                         };
-                        (outcome, rs)
+                        (outcome, skipped, pruned)
                     }
                 })
                 .collect(),
         );
-        for (outcome, rs) in outcomes {
+        for (outcome, skipped, pruned) in outcomes {
             tally.record(outcome);
-            engine_stats.skipped_insns += rs.skipped_insns;
-            engine_stats.pruned_trials += rs.pruned as u64;
+            engine_stats.skipped_insns += skipped;
+            engine_stats.pruned_trials += pruned as u64;
         }
         done += injs.len() as u64;
         if done < cfg.trials as u64 && !progress(done, &tally) {
@@ -689,6 +694,7 @@ pub(crate) fn record_campaign_metrics(
             casted_obs::add("faults.sections.hit", es.sections.hit);
             casted_obs::add("faults.sections.miss", es.sections.miss);
             casted_obs::add("faults.sections.recombined", es.sections.recombined);
+            casted_obs::add("faults.sections.escaped", es.sections.escaped);
         }
     }
     let ns = span.elapsed_ns();

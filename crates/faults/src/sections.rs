@@ -28,8 +28,8 @@
 //!   happens at recombine time.
 //! * [`TrialEntry::Escaped`] — the trial left its span still
 //!   diverged. Nothing in-span can classify it; the *first* recombine
-//!   replays it against the whole-program golden trace (the
-//!   checkpointed-engine path) and caches the replay's verdict as
+//!   replays it over the whole program, on the section capture's own
+//!   golden trace with no span end, and caches the replay's verdict as
 //!   [`EscapeEvidence`] with its own validation list — the blocks the
 //!   replay touched after the fault landed (plus, for a pruned
 //!   replay, the golden path up to the convergence point). Later
@@ -65,13 +65,11 @@
 //! tally (the sabotage self-tests below pin this); the codecs here
 //! encode only the payload, and decode it strictly canonically.
 
-use std::collections::BTreeSet;
-
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::RegClass;
-use casted_sim::section::{block_validation_hashes, capture_sections, run_section_trial, SectionTrial};
-use casted_sim::{replay_trial_observed, GoldenRun, Injection, TrialRun};
+use casted_sim::section::block_validation_hashes;
+use casted_sim::{replay_trial, BlockSet, GoldenRun, Injection, TrialRun};
 use casted_util::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use casted_util::hash::Fnv64;
 use casted_util::pool::run_pool;
@@ -85,7 +83,7 @@ use crate::{classify, CampaignConfig, CampaignResult, EngineStats, Outcome, Tall
 /// cutting policy). Part of every key, so stale-format records simply
 /// miss instead of decoding garbage. (The store's envelope has its own
 /// `casted_util::store::STORE_FORMAT_VERSION`.)
-pub const SECTION_FORMAT_VERSION: u64 = 3;
+pub const SECTION_FORMAT_VERSION: u64 = 4;
 
 /// Artifact kind of a [`SectionRecord`] (`{key:016x}.sect`).
 pub const KIND_SECT: &str = "sect";
@@ -106,6 +104,9 @@ pub struct SectionStats {
     /// Trials whose evidence came from cached records rather than
     /// fresh injection.
     pub recombined: u64,
+    /// Escapes replayed over the whole program: trials that left their
+    /// section still diverged and had no reusable escape evidence.
+    pub escaped: u64,
 }
 
 /// Stored per-trial evidence (see the module docs for why halts stay
@@ -503,15 +504,15 @@ fn frozen_stream(cfg: &CampaignConfig, golden_dyn: u64) -> Vec<Injection> {
 }
 
 /// Turn one bounded trial verdict into its stored evidence.
-fn entry_of(trial: SectionTrial, golden: &casted_sim::SimResult) -> TrialEntry {
+fn entry_of(trial: TrialRun, golden: &casted_sim::SimResult) -> TrialEntry {
     match trial {
-        SectionTrial::Finished(r) => match r.stop {
+        TrialRun::Finished(r) => match r.stop {
             StopReason::Detected => TrialEntry::Resolved(Outcome::Detected),
             StopReason::Exception(_) => TrialEntry::Resolved(Outcome::Exception),
             StopReason::Timeout => TrialEntry::Resolved(Outcome::Timeout),
             StopReason::Halt(code) => TrialEntry::Halted { code, stream: r.stream },
         },
-        SectionTrial::Converged { corrections } => {
+        TrialRun::Converged { corrections, .. } => {
             // Convergence proves the trial equals the golden run from
             // the convergence point on; resolve it now. (The stored
             // verdict stays valid across edits the validation admits:
@@ -521,7 +522,7 @@ fn entry_of(trial: SectionTrial, golden: &casted_sim::SimResult) -> TrialEntry {
             debug_assert!(matches!(golden.stop, StopReason::Halt(_)));
             TrialEntry::Resolved(crate::golden_halt_outcome(corrections))
         }
-        SectionTrial::Escaped => TrialEntry::Escaped(None),
+        TrialRun::Escaped => TrialEntry::Escaped(None),
     }
 }
 
@@ -644,7 +645,9 @@ fn recombine_from_cache(
 /// consultation, bounded injection of the misses, whole-program
 /// replay of the escapes an edit invalidated — and write-back of
 /// every refreshed record (escape evidence included) plus the
-/// program record, so the next run can take the fast path.
+/// program record, so the next run can take the fast path. Two golden
+/// passes in all: the metrics-flushing run and the section capture,
+/// whose trace the bounded trials and the escape replays share.
 fn run_campaign_cold(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
@@ -662,7 +665,8 @@ fn run_campaign_cold(
 
     let span = casted_obs::span("faults.campaign_ns");
 
-    let cap = capture_sections(sp, golden_dyn);
+    let cap = golden.capture_sections(sp);
+    let golden = &cap.trace.result;
     let nsec = cap.sections.len();
 
     // Bucket trial indices per section. The golden run halted, so
@@ -707,23 +711,28 @@ fn run_campaign_cold(
             .iter()
             .map(|&j| {
                 let cap = &cap;
-                let golden = &golden.result;
                 let hashes: &[(u64, u64)] = hashes;
                 let ids: &[usize] = &buckets[j];
                 let injections: &[Injection] = &injections;
                 move || {
-                    let mut visited: std::collections::BTreeSet<u32> =
-                        cap.sections[j].golden_blocks.iter().copied().collect();
+                    let sec = &cap.sections[j];
+                    let mut visited = BlockSet::default();
+                    visited.extend(sec.golden_blocks.iter().copied());
                     let entries: Vec<TrialEntry> = ids
                         .iter()
                         .map(|&i| {
-                            let (verdict, blocks) =
-                                run_section_trial(cap, j, injections[i], max_cycles);
-                            visited.extend(blocks);
-                            entry_of(verdict, golden)
+                            let (run, _) = replay_trial(
+                                &cap.trace,
+                                injections[i],
+                                max_cycles,
+                                Some(sec.hi),
+                                Some(&mut visited),
+                            );
+                            entry_of(run, &cap.trace.result)
                         })
                         .collect();
-                    (j, SectionRecord { entries, validation: validation_of(visited, hashes) })
+                    let validation = validation_of(visited.iter(), hashes);
+                    (j, SectionRecord { entries, validation })
                 }
             })
             .collect(),
@@ -747,20 +756,18 @@ fn run_campaign_cold(
         }
         let rec = cached[j].as_ref().expect("every consulted section resolved");
         for (k, (&i, entry)) in ids.iter().zip(&rec.entries).enumerate() {
-            slots[i] = resolve(entry, golden_code, &golden.result.stream, hashes);
+            slots[i] = resolve(entry, golden_code, &golden.stream, hashes);
             if slots[i].is_none() {
                 pending.push((i, j, k));
             }
         }
     }
     pending.sort_unstable();
-    // Golden capture only for the escapes that replay: snapshots and
-    // fingerprints at their sites, none at all when every trial
-    // resolved from section evidence.
-    let sites: Vec<u64> = pending.iter().map(|&(i, _, _)| injections[i].at_dyn_insn).collect();
-    let trace = golden.capture(sp, &sites, None);
+    // Escapes replay on the section trace with no span end: from their
+    // section's start, probing every later section's samples.
+    stats.escaped = pending.len() as u64;
     let mut engine_stats = EngineStats {
-        checkpoints: trace.checkpoints_taken(),
+        checkpoints: cap.trace.checkpoints_taken(),
         sections: stats,
         ..EngineStats::default()
     };
@@ -768,18 +775,27 @@ fn run_campaign_cold(
         pending
             .iter()
             .map(|&(i, _, _)| {
-                let trace = &trace;
+                let trace = &cap.trace;
                 let inj = injections[i];
-                move || replay_trial_observed(sp, trace, inj, max_cycles)
+                move || {
+                    let mut blocks = BlockSet::default();
+                    let (run, skipped) =
+                        replay_trial(trace, inj, max_cycles, None, Some(&mut blocks));
+                    (run, skipped, blocks)
+                }
             })
             .collect(),
     );
-    for (&(i, j, k), (run, rs, blocks, converged_at)) in pending.iter().zip(replays) {
-        engine_stats.skipped_insns += rs.skipped_insns;
-        engine_stats.pruned_trials += rs.pruned as u64;
+    // Evidence validation surface: the blocks each replay visited after
+    // the fault landed, plus — for a converged verdict — the golden
+    // blocks between the span exit and the convergence point (the
+    // stored Benign also asserts the *golden* state there; the in-span
+    // golden blocks are already in the section's own validation list).
+    for (&(i, j, k), (run, skipped, mut vset)) in pending.iter().zip(replays) {
+        engine_stats.skipped_insns += skipped;
         let (outcome, evidence_outcome) = match run {
             TrialRun::Finished(r) => {
-                let o = classify(&trace.result, &r);
+                let o = classify(golden, &r);
                 let eo = match r.stop {
                     StopReason::Detected => EscapeOutcome::Resolved(Outcome::Detected),
                     StopReason::Exception(_) => EscapeOutcome::Resolved(Outcome::Exception),
@@ -791,29 +807,23 @@ fn run_campaign_cold(
             // Vote programs stay outside the section vocabulary, so a
             // converged escape is Benign; a Corrected one is still
             // stored exactly, as a resolved verdict.
-            TrialRun::Converged { corrections } => match crate::golden_halt_outcome(corrections) {
-                Outcome::Benign => (Outcome::Benign, EscapeOutcome::Converged),
-                o => (o, EscapeOutcome::Resolved(o)),
-            },
+            TrialRun::Converged { corrections, at } => {
+                engine_stats.pruned_trials += 1;
+                for sec in cap.sections.iter().take(cap.section_of(at) + 1).skip(j + 1) {
+                    vset.extend(sec.golden_blocks.iter().copied());
+                }
+                match crate::golden_halt_outcome(corrections) {
+                    Outcome::Benign => (Outcome::Benign, EscapeOutcome::Converged),
+                    o => (o, EscapeOutcome::Resolved(o)),
+                }
+            }
+            TrialRun::Escaped => unreachable!("no span end, no escape"),
         };
         slots[i] = Some(outcome);
-        // Evidence validation surface: the blocks the replay visited
-        // after the fault landed, plus — for a converged verdict —
-        // the golden blocks between the span exit and the convergence
-        // point (the stored Benign also asserts the *golden* state
-        // there; the in-span golden blocks are already in the
-        // section's own validation list).
-        let mut vset: BTreeSet<u32> = blocks.into_iter().collect();
-        if let Some(d) = converged_at {
-            let sd = cap.section_of(d);
-            for sec in cap.sections.iter().take(sd + 1).skip(j + 1) {
-                vset.extend(sec.golden_blocks.iter().copied());
-            }
-        }
         let rec = cached[j].as_mut().expect("escape came from a resolved section");
         rec.entries[k] = TrialEntry::Escaped(Some(EscapeEvidence {
             outcome: evidence_outcome,
-            validation: validation_of(vset, hashes),
+            validation: validation_of(vset.iter(), hashes),
         }));
         dirty[j] = true;
     }
@@ -832,7 +842,7 @@ fn run_campaign_cold(
         golden_cycles,
         golden_dyn,
         halt_code: golden_code,
-        stream: trace.result.stream.clone(),
+        stream: golden.stream.clone(),
         partition: cap.sections.iter().map(|s| (s.lo, s.hi, s.start_digest)).collect(),
     };
     let _ = store.save(KIND_PROG, pkey, &encode_program(&prog));
@@ -990,6 +1000,22 @@ mod tests {
         // The fully-warm rerun takes the fast path: no golden run, no
         // checkpoints, no replays — everything from the store.
         assert_eq!(warm.engine.checkpoints, 0, "warm rerun re-simulated the golden run");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cold campaign replays its escapes on the section capture's
+    /// trace: the only snapshots it holds are the section starts, so
+    /// no golden pass beyond the capture ran for the escapes.
+    #[test]
+    fn cold_escape_replays_take_no_snapshot_beyond_the_section_starts() {
+        let sp = program();
+        let cfg = CampaignConfig { trials: 300, ..Default::default() };
+        let (dir, store) = tmp_store("escapes");
+        let cold = run_campaign_incremental(&sp, &cfg, &store);
+        let s = cold.engine.sections;
+        assert!(s.escaped > 0, "no escape replayed: the test is vacuous ({s:?})");
+        assert_eq!(cold.engine.checkpoints, s.total, "a snapshot beyond the section starts");
+        assert_eq!(cold.tally, run_campaign_engine(&sp, &cfg, Engine::Reference).tally);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -58,8 +58,15 @@ fn fresh_store(tag: &str) -> (PathBuf, ArtifactStore) {
 
 /// Assert the incremental campaign's tally equals a cold full
 /// campaign on every engine. `seed_token` names the failing case the
-/// way difftest REPLAY tokens do.
-fn assert_exact(sp: &ScheduledProgram, cfg: &CampaignConfig, store: &ArtifactStore, seed_token: &str) {
+/// way difftest REPLAY tokens do. Returns the escapes the campaign
+/// replayed whole-program, so each test can show its cases reach that
+/// path.
+fn assert_exact(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    store: &ArtifactStore,
+    seed_token: &str,
+) -> u64 {
     let inc = run_campaign_incremental(sp, cfg, store);
     for engine in [Engine::Reference, Engine::Checkpointed] {
         let full = run_campaign_engine(sp, cfg, engine);
@@ -73,6 +80,7 @@ fn assert_exact(sp: &ScheduledProgram, cfg: &CampaignConfig, store: &ArtifactSto
         assert_eq!(inc.golden_cycles, full.golden_cycles, "[{seed_token}]");
         assert_eq!(inc.golden_dyn, full.golden_dyn, "[{seed_token}]");
     }
+    inc.engine.sections.escaped
 }
 
 /// Random programs: cold incremental equals every engine, a warm
@@ -81,6 +89,7 @@ fn assert_exact(sp: &ScheduledProgram, cfg: &CampaignConfig, store: &ArtifactSto
 #[test]
 fn random_programs_cold_and_noop_edit_are_exact() {
     let opts = GenOptions::default();
+    let mut escaped = 0;
     for seed in [3u64, 11, 27, 42, 77] {
         let m = random_module(seed, &opts);
         let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
@@ -89,7 +98,7 @@ fn random_programs_cold_and_noop_edit_are_exact() {
         }
         let cfg = CampaignConfig { trials: 60, seed: 0xCA57ED ^ seed, ..Default::default() };
         let (dir, store) = fresh_store(&format!("noop-{seed}"));
-        assert_exact(&sp, &cfg, &store, &format!("gen:{seed}:cold"));
+        escaped += assert_exact(&sp, &cfg, &store, &format!("gen:{seed}:cold"));
 
         // No-op edit: rebuild the identical schedule from a clone of
         // the module — every section must hit and the bytes must not
@@ -101,6 +110,7 @@ fn random_programs_cold_and_noop_edit_are_exact() {
         assert_exact(&rebuilt, &cfg, &store, &format!("gen:{seed}:noop"));
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(escaped > 0, "no cold case replayed an escape");
 }
 
 /// Random edits: flip immediates of randomly chosen instructions —
@@ -112,6 +122,7 @@ fn random_programs_cold_and_noop_edit_are_exact() {
 #[test]
 fn random_edits_recombine_exactly() {
     let opts = GenOptions::default();
+    let mut escaped = 0;
     for seed in [5u64, 19, 33] {
         let m = random_module(seed, &opts);
         let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
@@ -143,10 +154,11 @@ fn random_edits_recombine_exactly() {
             if !halts(&esp) {
                 continue; // the edit broke termination; not a campaign target
             }
-            assert_exact(&esp, &cfg, &store, &format!("gen:{seed}:edit{round}@{idx}"));
+            escaped += assert_exact(&esp, &cfg, &store, &format!("gen:{seed}:edit{round}@{idx}"));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+    assert!(escaped > 0, "no edited case replayed an escape");
 }
 
 /// The same exactness through the real pipeline: `casted-passes`
@@ -157,6 +169,7 @@ fn random_edits_recombine_exactly() {
 fn scheduled_random_programs_are_exact() {
     let opts = GenOptions::default();
     let config = MachineConfig::itanium2_like(2, 2);
+    let mut escaped = 0;
     for seed in [2u64, 13] {
         let m = random_module(seed, &opts);
         for scheme in [casted_passes::Scheme::Noed, casted_passes::Scheme::Casted] {
@@ -168,7 +181,8 @@ fn scheduled_random_programs_are_exact() {
             }
             let cfg = CampaignConfig { trials: 40, seed: 0xCA ^ seed, ..Default::default() };
             let (dir, store) = fresh_store(&format!("passes-{seed}-{}", scheme.name()));
-            assert_exact(&prep.sp, &cfg, &store, &format!("gen:{seed}:{}:cold", scheme.name()));
+            let token = format!("gen:{seed}:{}:cold", scheme.name());
+            escaped += assert_exact(&prep.sp, &cfg, &store, &token);
             // Warm: full hit, same bytes.
             let warm = run_campaign_incremental(&prep.sp, &cfg, &store);
             assert_eq!(warm.engine.sections.miss, 0);
@@ -176,4 +190,5 @@ fn scheduled_random_programs_are_exact() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+    assert!(escaped > 0, "no scheduled case replayed an escape");
 }

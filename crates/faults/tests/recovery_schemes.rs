@@ -196,8 +196,8 @@ fn tmred_campaign_prunes_vote_repaired_trials_exactly() {
     let trace = golden.capture(&sp, &sites, None);
     let (mut pruned, mut pruned_corrected) = (0u64, 0u64);
     for inj in injections {
-        let (run, _) = replay_trial(&sp, &trace, inj, max_cycles);
-        if let TrialRun::Converged { corrections } = run {
+        let (run, _) = replay_trial(&trace, inj, max_cycles, None, None);
+        if let TrialRun::Converged { corrections, .. } = run {
             pruned += 1;
             pruned_corrected += (corrections > 0) as u64;
         }

@@ -33,6 +33,12 @@
 //!    its class follows from its vote-correction count alone: Benign
 //!    with none, Corrected (TMRED repaired the strike) with some.
 //!
+//! The section cache (`crate::section`) runs on the same machinery: its
+//! capture fills a [`GoldenTrace`] whose snapshots are the section
+//! starts, and its bounded trials and escape replays are
+//! [`replay_trial`] with a span end or without one. There is one
+//! replay loop, one state-digest body and one convergence cap.
+//!
 //! ## Why replay is exact
 //!
 //! The simulator's behaviour from a bundle boundary onward is a pure
@@ -111,9 +117,11 @@ pub const MAX_CHECKPOINTS: u64 = 128;
 /// Timeout), so further full-state fingerprints would be pure
 /// overhead. The cap affects only speed, never results: an unpruned
 /// trial is simulated to its natural stop and classified normally.
-/// The capture records the first `MAX_CONVERGENCE_ATTEMPTS + 1`
+/// The site capture records the first `MAX_CONVERGENCE_ATTEMPTS + 1`
 /// sample points at or after each site and no others; a table miss
 /// is simply no attempt, so this too changes speed, never a verdict.
+/// Section trials and escape replays (`crate::section`) run under the
+/// same cap.
 const MAX_CONVERGENCE_ATTEMPTS: u32 = 8;
 
 impl CheckpointPlan {
@@ -144,9 +152,8 @@ impl CheckpointPlan {
 }
 
 /// Per-class bitmask of registers live at a block entry, computed on
-/// the *scheduled* code (see [`live_in_masks`]). Shared with the
-/// section layer (`crate::section`), which fingerprints trial states
-/// against the same masks and hashes them into cache-validation
+/// the *scheduled* code (see [`live_in_masks`]). The section layer
+/// (`crate::section`) hashes the same masks into cache-validation
 /// records.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LiveMask {
@@ -182,6 +189,16 @@ impl LiveMask {
         bits[r.index as usize / 64] |= 1u64 << (r.index % 64);
     }
 
+    /// Every register of `func`: the mask [`full_state_digest`] hashes.
+    fn all(func: &casted_ir::Function) -> Self {
+        let mut m = LiveMask::sized(func);
+        for class in [RegClass::Gp, RegClass::Fp, RegClass::Pr] {
+            for index in 0..func.reg_count(class) {
+                m.insert(Reg { class, index });
+            }
+        }
+        m
+    }
 }
 
 /// Backward liveness at block entries, computed **over the scheduled
@@ -255,12 +272,33 @@ pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<L
 /// FNV-64 digest of everything future execution can observe from a
 /// block-entry boundary, masking dead registers (see module docs).
 pub(crate) fn fingerprint(st: &MachineState, live: &LiveMask) -> u64 {
+    state_digest(Fnv64::new(), st, live)
+}
+
+/// Unmasked digest of a complete machine state of `func`:
+/// [`fingerprint`]'s body over every register, after the two fields the
+/// fingerprint leaves out, the bundle position and TMRED's correction
+/// count. Section starts are keyed by it (`crate::section`): the
+/// section cache knows nothing about what a cached trial later read,
+/// so the key binds everything. Digest equality implies identical
+/// behaviour up to the 64-bit collision bound convergence pruning
+/// shares.
+pub(crate) fn full_state_digest(st: &MachineState, func: &casted_ir::Function) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64_round(st.bundle_idx as u64);
+    h.write_u64_round(st.stats.corrections);
+    state_digest(h, st, &LiveMask::all(func))
+}
+
+/// The one state-digest body behind [`fingerprint`] and
+/// [`full_state_digest`]: absorbs the registers in `live` and the rest
+/// of `st` into `h`.
+fn state_digest(mut h: Fnv64, st: &MachineState, live: &LiveMask) -> u64 {
     // Word-round mixing throughout (`write_u64_round`): the digest
     // hashes tens of thousands of words per sample and byte-wise FNV
     // rounds were the engine's hottest loop. Every field is absorbed
     // as canonical (tag, value) words, so equality of state still
     // implies equality of digest.
-    let mut h = Fnv64::new();
     h.write_u64_round(st.cycle);
     h.write_u64_round(st.block.index() as u64);
     h.write_u64_round(st.stats.dyn_insns);
@@ -376,14 +414,15 @@ impl Sample {
 
 /// The golden run plus everything a replay needs: checkpoints ordered
 /// by dynamic-instruction count (the power-on state first) and the
-/// fingerprint table keyed by dynamic instruction.
+/// fingerprint table keyed by dynamic instruction. Both captures fill
+/// one: [`GoldenRun::capture`] at a campaign's drawn sites, and
+/// `GoldenRun::capture_sections` (`crate::section`) at the section
+/// starts, with the union of the section samples as its table.
 pub struct GoldenTrace {
     /// The fault-free result (flushes `sim.*` metrics exactly once,
     /// like the plain golden run the reference engine performs).
     pub result: SimResult,
-    /// Chosen cadence.
-    pub plan: CheckpointPlan,
-    checkpoints: Vec<MachineState>,
+    pub(crate) checkpoints: Vec<MachineState>,
     fingerprints: HashMap<u64, Sample>,
     live: Vec<LiveMask>,
     /// RBED digest plan the golden run was instrumented with (`None`
@@ -450,6 +489,22 @@ pub struct GoldenRun {
     decoded: DecodedProgram,
 }
 
+/// What a capture's boundary hook fills: the snapshots and the
+/// fingerprint table of the [`GoldenTrace`] under construction.
+pub(crate) struct Recorder {
+    pub(crate) checkpoints: Vec<MachineState>,
+    fingerprints: HashMap<u64, Sample>,
+    live: Vec<LiveMask>,
+}
+
+impl Recorder {
+    /// Record the golden convergence sample at the block entry `st`.
+    pub(crate) fn sample(&mut self, st: &MachineState) {
+        let sample = Sample::of(st, &self.live[st.block.index()]);
+        self.fingerprints.insert(st.stats.dyn_insns, sample);
+    }
+}
+
 impl GoldenRun {
     /// Run `sp` fault-free once, flushing `sim.*` metrics exactly once
     /// — the same single flush the reference engine's golden run
@@ -464,6 +519,45 @@ impl GoldenRun {
     /// the program this run already decoded.
     pub fn rbed_plan(&self, sp: &ScheduledProgram) -> std::sync::Arc<crate::rbed::RbedPlan> {
         crate::rbed::rbed_plan_decoded(sp, &self.decoded, self.result.stats.dyn_insns)
+    }
+
+    /// The quiet instrumented pass both captures share: re-run the
+    /// golden program from power-on (kept as the first snapshot) under
+    /// `rbed`, handing `hook` every bundle boundary to snapshot, sample
+    /// or stop at. Returns the filled trace and the pass's final state.
+    pub(crate) fn instrument(
+        self,
+        sp: &ScheduledProgram,
+        rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
+        hook: &mut dyn FnMut(&mut Recorder, &DecodedProgram, &MachineState) -> Boundary,
+    ) -> (GoldenTrace, MachineState) {
+        let GoldenRun { result, decoded } = self;
+        let mut rec = Recorder {
+            checkpoints: vec![MachineState::fresh(sp)],
+            fingerprints: HashMap::new(),
+            live: live_in_masks(sp, &decoded),
+        };
+        let opts = SimOptions {
+            rbed: rbed.clone(),
+            ..SimOptions::default()
+        };
+        let mut st = rec.checkpoints[0].clone();
+        let finished = run_machine(&decoded, &opts, &mut st, false, &mut |st: &MachineState| {
+            hook(&mut rec, &decoded, st)
+        });
+        if let Some(replayed) = finished {
+            debug_assert_eq!(replayed.stop, result.stop);
+            debug_assert_eq!(replayed.stats.dyn_insns, result.stats.dyn_insns);
+        }
+        let trace = GoldenTrace {
+            result,
+            checkpoints: rec.checkpoints,
+            fingerprints: rec.fingerprints,
+            live: rec.live,
+            rbed,
+            decoded,
+        };
+        (trace, st)
     }
 
     /// The second, quiet pass: re-run the golden program instrumented
@@ -493,10 +587,8 @@ impl GoldenRun {
         sites: &[u64],
         rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
     ) -> GoldenTrace {
-        let GoldenRun { result, decoded } = self;
-        let golden_dyn = result.stats.dyn_insns;
-        let plan = CheckpointPlan::for_golden(golden_dyn);
-        let live = live_in_masks(sp, &decoded);
+        let golden_dyn = self.result.stats.dyn_insns;
+        let sample_every = CheckpointPlan::for_golden(golden_dyn).sample_every;
 
         let mut sites: Vec<u64> = sites
             .iter()
@@ -513,16 +605,9 @@ impl GoldenRun {
             (0..cap).map(|q| sites[q * n / cap]).collect()
         };
 
-        let opts = SimOptions {
-            rbed: rbed.clone(),
-            ..SimOptions::default()
-        };
-        let mut checkpoints = vec![MachineState::fresh(sp)];
-        let mut fingerprints: HashMap<u64, Sample> = HashMap::new();
         let (mut next_snap, mut next_site, mut window) = (0usize, 0usize, 0u32);
-        let mut next_sample = plan.sample_every;
-        let mut st = checkpoints[0].clone();
-        let finished = run_machine(&decoded, &opts, &mut st, false, &mut |st: &MachineState| {
+        let mut next_sample = sample_every;
+        let hook = &mut |rec: &mut Recorder, decoded: &DecodedProgram, st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
             // This boundary is the last one strictly before every
             // pending snapshot site its bundle retires: the golden
@@ -533,8 +618,8 @@ impl GoldenRun {
                 let next_boundary = dyn_insns + retired;
                 if next_boundary >= snap_sites[next_snap] {
                     // The power-on boundary is the snapshot already held.
-                    if checkpoints.last().map_or(true, |c| c.cycle != st.cycle) {
-                        checkpoints.push(st.clone());
+                    if rec.checkpoints.last().is_none_or(|c| c.cycle != st.cycle) {
+                        rec.checkpoints.push(st.clone());
                     }
                     while next_snap < snap_sites.len() && snap_sites[next_snap] <= next_boundary {
                         next_snap += 1;
@@ -545,7 +630,7 @@ impl GoldenRun {
             // branch/halt slots are empty and a per-block live mask is
             // exact (mid-block boundaries would need per-bundle masks).
             if st.bundle_idx == 0 && dyn_insns >= next_sample {
-                next_sample = (dyn_insns / plan.sample_every + 1) * plan.sample_every;
+                next_sample = (dyn_insns / sample_every + 1) * sample_every;
                 if next_site < n && sites[next_site] <= dyn_insns {
                     while next_site < n && sites[next_site] <= dyn_insns {
                         next_site += 1;
@@ -554,7 +639,7 @@ impl GoldenRun {
                 }
                 if window > 0 {
                     window -= 1;
-                    fingerprints.insert(dyn_insns, Sample::of(st, &live[st.block.index()]));
+                    rec.sample(st);
                 }
             }
             if next_snap == snap_sites.len() && next_site == n && window == 0 {
@@ -562,21 +647,8 @@ impl GoldenRun {
             } else {
                 Boundary::Continue
             }
-        });
-        if let Some(replayed) = finished {
-            debug_assert_eq!(replayed.stop, result.stop);
-            debug_assert_eq!(replayed.stats.dyn_insns, golden_dyn);
-        }
-
-        GoldenTrace {
-            result,
-            plan,
-            checkpoints,
-            fingerprints,
-            live,
-            rbed,
-            decoded,
-        }
+        };
+        self.instrument(sp, rbed, hook).0
     }
 }
 
@@ -602,54 +674,86 @@ pub fn golden_with_checkpoints_rbed(
     golden.capture(sp, &sites, rbed)
 }
 
+/// Block indices a replay visited, one bit per block: the per-boundary
+/// record behind the section cache's validation lists
+/// (`casted_faults::sections`). Iterates in ascending order.
+#[derive(Clone, Debug, Default)]
+pub struct BlockSet(Vec<u64>);
+
+impl BlockSet {
+    /// Add block index `block`.
+    pub fn insert(&mut self, block: u32) {
+        let w = block as usize / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        self.0[w] |= 1 << (block % 64);
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            (0..64u32)
+                .filter(move |b| word >> b & 1 != 0)
+                .map(move |b| w as u32 * 64 + b)
+        })
+    }
+}
+
+impl Extend<u32> for BlockSet {
+    fn extend<I: IntoIterator<Item = u32>>(&mut self, blocks: I) {
+        for b in blocks {
+            self.insert(b);
+        }
+    }
+}
+
 /// How one replayed trial ended.
 pub enum TrialRun {
     /// The trial ran to a stop; classify its result normally.
     Finished(SimResult),
-    /// The post-injection state re-converged with the golden run: the
-    /// remainder is provably identical, so the trial halts like the
-    /// golden run. `corrections` is the vote-correction count the full
-    /// run would end with: Corrected if nonzero, Benign otherwise.
-    Converged { corrections: u64 },
-}
-
-/// Engine-side accounting for one replayed trial.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReplayStats {
-    /// Golden-prefix instructions skipped by restoring a checkpoint.
-    pub skipped_insns: u64,
-    /// Whether convergence pruning ended the trial.
-    pub pruned: bool,
+    /// The post-injection state re-converged with the golden run at
+    /// dynamic instruction `at`: the remainder is provably identical,
+    /// so the trial halts like the golden run. `corrections` is the
+    /// vote-correction count the full run would end with: Corrected if
+    /// nonzero, Benign otherwise.
+    Converged { corrections: u64, at: u64 },
+    /// Only under a span end: the trial reached it still diverged (or
+    /// with its injection still pending). Nothing inside the span can
+    /// classify it; the caller replays it over the whole program.
+    Escaped,
 }
 
 /// Replay one faulty trial against a captured golden trace: restore
-/// the last checkpoint strictly before the injection site, run the
-/// suffix, and prune on post-injection convergence. For a trial that
-/// runs to a stop, the returned [`SimResult`] is bit-identical to a
-/// full `simulate` of the same injection (the property test pins
-/// this), so classification is unchanged; a pruned trial carries the
-/// full run's final correction count.
+/// the last checkpoint strictly before the injection site, run, and
+/// prune on post-injection convergence. For a trial that runs to a
+/// stop, the returned [`SimResult`] is bit-identical to a full
+/// `simulate` of the same injection (the property test pins this), so
+/// classification is unchanged; a pruned trial carries the full run's
+/// final correction count. Also returns the golden-prefix
+/// instructions the trial skipped by restoring its checkpoint.
+///
+/// Two options serve the section cache (`casted_faults::sections`):
+///
+/// * `span_end` bounds the run to a section: a trial still diverged at
+///   the first boundary with `dyn_insns >= span_end` comes back
+///   [`TrialRun::Escaped`]. Whole-program replays pass `None` and
+///   never escape.
+/// * `visited` collects every block the run visits after the fault
+///   lands, plus its final block. The pre-landing stretch replays the
+///   golden path, whose effect on the state at the site the cache key
+///   pins, so only post-injection blocks need recording. The
+///   checkpointed engine's hot path passes `None` and pays no
+///   per-bundle bookkeeping.
 pub fn replay_trial(
-    sp: &ScheduledProgram,
     trace: &GoldenTrace,
     inj: Injection,
     max_cycles: u64,
-) -> (TrialRun, ReplayStats) {
-    // Last checkpoint with dyn_insns < at (see `restore_index`). A
-    // trace always carries at least the power-on snapshot, but a
-    // degenerate or hand-built one must not panic here — fall back to
-    // the power-on state, which every replay may legally start from.
-    let idx = trace.restore_index(inj.at_dyn_insn);
-    let mut st = trace
-        .checkpoints
-        .get(idx)
-        .cloned()
-        .unwrap_or_else(|| MachineState::fresh(sp));
-    let stats = ReplayStats {
-        skipped_insns: st.stats.dyn_insns,
-        pruned: false,
-    };
-
+    span_end: Option<u64>,
+    mut visited: Option<&mut BlockSet>,
+) -> (TrialRun, u64) {
+    let mut st = trace.checkpoints[trace.restore_index(inj.at_dyn_insn)].clone();
+    let skipped_insns = st.stats.dyn_insns;
     let opts = SimOptions {
         max_cycles,
         injection: Some(inj),
@@ -659,130 +763,46 @@ pub fn replay_trial(
     let mut attempts = 0u32;
     let mut converged = None;
     let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
-        if !st.injected || st.bundle_idx != 0 || attempts >= MAX_CONVERGENCE_ATTEMPTS {
-            return Boundary::Continue;
-        }
-        // Sample exactly where the golden run sampled: a hit in the
-        // table means the golden run passed a block entry at this
-        // dynamic-instruction count. The fingerprint also binds the
-        // block id, cycle and stream, so an aligned count in a
-        // diverged run cannot false-match.
-        converged = trace.probe(st, &mut attempts);
-        if converged.is_some() {
-            Boundary::Stop
-        } else {
-            Boundary::Continue
-        }
-    });
-
-    match finished {
-        Some(result) => (TrialRun::Finished(result), stats),
-        None => (
-            TrialRun::Converged {
-                corrections: converged.expect("only convergence stops a replay"),
-            },
-            ReplayStats {
-                pruned: true,
-                ..stats
-            },
-        ),
-    }
-}
-
-/// [`replay_trial`] that additionally reports *what the replay
-/// touched*: the blocks the run visited after the fault landed and,
-/// for a pruned trial, the dynamic-instruction count where it
-/// re-converged with the golden run.
-///
-/// This is the validation surface the incremental section cache
-/// (`casted-faults::sections`) stores per escaped trial: a cached
-/// replay verdict stays reusable exactly while every post-injection
-/// block (and, for a converged verdict, the golden path up to the
-/// convergence point) is unchanged. Kept separate from
-/// [`replay_trial`] so the checkpointed engine's hot path pays no
-/// per-bundle bookkeeping.
-pub fn replay_trial_observed(
-    sp: &ScheduledProgram,
-    trace: &GoldenTrace,
-    inj: Injection,
-    max_cycles: u64,
-) -> (TrialRun, ReplayStats, Vec<u32>, Option<u64>) {
-    let idx = trace.restore_index(inj.at_dyn_insn);
-    let mut st = trace
-        .checkpoints
-        .get(idx)
-        .cloned()
-        .unwrap_or_else(|| MachineState::fresh(sp));
-    let stats = ReplayStats {
-        skipped_insns: st.stats.dyn_insns,
-        pruned: false,
-    };
-
-    let opts = SimOptions {
-        max_cycles,
-        injection: Some(inj),
-        rbed: trace.rbed.clone(),
-        ..SimOptions::default()
-    };
-    let mut attempts = 0u32;
-    let mut visited: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    let mut converged: Option<(u64, u64)> = None;
-    let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
-        if !st.injected {
-            // The pre-landing stretch replays the golden path; its
-            // effect on the state at the site is pinned by the cache
-            // key, so only post-injection blocks need recording.
-            return Boundary::Continue;
-        }
-        visited.insert(st.block.index() as u32);
-        if st.bundle_idx != 0 || attempts >= MAX_CONVERGENCE_ATTEMPTS {
-            return Boundary::Continue;
-        }
-        match trace.probe(st, &mut attempts) {
-            Some(corrections) => {
-                converged = Some((st.stats.dyn_insns, corrections));
-                Boundary::Stop
+        if st.injected {
+            if let Some(v) = visited.as_deref_mut() {
+                v.insert(st.block.index() as u32);
             }
-            None => Boundary::Continue,
+            // Sample exactly where the golden run sampled: a hit in
+            // the table means the golden run passed a block entry at
+            // this dynamic-instruction count. The fingerprint also
+            // binds the block id, cycle and stream, so an aligned
+            // count in a diverged run cannot false-match.
+            if st.bundle_idx == 0 && attempts < MAX_CONVERGENCE_ATTEMPTS {
+                converged = trace.probe(st, &mut attempts).map(|c| (c, st.stats.dyn_insns));
+                if converged.is_some() {
+                    return Boundary::Stop;
+                }
+            }
         }
+        if span_end.is_some_and(|end| st.stats.dyn_insns >= end) {
+            return Boundary::Stop;
+        }
+        Boundary::Continue
     });
-    // Final control position (the empty-block fallthrough stops
-    // without a boundary hook call — same note as `section.rs`).
-    if st.injected {
-        visited.insert(st.block.index() as u32);
+    // Final control position: the empty-block fallthrough stops
+    // without a boundary hook call.
+    if let Some(v) = visited.filter(|_| st.injected) {
+        v.insert(st.block.index() as u32);
     }
 
-    let blocks = visited.into_iter().collect();
-    match finished {
-        Some(result) => (TrialRun::Finished(result), stats, blocks, None),
-        None => {
-            let (at, corrections) = converged.expect("only convergence stops a replay");
-            (
-                TrialRun::Converged { corrections },
-                ReplayStats {
-                    pruned: true,
-                    ..stats
-                },
-                blocks,
-                Some(at),
-            )
-        }
-    }
+    let run = match (finished, converged) {
+        (Some(result), _) => TrialRun::Finished(result),
+        (None, Some((corrections, at))) => TrialRun::Converged { corrections, at },
+        (None, None) => TrialRun::Escaped,
+    };
+    (run, skipped_insns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{looping_module, sequential};
+    use crate::testutil::{looping_module, result_eq, sequential};
     use casted_ir::{FunctionBuilder, MachineConfig, Module};
-
-    fn result_eq(a: &SimResult, b: &SimResult) -> bool {
-        a.stop == b.stop
-            && a.injected == b.injected
-            && a.stats == b.stats
-            && a.stream.len() == b.stream.len()
-            && a.stream.iter().zip(&b.stream).all(|(x, y)| x.bit_eq(y))
-    }
 
     #[test]
     fn plan_scales_with_golden_length() {
@@ -840,17 +860,17 @@ mod tests {
                     ..SimOptions::default()
                 },
             );
-            match replay_trial(&sp, &t, inj, max_cycles) {
-                (TrialRun::Finished(r), st) => {
+            match replay_trial(&t, inj, max_cycles, None, None) {
+                (TrialRun::Finished(r), skipped) => {
                     assert!(
                         result_eq(&r, &scratch),
                         "replay diverged from scratch at site {at}: {:?} vs {:?}",
                         r.stop,
                         scratch.stop
                     );
-                    assert!(st.skipped_insns < at);
+                    assert!(skipped < at);
                 }
-                (TrialRun::Converged { corrections }, _) => {
+                (TrialRun::Converged { corrections, .. }, _) => {
                     // Pruned trials must be ones a full run classifies
                     // Benign: same halt + bit-equal stream as golden.
                     assert_eq!(scratch.stop, t.result.stop, "pruned a non-benign trial");
@@ -865,6 +885,7 @@ mod tests {
                         "pruned trial's full run has a different stream"
                     );
                 }
+                (TrialRun::Escaped, _) => unreachable!("a whole-program replay cannot escape"),
             }
         }
     }
@@ -875,19 +896,16 @@ mod tests {
         let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
         let t = golden_with_checkpoints(&sp);
         let inj = Injection::single(u64::MAX, 3, None);
-        let (run, st) = replay_trial(&sp, &t, inj, t.result.stats.cycles * 10);
+        let (run, skipped) = replay_trial(&t, inj, t.result.stats.cycles * 10, None, None);
         // The injection never lands; the replay starts at the deepest
         // snapshot and finishes exactly like the golden run.
-        assert_eq!(
-            st.skipped_insns,
-            t.checkpoints.last().unwrap().stats.dyn_insns
-        );
+        assert_eq!(skipped, t.checkpoints.last().unwrap().stats.dyn_insns);
         match run {
             TrialRun::Finished(r) => {
                 assert_eq!(r.stop, t.result.stop);
                 assert!(!r.injected);
             }
-            TrialRun::Converged { .. } => panic!("cannot converge without an injection"),
+            _ => panic!("cannot converge without an injection"),
         }
     }
 
@@ -912,13 +930,13 @@ mod tests {
         assert_eq!(t.checkpoints_taken(), 1, "power-on snapshot only");
         assert_eq!(t.restore_index(u64::MAX), 0);
         let inj = Injection::single(u64::MAX, 7, None);
-        match replay_trial(&sp, &t, inj, 1000) {
-            (TrialRun::Finished(r), st) => {
+        match replay_trial(&t, inj, 1000, None, None) {
+            (TrialRun::Finished(r), skipped) => {
                 assert_eq!(r.stop, t.result.stop);
                 assert!(!r.injected);
-                assert_eq!(st.skipped_insns, 0);
+                assert_eq!(skipped, 0);
             }
-            (TrialRun::Converged { .. }, _) => panic!("cannot converge without an injection"),
+            _ => panic!("cannot converge without an injection"),
         }
     }
 
@@ -937,12 +955,12 @@ mod tests {
         assert_eq!(t.result.stats.dyn_insns, 1);
         for bit in [0u32, 17, 63] {
             let inj = Injection::single(1, bit, None);
-            match replay_trial(&sp, &t, inj, 1000) {
+            match replay_trial(&t, inj, 1000, None, None) {
                 (TrialRun::Finished(r), _) => {
                     assert_eq!(r.stop, t.result.stop);
                     assert!(!r.injected, "halt has no def: the strike must slide off");
                 }
-                (TrialRun::Converged { .. }, _) => panic!("cannot converge without an injection"),
+                _ => panic!("cannot converge without an injection"),
             }
         }
     }
@@ -960,8 +978,7 @@ mod tests {
         let mut pruned = 0;
         for at in (1..t.result.stats.dyn_insns).step_by(11) {
             let inj = Injection::single(at, 1, None);
-            if let (TrialRun::Converged { .. }, st) = replay_trial(&sp, &t, inj, max_cycles) {
-                assert!(st.pruned);
+            if let (TrialRun::Converged { .. }, _) = replay_trial(&t, inj, max_cycles, None, None) {
                 pruned += 1;
             }
         }

@@ -40,15 +40,14 @@ mod testutil;
 
 pub use cache::{CacheHierarchy, CacheStats};
 pub use checkpoint::{
-    golden_with_checkpoints, golden_with_checkpoints_rbed, replay_trial, replay_trial_observed,
-    CheckpointPlan, GoldenRun, GoldenTrace, ReplayStats, TrialRun, MAX_CHECKPOINTS,
+    golden_with_checkpoints, golden_with_checkpoints_rbed, replay_trial, BlockSet, CheckpointPlan,
+    GoldenRun, GoldenTrace, TrialRun, MAX_CHECKPOINTS,
 };
 pub use machine::{
     simulate, simulate_quiet, Injection, MachineState, SimOptions, SimResult, TraceEntry,
 };
 pub use rbed::{rbed_plan, RbedPlan};
 pub use section::{
-    block_validation_hashes, capture_sections, run_section_trial, Section, SectionCapture,
-    SectionTrial, MAX_SECTIONS, MIN_SECTION_SPAN,
+    block_validation_hashes, Section, SectionCapture, MAX_SECTIONS, MIN_SECTION_SPAN,
 };
 pub use stats::SimStats;

@@ -7,6 +7,8 @@ use std::collections::HashMap;
 use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
 use casted_ir::{Cluster, CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 
+use crate::machine::SimResult;
+
 /// Sequential single-cluster schedule: one instruction per bundle, in
 /// program order.
 pub(crate) fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
@@ -34,6 +36,16 @@ pub(crate) fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram 
         home,
         blocks,
     }
+}
+
+/// Bit-identical results: stop, injection flag, every statistic and
+/// the output stream bit for bit.
+pub(crate) fn result_eq(a: &SimResult, b: &SimResult) -> bool {
+    a.stop == b.stop
+        && a.injected == b.injected
+        && a.stats == b.stats
+        && a.stream.len() == b.stream.len()
+        && a.stream.iter().zip(&b.stream).all(|(x, y)| x.bit_eq(y))
 }
 
 /// A `iters`-trip loop summing a 16-word global table (cycled), then

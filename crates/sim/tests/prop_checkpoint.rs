@@ -142,8 +142,8 @@ fn replay_is_bit_identical_to_scratch_run() {
                     ..SimOptions::default()
                 },
             );
-            match replay_trial(&sp, &trace, inj, max_cycles) {
-                (TrialRun::Finished(r), stats) => {
+            match replay_trial(&trace, inj, max_cycles, None, None) {
+                (TrialRun::Finished(r), skipped) => {
                     prop_assert!(
                         bit_identical(&r, &scratch),
                         "replay of at={at} bit={bit} diverged: {:?} vs scratch {:?}",
@@ -151,14 +151,14 @@ fn replay_is_bit_identical_to_scratch_run() {
                         scratch.stop
                     );
                     prop_assert!(
-                        stats.skipped_insns < at,
+                        skipped < at,
                         "restored a checkpoint at/after the injection site"
                     );
                 }
-                (TrialRun::Converged { corrections }, stats) => {
-                    prop_assert!(stats.pruned);
+                (TrialRun::Converged { corrections, .. }, _) => {
                     check_pruned(&golden, &scratch, corrections, at)?;
                 }
+                (TrialRun::Escaped, _) => unreachable!("a whole-program replay cannot escape"),
             }
         }
         Ok(())
@@ -215,18 +215,18 @@ fn tmr_replay_reports_the_full_runs_corrections() {
                     ..SimOptions::default()
                 },
             );
-            match replay_trial(&sp, &trace, inj, max_cycles) {
+            match replay_trial(&trace, inj, max_cycles, None, None) {
                 (TrialRun::Finished(r), _) => prop_assert!(
                     bit_identical(&r, &scratch),
                     "replay of site {at} diverged: {:?} vs scratch {:?}",
                     r.stop,
                     scratch.stop
                 ),
-                (TrialRun::Converged { corrections }, stats) => {
-                    prop_assert!(stats.pruned);
+                (TrialRun::Converged { corrections, .. }, _) => {
                     check_pruned(&golden, &scratch, corrections, at)?;
                     repaired += (corrections > 0) as u32;
                 }
+                (TrialRun::Escaped, _) => unreachable!("a whole-program replay cannot escape"),
             }
         }
         Ok(())
@@ -248,7 +248,7 @@ fn resume_from_any_checkpoint_reproduces_golden_run() {
         // replay exercises pure snapshot → restore → resume from the
         // deepest checkpoint; the result must equal the golden run.
         let inj = Injection::single(golden.stats.dyn_insns + 1, rng.gen_range(0..64u32), None);
-        match replay_trial(&sp, &trace, inj, golden.stats.cycles.saturating_mul(10)) {
+        match replay_trial(&trace, inj, golden.stats.cycles.saturating_mul(10), None, None) {
             (TrialRun::Finished(r), _) => {
                 prop_assert!(
                     bit_identical(&r, &golden),
@@ -257,8 +257,8 @@ fn resume_from_any_checkpoint_reproduces_golden_run() {
                     golden.stop
                 );
             }
-            (TrialRun::Converged { .. }, _) => {
-                return Err("uninjected resume cannot be pruned".into());
+            (TrialRun::Converged { .. } | TrialRun::Escaped, _) => {
+                return Err("uninjected resume cannot be pruned or escape".into());
             }
         }
         Ok(())
@@ -341,10 +341,10 @@ fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
                     ..SimOptions::default()
                 },
             );
-            let (run, stats) = replay_trial(&sp, &trace, inj, max_cycles);
-            prop_assert!(stats.skipped_insns < at, "site {at} restored at {}", stats.skipped_insns);
+            let (run, skipped) = replay_trial(&trace, inj, max_cycles, None, None);
+            prop_assert!(skipped < at, "site {at} restored at {skipped}");
             if fits {
-                prop_assert_eq!(stats.skipped_insns, starts[at as usize - 1]);
+                prop_assert_eq!(skipped, starts[at as usize - 1]);
             }
             match run {
                 TrialRun::Finished(r) => prop_assert!(
@@ -353,10 +353,10 @@ fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
                     r.stop,
                     scratch.stop
                 ),
-                TrialRun::Converged { corrections } => {
-                    prop_assert!(stats.pruned);
+                TrialRun::Converged { corrections, .. } => {
                     check_pruned(&g, &scratch, corrections, at)?;
                 }
+                TrialRun::Escaped => unreachable!("a whole-program replay cannot escape"),
             }
         }
         Ok(())

@@ -148,7 +148,14 @@ if [ -z "$warm_hits" ] || [ "$warm_hits" -lt 1 ]; then
   echo "warm incremental rerun hit no cached sections (got '${warm_hits:-none}')" >&2
   exit 1
 fi
-echo "incremental cache byte-identical to reference, cold and warm ($warm_hits warm section hits)"
+# The cold run must exercise the escape path too: trials that leave
+# their section still diverged and replay over the whole program.
+cold_escapes="$(sed -n 's/.*"faults\.sections\.escaped": \([0-9]*\).*/\1/p' "$log_dir/inc_cold/counters.json")"
+if [ -z "$cold_escapes" ] || [ "$cold_escapes" -lt 1 ]; then
+  echo "cold incremental run replayed no escape (got '${cold_escapes:-none}')" >&2
+  exit 1
+fi
+echo "incremental cache byte-identical to reference, cold and warm ($warm_hits warm section hits, $cold_escapes cold escapes)"
 
 echo "== staged compile pipeline: cold+warm byte-compare (offline) =="
 # Cold and warm castedc runs through the content-addressed artifact
