@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use casted_faults::{CampaignConfig, Engine, Tally};
+use casted_ir::vliw::ScheduledProgram;
 use casted_ir::MachineConfig;
 use casted_passes::Scheme;
 use casted_util::pool::{pool_threads, run_pool};
@@ -430,12 +431,30 @@ pub fn coverage_sweep_with(
     campaign: &CampaignConfig,
     engine: Engine,
 ) -> Vec<CoveragePoint> {
+    coverage_grid(benchmarks, spec, campaign, |sp, cfg| {
+        casted_faults::run_campaign_engine(sp, cfg, engine).tally
+    })
+}
+
+/// The grid driver both coverage sweeps share: compile each benchmark
+/// once, then per cell prepare the program and run `campaign_of` on it
+/// in the pool, metered under the `core.coverage_sweep.*` counters.
+fn coverage_grid<F>(
+    benchmarks: &[Workload],
+    spec: &GridSpec,
+    campaign: &CampaignConfig,
+    campaign_of: F,
+) -> Vec<CoveragePoint>
+where
+    F: Fn(&ScheduledProgram, &CampaignConfig) -> Tally + Sync,
+{
     let modules: Vec<(String, casted_ir::Module)> = benchmarks
         .iter()
         .map(|w| (w.name.to_string(), w.compile().expect("compile failed")))
         .collect();
 
     let meter = SweepMeter::start("core.coverage_sweep.cell_ns");
+    let campaign_of = &campaign_of;
     let mut tasks = Vec::new();
     for (name, module) in &modules {
         for &scheme in &spec.schemes {
@@ -455,14 +474,13 @@ pub fn coverage_sweep_with(
                             config.clusters = clusters;
                             let prep = casted_passes::prepare(module, scheme, &config)
                                 .expect("prepare failed");
-                            let r = casted_faults::run_campaign_engine(&prep.sp, &campaign, engine);
                             CoveragePoint {
                                 benchmark: name.clone(),
                                 scheme,
                                 issue,
                                 delay,
                                 clusters,
-                                tally: r.tally,
+                                tally: campaign_of(&prep.sp, &campaign),
                             }
                         }));
                     }
@@ -496,53 +514,9 @@ pub fn coverage_sweep_incremental(
 ) -> Vec<CoveragePoint> {
     let store = casted_util::store::ArtifactStore::open(store_dir)
         .unwrap_or_else(|e| panic!("cannot open section cache {}: {e}", store_dir.display()));
-    let modules: Vec<(String, casted_ir::Module)> = benchmarks
-        .iter()
-        .map(|w| (w.name.to_string(), w.compile().expect("compile failed")))
-        .collect();
-
-    let meter = SweepMeter::start("core.coverage_sweep.cell_ns");
-    let mut tasks = Vec::new();
-    for (name, module) in &modules {
-        for &scheme in &spec.schemes {
-            for &issue in &spec.issues {
-                for &delay in &spec.delays {
-                    for &clusters in &spec.clusters {
-                        let campaign = CampaignConfig {
-                            replay_detect: scheme.replay_detect(),
-                            ..campaign.clone()
-                        };
-                        let meter = &meter;
-                        let store = &store;
-                        tasks.push(move || meter.observe_cell(|| {
-                            let mut config = MachineConfig::itanium2_like(issue, delay);
-                            config.clusters = clusters;
-                            let prep = casted_passes::prepare(module, scheme, &config)
-                                .expect("prepare failed");
-                            let r = casted_faults::run_campaign_incremental(&prep.sp, &campaign, store);
-                            CoveragePoint {
-                                benchmark: name.clone(),
-                                scheme,
-                                issue,
-                                delay,
-                                clusters,
-                                tally: r.tally,
-                            }
-                        }));
-                    }
-                }
-            }
-        }
-    }
-    let n_tasks = tasks.len();
-    let points = run_pool(tasks);
-    casted_obs::add("core.coverage_sweep.cells", n_tasks as u64);
-    meter.finish(
-        n_tasks,
-        "core.coverage_sweep.wall_ns",
-        "core.coverage_sweep.pool_utilization_permille",
-    );
-    points
+    coverage_grid(benchmarks, spec, campaign, |sp, cfg| {
+        casted_faults::run_campaign_incremental(sp, cfg, &store).tally
+    })
 }
 
 /// Headline slowdown statistics for one scheme (§IV-B quotes SCED

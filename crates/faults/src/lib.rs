@@ -19,7 +19,7 @@ pub mod sections;
 
 pub use sections::{run_campaign_incremental, SectionStats};
 
-use casted_ir::interp::StopReason;
+use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
 use casted_sim::{
     rbed_plan, replay_trial, simulate, simulate_quiet, GoldenRun, GoldenTrace, Injection,
@@ -274,20 +274,34 @@ pub fn classify(golden: &SimResult, faulty: &SimResult) -> Outcome {
         StopReason::Detected => Outcome::Detected,
         StopReason::Exception(_) => Outcome::Exception,
         StopReason::Timeout => Outcome::Timeout,
-        StopReason::Halt(code) => {
-            let same_code = golden.stop == StopReason::Halt(code);
-            let same_stream = golden.stream.len() == faulty.stream.len()
-                && golden
-                    .stream
-                    .iter()
-                    .zip(&faulty.stream)
-                    .all(|(a, b)| a.bit_eq(b));
-            if same_code && same_stream {
-                golden_halt_outcome(faulty.stats.corrections)
-            } else {
-                Outcome::DataCorrupt
-            }
-        }
+        StopReason::Halt(code) => classify_halt(
+            &golden.stop,
+            &golden.stream,
+            code,
+            &faulty.stream,
+            faulty.stats.corrections,
+        ),
+    }
+}
+
+/// The one halt rule: a trial that halted with exit `code` and output
+/// `stream` is golden-equivalent ([`golden_halt_outcome`] of its
+/// correction count) when both match the golden run's bit for bit, and
+/// DataCorrupt otherwise. [`classify`] applies it to a live run, the
+/// section layer to stored halt evidence.
+pub(crate) fn classify_halt(
+    golden_stop: &StopReason,
+    golden_stream: &[OutVal],
+    code: i64,
+    stream: &[OutVal],
+    corrections: u64,
+) -> Outcome {
+    let same_stream = golden_stream.len() == stream.len()
+        && golden_stream.iter().zip(stream).all(|(a, b)| a.bit_eq(b));
+    if *golden_stop == StopReason::Halt(code) && same_stream {
+        golden_halt_outcome(corrections)
+    } else {
+        Outcome::DataCorrupt
     }
 }
 

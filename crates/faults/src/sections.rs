@@ -76,14 +76,14 @@ use casted_util::pool::run_pool;
 use casted_util::store::ArtifactStore;
 use casted_util::Rng;
 
-use crate::{classify, CampaignConfig, CampaignResult, EngineStats, Outcome, Tally};
+use crate::{CampaignConfig, CampaignResult, EngineStats, Outcome, Tally};
 
 /// Bumped on any change to the record encoding *or* to the meaning of
 /// any hashed key component (hash inputs, digest coverage, section
 /// cutting policy). Part of every key, so stale-format records simply
 /// miss instead of decoding garbage. (The store's envelope has its own
 /// `casted_util::store::STORE_FORMAT_VERSION`.)
-pub const SECTION_FORMAT_VERSION: u64 = 4;
+pub const SECTION_FORMAT_VERSION: u64 = 5;
 
 /// Artifact kind of a [`SectionRecord`] (`{key:016x}.sect`).
 pub const KIND_SECT: &str = "sect";
@@ -125,18 +125,6 @@ pub enum TrialEntry {
     Escaped(Option<EscapeEvidence>),
 }
 
-/// How an escaped trial's whole-program replay ended.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EscapeOutcome {
-    /// Golden-independent stop: Detected, Exception or Timeout.
-    Resolved(Outcome),
-    /// Ran to a halt; classified against the current golden run at
-    /// recombine time (same rule as [`TrialEntry::Halted`]).
-    Halted { code: i64, stream: Vec<OutVal> },
-    /// Re-converged with the golden run: provably Benign.
-    Converged,
-}
-
 /// Cached whole-program replay verdict for one escaped trial, plus
 /// the extra validation surface beyond the section's own list: the
 /// blocks the replay visited *after the fault landed* — the faulty
@@ -146,8 +134,10 @@ pub enum EscapeOutcome {
 /// *golden* state there is).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EscapeEvidence {
-    /// The replay's verdict.
-    pub outcome: EscapeOutcome,
+    /// The replay's verdict, in the entry vocabulary: `Resolved` or
+    /// `Halted`, never `Escaped` (a whole-program replay cannot leave
+    /// its span).
+    pub outcome: Box<TrialEntry>,
     /// `(block index, code hash, live-mask hash)` triples that must
     /// match the current program for the verdict to be reusable.
     pub validation: Vec<(u32, u64, u64)>,
@@ -304,43 +294,58 @@ fn get_validation(payload: &[u8], pos: &mut usize) -> Option<Vec<(u32, u64, u64)
     Some(validation)
 }
 
+/// Append one entry. Escape evidence nests its verdict as an entry.
+fn put_entry(buf: &mut Vec<u8>, e: &TrialEntry) {
+    match e {
+        TrialEntry::Resolved(o) => {
+            put_uvarint(buf, 0);
+            put_uvarint(buf, o.index() as u64);
+        }
+        TrialEntry::Halted { code, stream } => {
+            put_uvarint(buf, 1);
+            put_ivarint(buf, *code);
+            put_stream(buf, stream);
+        }
+        TrialEntry::Escaped(None) => {
+            put_uvarint(buf, 2);
+            put_uvarint(buf, 0);
+        }
+        TrialEntry::Escaped(Some(ev)) => {
+            put_uvarint(buf, 2);
+            put_uvarint(buf, 1);
+            put_entry(buf, &ev.outcome);
+            put_validation(buf, &ev.validation);
+        }
+    }
+}
+
+/// Decode one entry; `nested` is set inside escape evidence, where a
+/// further `Escaped` is non-canonical.
+fn get_entry(payload: &[u8], pos: &mut usize, nested: bool) -> Option<TrialEntry> {
+    Some(match get_uvarint(payload, pos)? {
+        0 => TrialEntry::Resolved(*Outcome::ALL.get(get_uvarint(payload, pos)? as usize)?),
+        1 => {
+            let code = get_ivarint(payload, pos)?;
+            TrialEntry::Halted { code, stream: get_stream(payload, pos)? }
+        }
+        2 if !nested => match get_uvarint(payload, pos)? {
+            0 => TrialEntry::Escaped(None),
+            1 => {
+                let outcome = Box::new(get_entry(payload, pos, true)?);
+                let validation = get_validation(payload, pos)?;
+                TrialEntry::Escaped(Some(EscapeEvidence { outcome, validation }))
+            }
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
 fn encode_record(rec: &SectionRecord) -> Vec<u8> {
     let mut buf = Vec::new();
     put_uvarint(&mut buf, rec.entries.len() as u64);
     for e in &rec.entries {
-        match e {
-            TrialEntry::Resolved(o) => {
-                put_uvarint(&mut buf, 0);
-                put_uvarint(&mut buf, o.index() as u64);
-            }
-            TrialEntry::Halted { code, stream } => {
-                put_uvarint(&mut buf, 1);
-                put_ivarint(&mut buf, *code);
-                put_stream(&mut buf, stream);
-            }
-            TrialEntry::Escaped(ev) => {
-                put_uvarint(&mut buf, 2);
-                match ev {
-                    None => put_uvarint(&mut buf, 0),
-                    Some(ev) => {
-                        put_uvarint(&mut buf, 1);
-                        match &ev.outcome {
-                            EscapeOutcome::Resolved(o) => {
-                                put_uvarint(&mut buf, 0);
-                                put_uvarint(&mut buf, o.index() as u64);
-                            }
-                            EscapeOutcome::Halted { code, stream } => {
-                                put_uvarint(&mut buf, 1);
-                                put_ivarint(&mut buf, *code);
-                                put_stream(&mut buf, stream);
-                            }
-                            EscapeOutcome::Converged => put_uvarint(&mut buf, 2),
-                        }
-                        put_validation(&mut buf, &ev.validation);
-                    }
-                }
-            }
-        }
+        put_entry(&mut buf, e);
     }
     put_validation(&mut buf, &rec.validation);
     buf
@@ -351,33 +356,7 @@ fn decode_record(payload: &[u8]) -> Option<SectionRecord> {
     let n = get_uvarint(payload, &mut pos)?;
     let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
     for _ in 0..n {
-        entries.push(match get_uvarint(payload, &mut pos)? {
-            0 => TrialEntry::Resolved(*Outcome::ALL.get(get_uvarint(payload, &mut pos)? as usize)?),
-            1 => {
-                let code = get_ivarint(payload, &mut pos)?;
-                TrialEntry::Halted { code, stream: get_stream(payload, &mut pos)? }
-            }
-            2 => match get_uvarint(payload, &mut pos)? {
-                0 => TrialEntry::Escaped(None),
-                1 => {
-                    let outcome = match get_uvarint(payload, &mut pos)? {
-                        0 => EscapeOutcome::Resolved(
-                            *Outcome::ALL.get(get_uvarint(payload, &mut pos)? as usize)?,
-                        ),
-                        1 => {
-                            let code = get_ivarint(payload, &mut pos)?;
-                            EscapeOutcome::Halted { code, stream: get_stream(payload, &mut pos)? }
-                        }
-                        2 => EscapeOutcome::Converged,
-                        _ => return None,
-                    };
-                    let validation = get_validation(payload, &mut pos)?;
-                    TrialEntry::Escaped(Some(EscapeEvidence { outcome, validation }))
-                }
-                _ => return None,
-            },
-            _ => return None,
-        });
+        entries.push(get_entry(payload, &mut pos, false)?);
     }
     let validation = get_validation(payload, &mut pos)?;
     // Strictly canonical: trailing bytes mean a foreign or damaged
@@ -429,26 +408,6 @@ fn load_record(store: &ArtifactStore, key: u64) -> Option<SectionRecord> {
     decode_record(&store.load(KIND_SECT, key)?)
 }
 
-/// Classify stored halt evidence against the current golden run — the
-/// same rule [`classify`] applies to a live `Halt` stop. Takes the
-/// golden summary as `(code, stream)` so both the live golden result
-/// and a cached [`ProgramRecord`] can serve as the reference.
-fn classify_halt_evidence(
-    golden_code: i64,
-    golden_stream: &[OutVal],
-    code: i64,
-    stream: &[OutVal],
-) -> Outcome {
-    let same_code = golden_code == code;
-    let same_stream = golden_stream.len() == stream.len()
-        && golden_stream.iter().zip(stream).all(|(a, b)| a.bit_eq(b));
-    if same_code && same_stream {
-        Outcome::Benign
-    } else {
-        Outcome::DataCorrupt
-    }
-}
-
 /// Does every `(block, code hash, live hash)` triple still match the
 /// current program's `hashes`?
 fn validates(validation: &[(u32, u64, u64)], hashes: &[(u64, u64)]) -> bool {
@@ -478,20 +437,22 @@ fn resolve(
     golden_stream: &[OutVal],
     hashes: &[(u64, u64)],
 ) -> Option<Outcome> {
-    Some(match entry {
-        TrialEntry::Resolved(o) => *o,
-        TrialEntry::Halted { code, stream } => {
-            classify_halt_evidence(golden_code, golden_stream, *code, stream)
+    match entry {
+        TrialEntry::Resolved(o) => Some(*o),
+        // Section evidence carries no correction count: vote programs
+        // stay outside the vocabulary (`run_campaign_incremental`).
+        TrialEntry::Halted { code, stream } => Some(crate::classify_halt(
+            &StopReason::Halt(golden_code),
+            golden_stream,
+            *code,
+            stream,
+            0,
+        )),
+        TrialEntry::Escaped(Some(ev)) if validates(&ev.validation, hashes) => {
+            resolve(&ev.outcome, golden_code, golden_stream, hashes)
         }
-        TrialEntry::Escaped(Some(ev)) if validates(&ev.validation, hashes) => match &ev.outcome {
-            EscapeOutcome::Resolved(o) => *o,
-            EscapeOutcome::Halted { code, stream } => {
-                classify_halt_evidence(golden_code, golden_stream, *code, stream)
-            }
-            EscapeOutcome::Converged => Outcome::Benign,
-        },
-        TrialEntry::Escaped(_) => return None,
-    })
+        TrialEntry::Escaped(_) => None,
+    }
 }
 
 /// The frozen injection stream: identical draw order to every other
@@ -503,7 +464,9 @@ fn frozen_stream(cfg: &CampaignConfig, golden_dyn: u64) -> Vec<Injection> {
         .collect()
 }
 
-/// Turn one bounded trial verdict into its stored evidence.
+/// Turn one replay verdict — a bounded section trial's or an escape's
+/// whole-program one — into its stored evidence. A finished run's
+/// golden-independent stops resolve now; its halt stays raw.
 fn entry_of(trial: TrialRun, golden: &casted_sim::SimResult) -> TrialEntry {
     match trial {
         TrialRun::Finished(r) => match r.stop {
@@ -793,36 +756,21 @@ fn run_campaign_cold(
     // golden blocks are already in the section's own validation list).
     for (&(i, j, k), (run, skipped, mut vset)) in pending.iter().zip(replays) {
         engine_stats.skipped_insns += skipped;
-        let (outcome, evidence_outcome) = match run {
-            TrialRun::Finished(r) => {
-                let o = classify(golden, &r);
-                let eo = match r.stop {
-                    StopReason::Detected => EscapeOutcome::Resolved(Outcome::Detected),
-                    StopReason::Exception(_) => EscapeOutcome::Resolved(Outcome::Exception),
-                    StopReason::Timeout => EscapeOutcome::Resolved(Outcome::Timeout),
-                    StopReason::Halt(code) => EscapeOutcome::Halted { code, stream: r.stream },
-                };
-                (o, eo)
-            }
-            // Vote programs stay outside the section vocabulary, so a
-            // converged escape is Benign; a Corrected one is still
-            // stored exactly, as a resolved verdict.
-            TrialRun::Converged { corrections, at } => {
+        match run {
+            TrialRun::Converged { at, .. } => {
                 engine_stats.pruned_trials += 1;
                 for sec in cap.sections.iter().take(cap.section_of(at) + 1).skip(j + 1) {
                     vset.extend(sec.golden_blocks.iter().copied());
                 }
-                match crate::golden_halt_outcome(corrections) {
-                    Outcome::Benign => (Outcome::Benign, EscapeOutcome::Converged),
-                    o => (o, EscapeOutcome::Resolved(o)),
-                }
             }
             TrialRun::Escaped => unreachable!("no span end, no escape"),
-        };
-        slots[i] = Some(outcome);
+            TrialRun::Finished(_) => {}
+        }
+        let evidence = entry_of(run, golden);
+        slots[i] = resolve(&evidence, golden_code, &golden.stream, hashes);
         let rec = cached[j].as_mut().expect("escape came from a resolved section");
         rec.entries[k] = TrialEntry::Escaped(Some(EscapeEvidence {
-            outcome: evidence_outcome,
+            outcome: Box::new(evidence),
             validation: validation_of(vset.iter(), hashes),
         }));
         dirty[j] = true;
@@ -949,15 +897,15 @@ mod tests {
                 },
                 TrialEntry::Escaped(None),
                 TrialEntry::Escaped(Some(EscapeEvidence {
-                    outcome: EscapeOutcome::Halted { code: 3, stream: vec![OutVal::Int(8)] },
+                    outcome: Box::new(TrialEntry::Halted { code: 3, stream: vec![OutVal::Int(8)] }),
                     validation: vec![(4, 5, 6)],
                 })),
                 TrialEntry::Escaped(Some(EscapeEvidence {
-                    outcome: EscapeOutcome::Converged,
+                    outcome: Box::new(TrialEntry::Resolved(Outcome::Benign)),
                     validation: vec![],
                 })),
                 TrialEntry::Escaped(Some(EscapeEvidence {
-                    outcome: EscapeOutcome::Resolved(Outcome::Timeout),
+                    outcome: Box::new(TrialEntry::Resolved(Outcome::Timeout)),
                     validation: vec![(0, 0, 0), (u32::MAX, 1, 2)],
                 })),
                 TrialEntry::Resolved(Outcome::Benign),
@@ -971,6 +919,15 @@ mod tests {
         let mut longer = bytes.clone();
         longer.push(0);
         assert_eq!(decode_record(&longer), None);
+        // Escape evidence never nests another escape.
+        let nested = SectionRecord {
+            entries: vec![TrialEntry::Escaped(Some(EscapeEvidence {
+                outcome: Box::new(TrialEntry::Escaped(None)),
+                validation: vec![],
+            }))],
+            validation: vec![],
+        };
+        assert_eq!(decode_record(&encode_record(&nested)), None);
     }
 
     /// The headline claim at unit scale: cold incremental == cold full

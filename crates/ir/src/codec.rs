@@ -227,7 +227,12 @@ fn get_count(buf: &[u8], pos: &mut usize) -> Option<usize> {
 
 // ------------------------- instructions ----------------------------
 
-fn put_insn(buf: &mut Vec<u8>, i: &Insn) {
+/// Append the canonical encoding of one instruction — every field
+/// (opcode incl. compare kind, defs, uses with exact immediates, memory
+/// offset, branch targets, provenance). The encoding is injective and
+/// self-delimiting, so a sequence of encoded instructions determines
+/// the instructions; content hashes over instructions use it too.
+pub fn encode_insn(buf: &mut Vec<u8>, i: &Insn) {
     let (tag, sub) = op_tag(i.op);
     put_uvarint(buf, tag);
     put_uvarint(buf, sub);
@@ -307,7 +312,7 @@ fn put_function(buf: &mut Vec<u8>, f: &Function) {
     }
     put_uvarint(buf, f.insns.len() as u64);
     for i in &f.insns {
-        put_insn(buf, i);
+        encode_insn(buf, i);
     }
     put_uvarint(buf, f.entry.0 as u64);
     for class in RegClass::ALL {

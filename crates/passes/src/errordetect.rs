@@ -1,38 +1,49 @@
-//! Algorithm 1 of the paper: the single-threaded error-detection
-//! transformation.
+//! Algorithm 1 of the paper — the single-threaded error-detection
+//! transformation — as the workspace's one replication pass, for
+//! detection (SCED/DCED/CASTED) and for recovery (TMRED) alike.
 //!
-//! Three steps, run over the whole entry function:
+//! The pass replicates into `N` redundant streams, each with its own
+//! side tables (Fig. 4a's duplicate map and Fig. 4b's rename map). The
+//! stream count comes from the scheme's [`Transform`]: one for the
+//! paper's duplicate-and-compare, two for TMRED's triplicate-and-vote
+//! ([`crate::schemes::tmr_transform`], whose module doc carries the
+//! correction argument). Three steps, run over the whole entry
+//! function:
 //!
 //! 1. **Replication** (`replicate_insns`): every eligible instruction
-//!    gets an exact duplicate emitted *just before* it. Eligible means:
-//!    not control flow, not store-class, not compiler-generated, not
-//!    unprotected library code (paper §III-B). The duplicate is recorded
-//!    in the replicated-instructions table (Fig. 4a).
-//! 2. **Isolation** (`register_rename`): the duplicates are renamed so
-//!    the redundant stream never writes an original register. Values
-//!    produced by instructions *without* duplicates (library code) that
-//!    the redundant stream consumes get an isolation copy
-//!    (`NEW = OLD`) emitted right after the producer — the
-//!    "no duplicates" arm of `rename_writes_and_uses`. The rename map
-//!    is the table of Fig. 4b.
+//!    gets one exact duplicate per stream emitted *just before* it.
+//!    Eligible means: not control flow, not store-class, not
+//!    compiler-generated, not unprotected library code (paper §III-B).
+//! 2. **Isolation** (`register_rename`): each stream's duplicates are
+//!    renamed behind that stream's rename map, so no redundant stream
+//!    ever writes an original register or another stream's register.
+//!    Values produced by instructions *without* duplicates (library
+//!    code) that the redundant streams consume get one isolation copy
+//!    per stream (`NEW = OLD`) emitted right after the producer. With
+//!    two streams the copies must be separate: a shared one would be a
+//!    single point of failure that out-votes the original.
 //! 3. **Check insertion** (`emit_check_insns`): before every
-//!    non-replicated instruction, each register it reads is compared
-//!    against its renamed copy (`cmp.ne` to a fresh predicate) followed
-//!    by a detection branch (`br.detect`) that diverts execution to the
-//!    fault handler if they differ.
+//!    non-replicated instruction, each distinct register it reads is
+//!    checked against its copies. With one stream that is a compare
+//!    (`cmp.ne` to a fresh predicate) followed by a detection branch
+//!    (`br.detect`) that diverts execution to the fault handler if they
+//!    differ; with two it is `vote r, r, rA, rB`, which writes the
+//!    bitwise majority back so execution continues on golden values.
 //!
-//! The checks are deliberately a **compare + branch pair**, as in the
-//! paper ("the checking code consists of compare and jump
-//! instructions") — this is what makes check-dense code sequential and
-//! reproduces the h263enc scaling anomaly of §IV-B2.
+//! The paper's checks are deliberately a **compare + branch pair**
+//! ("the checking code consists of compare and jump instructions") —
+//! this is what makes check-dense code sequential and reproduces the
+//! h263enc scaling anomaly of §IV-B2.
+//!
+//! [`Transform`]: crate::schemes::Transform
 
-use std::collections::HashMap;
-
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use casted_ir::{
     CmpKind, Function, Insn, InsnId, Module, Opcode, Operand, Provenance, Reg, RegClass,
 };
+
+use crate::schemes::Transform;
 
 /// Error-detection variants.
 ///
@@ -42,7 +53,8 @@ use casted_ir::{
 /// * `fused_checks` — emit a single fused `chk.ne` instruction instead
 ///   of the paper's `cmp.ne` + `br.detect` pair, quantifying how much
 ///   of the overhead (and of the h263enc sequential-check effect) the
-///   two-instruction encoding is responsible for.
+///   two-instruction encoding is responsible for. Votes have no
+///   two-instruction form, so this only affects one-stream checks.
 /// * `selective` — Shoestring-style partial redundancy: replicate only
 ///   the instructions whose values (transitively) feed store-class
 ///   operands, and check only store-class instructions; control flow
@@ -60,14 +72,15 @@ pub struct EdOptions {
 /// paper quotes: replicated + checking code more than doubles size).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EdStats {
-    /// Instructions eligible and duplicated.
+    /// Duplicates emitted (one per eligible instruction and stream).
     pub replicated: usize,
     /// Isolation copies inserted for unduplicated producers.
     pub isolation_copies: usize,
-    /// Check compare/branch *pairs* inserted.
+    /// Checks inserted: compare/branch *pairs* (or fused checks) with
+    /// one stream, votes with two.
     pub checks: usize,
-    /// Distinct registers renamed into the redundant stream (size of
-    /// the Fig. 4b rename table).
+    /// Registers renamed into the redundant streams (summed size of
+    /// the Fig. 4b rename tables).
     pub renamed_regs: usize,
     /// Static size before the pass.
     pub size_before: usize,
@@ -86,12 +99,13 @@ impl EdStats {
     }
 }
 
-/// The pass state: the two side tables of Fig. 4.
+/// The pass state: the two side tables of Fig. 4, one of each per
+/// redundant stream.
 struct Ed {
-    /// Fig. 4a — original instruction -> its duplicate.
-    dup_of: HashMap<InsnId, InsnId>,
-    /// Fig. 4b — original register -> renamed redundant register.
-    renamed: HashMap<Reg, Reg>,
+    /// Fig. 4a — original instruction -> its duplicate, per stream.
+    dup_of: Vec<HashMap<InsnId, InsnId>>,
+    /// Fig. 4b — original register -> renamed register, per stream.
+    renamed: Vec<HashMap<Reg, Reg>>,
     stats: EdStats,
 }
 
@@ -126,13 +140,14 @@ fn store_feeding_regs(func: &Function) -> HashSet<Reg> {
     set
 }
 
-/// Step 1: emit an exact duplicate just before every eligible
-/// instruction.
+/// Step 1: emit one exact duplicate per stream just before every
+/// eligible instruction (stream order, then the original — relative
+/// order among them is immaterial once renamed).
 fn replicate_insns(func: &mut Function, ed: &mut Ed, opts: &EdOptions) {
     let protected = opts.selective.then(|| store_feeding_regs(func));
     for b in 0..func.blocks.len() {
         let old: Vec<InsnId> = func.blocks[b].insns.clone();
-        let mut new_list: Vec<InsnId> = Vec::with_capacity(old.len() * 2);
+        let mut new_list: Vec<InsnId> = Vec::with_capacity(old.len() * (ed.dup_of.len() + 1));
         for iid in old {
             let insn = func.insn(iid);
             let eligible = insn.is_replicable()
@@ -142,10 +157,12 @@ fn replicate_insns(func: &mut Function, ed: &mut Ed, opts: &EdOptions) {
                     .unwrap_or(true);
             if eligible {
                 let dup = insn.clone().with_prov(Provenance::Duplicate);
-                let dup_id = func.add_insn(dup);
-                ed.dup_of.insert(iid, dup_id);
-                ed.stats.replicated += 1;
-                new_list.push(dup_id);
+                for dup_of in &mut ed.dup_of {
+                    let dup_id = func.add_insn(dup.clone());
+                    dup_of.insert(iid, dup_id);
+                    ed.stats.replicated += 1;
+                    new_list.push(dup_id);
+                }
             }
             new_list.push(iid);
         }
@@ -153,23 +170,16 @@ fn replicate_insns(func: &mut Function, ed: &mut Ed, opts: &EdOptions) {
     }
 }
 
-/// Collect the set of original registers read by any duplicate — the
-/// values the redundant stream consumes. Producers without duplicates
-/// must supply isolation copies for exactly these.
-fn regs_used_by_duplicates(func: &Function, ed: &Ed) -> std::collections::HashSet<Reg> {
-    let mut set = std::collections::HashSet::new();
-    for dup_id in ed.dup_of.values() {
-        for r in func.insn(*dup_id).reg_uses() {
-            set.insert(r);
-        }
-    }
-    set
-}
-
-/// Step 2: isolate the redundant stream by renaming every register it
-/// writes, inserting copies after unduplicated producers.
+/// Step 2: isolate each redundant stream by renaming every register it
+/// writes, inserting one copy per stream after unduplicated producers.
 fn register_rename(func: &mut Function, ed: &mut Ed) {
-    let dup_consumed = regs_used_by_duplicates(func, ed);
+    // The original registers the redundant streams read — identical
+    // sets before renaming, so one stream's scan suffices. Producers
+    // without duplicates must supply isolation copies for exactly these.
+    let dup_consumed: HashSet<Reg> = ed.dup_of[0]
+        .values()
+        .flat_map(|&dup_id| func.insn(dup_id).reg_uses())
+        .collect();
 
     // Walk instructions in program order; handle each original
     // definition (paper: `for INSN in instructions, skip duplicates`).
@@ -181,33 +191,30 @@ fn register_rename(func: &mut Function, ed: &mut Ed) {
             if insn.prov == Provenance::Duplicate {
                 continue;
             }
+            let duplicated = ed.dup_of[0].contains_key(iid);
             let defs: Vec<Reg> = insn.defs.clone();
-            if let Some(&dup_id) = ed.dup_of.get(iid) {
-                // Duplicated producer: rename the duplicate's defs.
-                for regw in defs {
-                    let new_reg = *ed
-                        .renamed
+            for regw in defs {
+                // An unduplicated producer (library / compiler-generated
+                // code) needs copies only if the redundant streams read
+                // its value.
+                if !duplicated && !dup_consumed.contains(&regw) {
+                    continue;
+                }
+                for (dup_of, renamed) in ed.dup_of.iter().zip(&mut ed.renamed) {
+                    let new_reg = *renamed
                         .entry(regw)
                         .or_insert_with(|| func.new_reg(regw.class));
-                    let dup = func.insn_mut(dup_id);
-                    for d in dup.defs.iter_mut() {
-                        if *d == regw {
-                            *d = new_reg;
+                    if let Some(&dup_id) = dup_of.get(iid) {
+                        // Duplicated producer: rename the duplicate's defs.
+                        for d in func.insn_mut(dup_id).defs.iter_mut() {
+                            if *d == regw {
+                                *d = new_reg;
+                            }
                         }
-                    }
-                }
-            } else {
-                // Unduplicated producer (library / compiler-generated
-                // code): if the redundant stream reads its value, emit
-                // an isolation copy NEW_REG = REGW right after it.
-                for regw in defs {
-                    if !dup_consumed.contains(&regw) {
                         continue;
                     }
-                    let new_reg = *ed
-                        .renamed
-                        .entry(regw)
-                        .or_insert_with(|| func.new_reg(regw.class));
+                    // Unduplicated producer: emit NEW_REG = REGW right
+                    // after it.
                     let copy_op = match regw.class {
                         RegClass::Gp => Opcode::MovI,
                         RegClass::Fp => Opcode::FMovI,
@@ -221,8 +228,7 @@ fn register_rename(func: &mut Function, ed: &mut Ed) {
                     };
                     let copy = Insn::new(copy_op, vec![new_reg], vec![Operand::Reg(regw)])
                         .with_prov(Provenance::IsolationCopy);
-                    let copy_id = func.add_insn(copy);
-                    insertions.push((pos + 1, copy_id));
+                    insertions.push((pos + 1, func.add_insn(copy)));
                     ed.stats.isolation_copies += 1;
                 }
             }
@@ -234,30 +240,25 @@ fn register_rename(func: &mut Function, ed: &mut Ed) {
         }
     }
 
-    // Rename the *uses* of every duplicated instruction to the
-    // redundant registers.
-    let dup_ids: Vec<InsnId> = ed.dup_of.values().copied().collect();
-    for dup_id in dup_ids {
-        let renames: Vec<(usize, Reg)> = func
-            .insn(dup_id)
-            .uses
-            .iter()
-            .enumerate()
-            .filter_map(|(k, o)| match o {
-                Operand::Reg(r) => ed.renamed.get(r).map(|nr| (k, *nr)),
-                _ => None,
-            })
-            .collect();
-        let insn = func.insn_mut(dup_id);
-        for (k, nr) in renames {
-            insn.uses[k] = Operand::Reg(nr);
+    // Rename each duplicate's *uses* into its own stream.
+    for (dup_of, renamed) in ed.dup_of.iter().zip(&ed.renamed) {
+        for &dup_id in dup_of.values() {
+            let insn = func.insn_mut(dup_id);
+            for o in insn.uses.iter_mut() {
+                if let Operand::Reg(r) = o {
+                    if let Some(&nr) = renamed.get(r) {
+                        *r = nr;
+                    }
+                }
+            }
         }
     }
 }
 
-/// Step 3: insert `cmp.ne` + `br.detect` pairs before every
-/// non-replicated instruction, one pair per distinct renamed register
-/// it reads.
+/// Step 3: before every non-replicated instruction, check each distinct
+/// register it reads against its copies — a `cmp.ne` + `br.detect`
+/// pair (or a fused `chk.ne`) with one stream, `vote r, r, rA, rB`
+/// with two.
 fn emit_check_insns(func: &mut Function, ed: &mut Ed, opts: &EdOptions) {
     for b in 0..func.blocks.len() {
         let list: Vec<InsnId> = func.blocks[b].insns.clone();
@@ -284,36 +285,48 @@ fn emit_check_insns(func: &mut Function, ed: &mut Ed, opts: &EdOptions) {
                         continue;
                     }
                     seen.push(reg);
-                    let Some(&renamed) = ed.renamed.get(&reg) else {
-                        // Value has no redundant copy (produced by
-                        // unprotected code and never isolated): nothing
-                        // to compare against.
-                        continue;
-                    };
-                    if opts.fused_checks {
-                        // Ablation: one fused compare-and-detect slot.
-                        let chk = Insn::new(
-                            Opcode::ChkNe,
-                            vec![],
-                            vec![Operand::Reg(reg), Operand::Reg(renamed)],
-                        )
-                        .with_prov(Provenance::CheckCmp);
-                        new_list.push(func.add_insn(chk));
-                    } else {
-                        // The paper's encoding: compare + detect branch.
-                        let p = func.new_reg(RegClass::Pr);
-                        let cmp = Insn::new(
-                            Opcode::Cmp(CmpKind::Ne),
-                            vec![p],
-                            vec![Operand::Reg(reg), Operand::Reg(renamed)],
-                        )
-                        .with_prov(Provenance::CheckCmp);
-                        let cmp_id = func.add_insn(cmp);
-                        let br = Insn::new(Opcode::DetectBr, vec![], vec![Operand::Reg(p)])
-                            .with_prov(Provenance::CheckBr);
-                        let br_id = func.add_insn(br);
-                        new_list.push(cmp_id);
-                        new_list.push(br_id);
+                    // A value with no redundant copy (produced by
+                    // unprotected code and never isolated) has nothing
+                    // to compare against.
+                    let copies: Option<Vec<Reg>> =
+                        ed.renamed.iter().map(|r| r.get(&reg).copied()).collect();
+                    match copies.as_deref() {
+                        None => continue,
+                        Some(&[renamed]) if opts.fused_checks => {
+                            // Ablation: one fused compare-and-detect slot.
+                            let chk = Insn::new(
+                                Opcode::ChkNe,
+                                vec![],
+                                vec![Operand::Reg(reg), Operand::Reg(renamed)],
+                            )
+                            .with_prov(Provenance::CheckCmp);
+                            new_list.push(func.add_insn(chk));
+                        }
+                        Some(&[renamed]) => {
+                            // The paper's encoding: compare + detect branch.
+                            let p = func.new_reg(RegClass::Pr);
+                            let cmp = Insn::new(
+                                Opcode::Cmp(CmpKind::Ne),
+                                vec![p],
+                                vec![Operand::Reg(reg), Operand::Reg(renamed)],
+                            )
+                            .with_prov(Provenance::CheckCmp);
+                            new_list.push(func.add_insn(cmp));
+                            let br = Insn::new(Opcode::DetectBr, vec![], vec![Operand::Reg(p)])
+                                .with_prov(Provenance::CheckBr);
+                            new_list.push(func.add_insn(br));
+                        }
+                        Some(&[a, bb]) => {
+                            // Majority of the three lanes, written back.
+                            let vote = Insn::new(
+                                Opcode::Vote,
+                                vec![reg],
+                                vec![Operand::Reg(reg), Operand::Reg(a), Operand::Reg(bb)],
+                            )
+                            .with_prov(Provenance::CheckCmp);
+                            new_list.push(func.add_insn(vote));
+                        }
+                        Some(_) => unreachable!("one or two redundant streams"),
                     }
                     ed.stats.checks += 1;
                 }
@@ -324,18 +337,14 @@ fn emit_check_insns(func: &mut Function, ed: &mut Ed, opts: &EdOptions) {
     }
 }
 
-/// Run the full error-detection transformation (Algorithm 1,
-/// `relaxed_main`) on the module's entry function. Returns statistics.
-pub fn error_detection(module: &mut Module) -> EdStats {
-    error_detection_with(module, &EdOptions::default())
-}
-
-/// [`error_detection`] with explicit [`EdOptions`] (ablations).
-pub fn error_detection_with(module: &mut Module, opts: &EdOptions) -> EdStats {
+/// Algorithm 1 over `streams` redundant streams on the module's entry
+/// function — the body behind [`Transform::apply`] and both public
+/// entry points. Returns statistics.
+pub(crate) fn replicate(module: &mut Module, opts: &EdOptions, streams: usize) -> EdStats {
     let func = module.entry_fn_mut();
     let mut ed = Ed {
-        dup_of: HashMap::new(),
-        renamed: HashMap::new(),
+        dup_of: vec![HashMap::new(); streams],
+        renamed: vec![HashMap::new(); streams],
         stats: EdStats {
             size_before: func.static_size(),
             ..EdStats::default()
@@ -344,23 +353,34 @@ pub fn error_detection_with(module: &mut Module, opts: &EdOptions) -> EdStats {
     replicate_insns(func, &mut ed, opts);
     register_rename(func, &mut ed);
     emit_check_insns(func, &mut ed, opts);
-    ed.stats.renamed_regs = ed.renamed.len();
+    ed.stats.renamed_regs = ed.renamed.iter().map(HashMap::len).sum();
     ed.stats.size_after = func.static_size();
     debug_assert!(
         casted_ir::verify::verify_function(func).is_ok(),
-        "error-detection produced invalid IR"
+        "replication pass produced invalid IR"
     );
     ed.stats
 }
 
+/// Run the full error-detection transformation (Algorithm 1,
+/// `relaxed_main`) on the module's entry function. Returns statistics.
+pub fn error_detection(module: &mut Module) -> EdStats {
+    error_detection_with(module, &EdOptions::default())
+}
+
+/// [`error_detection`] with explicit [`EdOptions`] (ablations).
+pub fn error_detection_with(module: &mut Module, opts: &EdOptions) -> EdStats {
+    replicate(module, opts, Transform::DupCompare.redundant_streams())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use casted_ir::interp::{self, OutVal, StopReason};
     use casted_ir::FunctionBuilder;
 
-    /// x=6; y=x*7; out(y) — with a store thrown in.
-    fn sample_module() -> Module {
+    /// x=6; y=x*7; store/load round trip; out(y).
+    pub(crate) fn sample_module() -> Module {
         let mut m = Module::new("t");
         let (_, addr) = m.add_global("g", casted_ir::func::GlobalClass::Int, 2, vec![]);
         let mut b = FunctionBuilder::new("main");
@@ -608,25 +628,10 @@ mod tests {
 
 #[cfg(test)]
 mod ablation_tests {
+    use super::tests::sample_module as sample;
     use super::*;
     use casted_ir::interp::{self, OutVal, StopReason};
     use casted_ir::FunctionBuilder;
-
-    fn sample() -> Module {
-        let mut m = Module::new("t");
-        let (_, addr) = m.add_global("g", casted_ir::func::GlobalClass::Int, 2, vec![]);
-        let mut b = FunctionBuilder::new("main");
-        let x = b.imm(6);
-        let y = b.binop(Opcode::Mul, Operand::Reg(x), Operand::Imm(7));
-        let base = b.imm(addr);
-        b.store(base, 0, Operand::Reg(y));
-        let v = b.load(base, 0);
-        b.out(Operand::Reg(v));
-        b.halt_imm(0);
-        let id = m.add_function(b.finish());
-        m.entry = Some(id);
-        m
-    }
 
     #[test]
     fn fused_checks_preserve_semantics_and_shrink_code() {

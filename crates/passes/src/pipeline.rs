@@ -9,9 +9,10 @@
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{MachineConfig, Module};
 
-use crate::errordetect::{error_detection_with, EdOptions, EdStats};
+use crate::errordetect::{EdOptions, EdStats};
 use crate::physreg::{assign_physical, PhysAssignment};
 use crate::schedule::{schedule_function, Placement};
+use crate::schemes::Transform;
 use crate::spill::{choose_spills, intervals, spill_register};
 
 /// The evaluated code-generation schemes: the paper's four plus the
@@ -174,28 +175,9 @@ pub fn prepare_with(
     config: &MachineConfig,
     opts: &PrepareOptions,
 ) -> Result<Prepared, String> {
-    use crate::schemes::Transform;
-    match scheme.descriptor().transform {
-        Transform::Tmr => prepare_transformed(
-            module,
-            scheme,
-            Some(&|m| crate::schemes::tmr_transform(m)),
-            scheme.placement(),
-            config,
-            opts,
-        ),
-        Transform::DupCompare => prepare_custom(
-            module,
-            scheme,
-            Some(EdOptions::default()),
-            scheme.placement(),
-            config,
-            opts,
-        ),
-        Transform::None => {
-            prepare_custom(module, scheme, None, scheme.placement(), config, opts)
-        }
-    }
+    let transform = scheme.descriptor().transform;
+    let ed = EdOptions::default();
+    prepare_transformed(module, scheme, transform, &ed, scheme.placement(), config, opts)
 }
 
 /// Fully custom pipeline entry for ablation studies: choose the
@@ -209,28 +191,19 @@ pub fn prepare_custom(
     config: &MachineConfig,
     opts: &PrepareOptions,
 ) -> Result<Prepared, String> {
-    let transform = ed.map(|e| {
-        move |m: &mut Module| error_detection_with(m, &e)
-    });
-    prepare_transformed(
-        module,
-        scheme,
-        transform
-            .as_ref()
-            .map(|f| f as &dyn Fn(&mut Module) -> EdStats),
-        placement,
-        config,
-        opts,
-    )
+    let transform = if ed.is_some() { Transform::DupCompare } else { Transform::None };
+    let ed = ed.unwrap_or_default();
+    prepare_transformed(module, scheme, transform, &ed, placement, config, opts)
 }
 
 /// The pipeline body shared by every scheme: optional if-conversion,
-/// an arbitrary protection transform, then the spill↔schedule fixed
-/// point and physical-register validation.
+/// the protection transform, then the spill↔schedule fixed point and
+/// physical-register validation.
 fn prepare_transformed(
     module: &Module,
     scheme: Scheme,
-    transform: Option<&dyn Fn(&mut Module) -> EdStats>,
+    transform: Transform,
+    ed: &EdOptions,
     placement: Placement,
     config: &MachineConfig,
     opts: &PrepareOptions,
@@ -240,7 +213,7 @@ fn prepare_transformed(
     if opts.if_convert {
         crate::ifconvert::if_convert(&mut m);
     }
-    let ed_stats = transform.map(|f| f(&mut m));
+    let ed_stats = transform.apply(&mut m, ed);
 
     let mut spilled = 0usize;
     let mut rounds = 0usize;
@@ -275,10 +248,14 @@ fn prepare_transformed(
     })
 }
 
-/// Per-scheme check-emission counter name (static, so recording never
-/// allocates; nonzero iff the scheme carries error detection).
-pub(crate) fn checks_counter(scheme: Scheme) -> &'static str {
-    scheme.descriptor().checks_counter
+/// Flush one protection transform's statistics into the `passes.ed.*`
+/// counters, the per-scheme check counter included.
+pub(crate) fn record_ed_metrics(scheme: Scheme, st: &EdStats) {
+    casted_obs::add("passes.ed.replicated", st.replicated as u64);
+    casted_obs::add("passes.ed.checks", st.checks as u64);
+    casted_obs::add("passes.ed.isolation_copies", st.isolation_copies as u64);
+    casted_obs::add("passes.ed.renamed_regs", st.renamed_regs as u64);
+    casted_obs::add(scheme.descriptor().checks_counter, st.checks as u64);
 }
 
 /// Flush one successful back-end run into the global metrics registry
@@ -294,11 +271,7 @@ fn record_prepare_metrics(
     }
     casted_obs::inc("passes.prepared");
     if let Some(st) = ed_stats {
-        casted_obs::add("passes.ed.replicated", st.replicated as u64);
-        casted_obs::add("passes.ed.checks", st.checks as u64);
-        casted_obs::add("passes.ed.isolation_copies", st.isolation_copies as u64);
-        casted_obs::add("passes.ed.renamed_regs", st.renamed_regs as u64);
-        casted_obs::add(checks_counter(scheme), st.checks as u64);
+        record_ed_metrics(scheme, st);
     }
     casted_obs::add("passes.spilled_regs", spilled as u64);
     casted_obs::add("passes.sched.bundles", sp.bundle_count() as u64);

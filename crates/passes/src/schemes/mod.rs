@@ -34,8 +34,9 @@ mod tmr;
 
 pub use tmr::tmr_transform;
 
-use casted_ir::Cluster;
+use casted_ir::{Cluster, Module};
 
+use crate::errordetect::{replicate, EdOptions, EdStats};
 use crate::pipeline::Scheme;
 use crate::schedule::Placement;
 
@@ -52,6 +53,27 @@ pub enum Transform {
 }
 
 impl Transform {
+    /// Redundant streams the replication pass (`crate::errordetect`)
+    /// emits: 0 leaves the code untouched, 1 duplicates and compares,
+    /// 2 triplicates and votes.
+    pub fn redundant_streams(self) -> usize {
+        match self {
+            Transform::None => 0,
+            Transform::DupCompare => 1,
+            Transform::Tmr => 2,
+        }
+    }
+
+    /// Run this transform over `module`'s entry function — the one
+    /// dispatch site of the protection passes. `None` for
+    /// [`Transform::None`], which leaves the module untouched.
+    pub fn apply(self, module: &mut Module, opts: &EdOptions) -> Option<EdStats> {
+        match self.redundant_streams() {
+            0 => None,
+            streams => Some(replicate(module, opts, streams)),
+        }
+    }
+
     /// Stable tag mixed into the staged-compile ED artifact key.
     /// `None = 0` and `DupCompare = 1` deliberately coincide with the
     /// historical `has_error_detection() as u8` byte, so pre-registry
@@ -229,6 +251,10 @@ mod tests {
             assert_eq!(
                 row.replication_factor == 1,
                 row.transform == Transform::None
+            );
+            assert_eq!(
+                usize::from(row.replication_factor),
+                row.transform.redundant_streams() + 1
             );
             assert_eq!(descriptor(row.scheme).name, row.name);
         }

@@ -1,33 +1,23 @@
 //! The TMRED transform: triplicate + majority vote.
 //!
-//! Structure mirrors Algorithm 1 (`crate::errordetect`) with one
-//! replication stream replaced by two and the compare/branch pairs
-//! replaced by `vote` instructions:
-//!
-//! 1. **Triplication** (`triplicate_insns`): every eligible
-//!    instruction (same eligibility rules as the paper's pass —
-//!    replicable opcode, `Original` provenance) gets **two** exact
-//!    duplicates emitted just before it, one per redundant stream.
-//! 2. **Isolation** (`register_rename`): each stream gets its own
-//!    rename map, so neither redundant stream ever writes an original
-//!    register *or a register of the other stream*. Values produced by
-//!    unduplicated code (library routines) that the redundant streams
-//!    consume get **two separate** isolation copies — one per stream.
-//!    A shared copy would be a single point of failure: one strike on
-//!    it would corrupt both redundant copies and out-vote the healthy
-//!    original at the next vote.
-//! 3. **Vote insertion** (`emit_vote_insns`): before every
-//!    non-replicated instruction (store-class and control flow — the
-//!    exact sites the paper's pass checks), each distinct original
-//!    register it reads is rewritten with the bitwise majority of
-//!    itself and its two copies: `vote r, r, rA, rB`. In a fault-free
-//!    run all three agree and the write is a no-op; under a
-//!    single-lane strike the two healthy copies out-vote the corrupt
-//!    one, so execution continues on golden values — detection *with
-//!    recovery*, where `cmp.ne` + `br.detect` only aborts.
+//! TMRED is the two-stream case of the replication pass in
+//! `crate::errordetect`: every eligible instruction gets **two**
+//! duplicates, each stream is isolated behind its own rename map (with
+//! its own isolation copies after unduplicated producers), and before
+//! every non-replicated instruction — store-class and control flow, the
+//! exact sites the paper's pass checks — each distinct original
+//! register it reads is rewritten with the bitwise majority of itself
+//! and its two copies: `vote r, r, rA, rB`. In a fault-free run all
+//! three agree and the write is a no-op; under a single-lane strike the
+//! two healthy copies out-vote the corrupt one, so execution continues
+//! on golden values — detection *with recovery*, where `cmp.ne` +
+//! `br.detect` only aborts.
 //!
 //! Why correction is exact under the single-strike model: the three
-//! lanes share no written registers (step 2), so one strike perturbs
+//! lanes share no written registers (each stream's rename targets are
+//! fresh registers, and a library value the streams consume gets one
+//! isolation copy per stream — a shared copy would be a single point of
+//! failure that out-votes the healthy original), so one strike perturbs
 //! at most one lane's value chain. At every vote site the other two
 //! lanes carry the golden value and the bitwise majority
 //! `(a&b)|(a&c)|(b&c)` equals it in every bit. The simulator counts a
@@ -36,245 +26,25 @@
 //! (`Outcome::Corrected`) from one the fault never touched (Benign) —
 //! both halt with the golden stream and exit code.
 
-use std::collections::{HashMap, HashSet};
+use casted_ir::Module;
 
-use casted_ir::{Insn, InsnId, Module, Opcode, Operand, Provenance, Reg, RegClass};
-
-use crate::errordetect::EdStats;
-
-/// The two redundant streams' side tables (Fig. 4, doubled).
-struct Tmr {
-    /// Original instruction -> its first/second duplicate.
-    dup_a: HashMap<InsnId, InsnId>,
-    dup_b: HashMap<InsnId, InsnId>,
-    /// Original register -> renamed register, per stream.
-    renamed_a: HashMap<Reg, Reg>,
-    renamed_b: HashMap<Reg, Reg>,
-    stats: EdStats,
-}
-
-/// Step 1: emit two exact duplicates just before every eligible
-/// instruction (stream A first, then B, then the original — relative
-/// order among the three is immaterial once renamed).
-fn triplicate_insns(func: &mut casted_ir::Function, tmr: &mut Tmr) {
-    for b in 0..func.blocks.len() {
-        let old: Vec<InsnId> = func.blocks[b].insns.clone();
-        let mut new_list: Vec<InsnId> = Vec::with_capacity(old.len() * 3);
-        for iid in old {
-            let insn = func.insn(iid).clone();
-            if insn.is_replicable() {
-                let a = func.add_insn(insn.clone().with_prov(Provenance::Duplicate));
-                let bb = func.add_insn(insn.with_prov(Provenance::Duplicate));
-                tmr.dup_a.insert(iid, a);
-                tmr.dup_b.insert(iid, bb);
-                tmr.stats.replicated += 2;
-                new_list.push(a);
-                new_list.push(bb);
-            }
-            new_list.push(iid);
-        }
-        func.blocks[b].insns = new_list;
-    }
-}
-
-/// Original registers read by either redundant stream (identical sets
-/// before renaming, so one scan of stream A suffices).
-fn regs_used_by_duplicates(func: &casted_ir::Function, tmr: &Tmr) -> HashSet<Reg> {
-    let mut set = HashSet::new();
-    for dup_id in tmr.dup_a.values() {
-        for r in func.insn(*dup_id).reg_uses() {
-            set.insert(r);
-        }
-    }
-    set
-}
-
-/// Step 2: isolate both redundant streams behind their own rename
-/// maps, inserting one isolation copy *per stream* after unduplicated
-/// producers the streams consume.
-fn register_rename(func: &mut casted_ir::Function, tmr: &mut Tmr) {
-    let dup_consumed = regs_used_by_duplicates(func, tmr);
-
-    for b in 0..func.blocks.len() {
-        let list: Vec<InsnId> = func.blocks[b].insns.clone();
-        let mut insertions: Vec<(usize, InsnId)> = Vec::new();
-        for (pos, iid) in list.iter().enumerate() {
-            let insn = func.insn(*iid);
-            if insn.prov == Provenance::Duplicate {
-                continue;
-            }
-            let defs: Vec<Reg> = insn.defs.clone();
-            if tmr.dup_a.contains_key(iid) {
-                // Triplicated producer: rename each duplicate's defs
-                // into its own stream.
-                for regw in defs {
-                    for (dup_of, renamed) in [
-                        (&tmr.dup_a, &mut tmr.renamed_a),
-                        (&tmr.dup_b, &mut tmr.renamed_b),
-                    ] {
-                        let dup_id = dup_of[iid];
-                        let new_reg = *renamed
-                            .entry(regw)
-                            .or_insert_with(|| func.new_reg(regw.class));
-                        let dup = func.insn_mut(dup_id);
-                        for d in dup.defs.iter_mut() {
-                            if *d == regw {
-                                *d = new_reg;
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Unduplicated producer: one isolation copy per
-                // stream (separate copies — a shared one would let a
-                // single strike out-vote the original; see module
-                // docs).
-                for regw in defs {
-                    if !dup_consumed.contains(&regw) {
-                        continue;
-                    }
-                    for renamed in [&mut tmr.renamed_a, &mut tmr.renamed_b] {
-                        let new_reg = *renamed
-                            .entry(regw)
-                            .or_insert_with(|| func.new_reg(regw.class));
-                        let copy_op = match regw.class {
-                            RegClass::Gp => Opcode::MovI,
-                            RegClass::Fp => Opcode::FMovI,
-                            // See `errordetect::register_rename`:
-                            // unreachable for well-formed programs.
-                            RegClass::Pr => Opcode::MovI,
-                        };
-                        let copy =
-                            Insn::new(copy_op, vec![new_reg], vec![Operand::Reg(regw)])
-                                .with_prov(Provenance::IsolationCopy);
-                        let copy_id = func.add_insn(copy);
-                        insertions.push((pos + 1, copy_id));
-                        tmr.stats.isolation_copies += 1;
-                    }
-                }
-            }
-        }
-        insertions.sort_by(|a, b| b.0.cmp(&a.0));
-        for (pos, id) in insertions {
-            func.blocks[b].insns.insert(pos, id);
-        }
-    }
-
-    // Rename each duplicate's *uses* into its own stream.
-    for (dup_of, renamed) in [(&tmr.dup_a, &tmr.renamed_a), (&tmr.dup_b, &tmr.renamed_b)] {
-        for &dup_id in dup_of.values() {
-            let renames: Vec<(usize, Reg)> = func
-                .insn(dup_id)
-                .uses
-                .iter()
-                .enumerate()
-                .filter_map(|(k, o)| match o {
-                    Operand::Reg(r) => renamed.get(r).map(|nr| (k, *nr)),
-                    _ => None,
-                })
-                .collect();
-            let insn = func.insn_mut(dup_id);
-            for (k, nr) in renames {
-                insn.uses[k] = Operand::Reg(nr);
-            }
-        }
-    }
-}
-
-/// Step 3: before every non-replicated instruction, rewrite each
-/// distinct original register it reads with the majority of the three
-/// lanes: `vote r, r, rA, rB`.
-fn emit_vote_insns(func: &mut casted_ir::Function, tmr: &mut Tmr) {
-    for b in 0..func.blocks.len() {
-        let list: Vec<InsnId> = func.blocks[b].insns.clone();
-        let mut new_list: Vec<InsnId> = Vec::with_capacity(list.len());
-        for iid in list {
-            let insn = func.insn(iid);
-            if insn.needs_operand_checks()
-                && !matches!(
-                    insn.prov,
-                    Provenance::Duplicate | Provenance::CheckCmp | Provenance::CheckBr
-                )
-            {
-                let mut seen = Vec::new();
-                let regs: Vec<Reg> = insn.reg_uses().collect();
-                for reg in regs {
-                    if seen.contains(&reg) {
-                        continue;
-                    }
-                    seen.push(reg);
-                    let (Some(&a), Some(&bb)) =
-                        (tmr.renamed_a.get(&reg), tmr.renamed_b.get(&reg))
-                    else {
-                        // Value has no redundant copies (unprotected
-                        // code, never isolated): nothing to vote.
-                        continue;
-                    };
-                    let vote = Insn::new(
-                        Opcode::Vote,
-                        vec![reg],
-                        vec![Operand::Reg(reg), Operand::Reg(a), Operand::Reg(bb)],
-                    )
-                    .with_prov(Provenance::CheckCmp);
-                    new_list.push(func.add_insn(vote));
-                    tmr.stats.checks += 1;
-                }
-            }
-            new_list.push(iid);
-        }
-        func.blocks[b].insns = new_list;
-    }
-}
+use crate::errordetect::{replicate, EdOptions, EdStats};
+use crate::schemes::Transform;
 
 /// Run the full TMR transformation on the module's entry function.
 /// Returns the same statistics shape as the paper's pass; `checks`
 /// counts vote instructions.
 pub fn tmr_transform(module: &mut Module) -> EdStats {
-    let func = module.entry_fn_mut();
-    let mut tmr = Tmr {
-        dup_a: HashMap::new(),
-        dup_b: HashMap::new(),
-        renamed_a: HashMap::new(),
-        renamed_b: HashMap::new(),
-        stats: EdStats {
-            size_before: func.static_size(),
-            ..EdStats::default()
-        },
-    };
-    triplicate_insns(func, &mut tmr);
-    register_rename(func, &mut tmr);
-    emit_vote_insns(func, &mut tmr);
-    tmr.stats.renamed_regs = tmr.renamed_a.len() + tmr.renamed_b.len();
-    tmr.stats.size_after = func.static_size();
-    debug_assert!(
-        casted_ir::verify::verify_function(func).is_ok(),
-        "TMR transform produced invalid IR"
-    );
-    tmr.stats
+    replicate(module, &EdOptions::default(), Transform::Tmr.redundant_streams())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errordetect::tests::sample_module;
     use casted_ir::interp::{self, OutVal, StopReason};
-    use casted_ir::{CmpKind, FunctionBuilder};
-
-    /// x=6; y=x*7; store/load round trip; out(y).
-    fn sample_module() -> Module {
-        let mut m = Module::new("t");
-        let (_, addr) = m.add_global("g", casted_ir::func::GlobalClass::Int, 2, vec![]);
-        let mut b = FunctionBuilder::new("main");
-        let x = b.imm(6);
-        let y = b.binop(Opcode::Mul, Operand::Reg(x), Operand::Imm(7));
-        let base = b.imm(addr);
-        b.store(base, 0, Operand::Reg(y));
-        let v = b.load(base, 0);
-        b.out(Operand::Reg(v));
-        b.halt_imm(0);
-        let id = m.add_function(b.finish());
-        m.entry = Some(id);
-        m
-    }
+    use casted_ir::{CmpKind, FunctionBuilder, Insn, Opcode, Operand, Provenance, Reg, RegClass};
+    use std::collections::HashSet;
 
     #[test]
     fn transformed_program_behaves_identically() {

@@ -40,7 +40,7 @@ use casted_util::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use casted_util::hash::{fnv1a, Fnv64};
 use casted_util::store::ArtifactStore;
 
-use crate::errordetect::{error_detection_with, EdOptions, EdStats};
+use crate::errordetect::{EdOptions, EdStats};
 use crate::physreg::{assign_physical, PhysAssignment};
 use crate::pipeline::{PrepareOptions, Prepared, Scheme};
 use crate::schedule::{schedule_function, Placement};
@@ -343,20 +343,10 @@ fn run_ed_stage(
     if opts.if_convert {
         crate::ifconvert::if_convert(&mut m);
     }
-    let ed_stats = match scheme.descriptor().transform {
-        crate::schemes::Transform::None => None,
-        crate::schemes::Transform::DupCompare => {
-            Some(error_detection_with(&mut m, &EdOptions::default()))
-        }
-        crate::schemes::Transform::Tmr => Some(crate::schemes::tmr_transform(&mut m)),
-    };
+    let ed_stats = scheme.descriptor().transform.apply(&mut m, &EdOptions::default());
     if casted_obs::enabled() {
         if let Some(st) = &ed_stats {
-            casted_obs::add("passes.ed.replicated", st.replicated as u64);
-            casted_obs::add("passes.ed.checks", st.checks as u64);
-            casted_obs::add("passes.ed.isolation_copies", st.isolation_copies as u64);
-            casted_obs::add("passes.ed.renamed_regs", st.renamed_regs as u64);
-            casted_obs::add(crate::pipeline::checks_counter(scheme), st.checks as u64);
+            crate::pipeline::record_ed_metrics(scheme, st);
         }
     }
     (m, ed_stats)

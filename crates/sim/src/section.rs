@@ -40,6 +40,7 @@
 //! hashes to be unchanged — the invalidation rule that makes reuse
 //! after an edit sound.
 
+use casted_ir::codec::encode_insn;
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::RegClass;
 use casted_util::hash::Fnv64;
@@ -169,6 +170,7 @@ impl GoldenRun {
 pub fn block_validation_hashes(sp: &ScheduledProgram) -> Vec<(u64, u64)> {
     let live = live_in_masks(sp, &DecodedProgram::new(sp));
     let func = sp.module.entry_fn();
+    let mut buf = Vec::new();
     sp.blocks
         .iter()
         .enumerate()
@@ -182,11 +184,11 @@ pub fn block_validation_hashes(sp: &ScheduledProgram) -> Vec<(u64, u64)> {
                 h.write_u64(u64::MAX);
                 for (cluster, iid) in bundle.iter() {
                     h.write_u64(cluster.0 as u64);
-                    // The Debug form covers every Insn field (opcode
-                    // incl. compare kind, defs, uses with exact
-                    // immediates, memory offset, branch targets,
-                    // provenance) and is injective on values.
-                    h.write(format!("{:?}", func.insn(iid)).as_bytes());
+                    // The canonical encoding covers every Insn field
+                    // and is self-delimiting, so it is injective here.
+                    buf.clear();
+                    encode_insn(&mut buf, func.insn(iid));
+                    h.write(&buf);
                 }
             }
             let code = h.finish();
