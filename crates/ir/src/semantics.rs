@@ -1,9 +1,11 @@
-//! Shared functional semantics of the opcode set.
+//! Functional semantics of the opcode set over typed values.
 //!
-//! Both the reference interpreter ([`crate::interp`]) and the
-//! cycle-accurate simulator (`casted-sim`) evaluate instructions through
-//! this module, so the two can never disagree about *what* an
-//! instruction computes — they only differ in *when*.
+//! The reference interpreter ([`crate::interp`]) evaluates instructions
+//! through this module. The cycle-accurate simulator (`casted-sim`)
+//! computes the same functions on raw register words, resolved once at
+//! decode; this module is the independent oracle it is checked against
+//! (`crates/sim/tests/word_semantics.rs`, and every interpreter
+//! cross-check in the integration tests).
 
 use crate::op::{CmpKind, Opcode};
 

@@ -215,27 +215,7 @@ fn prepare_transformed(
     }
     let ed_stats = transform.apply(&mut m, ed);
 
-    let mut spilled = 0usize;
-    let mut rounds = 0usize;
-    let sp = loop {
-        let sp = schedule_function(&m, config, placement);
-        let ivs = intervals(&sp);
-        let picks = choose_spills(&sp, &ivs);
-        if picks.is_empty() {
-            break sp;
-        }
-        rounds += 1;
-        if rounds > opts.max_spill_rounds {
-            return Err(format!(
-                "register pressure not reducible after {} spill rounds ({} spills)",
-                opts.max_spill_rounds, spilled
-            ));
-        }
-        for reg in picks {
-            spill_register(&mut m, reg);
-            spilled += 1;
-        }
-    };
+    let (sp, spilled) = schedule_with_spills(m, config, placement, opts.max_spill_rounds)?;
 
     let phys = assign_physical(&sp)?;
     record_prepare_metrics(scheme, &ed_stats, spilled, &sp);
@@ -246,6 +226,37 @@ fn prepare_transformed(
         spilled,
         phys,
     })
+}
+
+/// The spill↔schedule fixed point: schedule `m`, spill every register
+/// `choose_spills` picks, and reschedule, until a schedule needs no
+/// spill. Returns that schedule and the number of registers spilled,
+/// or an error past `max_spill_rounds` spill rounds.
+pub(crate) fn schedule_with_spills(
+    mut m: Module,
+    config: &MachineConfig,
+    placement: Placement,
+    max_spill_rounds: usize,
+) -> Result<(ScheduledProgram, usize), String> {
+    let mut spilled = 0usize;
+    let mut rounds = 0usize;
+    loop {
+        let sp = schedule_function(&m, config, placement);
+        let picks = choose_spills(&sp, &intervals(&sp));
+        if picks.is_empty() {
+            return Ok((sp, spilled));
+        }
+        rounds += 1;
+        if rounds > max_spill_rounds {
+            return Err(format!(
+                "register pressure not reducible after {max_spill_rounds} spill rounds ({spilled} spills)"
+            ));
+        }
+        for reg in picks {
+            spill_register(&mut m, reg);
+            spilled += 1;
+        }
+    }
 }
 
 /// Flush one protection transform's statistics into the `passes.ed.*`
@@ -273,6 +284,12 @@ fn record_prepare_metrics(
     if let Some(st) = ed_stats {
         record_ed_metrics(scheme, st);
     }
+    record_sched_metrics(spilled, sp);
+}
+
+/// Flush one spill↔schedule fixed point's result into the
+/// `passes.spilled_regs` and `passes.sched.*` counters.
+pub(crate) fn record_sched_metrics(spilled: usize, sp: &ScheduledProgram) {
     casted_obs::add("passes.spilled_regs", spilled as u64);
     casted_obs::add("passes.sched.bundles", sp.bundle_count() as u64);
     casted_obs::add("passes.sched.nop_slots", sp.nop_slots() as u64);

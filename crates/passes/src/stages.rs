@@ -42,9 +42,10 @@ use casted_util::store::ArtifactStore;
 
 use crate::errordetect::{EdOptions, EdStats};
 use crate::physreg::{assign_physical, PhysAssignment};
-use crate::pipeline::{PrepareOptions, Prepared, Scheme};
-use crate::schedule::{schedule_function, Placement};
-use crate::spill::{choose_spills, intervals, spill_register};
+use crate::pipeline::{
+    record_sched_metrics, schedule_with_spills, PrepareOptions, Prepared, Scheme,
+};
+use crate::schedule::Placement;
 
 /// Per-stage format versions, mixed into every stage key: bumping one
 /// invalidates that stage's artifacts (and, through the digest chain,
@@ -352,45 +353,22 @@ fn run_ed_stage(
     (m, ed_stats)
 }
 
-/// The schedule stage body — the spill↔schedule fixed point of
-/// [`pipeline::prepare_custom`], verbatim.
+/// The schedule stage body: the spill↔schedule fixed point
+/// [`pipeline::prepare_custom`] runs, through the same helper.
 fn run_sched_stage(
     ed_module: &Module,
     scheme: Scheme,
     config: &MachineConfig,
     opts: &PrepareOptions,
 ) -> Result<(ScheduledProgram, usize), String> {
-    let placement = scheme.placement();
-    let mut m = ed_module.clone();
-    let mut spilled = 0usize;
-    let mut rounds = 0usize;
-    let sp = loop {
-        let sp = schedule_function(&m, config, placement);
-        let ivs = intervals(&sp);
-        let picks = choose_spills(&sp, &ivs);
-        if picks.is_empty() {
-            break sp;
-        }
-        rounds += 1;
-        if rounds > opts.max_spill_rounds {
-            return Err(format!(
-                "register pressure not reducible after {} spill rounds ({} spills)",
-                opts.max_spill_rounds, spilled
-            ));
-        }
-        for reg in picks {
-            spill_register(&mut m, reg);
-            spilled += 1;
-        }
-    };
+    let (sp, spilled) = schedule_with_spills(
+        ed_module.clone(),
+        config,
+        scheme.placement(),
+        opts.max_spill_rounds,
+    )?;
     if casted_obs::enabled() {
-        casted_obs::add("passes.spilled_regs", spilled as u64);
-        casted_obs::add("passes.sched.bundles", sp.bundle_count() as u64);
-        casted_obs::add("passes.sched.nop_slots", sp.nop_slots() as u64);
-        casted_obs::add(
-            "passes.sched.cross_cluster_edges",
-            sp.cross_cluster_edges() as u64,
-        );
+        record_sched_metrics(spilled, &sp);
     }
     Ok((sp, spilled))
 }

@@ -332,6 +332,11 @@ impl Server {
         self.addr
     }
 
+    /// Jobs accepted into the queue and not yet taken by a worker.
+    pub fn queued_jobs(&self) -> usize {
+        self.shared.queue.lock().jobs.len()
+    }
+
     /// Block until the server exits (a client sent `Shutdown`).
     pub fn wait(mut self) {
         if let Some(h) = self.supervisor.take() {

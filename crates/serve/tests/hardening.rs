@@ -4,7 +4,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use casted::service_api::JobSpec;
 use casted::Scheme;
@@ -104,11 +104,16 @@ fn garbage_bytes_get_structured_err_and_clean_close() {
 
 #[test]
 fn queue_full_returns_busy_without_buffering() {
-    // One worker, queue of one: request A occupies the worker, B sits
-    // in the queue, C must bounce with Busy immediately.
+    // One worker, queue of one: streaming campaign A holds the worker,
+    // B sits in the queue, C must bounce with Busy immediately. Each
+    // step waits for the state it needs, never for a fixed time. A is
+    // sized to run for seconds even in an optimized build (its slow
+    // program replays 20,000 trials in about 0.9 s there).
+    const HOLD_TRIALS: u64 = 200_000;
     let server = Server::start(ServerConfig {
         workers: 1,
         queue_depth: 1,
+        max_trials: HOLD_TRIALS,
         cache: CacheConfig {
             byte_budget: 0, // no cache: every request is a miss
             ..CacheConfig::default()
@@ -118,22 +123,56 @@ fn queue_full_returns_busy_without_buffering() {
     .unwrap();
     let addr = server.addr();
 
+    // A: a campaign far longer than the test, cancelled at its end.
+    // Its first Progress frame proves it holds the worker.
+    let mut a = Client::connect(addr).unwrap();
+    let mut cancel_a = a.canceller().unwrap();
+    let (running_tx, running_rx) = std::sync::mpsc::channel();
     let a = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.request(&slow_request(1)).unwrap()
+        let Request::Inject { spec, seed, engine, .. } = slow_request(1) else {
+            unreachable!()
+        };
+        let hold = Request::InjectStream {
+            spec,
+            trials: HOLD_TRIALS,
+            seed,
+            engine,
+            every: 1,
+        };
+        let mut running = Some(running_tx);
+        a.request_stream(&hold, &mut |_, _| {
+            if let Some(tx) = running.take() {
+                tx.send(()).unwrap();
+            }
+            true
+        })
+        .unwrap()
     });
-    // Give A time to reach the worker.
-    std::thread::sleep(Duration::from_millis(150));
+    running_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("campaign A never reported progress");
+
+    // B: queued behind A.
     let b = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.request(&slow_request(2)).unwrap()
+        c.request(&Request::Inject {
+            spec: spec(),
+            trials: 40,
+            seed: 2,
+            engine: Engine::Reference,
+        })
+        .unwrap()
     });
-    std::thread::sleep(Duration::from_millis(150));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.queued_jobs() == 0 {
+        assert!(Instant::now() < deadline, "request B never reached the queue");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // C arrives while the worker chews A and the queue holds B.
     let mut c = Client::connect(addr).unwrap();
     c.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let resp_c = c.request(&slow_request(3)).unwrap();
     assert_eq!(resp_c, Response::Busy, "queue-full must bounce immediately");
     assert!(
@@ -141,12 +180,16 @@ fn queue_full_returns_busy_without_buffering() {
         "Busy must not wait for the queue to drain"
     );
 
-    // A and B still complete correctly — backpressure dropped C only.
-    for handle in [a, b] {
-        match handle.join().unwrap() {
-            Response::Injected(i) => assert_eq!(i.trials, 1500),
-            other => panic!("expected Injected, got {other:?}"),
-        }
+    // Cancelling A frees the worker; B still completes correctly —
+    // backpressure dropped C only.
+    cancel_a.cancel().unwrap();
+    match a.join().unwrap() {
+        Response::Cancelled { done, .. } => assert!(done >= 1),
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    match b.join().unwrap() {
+        Response::Injected(i) => assert_eq!(i.trials, 40),
+        other => panic!("expected Injected, got {other:?}"),
     }
     server.shutdown();
 }

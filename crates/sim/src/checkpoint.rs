@@ -82,10 +82,10 @@ use std::collections::HashMap;
 
 use casted_ir::interp::OutVal;
 use casted_ir::vliw::ScheduledProgram;
-use casted_ir::{BlockId, Opcode, Reg, RegClass};
+use casted_ir::{BlockId, Reg, RegClass};
 use casted_util::hash::Fnv64;
 
-use crate::decode::DecodedProgram;
+use crate::decode::{DecodedProgram, WordOp};
 use crate::machine::{
     run_decoded, run_machine, Boundary, Injection, MachineState, SimOptions, SimResult,
 };
@@ -213,8 +213,8 @@ pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<L
     use std::collections::HashSet;
     let func = sp.module.entry_fn();
     let n = dp.block_count();
-    let mut use_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
-    let mut def_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut use_set: Vec<HashSet<u32>> = vec![HashSet::new(); n];
+    let mut def_set: Vec<HashSet<u32>> = vec![HashSet::new(); n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
         let (u, d) = (&mut use_set[i], &mut def_set[i]);
@@ -226,7 +226,7 @@ pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<L
             }
             for op in dp.ops(bundle) {
                 d.extend(op.def);
-                if matches!(op.op, Opcode::Br | Opcode::BrCond) {
+                if matches!(op.word_op, WordOp::Br | WordOp::BrCond) {
                     for t in [op.target, op.target2].into_iter().flatten() {
                         if !succs[i].contains(&t.index()) {
                             succs[i].push(t.index());
@@ -237,7 +237,7 @@ pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<L
         }
     }
 
-    let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut live_in: Vec<HashSet<u32>> = vec![HashSet::new(); n];
     let mut changed = true;
     while changed {
         changed = false;
@@ -261,8 +261,8 @@ pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<L
         .into_iter()
         .map(|set| {
             let mut m = LiveMask::sized(func);
-            for r in set {
-                m.insert(r);
+            for slot in set {
+                m.insert(dp.layout.reg(slot));
             }
             m
         })
@@ -314,8 +314,9 @@ fn state_digest(mut h: Fnv64, st: &MachineState, live: &LiveMask) -> u64 {
         h.write_u64_round(rb.next as u64);
     }
 
-    // Live registers: value plus scoreboard entry, in class/index
-    // order so the digest is canonical.
+    // Live registers: word plus scoreboard entry, in class/index
+    // order so the digest is canonical. The word is an integer's bits,
+    // a float's IEEE bits or a predicate as 0/1.
     for (class, tag) in [(RegClass::Gp, 1u64), (RegClass::Fp, 2), (RegClass::Pr, 3)] {
         h.write_u64_round(tag);
         for (w, &word) in live.class_bits(class).iter().enumerate() {
@@ -324,14 +325,10 @@ fn state_digest(mut h: Fnv64, st: &MachineState, live: &LiveMask) -> u64 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let idx = (w * 64 + bit) as u32;
-                let r = Reg { class, index: idx };
+                let slot = st.layout.class_slot(class, idx);
                 h.write_u64_round(idx as u64);
-                match st.rf.get(r) {
-                    casted_ir::semantics::Val::I(v) => h.write_u64_round(v as u64),
-                    casted_ir::semantics::Val::F(v) => h.write_u64_round(v.to_bits()),
-                    casted_ir::semantics::Val::B(v) => h.write_u64_round(v as u64),
-                }
-                let (avail, writer) = st.ready.get(r);
+                h.write_u64_round(st.regs[slot]);
+                let (avail, writer) = st.ready[slot];
                 h.write_u64_round(avail);
                 h.write_u64_round(writer as u64);
             }
@@ -529,7 +526,7 @@ impl GoldenRun {
         self,
         sp: &ScheduledProgram,
         rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
-        hook: &mut dyn FnMut(&mut Recorder, &DecodedProgram, &MachineState) -> Boundary,
+        mut hook: impl FnMut(&mut Recorder, &DecodedProgram, &MachineState) -> Boundary,
     ) -> (GoldenTrace, MachineState) {
         let GoldenRun { result, decoded } = self;
         let mut rec = Recorder {
@@ -542,7 +539,7 @@ impl GoldenRun {
             ..SimOptions::default()
         };
         let mut st = rec.checkpoints[0].clone();
-        let finished = run_machine(&decoded, &opts, &mut st, false, &mut |st: &MachineState| {
+        let finished = run_machine(&decoded, &opts, &mut st, false, |st: &MachineState| {
             hook(&mut rec, &decoded, st)
         });
         if let Some(replayed) = finished {
@@ -762,7 +759,7 @@ pub fn replay_trial(
     };
     let mut attempts = 0u32;
     let mut converged = None;
-    let finished = run_machine(&trace.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
+    let finished = run_machine(&trace.decoded, &opts, &mut st, false, |st: &MachineState| {
         if st.injected {
             if let Some(v) = visited.as_deref_mut() {
                 v.insert(st.block.index() as u32);

@@ -1,39 +1,202 @@
-//! The scheduled program decoded once into flat per-bundle arrays.
+//! The scheduled program decoded once into flat per-bundle arrays of
+//! register slots, constant slots and word operations.
 //!
 //! A [`ScheduledProgram`] stores each bundle as per-cluster `Vec`s of
 //! instruction ids, and each instruction behind an arena lookup with
-//! its own heap-allocated `defs`/`uses`. Walking that every cycle —
-//! flattening the slots, chasing the arena, filtering register reads
-//! once for the stall check and again for the operand read, looking up
-//! latencies — costs more than executing the bundle. [`DecodedProgram`]
-//! does that walk once, in O(static instructions), and the cycle loop
-//! (`machine::run_machine`) and the scheduled-code liveness walk
-//! iterate only these arrays.
+//! its own heap-allocated `defs`/`uses`, typed operands and an opcode
+//! whose meaning depends on its operand classes. Resolving all of
+//! that every cycle costs more than executing the bundle.
+//! [`DecodedProgram`] resolves it once, in O(static instructions), and
+//! is the only place in the simulator that knows the IR's value
+//! classes. The cycle loop (`machine::run_machine`) and the
+//! scheduled-code liveness walk iterate only these arrays:
+//!
+//! * **Register slots.** Every virtual register is one index into the
+//!   machine's flat word file, [`SlotLayout`]: the Gp registers first,
+//!   then Fp, then Pr. A slot holds a raw `u64` word: an integer's
+//!   bits, a float's IEEE bits, or a predicate as 0/1.
+//! * **Constant slots.** Each `Imm`/`FImm` operand becomes an index
+//!   past the last register slot, naming its word in the program's
+//!   constant table. An operand read is one index either way
+//!   ([`DecodedProgram::word`]).
+//! * **Word operations.** Each opcode, together with its operand
+//!   class, becomes a [`WordOp`] that needs no class at run time:
+//!   `Cmp` over Fp is a bitwise `Eq`/`Ne` or an IEEE ordered compare,
+//!   over Gp and Pr a signed word compare; `Load`/`FLoad` and
+//!   `Store`/`FStore` merge, because memory already holds words.
 //!
 //! Per bundle it holds three contiguous slices, in `Bundle::iter`
 //! order (cluster by cluster, slot by slot):
 //!
 //! * the decoded instructions ([`DecodedOp`]);
-//! * every operand of those instructions, each instruction's run
+//! * every operand slot of those instructions, each instruction's run
 //!   addressed by an offset relative to the bundle's first operand —
 //!   exactly the layout of the bundle's two-phase parallel read;
-//! * the stall list: each register read with the cluster reading it.
+//! * the stall list: each register slot read with the cluster reading
+//!   it.
 //!
 //! Decoding is a pure function of the program: the simulated
 //! statistics of a decoded run are bit-identical to the IR walk it
-//! replaces (`tests/sim_golden.rs` pins every field).
+//! replaces (`tests/sim_golden.rs` pins every field), and the words
+//! are exactly what the state digests hash, so fingerprints are too.
 
 use casted_ir::vliw::ScheduledProgram;
-use casted_ir::{BlockId, Cluster, InsnId, Opcode, Operand, Reg};
+use casted_ir::{BlockId, Cluster, CmpKind, Function, InsnId, Opcode, Operand, Reg, RegClass};
+
+/// Where each register class starts in the flat word file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SlotLayout {
+    /// Start of each class in `RegClass::index` order, then the total.
+    base: [u32; 4],
+}
+
+impl SlotLayout {
+    pub(crate) fn of(func: &Function) -> Self {
+        let mut base = [0u32; 4];
+        for class in RegClass::ALL {
+            base[class.index() + 1] = base[class.index()] + func.reg_count(class);
+        }
+        SlotLayout { base }
+    }
+
+    /// Number of register slots.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.base[3] as usize
+    }
+
+    /// The slot of `r`.
+    #[inline]
+    pub(crate) fn slot(&self, r: Reg) -> u32 {
+        debug_assert!(r.index < self.base[r.class.index() + 1] - self.base[r.class.index()]);
+        self.base[r.class.index()] + r.index
+    }
+
+    /// The slot of `class` register `index`.
+    #[inline]
+    pub(crate) fn class_slot(&self, class: RegClass, index: u32) -> usize {
+        (self.base[class.index()] + index) as usize
+    }
+
+    /// The register held in `slot`.
+    pub(crate) fn reg(&self, slot: u32) -> Reg {
+        let class = RegClass::ALL
+            .into_iter()
+            .rfind(|c| slot >= self.base[c.index()])
+            .expect("slot past the Gp base");
+        Reg::new(class, slot - self.base[class.index()])
+    }
+
+    /// Bit width of the register in `slot`: the fault model flips one
+    /// of these bits.
+    #[inline]
+    pub(crate) fn bits(&self, slot: u32) -> u32 {
+        if slot >= self.base[RegClass::Pr.index()] {
+            RegClass::Pr.bits()
+        } else {
+            RegClass::Gp.bits()
+        }
+    }
+}
+
+/// What an instruction computes on register words, its operand
+/// classes already resolved (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WordOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    Sra,
+    /// `MovI`/`FMovI`: copy the word.
+    Mov,
+    Sel,
+    /// Signed word compare: `Cmp` over Gp and Pr, and `Cmp.eq`/`ne`
+    /// over Fp, which checks compare bitwise so a flipped NaN bit
+    /// still mismatches.
+    Cmp(CmpKind),
+    /// IEEE compare: `FCmp`, and `Cmp.lt`/`le`/`gt`/`ge` over Fp.
+    FCmp(CmpKind),
+    FAdd,
+    FSub,
+    FMul,
+    FDiv,
+    I2F,
+    F2I,
+    /// `Load`/`FLoad`.
+    Load,
+    /// `Store`/`FStore`.
+    Store,
+    Out,
+    FOut,
+    Br,
+    BrCond,
+    DetectBr,
+    ChkNe,
+    Vote,
+    Halt,
+    Nop,
+}
+
+impl WordOp {
+    /// Resolve `op` over operands whose first is of class `class`
+    /// (the verifier makes a polymorphic opcode's operands agree).
+    fn resolve(op: Opcode, class: RegClass) -> Self {
+        use WordOp as W;
+        match op {
+            Opcode::Add => W::Add,
+            Opcode::Sub => W::Sub,
+            Opcode::Mul => W::Mul,
+            Opcode::Div => W::Div,
+            Opcode::Rem => W::Rem,
+            Opcode::And => W::And,
+            Opcode::Or => W::Or,
+            Opcode::Xor => W::Xor,
+            Opcode::Shl => W::Shl,
+            Opcode::Shr => W::Shr,
+            Opcode::Sra => W::Sra,
+            Opcode::MovI | Opcode::FMovI => W::Mov,
+            Opcode::Sel => W::Sel,
+            Opcode::Cmp(k @ (CmpKind::Eq | CmpKind::Ne)) => W::Cmp(k),
+            Opcode::Cmp(k) if class == RegClass::Fp => W::FCmp(k),
+            Opcode::Cmp(k) => W::Cmp(k),
+            Opcode::FCmp(k) => W::FCmp(k),
+            Opcode::FAdd => W::FAdd,
+            Opcode::FSub => W::FSub,
+            Opcode::FMul => W::FMul,
+            Opcode::FDiv => W::FDiv,
+            Opcode::I2F => W::I2F,
+            Opcode::F2I => W::F2I,
+            Opcode::Load | Opcode::FLoad => W::Load,
+            Opcode::Store | Opcode::FStore => W::Store,
+            Opcode::Out => W::Out,
+            Opcode::FOut => W::FOut,
+            Opcode::Br => W::Br,
+            Opcode::BrCond => W::BrCond,
+            Opcode::DetectBr => W::DetectBr,
+            Opcode::ChkNe => W::ChkNe,
+            Opcode::Vote => W::Vote,
+            Opcode::Halt => W::Halt,
+            Opcode::Nop => W::Nop,
+        }
+    }
+}
 
 /// One instruction as the cycle loop consumes it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DecodedOp {
     pub(crate) cluster: Cluster,
     pub(crate) iid: InsnId,
-    pub(crate) op: Opcode,
-    /// The defined register, if any (the IR allows at most one).
-    pub(crate) def: Option<Reg>,
+    pub(crate) word_op: WordOp,
+    /// The slot of the defined register, if any (the IR allows at most
+    /// one).
+    pub(crate) def: Option<u32>,
     /// `op.latency` under the program's latency table (a load's actual
     /// latency still comes from the cache at run time).
     pub(crate) latency: u32,
@@ -47,7 +210,7 @@ pub(crate) struct DecodedOp {
 
 impl DecodedOp {
     /// Index range of this instruction's operands within its bundle's
-    /// operand slice (and the bundle's phase-1 value buffer).
+    /// operand slice (and the bundle's phase-1 word buffer).
     #[inline]
     pub(crate) fn operand_range(&self) -> std::ops::Range<usize> {
         self.opnd_off as usize..(self.opnd_off + self.opnd_len) as usize
@@ -65,9 +228,13 @@ pub(crate) struct DecodedBundle {
 /// A [`ScheduledProgram`] flattened for the cycle loops, plus the
 /// machine-configuration constants they read per bundle.
 pub(crate) struct DecodedProgram {
+    pub(crate) layout: SlotLayout,
     ops: Vec<DecodedOp>,
-    operands: Vec<Operand>,
-    stalls: Vec<(Reg, u8)>,
+    /// Operand slots: a register slot, or `layout.len() + k` for
+    /// `consts[k]`.
+    operands: Vec<u32>,
+    consts: Vec<u64>,
+    stalls: Vec<(u32, u8)>,
     bundles: Vec<DecodedBundle>,
     /// `bundles[block_start[b]..block_start[b + 1]]` is block `b`.
     block_start: Vec<u32>,
@@ -87,9 +254,12 @@ impl DecodedProgram {
         let func = sp.module.entry_fn();
         let config = &sp.config;
         let lat = &config.latency;
+        let layout = SlotLayout::of(func);
         let mut dp = DecodedProgram {
+            layout,
             ops: Vec::new(),
             operands: Vec::new(),
+            consts: Vec::new(),
             stalls: Vec::new(),
             bundles: Vec::new(),
             block_start: Vec::with_capacity(sp.blocks.len() + 1),
@@ -110,11 +280,16 @@ impl DecodedProgram {
                 for (cluster, iid) in bundle.iter() {
                     let insn = func.insn(iid);
                     debug_assert!(insn.defs.len() <= 1, "multi-def instruction {iid:?}");
+                    let class = match insn.uses.first() {
+                        Some(Operand::Reg(r)) => r.class,
+                        Some(Operand::FImm(_)) => RegClass::Fp,
+                        Some(Operand::Imm(_)) | None => RegClass::Gp,
+                    };
                     dp.ops.push(DecodedOp {
                         cluster,
                         iid,
-                        op: insn.op,
-                        def: insn.def(),
+                        word_op: WordOp::resolve(insn.op, class),
+                        def: insn.def().map(|d| layout.slot(d)),
                         latency: insn.op.latency(lat),
                         imm: insn.imm,
                         target: insn.target,
@@ -122,8 +297,16 @@ impl DecodedProgram {
                         opnd_off: (dp.operands.len() - opnd_lo) as u32,
                         opnd_len: insn.uses.len() as u32,
                     });
-                    dp.operands.extend_from_slice(&insn.uses);
-                    dp.stalls.extend(insn.reg_uses().map(|r| (r, cluster.0)));
+                    for o in &insn.uses {
+                        let slot = match *o {
+                            Operand::Reg(r) => layout.slot(r),
+                            Operand::Imm(v) => dp.constant(v as u64),
+                            Operand::FImm(v) => dp.constant(v.to_bits()),
+                        };
+                        dp.operands.push(slot);
+                    }
+                    dp.stalls
+                        .extend(insn.reg_uses().map(|r| (layout.slot(r), cluster.0)));
                 }
                 dp.bundles.push(DecodedBundle {
                     ops: (ops_lo as u32, dp.ops.len() as u32),
@@ -134,6 +317,22 @@ impl DecodedProgram {
         }
         dp.block_start.push(dp.bundles.len() as u32);
         dp
+    }
+
+    /// A fresh constant slot holding `word`.
+    fn constant(&mut self, word: u64) -> u32 {
+        self.consts.push(word);
+        (self.layout.len() + self.consts.len() - 1) as u32
+    }
+
+    /// The word operand slot `o` reads: register `regs[o]`, or past
+    /// the registers a constant.
+    #[inline]
+    pub(crate) fn word(&self, regs: &[u64], o: u32) -> u64 {
+        match regs.get(o as usize) {
+            Some(&w) => w,
+            None => self.consts[o as usize - regs.len()],
+        }
     }
 
     /// Number of scheduled blocks.
@@ -154,15 +353,15 @@ impl DecodedProgram {
         &self.ops[b.ops.0 as usize..b.ops.1 as usize]
     }
 
-    /// Every operand the bundle reads, in instruction order.
+    /// Every operand slot the bundle reads, in instruction order.
     #[inline]
-    pub(crate) fn operands(&self, b: &DecodedBundle) -> &[Operand] {
+    pub(crate) fn operands(&self, b: &DecodedBundle) -> &[u32] {
         &self.operands[b.operands.0 as usize..b.operands.1 as usize]
     }
 
-    /// The bundle's register reads, each with its reading cluster.
+    /// The bundle's register slot reads, each with its reading cluster.
     #[inline]
-    pub(crate) fn stalls(&self, b: &DecodedBundle) -> &[(Reg, u8)] {
+    pub(crate) fn stalls(&self, b: &DecodedBundle) -> &[(u32, u8)] {
         &self.stalls[b.stalls.0 as usize..b.stalls.1 as usize]
     }
 }

@@ -22,11 +22,14 @@
 //!   (§IV-C): at a chosen dynamic instruction, one bit of one output
 //!   register is flipped after writeback.
 //!
-//! The functional semantics are shared with the reference interpreter
-//! (`casted_ir::semantics` / `casted_ir::interp`), so for every program
-//! and machine configuration the simulator's output stream is
-//! bit-identical to the interpreter's — an invariant the integration
-//! tests enforce.
+//! The simulator computes on raw register words, with every register,
+//! constant and opcode resolved once at decode (`machine`, `decode`).
+//! The reference interpreter (`casted_ir::interp`, over the typed
+//! values of `casted_ir::semantics`) is its independent oracle: for
+//! every program and machine configuration the simulator's output
+//! stream is bit-identical to the interpreter's — an invariant the
+//! integration tests enforce, opcode by opcode in
+//! `tests/word_semantics.rs`.
 
 pub mod cache;
 pub mod checkpoint;

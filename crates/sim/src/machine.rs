@@ -1,12 +1,34 @@
 //! The lockstep VLIW execution engine.
+//!
+//! [`run_machine`] is the one cycle loop: `simulate`, the golden
+//! passes, RBED digest planning and every replayed trial run it. It
+//! executes the decoded program (`crate::decode`) on raw `u64`
+//! register words:
+//!
+//! * [`MachineState`] holds one word per register slot (Gp, then Fp,
+//!   then Pr; an integer's bits, a float's IEEE bits, a predicate as
+//!   0/1) and one flat `(ready, writer)` scoreboard indexed the same
+//!   way.
+//! * An operand is a slot index: a register slot reads the word file,
+//!   a constant slot past it reads the program's constant table.
+//! * An instruction is a `WordOp` whose operand class the decode has
+//!   already resolved, so the loop never matches on a register class
+//!   or builds a typed value. Results, RBED digests and the state
+//!   fingerprints all see the same words.
+//! * A fault flips bits of a word ([`Injection::flip`]).
+//!
+//! The typed interpreter (`casted_ir::interp`, over
+//! `casted_ir::semantics::Val`) stays the independent oracle:
+//! `crates/sim/tests/word_semantics.rs` runs every opcode over every
+//! legal operand class through both.
 
-use casted_ir::interp::{Memory, OutVal, RegFile, StopReason};
-use casted_ir::semantics::{eval_pure, Val};
+use casted_ir::interp::{Memory, OutVal, StopReason};
+use casted_ir::semantics::ExecError;
 use casted_ir::vliw::ScheduledProgram;
-use casted_ir::{Opcode, Operand, Reg, RegClass};
+use casted_ir::Reg;
 
 use crate::cache::CacheHierarchy;
-use crate::decode::DecodedProgram;
+use crate::decode::{DecodedProgram, SlotLayout, WordOp};
 use crate::stats::SimStats;
 
 /// A transient fault to inject (paper §IV-C): at the
@@ -53,22 +75,23 @@ impl Injection {
         }
     }
 
-    /// Apply this strike to a register value of `class_bits` width.
-    /// For `width == 1` this is exactly the historical
-    /// `flip_bit(bit % class_bits)`; a burst flips `width` adjacent
-    /// bit positions `(bit - phase + k) mod 64` for `k < width`
-    /// (distinct since `width <= 4`), each masked by the register
-    /// width — one flip for predicates.
+    /// Apply this strike to a register word of `class_bits` width (an
+    /// integer's bits, a float's IEEE bits, a predicate as 0/1). For
+    /// `width == 1` this flips bit `bit % class_bits`; a burst flips
+    /// `width` adjacent bit positions `(bit - phase + k) mod 64` for
+    /// `k < width` (distinct since `width <= 4`), each masked by the
+    /// register width — one flip, inverting the predicate, for
+    /// predicates.
     #[inline]
-    pub fn flip(&self, v: Val, class_bits: u32) -> Val {
+    pub fn flip(&self, word: u64, class_bits: u32) -> u64 {
         let w = (self.width as u32).max(1);
         if w == 1 || class_bits <= 1 {
-            return v.flip_bit(self.bit % class_bits.max(1));
+            return word ^ (1 << (self.bit % class_bits.max(1)));
         }
-        let mut out = v;
+        let mut out = word;
         for k in 0..w {
             let b = (self.bit + 64 - self.phase as u32 + k) % 64;
-            out = out.flip_bit(b % class_bits);
+            out ^= 1 << (b % class_bits);
         }
         out
     }
@@ -141,47 +164,6 @@ impl SimResult {
     }
 }
 
-/// Scoreboard per virtual register: the cycle the value becomes ready
-/// on its *producing* cluster, plus which cluster produced it. A
-/// consumer on the producing cluster reads through the local bypass at
-/// `ready`; a consumer on the other cluster reads through the
-/// interconnect at `ready + inter_cluster_delay` (the paper's remote
-/// register-file access).
-#[derive(Clone)]
-pub(crate) struct Ready {
-    pub(crate) gp: Vec<(u64, u8)>,
-    pub(crate) fp: Vec<(u64, u8)>,
-    pub(crate) pr: Vec<(u64, u8)>,
-}
-
-impl Ready {
-    pub(crate) fn new(func: &casted_ir::Function) -> Self {
-        Ready {
-            gp: vec![(0, 0); func.reg_count(RegClass::Gp) as usize],
-            fp: vec![(0, 0); func.reg_count(RegClass::Fp) as usize],
-            pr: vec![(0, 0); func.reg_count(RegClass::Pr) as usize],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, r: Reg) -> (u64, u8) {
-        match r.class {
-            RegClass::Gp => self.gp[r.index as usize],
-            RegClass::Fp => self.fp[r.index as usize],
-            RegClass::Pr => self.pr[r.index as usize],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, r: Reg, cycle: u64, writer: u8) {
-        match r.class {
-            RegClass::Gp => self.gp[r.index as usize] = (cycle, writer),
-            RegClass::Fp => self.fp[r.index as usize] = (cycle, writer),
-            RegClass::Pr => self.pr[r.index as usize] = (cycle, writer),
-        }
-    }
-}
-
 /// Bulk-flush one finished run's counters into the global metrics
 /// registry. All values are deterministic functions of the program and
 /// seed, so they are part of the counter-only snapshot.
@@ -214,10 +196,21 @@ fn record_run_metrics(stats: &SimStats) {
 /// accessors below.
 #[derive(Clone)]
 pub struct MachineState {
-    pub(crate) rf: RegFile,
+    /// Where each register class sits in `regs` and `ready`.
+    pub(crate) layout: SlotLayout,
+    /// Every virtual register as a raw word, indexed by slot (see
+    /// `crate::decode`): integers as their bits, floats as IEEE bits,
+    /// predicates as 0/1.
+    pub(crate) regs: Vec<u64>,
     pub(crate) mem: Memory,
     pub(crate) cache: CacheHierarchy,
-    pub(crate) ready: Ready,
+    /// Scoreboard per slot: the cycle the value becomes ready on its
+    /// *producing* cluster, plus which cluster produced it. A consumer
+    /// on the producing cluster reads through the local bypass at
+    /// `ready`; a consumer on the other cluster reads through the
+    /// interconnect at `ready + inter_cluster_delay` (the paper's
+    /// remote register-file access).
+    pub(crate) ready: Vec<(u64, u8)>,
     pub(crate) stats: SimStats,
     pub(crate) stream: Vec<OutVal>,
     /// In-flight miss completion cycles (bounded MSHRs).
@@ -248,13 +241,15 @@ impl MachineState {
         let mut stats = SimStats::default();
         stats.per_cluster = vec![0; sp.config.clusters];
         let mem = Memory::for_module(&sp.module);
+        let layout = SlotLayout::of(func);
         MachineState {
-            rf: RegFile::for_function(func),
+            layout,
+            regs: vec![0; layout.len()],
             // Every cache access follows a `check_addr` against this
             // memory, so the cache need only cover its bytes.
             cache: CacheHierarchy::new(&sp.config, mem.len_words() as u64 * 8),
             mem,
-            ready: Ready::new(func),
+            ready: vec![(0, 0); layout.len()],
             stats,
             stream: Vec::new(),
             mshr: Vec::new(),
@@ -286,28 +281,17 @@ impl MachineState {
     /// Heap bytes this state owns, i.e. what a snapshot of it holds.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let ready = self.ready.gp.capacity() + self.ready.fp.capacity() + self.ready.pr.capacity();
         let rbed = self.rbed.as_ref().map_or(0, |r| {
             size_of::<crate::rbed::RbedState>() + r.recorded.capacity() * 8
         });
-        self.rf.heap_bytes()
+        self.regs.capacity() * 8
             + self.mem.len_words() * 8
             + self.cache.heap_bytes()
-            + ready * size_of::<(u64, u8)>()
+            + self.ready.capacity() * size_of::<(u64, u8)>()
             + (self.stats.per_cluster.capacity() + self.stats.cache.hits.capacity()) * 8
             + self.stream.capacity() * size_of::<OutVal>()
             + self.mshr.capacity() * 8
             + rbed
-    }
-}
-
-/// Canonical 64-bit image of a retired value for digest purposes.
-#[inline]
-fn val_word(v: Val) -> u64 {
-    match v {
-        Val::I(x) => x as u64,
-        Val::F(x) => x.to_bits(),
-        Val::B(x) => x as u64,
     }
 }
 
@@ -321,31 +305,82 @@ pub(crate) enum Boundary {
     Stop,
 }
 
+/// Evaluate a pure word operation over its operand words `v`: the
+/// word image of `casted_ir::semantics::eval_pure`, which the
+/// interpreter runs and `crates/sim/tests/word_semantics.rs` checks
+/// this against. Integer arithmetic wraps; only division by zero
+/// raises.
+#[inline(always)]
+fn eval_word(op: WordOp, v: &[u64]) -> Result<u64, ExecError> {
+    let i = |k: usize| v[k] as i64;
+    let f = |k: usize| f64::from_bits(v[k]);
+    let b = |x: bool| x as u64;
+    Ok(match op {
+        WordOp::Add => v[0].wrapping_add(v[1]),
+        WordOp::Sub => v[0].wrapping_sub(v[1]),
+        WordOp::Mul => v[0].wrapping_mul(v[1]),
+        WordOp::Div | WordOp::Rem if v[1] == 0 => return Err(ExecError::DivByZero),
+        WordOp::Div => i(0).wrapping_div(i(1)) as u64,
+        WordOp::Rem => i(0).wrapping_rem(i(1)) as u64,
+        WordOp::And => v[0] & v[1],
+        WordOp::Or => v[0] | v[1],
+        WordOp::Xor => v[0] ^ v[1],
+        WordOp::Shl => v[0] << (v[1] & 63),
+        WordOp::Shr => v[0] >> (v[1] & 63),
+        WordOp::Sra => (i(0) >> (v[1] & 63)) as u64,
+        WordOp::Mov => v[0],
+        WordOp::Sel => {
+            if v[0] != 0 {
+                v[1]
+            } else {
+                v[2]
+            }
+        }
+        WordOp::Cmp(k) => b(k.eval_int(i(0), i(1))),
+        WordOp::FCmp(k) => b(k.eval_float(f(0), f(1))),
+        WordOp::FAdd => (f(0) + f(1)).to_bits(),
+        WordOp::FSub => (f(0) - f(1)).to_bits(),
+        WordOp::FMul => (f(0) * f(1)).to_bits(),
+        WordOp::FDiv => (f(0) / f(1)).to_bits(),
+        WordOp::I2F => (i(0) as f64).to_bits(),
+        // Saturating; NaN maps to 0.
+        WordOp::F2I => f(0) as i64 as u64,
+        op => unreachable!("{op:?} is not a pure word operation"),
+    })
+}
+
 /// Execute the decoded program `dp` starting from `st` until it
 /// stops, mutating `st` in place. `boundary` is invoked at every
 /// bundle boundary (immediately before the bundle at `st.bundle_idx`
 /// issues) and may stop the run early; the checkpoint engine uses it
 /// to capture snapshots during the golden run and to test convergence
-/// during replays. When
-/// `flush_metrics` is false the run stays out of the `sim.*` counters
-/// (fault-injection trials would otherwise swamp them and make the
-/// two campaign engines' counter snapshots incomparable).
+/// during replays. It is generic, so [`simulate`]'s no-op hook
+/// compiles away. When `flush_metrics` is false the run stays out of
+/// the `sim.*` counters (fault-injection trials would otherwise swamp
+/// them and make the two campaign engines' counter snapshots
+/// incomparable).
+///
+/// The loop computes on raw register words: every operand is a slot
+/// index and every instruction a [`WordOp`], resolved by the decode
+/// (`crate::decode`), so no register class is consulted here.
 ///
 /// Returns `Some(result)` when the run stopped by itself, `None` when
 /// the hook stopped it. The semantics — stall rules, in-order issue,
 /// end-of-block branch/halt resolution, watchdog check per bundle,
 /// injection after writeback — are exactly those of the historical
-/// single-function `simulate`; `simulate` itself is now a thin
-/// wrapper over one decode, a fresh state and a no-op hook.
+/// single-function `simulate`; `simulate` itself is a thin wrapper
+/// over one decode, a fresh state and a no-op hook.
 pub(crate) fn run_machine(
     dp: &DecodedProgram,
     opts: &SimOptions,
     st: &mut MachineState,
     flush_metrics: bool,
-    boundary: &mut dyn FnMut(&MachineState) -> Boundary,
+    mut boundary: impl FnMut(&MachineState) -> Boundary,
 ) -> Option<SimResult> {
     let delay = dp.delay;
     let inj = opts.injection;
+    // The strike's victim slot when it targets one register.
+    let inj_target = inj.and_then(|i| i.target).map(|r| dp.layout.slot(r));
 
     // Install the RBED digest accumulator on a fresh state; a state
     // restored from a checkpoint keeps the accumulator it was
@@ -358,7 +393,7 @@ pub(crate) fn run_machine(
 
     // Reusable phase-1 operand buffer (the simulator's hottest
     // allocation site otherwise).
-    let mut val_buf: Vec<Val> = Vec::with_capacity(64);
+    let mut val_buf: Vec<u64> = Vec::with_capacity(64);
 
     let mut trace: Vec<TraceEntry> = Vec::new();
     // Span-timed per run; counters are flushed in bulk on exit, so the
@@ -402,8 +437,8 @@ pub(crate) fn run_machine(
             }
             // ---- stall until every operand of the bundle is usable ----
             let mut issue = st.cycle;
-            for &(r, reader) in dp.stalls(bundle) {
-                let (mut avail, writer) = st.ready.get(r);
+            for &(slot, reader) in dp.stalls(bundle) {
+                let (mut avail, writer) = st.ready[slot as usize];
                 if writer != reader {
                     avail += delay;
                     st.stats.cross_reads += 1;
@@ -415,11 +450,7 @@ pub(crate) fn run_machine(
 
             // ---- phase 1: read all operands (VLIW parallel read) ----
             val_buf.clear();
-            val_buf.extend(dp.operands(bundle).iter().map(|o| match *o {
-                Operand::Reg(r) => st.rf.get(r),
-                Operand::Imm(v) => Val::I(v),
-                Operand::FImm(v) => Val::F(v),
-            }));
+            val_buf.extend(dp.operands(bundle).iter().map(|&o| dp.word(&st.regs, o)));
 
             // ---- phase 2: execute and write back ----
             let mut detect_fired = false;
@@ -439,29 +470,16 @@ pub(crate) fn run_machine(
                 }
 
                 // Retired result absorbed by the RBED digest (the
-                // *computed* value — deliberately sampled before the
+                // *computed* word — deliberately sampled before the
                 // injector's post-writeback flip, so dead strikes
-                // never poison the digest).
-                let mut retired_val: Option<Val> = None;
-
-                // Completion helper: set value + scoreboard.
-                let write_def = |rf: &mut RegFile, ready: &mut Ready, v: Val, latency: u32| {
-                    let d = insn.def.expect("value-producing instruction defines a register");
-                    rf.set(d, v);
-                    ready.set(d, issue + latency as u64, cluster.0);
-                };
-
-                match insn.op {
-                    Opcode::Load | Opcode::FLoad => {
-                        let base = vals[0].as_i();
-                        let addr = base.wrapping_add(insn.imm);
-                        let loaded = if insn.op == Opcode::Load {
-                            st.mem.load_int(addr).map(Val::I)
-                        } else {
-                            st.mem.load_float(addr).map(Val::F)
-                        };
-                        match loaded {
-                            Ok(v) => {
+                // never poison the digest), and written to the def,
+                // if any, ready after `latency`.
+                let mut latency = insn.latency;
+                let retired: Option<u64> = match insn.word_op {
+                    WordOp::Load => {
+                        let addr = (vals[0] as i64).wrapping_add(insn.imm);
+                        match st.mem.load_int(addr) {
+                            Ok(w) => {
                                 let mut l = st.cache.access(addr as u64).max(dp.load_hit);
                                 // Bounded MSHRs: a miss beyond the L1
                                 // latency occupies an entry; when all
@@ -476,96 +494,83 @@ pub(crate) fn run_machine(
                                     }
                                     st.mshr.push(issue + l as u64);
                                 }
-                                retired_val = Some(v);
-                                write_def(&mut st.rf, &mut st.ready, v, l);
+                                latency = l;
+                                Some(w as u64)
                             }
                             Err(e) => finish!(StopReason::Exception(e), issue + 1),
                         }
                     }
-                    Opcode::Store | Opcode::FStore => {
-                        let base = vals[0].as_i();
-                        let addr = base.wrapping_add(insn.imm);
-                        let res = match insn.op {
-                            Opcode::Store => st.mem.store_int(addr, vals[1].as_i()),
-                            _ => st.mem.store_float(addr, vals[1].as_f()),
-                        };
-                        match res {
+                    WordOp::Store => {
+                        let addr = (vals[0] as i64).wrapping_add(insn.imm);
+                        match st.mem.store_int(addr, vals[1] as i64) {
                             Ok(()) => {
                                 st.cache.access(addr as u64);
-                                retired_val = Some(vals[1]);
+                                Some(vals[1])
                             }
                             Err(e) => finish!(StopReason::Exception(e), issue + 1),
                         }
                     }
-                    Opcode::Out => {
-                        retired_val = Some(vals[0]);
-                        st.stream.push(OutVal::Int(vals[0].as_i()));
+                    WordOp::Out => {
+                        st.stream.push(OutVal::Int(vals[0] as i64));
+                        Some(vals[0])
                     }
-                    Opcode::FOut => {
-                        retired_val = Some(vals[0]);
-                        st.stream.push(OutVal::Float(vals[0].as_f()));
+                    WordOp::FOut => {
+                        st.stream.push(OutVal::Float(f64::from_bits(vals[0])));
+                        Some(vals[0])
                     }
-                    Opcode::Br => st.next_block = insn.target,
-                    Opcode::BrCond => {
-                        st.next_block = if vals[0].as_b() {
+                    WordOp::Br => {
+                        st.next_block = insn.target;
+                        None
+                    }
+                    WordOp::BrCond => {
+                        st.next_block = if vals[0] != 0 {
                             insn.target
                         } else {
                             insn.target2
                         };
+                        None
                     }
-                    Opcode::DetectBr => {
-                        if vals[0].as_b() {
-                            detect_fired = true;
-                        }
+                    WordOp::DetectBr => {
+                        detect_fired |= vals[0] != 0;
+                        None
                     }
-                    Opcode::ChkNe => {
-                        if casted_ir::semantics::eval_cmp_vals(
-                            casted_ir::CmpKind::Ne,
-                            vals[0],
-                            vals[1],
-                        ) {
-                            detect_fired = true;
-                        }
+                    // Checks compare bitwise in every class.
+                    WordOp::ChkNe => {
+                        detect_fired |= vals[0] != vals[1];
+                        None
                     }
-                    Opcode::Halt => st.halt = Some(vals[0].as_i()),
-                    Opcode::Nop => {}
-                    Opcode::Vote => match eval_pure(insn.op, vals) {
-                        Ok(v) => {
-                            // The copies disagree iff the vote masked a
-                            // corrupted lane — count the correction so
-                            // fault classification can distinguish
-                            // Corrected from Benign.
-                            let eq01 = casted_ir::semantics::eval_cmp_vals(
-                                casted_ir::CmpKind::Eq,
-                                vals[0],
-                                vals[1],
-                            );
-                            let eq02 = casted_ir::semantics::eval_cmp_vals(
-                                casted_ir::CmpKind::Eq,
-                                vals[0],
-                                vals[2],
-                            );
-                            if !(eq01 && eq02) {
-                                st.stats.corrections += 1;
-                            }
-                            retired_val = Some(v);
-                            write_def(&mut st.rf, &mut st.ready, v, insn.latency)
+                    WordOp::Halt => {
+                        st.halt = Some(vals[0] as i64);
+                        None
+                    }
+                    WordOp::Nop => None,
+                    // Bitwise majority over three copies (TMRED): any
+                    // single corrupted copy is out-voted, in every
+                    // class. The copies disagree iff the vote masked a
+                    // corrupted lane — count the correction so fault
+                    // classification can distinguish Corrected from
+                    // Benign.
+                    WordOp::Vote => {
+                        let (a, b, c) = (vals[0], vals[1], vals[2]);
+                        if !(a == b && a == c) {
+                            st.stats.corrections += 1;
                         }
+                        Some((a & b) | (a & c) | (b & c))
+                    }
+                    op => match eval_word(op, vals) {
+                        Ok(w) => Some(w),
                         Err(e) => finish!(StopReason::Exception(e), issue + 1),
                     },
-                    op => match eval_pure(op, vals) {
-                        Ok(v) => {
-                            retired_val = Some(v);
-                            write_def(&mut st.rf, &mut st.ready, v, insn.latency)
-                        }
-                        Err(e) => finish!(StopReason::Exception(e), issue + 1),
-                    },
+                };
+                if let (Some(d), Some(w)) = (insn.def, retired) {
+                    st.regs[d as usize] = w;
+                    st.ready[d as usize] = (issue + latency as u64, cluster.0);
                 }
 
                 // ---- RBED digest accumulation + boundary check ----
                 if let Some(rb) = st.rbed.as_deref_mut() {
-                    if let Some(v) = retired_val {
-                        rb.acc.write_u64_round(val_word(v));
+                    if let Some(w) = retired {
+                        rb.acc.write_u64_round(w);
                     }
                     if rb.next < rb.plan.bounds.len()
                         && st.stats.dyn_insns == rb.plan.bounds[rb.next]
@@ -585,13 +590,9 @@ pub(crate) fn run_machine(
                 // ---- fault injection after writeback ----
                 if let Some(inj) = inj {
                     if !st.injected && st.stats.dyn_insns >= inj.at_dyn_insn {
-                        let victim = match inj.target {
-                            Some(r) => Some(r),
-                            None => insn.def,
-                        };
-                        if let Some(d) = victim {
-                            let flipped = inj.flip(st.rf.get(d), d.class.bits());
-                            st.rf.set(d, flipped);
+                        if let Some(d) = inj_target.or(insn.def) {
+                            let slot = d as usize;
+                            st.regs[slot] = inj.flip(st.regs[slot], dp.layout.bits(d));
                             st.injected = true;
                         }
                     }
@@ -642,7 +643,7 @@ pub(crate) fn run_decoded(
     flush_metrics: bool,
 ) -> SimResult {
     let mut st = MachineState::fresh(sp);
-    run_machine(dp, opts, &mut st, flush_metrics, &mut |_| Boundary::Continue)
+    run_machine(dp, opts, &mut st, flush_metrics, |_| Boundary::Continue)
         .expect("no boundary hook can stop this run")
 }
 
@@ -664,7 +665,7 @@ pub fn simulate_quiet(sp: &ScheduledProgram, opts: &SimOptions) -> SimResult {
 mod tests {
     use super::*;
     use casted_ir::interp;
-    use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module};
+    use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
     use crate::testutil::sequential;
 
     fn demo_module() -> Module {

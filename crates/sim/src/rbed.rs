@@ -125,7 +125,7 @@ pub(crate) fn rbed_plan_decoded(
         };
         let digest =
             |st: &MachineState| st.rbed.as_deref().expect("accumulator installed").acc.finish();
-        run_machine(dp, &opts, &mut st, false, &mut |st: &MachineState| {
+        run_machine(dp, &opts, &mut st, false, |st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
             if st.bundle_idx == 0
                 && dyn_insns > last
@@ -189,7 +189,7 @@ mod tests {
             let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
             let mut last = 0u64;
             let mut st = MachineState::fresh(sp);
-            run_machine(&dp, &SimOptions::default(), &mut st, false, &mut |st: &MachineState| {
+            run_machine(&dp, &SimOptions::default(), &mut st, false, |st: &MachineState| {
                 let dyn_insns = st.stats.dyn_insns;
                 if st.bundle_idx == 0
                     && dyn_insns > last
@@ -214,7 +214,7 @@ mod tests {
             rbed: Some(record),
             ..SimOptions::default()
         };
-        run_machine(&dp, &opts, &mut st, false, &mut |_| Boundary::Continue).unwrap();
+        run_machine(&dp, &opts, &mut st, false, |_: &MachineState| Boundary::Continue).unwrap();
         let digests = st.rbed.take().map(|r| r.recorded).unwrap_or_default();
         RbedPlan { bounds, digests }
     }

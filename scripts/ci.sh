@@ -10,7 +10,9 @@ echo "== build (release, offline) =="
 cargo build --release --offline
 
 echo "== test (offline) =="
-cargo test -q --offline
+# --no-fail-fast: every test binary runs even after one fails, so a
+# single failure cannot hide later ones; any failure still fails CI.
+cargo test -q --offline --no-fail-fast
 
 echo "== benches compile (offline) =="
 cargo bench --no-run --offline
