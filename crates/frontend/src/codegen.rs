@@ -16,6 +16,7 @@ use casted_ir::{
 };
 
 use crate::ast::*;
+use crate::parser::{nesting_error, MAX_NESTING};
 use crate::sema::{const_eval, ConstTable, ConstVal};
 use crate::Diag;
 
@@ -52,6 +53,9 @@ struct Cg<'a> {
     loops: Vec<LoopCtx>,
     rets: Vec<RetCtx>,
     inline_depth: usize,
+    /// Nesting levels open above the current node, counted through
+    /// inlined bodies: a call's body sits under the call.
+    depth: u32,
     instance: u32,
     errs: Vec<Diag>,
 }
@@ -61,6 +65,20 @@ type CgResult<T> = Result<T, ()>;
 impl<'a> Cg<'a> {
     fn err(&mut self, line: u32, msg: impl Into<String>) {
         self.errs.push(Diag::new(line, msg));
+    }
+
+    /// Run `f` one nesting level deeper. Each function is within
+    /// [`MAX_NESTING`] once parsed, but inlining stacks them, and this
+    /// recursion with them.
+    fn nested<T>(&mut self, line: u32, f: impl FnOnce(&mut Self) -> CgResult<T>) -> CgResult<T> {
+        if self.depth >= MAX_NESTING {
+            self.errs.push(nesting_error(line));
+            return Err(());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn lookup(&self, name: &str) -> Option<Slot> {
@@ -127,7 +145,7 @@ impl<'a> Cg<'a> {
                 }
             }
             _ => {
-                let (r, ty) = self.gen_expr(e)?;
+                let (r, ty) = self.nested(e.line, |cg| cg.gen_expr(e))?;
                 Ok((Operand::Reg(r), ty))
             }
         }
@@ -347,6 +365,15 @@ impl<'a> Cg<'a> {
         t_blk: casted_ir::BlockId,
         f_blk: casted_ir::BlockId,
     ) -> CgResult<()> {
+        self.nested(e.line, |cg| cg.gen_cond_node(e, t_blk, f_blk))
+    }
+
+    fn gen_cond_node(
+        &mut self,
+        e: &Expr,
+        t_blk: casted_ir::BlockId,
+        f_blk: casted_ir::BlockId,
+    ) -> CgResult<()> {
         match &e.kind {
             ExprKind::Bin(op, a, b) if op.is_cmp() => {
                 let kind = match op {
@@ -488,13 +515,13 @@ impl<'a> Cg<'a> {
                 let join = self.b.new_block("endif");
                 self.gen_cond(cond, t, f.unwrap_or(join))?;
                 self.b.switch_to(t);
-                self.gen_body(then_body)?;
+                self.nested(cond.line, |cg| cg.gen_body(then_body))?;
                 if !self.b.is_terminated() {
                     self.b.br(join);
                 }
                 if let Some(f) = f {
                     self.b.switch_to(f);
-                    self.gen_body(else_body)?;
+                    self.nested(cond.line, |cg| cg.gen_body(else_body))?;
                     if !self.b.is_terminated() {
                         self.b.br(join);
                     }
@@ -514,7 +541,7 @@ impl<'a> Cg<'a> {
                     continue_to: head,
                     break_to: exit,
                 });
-                self.gen_body(body)?;
+                self.nested(cond.line, |cg| cg.gen_body(body))?;
                 self.loops.pop();
                 if !self.b.is_terminated() {
                     self.b.br(head);
@@ -550,7 +577,7 @@ impl<'a> Cg<'a> {
                     .last_mut()
                     .unwrap()
                     .insert(name.clone(), Slot::Scalar(i, Ty::Int));
-                self.gen_body(body)?;
+                self.nested(lo.line, |cg| cg.gen_body(body))?;
                 self.scopes.pop();
                 self.loops.pop();
                 if !self.b.is_terminated() {
@@ -688,6 +715,7 @@ pub fn compile_program(name: &str, prog: &Program) -> Result<Module, Vec<Diag>> 
         loops: Vec::new(),
         rets: Vec::new(),
         inline_depth: 0,
+        depth: 0,
         instance: 0,
         errs: Vec::new(),
     };

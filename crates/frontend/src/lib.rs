@@ -53,7 +53,7 @@ pub mod sema;
 pub use ast::Program;
 pub use codegen::compile_program;
 pub use lexer::{lex, Token, TokenKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 
 use casted_ir::Module;
 

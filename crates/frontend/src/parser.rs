@@ -4,12 +4,36 @@ use crate::ast::*;
 use crate::lexer::{Token, TokenKind};
 use crate::Diag;
 
+/// Deepest nesting the front end accepts. Each `(`…`)` group, unary
+/// or binary operator, call, cast or index, and each `if`/`else`/
+/// `while`/`for` body opens one level; a left-associative chain
+/// `a + b + …` is as deep as it has operators. Sema, codegen and
+/// `Drop` recurse over the tree, so a source past the limit is
+/// rejected while it is parsed, before the deep tree (or the
+/// recursion building it) exists. Sema applies the same limit to
+/// call chains, and codegen to nesting counted through inlined
+/// bodies.
+pub const MAX_NESTING: u32 = 256;
+
+/// The diagnostic for nesting past [`MAX_NESTING`] at `line`; counts
+/// `frontend.limit.nesting_depth`.
+pub(crate) fn nesting_error(line: u32) -> Diag {
+    casted_obs::inc("frontend.limit.nesting_depth");
+    Diag::new(line, format!("nesting depth exceeds limit {MAX_NESTING}"))
+}
+
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Nesting levels open above the current position.
+    depth: u32,
 }
 
 type PResult<T> = Result<T, Diag>;
+
+/// An expression tree and its height: the nesting levels it spans
+/// below the position it was parsed at.
+type Tree = (Expr, u32);
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> &Token {
@@ -61,6 +85,33 @@ impl<'a> Parser<'a> {
         Ok(t.text)
     }
 
+    /// Fail once `depth` levels exceed [`MAX_NESTING`].
+    fn check_nesting(&self, depth: u32) -> PResult<()> {
+        if depth <= MAX_NESTING {
+            Ok(())
+        } else {
+            Err(nesting_error(self.line()))
+        }
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.check_nesting(self.depth + 1)?;
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// `e )` one level deeper: the body of a group, cast or index.
+    fn closed(&mut self, close: TokenKind, what: &str) -> PResult<Tree> {
+        self.nested(|p| {
+            let (e, h) = p.bin_expr(0)?;
+            p.expect(close, what)?;
+            Ok((e, h + 1))
+        })
+    }
+
     fn scalar_ty(&mut self) -> PResult<Ty> {
         if self.eat(TokenKind::KwInt) {
             Ok(Ty::Int)
@@ -73,87 +124,90 @@ impl<'a> Parser<'a> {
 
     // ---------------- expressions ----------------
 
-    fn primary(&mut self) -> PResult<Expr> {
+    /// A primary expression. The arms that recurse are their own
+    /// functions, so each nesting level pays only its own frame.
+    fn primary(&mut self) -> PResult<Tree> {
         let line = self.line();
-        let kind = match self.peek().kind.clone() {
-            TokenKind::Int => {
-                let v = self.bump().int_val;
-                ExprKind::IntLit(v)
-            }
-            TokenKind::Float => {
-                let v = self.bump().float_val;
-                ExprKind::FloatLit(v)
-            }
+        let kind = match self.peek().kind {
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                return Ok(e);
+                return self.closed(TokenKind::RParen, "`)`");
             }
-            // `int(e)` / `float(e)` casts.
-            TokenKind::KwInt => {
-                self.bump();
-                self.expect(TokenKind::LParen, "`(` after `int`")?;
-                let e = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                ExprKind::CastInt(Box::new(e))
-            }
-            TokenKind::KwFloat => {
-                self.bump();
-                self.expect(TokenKind::LParen, "`(` after `float`")?;
-                let e = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                ExprKind::CastFloat(Box::new(e))
-            }
-            TokenKind::Ident => {
-                let name = self.bump().text.clone();
-                if self.eat(TokenKind::LParen) {
-                    let mut args = Vec::new();
-                    if !self.at(TokenKind::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(TokenKind::RParen, "`)` after arguments")?;
-                    ExprKind::Call(name, args)
-                } else if self.eat(TokenKind::LBracket) {
-                    let idx = self.expr()?;
-                    self.expect(TokenKind::RBracket, "`]`")?;
-                    ExprKind::Index(name, Box::new(idx))
-                } else {
-                    ExprKind::Name(name)
-                }
-            }
-            other => {
+            TokenKind::KwInt | TokenKind::KwFloat => return self.cast(),
+            TokenKind::Ident => return self.name_expr(),
+            TokenKind::Int => ExprKind::IntLit(self.bump().int_val),
+            TokenKind::Float => ExprKind::FloatLit(self.bump().float_val),
+            ref other => {
                 return Err(Diag::new(
                     line,
                     format!("expected expression, found {other:?}"),
                 ))
             }
         };
-        Ok(Expr { kind, line })
+        Ok((Expr { kind, line }, 0))
     }
 
-    fn unary(&mut self) -> PResult<Expr> {
+    /// `int(e)` / `float(e)` casts.
+    fn cast(&mut self) -> PResult<Tree> {
         let line = self.line();
-        if self.eat(TokenKind::Minus) {
-            let e = self.unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Un(UnOp::Neg, Box::new(e)),
-                line,
-            });
-        }
-        if self.eat(TokenKind::Not) {
-            let e = self.unary()?;
-            return Ok(Expr {
-                kind: ExprKind::Un(UnOp::Not, Box::new(e)),
-                line,
-            });
-        }
-        self.primary()
+        let to_int = self.bump().kind == TokenKind::KwInt;
+        let what = if to_int {
+            "`(` after `int`"
+        } else {
+            "`(` after `float`"
+        };
+        self.expect(TokenKind::LParen, what)?;
+        let (e, h) = self.closed(TokenKind::RParen, "`)`")?;
+        let kind = if to_int {
+            ExprKind::CastInt(Box::new(e))
+        } else {
+            ExprKind::CastFloat(Box::new(e))
+        };
+        Ok((Expr { kind, line }, h))
+    }
+
+    /// A name, a call `f(args)` or an index `a[e]`.
+    fn name_expr(&mut self) -> PResult<Tree> {
+        let line = self.line();
+        let name = self.bump().text.clone();
+        let (kind, height) = if self.eat(TokenKind::LParen) {
+            let (args, h) = self.nested(|p| {
+                let (mut args, mut h) = (Vec::new(), 0);
+                if !p.at(TokenKind::RParen) {
+                    loop {
+                        let (a, ah) = p.bin_expr(0)?;
+                        args.push(a);
+                        h = h.max(ah);
+                        if !p.eat(TokenKind::Comma) {
+                            break;
+                        }
+                    }
+                }
+                p.expect(TokenKind::RParen, "`)` after arguments")?;
+                Ok((args, h))
+            })?;
+            (ExprKind::Call(name, args), h + 1)
+        } else if self.eat(TokenKind::LBracket) {
+            let (idx, h) = self.closed(TokenKind::RBracket, "`]`")?;
+            (ExprKind::Index(name, Box::new(idx)), h)
+        } else {
+            (ExprKind::Name(name), 0)
+        };
+        Ok((Expr { kind, line }, height))
+    }
+
+    fn unary(&mut self) -> PResult<Tree> {
+        let line = self.line();
+        let op = if self.eat(TokenKind::Minus) {
+            UnOp::Neg
+        } else if self.eat(TokenKind::Not) {
+            UnOp::Not
+        } else {
+            return self.primary();
+        };
+        let (e, h) = self.nested(|p| p.unary())?;
+        let kind = ExprKind::Un(op, Box::new(e));
+        Ok((Expr { kind, line }, h + 1))
     }
 
     /// Binding power of a binary operator token (higher binds tighter),
@@ -183,25 +237,28 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn bin_expr(&mut self, min_bp: u8) -> PResult<Expr> {
-        let mut lhs = self.unary()?;
+    fn bin_expr(&mut self, min_bp: u8) -> PResult<Tree> {
+        let (mut lhs, mut height) = self.unary()?;
         while let Some((op, bp)) = Self::binop_of(&self.peek().kind) {
             if bp < min_bp {
                 break;
             }
             let line = self.line();
             self.bump();
-            let rhs = self.bin_expr(bp + 1)?;
+            let (rhs, rh) = self.nested(|p| p.bin_expr(bp + 1))?;
+            // The chain so far sinks one level under each operator.
+            height = height.max(rh) + 1;
+            self.check_nesting(self.depth + height)?;
             lhs = Expr {
                 kind: ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)),
                 line,
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.bin_expr(0)
+        Ok(self.bin_expr(0)?.0)
     }
 
     // ---------------- statements ----------------
@@ -219,7 +276,58 @@ impl<'a> Parser<'a> {
         Ok(stmts)
     }
 
+    /// One statement. Only the nesting statements recurse back here,
+    /// so the others live in [`Self::simple_stmt`], whose frame then
+    /// stays off the recursion.
     fn stmt(&mut self) -> PResult<Stmt> {
+        match self.peek().kind {
+            TokenKind::KwIf => self.if_stmt(),
+            TokenKind::KwWhile | TokenKind::KwFor => self.loop_stmt(),
+            _ => self.simple_stmt(),
+        }
+    }
+
+    fn if_stmt(&mut self) -> PResult<Stmt> {
+        self.expect(TokenKind::KwIf, "`if`")?;
+        let cond = self.expr()?;
+        let then_body = self.nested(|p| p.block())?;
+        let else_body = if !self.eat(TokenKind::KwElse) {
+            Vec::new()
+        } else if self.at(TokenKind::KwIf) {
+            self.nested(|p| Ok(vec![p.if_stmt()?]))?
+        } else {
+            self.nested(|p| p.block())?
+        };
+        Ok(Stmt::If {
+            cond,
+            then_body,
+            else_body,
+        })
+    }
+
+    fn loop_stmt(&mut self) -> PResult<Stmt> {
+        match self.peek().kind {
+            TokenKind::KwWhile => {
+                self.bump();
+                let cond = self.expr()?;
+                let body = self.nested(|p| p.block())?;
+                Ok(Stmt::While { cond, body })
+            }
+            TokenKind::KwFor => {
+                self.bump();
+                let name = self.ident("loop variable")?;
+                self.expect(TokenKind::KwIn, "`in`")?;
+                let lo = self.expr()?;
+                self.expect(TokenKind::DotDot, "`..`")?;
+                let hi = self.expr()?;
+                let body = self.nested(|p| p.block())?;
+                Ok(Stmt::For { name, lo, hi, body })
+            }
+            _ => unreachable!("stmt dispatches only while/for here"),
+        }
+    }
+
+    fn simple_stmt(&mut self) -> PResult<Stmt> {
         let line = self.line();
         match self.peek().kind.clone() {
             TokenKind::KwVar => {
@@ -240,41 +348,6 @@ impl<'a> Parser<'a> {
                     self.expect(TokenKind::Semi, "`;`")?;
                     Ok(Stmt::Var { name, ty, init, line })
                 }
-            }
-            TokenKind::KwIf => {
-                self.bump();
-                let cond = self.expr()?;
-                let then_body = self.block()?;
-                let else_body = if self.eat(TokenKind::KwElse) {
-                    if self.at(TokenKind::KwIf) {
-                        vec![self.stmt()?]
-                    } else {
-                        self.block()?
-                    }
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                })
-            }
-            TokenKind::KwWhile => {
-                self.bump();
-                let cond = self.expr()?;
-                let body = self.block()?;
-                Ok(Stmt::While { cond, body })
-            }
-            TokenKind::KwFor => {
-                self.bump();
-                let name = self.ident("loop variable")?;
-                self.expect(TokenKind::KwIn, "`in`")?;
-                let lo = self.expr()?;
-                self.expect(TokenKind::DotDot, "`..`")?;
-                let hi = self.expr()?;
-                let body = self.block()?;
-                Ok(Stmt::For { name, lo, hi, body })
             }
             TokenKind::KwBreak => {
                 self.bump();
@@ -526,6 +599,7 @@ pub fn parse(tokens: &[Token]) -> Result<Program, Vec<Diag>> {
     Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
     }
     .program()
 }
@@ -624,5 +698,96 @@ mod tests {
     fn recovers_to_next_function() {
         let errs = parse(&lex("fn broken( { }\nfn ok() { return; }").unwrap()).unwrap_err();
         assert_eq!(errs.len(), 1); // only one error reported, second fn fine
+    }
+
+    const SHAPES: [&str; 11] = [
+        "parens",
+        "unary",
+        "chain",
+        "grouped chain",
+        "call",
+        "cast",
+        "index",
+        "if",
+        "else if",
+        "while",
+        "for",
+    ];
+
+    /// A one-line source whose deepest point is `n` levels of `shape`.
+    fn nested_src(shape: &str, n: usize) -> String {
+        let wrap = |open: &str, close: &str| format!("{}1{}", open.repeat(n), close.repeat(n));
+        let body = match shape {
+            "parens" => format!("out({});", wrap("(", ")")),
+            "unary" => format!("out({});", wrap("- ", "")),
+            "chain" => format!("out(1{});", "+1".repeat(n)),
+            // The group's chain sinks under the outer chain.
+            "grouped chain" => format!(
+                "out((1{}){});",
+                "+1".repeat(n / 2),
+                "+1".repeat(n - n / 2 - 1)
+            ),
+            "call" => format!("out({});", wrap("f(", ")")),
+            "cast" => format!("out({});", wrap("int(", ")")),
+            "index" => format!("out({});", wrap("a[", "]")),
+            "if" => format!("{} out(1); {}", "if 1 < 2 { ".repeat(n), "}".repeat(n)),
+            "else if" => format!("{}{{ out(1); }}", "if 1 > 2 { } else ".repeat(n)),
+            "while" => format!("{} out(1); {}", "while 1 > 2 { ".repeat(n), "}".repeat(n)),
+            "for" => {
+                let heads: String = (0..n).map(|i| format!("for i{i} in 0..1 {{ ")).collect();
+                format!("{heads} out(1); {}", "}".repeat(n))
+            }
+            other => unreachable!("{other}"),
+        };
+        format!("global a: [int; 4]; fn f(x: int) -> int {{ return x; }} fn main() {{ {body} }}")
+    }
+
+    #[test]
+    fn nesting_at_the_limit_compiles() {
+        for shape in SHAPES {
+            let src = nested_src(shape, MAX_NESTING as usize);
+            if let Err(e) = crate::compile("t", &src) {
+                panic!("{shape} at the limit: {e:?}");
+            }
+        }
+    }
+
+    fn limit_diag() -> Vec<Diag> {
+        vec![Diag::new(
+            1,
+            format!("nesting depth exceeds limit {MAX_NESTING}"),
+        )]
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_diag() {
+        for shape in SHAPES {
+            let src = nested_src(shape, MAX_NESTING as usize + 1);
+            let errs = parse(&lex(&src).unwrap()).unwrap_err();
+            assert_eq!(errs, limit_diag(), "{shape}");
+        }
+    }
+
+    #[test]
+    fn nesting_counts_through_inlining_and_call_chains() {
+        // `g`'s 200 levels sit under the call, which sits under `outer`.
+        let inlined = |outer: usize| {
+            let body = "- ".repeat(200);
+            let call = "- ".repeat(outer);
+            format!("fn g(x: int) -> int {{ return {body}x; }} fn main() {{ out({call}g(1)); }}")
+        };
+        assert!(crate::compile("t", &inlined(55)).is_ok());
+        assert_eq!(crate::compile("t", &inlined(56)).unwrap_err(), limit_diag());
+        // g0 calls g1 calls … g{n}: one level per call.
+        let chain = |n: usize| {
+            let calls: String = (0..n)
+                .map(|k| format!("fn g{k}() {{ g{}(); }} ", k + 1))
+                .collect();
+            format!("{calls}fn g{n}() {{ }} fn main() {{ }}")
+        };
+        let max = MAX_NESTING as usize;
+        assert!(crate::compile("t", &chain(max)).is_ok());
+        let errs = crate::compile("t", &chain(max + 1)).unwrap_err();
+        assert_eq!(errs, limit_diag());
     }
 }

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use crate::ast::*;
+use crate::parser::{nesting_error, MAX_NESTING};
 use crate::Diag;
 
 /// A compile-time constant value.
@@ -489,34 +490,45 @@ fn check_recursion(prog: &Program, errs: &mut Vec<Diag>) {
         }
     }
 
-    // DFS with colors over the call graph.
+    // DFS with colors over the call graph. A call chain nests like any
+    // other construct: past `MAX_NESTING` calls the search stops (its
+    // recursion is as deep as the chain).
     let mut color: HashMap<&str, u8> = HashMap::new(); // 0 white 1 gray 2 black
     fn dfs<'p>(
         prog: &'p Program,
         name: &'p str,
+        depth: u32,
         color: &mut HashMap<&'p str, u8>,
         errs: &mut Vec<Diag>,
         callees_of: &dyn Fn(&'p FnDef) -> Vec<String>,
-    ) {
+    ) -> Result<(), ()> {
         match color.get(name) {
             Some(1) => {
                 errs.push(Diag::new(
                     prog.function(name).map(|f| f.line).unwrap_or(0),
                     format!("recursive call cycle through `{name}` (MiniC functions must be inlinable)"),
                 ));
-                return;
+                return Ok(());
             }
-            Some(2) => return,
+            Some(2) => return Ok(()),
             _ => {}
         }
-        let Some(f) = prog.function(name) else { return };
+        let Some(f) = prog.function(name) else {
+            return Ok(());
+        };
+        if depth > MAX_NESTING {
+            errs.push(nesting_error(f.line));
+            return Err(());
+        }
         color.insert(name, 1);
         for c in callees_of(f) {
             if let Some(callee) = prog.function(&c) {
-                dfs(prog, callee.name.as_str(), color, errs, callees_of);
+                let callee = callee.name.as_str();
+                dfs(prog, callee, depth + 1, color, errs, callees_of)?;
             }
         }
         color.insert(name, 2);
+        Ok(())
     }
     let callees_of = |f: &FnDef| {
         let mut out = Vec::new();
@@ -524,7 +536,9 @@ fn check_recursion(prog: &Program, errs: &mut Vec<Diag>) {
         out
     };
     for f in &prog.functions {
-        dfs(prog, &f.name, &mut color, errs, &callees_of);
+        if dfs(prog, &f.name, 0, &mut color, errs, &callees_of).is_err() {
+            return;
+        }
     }
 }
 

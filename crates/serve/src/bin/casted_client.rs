@@ -10,7 +10,7 @@
 //!   inject   --file F | --source S        Monte-Carlo fault campaign
 //!   counters                              server counter snapshot
 //!   shutdown                              graceful drain-then-exit
-//!   bench    --file F | --source S        serving benchmark (spawns its own fleet)
+//!   bench    --file F | --source S        serving benchmark (spawns its own server)
 //!
 //! shared job options:  --scheme noed|sced|dced|casted|tmred|rbed  --issue N  --delay N
 //! simulate option:     --max-cycles N
@@ -27,10 +27,10 @@
 //! trials are done; the campaign stops at the next chunk boundary and
 //! the partial tally is printed.
 //!
-//! `bench` needs no `--addr`: it spawns its own fleet next to the
-//! current executable — a single server and routed shard fleets of 1,
-//! 2 and 4 shards — then measures cached throughput on each over `--samples`
-//! interleaved rounds (median/MAD), plus a cold-path (cache-miss) row.
+//! `bench` needs no `--addr`: it spawns its own `casted-serve` next to
+//! the current executable, then measures cached (cache-hit) and cold
+//! (cache-miss) throughput over `--samples` interleaved rounds
+//! (median/MAD), plus the staged compile pipeline cold vs warm.
 //! Results land in `BENCH_serve.json` at the workspace root.
 
 use std::io::{BufRead, Write as _};
@@ -53,7 +53,7 @@ fn usage() -> ! {
          simulate: --max-cycles N\n\
          inject: --trials N --seed N --engine reference|checkpointed\n\
          \x20       --stream --every N --cancel-after N\n\
-         bench: --requests N --conns N --samples N --out PATH (no --addr; spawns its own fleet)"
+         bench: --requests N --conns N --samples N --out PATH (no --addr; spawns its own server)"
     );
     std::process::exit(2);
 }
@@ -358,88 +358,79 @@ fn bench_staged_compile(o: &Opts) -> Result<StagedBench, String> {
     })
 }
 
-/// The bench's private server fleet. Children are killed on drop so a
-/// failed run never leaves orphan processes behind.
-struct Fleet {
-    children: Vec<(String, std::process::Child)>,
+/// The bench's private server, killed on drop so a failed run never
+/// leaves an orphan process behind.
+struct BenchServer {
+    child: std::process::Child,
+    addr: String,
 }
 
-impl Fleet {
-    fn new() -> Fleet {
-        Fleet {
-            children: Vec::new(),
-        }
-    }
-
-    /// Spawn `bin args...` and scrape `... listening on ADDR` from its
-    /// first stdout line.
-    fn spawn(&mut self, bin: &Path, args: &[String], name: &str) -> Result<String, String> {
+impl BenchServer {
+    /// Spawn `bin` on an ephemeral port and scrape
+    /// `casted-serve listening on ADDR` from its first stdout line.
+    fn spawn(bin: &Path) -> Result<BenchServer, String> {
         let mut child = std::process::Command::new(bin)
-            .args(args)
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::inherit())
             .spawn()
-            .map_err(|e| format!("spawn {name} ({}): {e}", bin.display()))?;
+            .map_err(|e| format!("spawn {}: {e}", bin.display()))?;
         let stdout = child.stdout.take().expect("stdout was piped");
         let mut line = String::new();
         let read = std::io::BufReader::new(stdout).read_line(&mut line);
-        self.children.push((name.to_string(), child));
-        match read {
-            Ok(n) if n > 0 => {}
-            _ => return Err(format!("{name} exited before announcing its address")),
+        let mut server = BenchServer {
+            child,
+            addr: String::new(),
+        };
+        if !matches!(read, Ok(n) if n > 0) {
+            return Err("casted-serve exited before announcing its address".into());
         }
-        match line.trim().rsplit(" listening on ").next() {
-            Some(addr) if line.contains(" listening on ") => Ok(addr.to_string()),
-            _ => Err(format!("{name} printed unexpected banner {line:?}")),
-        }
+        server.addr = line
+            .trim()
+            .strip_prefix("casted-serve listening on ")
+            .ok_or_else(|| format!("casted-serve printed unexpected banner {line:?}"))?
+            .to_string();
+        Ok(server)
     }
 
-    /// Send `Shutdown` to every address, then wait for every child to
-    /// drain and exit 0 (routers forward the shutdown to their shards).
-    fn shutdown(mut self, signal_addrs: &[String]) -> Result<(), String> {
-        for addr in signal_addrs {
-            let mut c = Client::connect(addr).map_err(|e| format!("shutdown {addr}: {e}"))?;
-            match c.request(&Request::Shutdown) {
-                Ok(Response::ShuttingDown) => {}
-                Ok(other) => return Err(format!("shutdown {addr}: unexpected {other:?}")),
-                Err(e) => return Err(format!("shutdown {addr}: {e}")),
-            }
+    /// Send `Shutdown`, then wait for the drain to exit 0.
+    fn shutdown(mut self) -> Result<(), String> {
+        let addr = &self.addr;
+        let mut c = Client::connect(addr).map_err(|e| format!("shutdown {addr}: {e}"))?;
+        match c.request(&Request::Shutdown) {
+            Ok(Response::ShuttingDown) => {}
+            Ok(other) => return Err(format!("shutdown {addr}: unexpected {other:?}")),
+            Err(e) => return Err(format!("shutdown {addr}: {e}")),
         }
-        for (name, mut child) in std::mem::take(&mut self.children) {
-            let status = child.wait().map_err(|e| format!("wait {name}: {e}"))?;
-            if !status.success() {
-                return Err(format!("{name} exited with {status}"));
-            }
+        let status = self.child.wait().map_err(|e| format!("wait: {e}"))?;
+        if !status.success() {
+            return Err(format!("casted-serve exited with {status}"));
         }
         Ok(())
     }
 }
 
-impl Drop for Fleet {
+impl Drop for BenchServer {
     fn drop(&mut self) {
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
 /// Closed-loop load: `conns` connections each issue `per_conn`
-/// requests cycling through `payloads`, next request only after the
-/// previous reply. Returns requests/sec.
-fn run_load(addr: &str, conns: usize, payloads: &[Vec<u8>], per_conn: u64) -> Result<f64, String> {
+/// copies of `payload`, next request only after the previous reply.
+/// Returns requests/sec.
+fn run_load(addr: &str, conns: usize, payload: &[u8], per_conn: u64) -> Result<f64, String> {
     let start = Instant::now();
     let results: Vec<Result<(), String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..conns)
-            .map(|conn_id| {
+            .map(|_| {
                 s.spawn(move || -> Result<(), String> {
                     let mut c =
                         Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-                    for k in 0..per_conn {
-                        let p = &payloads[(conn_id + k as usize) % payloads.len()];
-                        let reply = c.request_raw(p).map_err(|e| e.to_string())?;
+                    for _ in 0..per_conn {
+                        let reply = c.request_raw(payload).map_err(|e| e.to_string())?;
                         // version byte + tag: anything but Simulated(3)
-                        // means the fleet is misbehaving — fail loudly
+                        // means the server is misbehaving — fail loudly
                         // rather than benchmark an error path.
                         if reply.get(1) != Some(&3) {
                             return Err(format!(
@@ -539,113 +530,49 @@ impl Row {
     }
 }
 
-/// How many distinct (pre-warmed) cached requests the shard-curve
-/// workload cycles through, so requests spread across all shards.
-const SHARD_KEYS: usize = 64;
-
 fn run_bench(o: &Opts) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let bin_dir: PathBuf = exe
+    let serve_bin: PathBuf = exe
         .parent()
         .ok_or_else(|| "current_exe has no parent".to_string())?
-        .to_path_buf();
-    let serve_bin = bin_dir.join("casted-serve");
-    let router_bin = bin_dir.join("casted-router");
-    for bin in [&serve_bin, &router_bin] {
-        if !bin.exists() {
-            return Err(format!(
-                "{} not found; build the whole workspace first",
-                bin.display()
-            ));
-        }
+        .join("casted-serve");
+    if !serve_bin.exists() {
+        return Err(format!(
+            "{} not found; build the whole workspace first",
+            serve_bin.display()
+        ));
     }
 
-    let arg = |s: &str| s.to_string();
-    let mut fleet = Fleet::new();
-    eprintln!("bench: spawning fleet (single server, 1/2/4-shard)...");
-    let event_addr = fleet.spawn(&serve_bin, &[], "serve-event")?;
-    // Shard fleets: each curve point gets its own shards + router so
-    // caches are independent and shutdown is per-fleet.
-    let mut router_addrs: Vec<(usize, String)> = Vec::new();
-    for n in [1usize, 2, 4] {
-        let mut router_args: Vec<String> = vec![arg("--addr"), arg("127.0.0.1:0")];
-        for i in 0..n {
-            let shard_addr = fleet.spawn(
-                &serve_bin,
-                &[arg("--workers"), arg("2")],
-                &format!("shard-{n}x-{i}"),
-            )?;
-            router_args.push(arg("--shard"));
-            router_args.push(shard_addr);
-        }
-        let router_addr = fleet.spawn(&router_bin, &router_args, &format!("router-{n}"))?;
-        router_addrs.push((n, router_addr));
-    }
+    eprintln!("bench: spawning casted-serve...");
+    let server = BenchServer::spawn(&serve_bin)?;
+    let addr = server.addr.clone();
 
-    // Workloads. Cached row: one simulate request, warmed once. Shard
-    // rows: SHARD_KEYS distinct requests (source variants), warmed
-    // through each router so every shard holds its own slice.
+    // Cached row: one simulate request, warmed once.
+    eprintln!("bench: warming the cache...");
     let cached_payload = encode_request(&Request::Simulate {
         spec: o.spec.clone(),
         max_cycles: o.max_cycles,
     });
-    let shard_payloads: Vec<Vec<u8>> = (0..SHARD_KEYS)
-        .map(|i| {
-            encode_request(&Request::Simulate {
-                spec: JobSpec {
-                    source: format!(
-                        "fn main() {{ var s: int = {i}; \
-                         for i in 0..40 {{ s = s + i * i; }} out(s); }}"
-                    ),
-                    scheme: o.spec.scheme,
-                    issue: o.spec.issue,
-                    delay: o.spec.delay,
-                },
-                max_cycles: o.max_cycles,
-            })
-        })
-        .collect();
-
-    eprintln!("bench: warming caches...");
-    {
-        let addr = &event_addr;
-        let mut c = Client::connect(addr).map_err(|e| format!("warm {addr}: {e}"))?;
-        let reply = c.request_raw(&cached_payload).map_err(|e| e.to_string())?;
-        if reply.get(1) != Some(&3) {
-            return Err(format!("warm-up rejected on {addr} (tag {:?})", reply.get(1)));
-        }
-    }
-    for (_, addr) in &router_addrs {
-        let mut c = Client::connect(addr).map_err(|e| format!("warm {addr}: {e}"))?;
-        for p in &shard_payloads {
-            let reply = c.request_raw(p).map_err(|e| e.to_string())?;
-            if reply.get(1) != Some(&3) {
-                return Err(format!("warm-up rejected on {addr} (tag {:?})", reply.get(1)));
-            }
-        }
+    let mut c = Client::connect(&addr).map_err(|e| format!("warm {addr}: {e}"))?;
+    let reply = c.request_raw(&cached_payload).map_err(|e| e.to_string())?;
+    if reply.get(1) != Some(&3) {
+        return Err(format!("warm-up rejected on {addr} (tag {:?})", reply.get(1)));
     }
 
-    // Interleaved sample rounds: every configuration is measured once
-    // per round, so drift (thermal, page cache) spreads evenly instead
-    // of biasing whichever config ran last.
+    // Interleaved sample rounds: both rows are measured once per
+    // round, so drift (thermal, page cache) spreads evenly instead of
+    // biasing whichever row ran last.
     let samples = o.samples.max(5);
     let cold_per_conn = (o.requests / 25).max(8);
-    let cached = std::slice::from_ref(&cached_payload);
     let mut event_cached = Row { samples: vec![] };
     let mut event_cold = Row { samples: vec![] };
-    let mut shard_rows: Vec<(usize, Row)> =
-        router_addrs.iter().map(|(n, _)| (*n, Row { samples: vec![] })).collect();
     for sample in 0..samples {
         eprintln!("bench: sample {}/{samples}", sample + 1);
         event_cached
             .samples
-            .push(run_load(&event_addr, o.conns, cached, o.requests)?);
-        for ((_, addr), (_, row)) in router_addrs.iter().zip(shard_rows.iter_mut()) {
-            row.samples
-                .push(run_load(addr, o.conns, &shard_payloads, o.requests)?);
-        }
+            .push(run_load(&addr, o.conns, &cached_payload, o.requests)?);
         event_cold.samples.push(run_load_cold(
-            &event_addr,
+            &addr,
             o.conns,
             cold_per_conn,
             sample,
@@ -653,27 +580,13 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         )?);
     }
 
-    eprintln!("bench: shutting down fleet...");
-    let mut signal = vec![event_addr.clone()];
-    signal.extend(router_addrs.iter().map(|(_, a)| a.clone()));
-    fleet.shutdown(&signal)?;
+    eprintln!("bench: shutting down...");
+    server.shutdown()?;
 
     let staged = bench_staged_compile(o)?;
 
-    let (event_med, _) = event_cached.stats();
-    let shard_meds: Vec<(usize, f64)> =
-        shard_rows.iter().map(|(n, r)| (*n, r.stats().0)).collect();
-    let shard1 = shard_meds
-        .iter()
-        .find(|(n, _)| *n == 1)
-        .map(|(_, m)| *m)
-        .unwrap_or(f64::NAN);
-
     println!("rows (median req/s over {samples} samples, {} conns):", o.conns);
-    println!("  event_cached:   {event_med:.0}");
-    for (n, med) in &shard_meds {
-        println!("  shard{n}_cached:  {med:.0}  ({:.2}x shard1)", med / shard1);
-    }
+    println!("  event_cached:   {:.0}", event_cached.stats().0);
     println!("  event_cold:     {:.0}", event_cold.stats().0);
     println!(
         "staged_compile cold: {:.0}/s  warm: {:.0}/s  ({:.1}x)",
@@ -682,30 +595,12 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         staged.warm_per_sec / staged.cold_per_sec
     );
 
-    let mut rows = vec![("event_cached".to_string(), event_cached.json())];
-    for (n, row) in &shard_rows {
-        rows.push((format!("shard{n}_cached"), row.json()));
-    }
-    rows.push(("event_cold".to_string(), event_cold.json()));
-    let rows_json: Vec<String> = rows
-        .iter()
-        .map(|(name, body)| format!("    \"{name}\": {body}"))
-        .collect();
-    let ratios_json: Vec<String> = shard_meds
-        .iter()
-        .filter(|(n, _)| *n != 1)
-        .map(|(n, med)| format!("    \"shard{n}_over_shard1\": {:.2}", med / shard1))
-        .collect();
-
-    // Ratios are architecture-sensitive: on a single-core host every
-    // process shares the one CPU, so the shard curve is bounded by
-    // total per-request CPU, not by connection handling. Record the
-    // core count so readers can interpret them.
+    // Rates depend on the host; record its core count next to them.
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"workload\": \"simulate {} issue {} delay {}\",\n  \"host_cpus\": {host_cpus},\n  \"conns\": {},\n  \"samples\": {},\n  \"requests_per_conn\": {},\n  \"cold_requests_per_conn\": {},\n  \"shard_keys\": {},\n  \"rows\": {{\n{}\n  }},\n  \"ratios\": {{\n{}\n  }},\n  \"staged_compile\": {{\n    \"iterations\": {},\n    \"cold_elapsed_s\": {:.4},\n    \"warm_elapsed_s\": {:.4},\n    \"cold_compiles_per_sec\": {:.0},\n    \"warm_compiles_per_sec\": {:.0},\n    \"warm_over_cold\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"serve_throughput\",\n  \"workload\": \"simulate {} issue {} delay {}\",\n  \"host_cpus\": {host_cpus},\n  \"conns\": {},\n  \"samples\": {},\n  \"requests_per_conn\": {},\n  \"cold_requests_per_conn\": {},\n  \"rows\": {{\n    \"event_cached\": {},\n    \"event_cold\": {}\n  }},\n  \"staged_compile\": {{\n    \"iterations\": {},\n    \"cold_elapsed_s\": {:.4},\n    \"warm_elapsed_s\": {:.4},\n    \"cold_compiles_per_sec\": {:.0},\n    \"warm_compiles_per_sec\": {:.0},\n    \"warm_over_cold\": {:.2}\n  }}\n}}\n",
         o.spec.scheme.name().to_ascii_lowercase(),
         o.spec.issue,
         o.spec.delay,
@@ -713,9 +608,8 @@ fn run_bench(o: &Opts) -> Result<(), String> {
         samples,
         o.requests,
         cold_per_conn,
-        SHARD_KEYS,
-        rows_json.join(",\n"),
-        ratios_json.join(",\n"),
+        event_cached.json(),
+        event_cold.json(),
         staged.iterations,
         staged.cold_elapsed,
         staged.warm_elapsed,

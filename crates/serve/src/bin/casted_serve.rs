@@ -81,7 +81,6 @@ fn main() -> ExitCode {
             "--cache-bytes" => {
                 cfg.cache = CacheConfig {
                     byte_budget: parse("--cache-bytes", args.next()),
-                    ..cfg.cache
                 }
             }
             "--max-cycles" => cfg.max_cycles = parse("--max-cycles", args.next()),

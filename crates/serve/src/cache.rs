@@ -8,10 +8,10 @@
 //! bytes a recomputation would have written — the determinism gate in
 //! `tests/serve_determinism.rs` pins this end to end.
 //!
-//! The map is split into [`CacheConfig::shards`] independently locked
-//! shards (key → shard by high digest bits) so concurrent connection
-//! threads on the hit path do not serialize behind one lock. Each
-//! shard owns `byte_budget / shards` bytes; inserting past the budget
+//! The map is split into `SHARDS` independently locked shards (key →
+//! shard by high digest bits) so concurrent connection threads on the
+//! hit path do not serialize behind one lock. Each shard owns
+//! `byte_budget / SHARDS` bytes; inserting past the budget
 //! evicts least-recently-used entries first (recency is a per-shard
 //! monotonic tick stamped on every hit). Eviction scans the shard for
 //! the minimum stamp — O(entries) but only on the insert path, never
@@ -25,11 +25,12 @@ use std::collections::HashMap;
 
 use casted_util::Mutex;
 
+/// Independently locked shards of the map.
+const SHARDS: usize = 16;
+
 /// Cache sizing.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
-    /// Lock shards (rounded up to a power of two, at least 1).
-    pub shards: usize,
     /// Total byte budget across all shards (0 disables caching).
     pub byte_budget: usize,
 }
@@ -37,7 +38,6 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            shards: 16,
             byte_budget: 32 << 20,
         }
     }
@@ -114,23 +114,20 @@ impl Shard {
 pub struct Cache {
     shards: Vec<Mutex<Shard>>,
     shard_budget: usize,
-    mask: u64,
 }
 
 impl Cache {
     /// Build a cache from its config.
     pub fn new(cfg: &CacheConfig) -> Cache {
-        let n = cfg.shards.max(1).next_power_of_two();
         Cache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: cfg.byte_budget / n,
-            mask: n as u64 - 1,
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shard_budget: cfg.byte_budget / SHARDS,
         }
     }
 
     fn shard(&self, key: u64) -> &Mutex<Shard> {
         // High bits: FNV's low bits are the least mixed.
-        &self.shards[((key >> 40) & self.mask) as usize]
+        &self.shards[(key >> 40) as usize % SHARDS]
     }
 
     /// Look up a reply. Records `serve.cache.{hit,miss}`.
@@ -176,10 +173,11 @@ impl Cache {
 mod tests {
     use super::*;
 
+    /// A cache whose shard 0 holds `budget` bytes. The tests' small
+    /// keys all land in shard 0 (their high bits are zero).
     fn tiny(budget: usize) -> Cache {
         Cache::new(&CacheConfig {
-            shards: 1,
-            byte_budget: budget,
+            byte_budget: budget * SHARDS,
         })
     }
 
@@ -235,7 +233,6 @@ mod tests {
     #[test]
     fn shards_partition_keys() {
         let c = Cache::new(&CacheConfig {
-            shards: 8,
             byte_budget: 1 << 20,
         });
         for k in 0..1000u64 {
@@ -243,6 +240,6 @@ mod tests {
         }
         assert_eq!(c.len(), 1000);
         let occupied = c.shards.iter().filter(|s| !s.lock().map.is_empty()).count();
-        assert!(occupied >= 2, "keys should spread over shards, got {occupied}");
+        assert_eq!(occupied, SHARDS, "keys should spread over every shard");
     }
 }

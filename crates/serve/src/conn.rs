@@ -1,14 +1,13 @@
-//! The nonblocking framed connection both front ends drive.
+//! The nonblocking framed connection the event loop drives.
 //!
-//! `casted-serve`'s event loop (`evloop.rs`) and every `casted-router`
-//! relay loop (`router.rs`) own their sockets through [`FramedConn`]:
-//! a stream registered on a [`Poller`], incremental assembly of
-//! length-prefixed frames across partial reads (capped at
+//! `casted-serve`'s event loop (`evloop.rs`) owns each socket through
+//! [`FramedConn`]: a stream registered on a [`Poller`], incremental
+//! assembly of length-prefixed frames across partial reads (capped at
 //! [`MAX_FRAME`]), a write buffer flushed until `WouldBlock`, and
 //! write interest registered only while that buffer is nonempty
 //! (level-triggered `EPOLLOUT` would otherwise report every idle
-//! socket). What a frame *means* stays with the owner: the server's
-//! per-connection job state, the router's relay state.
+//! socket). What a frame *means* stays with the event loop's
+//! per-connection job state.
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -2,8 +2,8 @@
 //!
 //! One loop thread owns the listener and every connection through
 //! [`casted_util::poll`] (epoll on Linux); the socket side of each
-//! connection (frame assembly, buffered writes, write interest) is the
-//! shared [`FramedConn`] core the router drives too. Cache hits,
+//! connection (frame assembly, buffered writes, write interest) is
+//! the [`FramedConn`] core. Cache hits,
 //! pings, counters and admission rejections are answered inline on
 //! the loop; cache-missing work is queued for the worker pool, which
 //! posts encoded reply frames back through [`Shared::post_completion`]

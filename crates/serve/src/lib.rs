@@ -8,20 +8,17 @@
 //!   encoding (4-byte LE length, version + tag bytes, varint fields),
 //!   including the streaming-campaign extension (Progress/Cancelled
 //!   frames) and structured admission rejections (Throttled/Expired).
-//! - [`cache`] — sharded content-addressed reply cache (FNV-1a of the
-//!   canonical request bytes → encoded reply bytes) with LRU eviction
-//!   under a byte budget.
+//! - [`cache`] — lock-striped content-addressed reply cache (FNV-1a of
+//!   the canonical request bytes → encoded reply bytes) with LRU
+//!   eviction under a byte budget.
 //! - [`server`] — the serving core: an event-driven connection layer
-//!   (`casted_util::poll`, epoll on Linux) over the nonblocking
-//!   framed-connection core the router shares, a bounded job queue
-//!   drained by the `casted_util` thread pool, explicit backpressure
-//!   (`Busy` on queue-full), per-request simulated-cycle deadlines,
-//!   graceful drain-then-exit.
+//!   (`casted_util::poll`, epoll on Linux) over a nonblocking
+//!   framed-connection core, a bounded job queue drained by the
+//!   `casted_util` thread pool, explicit backpressure (`Busy` on
+//!   queue-full), per-request simulated-cycle deadlines, graceful
+//!   drain-then-exit.
 //! - [`admission`] — opt-in per-client token-bucket quotas and
 //!   deadline-aware queue drop, beyond the binary `Busy` signal.
-//! - [`router`] — a front process that content-hashes each request and
-//!   forwards it to one of N shard servers, so independent campaigns
-//!   scale across processes without duplicating cache entries.
 //! - [`client`] — a minimal blocking client (one-shot and streaming)
 //!   used by the `casted-client` CLI and the tests.
 //!
@@ -37,5 +34,4 @@ pub mod client;
 mod conn;
 mod evloop;
 pub mod protocol;
-pub mod router;
 pub mod server;

@@ -186,7 +186,7 @@ impl Response {
     /// Is this frame the last one of its request? Streaming requests
     /// emit zero or more non-terminal [`Response::Progress`] frames
     /// before exactly one terminal frame; every other reply is
-    /// terminal. The router relays frames until a terminal one.
+    /// terminal.
     pub fn terminal(&self) -> bool {
         !matches!(self, Response::Progress { .. })
     }

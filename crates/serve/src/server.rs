@@ -2,8 +2,7 @@
 //!
 //! One event-loop thread (`evloop.rs`) owns every connection through
 //! `casted_util::poll` (epoll), driving the framed-connection core in
-//! `conn.rs` that `casted-router` shares; one worker/cache/queue core
-//! executes the work:
+//! `conn.rs`; one worker/cache/queue core executes the work:
 //!
 //! ```text
 //!  event loop (casted_util::poll / epoll):

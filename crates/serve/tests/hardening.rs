@@ -1,17 +1,20 @@
 //! Hardening and backpressure tests: garbage bytes cannot panic or
-//! wedge a worker, queue-full returns `Busy` without buffering, and
-//! shutdown drains accepted work before exiting.
+//! wedge a worker, sources nested past the parser's limit get a
+//! structured error instead of a stack overflow, queue-full returns
+//! `Busy` without buffering, and shutdown drains accepted work before
+//! exiting.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use casted::frontend::MAX_NESTING;
 use casted::service_api::JobSpec;
 use casted::Scheme;
 use casted_faults::Engine;
 use casted_serve::cache::CacheConfig;
 use casted_serve::client::Client;
-use casted_serve::protocol::{encode_request, Request, Response, PROTOCOL_VERSION};
+use casted_serve::protocol::{encode_request, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 use casted_serve::server::{Server, ServerConfig};
 
 const SRC: &str = "fn main() { var s: int = 0; for i in 0..30 { s = s + i; } out(s); }";
@@ -77,13 +80,21 @@ fn garbage_bytes_get_structured_err_and_clean_close() {
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
     raw.flush().unwrap();
-    let reply = casted_util::codec::read_frame(&mut raw, 1 << 20)
+    let reply = casted_util::codec::read_frame(&mut raw, MAX_FRAME)
         .unwrap()
         .expect("structured reply to oversized frame");
-    match casted_serve::protocol::decode_response(&reply).unwrap() {
-        Response::Err(msg) => assert!(msg.contains("bad frame"), "{msg}"),
-        other => panic!("expected Err reply, got {other:?}"),
-    }
+    assert_eq!(
+        casted_serve::protocol::decode_response(&reply).unwrap(),
+        Response::Err(format!(
+            "bad frame: length {} exceeds limit {MAX_FRAME}",
+            u32::MAX
+        ))
+    );
+    assert_eq!(
+        casted_util::codec::read_frame(&mut raw, MAX_FRAME).unwrap(),
+        None,
+        "server must close after an oversized prefix"
+    );
 
     // 4. A connection that dies mid-frame: the server just drops it.
     let mut raw = TcpStream::connect(addr).unwrap();
@@ -103,6 +114,63 @@ fn garbage_bytes_get_structured_err_and_clean_close() {
 }
 
 #[test]
+fn deeply_nested_sources_get_structured_err_and_server_stays_up() {
+    // Each of these overflowed a worker's stack before the nesting
+    // limit, taking the whole process down: in the parser, in codegen
+    // (32 shallow functions inlined into one another) or in sema's
+    // call-graph search (a 10,000-function call chain).
+    let parens = format!(
+        "fn main() {{ var x: int = {}1{}; out(x); }}",
+        "(".repeat(3_000),
+        ")".repeat(3_000)
+    );
+    let sum = format!("fn main() {{ out({}); }}", ["1"; 30_000].join("+"));
+    let ifs = format!(
+        "fn main() {{ {} out(1); {} }}",
+        "if 1 < 2 { ".repeat(5_000),
+        "}".repeat(5_000)
+    );
+    let inlined: String = (0..32)
+        .map(|k| {
+            let body = "- ".repeat(250);
+            format!("fn g{k}(x: int) -> int {{ return {body}g{}(x); }} ", k + 1)
+        })
+        .collect::<String>()
+        + "fn g32(x: int) -> int { return x; } fn main() { out(g0(1)); }";
+    let chain: String = (0..10_000)
+        .map(|k| format!("fn g{k}() {{ g{}(); }} ", k + 1))
+        .collect::<String>()
+        + "fn g10000() { } fn main() { g0(); }";
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    for source in [parens, sum, ifs, inlined, chain] {
+        let req = Request::Compile {
+            spec: JobSpec { source, ..spec() },
+        };
+        match c.request(&req).unwrap() {
+            Response::Err(msg) => {
+                let want = format!("line 1: nesting depth exceeds limit {MAX_NESTING}");
+                assert!(msg.contains(&want), "{msg}");
+            }
+            other => panic!("expected Err, got {other:?}"),
+        }
+    }
+    assert_eq!(c.request(&Request::Ping).unwrap(), Response::Pong);
+    match c
+        .request(&Request::Simulate {
+            spec: spec(),
+            max_cycles: u64::MAX,
+        })
+        .unwrap()
+    {
+        Response::Simulated(r) => assert!(r.cycles > 0),
+        other => panic!("expected Simulated, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn queue_full_returns_busy_without_buffering() {
     // One worker, queue of one: streaming campaign A holds the worker,
     // B sits in the queue, C must bounce with Busy immediately. Each
@@ -114,10 +182,7 @@ fn queue_full_returns_busy_without_buffering() {
         workers: 1,
         queue_depth: 1,
         max_trials: HOLD_TRIALS,
-        cache: CacheConfig {
-            byte_budget: 0, // no cache: every request is a miss
-            ..CacheConfig::default()
-        },
+        cache: CacheConfig { byte_budget: 0 }, // no cache: every request is a miss
         ..ServerConfig::default()
     })
     .unwrap();

@@ -7,6 +7,8 @@
 //! * cancelling mid-campaign yields a `Cancelled` whose partial tally
 //!   prefix-matches an uncancelled run's progress at the same trial
 //!   count, and leaves the server fully healthy;
+//! * a cancel that arrives too late to stop the campaign still gets
+//!   its own `Err` reply after the full one (the late-cancel rule);
 //! * token-bucket quota exhaustion yields `Throttled` with a finite
 //!   retry hint; queue-deadline expiry yields `Expired` without the
 //!   job ever executing;
@@ -156,6 +158,10 @@ fn cancel_mid_campaign_prefix_matches_and_server_stays_healthy() {
         client.request(&Request::Ping).unwrap(),
         Response::Pong
     ));
+    assert!(matches!(
+        client.request(&Request::Compile { spec: spec() }).unwrap(),
+        Response::Compiled(_)
+    ));
     // ...and so does real work on a fresh connection.
     let mut fresh = Client::connect(addr).unwrap();
     match fresh
@@ -168,6 +174,76 @@ fn cancel_mid_campaign_prefix_matches_and_server_stays_healthy() {
         Response::Simulated(_) => {}
         other => panic!("post-cancel simulate failed: {other:?}"),
     }
+    server.shutdown();
+}
+
+#[test]
+fn late_cancel_gets_its_own_err_after_the_full_reply() {
+    // Campaign A holds the only worker, so B's stream waits in the
+    // queue while B's Cancel arrives. B is one chunk (trials < every):
+    // it never reaches a chunk boundary to stop at, and runs whole.
+    const HOLD_TRIALS: u64 = 200_000;
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        max_trials: HOLD_TRIALS,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.addr();
+    let a = Client::connect(addr).unwrap();
+    let mut cancel_a = a.canceller().unwrap();
+    let (running_tx, running_rx) = std::sync::mpsc::channel();
+    let a = std::thread::spawn(move || {
+        let mut a = a;
+        let mut running = Some(running_tx);
+        a.request_stream(&stream_req(HOLD_TRIALS, 1), &mut |_, _| {
+            if let Some(tx) = running.take() {
+                tx.send(()).unwrap();
+            }
+            true
+        })
+        .unwrap()
+    });
+    running_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("campaign A never reported progress");
+
+    let mut b = Client::connect(addr).unwrap();
+    b.send_raw(&encode_request(&stream_req(40, 100))).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.queued_jobs() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "B's stream never reached the queue"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    b.send_raw(&encode_request(&Request::Cancel)).unwrap();
+    // A round trip on a third connection lets the loop read B's
+    // Cancel before A lets go of the worker.
+    let mut c = Client::connect(addr).unwrap();
+    assert!(matches!(c.request(&Request::Ping).unwrap(), Response::Pong));
+    cancel_a.cancel().unwrap();
+    assert!(matches!(a.join().unwrap(), Response::Cancelled { .. }));
+
+    let plain = c
+        .request_raw(&encode_request(&Request::Inject {
+            spec: spec(),
+            trials: 40,
+            seed: 0xCA57ED,
+            engine: Engine::default(),
+        }))
+        .unwrap();
+    assert_eq!(
+        b.read_reply().unwrap(),
+        Some(plain),
+        "B's campaign ran whole"
+    );
+    assert_eq!(
+        decode_response(&b.read_reply().unwrap().expect("the Cancel's reply")).unwrap(),
+        Response::Err("cancel arrived after campaign completion".into())
+    );
+    assert!(matches!(b.request(&Request::Ping).unwrap(), Response::Pong));
     server.shutdown();
 }
 

@@ -9,9 +9,8 @@
 //!
 //! On any other target [`Poller::new`] returns
 //! [`std::io::ErrorKind::Unsupported`], so the workspace still builds
-//! everywhere, but there is no fallback: `casted-serve` and
-//! `casted-router` refuse to start, and [`available`] is the runtime
-//! gate their tests check.
+//! everywhere, but there is no fallback: `casted-serve` refuses to
+//! start, and [`available`] says whether the backend is compiled in.
 //!
 //! ## Model
 //!

@@ -203,8 +203,9 @@ echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # kind through casted-client, assert the content-addressed cache
 # reports a hit for a repeated identical request, assert a
 # whitespace-edited inject (a reply-cache miss) is answered from the
-# section store with a byte-identical reply, then shut down
-# gracefully — the server must drain and exit 0. Everything is local
+# section store with a byte-identical reply, cancel a streaming
+# campaign mid-run, then shut down gracefully — the server must drain
+# and exit 0. Everything is local
 # TCP; no network access is involved. See docs/SERVING.md.
 serve_bin=target/release/casted-serve
 client_bin=target/release/casted-client
@@ -265,76 +266,16 @@ if [ -z "$section_hits" ] || [ "$section_hits" -lt 1 ]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
-"$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
-wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
-grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
-echo "serve smoke green (cache hits: $hits, section hits: $section_hits, graceful exit 0)"
-
-echo "== sharded serving smoke (router + 2 shards, streaming cancel) =="
-# A router fronting two shard servers, all on ephemeral loopback
-# ports: routed replies must be byte-identical to a single-process
-# server's (the router relays shard reply frames verbatim and routes
-# by the reply-cache content hash), a streaming campaign must cancel
-# cleanly through the relay, and a protocol Shutdown through the
-# router must drain the whole fleet to exit 0. Fully offline.
-router_bin=target/release/casted-router
-scrape_addr() { # logfile banner-prefix
-  local a=""
-  for _ in $(seq 1 100); do
-    a="$(sed -n "s/^$2 listening on //p" "$1")"
-    [ -n "$a" ] && break
-    sleep 0.1
-  done
-  if [ -z "$a" ]; then
-    echo "$2 did not come up" >&2
-    return 1
-  fi
-  printf '%s' "$a"
-}
-"$serve_bin" > "$log_dir/direct.log" &
-direct_pid=$!
-"$serve_bin" > "$log_dir/shard1.log" &
-shard1_pid=$!
-"$serve_bin" > "$log_dir/shard2.log" &
-shard2_pid=$!
-trap 'kill "$direct_pid" "$shard1_pid" "$shard2_pid" "${router_pid:-}" 2>/dev/null || true; rm -rf "$log_dir"' EXIT
-direct_addr="$(scrape_addr "$log_dir/direct.log" casted-serve)"
-shard1_addr="$(scrape_addr "$log_dir/shard1.log" casted-serve)"
-shard2_addr="$(scrape_addr "$log_dir/shard2.log" casted-serve)"
-"$router_bin" --shard "$shard1_addr" --shard "$shard2_addr" > "$log_dir/router.log" &
-router_pid=$!
-router_addr="$(scrape_addr "$log_dir/router.log" casted-router)"
-"$client_bin" --addr "$router_addr" ping | grep -q pong
-# Byte-identity: each request kind through the router vs the
-# single-process server, plus a repeat (shard cache hit) — the client
-# prints the decoded reply, so identical output means identical reply.
-for kind in compile simulate inject; do
-  extra=""
-  [ "$kind" = inject ] && extra="--trials 40 --seed 0xCA57ED --engine checkpointed"
-  "$client_bin" --addr "$direct_addr" "$kind" --file "$smoke_src" \
-    --scheme casted --issue 2 --delay 2 $extra > "$log_dir/${kind}_direct.out"
-  "$client_bin" --addr "$router_addr" "$kind" --file "$smoke_src" \
-    --scheme casted --issue 2 --delay 2 $extra > "$log_dir/${kind}_routed.out"
-  cmp "$log_dir/${kind}_direct.out" "$log_dir/${kind}_routed.out"
-  "$client_bin" --addr "$router_addr" "$kind" --file "$smoke_src" \
-    --scheme casted --issue 2 --delay 2 $extra > "$log_dir/${kind}_routed2.out"
-  cmp "$log_dir/${kind}_direct.out" "$log_dir/${kind}_routed2.out"
-done
-# Streaming through the relay: progress frames arrive and a cancel
-# lands cleanly mid-campaign (partial tally, connection healthy).
-"$client_bin" --addr "$router_addr" inject --file "$smoke_src" \
+# Streaming: progress frames arrive and a cancel lands cleanly
+# mid-campaign (partial tally printed, connection healthy).
+"$client_bin" --addr "$addr" inject --file "$smoke_src" \
   --scheme casted --issue 2 --delay 2 --trials 2000 --seed 0xCA57ED \
   --stream --every 25 --cancel-after 25 > "$log_dir/stream_cancel.out"
 grep -q '^progress: ' "$log_dir/stream_cancel.out"
 grep -q '^cancelled$' "$log_dir/stream_cancel.out"
-# Fleet shutdown through the router: router and both shards drain and
-# exit 0 (set -e enforces each wait).
-"$client_bin" --addr "$router_addr" shutdown | grep -q 'shutting down'
-wait "$router_pid"
-wait "$shard1_pid"
-wait "$shard2_pid"
-"$client_bin" --addr "$direct_addr" shutdown | grep -q 'shutting down'
-wait "$direct_pid"
-echo "sharded smoke green (routed replies byte-identical, cancel clean, drain exit 0)"
+"$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
+wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
+grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
+echo "serve smoke green (cache hits: $hits, section hits: $section_hits, stream cancelled cleanly, graceful exit 0)"
 
 echo "tier-1 green"

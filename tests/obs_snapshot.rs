@@ -182,8 +182,8 @@ fn for_each_source(dir: &std::path::Path, f: &mut dyn FnMut(&str)) {
 }
 
 /// Every `"serve.…"` string literal in the serving crate's sources:
-/// the metric names `casted-serve` and `casted-router` record, the
-/// ones chosen by helper functions and `match` arms included. The
+/// the metric names `casted-serve` records, the ones chosen by helper
+/// functions and `match` arms included. The
 /// quick grid never runs the service, so the golden snapshot cannot
 /// vouch for these.
 fn serve_metric_literals() -> std::collections::BTreeSet<String> {
@@ -245,5 +245,23 @@ fn observability_doc_names_every_recorded_metric() {
     assert!(
         missing.is_empty(),
         "metrics missing from docs/OBSERVABILITY.md: {missing:?}"
+    );
+}
+
+#[test]
+fn every_documented_serve_metric_is_recorded() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/OBSERVABILITY.md"
+    ))
+    .expect("read docs/OBSERVABILITY.md");
+    let serve = serve_metric_literals();
+    let stale: Vec<String> = documented_names(&doc)
+        .into_iter()
+        .filter(|n| n.starts_with("serve.") && n != "serve.*" && !serve.contains(n))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "docs/OBSERVABILITY.md documents serve metrics no source records: {stale:?}"
     );
 }
