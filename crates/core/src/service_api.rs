@@ -21,7 +21,9 @@
 //! a recomputed one — the property `casted-serve`'s content-addressed
 //! cache rests on (see `docs/SERVING.md`).
 
-use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine, Outcome};
+use casted_faults::{
+    run_campaign_incremental_within, run_campaign_within, CampaignConfig, Engine, Outcome,
+};
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::MachineConfig;
 use casted_passes::Scheme;
@@ -231,35 +233,20 @@ pub fn simulate_stats_with(
     }
 }
 
-/// The preamble every inject request shares: prepare `spec`, screen
-/// the target, and build the campaign configuration.
+/// The preamble every inject request shares: prepare `spec` and build
+/// the campaign configuration.
 ///
-/// The campaign engines `assert!` the golden run halts, so the target
-/// is pre-screened here under the same cycle deadline as
-/// [`simulate_stats`] — a non-terminating or trapping program is an
-/// `Err` reply, not a worker panic.
+/// The campaign's own fault-free run is bounded by the request's cycle
+/// deadline, the same one [`simulate_stats`] applies: a
+/// non-terminating or trapping program comes back as `Err(stop)`,
+/// which [`refused`] turns into the reply text, never a worker panic.
 fn inject_setup(
     spec: &JobSpec,
     trials: u64,
     seed: u64,
-    max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
 ) -> Result<(casted_passes::Prepared, CampaignConfig), String> {
     let prep = prepare_via(spec, pipeline)?;
-    let screen = simulate_quiet(
-        &prep.sp,
-        &SimOptions {
-            max_cycles,
-            injection: None,
-            ..SimOptions::default()
-        },
-    );
-    if !matches!(screen.stop, StopReason::Halt(_)) {
-        return Err(format!(
-            "campaign target must halt fault-free within {max_cycles} cycles, got {:?}",
-            screen.stop
-        ));
-    }
     let cfg = CampaignConfig {
         trials: trials as usize,
         seed,
@@ -269,9 +256,17 @@ fn inject_setup(
     Ok((prep, cfg))
 }
 
+/// The reply to a campaign target that did not halt within
+/// `max_cycles` of its fault-free run.
+fn refused(max_cycles: u64) -> impl FnOnce(StopReason) -> String {
+    move |stop| {
+        format!("campaign target must halt fault-free within {max_cycles} cycles, got {stop:?}")
+    }
+}
+
 /// *Inject* request: Monte-Carlo fault campaign with an explicit
-/// engine, trial count and seed. The target is screened first (see
-/// `inject_setup`).
+/// engine, trial count and seed. A target that does not halt within
+/// `max_cycles` is refused (see `inject_setup`).
 pub fn inject_tally(
     spec: &JobSpec,
     trials: u64,
@@ -291,8 +286,9 @@ pub fn inject_tally_with(
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
 ) -> Result<InjectReply, String> {
-    let (prep, cfg) = inject_setup(spec, trials, seed, max_cycles, pipeline)?;
-    Ok(reply_of(&run_campaign_engine(&prep.sp, &cfg, engine)))
+    let (prep, cfg) = inject_setup(spec, trials, seed, pipeline)?;
+    let r = run_campaign_within(&prep.sp, &cfg, engine, max_cycles).map_err(refused(max_cycles))?;
+    Ok(reply_of(&r))
 }
 
 /// [`inject_tally`] in streaming form: the campaign runs in chunks of
@@ -315,10 +311,11 @@ pub fn inject_stream_with(
     pipeline: Option<&crate::stages::ArtifactPipeline>,
     progress: &mut dyn FnMut(u64, &[u64; 6]) -> bool,
 ) -> Result<(InjectReply, bool), String> {
-    let (prep, cfg) = inject_setup(spec, trials, seed, max_cycles, pipeline)?;
+    let (prep, cfg) = inject_setup(spec, trials, seed, pipeline)?;
     let (r, completed) = casted_faults::run_campaign_streaming(
         &prep.sp,
         &cfg,
+        max_cycles,
         every.max(1) as usize,
         &mut |done, tally| {
             let mut counts = [0u64; 6];
@@ -327,7 +324,8 @@ pub fn inject_stream_with(
             }
             progress(done, &counts)
         },
-    );
+    )
+    .map_err(refused(max_cycles))?;
     Ok((reply_of(&r), completed))
 }
 
@@ -367,8 +365,10 @@ pub fn inject_tally_incremental_in(
     max_cycles: u64,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
 ) -> Result<InjectReply, String> {
-    let (prep, cfg) = inject_setup(spec, trials, seed, max_cycles, pipeline)?;
-    Ok(reply_of(&run_campaign_incremental(&prep.sp, &cfg, store)))
+    let (prep, cfg) = inject_setup(spec, trials, seed, pipeline)?;
+    let r = run_campaign_incremental_within(&prep.sp, &cfg, store, max_cycles)
+        .map_err(refused(max_cycles))?;
+    Ok(reply_of(&r))
 }
 
 fn reply_of(r: &casted_faults::CampaignResult) -> InjectReply {
@@ -493,23 +493,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn inject_incremental_screens_non_halting_targets() {
+    /// A target that runs past any small bound.
+    fn non_halting() -> JobSpec {
         let mut s = spec(Scheme::Noed);
         s.source = "fn main() { var x: int = 1; for i in 0..1000000 { x = x + i; } out(x); }".into();
+        s
+    }
+
+    /// The refusal every inject path gives a target that does not halt
+    /// within its bound, word for word.
+    const REFUSED_100: &str = "campaign target must halt fault-free within 100 cycles, got Timeout";
+
+    #[test]
+    fn inject_incremental_screens_non_halting_targets() {
         let dir = std::env::temp_dir().join(format!("casted-api-screen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let err = inject_tally_incremental_with(&s, 10, 1, &dir, 100, None).unwrap_err();
-        assert!(err.contains("must halt"), "{err}");
+        let err =
+            inject_tally_incremental_with(&non_halting(), 10, 1, &dir, 100, None).unwrap_err();
+        assert_eq!(err, REFUSED_100);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn inject_screens_non_halting_targets() {
-        let mut s = spec(Scheme::Noed);
-        s.source = "fn main() { var x: int = 1; for i in 0..1000000 { x = x + i; } out(x); }".into();
-        let err = inject_tally(&s, 10, 1, Engine::Checkpointed, 100).unwrap_err();
-        assert!(err.contains("must halt"), "{err}");
+        for engine in [Engine::Checkpointed, Engine::Reference] {
+            let err = inject_tally(&non_halting(), 10, 1, engine, 100).unwrap_err();
+            assert_eq!(err, REFUSED_100, "{engine:?}");
+        }
+        let err = inject_stream_with(&non_halting(), 10, 1, 100, 4, None, &mut |_, _| true)
+            .unwrap_err();
+        assert_eq!(err, REFUSED_100);
+    }
+
+    /// A warm section store proves the target halts within its recorded
+    /// `golden_cycles`, not within a tighter bound: under one, the cold
+    /// path's bounded golden run must refuse the target as it would
+    /// without the store.
+    #[test]
+    fn warm_incremental_refuses_a_bound_below_the_recorded_golden_cycles() {
+        let s = spec(Scheme::Casted);
+        let dir = std::env::temp_dir().join(format!("casted-api-warmbound-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = inject_tally_incremental_with(&s, 20, 3, &dir, u64::MAX, None).unwrap();
+        assert!(cold.golden_cycles > 100, "the bound below must cut the run short");
+        let err = inject_tally_incremental_with(&s, 20, 3, &dir, 100, None).unwrap_err();
+        assert_eq!(err, REFUSED_100);
+        // At exactly the recorded length the warm path still answers.
+        let warm =
+            inject_tally_incremental_with(&s, 20, 3, &dir, cold.golden_cycles, None).unwrap();
+        assert_eq!(warm, cold);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

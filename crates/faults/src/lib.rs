@@ -17,13 +17,13 @@ use casted_util::Rng;
 
 pub mod sections;
 
-pub use sections::{run_campaign_incremental, SectionStats};
+pub use sections::{run_campaign_incremental, run_campaign_incremental_within, SectionStats};
 
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
 use casted_sim::{
-    rbed_plan, replay_trial, simulate, simulate_quiet, GoldenRun, GoldenTrace, Injection,
-    RbedPlan, SimOptions, SimResult, TrialRun,
+    rbed_plan, replay_trial, simulate_golden, simulate_quiet, CampaignProgram, GoldenRun,
+    GoldenTrace, Injection, RbedPlan, SimOptions, SimResult, TrialRun, GRID_STATES,
 };
 
 pub use casted_sim::{rbed_plan as build_rbed_plan, RbedPlan as RbedDigestPlan};
@@ -245,6 +245,9 @@ pub struct EngineStats {
     /// Golden-prefix instructions replays skipped via fast-forward. On
     /// the incremental path: those the escape replays skipped.
     pub skipped_insns: u64,
+    /// Instructions the golden capture pass simulated. On the
+    /// incremental path: the section capture's, the whole run.
+    pub capture_insns: u64,
     /// Replays ended early by convergence pruning. On the incremental
     /// path: escape replays that re-converged.
     pub pruned_trials: u64,
@@ -492,9 +495,25 @@ pub fn run_campaign_reference(sp: &ScheduledProgram, cfg: &CampaignConfig) -> Ca
     run_campaign_engine(sp, cfg, Engine::Reference)
 }
 
-/// [`run_campaign`] with an explicit engine choice.
+/// [`run_campaign`] with an explicit engine choice. Panics unless the
+/// target halts fault-free; [`run_campaign_within`] bounds that run
+/// and returns the refusal instead.
 pub fn run_campaign_engine(sp: &ScheduledProgram, cfg: &CampaignConfig, engine: Engine) -> CampaignResult {
-    campaign_core(sp, cfg, engine, &mut |rng, dyn_insns| {
+    halted(run_campaign_within(sp, cfg, engine, u64::MAX))
+}
+
+/// [`run_campaign_engine`] with the fault-free run bounded by the
+/// watchdog `max_cycles`: a target that does not halt within it is
+/// refused with the stop it took (`Err(Timeout)` for a program that
+/// runs too long), before any trial runs and with the `sim.*` counters
+/// untouched.
+pub fn run_campaign_within(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    engine: Engine,
+    max_cycles: u64,
+) -> Result<CampaignResult, StopReason> {
+    campaign_core(sp, cfg, engine, max_cycles, &mut |rng, dyn_insns| {
         draw_output_injection(rng, dyn_insns, cfg.flip)
     })
 }
@@ -514,7 +533,8 @@ pub(crate) fn draw_output_injection(rng: &mut Rng, dyn_insns: u64, flip: FlipMod
 
 /// [`run_campaign`] in incremental chunks, reporting the running tally
 /// to `progress` every `chunk` trials — the engine behind the
-/// `casted-serve` streaming-inject protocol extension.
+/// `casted-serve` streaming-inject protocol extension. The fault-free
+/// run is bounded by `max_cycles`, as in [`run_campaign_within`].
 ///
 /// `progress(done, tally)` is invoked after each completed chunk
 /// *except the last* (the caller's final reply carries the complete
@@ -535,16 +555,19 @@ pub(crate) fn draw_output_injection(rng: &mut Rng, dyn_insns: u64, flip: FlipMod
 pub fn run_campaign_streaming(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
+    max_cycles: u64,
     chunk: usize,
     progress: &mut dyn FnMut(u64, &Tally) -> bool,
-) -> (CampaignResult, bool) {
+) -> Result<(CampaignResult, bool), StopReason> {
     let mut draw = |rng: &mut Rng, dyn_insns| draw_output_injection(rng, dyn_insns, cfg.flip);
-    checkpointed_campaign(sp, cfg, &mut draw, chunk, progress)
+    checkpointed_campaign(sp, cfg, max_cycles, &mut draw, chunk, progress)
 }
 
-/// The checkpointed engine: the golden run, the frozen injection
-/// stream drawn from its dynamic length, golden capture at the drawn
-/// sites ([`GoldenRun::capture`]), then the replays on
+/// The checkpointed engine: the golden run under the watchdog
+/// `max_cycles` (the campaign's one whole-program fault-free pass), the
+/// frozen injection stream drawn from its dynamic length, golden
+/// capture at the drawn sites ([`GoldenRun::capture`]), then the
+/// replays on
 /// [`casted_util::pool::run_pool`], `chunk` trials at a time with
 /// `progress` between chunks (see [`run_campaign_streaming`]). The
 /// per-trial draw order through `draw` is the frozen stream contract;
@@ -554,12 +577,16 @@ pub fn run_campaign_streaming(
 fn checkpointed_campaign(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
+    max_cycles: u64,
     draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
     chunk: usize,
     progress: &mut dyn FnMut(u64, &Tally) -> bool,
-) -> (CampaignResult, bool) {
-    let golden = GoldenRun::new(sp);
-    assert_halts(&golden.result);
+) -> Result<(CampaignResult, bool), StopReason> {
+    // An RBED capture cannot restart from pass-1 states (they carry no
+    // digest accumulator), so it gets no grid to pay for.
+    let grid = if cfg.replay_detect { 0 } else { GRID_STATES };
+    let golden = GoldenRun::run(sp, CampaignProgram::new(sp), max_cycles, grid);
+    halts(&golden.result)?;
     let golden_cycles = golden.result.stats.cycles;
     let golden_dyn = golden.result.stats.dyn_insns;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
@@ -573,6 +600,7 @@ fn checkpointed_campaign(
     let mut tally = Tally::default();
     let mut engine_stats = EngineStats {
         checkpoints: trace.checkpoints_taken(),
+        capture_insns: trace.capture_insns(),
         ..EngineStats::default()
     };
     let mut done: u64 = 0;
@@ -609,7 +637,7 @@ fn checkpointed_campaign(
         }
     }
     record_campaign_metrics(&tally, Some(&engine_stats), span);
-    (
+    Ok((
         CampaignResult {
             tally,
             golden_cycles,
@@ -617,17 +645,24 @@ fn checkpointed_campaign(
             engine: engine_stats,
         },
         completed,
-    )
+    ))
 }
 
 /// The refusal every engine shares: a campaign target must halt
 /// fault-free, or no trial has a reference to be classified against.
-fn assert_halts(golden: &SimResult) {
-    assert!(
-        matches!(golden.stop, StopReason::Halt(_)),
-        "campaign target must run fault-free to completion, got {:?}",
-        golden.stop
-    );
+fn halts(golden: &SimResult) -> Result<(), StopReason> {
+    match &golden.stop {
+        StopReason::Halt(_) => Ok(()),
+        stop => Err(stop.clone()),
+    }
+}
+
+/// The refusal as a panic, for the entry points that take no cycle
+/// bound.
+pub(crate) fn halted<T>(campaign: Result<T, StopReason>) -> T {
+    campaign.unwrap_or_else(|stop| {
+        panic!("campaign target must run fault-free to completion, got {stop:?}")
+    })
 }
 
 /// Shared campaign driver: draw the frozen injection stream, run
@@ -636,12 +671,13 @@ fn campaign_core(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     engine: Engine,
+    max_cycles: u64,
     draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
-) -> CampaignResult {
+) -> Result<CampaignResult, StopReason> {
     match engine {
         Engine::Reference => {
-            let golden = simulate(sp, &SimOptions::default());
-            assert_halts(&golden);
+            let golden = simulate_golden(sp, max_cycles);
+            halts(&golden)?;
             let rbed = cfg.replay_detect.then(|| rbed_plan(sp, golden.stats.dyn_insns));
             let max_cycles = golden.stats.cycles.saturating_mul(cfg.timeout_factor);
             let mut rng = Rng::seed_from_u64(cfg.seed);
@@ -652,15 +688,16 @@ fn campaign_core(
                 tally.record(run_trial_with(sp, &golden, inj, max_cycles, rbed.as_ref()));
             }
             record_campaign_metrics(&tally, None, span);
-            CampaignResult {
+            Ok(CampaignResult {
                 tally,
                 golden_cycles: golden.stats.cycles,
                 golden_dyn: golden.stats.dyn_insns,
                 engine: EngineStats::default(),
-            }
+            })
         }
         Engine::Checkpointed => {
-            checkpointed_campaign(sp, cfg, draw, cfg.trials, &mut |_, _| true).0
+            checkpointed_campaign(sp, cfg, max_cycles, draw, cfg.trials, &mut |_, _| true)
+                .map(|(result, _)| result)
         }
     }
 }
@@ -702,6 +739,7 @@ pub(crate) fn record_campaign_metrics(
     if let Some(es) = engine {
         casted_obs::add("faults.checkpoint.taken", es.checkpoints);
         casted_obs::add("faults.checkpoint.skipped_insns", es.skipped_insns);
+        casted_obs::add("faults.checkpoint.capture_insns", es.capture_insns);
         casted_obs::add("faults.checkpoint.pruned", es.pruned_trials);
         if es.sections.total > 0 {
             casted_obs::add("faults.sections.total", es.sections.total);
@@ -725,6 +763,7 @@ pub(crate) fn record_campaign_metrics(
 mod tests {
     use super::*;
     use casted_ir::vliw::{Bundle, ScheduledBlock};
+    use casted_sim::simulate;
     use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
     use std::collections::HashMap;
 
@@ -853,10 +892,11 @@ mod tests {
             ..CampaignConfig::default()
         };
         let mut updates: Vec<(u64, Tally)> = Vec::new();
-        let (res, completed) = run_campaign_streaming(&sp, &cfg, 16, &mut |done, t| {
+        let (res, completed) = run_campaign_streaming(&sp, &cfg, u64::MAX, 16, &mut |done, t| {
             updates.push((done, t.clone()));
             true
-        });
+        })
+        .unwrap();
         assert!(completed);
         assert_eq!(res.tally.total(), 40);
         for engine in [Engine::Reference, Engine::Checkpointed] {
@@ -893,7 +933,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let (partial, completed) =
-            run_campaign_streaming(&sp, &cfg, 10, &mut |done, _| done < 20);
+            run_campaign_streaming(&sp, &cfg, u64::MAX, 10, &mut |done, _| done < 20).unwrap();
         assert!(!completed);
         assert_eq!(partial.tally.total(), 20);
         let prefix = run_campaign(
@@ -1276,7 +1316,7 @@ pub fn run_campaign_with_model_engine(
     ];
     let total: u32 = counts.iter().sum();
     let flip = cfg.flip;
-    campaign_core(sp, cfg, engine, &mut |rng, dyn_insns| {
+    halted(campaign_core(sp, cfg, engine, u64::MAX, &mut |rng, dyn_insns| {
         let (at, bit) = draw_injection(rng, dyn_insns);
         let mut pick = rng.gen_range(0..total.max(1));
         let target = if pick < counts[0] {
@@ -1298,7 +1338,7 @@ pub fn run_campaign_with_model_engine(
             width: flip.width(),
             phase,
         }
-    })
+    }))
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::RegClass;
 use casted_sim::section::block_validation_hashes;
-use casted_sim::{replay_trial, BlockSet, GoldenRun, Injection, TrialRun};
+use casted_sim::{replay_trial, BlockSet, CampaignProgram, GoldenRun, Injection, TrialRun};
 use casted_util::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use casted_util::hash::Fnv64;
 use casted_util::pool::run_pool;
@@ -500,12 +500,30 @@ fn entry_of(trial: TrialRun, golden: &casted_sim::SimResult) -> TrialEntry {
 /// (the four-level gate stack enforces this; see `docs/INCREMENTAL.md`
 /// for the argument). Only the default `InstructionOutput` fault
 /// model is supported — the register-file model's third stream draw
-/// is not part of the section key vocabulary.
+/// is not part of the section key vocabulary. Panics unless the target
+/// halts fault-free; [`run_campaign_incremental_within`] bounds that
+/// run and returns the refusal instead.
 pub fn run_campaign_incremental(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     store: &ArtifactStore,
 ) -> CampaignResult {
+    crate::halted(run_campaign_incremental_within(sp, cfg, store, u64::MAX))
+}
+
+/// [`run_campaign_incremental`] with the fault-free run bounded by the
+/// watchdog `max_cycles`, refusing a target that does not halt within
+/// it as [`crate::run_campaign_within`] does. A warm rerun still
+/// simulates nothing: its [`ProgramRecord`] proves the target halts
+/// within any bound of at least `golden_cycles`. Under a tighter bound
+/// the record is not used and the cold path's bounded golden run
+/// decides.
+pub fn run_campaign_incremental_within(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    store: &ArtifactStore,
+    max_cycles: u64,
+) -> Result<CampaignResult, StopReason> {
     // The section evidence vocabulary predates the recovery-capable
     // schemes: halt evidence is `(exit code, stream)` only, so a vote
     // correction, a multi-bit burst or a replay-digest plan cannot be
@@ -513,16 +531,20 @@ pub fn run_campaign_incremental(
     // on the standard engine instead — byte-identical tally, no
     // caching — rather than silently misclassifying Corrected trials.
     if cfg.flip != crate::FlipModel::Single || cfg.replay_detect || program_has_votes(sp) {
-        return crate::run_campaign_engine(sp, cfg, crate::Engine::default());
+        return crate::run_campaign_within(sp, cfg, crate::Engine::default(), max_cycles);
     }
-    let hashes = block_validation_hashes(sp);
+    // One decode and one liveness analysis serve the validation hashes
+    // and, on the cold path, every golden pass and replay.
+    let program = CampaignProgram::new(sp);
+    let hashes = block_validation_hashes(sp, &program);
     let pkey = program_key(sp, &hashes);
-    if let Some(prog) = store.load(KIND_PROG, pkey).as_deref().and_then(decode_program) {
+    let record = store.load(KIND_PROG, pkey).as_deref().and_then(decode_program);
+    if let Some(prog) = record.filter(|prog| prog.golden_cycles <= max_cycles) {
         if let Some(result) = recombine_from_cache(sp, cfg, store, &hashes, &prog) {
-            return result;
+            return Ok(result);
         }
     }
-    run_campaign_cold(sp, cfg, store, &hashes, pkey)
+    run_campaign_cold(sp, program, cfg, store, &hashes, pkey, max_cycles)
 }
 
 /// Whether the scheduled program contains any majority-vote
@@ -609,21 +631,26 @@ fn recombine_from_cache(
 /// replay of the escapes an edit invalidated — and write-back of
 /// every refreshed record (escape evidence included) plus the
 /// program record, so the next run can take the fast path. Two golden
-/// passes in all: the metrics-flushing run and the section capture,
-/// whose trace the bounded trials and the escape replays share.
+/// passes in all: the metrics-flushing run under the watchdog
+/// `max_cycles` and the section capture, whose trace the bounded
+/// trials and the escape replays share.
 fn run_campaign_cold(
     sp: &ScheduledProgram,
+    program: CampaignProgram,
     cfg: &CampaignConfig,
     store: &ArtifactStore,
     hashes: &[(u64, u64)],
     pkey: u64,
-) -> CampaignResult {
-    let golden = GoldenRun::new(sp);
-    crate::assert_halts(&golden.result);
-    let StopReason::Halt(golden_code) = golden.result.stop else { unreachable!() };
+    max_cycles: u64,
+) -> Result<CampaignResult, StopReason> {
+    // The section capture re-runs the whole program: no grid.
+    let golden = GoldenRun::run(sp, program, max_cycles, 0);
+    let StopReason::Halt(golden_code) = golden.result.stop else {
+        return Err(golden.result.stop);
+    };
     let golden_cycles = golden.result.stats.cycles;
     let golden_dyn = golden.result.stats.dyn_insns;
-    let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
+    let trial_max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
     let injections = frozen_stream(cfg, golden_dyn);
 
     let span = casted_obs::span("faults.campaign_ns");
@@ -652,7 +679,14 @@ fn run_campaign_cold(
         let sec = &cap.sections[j];
         let slice: Vec<Injection> = ids.iter().map(|&i| injections[i]).collect();
         keys[j] = section_key(
-            sp, max_cycles, golden_cycles, golden_dyn, sec.lo, sec.hi, sec.start_digest, &slice,
+            sp,
+            trial_max_cycles,
+            golden_cycles,
+            golden_dyn,
+            sec.lo,
+            sec.hi,
+            sec.start_digest,
+            &slice,
         );
         match load_record(store, keys[j]) {
             Some(rec) if rec.entries.len() == ids.len() && validates(&rec.validation, hashes) => {
@@ -687,7 +721,7 @@ fn run_campaign_cold(
                             let (run, _) = replay_trial(
                                 &cap.trace,
                                 injections[i],
-                                max_cycles,
+                                trial_max_cycles,
                                 Some(sec.hi),
                                 Some(&mut visited),
                             );
@@ -731,6 +765,7 @@ fn run_campaign_cold(
     stats.escaped = pending.len() as u64;
     let mut engine_stats = EngineStats {
         checkpoints: cap.trace.checkpoints_taken(),
+        capture_insns: cap.trace.capture_insns(),
         sections: stats,
         ..EngineStats::default()
     };
@@ -743,7 +778,7 @@ fn run_campaign_cold(
                 move || {
                     let mut blocks = BlockSet::default();
                     let (run, skipped) =
-                        replay_trial(trace, inj, max_cycles, None, Some(&mut blocks));
+                        replay_trial(trace, inj, trial_max_cycles, None, Some(&mut blocks));
                     (run, skipped, blocks)
                 }
             })
@@ -800,12 +835,12 @@ fn run_campaign_cold(
         tally.record(o.expect("every trial classified exactly once"));
     }
     crate::record_campaign_metrics(&tally, Some(&engine_stats), span);
-    CampaignResult {
+    Ok(CampaignResult {
         tally,
         golden_cycles,
         golden_dyn,
         engine: engine_stats,
-    }
+    })
 }
 
 #[cfg(test)]

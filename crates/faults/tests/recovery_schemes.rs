@@ -152,7 +152,8 @@ fn three_engines_agree_for_recovery_schemes() {
             };
             let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
             let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
-            let (streamed, completed) = run_campaign_streaming(&sp, &cfg, 16, &mut |_, _| true);
+            let (streamed, completed) =
+                run_campaign_streaming(&sp, &cfg, u64::MAX, 16, &mut |_, _| true).unwrap();
             assert!(completed);
             for (path, got) in [("checkpointed", checkpointed), ("streamed", streamed)] {
                 assert_eq!(
@@ -182,7 +183,7 @@ fn tmred_campaign_prunes_vote_repaired_trials_exactly() {
 
     // Replay the campaign's frozen stream trial by trial to see which
     // trials the engine pruned and with what correction count.
-    let golden = GoldenRun::new(&sp);
+    let golden = GoldenRun::new(&sp, u64::MAX);
     let golden_dyn = golden.result.stats.dyn_insns;
     let max_cycles = golden.result.stats.cycles * cfg.timeout_factor;
     let mut rng = Rng::seed_from_u64(cfg.seed);

@@ -33,6 +33,38 @@
 //!    its class follows from its vote-correction count alone: Benign
 //!    with none, Corrected (TMRED repaired the strike) with some.
 //!
+//! ## One whole-program pass: the grid and the restart rule
+//!
+//! A site capture takes two passes over the golden program, and only
+//! the first runs it whole. Pass 1 ([`GoldenRun::new`]) runs under the
+//! campaign's cycle bound, so a target that does not halt is refused
+//! right there, and keeps an evenly thinned **grid** of at most
+//! [`GRID_STATES`] block-entry states: one every `stride`
+//! instructions, and when the grid is full every second state is
+//! dropped and the stride doubles. States the thinning frees are
+//! reused for the next ones (`clone_from`), so the grid never holds
+//! more than its cap.
+//!
+//! Pass 2 ([`GoldenRun::capture`]) starts at power-on with one
+//! boundary hook. **Restart rule:** whenever the next site anything
+//! still waits on (a snapshot or a window) changes, and no fingerprint
+//! window is open, the pass jumps ahead to the last grid state
+//! *strictly below* that site, if one lies ahead of the pass. (Until
+//! the site changes again, a later boundary could only find fewer
+//! such states, so the hook looks at these moments only.) Every
+//! skipped boundary lies below that site too, so none of them would
+//! have taken a snapshot or opened a window. The only other thing the skipped stretch decides is the
+//! fingerprint schedule, the next multiple of `sample_every` a block
+//! entry must reach. A contiguous pass leaves a block entry at `d`
+//! with the next multiple above `d`, whether it sampled there or not,
+//! so a pass that resumes at a grid state, itself a block entry,
+//! resumes that schedule exactly. Every snapshot and every fingerprint
+//! lands where a contiguous pass puts it, and the trace is the same.
+//! With an empty grid the pass is the contiguous one. An RBED capture
+//! stays contiguous: pass-1 states carry no digest accumulator. The
+//! section capture re-runs the whole program anyway, so its pass 1
+//! keeps no grid.
+//!
 //! The section cache (`crate::section`) runs on the same machinery: its
 //! capture fills a [`GoldenTrace`] whose snapshots are the section
 //! starts, and its bounded trials and escape replays are
@@ -87,7 +119,7 @@ use casted_util::hash::Fnv64;
 
 use crate::decode::{DecodedProgram, WordOp};
 use crate::machine::{
-    run_decoded, run_machine, Boundary, Injection, MachineState, SimOptions, SimResult,
+    run_golden, run_machine, Boundary, Injection, MachineState, SimOptions, SimResult,
 };
 
 /// Snapshot cadence and fingerprint cadence for one golden run.
@@ -210,22 +242,29 @@ impl LiveMask {
 /// read), so a register used and defined in the same bundle counts as
 /// upward-exposed.
 pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<LiveMask> {
-    use std::collections::HashSet;
     let func = sp.module.entry_fn();
     let n = dp.block_count();
-    let mut use_set: Vec<HashSet<u32>> = vec![HashSet::new(); n];
-    let mut def_set: Vec<HashSet<u32>> = vec![HashSet::new(); n];
+    // Per-block bitsets over register slots, `words` words each.
+    let words = dp.layout.len().div_ceil(64);
+    let bit = |slot: u32| (slot as usize / 64, 1u64 << (slot % 64));
+    let mut use_set = vec![0u64; n * words];
+    let mut def_set = vec![0u64; n * words];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in 0..n {
-        let (u, d) = (&mut use_set[i], &mut def_set[i]);
+        let u = &mut use_set[i * words..(i + 1) * words];
+        let d = &mut def_set[i * words..(i + 1) * words];
         for bundle in dp.block(BlockId(i as u32)) {
             for &(r, _) in dp.stalls(bundle) {
-                if !d.contains(&r) {
-                    u.insert(r);
+                let (w, b) = bit(r);
+                if d[w] & b == 0 {
+                    u[w] |= b;
                 }
             }
             for op in dp.ops(bundle) {
-                d.extend(op.def);
+                if let Some(r) = op.def {
+                    let (w, b) = bit(r);
+                    d[w] |= b;
+                }
                 if matches!(op.word_op, WordOp::Br | WordOp::BrCond) {
                     for t in [op.target, op.target2].into_iter().flatten() {
                         if !succs[i].contains(&t.index()) {
@@ -237,32 +276,37 @@ pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<L
         }
     }
 
-    let mut live_in: Vec<HashSet<u32>> = vec![HashSet::new(); n];
+    let mut live_in = use_set.clone();
+    let mut inn = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for i in (0..n).rev() {
-            let mut inn = use_set[i].clone();
+            inn.copy_from_slice(&use_set[i * words..(i + 1) * words]);
             for &s in &succs[i] {
-                for &r in &live_in[s] {
-                    if !def_set[i].contains(&r) {
-                        inn.insert(r);
-                    }
+                let (out, def) = (&live_in[s * words..(s + 1) * words], &def_set[i * words..]);
+                for w in 0..words {
+                    inn[w] |= out[w] & !def[w];
                 }
             }
-            if inn.len() != live_in[i].len() {
-                live_in[i] = inn;
+            let cur = &mut live_in[i * words..(i + 1) * words];
+            if *cur != *inn {
+                cur.copy_from_slice(&inn);
                 changed = true;
             }
         }
     }
 
-    live_in
-        .into_iter()
-        .map(|set| {
+    (0..n)
+        .map(|i| {
+            let set = &live_in[i * words..(i + 1) * words];
             let mut m = LiveMask::sized(func);
-            for slot in set {
-                m.insert(dp.layout.reg(slot));
+            for (w, &word) in set.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    m.insert(dp.layout.reg((w * 64) as u32 + word.trailing_zeros()));
+                    word &= word - 1;
+                }
             }
             m
         })
@@ -381,7 +425,7 @@ fn state_digest(mut h: Fnv64, st: &MachineState, live: &LiveMask) -> u64 {
 /// One golden convergence sample: the [`fingerprint`] at a block
 /// entry plus the golden vote-correction count there, which the
 /// fingerprint leaves out.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Sample {
     fp: u64,
     corrections: u64,
@@ -421,14 +465,15 @@ pub struct GoldenTrace {
     pub result: SimResult,
     pub(crate) checkpoints: Vec<MachineState>,
     fingerprints: HashMap<u64, Sample>,
-    live: Vec<LiveMask>,
     /// RBED digest plan the golden run was instrumented with (`None`
     /// for every other scheme). Replays run under the same plan so
     /// restored accumulators keep advancing.
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
     /// The program decoded once for the whole campaign: the golden
     /// passes and every replay run on it.
-    decoded: DecodedProgram,
+    program: CampaignProgram,
+    /// Instructions the capture pass simulated.
+    capture_insns: u64,
 }
 
 impl GoldenTrace {
@@ -440,6 +485,12 @@ impl GoldenTrace {
     /// Number of fingerprint samples recorded.
     pub fn fingerprints_recorded(&self) -> u64 {
         self.fingerprints.len() as u64
+    }
+
+    /// Dynamic instructions the capture pass simulated: the gaps it
+    /// skipped by restarting from pass-1 states are not counted.
+    pub fn capture_insns(&self) -> u64 {
+        self.capture_insns
     }
 
     /// Heap bytes held by the captured checkpoints. It scales with the
@@ -471,77 +522,246 @@ impl GoldenTrace {
     fn probe(&self, st: &MachineState, attempts: &mut u32) -> Option<u64> {
         let golden = self.fingerprints.get(&st.stats.dyn_insns)?;
         *attempts += 1;
-        golden.converged(st, &self.live[st.block.index()], self.result.stats.corrections)
+        golden.converged(st, &self.program.live[st.block.index()], self.result.stats.corrections)
     }
 }
 
-/// The first, metrics-flushing pass of a golden capture: the
-/// fault-free result, on the program decoded once for the campaign.
-/// A campaign reads the dynamic length off [`GoldenRun::result`],
-/// draws its frozen injection stream, and hands the drawn sites to
-/// [`GoldenRun::capture`].
+/// The program a campaign decodes once: the decoded bundles that the
+/// golden passes and every replay run on, plus the per-block live-in
+/// masks that the fingerprints and the section store's validation
+/// hashes ([`crate::section::block_validation_hashes`]) read. Build it
+/// once per campaign and hand it on.
+pub struct CampaignProgram {
+    pub(crate) decoded: DecodedProgram,
+    pub(crate) live: Vec<LiveMask>,
+}
+
+impl CampaignProgram {
+    /// Decode `sp` and compute its block live-in masks.
+    pub fn new(sp: &ScheduledProgram) -> Self {
+        let decoded = DecodedProgram::new(sp);
+        let live = live_in_masks(sp, &decoded);
+        CampaignProgram { decoded, live }
+    }
+}
+
+/// States pass 1 of a site capture keeps for the capture to restart
+/// from ([`GoldenRun::new`]). Each is a full machine state, like a
+/// snapshot, so 8 cost about what an 8-trial campaign's snapshots
+/// cost.
+pub const GRID_STATES: usize = 8;
+
+/// Grid spacing, in dynamic instructions, before pass 1 first thins
+/// its grid. A state copy (the 22–144 KB of a MiniC kernel's memory
+/// image and cache arrays) costs about as much as simulating a
+/// thousand instructions, so at this spacing the copies stay a few
+/// percent of pass 1. A program shorter than this keeps no grid; its
+/// capture is short anyway.
+const GRID_MIN_STRIDE: u64 = 32_768;
+
+/// Pass 1's evenly thinned grid of restart states: point `k`
+/// (0-based) is the first block entry at or past `(k + 1) * stride`
+/// retired instructions. When a point past the last would overflow
+/// `cap`, every second point is dropped and the stride doubles, so the
+/// kept points stay evenly spread over the run, whatever its length
+/// turns out to be.
+struct Grid {
+    points: Vec<MachineState>,
+    /// States freed by thinning, reused by later points.
+    spare: Vec<MachineState>,
+    cap: usize,
+    stride: u64,
+}
+
+impl Grid {
+    /// The dynamic-instruction count the next point waits for.
+    fn next(&self) -> u64 {
+        self.stride * (self.points.len() as u64 + 1)
+    }
+
+    /// Offer the block entry `st`, which has reached [`Grid::next`];
+    /// returns the new threshold. Out of line: it runs a few times a
+    /// pass, and the cycle loop it would be inlined into is the hot
+    /// path.
+    #[cold]
+    #[inline(never)]
+    fn offer(&mut self, st: &MachineState) -> u64 {
+        if self.points.len() == self.cap {
+            for (i, p) in std::mem::take(&mut self.points).into_iter().enumerate() {
+                if i % 2 == 1 {
+                    self.points.push(p);
+                } else {
+                    self.spare.push(p);
+                }
+            }
+            self.stride *= 2;
+        }
+        if st.stats.dyn_insns >= self.next() {
+            let state = match self.spare.pop() {
+                Some(mut s) => {
+                    s.clone_from(st);
+                    s
+                }
+                None => st.clone(),
+            };
+            self.points.push(state);
+        }
+        self.next()
+    }
+}
+
+/// The first pass of a golden capture: the fault-free result, on the
+/// program decoded once for the campaign, plus the grid of states
+/// [`GoldenRun::capture`] restarts from. A campaign reads the dynamic
+/// length off [`GoldenRun::result`], draws its frozen injection
+/// stream, and hands the drawn sites to [`GoldenRun::capture`].
 pub struct GoldenRun {
     /// The fault-free result.
     pub result: SimResult,
-    decoded: DecodedProgram,
+    program: CampaignProgram,
+    grid: Vec<MachineState>,
 }
 
 /// What a capture's boundary hook fills: the snapshots and the
-/// fingerprint table of the [`GoldenTrace`] under construction.
+/// fingerprint table of the [`GoldenTrace`] under construction, and
+/// the pass-1 states the pass may still restart from.
 pub(crate) struct Recorder {
     pub(crate) checkpoints: Vec<MachineState>,
     fingerprints: HashMap<u64, Sample>,
-    live: Vec<LiveMask>,
+    /// Grid states ahead of the pass, in run order.
+    grid: Vec<MachineState>,
+    /// The grid state the hook stopped the pass to restart from.
+    restart: Option<usize>,
 }
 
 impl Recorder {
     /// Record the golden convergence sample at the block entry `st`.
-    pub(crate) fn sample(&mut self, st: &MachineState) {
-        let sample = Sample::of(st, &self.live[st.block.index()]);
+    pub(crate) fn sample(&mut self, program: &CampaignProgram, st: &MachineState) {
+        let sample = Sample::of(st, &program.live[st.block.index()]);
         self.fingerprints.insert(st.stats.dyn_insns, sample);
+    }
+
+    /// The restart rule, at the boundary `st` with no sampling window
+    /// open and `pending` the next site a snapshot or a window waits
+    /// on: when a grid state lies ahead of `st` and below `pending`,
+    /// pick the last such state to restart from. No boundary in
+    /// between can snapshot or open a window, so skipping them loses
+    /// nothing. Returns the picked state's dynamic-instruction count.
+    fn restart_below(&mut self, st: &MachineState, pending: u64) -> Option<u64> {
+        let now = st.stats.dyn_insns;
+        while self.grid.first()?.stats.dyn_insns <= now {
+            self.grid.remove(0);
+        }
+        if self.grid[0].stats.dyn_insns >= pending {
+            return None;
+        }
+        let g = self.grid.partition_point(|p| p.stats.dyn_insns < pending) - 1;
+        self.restart = Some(g);
+        Some(self.grid[g].stats.dyn_insns)
     }
 }
 
 impl GoldenRun {
-    /// Run `sp` fault-free once, flushing `sim.*` metrics exactly once
-    /// — the same single flush the reference engine's golden run
-    /// performs, which keeps counter snapshots engine-agnostic.
-    pub fn new(sp: &ScheduledProgram) -> Self {
-        let decoded = DecodedProgram::new(sp);
-        let result = run_decoded(sp, &decoded, &SimOptions::default(), true);
-        GoldenRun { result, decoded }
+    /// Pass 1 of a site capture: [`GoldenRun::run`] with a grid of
+    /// [`GRID_STATES`] states.
+    pub fn new(sp: &ScheduledProgram, max_cycles: u64) -> Self {
+        Self::run(sp, CampaignProgram::new(sp), max_cycles, GRID_STATES)
+    }
+
+    /// Run `sp` fault-free once under the watchdog `max_cycles`,
+    /// keeping a grid of up to `grid_states` states (0: none) for
+    /// [`GoldenRun::capture`] to restart from. The run flushes `sim.*`
+    /// metrics exactly once if it halts — the same single flush the
+    /// reference engine's golden run performs, which keeps counter
+    /// snapshots engine-agnostic — and not at all otherwise: a
+    /// campaign refuses a target that does not halt, and the refusal
+    /// leaves the counters untouched.
+    pub fn run(
+        sp: &ScheduledProgram,
+        program: CampaignProgram,
+        max_cycles: u64,
+        grid_states: usize,
+    ) -> Self {
+        Self::run_with_stride(sp, program, max_cycles, grid_states, GRID_MIN_STRIDE)
+    }
+
+    /// [`GoldenRun::run`] with the grid's first spacing `min_stride`.
+    fn run_with_stride(
+        sp: &ScheduledProgram,
+        program: CampaignProgram,
+        max_cycles: u64,
+        grid_states: usize,
+        min_stride: u64,
+    ) -> Self {
+        let dp = &program.decoded;
+        if grid_states == 0 {
+            let result = run_golden(sp, dp, max_cycles, |_| Boundary::Continue);
+            return GoldenRun { result, program, grid: Vec::new() };
+        }
+        let mut grid = Grid {
+            points: Vec::with_capacity(grid_states),
+            spare: Vec::new(),
+            cap: grid_states,
+            stride: min_stride,
+        };
+        let mut next = grid.next();
+        let result = run_golden(sp, dp, max_cycles, |st: &MachineState| {
+            if st.bundle_idx == 0 && st.stats.dyn_insns >= next {
+                next = grid.offer(st);
+            }
+            Boundary::Continue
+        });
+        GoldenRun { result, program, grid: grid.points }
     }
 
     /// The campaign's RBED digest plan ([`crate::rbed_plan`]), built on
     /// the program this run already decoded.
     pub fn rbed_plan(&self, sp: &ScheduledProgram) -> std::sync::Arc<crate::rbed::RbedPlan> {
-        crate::rbed::rbed_plan_decoded(sp, &self.decoded, self.result.stats.dyn_insns)
+        crate::rbed::rbed_plan_decoded(sp, &self.program.decoded, self.result.stats.dyn_insns)
     }
 
     /// The quiet instrumented pass both captures share: re-run the
     /// golden program from power-on (kept as the first snapshot) under
     /// `rbed`, handing `hook` every bundle boundary to snapshot, sample
-    /// or stop at. Returns the filled trace and the pass's final state.
+    /// or stop at. A hook that picked a restart point
+    /// ([`Recorder::restart_below`]) stops the run, which resumes from
+    /// that pass-1 state; any other stop ends the pass. Returns the
+    /// filled trace and the pass's final state.
     pub(crate) fn instrument(
         self,
         sp: &ScheduledProgram,
         rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
-        mut hook: impl FnMut(&mut Recorder, &DecodedProgram, &MachineState) -> Boundary,
+        mut hook: impl FnMut(&mut Recorder, &CampaignProgram, &MachineState) -> Boundary,
     ) -> (GoldenTrace, MachineState) {
-        let GoldenRun { result, decoded } = self;
+        let GoldenRun { result, program, grid } = self;
         let mut rec = Recorder {
             checkpoints: vec![MachineState::fresh(sp)],
             fingerprints: HashMap::new(),
-            live: live_in_masks(sp, &decoded),
+            // Pass-1 states carry no RBED digest accumulator, so an
+            // RBED capture cannot restart from them.
+            grid: if rbed.is_none() { grid } else { Vec::new() },
+            restart: None,
         };
         let opts = SimOptions {
             rbed: rbed.clone(),
             ..SimOptions::default()
         };
         let mut st = rec.checkpoints[0].clone();
-        let finished = run_machine(&decoded, &opts, &mut st, false, |st: &MachineState| {
-            hook(&mut rec, &decoded, st)
-        });
+        let mut capture_insns = 0;
+        let finished = loop {
+            let from = st.stats.dyn_insns;
+            let finished =
+                run_machine(&program.decoded, &opts, &mut st, false, |st: &MachineState| {
+                    hook(&mut rec, &program, st)
+                });
+            capture_insns += st.stats.dyn_insns - from;
+            let Some(g) = rec.restart.take() else {
+                break finished;
+            };
+            // Move to grid state `g`; the states before it are behind
+            // the pass from here on.
+            st = rec.grid.drain(..=g).last().expect("the restart state was drained");
+        };
         if let Some(replayed) = finished {
             debug_assert_eq!(replayed.stop, result.stop);
             debug_assert_eq!(replayed.stats.dyn_insns, result.stats.dyn_insns);
@@ -550,9 +770,9 @@ impl GoldenRun {
             result,
             checkpoints: rec.checkpoints,
             fingerprints: rec.fingerprints,
-            live: rec.live,
             rbed,
-            decoded,
+            program,
+            capture_insns,
         };
         (trace, st)
     }
@@ -572,6 +792,10 @@ impl GoldenRun {
     /// * **Fingerprints.** Only the first `MAX_CONVERGENCE_ATTEMPTS +
     ///   1` points of the unchanged `sample_every` schedule at or
     ///   after each site: a replay consults no more than that.
+    /// * **Restarts.** With no fingerprint window open, the pass jumps
+    ///   ahead to the last pass-1 grid state below the next pending
+    ///   site instead of simulating the gap (see the module docs). With
+    ///   an empty grid, or under `rbed`, it runs contiguously.
     /// * **Stop.** Once the last snapshot is cloned and the last
     ///   site's fingerprint window is recorded.
     ///
@@ -579,7 +803,7 @@ impl GoldenRun {
     /// installed, so every snapshot and fingerprint carries the
     /// mid-run digest state a replay needs to resume checking from.
     pub fn capture(
-        self,
+        mut self,
         sp: &ScheduledProgram,
         sites: &[u64],
         rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
@@ -601,15 +825,37 @@ impl GoldenRun {
         } else {
             (0..cap).map(|q| sites[q * n / cap]).collect()
         };
+        // The restart rule only ever picks the last grid state below
+        // some site: free the others now.
+        let mut useful = vec![false; self.grid.len()];
+        for &site in &sites {
+            let below = self.grid.partition_point(|p| p.stats.dyn_insns < site);
+            if let Some(g) = below.checked_sub(1) {
+                useful[g] = true;
+            }
+        }
+        let mut useful = useful.into_iter();
+        self.grid.retain(|_| useful.next() == Some(true));
 
+        // Most boundaries need nothing: the hook's first two tests skip
+        // them. A boundary can owe a snapshot only once `max_retired`
+        // more instructions reach the next snapshot site.
+        let max_retired = self.program.decoded.max_bundle_ops();
+        let snap_from =
+            |next_snap: usize| snap_sites.get(next_snap).map_or(u64::MAX, |&s| s - max_retired.min(s));
         let (mut next_snap, mut next_site, mut window) = (0usize, 0usize, 0u32);
         let mut next_sample = sample_every;
-        let hook = &mut |rec: &mut Recorder, decoded: &DecodedProgram, st: &MachineState| {
+        let mut snap_at = snap_from(0);
+        // Whether what the pass waits for changed (and at power-on):
+        // only then can it be done, or have a grid state to jump to.
+        let mut changed = true;
+        let hook = &mut |rec: &mut Recorder, program: &CampaignProgram, st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
             // This boundary is the last one strictly before every
             // pending snapshot site its bundle retires: the golden
             // run's next boundary is `dyn_insns + retired` onward.
-            if next_snap < snap_sites.len() {
+            if dyn_insns >= snap_at {
+                let decoded = &program.decoded;
                 let bundle = &decoded.block(st.block)[st.bundle_idx];
                 let retired = decoded.ops(bundle).len() as u64;
                 let next_boundary = dyn_insns + retired;
@@ -621,6 +867,8 @@ impl GoldenRun {
                     while next_snap < snap_sites.len() && snap_sites[next_snap] <= next_boundary {
                         next_snap += 1;
                     }
+                    snap_at = snap_from(next_snap);
+                    changed = true;
                 }
             }
             // Fingerprints only at block entries, where the pending
@@ -636,13 +884,28 @@ impl GoldenRun {
                 }
                 if window > 0 {
                     window -= 1;
-                    rec.sample(st);
+                    rec.sample(program, st);
+                    changed |= window == 0;
                 }
             }
-            if next_snap == snap_sites.len() && next_site == n && window == 0 {
-                Boundary::Stop
-            } else {
-                Boundary::Continue
+            if !changed || window > 0 {
+                return Boundary::Continue;
+            }
+            changed = false;
+            let pending = snap_sites.get(next_snap).into_iter().chain(sites.get(next_site)).min();
+            let Some(&pending) = pending else {
+                return Boundary::Stop;
+            };
+            // While the pending site stays the same, no later boundary
+            // has a grid state to jump to that this one lacks.
+            match rec.restart_below(st, pending) {
+                // The schedule a contiguous pass leaves the grid
+                // state's block entry with (see the module docs).
+                Some(resume) => {
+                    next_sample = (resume / sample_every + 1) * sample_every;
+                    Boundary::Stop
+                }
+                None => Boundary::Continue,
             }
         };
         self.instrument(sp, rbed, hook).0
@@ -660,12 +923,14 @@ pub fn golden_with_checkpoints(sp: &ScheduledProgram) -> GoldenTrace {
 }
 
 /// [`golden_with_checkpoints`] with an optional RBED digest plan (see
-/// [`GoldenRun::capture`]).
+/// [`GoldenRun::capture`]). Pass 1 keeps no grid: the √N sites lie
+/// closer together than one fingerprint window spans, so the capture
+/// never has a gap to skip.
 pub fn golden_with_checkpoints_rbed(
     sp: &ScheduledProgram,
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
 ) -> GoldenTrace {
-    let golden = GoldenRun::new(sp);
+    let golden = GoldenRun::run(sp, CampaignProgram::new(sp), u64::MAX, 0);
     let dyn_insns = golden.result.stats.dyn_insns;
     let sites = CheckpointPlan::for_golden(dyn_insns).grid_sites(dyn_insns);
     golden.capture(sp, &sites, rbed)
@@ -759,7 +1024,7 @@ pub fn replay_trial(
     };
     let mut attempts = 0u32;
     let mut converged = None;
-    let finished = run_machine(&trace.decoded, &opts, &mut st, false, |st: &MachineState| {
+    let finished = run_machine(&trace.program.decoded, &opts, &mut st, false, |st: &MachineState| {
         if st.injected {
             if let Some(v) = visited.as_deref_mut() {
                 v.insert(st.block.index() as u32);
@@ -798,8 +1063,76 @@ pub fn replay_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{looping_module, result_eq, sequential};
+    use crate::testutil::{looping_module, packed, result_eq, sequential};
     use casted_ir::{FunctionBuilder, MachineConfig, Module};
+
+    /// Everything a capture hands the trials, in comparable form: each
+    /// snapshot's full digest, the fingerprint table and the result.
+    fn trace_view(t: &GoldenTrace, sp: &ScheduledProgram) -> (Vec<u64>, Vec<(u64, Sample)>) {
+        let func = sp.module.entry_fn();
+        let digests = t.checkpoints.iter().map(|c| full_state_digest(c, func)).collect();
+        let mut table: Vec<(u64, Sample)> = t.fingerprints.iter().map(|(&d, &s)| (d, s)).collect();
+        table.sort_unstable_by_key(|&(d, _)| d);
+        (digests, table)
+    }
+
+    #[test]
+    fn grid_capture_matches_the_contiguous_capture() {
+        // A short first spacing keeps the program small enough for a
+        // debug build: past 8 grids' worth of instructions, the grid
+        // has thinned at least three times.
+        const STRIDE: u64 = 1024;
+        let gridded = |sp: &ScheduledProgram| {
+            GoldenRun::run_with_stride(sp, CampaignProgram::new(sp), u64::MAX, GRID_STATES, STRIDE)
+        };
+        let m = looping_module(30_000);
+        let sp = packed(&m, MachineConfig::itanium2_like(2, 2), 2);
+        let golden = gridded(&sp);
+        let n = golden.result.stats.dyn_insns;
+        assert!(n > 8 * GRID_STATES as u64 * STRIDE, "{n} instructions");
+        let points: Vec<u64> = golden.grid.iter().map(MachineState::dyn_insns).collect();
+        assert!(points.len() > GRID_STATES / 2 && points.len() <= GRID_STATES, "{points:?}");
+        assert!(points[0] > n / (GRID_STATES as u64 + 1), "the grid was thinned: {points:?}");
+        drop(golden);
+
+        let mut rng = casted_util::Rng::seed_from_u64(0x6121D);
+        let drawn: Vec<u64> = (0..8).map(|_| rng.gen_range(1..=n)).collect();
+        let site_sets: Vec<Vec<u64>> = vec![
+            vec![1, n],
+            vec![n, n, 1, 1],
+            drawn.clone(),
+            // Duplicates, and a whole loop trip of neighbours: the
+            // trip's two-instruction bundles each hold two sites.
+            [drawn.as_slice(), &[drawn[3], n - 1], &(n / 2..n / 2 + 11).collect::<Vec<_>>()]
+                .concat(),
+            vec![n / 3],
+            // Sites at and just past grid states, where a restart has
+            // to stop short of the site's own snapshot and window...
+            points.iter().flat_map(|&p| [p, p + 1, p + 2]).collect(),
+            // ...and sites a restart to the state just below resumes
+            // the sampling schedule for.
+            points.iter().map(|&p| p + 1).collect(),
+        ];
+        let mut skipped_any = false;
+        for sites in &site_sets {
+            let restarted = gridded(&sp).capture(&sp, sites, None);
+            let contiguous = GoldenRun::run(&sp, CampaignProgram::new(&sp), u64::MAX, 0)
+                .capture(&sp, sites, None);
+            let (a, b) = (trace_view(&restarted, &sp), trace_view(&contiguous, &sp));
+            assert_eq!(a, b, "sites {sites:?}");
+            assert!(result_eq(&restarted.result, &contiguous.result));
+            assert!(restarted.capture_insns() <= contiguous.capture_insns());
+            skipped_any |= restarted.capture_insns() < contiguous.capture_insns();
+        }
+        assert!(skipped_any, "no capture restarted from the grid");
+        // Some neighbouring sites shared a bundle, and so a snapshot.
+        let shared = &site_sets[3];
+        let mut distinct = shared.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let t = gridded(&sp).capture(&sp, shared, None);
+        assert!(t.checkpoints_taken() < 1 + distinct.len() as u64);
+    }
 
     #[test]
     fn plan_scales_with_golden_length() {

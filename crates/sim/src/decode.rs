@@ -347,6 +347,11 @@ impl DecodedProgram {
         &self.bundles[self.block_start[i] as usize..self.block_start[i + 1] as usize]
     }
 
+    /// The most instructions one bundle retires.
+    pub(crate) fn max_bundle_ops(&self) -> u64 {
+        self.bundles.iter().map(|b| (b.ops.1 - b.ops.0) as u64).max().unwrap_or(0)
+    }
+
     /// The bundle's instructions.
     #[inline]
     pub(crate) fn ops(&self, b: &DecodedBundle) -> &[DecodedOp] {

@@ -43,11 +43,12 @@ mod testutil;
 
 pub use cache::{CacheHierarchy, CacheStats};
 pub use checkpoint::{
-    golden_with_checkpoints, golden_with_checkpoints_rbed, replay_trial, BlockSet, CheckpointPlan,
-    GoldenRun, GoldenTrace, TrialRun, MAX_CHECKPOINTS,
+    golden_with_checkpoints, golden_with_checkpoints_rbed, replay_trial, BlockSet, CampaignProgram,
+    CheckpointPlan, GoldenRun, GoldenTrace, TrialRun, GRID_STATES, MAX_CHECKPOINTS,
 };
 pub use machine::{
-    simulate, simulate_quiet, Injection, MachineState, SimOptions, SimResult, TraceEntry,
+    simulate, simulate_golden, simulate_quiet, Injection, MachineState, SimOptions, SimResult,
+    TraceEntry,
 };
 pub use rbed::{rbed_plan, RbedPlan};
 pub use section::{

@@ -194,7 +194,6 @@ fn record_run_metrics(stats: &SimStats) {
 /// Fields are crate-private: external code interacts through
 /// [`simulate`] and the `checkpoint` module, plus the read-only
 /// accessors below.
-#[derive(Clone)]
 pub struct MachineState {
     /// Where each register class sits in `regs` and `ready`.
     pub(crate) layout: SlotLayout,
@@ -231,6 +230,49 @@ pub struct MachineState {
     /// Boxed: it only exists for RBED campaigns, and the common-case
     /// state must stay cheap to clone.
     pub(crate) rbed: Option<Box<crate::rbed::RbedState>>,
+}
+
+/// `clone_from` copies field by field into the target's existing
+/// buffers: pass 1's grid (`crate::checkpoint`) reuses the states its
+/// thinning frees instead of allocating fresh ones.
+impl Clone for MachineState {
+    fn clone(&self) -> Self {
+        MachineState {
+            layout: self.layout,
+            regs: self.regs.clone(),
+            mem: self.mem.clone(),
+            cache: self.cache.clone(),
+            ready: self.ready.clone(),
+            stats: self.stats.clone(),
+            stream: self.stream.clone(),
+            mshr: self.mshr.clone(),
+            cycle: self.cycle,
+            block: self.block,
+            bundle_idx: self.bundle_idx,
+            next_block: self.next_block,
+            halt: self.halt,
+            injected: self.injected,
+            rbed: self.rbed.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.layout = source.layout;
+        self.regs.clone_from(&source.regs);
+        self.mem.clone_from(&source.mem);
+        self.cache.clone_from(&source.cache);
+        self.ready.clone_from(&source.ready);
+        self.stats.clone_from(&source.stats);
+        self.stream.clone_from(&source.stream);
+        self.mshr.clone_from(&source.mshr);
+        self.cycle = source.cycle;
+        self.block = source.block;
+        self.bundle_idx = source.bundle_idx;
+        self.next_block = source.next_block;
+        self.halt = source.halt;
+        self.injected = source.injected;
+        self.rbed.clone_from(&source.rbed);
+    }
 }
 
 impl MachineState {
@@ -633,10 +675,8 @@ pub(crate) fn run_machine(
     }
 }
 
-/// Run `sp`, already decoded as `dp`, from power-on to its stop —
-/// the whole-run entry the campaign engines use so one decode serves
-/// every run of a campaign.
-pub(crate) fn run_decoded(
+/// Run `sp`, already decoded as `dp`, from power-on to its stop.
+fn run_decoded(
     sp: &ScheduledProgram,
     dp: &DecodedProgram,
     opts: &SimOptions,
@@ -645,6 +685,38 @@ pub(crate) fn run_decoded(
     let mut st = MachineState::fresh(sp);
     run_machine(dp, opts, &mut st, flush_metrics, |_| Boundary::Continue)
         .expect("no boundary hook can stop this run")
+}
+
+/// A campaign's fault-free run of `sp` (decoded as `dp`) from power-on
+/// under the watchdog `max_cycles`, handing `hook` every bundle
+/// boundary. It flushes the `sim.*` counters only when the run halts:
+/// a campaign refuses any other target, and a refused target leaves
+/// the counters as they were.
+pub(crate) fn run_golden(
+    sp: &ScheduledProgram,
+    dp: &DecodedProgram,
+    max_cycles: u64,
+    hook: impl FnMut(&MachineState) -> Boundary,
+) -> SimResult {
+    let _run_span = casted_obs::span("sim.run_ns");
+    let opts = SimOptions {
+        max_cycles,
+        ..SimOptions::default()
+    };
+    let mut st = MachineState::fresh(sp);
+    let result = run_machine(dp, &opts, &mut st, false, hook)
+        .expect("the golden pass's hook never stops the run");
+    if matches!(result.stop, StopReason::Halt(_)) {
+        record_run_metrics(&result.stats);
+    }
+    result
+}
+
+/// The fault-free run a campaign classifies against: [`simulate`]
+/// bounded by `max_cycles`, which flushes the `sim.*` counters only
+/// when the run halts: a campaign refuses any other target.
+pub fn simulate_golden(sp: &ScheduledProgram, max_cycles: u64) -> SimResult {
+    run_golden(sp, &DecodedProgram::new(sp), max_cycles, |_| Boundary::Continue)
 }
 
 /// Run `sp` to completion (or exception/detection/timeout).

@@ -46,9 +46,8 @@ use casted_ir::RegClass;
 use casted_util::hash::Fnv64;
 
 use crate::checkpoint::{
-    full_state_digest, live_in_masks, BlockSet, GoldenRun, GoldenTrace, Recorder,
+    full_state_digest, BlockSet, CampaignProgram, GoldenRun, GoldenTrace, Recorder,
 };
-use crate::decode::DecodedProgram;
 use crate::machine::{Boundary, MachineState};
 
 /// Upper bound on sections per program. More sections mean finer
@@ -99,7 +98,9 @@ impl SectionCapture {
 }
 
 impl GoldenRun {
-    /// Capture the section plan in one quiet golden pass.
+    /// Capture the section plan in one quiet golden pass. It re-runs
+    /// the whole program, so pass 1 needs no grid for it
+    /// (`GoldenRun::run` with `grid_states` 0).
     ///
     /// Cuts are placed at golden block entries once the open span
     /// reaches `max(MIN_SECTION_SPAN, golden_dyn / MAX_SECTIONS)`
@@ -115,7 +116,7 @@ impl GoldenRun {
         let mut lo = 0u64;
         let mut blocks = BlockSet::default();
         let mut next_sample = cadence;
-        let hook = &mut |rec: &mut Recorder, _: &DecodedProgram, st: &MachineState| {
+        let hook = &mut |rec: &mut Recorder, program: &CampaignProgram, st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
             if st.bundle_idx == 0 {
                 if dyn_insns > lo && dyn_insns - lo >= span_target && spans.len() + 1 < MAX_SECTIONS
@@ -126,14 +127,14 @@ impl GoldenRun {
                     // exactly at the boundary still counts), so the
                     // entered block's live mask belongs to *both*
                     // sections' validation sets.
-                    rec.sample(st);
+                    rec.sample(program, st);
                     blocks.insert(st.block.index() as u32);
                     spans.push((lo, dyn_insns, std::mem::take(&mut blocks)));
                     rec.checkpoints.push(st.clone());
                     lo = dyn_insns;
                     next_sample = dyn_insns + cadence;
                 } else if dyn_insns >= next_sample {
-                    rec.sample(st);
+                    rec.sample(program, st);
                     next_sample = dyn_insns + cadence;
                 }
             }
@@ -166,9 +167,13 @@ impl GoldenRun {
 /// the mask hash covers the block's live-in register masks, which an
 /// edit *elsewhere* in the CFG can change even when the block's own
 /// code did not (liveness flows backward), and which the convergence
-/// fingerprints depend on.
-pub fn block_validation_hashes(sp: &ScheduledProgram) -> Vec<(u64, u64)> {
-    let live = live_in_masks(sp, &DecodedProgram::new(sp));
+/// fingerprints depend on. The masks are `program`'s, the campaign's
+/// one liveness analysis of `sp`.
+pub fn block_validation_hashes(
+    sp: &ScheduledProgram,
+    program: &CampaignProgram,
+) -> Vec<(u64, u64)> {
+    let live = &program.live;
     let func = sp.module.entry_fn();
     let mut buf = Vec::new();
     sp.blocks
@@ -214,7 +219,7 @@ mod tests {
     use casted_ir::{MachineConfig, Opcode};
 
     fn capture(sp: &ScheduledProgram) -> SectionCapture {
-        GoldenRun::new(sp).capture_sections(sp)
+        GoldenRun::run(sp, CampaignProgram::new(sp), u64::MAX, 0).capture_sections(sp)
     }
 
     #[test]
@@ -328,10 +333,11 @@ mod tests {
     fn validation_hashes_pin_code_and_liveness() {
         let m = looping_module(40);
         let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
-        let base = block_validation_hashes(&sp);
+        let hashes = |sp: &ScheduledProgram| block_validation_hashes(sp, &CampaignProgram::new(sp));
+        let base = hashes(&sp);
         assert_eq!(base.len(), sp.blocks.len());
         // Identical program ⇒ identical hashes.
-        assert_eq!(base, block_validation_hashes(&sp));
+        assert_eq!(base, hashes(&sp));
         // An immediate tweak changes exactly that block's code hash.
         let mut edited = sp.clone();
         let func = edited.module.entry_fn_mut();
@@ -341,7 +347,7 @@ mod tests {
             .position(|i| i.op == Opcode::Halt)
             .expect("program has a halt");
         func.insns[halt].imm = 9;
-        let after = block_validation_hashes(&edited);
+        let after = hashes(&edited);
         let changed: Vec<usize> = (0..base.len()).filter(|&i| base[i].0 != after[i].0).collect();
         assert_eq!(changed.len(), 1, "exactly one block's code changed");
     }

@@ -38,6 +38,33 @@ pub(crate) fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram 
     }
 }
 
+/// [`sequential`], with each run of up to `width` consecutive
+/// instructions of a block that do not read one another's results
+/// packed into one bundle.
+pub(crate) fn packed(m: &Module, config: MachineConfig, width: usize) -> ScheduledProgram {
+    let mut sp = sequential(m, config);
+    let func = m.entry_fn();
+    for sb in &mut sp.blocks {
+        let mut bundles: Vec<Bundle> = Vec::new();
+        let mut defs: Vec<casted_ir::Reg> = Vec::new();
+        for b in std::mem::take(&mut sb.bundles) {
+            let iid = b.slots[0][0];
+            let insn = func.insn(iid);
+            let joins = bundles.last().is_some_and(|last| {
+                last.slots[0].len() < width && !insn.reg_uses().any(|r| defs.contains(&r))
+            });
+            if !joins {
+                bundles.push(Bundle::empty(sp.config.clusters));
+                defs.clear();
+            }
+            bundles.last_mut().unwrap().slots[0].push(iid);
+            defs.extend(insn.defs.iter().copied());
+        }
+        sb.bundles = bundles;
+    }
+    sp
+}
+
 /// Bit-identical results: stop, injection flag, every statistic and
 /// the output stream bit for bit.
 pub(crate) fn result_eq(a: &SimResult, b: &SimResult) -> bool {

@@ -295,7 +295,7 @@ fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
     run_cases("capture_at_drawn_sites", 24, |rng| {
         let m = random_module(rng.gen_range(0..1u64 << 48), &opts());
         let sp = packed(&m, random_config(rng), rng.gen_range(2..=4usize));
-        let golden = GoldenRun::new(&sp);
+        let golden = GoldenRun::new(&sp, u64::MAX);
         let g = golden.result.clone();
         if !matches!(g.stop, casted_ir::interp::StopReason::Halt(_)) {
             return Ok(());

@@ -10,7 +10,7 @@
 //! On any other target [`Poller::new`] returns
 //! [`std::io::ErrorKind::Unsupported`], so the workspace still builds
 //! everywhere, but there is no fallback: `casted-serve` refuses to
-//! start, and [`available`] says whether the backend is compiled in.
+//! start.
 //!
 //! ## Model
 //!
@@ -51,11 +51,6 @@ pub struct Event {
     pub closed: bool,
 }
 
-/// Is the event-driven backend compiled in for this target?
-pub fn available() -> bool {
-    sys::AVAILABLE
-}
-
 pub use sys::{Notifier, Poller};
 
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -65,8 +60,6 @@ mod sys {
     use std::os::fd::{AsRawFd, RawFd};
     use std::os::unix::net::UnixStream;
     use std::time::Duration;
-
-    pub(super) const AVAILABLE: bool = true;
 
     // ---- raw syscalls (no libc in a hermetic workspace) -----------
 
@@ -317,8 +310,6 @@ mod sys {
     use std::io;
     use std::time::Duration;
 
-    pub(super) const AVAILABLE: bool = false;
-
     /// Stub poller for targets without the epoll backend; construction
     /// fails with [`io::ErrorKind::Unsupported`] and callers take the
     /// portable readiness-thread path instead.
@@ -382,11 +373,6 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-
-    #[test]
-    fn backend_is_available_on_linux() {
-        assert!(available());
-    }
 
     #[test]
     fn listener_reports_readable_on_pending_accept() {

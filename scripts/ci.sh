@@ -204,8 +204,9 @@ echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # reports a hit for a repeated identical request, assert a
 # whitespace-edited inject (a reply-cache miss) is answered from the
 # section store with a byte-identical reply, cancel a streaming
-# campaign mid-run, then shut down gracefully — the server must drain
-# and exit 0. Everything is local
+# campaign mid-run, refuse a non-halting campaign target under the
+# server's cycle limit (plain and streamed), then shut down gracefully
+# — the server must drain and exit 0. Everything is local
 # TCP; no network access is involved. See docs/SERVING.md.
 serve_bin=target/release/casted-serve
 client_bin=target/release/casted-client
@@ -214,13 +215,15 @@ cat > "$smoke_src" <<'EOF'
 fn main() { var s: int = 0; for i in 0..60 { s = s + i * i; } out(s); }
 EOF
 "$serve_bin" --metrics-counters --section-cache "$log_dir/serve-sections" \
-  --artifact-cache "$log_dir/serve-artifacts" > "$log_dir/serve.log" &
+  --artifact-cache "$log_dir/serve-artifacts" --max-cycles 1000000 > "$log_dir/serve.log" &
 serve_pid=$!
 # A failure below must not orphan the server.
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$log_dir"' EXIT
 addr=""
 for _ in $(seq 1 100); do
-  addr="$(sed -n 's/^casted-serve listening on //p' "$log_dir/serve.log")"
+  # The log may not exist yet: the server's shell opens it after the
+  # fork, so a missing file is one more turn of the wait, not an error.
+  addr="$(sed -n 's/^casted-serve listening on //p' "$log_dir/serve.log" 2>/dev/null || true)"
   [ -n "$addr" ] && break
   sleep 0.1
 done
@@ -273,9 +276,30 @@ fi
   --stream --every 25 --cancel-after 25 > "$log_dir/stream_cancel.out"
 grep -q '^progress: ' "$log_dir/stream_cancel.out"
 grep -q '^cancelled$' "$log_dir/stream_cancel.out"
+# A target that never halts: the campaign's own bounded golden run
+# refuses it on the section-store path and on the streamed path alike,
+# and the server keeps answering.
+loop_src="$log_dir/loop.mc"
+cat > "$loop_src" <<'EOF'
+fn main() { var x: int = 1; while x > 0 { x = x + 2; } out(x); }
+EOF
+refuse_loop() { # $1: label; the rest: extra client flags
+  local mode="$1"
+  shift
+  if "$client_bin" --addr "$addr" inject --file "$loop_src" --scheme noed --issue 2 --delay 2 \
+    --trials 20 --seed 1 "$@" > /dev/null 2> "$log_dir/loop_$mode.err"; then
+    echo "a non-halting $mode inject was not refused" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+  fi
+  grep -q 'campaign target must halt fault-free within 1000000 cycles' "$log_dir/loop_$mode.err"
+}
+refuse_loop plain
+refuse_loop stream --stream --every 5
+"$client_bin" --addr "$addr" ping | grep -q pong
 "$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
 wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
 grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
-echo "serve smoke green (cache hits: $hits, section hits: $section_hits, stream cancelled cleanly, graceful exit 0)"
+echo "serve smoke green (cache hits: $hits, section hits: $section_hits, stream cancelled cleanly, non-halting target refused, graceful exit 0)"
 
 echo "tier-1 green"

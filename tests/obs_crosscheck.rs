@@ -143,3 +143,49 @@ fn check_emission_counters_are_nonzero_iff_scheme_has_error_detection() {
     .sum();
     assert_eq!(counter("passes.ed.checks"), per_scheme);
 }
+
+/// A campaign target that does not halt within the request's bound is
+/// refused by the campaign's own bounded golden run, which leaves the
+/// `sim.*` counters untouched; a halting target flushes its one golden
+/// run. NOED compiles without simulating, so every `sim.*` count here
+/// comes from the campaigns.
+#[test]
+fn refused_inject_target_leaves_sim_counters_untouched() {
+    use casted::faults::Engine;
+    use casted::service_api::{self, JobSpec};
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = |source: &str| JobSpec {
+        source: source.into(),
+        scheme: Scheme::Noed,
+        issue: 2,
+        delay: 2,
+    };
+    let looping = spec("fn main() { var x: int = 1; for i in 0..1000000 { x = x + i; } out(x); }");
+    let dir = std::env::temp_dir().join(format!("casted-obs-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sim_counters = ["sim.runs", "sim.cycles", "sim.dyn_insns", "sim.bundles"];
+
+    obs::reset();
+    obs::set_enabled(true);
+    for engine in [Engine::Checkpointed, Engine::Reference] {
+        assert!(service_api::inject_tally(&looping, 10, 1, engine, 1000).is_err());
+    }
+    let streamed =
+        service_api::inject_stream_with(&looping, 10, 1, 1000, 4, None, &mut |_, _| true);
+    assert!(streamed.is_err());
+    assert!(service_api::inject_tally_incremental_with(&looping, 10, 1, &dir, 1000, None).is_err());
+    obs::set_enabled(false);
+    for name in sim_counters {
+        assert_eq!(counter(name), 0, "a refused target moved {name}");
+    }
+    assert_eq!(counter("faults.trials"), 0);
+
+    obs::reset();
+    obs::set_enabled(true);
+    let halting = spec("fn main() { var s: int = 0; for i in 0..60 { s = s + i; } out(s); }");
+    let r = service_api::inject_tally(&halting, 10, 1, Engine::Checkpointed, 1_000_000).unwrap();
+    obs::set_enabled(false);
+    assert_eq!(counter("sim.runs"), 1, "one golden run per campaign");
+    assert_eq!(counter("sim.cycles"), r.golden_cycles);
+    let _ = std::fs::remove_dir_all(&dir);
+}
