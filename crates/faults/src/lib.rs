@@ -26,8 +26,6 @@ use casted_sim::{
     GoldenTrace, Injection, RbedPlan, SimOptions, SimResult, TrialRun, GRID_STATES,
 };
 
-pub use casted_sim::{rbed_plan as build_rbed_plan, RbedPlan as RbedDigestPlan};
-
 /// The paper's five outcome classes of §IV-C, plus the `Corrected`
 /// class the recovery-capable TMRED scheme introduces (appended last,
 /// so the historical class indices are stable).
@@ -582,10 +580,10 @@ fn checkpointed_campaign(
     chunk: usize,
     progress: &mut dyn FnMut(u64, &Tally) -> bool,
 ) -> Result<(CampaignResult, bool), StopReason> {
-    // An RBED capture cannot restart from pass-1 states (they carry no
-    // digest accumulator), so it gets no grid to pay for.
-    let grid = if cfg.replay_detect { 0 } else { GRID_STATES };
-    let golden = GoldenRun::run(sp, CampaignProgram::new(sp), max_cycles, grid);
+    // Under RBED, pass 1 runs the digest accumulator, so its grid
+    // states can restart a capture under the plan.
+    let program = CampaignProgram::new(sp);
+    let golden = GoldenRun::run(sp, program, max_cycles, GRID_STATES, cfg.replay_detect);
     halts(&golden.result)?;
     let golden_cycles = golden.result.stats.cycles;
     let golden_dyn = golden.result.stats.dyn_insns;
@@ -762,38 +760,8 @@ pub(crate) fn record_campaign_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
     use casted_sim::simulate;
-    use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
-    use std::collections::HashMap;
-
-    fn sequential(module: &Module) -> ScheduledProgram {
-        let config = MachineConfig::perfect_memory(1, 1);
-        let func = module.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = HashMap::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: module.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
+    use casted_ir::{FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 
     /// Unprotected program summing memory values and printing the sum.
     fn unprotected() -> ScheduledProgram {
@@ -821,7 +789,7 @@ mod tests {
         b.halt_imm(0);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        sequential(&m)
+        ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1))
     }
 
     /// The injection stream format is frozen (see [`run_campaign`]
@@ -1122,7 +1090,7 @@ mod tests {
         b.halt_imm(0);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let sp = sequential(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let cfg = CampaignConfig {
             trials: 25,
             ..Default::default()
@@ -1146,7 +1114,7 @@ mod tests {
         let _unreachable = b.new_block("dead");
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let sp = sequential(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let cfg = CampaignConfig {
             trials: 5,
             ..Default::default()
@@ -1345,42 +1313,12 @@ pub fn run_campaign_with_model_engine(
 mod model_tests {
     use super::*;
     use casted_ir::testgen::{random_module, GenOptions};
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
-    use casted_ir::{Cluster, MachineConfig};
-    use std::collections::HashMap;
-
-    fn sequential_of(m: &casted_ir::Module) -> ScheduledProgram {
-        let config = MachineConfig::perfect_memory(1, 1);
-        let func = m.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = HashMap::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: m.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
+    use casted_ir::MachineConfig;
 
     #[test]
     fn register_file_model_runs_and_is_deterministic() {
         let m = random_module(5, &GenOptions::default());
-        let sp = sequential_of(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let cfg = CampaignConfig {
             trials: 30,
             ..Default::default()
@@ -1394,7 +1332,7 @@ mod model_tests {
     #[test]
     fn output_model_delegates_to_default_campaign() {
         let m = random_module(9, &GenOptions::default());
-        let sp = sequential_of(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let cfg = CampaignConfig {
             trials: 20,
             ..Default::default()
@@ -1407,7 +1345,7 @@ mod model_tests {
     #[test]
     fn run_trials_matches_individual_trials() {
         let m = random_module(21, &GenOptions::default());
-        let sp = sequential_of(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let golden = casted_sim::simulate(&sp, &casted_sim::SimOptions::default());
         let max_cycles = golden.stats.cycles * 10;
         let injections: Vec<Injection> = (1..6)
@@ -1423,7 +1361,7 @@ mod model_tests {
     #[test]
     fn register_file_model_engines_agree() {
         let m = random_module(5, &GenOptions::default());
-        let sp = sequential_of(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let cfg = CampaignConfig {
             trials: 40,
             ..Default::default()
@@ -1439,7 +1377,7 @@ mod model_tests {
         // Register-file strikes hit dormant/dead registers far more
         // often, so the benign fraction should generally be higher.
         let m = random_module(12, &GenOptions::default());
-        let sp = sequential_of(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let cfg = CampaignConfig {
             trials: 120,
             ..Default::default()

@@ -644,7 +644,7 @@ fn run_campaign_cold(
     max_cycles: u64,
 ) -> Result<CampaignResult, StopReason> {
     // The section capture re-runs the whole program: no grid.
-    let golden = GoldenRun::run(sp, program, max_cycles, 0);
+    let golden = GoldenRun::run(sp, program, max_cycles, 0, false);
     let StopReason::Halt(golden_code) = golden.result.stop else {
         return Err(golden.result.stop);
     };
@@ -847,37 +847,8 @@ fn run_campaign_cold(
 mod tests {
     use super::*;
     use crate::{run_campaign_engine, Engine};
-    use casted_ir::vliw::{Bundle, ScheduledBlock};
-    use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
-    use std::collections::HashMap as Map;
+    use casted_ir::{FunctionBuilder, MachineConfig, Module, Opcode, Operand};
     use std::path::PathBuf;
-
-    fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
-        let func = module.entry_fn();
-        let mut assignment = vec![None; func.insns.len()];
-        let mut home = Map::new();
-        let mut blocks = Vec::new();
-        for (bid, block) in func.iter_blocks() {
-            let mut bundles = Vec::new();
-            for &iid in &block.insns {
-                assignment[iid.index()] = Some(Cluster::MAIN);
-                for &d in &func.insn(iid).defs {
-                    home.entry(d).or_insert(Cluster::MAIN);
-                }
-                let mut b = Bundle::empty(config.clusters);
-                b.slots[0].push(iid);
-                bundles.push(b);
-            }
-            blocks.push(ScheduledBlock { block: bid, bundles });
-        }
-        ScheduledProgram {
-            module: module.clone(),
-            config,
-            assignment,
-            home,
-            blocks,
-        }
-    }
 
     fn summing_module(iters: i64) -> Module {
         let mut m = Module::new("t");
@@ -909,7 +880,7 @@ mod tests {
     }
 
     fn program() -> ScheduledProgram {
-        sequential(&summing_module(200), MachineConfig::itanium2_like(2, 2))
+        ScheduledProgram::sequential(&summing_module(200), MachineConfig::itanium2_like(2, 2))
     }
 
     fn tmp_store(tag: &str) -> (PathBuf, ArtifactStore) {
@@ -1086,7 +1057,7 @@ mod tests {
             .position(|i| i.op == Opcode::Halt)
             .expect("program halts");
         func.insns[halt].imm = 7;
-        let edited = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let edited = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
 
         let warm = run_campaign_incremental(&edited, &cfg, &store);
         assert!(warm.engine.sections.hit > 0, "epilogue edit invalidated everything");

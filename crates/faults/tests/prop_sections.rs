@@ -10,38 +10,11 @@
 use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine};
 use casted_ir::interp::StopReason;
 use casted_ir::testgen::{random_module, GenOptions};
-use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
-use casted_ir::{Cluster, MachineConfig, Module, Opcode};
+use casted_ir::vliw::ScheduledProgram;
+use casted_ir::{MachineConfig, Opcode};
 use casted_sim::{simulate_quiet, SimOptions};
 use casted_util::store::ArtifactStore;
 use std::path::PathBuf;
-
-fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
-    let func = m.entry_fn();
-    let mut assignment = vec![None; func.insns.len()];
-    let mut home = std::collections::HashMap::new();
-    let mut blocks = Vec::new();
-    for (bid, block) in func.iter_blocks() {
-        let mut bundles = Vec::new();
-        for &iid in &block.insns {
-            assignment[iid.index()] = Some(Cluster::MAIN);
-            for &d in &func.insn(iid).defs {
-                home.entry(d).or_insert(Cluster::MAIN);
-            }
-            let mut b = Bundle::empty(config.clusters);
-            b.slots[0].push(iid);
-            bundles.push(b);
-        }
-        blocks.push(ScheduledBlock { block: bid, bundles });
-    }
-    ScheduledProgram {
-        module: m.clone(),
-        config,
-        assignment,
-        home,
-        blocks,
-    }
-}
 
 fn halts(sp: &ScheduledProgram) -> bool {
     matches!(
@@ -92,7 +65,7 @@ fn random_programs_cold_and_noop_edit_are_exact() {
     let mut escaped = 0;
     for seed in [3u64, 11, 27, 42, 77] {
         let m = random_module(seed, &opts);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         if !halts(&sp) {
             continue;
         }
@@ -103,7 +76,7 @@ fn random_programs_cold_and_noop_edit_are_exact() {
         // No-op edit: rebuild the identical schedule from a clone of
         // the module — every section must hit and the bytes must not
         // move.
-        let rebuilt = sequential(&m.clone(), MachineConfig::itanium2_like(2, 2));
+        let rebuilt = ScheduledProgram::sequential(&m.clone(), MachineConfig::itanium2_like(2, 2));
         let warm = run_campaign_incremental(&rebuilt, &cfg, &store);
         assert_eq!(warm.engine.sections.miss, 0, "[gen:{seed}:noop] re-injected");
         assert_eq!(warm.engine.sections.recombined as usize, cfg.trials);
@@ -125,7 +98,7 @@ fn random_edits_recombine_exactly() {
     let mut escaped = 0;
     for seed in [5u64, 19, 33] {
         let m = random_module(seed, &opts);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         if !halts(&sp) {
             continue;
         }
@@ -150,7 +123,7 @@ fn random_edits_recombine_exactly() {
         for (round, &(idx, imm)) in edits.iter().enumerate() {
             let mut edited = m.clone();
             edited.entry_fn_mut().insns[idx].imm = imm;
-            let esp = sequential(&edited, MachineConfig::itanium2_like(2, 2));
+            let esp = ScheduledProgram::sequential(&edited, MachineConfig::itanium2_like(2, 2));
             if !halts(&esp) {
                 continue; // the edit broke termination; not a campaign target
             }

@@ -13,6 +13,9 @@
 //! * **Vote-repaired trials prune** — on a real kernel, TMRED trials a
 //!   vote repaired still converge with the golden run, so the
 //!   checkpointed engine stops them early and they stay `Corrected`.
+//! * **RBED restarts its capture** — on a real kernel, the golden
+//!   capture under a digest plan skips ahead through pass-1 states
+//!   like NOED's does, and the tally stays the reference engine's.
 //! * **Zero-fault equivalence** — fault-free TMRED and RBED runs
 //!   produce NOED's exact output stream and halt code.
 
@@ -209,6 +212,33 @@ fn tmred_campaign_prunes_vote_repaired_trials_exactly() {
         "no Corrected trial was pruned: {:?}, {pruned} pruned",
         checkpointed.tally
     );
+}
+
+#[test]
+fn rbed_capture_restarts_from_pass_one_states() {
+    // A kernel long enough for pass 1 to keep a grid: pass 2 restarts
+    // from its states under the digest plan, as it does for NOED's
+    // identical schedule and injection stream.
+    let module = casted_workloads::by_name("mpeg2dec")
+        .expect("kernel exists")
+        .compile()
+        .expect("kernel compiles");
+    let campaign = |scheme: Scheme, engine| {
+        let sp = prepare(&module, scheme, &MachineConfig::itanium2_like(2, 2)).unwrap().sp;
+        run_campaign_engine(&sp, &campaign_cfg(scheme, 16), engine)
+    };
+    let rbed = campaign(Scheme::Rbed, Engine::Checkpointed);
+    let reference = campaign(Scheme::Rbed, Engine::Reference);
+    assert_eq!(rbed.tally, reference.tally);
+    assert!(rbed.golden_dyn > 32_768, "{} instructions", rbed.golden_dyn);
+    assert!(
+        rbed.engine.capture_insns < rbed.golden_dyn,
+        "pass 2 simulated {} of {} instructions",
+        rbed.engine.capture_insns,
+        rbed.golden_dyn
+    );
+    let noed = campaign(Scheme::Noed, Engine::Checkpointed);
+    assert_eq!(rbed.engine.capture_insns, noed.engine.capture_insns);
 }
 
 #[test]

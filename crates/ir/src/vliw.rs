@@ -83,6 +83,37 @@ pub struct ScheduledProgram {
 }
 
 impl ScheduledProgram {
+    /// The simplest valid schedule of `module`'s entry function for
+    /// `config`: one instruction per bundle on the main cluster, in
+    /// program order. Tests use it to isolate simulator semantics from
+    /// the scheduler's choices.
+    pub fn sequential(module: &Module, config: MachineConfig) -> Self {
+        let func = module.entry_fn();
+        let mut assignment = vec![None; func.insns.len()];
+        let mut home = HashMap::new();
+        let mut blocks = Vec::new();
+        for (bid, block) in func.iter_blocks() {
+            let mut bundles = Vec::new();
+            for &iid in &block.insns {
+                assignment[iid.index()] = Some(Cluster::MAIN);
+                for &d in &func.insn(iid).defs {
+                    home.entry(d).or_insert(Cluster::MAIN);
+                }
+                let mut b = Bundle::empty(config.clusters);
+                b.slots[0].push(iid);
+                bundles.push(b);
+            }
+            blocks.push(ScheduledBlock { block: bid, bundles });
+        }
+        ScheduledProgram {
+            module: module.clone(),
+            config,
+            assignment,
+            home,
+            blocks,
+        }
+    }
+
     /// Cluster of a placed instruction.
     #[inline]
     pub fn cluster_of(&self, insn: InsnId) -> Option<Cluster> {
@@ -288,38 +319,10 @@ mod tests {
         (m, ids)
     }
 
-    fn sequential_schedule(m: Module, ids: &[InsnId]) -> ScheduledProgram {
-        let config = MachineConfig::perfect_memory(1, 1);
-        let mut assignment = vec![None; m.entry_fn().insns.len()];
-        let mut bundles = Vec::new();
-        for &i in ids {
-            assignment[i.index()] = Some(Cluster::MAIN);
-            let mut b = Bundle::empty(2);
-            b.slots[0].push(i);
-            bundles.push(b);
-        }
-        let mut home = HashMap::new();
-        for &i in ids {
-            for &d in &m.entry_fn().insn(i).defs {
-                home.entry(d).or_insert(Cluster::MAIN);
-            }
-        }
-        ScheduledProgram {
-            blocks: vec![ScheduledBlock {
-                block: m.entry_fn().entry,
-                bundles,
-            }],
-            module: m,
-            config,
-            assignment,
-            home,
-        }
-    }
-
     #[test]
     fn sequential_schedule_validates() {
-        let (m, ids) = tiny_program();
-        let sp = sequential_schedule(m, &ids);
+        let (m, _) = tiny_program();
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         sp.validate().expect("schedule must validate");
         assert_eq!(sp.total_static_length(), 4);
         assert_eq!(sp.cluster_occupancy(), vec![4, 0]);
@@ -328,7 +331,7 @@ mod tests {
     #[test]
     fn over_width_bundle_fails_validation() {
         let (m, ids) = tiny_program();
-        let mut sp = sequential_schedule(m, &ids);
+        let mut sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         // Cram everything into one bundle on a 1-wide machine.
         let mut b = Bundle::empty(2);
         for &i in &ids {
@@ -341,8 +344,8 @@ mod tests {
 
     #[test]
     fn missing_insn_fails_validation() {
-        let (m, ids) = tiny_program();
-        let mut sp = sequential_schedule(m, &ids);
+        let (m, _) = tiny_program();
+        let mut sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         sp.blocks[0].bundles.remove(0);
         let errs = sp.validate().unwrap_err();
         assert!(errs.iter().any(|e| e.contains("differs from block contents")));
@@ -351,7 +354,7 @@ mod tests {
     #[test]
     fn wrong_cluster_fails_validation() {
         let (m, ids) = tiny_program();
-        let mut sp = sequential_schedule(m, &ids);
+        let mut sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         sp.assignment[ids[0].index()] = Some(Cluster::REDUNDANT);
         let errs = sp.validate().unwrap_err();
         assert!(errs.iter().any(|e| e.contains("assigned")));
@@ -359,8 +362,8 @@ mod tests {
 
     #[test]
     fn render_is_nonempty() {
-        let (m, ids) = tiny_program();
-        let sp = sequential_schedule(m, &ids);
+        let (m, _) = tiny_program();
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let entry = sp.module.entry_fn().entry;
         let text = sp.render_block(entry);
         assert!(text.contains("mov"));

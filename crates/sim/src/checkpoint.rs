@@ -60,10 +60,11 @@
 //! so a pass that resumes at a grid state, itself a block entry,
 //! resumes that schedule exactly. Every snapshot and every fingerprint
 //! lands where a contiguous pass puts it, and the trace is the same.
-//! With an empty grid the pass is the contiguous one. An RBED capture
-//! stays contiguous: pass-1 states carry no digest accumulator. The
-//! section capture re-runs the whole program anyway, so its pass 1
-//! keeps no grid.
+//! With an empty grid the pass is the contiguous one. An RBED
+//! campaign's pass 1 runs the digest accumulator (`crate::rbed`), so
+//! its grid states restart an RBED capture like any other. The section
+//! capture re-runs the whole program anyway, so its pass 1 keeps no
+//! grid.
 //!
 //! The section cache (`crate::section`) runs on the same machinery: its
 //! capture fills a [`GoldenTrace`] whose snapshots are the section
@@ -353,9 +354,9 @@ fn state_digest(mut h: Fnv64, st: &MachineState, live: &LiveMask) -> u64 {
     // RBED accumulator: register/memory reconvergence does not imply
     // digest reconvergence (the divergent values were already
     // absorbed), so a pruned trial must have the golden digest too.
-    if let Some(rb) = st.rbed.as_deref() {
-        h.write_u64_round(rb.acc.finish());
-        h.write_u64_round(rb.next as u64);
+    // The next bound follows from `dyn_insns`, hashed above.
+    if let Some(acc) = &st.rbed {
+        h.write_u64_round(acc.finish());
     }
 
     // Live registers: word plus scoreboard entry, in class/index
@@ -466,8 +467,8 @@ pub struct GoldenTrace {
     pub(crate) checkpoints: Vec<MachineState>,
     fingerprints: HashMap<u64, Sample>,
     /// RBED digest plan the golden run was instrumented with (`None`
-    /// for every other scheme). Replays run under the same plan so
-    /// restored accumulators keep advancing.
+    /// for every other scheme). Replays run under the same plan, which
+    /// checks their restored accumulators at its bounds.
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
     /// The program decoded once for the whole campaign: the golden
     /// passes and every replay run on it.
@@ -662,15 +663,17 @@ impl Recorder {
 }
 
 impl GoldenRun {
-    /// Pass 1 of a site capture: [`GoldenRun::run`] with a grid of
-    /// [`GRID_STATES`] states.
+    /// Pass 1 of a site capture for any scheme but RBED:
+    /// [`GoldenRun::run`] with a grid of [`GRID_STATES`] states.
     pub fn new(sp: &ScheduledProgram, max_cycles: u64) -> Self {
-        Self::run(sp, CampaignProgram::new(sp), max_cycles, GRID_STATES)
+        Self::run(sp, CampaignProgram::new(sp), max_cycles, GRID_STATES, false)
     }
 
     /// Run `sp` fault-free once under the watchdog `max_cycles`,
     /// keeping a grid of up to `grid_states` states (0: none) for
-    /// [`GoldenRun::capture`] to restart from. The run flushes `sim.*`
+    /// [`GoldenRun::capture`] to restart from. With `replay_detect`
+    /// the run accumulates the RBED digest, so the grid can restart a
+    /// capture under an RBED plan. The run flushes `sim.*`
     /// metrics exactly once if it halts — the same single flush the
     /// reference engine's golden run performs, which keeps counter
     /// snapshots engine-agnostic — and not at all otherwise: a
@@ -681,8 +684,9 @@ impl GoldenRun {
         program: CampaignProgram,
         max_cycles: u64,
         grid_states: usize,
+        replay_detect: bool,
     ) -> Self {
-        Self::run_with_stride(sp, program, max_cycles, grid_states, GRID_MIN_STRIDE)
+        Self::run_with_stride(sp, program, max_cycles, grid_states, replay_detect, GRID_MIN_STRIDE)
     }
 
     /// [`GoldenRun::run`] with the grid's first spacing `min_stride`.
@@ -691,11 +695,12 @@ impl GoldenRun {
         program: CampaignProgram,
         max_cycles: u64,
         grid_states: usize,
+        replay_detect: bool,
         min_stride: u64,
     ) -> Self {
         let dp = &program.decoded;
         if grid_states == 0 {
-            let result = run_golden(sp, dp, max_cycles, |_| Boundary::Continue);
+            let result = run_golden(sp, dp, max_cycles, false, |_| Boundary::Continue);
             return GoldenRun { result, program, grid: Vec::new() };
         }
         let mut grid = Grid {
@@ -705,7 +710,7 @@ impl GoldenRun {
             stride: min_stride,
         };
         let mut next = grid.next();
-        let result = run_golden(sp, dp, max_cycles, |st: &MachineState| {
+        let result = run_golden(sp, dp, max_cycles, replay_detect, |st: &MachineState| {
             if st.bundle_idx == 0 && st.stats.dyn_insns >= next {
                 next = grid.offer(st);
             }
@@ -737,9 +742,7 @@ impl GoldenRun {
         let mut rec = Recorder {
             checkpoints: vec![MachineState::fresh(sp)],
             fingerprints: HashMap::new(),
-            // Pass-1 states carry no RBED digest accumulator, so an
-            // RBED capture cannot restart from them.
-            grid: if rbed.is_none() { grid } else { Vec::new() },
+            grid,
             restart: None,
         };
         let opts = SimOptions {
@@ -795,7 +798,8 @@ impl GoldenRun {
     /// * **Restarts.** With no fingerprint window open, the pass jumps
     ///   ahead to the last pass-1 grid state below the next pending
     ///   site instead of simulating the gap (see the module docs). With
-    ///   an empty grid, or under `rbed`, it runs contiguously.
+    ///   an empty grid it runs contiguously. Under `rbed` the grid must
+    ///   come from a pass 1 run with `replay_detect`.
     /// * **Stop.** Once the last snapshot is cloned and the last
     ///   site's fingerprint window is recorded.
     ///
@@ -930,7 +934,7 @@ pub fn golden_with_checkpoints_rbed(
     sp: &ScheduledProgram,
     rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
 ) -> GoldenTrace {
-    let golden = GoldenRun::run(sp, CampaignProgram::new(sp), u64::MAX, 0);
+    let golden = GoldenRun::run(sp, CampaignProgram::new(sp), u64::MAX, 0, false);
     let dyn_insns = golden.result.stats.dyn_insns;
     let sites = CheckpointPlan::for_golden(dyn_insns).grid_sites(dyn_insns);
     golden.capture(sp, &sites, rbed)
@@ -1063,7 +1067,7 @@ pub fn replay_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{looping_module, packed, result_eq, sequential};
+    use crate::testutil::{looping_module, packed, result_eq};
     use casted_ir::{FunctionBuilder, MachineConfig, Module};
 
     /// Everything a capture hands the trials, in comparable form: each
@@ -1082,12 +1086,13 @@ mod tests {
         // debug build: past 8 grids' worth of instructions, the grid
         // has thinned at least three times.
         const STRIDE: u64 = 1024;
-        let gridded = |sp: &ScheduledProgram| {
-            GoldenRun::run_with_stride(sp, CampaignProgram::new(sp), u64::MAX, GRID_STATES, STRIDE)
+        let gridded = |sp: &ScheduledProgram, replay_detect: bool| {
+            let program = CampaignProgram::new(sp);
+            GoldenRun::run_with_stride(sp, program, u64::MAX, GRID_STATES, replay_detect, STRIDE)
         };
         let m = looping_module(30_000);
         let sp = packed(&m, MachineConfig::itanium2_like(2, 2), 2);
-        let golden = gridded(&sp);
+        let golden = gridded(&sp, false);
         let n = golden.result.stats.dyn_insns;
         assert!(n > 8 * GRID_STATES as u64 * STRIDE, "{n} instructions");
         let points: Vec<u64> = golden.grid.iter().map(MachineState::dyn_insns).collect();
@@ -1113,24 +1118,28 @@ mod tests {
             // the sampling schedule for.
             points.iter().map(|&p| p + 1).collect(),
         ];
-        let mut skipped_any = false;
-        for sites in &site_sets {
-            let restarted = gridded(&sp).capture(&sp, sites, None);
-            let contiguous = GoldenRun::run(&sp, CampaignProgram::new(&sp), u64::MAX, 0)
-                .capture(&sp, sites, None);
+        // Every set once plain and once under an RBED plan, whose
+        // pass 1 runs the digest accumulator into its grid states.
+        let rbed = crate::rbed::rbed_plan(&sp, n);
+        let mut skipped_any = [false; 2];
+        for (sites, plan) in site_sets.iter().flat_map(|s| [(s, None), (s, Some(&rbed))]) {
+            let restarted = gridded(&sp, plan.is_some()).capture(&sp, sites, plan.cloned());
+            let contiguous = GoldenRun::run(&sp, CampaignProgram::new(&sp), u64::MAX, 0, false)
+                .capture(&sp, sites, plan.cloned());
             let (a, b) = (trace_view(&restarted, &sp), trace_view(&contiguous, &sp));
-            assert_eq!(a, b, "sites {sites:?}");
+            assert_eq!(a, b, "sites {sites:?}, RBED {}", plan.is_some());
             assert!(result_eq(&restarted.result, &contiguous.result));
             assert!(restarted.capture_insns() <= contiguous.capture_insns());
-            skipped_any |= restarted.capture_insns() < contiguous.capture_insns();
+            skipped_any[plan.is_some() as usize] |=
+                restarted.capture_insns() < contiguous.capture_insns();
         }
-        assert!(skipped_any, "no capture restarted from the grid");
+        assert_eq!(skipped_any, [true; 2], "no capture restarted from the grid");
         // Some neighbouring sites shared a bundle, and so a snapshot.
         let shared = &site_sets[3];
         let mut distinct = shared.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let t = gridded(&sp).capture(&sp, shared, None);
+        let t = gridded(&sp, false).capture(&sp, shared, None);
         assert!(t.checkpoints_taken() < 1 + distinct.len() as u64);
     }
 
@@ -1149,8 +1158,8 @@ mod tests {
         let table_i = MachineConfig::itanium2_like(2, 2);
         let mut big_l3 = table_i.clone();
         big_l3.cache_levels[2].size_bytes *= 8;
-        let t = golden_with_checkpoints(&sequential(&m, table_i));
-        let big = golden_with_checkpoints(&sequential(&m, big_l3));
+        let t = golden_with_checkpoints(&ScheduledProgram::sequential(&m, table_i));
+        let big = golden_with_checkpoints(&ScheduledProgram::sequential(&m, big_l3));
         assert_eq!(t.checkpoints_taken(), big.checkpoints_taken());
         assert_eq!(t.snapshot_bytes(), big.snapshot_bytes());
         // Far below one Table I L3 (tags + stamps) per checkpoint.
@@ -1161,7 +1170,7 @@ mod tests {
     #[test]
     fn golden_trace_checkpoints_cover_the_run() {
         let m = looping_module(200);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         let t = golden_with_checkpoints(&sp);
         assert!(t.checkpoints_taken() > 1, "expected mid-run checkpoints");
         assert!(t.fingerprints_recorded() > 0);
@@ -1174,7 +1183,7 @@ mod tests {
     #[test]
     fn replay_matches_scratch_simulation_everywhere() {
         let m = looping_module(60);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         let t = golden_with_checkpoints(&sp);
         let max_cycles = t.result.stats.cycles * 10;
         // Every 7th site, every bit position cycled: replays must be
@@ -1223,7 +1232,7 @@ mod tests {
     #[test]
     fn degenerate_site_fast_forwards_from_last_checkpoint() {
         let m = looping_module(120);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let t = golden_with_checkpoints(&sp);
         let inj = Injection::single(u64::MAX, 3, None);
         let (run, skipped) = replay_trial(&t, inj, t.result.stats.cycles * 10, None, None);
@@ -1254,7 +1263,7 @@ mod tests {
         let _unreachable = b.new_block("dead");
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let t = golden_with_checkpoints(&sp);
         assert_eq!(t.result.stats.dyn_insns, 0);
         assert_eq!(t.checkpoints_taken(), 1, "power-on snapshot only");
@@ -1280,7 +1289,7 @@ mod tests {
         b.halt_imm(0);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let t = golden_with_checkpoints(&sp);
         assert_eq!(t.result.stats.dyn_insns, 1);
         for bit in [0u32, 17, 63] {
@@ -1302,7 +1311,7 @@ mod tests {
         // via the dead-register mask (the fingerprint would otherwise
         // differ forever).
         let m = looping_module(400);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let t = golden_with_checkpoints(&sp);
         let max_cycles = t.result.stats.cycles * 10;
         let mut pruned = 0;

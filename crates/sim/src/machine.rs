@@ -26,6 +26,7 @@ use casted_ir::interp::{Memory, OutVal, StopReason};
 use casted_ir::semantics::ExecError;
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::Reg;
+use casted_util::hash::Fnv64;
 
 use crate::cache::CacheHierarchy;
 use crate::decode::{DecodedProgram, SlotLayout, WordOp};
@@ -109,10 +110,12 @@ pub struct SimOptions {
     /// tests; tracing does not perturb timing.
     pub trace_limit: usize,
     /// Replay-based detection plan (the RBED scheme): accumulate a
-    /// digest of retired results and compare it against the golden
-    /// digests at each chunk boundary (`None` = off, all other
-    /// schemes). Installed into a fresh [`MachineState`]; a restored
-    /// checkpoint keeps the accumulator it was snapshotted with.
+    /// digest of retired results and compare it against the plan's
+    /// golden digest at each of its bounds (`None` = off, all other
+    /// schemes). A run from power-on starts a fresh accumulator; a
+    /// restored state keeps the one it was saved with, and the run
+    /// finds its next bound from the state's dynamic-instruction
+    /// count. A plan with no bounds only accumulates.
     pub rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
 }
 
@@ -226,10 +229,10 @@ pub struct MachineState {
     /// take effect at the end of the block).
     pub(crate) halt: Option<i64>,
     pub(crate) injected: bool,
-    /// RBED chunk-digest accumulator (None for every other scheme).
-    /// Boxed: it only exists for RBED campaigns, and the common-case
-    /// state must stay cheap to clone.
-    pub(crate) rbed: Option<Box<crate::rbed::RbedState>>,
+    /// RBED digest of every result retired so far (None for every
+    /// other scheme). The plan's bound cursor is not state: it is the
+    /// number of bounds at or below `stats.dyn_insns`.
+    pub(crate) rbed: Option<Fnv64>,
 }
 
 /// `clone_from` copies field by field into the target's existing
@@ -323,9 +326,6 @@ impl MachineState {
     /// Heap bytes this state owns, i.e. what a snapshot of it holds.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let rbed = self.rbed.as_ref().map_or(0, |r| {
-            size_of::<crate::rbed::RbedState>() + r.recorded.capacity() * 8
-        });
         self.regs.capacity() * 8
             + self.mem.len_words() * 8
             + self.cache.heap_bytes()
@@ -333,7 +333,6 @@ impl MachineState {
             + (self.stats.per_cluster.capacity() + self.stats.cache.hits.capacity()) * 8
             + self.stream.capacity() * size_of::<OutVal>()
             + self.mshr.capacity() * 8
-            + rbed
     }
 }
 
@@ -424,14 +423,18 @@ pub(crate) fn run_machine(
     // The strike's victim slot when it targets one register.
     let inj_target = inj.and_then(|i| i.target).map(|r| dp.layout.slot(r));
 
-    // Install the RBED digest accumulator on a fresh state; a state
-    // restored from a checkpoint keeps the accumulator it was
-    // snapshotted with (mid-run digests are part of machine state).
-    if st.rbed.is_none() {
-        if let Some(plan) = &opts.rbed {
-            st.rbed = Some(Box::new(crate::rbed::RbedState::new(plan.clone())));
-        }
+    // RBED: a run from power-on starts the digest accumulator; a
+    // restored state keeps the one it was saved with (mid-run digests
+    // are machine state). Bounds are crossed in retirement order, so
+    // the next one is the first above the instructions retired so far.
+    let (bounds, digests) = opts.rbed.as_deref().map_or((&[][..], &[][..]), |p| {
+        (&p.bounds[..], &p.digests[..])
+    });
+    if opts.rbed.is_some() && st.rbed.is_none() {
+        debug_assert_eq!(st.stats.dyn_insns, 0, "a mid-run state without a digest accumulator");
+        st.rbed = Some(Fnv64::new());
     }
+    let mut next_bound = bounds.partition_point(|&b| b <= st.stats.dyn_insns);
 
     // Reusable phase-1 operand buffer (the simulator's hottest
     // allocation site otherwise).
@@ -609,23 +612,14 @@ pub(crate) fn run_machine(
                     st.ready[d as usize] = (issue + latency as u64, cluster.0);
                 }
 
-                // ---- RBED digest accumulation + boundary check ----
-                if let Some(rb) = st.rbed.as_deref_mut() {
+                // ---- RBED digest accumulation + bound check ----
+                if let Some(acc) = st.rbed.as_mut() {
                     if let Some(w) = retired {
-                        rb.acc.write_u64_round(w);
+                        acc.write_u64_round(w);
                     }
-                    if rb.next < rb.plan.bounds.len()
-                        && st.stats.dyn_insns == rb.plan.bounds[rb.next]
-                    {
-                        let d = rb.acc.finish();
-                        if rb.plan.is_check() {
-                            if d != rb.plan.digests[rb.next] {
-                                detect_fired = true;
-                            }
-                        } else {
-                            rb.recorded.push(d);
-                        }
-                        rb.next += 1;
+                    if bounds.get(next_bound) == Some(&st.stats.dyn_insns) {
+                        detect_fired |= acc.finish() != digests[next_bound];
+                        next_bound += 1;
                     }
                 }
 
@@ -649,14 +643,12 @@ pub(crate) fn run_machine(
         }
 
         if let Some(code) = st.halt {
-            // RBED truncation detection: a halt with boundaries still
-            // unconsumed means the run retired fewer instructions than
+            // RBED truncation detection: a halt with bounds still
+            // uncrossed means the run retired fewer instructions than
             // the golden run — report it instead of trusting the
             // (truncated) output.
-            if let Some(rb) = st.rbed.as_deref() {
-                if rb.plan.is_check() && rb.next < rb.plan.bounds.len() {
-                    finish!(StopReason::Detected, st.cycle);
-                }
+            if next_bound < bounds.len() {
+                finish!(StopReason::Detected, st.cycle);
             }
             finish!(StopReason::Halt(code), st.cycle);
         }
@@ -689,18 +681,21 @@ fn run_decoded(
 
 /// A campaign's fault-free run of `sp` (decoded as `dp`) from power-on
 /// under the watchdog `max_cycles`, handing `hook` every bundle
-/// boundary. It flushes the `sim.*` counters only when the run halts:
-/// a campaign refuses any other target, and a refused target leaves
-/// the counters as they were.
+/// boundary; with `replay_detect` it accumulates the RBED digest. It
+/// flushes the `sim.*` counters only when the run halts: a campaign
+/// refuses any other target, and a refused target leaves the counters
+/// as they were.
 pub(crate) fn run_golden(
     sp: &ScheduledProgram,
     dp: &DecodedProgram,
     max_cycles: u64,
+    replay_detect: bool,
     hook: impl FnMut(&MachineState) -> Boundary,
 ) -> SimResult {
     let _run_span = casted_obs::span("sim.run_ns");
     let opts = SimOptions {
         max_cycles,
+        rbed: replay_detect.then(crate::rbed::RbedPlan::accumulate_only),
         ..SimOptions::default()
     };
     let mut st = MachineState::fresh(sp);
@@ -716,7 +711,7 @@ pub(crate) fn run_golden(
 /// bounded by `max_cycles`, which flushes the `sim.*` counters only
 /// when the run halts: a campaign refuses any other target.
 pub fn simulate_golden(sp: &ScheduledProgram, max_cycles: u64) -> SimResult {
-    run_golden(sp, &DecodedProgram::new(sp), max_cycles, |_| Boundary::Continue)
+    run_golden(sp, &DecodedProgram::new(sp), max_cycles, false, |_| Boundary::Continue)
 }
 
 /// Run `sp` to completion (or exception/detection/timeout).
@@ -738,7 +733,6 @@ mod tests {
     use super::*;
     use casted_ir::interp;
     use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
-    use crate::testutil::sequential;
 
     fn demo_module() -> Module {
         let mut m = Module::new("t");
@@ -772,7 +766,7 @@ mod tests {
     fn sim_matches_interpreter_output() {
         let m = demo_module();
         let golden = interp::run(&m, 100_000).unwrap();
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         let r = simulate(&sp, &SimOptions::default());
         assert_eq!(r.stop, golden.stop);
         assert_eq!(r.stream, golden.stream);
@@ -782,7 +776,7 @@ mod tests {
     #[test]
     fn cycles_exceed_instruction_count_with_latencies() {
         let m = demo_module();
-        let sp = sequential(&m, MachineConfig::itanium2_like(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(1, 1));
         let r = simulate(&sp, &SimOptions::default());
         // Cold cache misses (150 cycles each) dominate: at least one
         // per touched line.
@@ -794,11 +788,11 @@ mod tests {
     fn perfect_memory_is_faster() {
         let m = demo_module();
         let cached = simulate(
-            &sequential(&m, MachineConfig::itanium2_like(1, 1)),
+            &ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(1, 1)),
             &SimOptions::default(),
         );
         let perfect = simulate(
-            &sequential(&m, MachineConfig::perfect_memory(1, 1)),
+            &ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1)),
             &SimOptions::default(),
         );
         assert!(perfect.cycles() < cached.cycles());
@@ -815,7 +809,7 @@ mod tests {
         b.br(spin);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let r = simulate(
             &sp,
             &SimOptions {
@@ -830,7 +824,7 @@ mod tests {
     #[test]
     fn injection_lands_and_changes_output() {
         let m = demo_module();
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let golden = simulate(&sp, &SimOptions::default());
         // Strike the accumulator chain mid-run, high bit: expect a
         // corrupted (different) output or an exception — not silence.
@@ -869,7 +863,7 @@ mod tests {
         b.halt_imm(0);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let r = simulate(
             &sp,
             &SimOptions {
@@ -896,7 +890,7 @@ mod tests {
 
         let mk = |delay: u32, split: bool| {
             let config = MachineConfig::perfect_memory(2, delay);
-            let mut sp = sequential(&m, config);
+            let mut sp = ScheduledProgram::sequential(&m, config);
             if split {
                 // Move the add (2nd insn) to cluster 1.
                 let f = sp.module.entry_fn();
@@ -927,7 +921,7 @@ mod tests {
     #[test]
     fn stall_cycles_are_counted() {
         let m = demo_module();
-        let sp = sequential(&m, MachineConfig::itanium2_like(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(1, 1));
         let r = simulate(&sp, &SimOptions::default());
         assert!(r.stats.stall_cycles > 0);
         assert_eq!(
@@ -952,7 +946,7 @@ mod trace_tests {
         b.halt_imm(0);
         let id = m.add_function(b.finish());
         m.entry = Some(id);
-        crate::testutil::sequential(&m, MachineConfig::perfect_memory(1, 1))
+        ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1))
     }
 
     #[test]

@@ -15,14 +15,22 @@
 //! the golden boundary at `b` is crossed when the `b`-th instruction
 //! retires, which a faulty run always does exactly once (retirement
 //! is one instruction at a time) no matter how far its control flow
-//! diverged. Cuts are placed at golden block entries using the same
-//! partitioning rule as [`crate::section`] (span target
-//! `max(MIN_SECTION_SPAN, golden_dyn / MAX_SECTIONS)`), purely as a
+//! diverged. Cuts are placed at golden block entries by the rule the
+//! section capture cuts by ([`crate::section`]), purely as a
 //! granularity heuristic — correctness never depends on where the
 //! cuts land. The final boundary is always `golden_dyn`, so a run
-//! that halts early still has an unconsumed boundary and is reported
+//! that halts early still has an uncrossed boundary and is reported
 //! `Detected` at its halt (truncation detection), and the golden run
-//! itself consumes every boundary exactly at its own halt.
+//! itself crosses every boundary exactly at its own halt.
+//!
+//! A run's RBED state is the accumulator alone, one word on
+//! [`MachineState`]. Which boundary comes next is a function of the
+//! instructions retired so far, so a run restored from any saved
+//! state — a campaign snapshot or a state pass 1 kept for the capture
+//! to restart from — resumes checking where the golden run was. The
+//! accumulator never depends on the plan, so pass 1 of an RBED
+//! campaign runs it under a plan with no bounds, and the capture under
+//! the real plan restarts from pass 1's states.
 //!
 //! What the digest does *not* see: the flipped victim register itself
 //! (the digest absorbs the **computed** value, before the injector's
@@ -37,75 +45,51 @@
 use std::sync::Arc;
 
 use casted_ir::vliw::ScheduledProgram;
-use casted_util::hash::Fnv64;
 
 use crate::decode::DecodedProgram;
 use crate::machine::{run_machine, Boundary, MachineState, SimOptions};
-use crate::section::{MAX_SECTIONS, MIN_SECTION_SPAN};
+use crate::section::Cuts;
 
-/// A chunk-digest plan: the boundary schedule plus, once recorded,
-/// the golden digest at each boundary.
+/// A chunk-digest plan: the boundary schedule and the golden digest
+/// at each boundary. [`rbed_plan`] is the only producer, so the two
+/// lists always have the same length.
 #[derive(Clone, Debug)]
 pub struct RbedPlan {
     /// Strictly increasing dynamic-instruction counts; the last entry
     /// is the golden run's dynamic length. Empty only for the
-    /// degenerate zero-length program.
-    pub bounds: Vec<u64>,
-    /// Golden digest at each boundary crossing; same length as
-    /// `bounds` in a finished plan. Empty in a plan being built: the
-    /// run then only accumulates, and records the digest at each
-    /// crossing it has a bound for.
-    pub digests: Vec<u64>,
+    /// degenerate zero-length program, and in the plan that only
+    /// accumulates ([`RbedPlan::accumulate_only`]).
+    pub(crate) bounds: Vec<u64>,
+    /// Golden digest at each boundary crossing.
+    pub(crate) digests: Vec<u64>,
 }
 
 impl RbedPlan {
-    /// True once golden digests have been recorded (check mode).
-    pub fn is_check(&self) -> bool {
-        !self.digests.is_empty()
+    /// The plan with no bounds: a run under it accumulates the digest
+    /// and checks nothing.
+    pub(crate) fn accumulate_only() -> Arc<RbedPlan> {
+        Arc::new(RbedPlan {
+            bounds: Vec::new(),
+            digests: Vec::new(),
+        })
     }
 }
 
-/// Per-run digest accumulator carried inside [`MachineState`] so that
-/// checkpoint snapshots resume it exactly.
-#[derive(Clone)]
-pub(crate) struct RbedState {
-    /// Running digest of every retired result so far.
-    pub(crate) acc: Fnv64,
-    /// Index of the next unconsumed boundary in `plan.bounds`.
-    pub(crate) next: usize,
-    pub(crate) plan: Arc<RbedPlan>,
-    /// Digests captured at each crossing (record mode only; the
-    /// one-pass [`rbed_plan`] reads `acc` instead, so only the tests'
-    /// two-pass oracle records).
-    pub(crate) recorded: Vec<u64>,
-}
-
-impl RbedState {
-    pub(crate) fn new(plan: Arc<RbedPlan>) -> Self {
-        RbedState {
-            acc: Fnv64::new(),
-            next: 0,
-            plan,
-            recorded: Vec::new(),
-        }
-    }
-}
-
-/// Build the check-mode plan for `sp` in one quiet golden pass.
-/// `golden_dyn` is the golden run's dynamic length (the campaign
-/// already has it from its golden run).
+/// Build the plan for `sp` in one quiet golden pass. `golden_dyn` is
+/// the golden run's dynamic length (the campaign already has it from
+/// its golden run).
 pub fn rbed_plan(sp: &ScheduledProgram, golden_dyn: u64) -> Arc<RbedPlan> {
     rbed_plan_decoded(sp, &DecodedProgram::new(sp), golden_dyn)
 }
 
-/// [`rbed_plan`] on a program already decoded. The pass runs with the
-/// digest accumulator on and no bounds to cross; the boundary hook
-/// places each bound at a golden block entry and records the running
-/// digest right there. That is the digest a check-mode run compares
-/// at the crossing: the bound's instruction closed the bundle before
-/// the block entry, and nothing retires in between. The final bound's
-/// digest is the accumulator after the run, which the halt's bundle
-/// closes the same way.
+/// [`rbed_plan`] on a program already decoded. The pass runs under
+/// the plan that only accumulates; the boundary hook places each
+/// bound at a cut ([`Cuts`]) and records the running digest right
+/// there. That is the digest a checking run compares at the crossing:
+/// the bound's instruction closed the bundle before the block entry,
+/// and nothing retires in between. The final bound's digest is the
+/// accumulator after the run, which the halt's bundle closes the same
+/// way.
 pub(crate) fn rbed_plan_decoded(
     sp: &ScheduledProgram,
     dp: &DecodedProgram,
@@ -113,29 +97,17 @@ pub(crate) fn rbed_plan_decoded(
 ) -> Arc<RbedPlan> {
     let (mut bounds, mut digests) = (Vec::new(), Vec::new());
     if golden_dyn > 0 {
-        let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
-        let mut last = 0u64;
+        let mut cuts = Cuts::new(golden_dyn);
         let mut st = MachineState::fresh(sp);
         let opts = SimOptions {
-            rbed: Some(Arc::new(RbedPlan {
-                bounds: Vec::new(),
-                digests: Vec::new(),
-            })),
+            rbed: Some(RbedPlan::accumulate_only()),
             ..SimOptions::default()
         };
-        let digest =
-            |st: &MachineState| st.rbed.as_deref().expect("accumulator installed").acc.finish();
+        let digest = |st: &MachineState| st.rbed.as_ref().expect("accumulator installed").finish();
         run_machine(dp, &opts, &mut st, false, |st: &MachineState| {
-            let dyn_insns = st.stats.dyn_insns;
-            if st.bundle_idx == 0
-                && dyn_insns > last
-                && dyn_insns - last >= span_target
-                && dyn_insns < golden_dyn
-                && bounds.len() + 1 < MAX_SECTIONS
-            {
-                bounds.push(dyn_insns);
+            if cuts.cut_at(st) {
+                bounds.push(st.stats.dyn_insns);
                 digests.push(digest(st));
-                last = dyn_insns;
             }
             Boundary::Continue
         })
@@ -151,9 +123,9 @@ pub(crate) fn rbed_plan_decoded(
 mod tests {
     use super::*;
     use casted_ir::interp::StopReason;
-    use crate::testutil::sequential;
     use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 
+    use crate::checkpoint::{CampaignProgram, GoldenRun};
     use crate::machine::{simulate_quiet, Injection};
 
     fn looping_module(iters: i64) -> Module {
@@ -179,10 +151,25 @@ mod tests {
         m
     }
 
+    /// Every kernel on the schedule `scheme` compiles it to at issue 2,
+    /// delay 2.
+    fn kernels(
+        scheme: casted_passes::Scheme,
+    ) -> impl Iterator<Item = (&'static str, ScheduledProgram)> {
+        casted_workloads::all().into_iter().map(move |w| {
+            let m = w.compile().expect("kernel compiles");
+            let config = MachineConfig::itanium2_like(2, 2);
+            let sp = casted_passes::prepare(&m, scheme, &config).expect("kernel prepares").sp;
+            (w.name, sp)
+        })
+    }
+
     /// The two-pass construction the one-pass [`rbed_plan`] replaced:
-    /// one pass places the bounds, a second records the digest at each
-    /// crossing. Kept as the oracle for the one-pass plan.
+    /// a plain pass places the bounds by the cut rule written out, and
+    /// a second, accumulate-only pass reads the digest as each bound is
+    /// crossed. Kept as the oracle for the one-pass plan.
     fn two_pass_plan(sp: &ScheduledProgram, golden_dyn: u64) -> RbedPlan {
+        use crate::section::{MAX_SECTIONS, MIN_SECTION_SPAN};
         let dp = DecodedProgram::new(sp);
         let mut bounds = Vec::new();
         if golden_dyn > 0 {
@@ -205,17 +192,23 @@ mod tests {
             .unwrap();
             bounds.push(golden_dyn);
         }
-        let record = Arc::new(RbedPlan {
-            bounds: bounds.clone(),
-            digests: Vec::new(),
-        });
+        let mut digests = Vec::new();
         let mut st = MachineState::fresh(sp);
         let opts = SimOptions {
-            rbed: Some(record),
+            rbed: Some(RbedPlan::accumulate_only()),
             ..SimOptions::default()
         };
-        run_machine(&dp, &opts, &mut st, false, |_: &MachineState| Boundary::Continue).unwrap();
-        let digests = st.rbed.take().map(|r| r.recorded).unwrap_or_default();
+        run_machine(&dp, &opts, &mut st, false, |st: &MachineState| {
+            let next = bounds.get(digests.len()).copied();
+            if st.bundle_idx == 0 && Some(st.stats.dyn_insns) == next && next != Some(golden_dyn) {
+                digests.push(st.rbed.as_ref().expect("accumulator installed").finish());
+            }
+            Boundary::Continue
+        })
+        .unwrap();
+        if golden_dyn > 0 {
+            digests.push(st.rbed.as_ref().expect("accumulator installed").finish());
+        }
         RbedPlan { bounds, digests }
     }
 
@@ -234,26 +227,30 @@ mod tests {
             (looping_module(200), MachineConfig::perfect_memory(1, 1)),
             (looping_module(120), MachineConfig::itanium2_like(2, 2)),
         ] {
-            assert_same_plan(&sequential(&m, config), "looping module");
+            assert_same_plan(&ScheduledProgram::sequential(&m, config), "looping module");
         }
-        // Every kernel, on the schedule the RBED scheme compiles to.
-        for w in casted_workloads::all() {
-            let m = w.compile().expect("kernel compiles");
-            let config = MachineConfig::itanium2_like(2, 2);
-            let sp = casted_passes::prepare(&m, casted_passes::Scheme::Rbed, &config)
-                .expect("kernel prepares")
-                .sp;
-            assert_same_plan(&sp, w.name);
+        for (name, sp) in kernels(casted_passes::Scheme::Rbed) {
+            assert_same_plan(&sp, name);
+        }
+    }
+
+    #[test]
+    fn plan_bounds_are_the_section_cuts() {
+        for (name, sp) in kernels(casted_passes::Scheme::Noed) {
+            let golden = GoldenRun::run(&sp, CampaignProgram::new(&sp), u64::MAX, 0, false);
+            let plan = golden.rbed_plan(&sp);
+            let sections = golden.capture_sections(&sp).sections;
+            let his: Vec<u64> = sections.iter().map(|s| s.hi).collect();
+            assert_eq!(plan.bounds, his, "{name}");
         }
     }
 
     #[test]
     fn plan_bounds_tile_and_end_at_golden_dyn() {
         let m = looping_module(200);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let golden = simulate_quiet(&sp, &SimOptions::default());
         let plan = rbed_plan(&sp, golden.stats.dyn_insns);
-        assert!(plan.is_check());
         assert!(plan.bounds.len() > 1, "expected a multi-chunk plan");
         assert_eq!(*plan.bounds.last().unwrap(), golden.stats.dyn_insns);
         assert_eq!(plan.digests.len(), plan.bounds.len());
@@ -264,27 +261,33 @@ mod tests {
 
     #[test]
     fn zero_fault_checked_run_matches_golden() {
+        // One wrong golden digest would turn a fault-free checking run
+        // into `Detected`, so this pins every digest the plan pass
+        // recorded: on a loop, and on every kernel's RBED schedule.
         let m = looping_module(120);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
-        let golden = simulate_quiet(&sp, &SimOptions::default());
-        let plan = rbed_plan(&sp, golden.stats.dyn_insns);
-        let r = simulate_quiet(
-            &sp,
-            &SimOptions {
-                rbed: Some(plan),
-                ..SimOptions::default()
-            },
-        );
-        assert_eq!(r.stop, golden.stop, "digest checks must pass fault-free");
-        assert_eq!(r.stream.len(), golden.stream.len());
-        assert!(r.stream.iter().zip(&golden.stream).all(|(a, b)| a.bit_eq(b)));
-        assert_eq!(r.stats.cycles, golden.stats.cycles, "RBED adds no cycles");
+        let looping = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let runs = std::iter::once(("looping module", looping));
+        for (name, sp) in runs.chain(kernels(casted_passes::Scheme::Rbed)) {
+            let golden = simulate_quiet(&sp, &SimOptions::default());
+            let plan = rbed_plan(&sp, golden.stats.dyn_insns);
+            let r = simulate_quiet(
+                &sp,
+                &SimOptions {
+                    rbed: Some(plan),
+                    ..SimOptions::default()
+                },
+            );
+            assert_eq!(r.stop, golden.stop, "{name}: digest checks must pass fault-free");
+            assert_eq!(r.stream.len(), golden.stream.len(), "{name}");
+            assert!(r.stream.iter().zip(&golden.stream).all(|(a, b)| a.bit_eq(b)), "{name}");
+            assert_eq!(r.stats.cycles, golden.stats.cycles, "{name}: RBED adds no cycles");
+        }
     }
 
     #[test]
     fn digest_divergence_is_detected() {
         let m = looping_module(200);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let golden = simulate_quiet(&sp, &SimOptions::default());
         let plan = rbed_plan(&sp, golden.stats.dyn_insns);
         // Strike the accumulator mid-run: the corrupted value feeds
@@ -313,7 +316,7 @@ mod tests {
         // final boundary at golden_dyn is never crossed, so the halt
         // is converted to Detected (truncation detection).
         let m = looping_module(300);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let golden = simulate_quiet(&sp, &SimOptions::default());
         let plan = rbed_plan(&sp, golden.stats.dyn_insns);
         let mut hit = false;

@@ -60,6 +60,47 @@ pub const MAX_SECTIONS: usize = 64;
 /// single section rather than per-block confetti.
 pub const MIN_SECTION_SPAN: u64 = 32;
 
+/// The one rule both partitions of a golden trace cut by: the section
+/// capture's section starts and the RBED plan's digest bounds
+/// (`crate::rbed`). A cut lands at a golden block entry once the open
+/// span holds `max(MIN_SECTION_SPAN, golden_dyn / MAX_SECTIONS)`
+/// retired instructions, short of `golden_dyn`, while fewer than
+/// `MAX_SECTIONS - 1` cuts have been made (the end of the run closes
+/// the last span).
+pub(crate) struct Cuts {
+    golden_dyn: u64,
+    pub(crate) span_target: u64,
+    /// The last cut (0 before the first).
+    last: u64,
+    made: usize,
+}
+
+impl Cuts {
+    pub(crate) fn new(golden_dyn: u64) -> Self {
+        Cuts {
+            golden_dyn,
+            span_target: (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN),
+            last: 0,
+            made: 0,
+        }
+    }
+
+    /// Whether the boundary `st` of a golden pass from power-on is the
+    /// next cut; if so, it is recorded as one.
+    pub(crate) fn cut_at(&mut self, st: &MachineState) -> bool {
+        let dyn_insns = st.stats.dyn_insns;
+        let cut = st.bundle_idx == 0
+            && dyn_insns - self.last >= self.span_target
+            && dyn_insns < self.golden_dyn
+            && self.made + 1 < MAX_SECTIONS;
+        if cut {
+            self.last = dyn_insns;
+            self.made += 1;
+        }
+        cut
+    }
+}
+
 /// One section of the golden dynamic trace. Its start state is the
 /// capture trace's snapshot with the same index.
 pub struct Section {
@@ -102,14 +143,15 @@ impl GoldenRun {
     /// the whole program, so pass 1 needs no grid for it
     /// (`GoldenRun::run` with `grid_states` 0).
     ///
-    /// Cuts are placed at golden block entries once the open span
-    /// reaches `max(MIN_SECTION_SPAN, golden_dyn / MAX_SECTIONS)`
-    /// retired instructions; in-span fingerprints are sampled at a
-    /// quarter of that target (floored), and at every cut.
+    /// Cuts are placed by the rule the RBED plan shares (`Cuts`): at
+    /// golden block entries once the
+    /// open span reaches `max(MIN_SECTION_SPAN, golden_dyn /
+    /// MAX_SECTIONS)` retired instructions. In-span fingerprints are
+    /// sampled at a quarter of that target (floored), and at every cut.
     pub fn capture_sections(self, sp: &ScheduledProgram) -> SectionCapture {
         let golden_dyn = self.result.stats.dyn_insns;
-        let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
-        let cadence = (span_target / 4).max(16);
+        let mut cuts = Cuts::new(golden_dyn);
+        let cadence = (cuts.span_target / 4).max(16);
 
         // Closed sections as `(lo, hi, golden blocks)`.
         let mut spans: Vec<(u64, u64, BlockSet)> = Vec::new();
@@ -118,25 +160,21 @@ impl GoldenRun {
         let mut next_sample = cadence;
         let hook = &mut |rec: &mut Recorder, program: &CampaignProgram, st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
-            if st.bundle_idx == 0 {
-                if dyn_insns > lo && dyn_insns - lo >= span_target && spans.len() + 1 < MAX_SECTIONS
-                {
-                    // Cut here: this block entry closes the open
-                    // section and starts the next. Its sample is the
-                    // closing section's exit sample (convergence
-                    // exactly at the boundary still counts), so the
-                    // entered block's live mask belongs to *both*
-                    // sections' validation sets.
-                    rec.sample(program, st);
-                    blocks.insert(st.block.index() as u32);
-                    spans.push((lo, dyn_insns, std::mem::take(&mut blocks)));
-                    rec.checkpoints.push(st.clone());
-                    lo = dyn_insns;
-                    next_sample = dyn_insns + cadence;
-                } else if dyn_insns >= next_sample {
-                    rec.sample(program, st);
-                    next_sample = dyn_insns + cadence;
-                }
+            if cuts.cut_at(st) {
+                // Cut here: this block entry closes the open section
+                // and starts the next. Its sample is the closing
+                // section's exit sample (convergence exactly at the
+                // boundary still counts), so the entered block's live
+                // mask belongs to *both* sections' validation sets.
+                rec.sample(program, st);
+                blocks.insert(st.block.index() as u32);
+                spans.push((lo, dyn_insns, std::mem::take(&mut blocks)));
+                rec.checkpoints.push(st.clone());
+                lo = dyn_insns;
+                next_sample = dyn_insns + cadence;
+            } else if st.bundle_idx == 0 && dyn_insns >= next_sample {
+                rec.sample(program, st);
+                next_sample = dyn_insns + cadence;
             }
             blocks.insert(st.block.index() as u32);
             Boundary::Continue
@@ -215,17 +253,17 @@ mod tests {
     use super::*;
     use crate::checkpoint::{replay_trial, TrialRun};
     use crate::machine::{Injection, SimOptions};
-    use crate::testutil::{looping_module, result_eq, sequential};
+    use crate::testutil::{looping_module, result_eq};
     use casted_ir::{MachineConfig, Opcode};
 
     fn capture(sp: &ScheduledProgram) -> SectionCapture {
-        GoldenRun::run(sp, CampaignProgram::new(sp), u64::MAX, 0).capture_sections(sp)
+        GoldenRun::run(sp, CampaignProgram::new(sp), u64::MAX, 0, false).capture_sections(sp)
     }
 
     #[test]
     fn partition_tiles_the_trace_exactly() {
         let m = looping_module(300);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         let cap = capture(&sp);
         let golden_dyn = cap.trace.result.stats.dyn_insns;
         assert!(cap.sections.len() > 1, "expected a multi-section plan");
@@ -255,7 +293,7 @@ mod tests {
     #[test]
     fn bounded_trials_agree_with_scratch_runs() {
         let m = looping_module(80);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         let cap = capture(&sp);
         let golden = &cap.trace.result;
         let golden_dyn = golden.stats.dyn_insns;
@@ -332,7 +370,7 @@ mod tests {
     #[test]
     fn validation_hashes_pin_code_and_liveness() {
         let m = looping_module(40);
-        let sp = sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
         let hashes = |sp: &ScheduledProgram| block_validation_hashes(sp, &CampaignProgram::new(sp));
         let base = hashes(&sp);
         assert_eq!(base.len(), sp.blocks.len());
@@ -355,7 +393,7 @@ mod tests {
     #[test]
     fn start_digests_bind_upstream_state() {
         let m = looping_module(200);
-        let sp = sequential(&m, MachineConfig::itanium2_like(2, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
         // Recapture: digests are deterministic.
         let digests = || -> Vec<u64> {
             let cap = capture(&sp);

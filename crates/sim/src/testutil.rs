@@ -1,48 +1,18 @@
 //! Hand-built programs for the simulator's unit tests. The crate
 //! cannot depend on `casted-passes` (dependency cycle), so tests build
-//! trivial one-cluster sequential schedules here.
+//! trivial one-cluster schedules: `ScheduledProgram::sequential`, and
+//! the packed variant here.
 
-use std::collections::HashMap;
-
-use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
-use casted_ir::{Cluster, CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
+use casted_ir::vliw::{Bundle, ScheduledProgram};
+use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 
 use crate::machine::SimResult;
 
-/// Sequential single-cluster schedule: one instruction per bundle, in
-/// program order.
-pub(crate) fn sequential(m: &Module, config: MachineConfig) -> ScheduledProgram {
-    let func = m.entry_fn();
-    let mut assignment = vec![None; func.insns.len()];
-    let mut home = HashMap::new();
-    let mut blocks = Vec::new();
-    for (bid, block) in func.iter_blocks() {
-        let mut bundles = Vec::new();
-        for &iid in &block.insns {
-            assignment[iid.index()] = Some(Cluster::MAIN);
-            for &d in &func.insn(iid).defs {
-                home.entry(d).or_insert(Cluster::MAIN);
-            }
-            let mut b = Bundle::empty(config.clusters);
-            b.slots[0].push(iid);
-            bundles.push(b);
-        }
-        blocks.push(ScheduledBlock { block: bid, bundles });
-    }
-    ScheduledProgram {
-        module: m.clone(),
-        config,
-        assignment,
-        home,
-        blocks,
-    }
-}
-
-/// [`sequential`], with each run of up to `width` consecutive
+/// `ScheduledProgram::sequential`, with each run of up to `width` consecutive
 /// instructions of a block that do not read one another's results
 /// packed into one bundle.
 pub(crate) fn packed(m: &Module, config: MachineConfig, width: usize) -> ScheduledProgram {
-    let mut sp = sequential(m, config);
+    let mut sp = ScheduledProgram::sequential(m, config);
     let func = m.entry_fn();
     for sb in &mut sp.blocks {
         let mut bundles: Vec<Bundle> = Vec::new();

@@ -20,8 +20,8 @@
 //! Driven by the in-repo harness (`casted_util::prop`).
 
 use casted_ir::testgen::{random_module, GenOptions};
-use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
-use casted_ir::{Cluster, MachineConfig, Module};
+use casted_ir::vliw::{Bundle, ScheduledProgram};
+use casted_ir::{MachineConfig, Module};
 use casted_passes::{prepare, Scheme};
 use casted_sim::{
     golden_with_checkpoints, replay_trial, simulate_quiet, GoldenRun, Injection, SimOptions,
@@ -29,7 +29,6 @@ use casted_sim::{
 };
 use casted_util::prop::run_cases;
 use casted_util::{prop_assert, prop_assert_eq};
-use std::collections::HashMap;
 
 fn opts() -> GenOptions {
     GenOptions {
@@ -43,34 +42,6 @@ fn opts() -> GenOptions {
     }
 }
 
-/// One-instruction-per-bundle sequential schedule on cluster 0.
-fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
-    let func = module.entry_fn();
-    let mut assignment = vec![None; func.insns.len()];
-    let mut home = HashMap::new();
-    let mut blocks = Vec::new();
-    for (bid, block) in func.iter_blocks() {
-        let mut bundles = Vec::new();
-        for &iid in &block.insns {
-            assignment[iid.index()] = Some(Cluster::MAIN);
-            for &d in &func.insn(iid).defs {
-                home.entry(d).or_insert(Cluster::MAIN);
-            }
-            let mut b = Bundle::empty(config.clusters);
-            b.slots[0].push(iid);
-            bundles.push(b);
-        }
-        blocks.push(ScheduledBlock { block: bid, bundles });
-    }
-    ScheduledProgram {
-        module: module.clone(),
-        config,
-        assignment,
-        home,
-        blocks,
-    }
-}
-
 /// Greedy packed schedule on cluster 0: consecutive instructions of a
 /// block share a bundle of up to `width` while none reads a register
 /// an earlier one in the bundle defines. Operands are read before any
@@ -78,7 +49,7 @@ fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
 /// schedule's values and only moves the timing — and it puts several
 /// dynamic instructions behind one bundle boundary.
 fn packed(module: &Module, config: MachineConfig, width: usize) -> ScheduledProgram {
-    let mut sp = sequential(module, config);
+    let mut sp = ScheduledProgram::sequential(module, config);
     let func = module.entry_fn();
     for sb in &mut sp.blocks {
         let mut bundles: Vec<Bundle> = Vec::new();
@@ -123,7 +94,7 @@ fn random_config(rng: &mut casted_util::Rng) -> MachineConfig {
 fn replay_is_bit_identical_to_scratch_run() {
     run_cases("replay_is_bit_identical_to_scratch_run", 24, |rng| {
         let m = random_module(rng.gen_range(0..1u64 << 48), &opts());
-        let sp = sequential(&m, random_config(rng));
+        let sp = ScheduledProgram::sequential(&m, random_config(rng));
         let golden = simulate_quiet(&sp, &SimOptions::default());
         if !matches!(golden.stop, casted_ir::interp::StopReason::Halt(_)) {
             return Ok(()); // campaign preconditions not met; skip
@@ -238,7 +209,7 @@ fn tmr_replay_reports_the_full_runs_corrections() {
 fn resume_from_any_checkpoint_reproduces_golden_run() {
     run_cases("resume_from_any_checkpoint_reproduces_golden_run", 16, |rng| {
         let m = random_module(rng.gen_range(0..1u64 << 48), &opts());
-        let sp = sequential(&m, random_config(rng));
+        let sp = ScheduledProgram::sequential(&m, random_config(rng));
         let golden = simulate_quiet(&sp, &SimOptions::default());
         if !matches!(golden.stop, casted_ir::interp::StopReason::Halt(_)) {
             return Ok(());

@@ -6,14 +6,13 @@
 //! Driven by the in-repo harness (`casted_util::prop`).
 
 use casted_ir::testgen::{random_module, GenOptions};
-use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
-use casted_ir::{interp, CacheLevelConfig, Cluster, MachineConfig, Module};
+use casted_ir::vliw::ScheduledProgram;
+use casted_ir::{interp, CacheLevelConfig, MachineConfig};
 use casted_sim::{simulate, CacheHierarchy, SimOptions};
 use casted_util::hash::Fnv64;
 use casted_util::prop::run_cases;
 use casted_util::rng::Rng;
 use casted_util::{prop_assert, prop_assert_eq};
-use std::collections::HashMap;
 
 fn opts() -> GenOptions {
     GenOptions {
@@ -27,36 +26,6 @@ fn opts() -> GenOptions {
     }
 }
 
-/// One-instruction-per-bundle sequential schedule on cluster 0 — the
-/// simplest valid schedule, used to isolate simulator semantics from
-/// scheduler behaviour.
-fn sequential(module: &Module, config: MachineConfig) -> ScheduledProgram {
-    let func = module.entry_fn();
-    let mut assignment = vec![None; func.insns.len()];
-    let mut home = HashMap::new();
-    let mut blocks = Vec::new();
-    for (bid, block) in func.iter_blocks() {
-        let mut bundles = Vec::new();
-        for &iid in &block.insns {
-            assignment[iid.index()] = Some(Cluster::MAIN);
-            for &d in &func.insn(iid).defs {
-                home.entry(d).or_insert(Cluster::MAIN);
-            }
-            let mut b = Bundle::empty(config.clusters);
-            b.slots[0].push(iid);
-            bundles.push(b);
-        }
-        blocks.push(ScheduledBlock { block: bid, bundles });
-    }
-    ScheduledProgram {
-        module: module.clone(),
-        config,
-        assignment,
-        home,
-        blocks,
-    }
-}
-
 #[test]
 fn simulator_matches_interpreter() {
     run_cases("simulator_matches_interpreter", 32, |rng| {
@@ -64,7 +33,7 @@ fn simulator_matches_interpreter() {
         let issue = rng.gen_range(1usize..=4);
         let delay = rng.gen_range(1u32..=4);
         let golden = interp::run(&m, 2_000_000).unwrap();
-        let sp = sequential(&m, MachineConfig::itanium2_like(issue, delay));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(issue, delay));
         let r = simulate(&sp, &SimOptions::default());
         prop_assert_eq!(&r.stop, &golden.stop);
         prop_assert_eq!(r.stats.dyn_insns, golden.dyn_insns);
@@ -80,7 +49,7 @@ fn simulator_matches_interpreter() {
 fn cycle_accounting_invariants() {
     run_cases("cycle_accounting_invariants", 32, |rng| {
         let m = random_module(rng.next_u64(), &opts());
-        let sp = sequential(&m, MachineConfig::itanium2_like(1, 2));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(1, 2));
         let r = simulate(&sp, &SimOptions::default());
         // Sequential one-insn bundles: every cycle is a bundle or a stall.
         prop_assert_eq!(r.stats.cycles, r.stats.bundles + r.stats.stall_cycles);
@@ -95,8 +64,9 @@ fn cycle_accounting_invariants() {
 fn perfect_memory_never_slower() {
     run_cases("perfect_memory_never_slower", 32, |rng| {
         let m = random_module(rng.next_u64(), &opts());
-        let cached = simulate(&sequential(&m, MachineConfig::itanium2_like(2, 2)), &SimOptions::default());
-        let perfect = simulate(&sequential(&m, MachineConfig::perfect_memory(2, 2)), &SimOptions::default());
+        let run = |config| simulate(&ScheduledProgram::sequential(&m, config), &SimOptions::default());
+        let cached = run(MachineConfig::itanium2_like(2, 2));
+        let perfect = run(MachineConfig::perfect_memory(2, 2));
         prop_assert!(perfect.stats.cycles <= cached.stats.cycles);
         Ok(())
     });
@@ -108,7 +78,7 @@ fn injected_run_always_classifiable() {
         let m = random_module(rng.next_u64(), &opts());
         let at_frac = rng.gen_range(1u64..100);
         let bit = rng.gen_range(0u32..64);
-        let sp = sequential(&m, MachineConfig::perfect_memory(2, 1));
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(2, 1));
         let golden = simulate(&sp, &SimOptions::default());
         let at = (golden.stats.dyn_insns * at_frac / 100).max(1);
         let r = simulate(&sp, &SimOptions {

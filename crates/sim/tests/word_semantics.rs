@@ -16,46 +16,15 @@
 //! value-level model it must reproduce, for burst widths 1/2/4, every
 //! phase and all three register classes.
 
-use std::collections::HashMap;
-
 use casted_ir::func::GlobalClass;
 use casted_ir::interp::{self, OutVal, StopReason};
 use casted_ir::semantics::Val;
 use casted_ir::verify::verify_module;
-use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
+use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{
-    Cluster, CmpKind, FunctionBuilder, Insn, MachineConfig, Module, Opcode, Operand, Reg, RegClass,
+    CmpKind, FunctionBuilder, Insn, MachineConfig, Module, Opcode, Operand, Reg, RegClass,
 };
 use casted_sim::{simulate, Injection, SimOptions};
-
-/// One instruction per bundle on cluster 0, in program order.
-fn sequential(module: &Module) -> ScheduledProgram {
-    let config = MachineConfig::itanium2_like(1, 1);
-    let func = module.entry_fn();
-    let mut assignment = vec![None; func.insns.len()];
-    let mut home = HashMap::new();
-    let mut blocks = Vec::new();
-    for (bid, block) in func.iter_blocks() {
-        let mut bundles = Vec::new();
-        for &iid in &block.insns {
-            assignment[iid.index()] = Some(Cluster::MAIN);
-            for &d in &func.insn(iid).defs {
-                home.entry(d).or_insert(Cluster::MAIN);
-            }
-            let mut b = Bundle::empty(config.clusters);
-            b.slots[0].push(iid);
-            bundles.push(b);
-        }
-        blocks.push(ScheduledBlock { block: bid, bundles });
-    }
-    ScheduledProgram {
-        module: module.clone(),
-        config,
-        assignment,
-        home,
-        blocks,
-    }
-}
 
 /// An operand value of one register class.
 #[derive(Clone, Copy, Debug)]
@@ -173,7 +142,8 @@ fn stream_eq(a: &[OutVal], b: &[OutVal]) -> bool {
 fn agree(m: &Module, what: &str) {
     verify_module(m).unwrap_or_else(|e| panic!("{what}: illegal test program: {e:?}"));
     let golden = interp::run(m, 1_000).unwrap();
-    let r = simulate(&sequential(m), &SimOptions::default());
+    let sp = ScheduledProgram::sequential(m, MachineConfig::itanium2_like(1, 1));
+    let r = simulate(&sp, &SimOptions::default());
     assert_eq!(r.stop, golden.stop, "{what}: stop reason");
     assert!(
         stream_eq(&r.stream, &golden.stream),
@@ -437,7 +407,7 @@ fn word_flip_matches_the_value_model() {
         b.halt_imm(0);
         let m = module_of(b, Module::new("w"));
         verify_module(&m).unwrap();
-        let sp = sequential(&m);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(1, 1));
         for width in [1u8, 2, 4] {
             for phase in 0..width {
                 for bit in [0u32, 1, 2, 31, 62, 63, 64, 100] {

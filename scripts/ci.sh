@@ -203,7 +203,8 @@ echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # kind through casted-client, assert the content-addressed cache
 # reports a hit for a repeated identical request, assert a
 # whitespace-edited inject (a reply-cache miss) is answered from the
-# section store with a byte-identical reply, cancel a streaming
+# section store with a byte-identical reply, check that an RBED inject
+# ends with the same tally plain and streamed, cancel a streaming
 # campaign mid-run, refuse a non-halting campaign target under the
 # server's cycle limit (plain and streamed), then shut down gracefully
 # — the server must drain and exit 0. Everything is local
@@ -269,6 +270,16 @@ if [ -z "$section_hits" ] || [ "$section_hits" -lt 1 ]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
+# RBED through both inject paths: the plain request, which the
+# section-store path hands to the standard engine, and the streamed
+# one must end with the same tally.
+"$client_bin" --addr "$addr" inject --file "$smoke_src" --scheme rbed --issue 2 --delay 2 \
+  --trials 60 --seed 0xCA57ED > "$log_dir/inject_rbed.out"
+"$client_bin" --addr "$addr" inject --file "$smoke_src" --scheme rbed --issue 2 --delay 2 \
+  --trials 60 --seed 0xCA57ED --stream --every 20 > "$log_dir/inject_rbed_stream.out"
+grep -q '^progress: ' "$log_dir/inject_rbed_stream.out"
+grep -v '^progress: ' "$log_dir/inject_rbed_stream.out" > "$log_dir/inject_rbed_final.out"
+cmp "$log_dir/inject_rbed.out" "$log_dir/inject_rbed_final.out"
 # Streaming: progress frames arrive and a cancel lands cleanly
 # mid-campaign (partial tally printed, connection healthy).
 "$client_bin" --addr "$addr" inject --file "$smoke_src" \
@@ -300,6 +311,6 @@ refuse_loop stream --stream --every 5
 "$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
 wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
 grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
-echo "serve smoke green (cache hits: $hits, section hits: $section_hits, stream cancelled cleanly, non-halting target refused, graceful exit 0)"
+echo "serve smoke green (cache hits: $hits, section hits: $section_hits, RBED plain == streamed, stream cancelled cleanly, non-halting target refused, graceful exit 0)"
 
 echo "tier-1 green"
