@@ -114,6 +114,37 @@ impl ScheduledProgram {
         }
     }
 
+    /// [`ScheduledProgram::sequential`], greedily packed on the main
+    /// cluster: consecutive instructions of a block share a bundle of up
+    /// to `width` while none reads a register an earlier one in the
+    /// bundle defines. Operands are read before any writeback (VLIW
+    /// parallel read), so the packing keeps the sequential schedule's
+    /// values and only moves the timing — and it puts several dynamic
+    /// instructions behind one bundle boundary.
+    pub fn packed(module: &Module, config: MachineConfig, width: usize) -> Self {
+        let mut sp = Self::sequential(module, config);
+        let func = module.entry_fn();
+        for sb in &mut sp.blocks {
+            let mut bundles: Vec<Bundle> = Vec::new();
+            let mut defs: Vec<Reg> = Vec::new();
+            for b in std::mem::take(&mut sb.bundles) {
+                let iid = b.slots[0][0];
+                let insn = func.insn(iid);
+                let joins = bundles.last().is_some_and(|last| {
+                    last.slots[0].len() < width && !insn.reg_uses().any(|r| defs.contains(&r))
+                });
+                if !joins {
+                    bundles.push(Bundle::empty(sp.config.clusters));
+                    defs.clear();
+                }
+                bundles.last_mut().unwrap().slots[0].push(iid);
+                defs.extend(insn.defs.iter().copied());
+            }
+            sb.bundles = bundles;
+        }
+        sp
+    }
+
     /// Cluster of a placed instruction.
     #[inline]
     pub fn cluster_of(&self, insn: InsnId) -> Option<Cluster> {

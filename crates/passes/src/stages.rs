@@ -27,9 +27,13 @@
 //! store sabotage tests, difftest oracle layer 9 and the ci.sh
 //! cold/warm byte-compare all enforce this.
 //!
-//! The MiniC front-end stages (`lexparse` → `sema` → `codegen`) that
-//! feed this module live one layer up, in `casted::stages` — this
-//! crate cannot see the front end, which is exactly what lets
+//! Every stage, here and in the front end, runs through one memo step,
+//! [`memo`]: load → decode (a hit) or compute → encode → save (a miss),
+//! then the digest of the payload bytes for the next key.
+//!
+//! The one MiniC front-end stage (`frontend`, source → canonical module)
+//! that feeds this module lives one layer up, in `casted::stages` —
+//! this crate cannot see the front end, which is exactly what lets
 //! `casted-difftest` drive these back-end stages from generated IR
 //! modules ([`prepare_staged`] is module-rooted: any canonical module
 //! digest works as the input key).
@@ -81,7 +85,7 @@ pub struct StageStats {
 impl StageStats {
     /// Record one stage consultation, mirroring it into the global
     /// `compile.stages.*` counters.
-    pub fn note(&mut self, hit: bool) {
+    fn note(&mut self, hit: bool) {
         self.total += 1;
         casted_obs::inc("compile.stages.total");
         if hit {
@@ -92,26 +96,46 @@ impl StageStats {
             casted_obs::inc("compile.stages.miss");
         }
     }
-
-    /// Fold another tally into this one.
-    pub fn merge(&mut self, other: StageStats) {
-        self.total += other.total;
-        self.hit += other.hit;
-        self.miss += other.miss;
-    }
 }
 
 /// Store load that meters the in-process front cache: a load answered
 /// from memory (no file I/O, no checksum re-verification) additionally
-/// bumps `compile.stages.mem_hit`. All staged-pipeline loads — front
-/// end and back end — go through here, so the counter is the proof
-/// that a long-lived host stops re-reading disk for hot artifacts.
-pub fn load_metered(store: &ArtifactStore, kind: &str, key: u64) -> Option<Vec<u8>> {
+/// bumps `compile.stages.mem_hit`, the proof that a long-lived host
+/// stops re-reading disk for hot artifacts.
+fn load_metered(store: &ArtifactStore, kind: &str, key: u64) -> Option<Vec<u8>> {
     let (payload, src) = store.load_traced(kind, key)?;
     if src == casted_util::store::LoadSource::Memory {
         casted_obs::inc("compile.stages.mem_hit");
     }
     Some(payload)
+}
+
+/// The one memo step every stage runs through, front end included:
+/// load the `kind` artifact under `key`; if it decodes, that is a hit.
+/// Otherwise `compute` the value, `encode` it and save it (store
+/// healing). Returns the value and the FNV-1a digest of its payload
+/// bytes, the input of the next stage's key. On `Err` nothing is
+/// saved, so a failing input is never cached.
+pub fn memo<T, E>(
+    store: &ArtifactStore,
+    kind: &str,
+    key: u64,
+    stats: &mut StageStats,
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+    compute: impl FnOnce() -> Result<T, E>,
+) -> Result<(T, u64), E> {
+    if let Some(payload) = load_metered(store, kind, key) {
+        if let Some(v) = decode(&payload) {
+            stats.note(true);
+            return Ok((v, fnv1a(&payload)));
+        }
+    }
+    stats.note(false);
+    let v = compute()?;
+    let payload = encode(&v);
+    let _ = store.save(kind, key, &payload);
+    Ok((v, fnv1a(&payload)))
 }
 
 /// Canonical content digest of a module — the module-rooted input key
@@ -375,8 +399,8 @@ fn run_sched_stage(
 
 /// Run the memoized back-end stage chain on a module whose canonical
 /// content digest is `input_digest` (use [`module_content_key`], or the
-/// digest of the codegen artifact when driven from the front end —
-/// they coincide, since the codegen artifact *is* the encoded module).
+/// digest of the front-end artifact when driven from source — they
+/// coincide, since the front-end artifact *is* the encoded module).
 ///
 /// Every stage is consulted in order; a verified artifact is a hit, a
 /// missing/damaged one is recomputed from the upstream value and
@@ -391,61 +415,33 @@ pub fn prepare_staged(
     opts: &PrepareOptions,
     stats: &mut StageStats,
 ) -> Result<Prepared, String> {
-    // --- stage: ed ---------------------------------------------------
-    let ed_key = ed_stage_key(input_digest, scheme, opts);
-    let mut ed_payload = load_metered(store, KIND_ED, ed_key);
-    let (ed_module, ed_stats) = match ed_payload.as_deref().and_then(decode_ed_artifact) {
-        Some(v) => {
-            stats.note(true);
-            v
-        }
-        None => {
-            stats.note(false);
-            let (m, st) = run_ed_stage(module, scheme, opts);
-            let payload = encode_ed_artifact(&m, &st);
-            let _ = store.save(KIND_ED, ed_key, &payload);
-            ed_payload = Some(payload);
-            (m, st)
-        }
-    };
-    let ed_digest = fnv1a(ed_payload.as_deref().expect("ed payload present"));
-
-    // --- stage: sched ------------------------------------------------
-    let sched_key = sched_stage_key(ed_digest, scheme, config, opts);
-    let mut sched_payload = load_metered(store, KIND_SCHED, sched_key);
-    let (sp, spilled) = match sched_payload
-        .as_deref()
-        .and_then(|b| decode_sched_artifact(b, config))
-    {
-        Some(v) => {
-            stats.note(true);
-            v
-        }
-        None => {
-            stats.note(false);
-            let (sp, spilled) = run_sched_stage(&ed_module, scheme, config, opts)?;
-            let payload = encode_sched_artifact(&sp, spilled);
-            let _ = store.save(KIND_SCHED, sched_key, &payload);
-            sched_payload = Some(payload);
-            (sp, spilled)
-        }
-    };
-    let sched_digest = fnv1a(sched_payload.as_deref().expect("sched payload present"));
-
-    // --- stage: ra ---------------------------------------------------
-    let ra_key = ra_stage_key(sched_digest);
-    let phys = match load_metered(store, KIND_RA, ra_key).as_deref().and_then(decode_ra_artifact) {
-        Some(v) => {
-            stats.note(true);
-            v
-        }
-        None => {
-            stats.note(false);
-            let phys = assign_physical(&sp)?;
-            let _ = store.save(KIND_RA, ra_key, &encode_ra_artifact(&phys));
-            phys
-        }
-    };
+    let ((ed_module, ed_stats), ed_digest) = memo(
+        store,
+        KIND_ED,
+        ed_stage_key(input_digest, scheme, opts),
+        stats,
+        decode_ed_artifact,
+        |(m, st)| encode_ed_artifact(m, st),
+        || Ok::<_, String>(run_ed_stage(module, scheme, opts)),
+    )?;
+    let ((sp, spilled), sched_digest) = memo(
+        store,
+        KIND_SCHED,
+        sched_stage_key(ed_digest, scheme, config, opts),
+        stats,
+        |b| decode_sched_artifact(b, config),
+        |(sp, spilled)| encode_sched_artifact(sp, *spilled),
+        || run_sched_stage(&ed_module, scheme, config, opts),
+    )?;
+    let (phys, _) = memo(
+        store,
+        KIND_RA,
+        ra_stage_key(sched_digest),
+        stats,
+        decode_ra_artifact,
+        encode_ra_artifact,
+        || assign_physical(&sp),
+    )?;
 
     Ok(Prepared {
         sp,

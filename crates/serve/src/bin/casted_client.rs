@@ -301,7 +301,7 @@ struct StagedBench {
 /// pipeline, cold (fresh artifact store, every stage misses) and warm
 /// (pre-warmed store, every stage hits). Both passes run the full
 /// source→scheduled-program chain; the warm pass replays the stored
-/// artifacts instead of re-running lex/parse/sema/codegen/ED/schedule/
+/// artifacts instead of re-running the front end, ED, schedule and
 /// regalloc, which is where the speedup comes from.
 fn bench_staged_compile(o: &Opts) -> Result<StagedBench, String> {
     use casted::ir::MachineConfig;

@@ -120,8 +120,8 @@ pub struct ServerConfig {
     /// set, every compile/simulate/inject miss runs its compile half
     /// through the memoized stage graph (`docs/PIPELINE.md`): a request
     /// for a program whose IR was already built under a *different*
-    /// (issue, delay) pair skips lex/parse/sema/codegen entirely and
-    /// restarts at the ED-transform. Replies are byte-identical to the
+    /// (issue, delay) pair skips the front end and the ED transform
+    /// and restarts at the schedule stage. Replies are byte-identical to the
     /// monolithic path (the stage-exactness guarantee), so the reply
     /// cache contract is unchanged. `None` (the default) compiles
     /// monolithically.

@@ -1067,7 +1067,7 @@ pub fn replay_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{looping_module, packed, result_eq};
+    use crate::testutil::looping_module;
     use casted_ir::{FunctionBuilder, MachineConfig, Module};
 
     /// Everything a capture hands the trials, in comparable form: each
@@ -1091,7 +1091,7 @@ mod tests {
             GoldenRun::run_with_stride(sp, program, u64::MAX, GRID_STATES, replay_detect, STRIDE)
         };
         let m = looping_module(30_000);
-        let sp = packed(&m, MachineConfig::itanium2_like(2, 2), 2);
+        let sp = ScheduledProgram::packed(&m, MachineConfig::itanium2_like(2, 2), 2);
         let golden = gridded(&sp, false);
         let n = golden.result.stats.dyn_insns;
         assert!(n > 8 * GRID_STATES as u64 * STRIDE, "{n} instructions");
@@ -1128,7 +1128,7 @@ mod tests {
                 .capture(&sp, sites, plan.cloned());
             let (a, b) = (trace_view(&restarted, &sp), trace_view(&contiguous, &sp));
             assert_eq!(a, b, "sites {sites:?}, RBED {}", plan.is_some());
-            assert!(result_eq(&restarted.result, &contiguous.result));
+            assert!(restarted.result.bit_identical(&contiguous.result));
             assert!(restarted.capture_insns() <= contiguous.capture_insns());
             skipped_any[plan.is_some() as usize] |=
                 restarted.capture_insns() < contiguous.capture_insns();
@@ -1202,7 +1202,7 @@ mod tests {
             match replay_trial(&t, inj, max_cycles, None, None) {
                 (TrialRun::Finished(r), skipped) => {
                     assert!(
-                        result_eq(&r, &scratch),
+                        r.bit_identical(&scratch),
                         "replay diverged from scratch at site {at}: {:?} vs {:?}",
                         r.stop,
                         scratch.stop

@@ -165,6 +165,20 @@ impl SimResult {
     pub fn cycles(&self) -> u64 {
         self.stats.cycles
     }
+
+    /// Bit-identical results: stop, injection flag, every statistic and
+    /// the output stream bit for bit.
+    pub fn bit_identical(&self, other: &SimResult) -> bool {
+        self.stop == other.stop
+            && self.injected == other.injected
+            && self.stats == other.stats
+            && self.stream.len() == other.stream.len()
+            && self
+                .stream
+                .iter()
+                .zip(&other.stream)
+                .all(|(x, y)| x.bit_eq(y))
+    }
 }
 
 /// Bulk-flush one finished run's counters into the global metrics

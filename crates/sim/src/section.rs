@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::{replay_trial, TrialRun};
     use crate::machine::{Injection, SimOptions};
-    use crate::testutil::{looping_module, result_eq};
+    use crate::testutil::looping_module;
     use casted_ir::{MachineConfig, Opcode};
 
     fn capture(sp: &ScheduledProgram) -> SectionCapture {
@@ -335,7 +335,7 @@ mod tests {
                 TrialRun::Finished(r) => {
                     arms[0] += 1;
                     assert!(visited.iter().next().is_some() || !r.injected);
-                    assert!(result_eq(&r, &scratch), "site {at}");
+                    assert!(r.bit_identical(&scratch), "site {at}");
                 }
                 TrialRun::Converged { corrections, at: d } => {
                     arms[1] += 1;
@@ -352,7 +352,7 @@ mod tests {
                     let (run, skipped) = replay_trial(&cap.trace, inj, max_cycles, None, None);
                     assert_eq!(skipped, sec.lo);
                     match run {
-                        TrialRun::Finished(r) => assert!(result_eq(&r, &scratch), "site {at}"),
+                        TrialRun::Finished(r) => assert!(r.bit_identical(&scratch), "site {at}"),
                         TrialRun::Converged { corrections, .. } => {
                             converged_like_scratch(corrections, &scratch, at)
                         }

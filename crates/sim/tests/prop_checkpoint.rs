@@ -20,8 +20,8 @@
 //! Driven by the in-repo harness (`casted_util::prop`).
 
 use casted_ir::testgen::{random_module, GenOptions};
-use casted_ir::vliw::{Bundle, ScheduledProgram};
-use casted_ir::{MachineConfig, Module};
+use casted_ir::vliw::ScheduledProgram;
+use casted_ir::MachineConfig;
 use casted_passes::{prepare, Scheme};
 use casted_sim::{
     golden_with_checkpoints, replay_trial, simulate_quiet, GoldenRun, Injection, SimOptions,
@@ -40,44 +40,6 @@ fn opts() -> GenOptions {
         inner_loops: 1,
         lib_calls: 1,
     }
-}
-
-/// Greedy packed schedule on cluster 0: consecutive instructions of a
-/// block share a bundle of up to `width` while none reads a register
-/// an earlier one in the bundle defines. Operands are read before any
-/// writeback (VLIW parallel read), so the packing keeps the sequential
-/// schedule's values and only moves the timing — and it puts several
-/// dynamic instructions behind one bundle boundary.
-fn packed(module: &Module, config: MachineConfig, width: usize) -> ScheduledProgram {
-    let mut sp = ScheduledProgram::sequential(module, config);
-    let func = module.entry_fn();
-    for sb in &mut sp.blocks {
-        let mut bundles: Vec<Bundle> = Vec::new();
-        let mut defs: Vec<casted_ir::Reg> = Vec::new();
-        for b in std::mem::take(&mut sb.bundles) {
-            let iid = b.slots[0][0];
-            let insn = func.insn(iid);
-            let joins = bundles.last().is_some_and(|last| {
-                last.slots[0].len() < width && !insn.reg_uses().any(|r| defs.contains(&r))
-            });
-            if !joins {
-                bundles.push(Bundle::empty(sp.config.clusters));
-                defs.clear();
-            }
-            bundles.last_mut().unwrap().slots[0].push(iid);
-            defs.extend(insn.defs.iter().copied());
-        }
-        sb.bundles = bundles;
-    }
-    sp
-}
-
-fn bit_identical(a: &SimResult, b: &SimResult) -> bool {
-    a.stop == b.stop
-        && a.injected == b.injected
-        && a.stats == b.stats
-        && a.stream.len() == b.stream.len()
-        && a.stream.iter().zip(&b.stream).all(|(x, y)| x.bit_eq(y))
 }
 
 fn random_config(rng: &mut casted_util::Rng) -> MachineConfig {
@@ -116,7 +78,7 @@ fn replay_is_bit_identical_to_scratch_run() {
             match replay_trial(&trace, inj, max_cycles, None, None) {
                 (TrialRun::Finished(r), skipped) => {
                     prop_assert!(
-                        bit_identical(&r, &scratch),
+                        r.bit_identical(&scratch),
                         "replay of at={at} bit={bit} diverged: {:?} vs scratch {:?}",
                         r.stop,
                         scratch.stop
@@ -188,7 +150,7 @@ fn tmr_replay_reports_the_full_runs_corrections() {
             );
             match replay_trial(&trace, inj, max_cycles, None, None) {
                 (TrialRun::Finished(r), _) => prop_assert!(
-                    bit_identical(&r, &scratch),
+                    r.bit_identical(&scratch),
                     "replay of site {at} diverged: {:?} vs scratch {:?}",
                     r.stop,
                     scratch.stop
@@ -222,7 +184,7 @@ fn resume_from_any_checkpoint_reproduces_golden_run() {
         match replay_trial(&trace, inj, golden.stats.cycles.saturating_mul(10), None, None) {
             (TrialRun::Finished(r), _) => {
                 prop_assert!(
-                    bit_identical(&r, &golden),
+                    r.bit_identical(&golden),
                     "uninjected resume diverged from the golden run: {:?} vs {:?}",
                     r.stop,
                     golden.stop
@@ -265,7 +227,7 @@ fn bundle_starts(sp: &ScheduledProgram) -> Vec<u64> {
 fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
     run_cases("capture_at_drawn_sites", 24, |rng| {
         let m = random_module(rng.gen_range(0..1u64 << 48), &opts());
-        let sp = packed(&m, random_config(rng), rng.gen_range(2..=4usize));
+        let sp = ScheduledProgram::packed(&m, random_config(rng), rng.gen_range(2..=4usize));
         let golden = GoldenRun::new(&sp, u64::MAX);
         let g = golden.result.clone();
         if !matches!(g.stop, casted_ir::interp::StopReason::Halt(_)) {
@@ -319,7 +281,7 @@ fn capture_at_drawn_sites_replays_exactly_and_restores_the_last_boundary() {
             }
             match run {
                 TrialRun::Finished(r) => prop_assert!(
-                    bit_identical(&r, &scratch),
+                    r.bit_identical(&scratch),
                     "replay of site {at} diverged: {:?} vs scratch {:?}",
                     r.stop,
                     scratch.stop

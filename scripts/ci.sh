@@ -162,10 +162,11 @@ echo "incremental cache byte-identical to reference, cold and warm ($warm_hits w
 echo "== staged compile pipeline: cold+warm byte-compare (offline) =="
 # Cold and warm castedc runs through the content-addressed artifact
 # store must print byte-identical output (the stage-exactness
-# guarantee, docs/PIPELINE.md); the warm run must answer all six
-# stages from the store, and a machine-config-only rerun must skip
-# the front end entirely (no frontend.* metric) while still hitting
-# lexparse/sema/codegen/ed.
+# guarantee, docs/PIPELINE.md); the warm run must answer all four
+# stages (frontend, ed, sched, ra) from the store, a machine-config-only
+# rerun must skip the front end entirely (no frontend.* metric) while
+# hitting exactly frontend and ed, and a newline edit must re-run only
+# the front end.
 staged_src="$log_dir/staged.mc"
 cat > "$staged_src" <<'EOF'
 fn main() { var s: int = 0; for i in 0..50 { s = s + i * i; } out(s); }
@@ -177,9 +178,12 @@ for pass in cold warm; do
     --metrics-counters "$log_dir/staged_$pass.json" > "$log_dir/staged_$pass.out"
 done
 cmp "$log_dir/staged_cold.out" "$log_dir/staged_warm.out"
-stage_hits="$(sed -n 's/.*"compile\.stages\.hit": \([0-9]*\).*/\1/p' "$log_dir/staged_warm.json")"
-if [ -z "$stage_hits" ] || [ "$stage_hits" -lt 6 ]; then
-  echo "warm staged compile expected 6 stage hits (got '${stage_hits:-none}')" >&2
+stage_hits() { # $1: metrics file
+  sed -n 's/.*"compile\.stages\.hit": \([0-9]*\).*/\1/p' "$1"
+}
+warm_stage_hits="$(stage_hits "$log_dir/staged_warm.json")"
+if [ "$warm_stage_hits" != 4 ]; then
+  echo "warm staged compile expected exactly 4 stage hits (got '${warm_stage_hits:-none}')" >&2
   exit 1
 fi
 cargo run --release --offline -q -p casted --bin castedc -- \
@@ -190,12 +194,26 @@ if grep -q '"frontend\.' "$log_dir/staged_cfg.json"; then
   echo "config-only rerun did front-end work" >&2
   exit 1
 fi
-cfg_hits="$(sed -n 's/.*"compile\.stages\.hit": \([0-9]*\).*/\1/p' "$log_dir/staged_cfg.json")"
-if [ -z "$cfg_hits" ] || [ "$cfg_hits" -lt 4 ]; then
-  echo "config-only rerun expected >=4 stage hits (got '${cfg_hits:-none}')" >&2
+cfg_hits="$(stage_hits "$log_dir/staged_cfg.json")"
+if [ "$cfg_hits" != 2 ]; then
+  echo "config-only rerun expected exactly 2 stage hits (got '${cfg_hits:-none}')" >&2
   exit 1
 fi
-echo "staged compile byte-identical cold and warm ($stage_hits warm stage hits, $cfg_hits after a config-only change)"
+# A newline appended in place (the file name is the module name, so
+# the path stays): the front end re-runs, the unchanged module keeps
+# ed, sched and ra warm, and the output is the cold run's.
+echo >> "$staged_src"
+cargo run --release --offline -q -p casted --bin castedc -- \
+  run "$staged_src" --scheme casted --issue 2 --delay 2 \
+  --artifact-cache "$log_dir/artifacts" \
+  --metrics-counters "$log_dir/staged_nl.json" > "$log_dir/staged_nl.out"
+cmp "$log_dir/staged_cold.out" "$log_dir/staged_nl.out"
+nl_hits="$(stage_hits "$log_dir/staged_nl.json")"
+if [ "$nl_hits" != 3 ]; then
+  echo "newline-edited rerun expected exactly 3 stage hits (got '${nl_hits:-none}')" >&2
+  exit 1
+fi
+echo "staged compile byte-identical cold and warm ($warm_stage_hits warm stage hits, $cfg_hits after a config-only change, $nl_hits after a newline edit)"
 
 echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # Start the service on an ephemeral loopback port with both on-disk

@@ -95,9 +95,9 @@ fn fresh_server_cold_path_reproduces_the_same_bytes() {
 }
 
 /// With `artifact_cache` set, two requests for the same source under
-/// *different* machine configs share the front-end artifacts: the
-/// second request re-enters the stage graph at the ED transform
-/// (nonzero `compile.stages.hit` over real TCP), and both replies are
+/// *different* machine configs share the front-end and ED artifacts:
+/// the second request re-enters the stage graph at the schedule stage
+/// (exactly two more `compile.stages.hit` over real TCP), and both replies are
 /// byte-identical to a fresh, cacheless server's cold path.
 #[test]
 fn artifact_cache_shares_frontend_work_across_machine_configs() {
@@ -140,9 +140,10 @@ fn artifact_cache_shares_frontend_work_across_machine_configs() {
     let r1 = client.request_raw(&encode_request(&simulate(2, 2))).unwrap();
     let r2 = client.request_raw(&encode_request(&simulate(4, 1))).unwrap();
     let after = stage_hits(&mut client);
-    assert!(
-        after >= before + 4,
-        "second machine config must hit lexparse/sema/codegen/ed \
+    assert_eq!(
+        after,
+        before + 2,
+        "second machine config must hit exactly frontend and ed \
          (compile.stages.hit went {before} -> {after})"
     );
     cached.shutdown();
