@@ -162,6 +162,12 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    // The module is named by the file stem, not the path: the name is
+    // part of the encoded module, so the same source under two paths
+    // then shares every stage artifact.
+    let name = std::path::Path::new(&args.file)
+        .file_stem()
+        .map_or(args.file.clone(), |s| s.to_string_lossy().into_owned());
     let pipeline = match &args.artifact_cache {
         Some(dir) => match casted::stages::ArtifactPipeline::open(std::path::Path::new(dir)) {
             Ok(p) => Some(p),
@@ -183,7 +189,7 @@ fn main() -> ExitCode {
         let module = match &pipeline {
             Some(p) => {
                 let mut stats = casted::passes::stages::StageStats::default();
-                match p.compile(&args.file, &source, &mut stats) {
+                match p.compile(&name, &source, &mut stats) {
                     Ok((m, _digest)) => m,
                     Err(casted::stages::StagedError::Frontend(diags)) => return report_diags(diags),
                     Err(casted::stages::StagedError::Backend(e)) => {
@@ -192,7 +198,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            None => match casted::compile(&args.file, &source) {
+            None => match casted::compile(&name, &source) {
                 Ok(m) => m,
                 Err(diags) => return report_diags(diags),
             },
@@ -205,7 +211,7 @@ fn main() -> ExitCode {
     let mut config = MachineConfig::itanium2_like(args.issue, args.delay);
     config.clusters = args.clusters;
     let prep = match &pipeline {
-        Some(p) => match p.prepare(&args.file, &source, args.scheme, &config) {
+        Some(p) => match p.prepare(&name, &source, args.scheme, &config) {
             Ok((prep, _stats)) => prep,
             Err(casted::stages::StagedError::Frontend(diags)) => return report_diags(diags),
             Err(casted::stages::StagedError::Backend(e)) => {
@@ -214,7 +220,7 @@ fn main() -> ExitCode {
             }
         },
         None => {
-            let module = match casted::compile(&args.file, &source) {
+            let module = match casted::compile(&name, &source) {
                 Ok(m) => m,
                 Err(diags) => return report_diags(diags),
             };

@@ -6,8 +6,12 @@
 //! draws its inputs from a deterministic per-case RNG, so the whole
 //! file is bit-reproducible with no registry dependencies.
 
+use std::collections::HashSet;
+
+use casted_ir::liveness::{set_slots, Liveness};
 use casted_ir::testgen::{random_module, GenOptions};
-use casted_ir::{dfg::BlockDfg, interp, liveness::Liveness, LatencyConfig};
+use casted_ir::vliw::ScheduledProgram;
+use casted_ir::{dfg::BlockDfg, interp, BlockId, Function, LatencyConfig, MachineConfig, Reg};
 use casted_util::prop::run_cases;
 use casted_util::{prop_assert, prop_assert_eq};
 
@@ -69,22 +73,95 @@ fn dfg_edges_are_forward_and_heights_monotone() {
     });
 }
 
+/// The registers set in `bits`.
+fn regs(live: &Liveness, bits: &[u64]) -> HashSet<Reg> {
+    set_slots(bits).map(|s| live.layout.reg(s)).collect()
+}
+
 #[test]
 fn liveness_no_dead_values_at_exit() {
     run_cases("liveness_no_dead_values_at_exit", 48, |rng| {
         let m = random_module(rng.next_u64(), &opts());
         let f = m.entry_fn();
-        let live = Liveness::analyze(f);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let live = Liveness::of_schedule(&sp);
         // A block ending in halt has empty live-out.
         for (bid, block) in f.iter_blocks() {
             let last = *block.insns.last().unwrap();
             if f.insn(last).op == casted_ir::Opcode::Halt {
-                prop_assert!(live.live_out[bid.index()].is_empty());
+                prop_assert!(regs(&live, live.live_out(bid)).is_empty());
             }
             // Every live-in register of a reachable block is of a
             // valid allocated index.
-            for r in &live.live_in[bid.index()] {
+            for r in regs(&live, live.live_in(bid)) {
                 prop_assert!(r.index < f.reg_count(r.class));
+            }
+        }
+        Ok(())
+    });
+}
+
+/// Classic backward liveness over the source block order, on hash
+/// sets: the oracle the schedule-order bitset analysis must match.
+/// Returns `(live_in, live_out)` per block.
+#[allow(clippy::type_complexity)]
+fn source_order_liveness(func: &Function) -> (Vec<HashSet<Reg>>, Vec<HashSet<Reg>>) {
+    let n = func.blocks.len();
+    let mut use_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut def_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    for (bid, block) in func.iter_blocks() {
+        let (u, d) = (&mut use_set[bid.index()], &mut def_set[bid.index()]);
+        for &iid in &block.insns {
+            let insn = func.insn(iid);
+            for r in insn.reg_uses() {
+                if !d.contains(&r) {
+                    u.insert(r);
+                }
+            }
+            d.extend(insn.defs.iter().copied());
+        }
+    }
+    let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..n).rev() {
+            let mut out: HashSet<Reg> = HashSet::new();
+            for s in func.successors(BlockId(i as u32)) {
+                out.extend(live_in[s.index()].iter().copied());
+            }
+            let mut inn = use_set[i].clone();
+            inn.extend(out.iter().filter(|r| !def_set[i].contains(r)));
+            if out != live_out[i] {
+                live_out[i] = out;
+                changed = true;
+            }
+            if inn != live_in[i] {
+                live_in[i] = inn;
+                changed = true;
+            }
+        }
+    }
+    (live_in, live_out)
+}
+
+#[test]
+fn schedule_liveness_matches_source_order() {
+    run_cases("schedule_liveness_matches_source_order", 48, |rng| {
+        let m = random_module(rng.next_u64(), &opts());
+        let (want_in, want_out) = source_order_liveness(m.entry_fn());
+        let config = MachineConfig::perfect_memory(2, 1);
+        let width = rng.gen_range(2usize..5);
+        for sp in [
+            ScheduledProgram::sequential(&m, config.clone()),
+            ScheduledProgram::packed(&m, config.clone(), width),
+        ] {
+            let live = Liveness::of_schedule(&sp);
+            for b in 0..sp.blocks.len() {
+                let bid = BlockId(b as u32);
+                prop_assert_eq!(regs(&live, live.live_in(bid)), want_in[b]);
+                prop_assert_eq!(regs(&live, live.live_out(bid)), want_out[b]);
             }
         }
         Ok(())

@@ -43,17 +43,16 @@ pub fn assign_physical(sp: &ScheduledProgram) -> Result<PhysAssignment, String> 
         peak: vec![[0; 3]; sp.config.clusters],
     };
 
-    // Group intervals by (home cluster, class).
-    let mut groups: HashMap<(usize, usize), Vec<Interval>> = HashMap::new();
+    // Group intervals by (home cluster, class), walked in that order
+    // so an overflow always names the same group.
+    let mut groups: Vec<Vec<Interval>> = vec![Vec::new(); sp.config.clusters * 3];
     for iv in ivs {
         let c = sp.home_of(iv.reg).index();
-        groups
-            .entry((c, iv.reg.class.index()))
-            .or_default()
-            .push(iv);
+        groups[c * 3 + iv.reg.class.index()].push(iv);
     }
 
-    for ((cluster, class_idx), mut group) in groups {
+    for (g, mut group) in groups.into_iter().enumerate() {
+        let (cluster, class_idx) = (g / 3, g % 3);
         let class = RegClass::ALL[class_idx];
         let limit = class.file_size() as u32;
         group.sort_by_key(|iv| (iv.start, iv.end));
@@ -89,7 +88,7 @@ pub fn assign_physical(sp: &ScheduledProgram) -> Result<PhysAssignment, String> 
 mod tests {
     use super::*;
     use crate::schedule::{schedule_function, Placement};
-    use casted_ir::{Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
+    use casted_ir::{CmpKind, Cluster, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
 
     fn module_with_values(k: usize) -> Module {
         // Def chain consumed in reverse: pressure = k at the crossover
@@ -150,6 +149,37 @@ mod tests {
         let sp = schedule_function(&m, &cfg, Placement::AllOn(Cluster::MAIN));
         let err = assign_physical(&sp).unwrap_err();
         assert!(err.contains("overflow"));
+    }
+
+    #[test]
+    fn overflow_names_the_first_group_in_cluster_class_order() {
+        // 80 predicates live at once, 40 homed on each cluster: both
+        // clusters' 32-entry PR files overflow, and the error must
+        // name cluster 0 every time.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new("main");
+        let x = b.imm(1);
+        let preds: Vec<Reg> = (0..80)
+            .map(|i| b.cmp(CmpKind::Lt, Operand::Reg(x), Operand::Imm(i)))
+            .collect();
+        let mut acc = b.imm(0);
+        for p in preds.iter().rev() {
+            acc = b.binop(Opcode::Add, Operand::Reg(acc), Operand::Reg(*p));
+        }
+        b.out(Operand::Reg(acc));
+        b.halt_imm(0);
+        let id = m.add_function(b.finish());
+        m.entry = Some(id);
+        let mut sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(2, 1));
+        for &p in &preds[40..] {
+            sp.home.insert(p, Cluster(1));
+        }
+        for _ in 0..8 {
+            assert_eq!(
+                assign_physical(&sp).unwrap_err(),
+                "register file overflow: cluster 0 class pr needs more than 32 registers"
+            );
+        }
     }
 
     #[test]

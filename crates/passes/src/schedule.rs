@@ -113,10 +113,6 @@ impl Reservation {
         lane[cycle as usize] += 1;
         debug_assert!(lane[cycle as usize] <= self.width);
     }
-
-    fn load(&self, c: Cluster) -> u32 {
-        self.used[c.index()].iter().sum()
-    }
 }
 
 /// Cross-block placement hints harvested from a previous scheduling
@@ -347,10 +343,10 @@ fn schedule_once(
             };
 
             // Completion-cycle heuristic per candidate cluster:
-            // (penalized completion, cross reads, load, cluster) is the
+            // (penalized completion, cross reads, cluster) is the
             // comparison key; the raw issue cycle rides along for the
             // reservation.
-            let mut best: Option<((u32, u32, Cluster, u32), u32)> = None;
+            let mut best: Option<((u32, u32, Cluster), u32)> = None;
             for c in candidates {
                 let mut earliest = tail.saturating_sub(HOIST_WINDOW);
                 let mut cross_reads = 0u32;
@@ -398,18 +394,20 @@ fn schedule_once(
                     }
                 }
                 let t = res.first_free(c, earliest);
-                // Tie-break: issue cycle, then fewer cross-cluster
-                // reads, then the lower cluster. Preferring the lower
-                // cluster on full ties makes the adaptive placement
+                // Key: penalized completion, then fewer cross-cluster
+                // reads, then the lower cluster (the candidates are
+                // distinct clusters, so the cluster settles every tie).
+                // Preferring the lower cluster when completion and
+                // cross reads tie makes the adaptive placement
                 // degenerate to the single-cluster (SCED-like) layout
                 // when spreading buys nothing — splitting only happens
                 // when it actually improves the completion cycle.
-                let key = (t + def_penalty, cross_reads, c, res.load(c));
+                let key = (t + def_penalty, cross_reads, c);
                 if best.map(|(bk, _)| key < bk).unwrap_or(true) {
                     best = Some((key, t));
                 }
             }
-            let ((_, _, c, _), t) = best.expect("no candidate cluster");
+            let ((_, _, c), t) = best.expect("no candidate cluster");
             res.reserve(c, t);
             tail = tail.max(t);
             cycle_of[node] = Some(t);

@@ -8,9 +8,10 @@
 //!
 //! Strategy: after scheduling, compute one conservative live *interval*
 //! per virtual register over the linearized schedule (block layout
-//! order × bundle cycle). A register's pressure contribution is charged
-//! to its **home cluster** (the cluster whose register file holds it).
-//! While any (cluster, class) pressure exceeds the file size, the
+//! order × bundle cycle), its cross-block extent taken from the
+//! schedule-order liveness in `casted_ir::liveness`. A register's
+//! pressure contribution is charged to its **home cluster** (the
+//! cluster whose register file holds it). While any (cluster, class) pressure exceeds the file size, the
 //! longest-interval registers of that group are spilled to dedicated
 //! static slots — store after every definition, reload before every
 //! use — and the function is rescheduled. Interval-overlap pressure is
@@ -18,10 +19,8 @@
 //! uses, so once pressure fits, physical assignment is guaranteed to
 //! succeed.
 
-use std::collections::HashMap;
-
 use casted_ir::func::GlobalClass;
-use casted_ir::liveness::Liveness;
+use casted_ir::liveness::{set_slots, Liveness};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{Insn, Module, Opcode, Operand, Provenance, Reg, RegClass};
 
@@ -37,63 +36,58 @@ pub struct Interval {
 }
 
 /// Compute conservative intervals for every register placed in the
-/// schedule. Cross-block liveness extends an interval over the whole
-/// body of every block where the register is live-in or live-out.
+/// schedule, in `Reg` order. Cross-block liveness extends an interval
+/// over the whole body of every block where the register is live-in or
+/// live-out. The order makes every downstream consumer (spill choice
+/// tie-breaks, linear-scan assignment) a pure function of the
+/// schedule: the memoized stage pipeline (`stages.rs`) relies on a
+/// replayed `ra` artifact equalling a fresh `assign_physical` run
+/// byte-for-byte.
 pub fn intervals(sp: &ScheduledProgram) -> Vec<Interval> {
     let func = sp.module.entry_fn();
-    let live = Liveness::analyze(func);
+    let live = Liveness::of_schedule(sp);
+    let layout = live.layout;
 
-    // Linear position base of each block.
-    let mut base = vec![0u32; func.blocks.len()];
-    let mut pos = 0u32;
-    for sb in &sp.blocks {
-        base[sb.block.index()] = pos;
-        pos += sb.length().max(1) as u32;
-    }
-    let total = pos;
-
-    let mut range: HashMap<Reg, (u32, u32)> = HashMap::new();
-    let touch = |r: Reg, p: u32, range: &mut HashMap<Reg, (u32, u32)>| {
-        let e = range.entry(r).or_insert((p, p));
+    // `(start, end)` per register slot; `start > end` marks a register
+    // the schedule never touches.
+    let mut range = vec![(u32::MAX, 0u32); layout.len()];
+    let mut touch = |slot: u32, p: u32| {
+        let e = &mut range[slot as usize];
         e.0 = e.0.min(p);
         e.1 = e.1.max(p);
     };
-
+    // Linear position of the current block's first cycle.
+    let mut base = 0u32;
     for sb in &sp.blocks {
-        let b = sb.block.index();
         for (cycle, bundle) in sb.bundles.iter().enumerate() {
-            let p = base[b] + cycle as u32;
+            let p = base + cycle as u32;
             for (_, iid) in bundle.iter() {
                 let insn = func.insn(iid);
-                for r in insn.reg_uses() {
-                    touch(r, p, &mut range);
-                }
-                for &r in &insn.defs {
-                    touch(r, p, &mut range);
+                for r in insn.reg_uses().chain(insn.defs.iter().copied()) {
+                    touch(layout.slot(r), p);
                 }
             }
         }
-        let b_start = base[b];
-        let b_end = base[b] + (sb.length().max(1) as u32 - 1);
-        for &r in &live.live_in[b] {
-            touch(r, b_start, &mut range);
+        let end = base + sb.length().max(1) as u32 - 1;
+        for slot in set_slots(live.live_in(sb.block)) {
+            touch(slot, base);
         }
-        for &r in &live.live_out[b] {
-            touch(r, b_end, &mut range);
+        for slot in set_slots(live.live_out(sb.block)) {
+            touch(slot, end);
         }
+        base = end + 1;
     }
-    let _ = total;
-    let mut ivs: Vec<Interval> = range
+    // Slots number registers in `Reg` order, so the table is sorted.
+    range
         .into_iter()
-        .map(|(reg, (start, end))| Interval { reg, start, end })
-        .collect();
-    // HashMap iteration order is per-instance random; canonicalize so
-    // every downstream consumer (spill choice tie-breaks, linear-scan
-    // assignment) is a pure function of the schedule. The memoized
-    // stage pipeline (`stages.rs`) relies on this: a replayed `ra`
-    // artifact must equal a fresh `assign_physical` run byte-for-byte.
-    ivs.sort_unstable_by_key(|iv| iv.reg);
-    ivs
+        .enumerate()
+        .filter(|&(_, (start, end))| start <= end)
+        .map(|(slot, (start, end))| Interval {
+            reg: layout.reg(slot as u32),
+            start,
+            end,
+        })
+        .collect()
 }
 
 /// Maximum simultaneous interval overlap per (cluster, register class).

@@ -114,11 +114,12 @@
 use std::collections::HashMap;
 
 use casted_ir::interp::OutVal;
+use casted_ir::liveness::{set_slots, Liveness};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{BlockId, Reg, RegClass};
 use casted_util::hash::Fnv64;
 
-use crate::decode::{DecodedProgram, WordOp};
+use crate::decode::DecodedProgram;
 use crate::machine::{
     run_golden, run_machine, Boundary, Injection, MachineState, SimOptions, SimResult,
 };
@@ -234,80 +235,19 @@ impl LiveMask {
     }
 }
 
-/// Backward liveness at block entries, computed **over the scheduled
-/// bundles** rather than the source block order: scheduling permutes
-/// instructions within a block, so the upward-exposed-use sets can
-/// differ from the `casted_ir::liveness` view, and soundness here
-/// needs the order the simulator actually executes. Within a bundle,
-/// all operand reads happen before all writebacks (VLIW parallel
-/// read), so a register used and defined in the same bundle counts as
-/// upward-exposed.
-pub(crate) fn live_in_masks(sp: &ScheduledProgram, dp: &DecodedProgram) -> Vec<LiveMask> {
+/// The live-in masks of every scheduled block, from the back end's
+/// one liveness analysis ([`Liveness::of_schedule`]). It runs over
+/// the scheduled bundles in the order the simulator executes them,
+/// reads before writes within a bundle, so a register a fingerprint
+/// masks out is one no execution from that block entry can read.
+pub(crate) fn live_in_masks(sp: &ScheduledProgram) -> Vec<LiveMask> {
     let func = sp.module.entry_fn();
-    let n = dp.block_count();
-    // Per-block bitsets over register slots, `words` words each.
-    let words = dp.layout.len().div_ceil(64);
-    let bit = |slot: u32| (slot as usize / 64, 1u64 << (slot % 64));
-    let mut use_set = vec![0u64; n * words];
-    let mut def_set = vec![0u64; n * words];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        let u = &mut use_set[i * words..(i + 1) * words];
-        let d = &mut def_set[i * words..(i + 1) * words];
-        for bundle in dp.block(BlockId(i as u32)) {
-            for &(r, _) in dp.stalls(bundle) {
-                let (w, b) = bit(r);
-                if d[w] & b == 0 {
-                    u[w] |= b;
-                }
-            }
-            for op in dp.ops(bundle) {
-                if let Some(r) = op.def {
-                    let (w, b) = bit(r);
-                    d[w] |= b;
-                }
-                if matches!(op.word_op, WordOp::Br | WordOp::BrCond) {
-                    for t in [op.target, op.target2].into_iter().flatten() {
-                        if !succs[i].contains(&t.index()) {
-                            succs[i].push(t.index());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let mut live_in = use_set.clone();
-    let mut inn = vec![0u64; words];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            inn.copy_from_slice(&use_set[i * words..(i + 1) * words]);
-            for &s in &succs[i] {
-                let (out, def) = (&live_in[s * words..(s + 1) * words], &def_set[i * words..]);
-                for w in 0..words {
-                    inn[w] |= out[w] & !def[w];
-                }
-            }
-            let cur = &mut live_in[i * words..(i + 1) * words];
-            if *cur != *inn {
-                cur.copy_from_slice(&inn);
-                changed = true;
-            }
-        }
-    }
-
-    (0..n)
-        .map(|i| {
-            let set = &live_in[i * words..(i + 1) * words];
+    let live = Liveness::of_schedule(sp);
+    (0..sp.blocks.len() as u32)
+        .map(|b| {
             let mut m = LiveMask::sized(func);
-            for (w, &word) in set.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    m.insert(dp.layout.reg((w * 64) as u32 + word.trailing_zeros()));
-                    word &= word - 1;
-                }
+            for slot in set_slots(live.live_in(BlockId(b))) {
+                m.insert(live.layout.reg(slot));
             }
             m
         })
@@ -541,7 +481,7 @@ impl CampaignProgram {
     /// Decode `sp` and compute its block live-in masks.
     pub fn new(sp: &ScheduledProgram) -> Self {
         let decoded = DecodedProgram::new(sp);
-        let live = live_in_masks(sp, &decoded);
+        let live = live_in_masks(sp);
         CampaignProgram { decoded, live }
     }
 }

@@ -8,13 +8,14 @@
 //! that every cycle costs more than executing the bundle.
 //! [`DecodedProgram`] resolves it once, in O(static instructions), and
 //! is the only place in the simulator that knows the IR's value
-//! classes. The cycle loop (`machine::run_machine`) and the
-//! scheduled-code liveness walk iterate only these arrays:
+//! classes. The cycle loop (`machine::run_machine`) iterates only
+//! these arrays:
 //!
 //! * **Register slots.** Every virtual register is one index into the
-//!   machine's flat word file, [`SlotLayout`]: the Gp registers first,
-//!   then Fp, then Pr. A slot holds a raw `u64` word: an integer's
-//!   bits, a float's IEEE bits, or a predicate as 0/1.
+//!   machine's flat word file, [`SlotLayout`] (the back end's
+//!   liveness numbering): the Gp registers first, then Fp, then Pr.
+//!   A slot holds a raw `u64` word: an integer's bits, a float's IEEE
+//!   bits, or a predicate as 0/1.
 //! * **Constant slots.** Each `Imm`/`FImm` operand becomes an index
 //!   past the last register slot, naming its word in the program's
 //!   constant table. An operand read is one index either way
@@ -41,63 +42,9 @@
 //! are exactly what the state digests hash, so fingerprints are too.
 
 use casted_ir::vliw::ScheduledProgram;
-use casted_ir::{BlockId, Cluster, CmpKind, Function, InsnId, Opcode, Operand, Reg, RegClass};
+use casted_ir::{BlockId, Cluster, CmpKind, InsnId, Opcode, Operand, RegClass};
 
-/// Where each register class starts in the flat word file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct SlotLayout {
-    /// Start of each class in `RegClass::index` order, then the total.
-    base: [u32; 4],
-}
-
-impl SlotLayout {
-    pub(crate) fn of(func: &Function) -> Self {
-        let mut base = [0u32; 4];
-        for class in RegClass::ALL {
-            base[class.index() + 1] = base[class.index()] + func.reg_count(class);
-        }
-        SlotLayout { base }
-    }
-
-    /// Number of register slots.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.base[3] as usize
-    }
-
-    /// The slot of `r`.
-    #[inline]
-    pub(crate) fn slot(&self, r: Reg) -> u32 {
-        debug_assert!(r.index < self.base[r.class.index() + 1] - self.base[r.class.index()]);
-        self.base[r.class.index()] + r.index
-    }
-
-    /// The slot of `class` register `index`.
-    #[inline]
-    pub(crate) fn class_slot(&self, class: RegClass, index: u32) -> usize {
-        (self.base[class.index()] + index) as usize
-    }
-
-    /// The register held in `slot`.
-    pub(crate) fn reg(&self, slot: u32) -> Reg {
-        let class = RegClass::ALL
-            .into_iter()
-            .rfind(|c| slot >= self.base[c.index()])
-            .expect("slot past the Gp base");
-        Reg::new(class, slot - self.base[class.index()])
-    }
-
-    /// Bit width of the register in `slot`: the fault model flips one
-    /// of these bits.
-    #[inline]
-    pub(crate) fn bits(&self, slot: u32) -> u32 {
-        if slot >= self.base[RegClass::Pr.index()] {
-            RegClass::Pr.bits()
-        } else {
-            RegClass::Gp.bits()
-        }
-    }
-}
+pub(crate) use casted_ir::liveness::SlotLayout;
 
 /// What an instruction computes on register words, its operand
 /// classes already resolved (see the module docs).
@@ -333,11 +280,6 @@ impl DecodedProgram {
             Some(&w) => w,
             None => self.consts[o as usize - regs.len()],
         }
-    }
-
-    /// Number of scheduled blocks.
-    pub(crate) fn block_count(&self) -> usize {
-        self.block_start.len() - 1
     }
 
     /// The bundles of block `b`, in issue order.

@@ -162,8 +162,9 @@ echo "incremental cache byte-identical to reference, cold and warm ($warm_hits w
 echo "== staged compile pipeline: cold+warm byte-compare (offline) =="
 # Cold and warm castedc runs through the content-addressed artifact
 # store must print byte-identical output (the stage-exactness
-# guarantee, docs/PIPELINE.md); the warm run must answer all four
-# stages (frontend, ed, sched, ra) from the store, a machine-config-only
+# guarantee, docs/PIPELINE.md); the warm run and a run of a copy in
+# another directory must answer all four stages (frontend, ed, sched,
+# ra) from the store, a machine-config-only
 # rerun must skip the front end entirely (no frontend.* metric) while
 # hitting exactly frontend and ed, and a newline edit must re-run only
 # the front end.
@@ -186,6 +187,21 @@ if [ "$warm_stage_hits" != 4 ]; then
   echo "warm staged compile expected exactly 4 stage hits (got '${warm_stage_hits:-none}')" >&2
   exit 1
 fi
+# The same file under another directory: the module is named by the
+# file stem, not the path, so every stage answers from the store and
+# the output is the cold run's.
+mkdir -p "$log_dir/copy"
+cp "$staged_src" "$log_dir/copy/staged.mc"
+cargo run --release --offline -q -p casted --bin castedc -- \
+  run "$log_dir/copy/staged.mc" --scheme casted --issue 2 --delay 2 \
+  --artifact-cache "$log_dir/artifacts" \
+  --metrics-counters "$log_dir/staged_copy.json" > "$log_dir/staged_copy.out"
+cmp "$log_dir/staged_cold.out" "$log_dir/staged_copy.out"
+copy_hits="$(stage_hits "$log_dir/staged_copy.json")"
+if [ "$copy_hits" != 4 ]; then
+  echo "copied-file rerun expected exactly 4 stage hits (got '${copy_hits:-none}')" >&2
+  exit 1
+fi
 cargo run --release --offline -q -p casted --bin castedc -- \
   run "$staged_src" --scheme casted --issue 4 --delay 1 \
   --artifact-cache "$log_dir/artifacts" \
@@ -199,9 +215,8 @@ if [ "$cfg_hits" != 2 ]; then
   echo "config-only rerun expected exactly 2 stage hits (got '${cfg_hits:-none}')" >&2
   exit 1
 fi
-# A newline appended in place (the file name is the module name, so
-# the path stays): the front end re-runs, the unchanged module keeps
-# ed, sched and ra warm, and the output is the cold run's.
+# A newline appended in place: the front end re-runs, the unchanged
+# module keeps ed, sched and ra warm, and the output is the cold run's.
 echo >> "$staged_src"
 cargo run --release --offline -q -p casted --bin castedc -- \
   run "$staged_src" --scheme casted --issue 2 --delay 2 \
@@ -213,7 +228,7 @@ if [ "$nl_hits" != 3 ]; then
   echo "newline-edited rerun expected exactly 3 stage hits (got '${nl_hits:-none}')" >&2
   exit 1
 fi
-echo "staged compile byte-identical cold and warm ($warm_stage_hits warm stage hits, $cfg_hits after a config-only change, $nl_hits after a newline edit)"
+echo "staged compile byte-identical cold and warm ($warm_stage_hits warm stage hits, $copy_hits from another directory, $cfg_hits after a config-only change, $nl_hits after a newline edit)"
 
 echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # Start the service on an ephemeral loopback port with both on-disk

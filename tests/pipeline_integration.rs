@@ -2,8 +2,14 @@
 //! placement/scheduling → spilling → register validation → simulation,
 //! cross-checked against the reference interpreter.
 
+use std::collections::{HashMap, HashSet};
+
 use casted::ir::interp::{self, StopReason};
-use casted::ir::{MachineConfig, RegClass};
+use casted::ir::vliw::ScheduledProgram;
+use casted::ir::{BlockId, MachineConfig, Reg, RegClass};
+use casted::passes::spill::{intervals, Interval};
+use casted::sim::{block_validation_hashes, CampaignProgram};
+use casted::util::hash::Fnv64;
 use casted::Scheme;
 
 /// Every benchmark, every scheme: the simulated output stream must be
@@ -134,4 +140,114 @@ fn dyn_insn_counts_match_interpreter() {
     let prep = casted::build(&module, Scheme::Noed, &cfg).unwrap();
     let r = casted::measure(&prep);
     assert_eq!(r.stats.dyn_insns, golden.dyn_insns);
+}
+
+/// Live intervals as the back end computed them before its liveness
+/// became one dense analysis over the schedule: source-order liveness
+/// on hash sets, a `HashMap` of ranges, then a sort. The oracle
+/// `casted::passes::spill::intervals` must match exactly.
+fn hash_map_intervals(sp: &ScheduledProgram) -> Vec<Interval> {
+    let func = sp.module.entry_fn();
+    let n = func.blocks.len();
+    let mut use_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut def_set: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    for (bid, block) in func.iter_blocks() {
+        let (u, d) = (&mut use_set[bid.index()], &mut def_set[bid.index()]);
+        for &iid in &block.insns {
+            let insn = func.insn(iid);
+            u.extend(insn.reg_uses().filter(|r| !d.contains(r)));
+            d.extend(insn.defs.iter().copied());
+        }
+    }
+    let mut live_in: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut live_out: Vec<HashSet<Reg>> = vec![HashSet::new(); n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..n).rev() {
+            let mut out = HashSet::new();
+            for s in func.successors(BlockId(i as u32)) {
+                out.extend(live_in[s.index()].iter().copied());
+            }
+            let mut inn = use_set[i].clone();
+            inn.extend(out.iter().filter(|r| !def_set[i].contains(r)));
+            changed |= out != live_out[i] || inn != live_in[i];
+            live_out[i] = out;
+            live_in[i] = inn;
+        }
+    }
+
+    let mut range: HashMap<Reg, (u32, u32)> = HashMap::new();
+    let mut touch = |r: Reg, p: u32| {
+        let e = range.entry(r).or_insert((p, p));
+        e.0 = e.0.min(p);
+        e.1 = e.1.max(p);
+    };
+    let mut base = 0u32;
+    for sb in &sp.blocks {
+        let b = sb.block.index();
+        for (cycle, bundle) in sb.bundles.iter().enumerate() {
+            for (_, iid) in bundle.iter() {
+                let insn = func.insn(iid);
+                for r in insn.reg_uses().chain(insn.defs.iter().copied()) {
+                    touch(r, base + cycle as u32);
+                }
+            }
+        }
+        let end = base + sb.length().max(1) as u32 - 1;
+        live_in[b].iter().for_each(|&r| touch(r, base));
+        live_out[b].iter().for_each(|&r| touch(r, end));
+        base = end + 1;
+    }
+    let mut ivs: Vec<Interval> = range
+        .into_iter()
+        .map(|(reg, (start, end))| Interval { reg, start, end })
+        .collect();
+    ivs.sort_unstable_by_key(|iv| iv.reg);
+    ivs
+}
+
+/// The dense schedule-order intervals equal the hash-map construction
+/// on every kernel and scheme over three machine shapes.
+#[test]
+fn dense_intervals_match_the_hash_map_construction() {
+    let mut compared = 0;
+    for w in casted_workloads::all() {
+        let module = w.compile().unwrap();
+        for scheme in Scheme::FULL {
+            for (issue, delay) in [(1, 1), (2, 2), (4, 4)] {
+                let cfg = MachineConfig::itanium2_like(issue, delay);
+                // TMRED on 175.vpr at issue 4 overflows the register
+                // files and does not prepare.
+                let Ok(prep) = casted::build(&module, scheme, &cfg) else {
+                    continue;
+                };
+                assert_eq!(
+                    intervals(&prep.sp),
+                    hash_map_intervals(&prep.sp),
+                    "{} {scheme} issue {issue} delay {delay}",
+                    w.name
+                );
+                compared += 1;
+            }
+        }
+    }
+    assert!(compared >= 125, "only {compared} of 126 programs prepared");
+}
+
+/// The section store's validation hashes of one program, pinned: a
+/// change to the live-in masks (or to the code hash) re-keys every
+/// stored section, so it must show up here rather than as silent
+/// cache misses.
+#[test]
+fn block_validation_hashes_are_pinned() {
+    let module = casted_workloads::by_name("197.parser").unwrap().compile().unwrap();
+    let prep = casted::build(&module, Scheme::Casted, &MachineConfig::itanium2_like(2, 2)).unwrap();
+    let hashes = block_validation_hashes(&prep.sp, &CampaignProgram::new(&prep.sp));
+    let mut h = Fnv64::new();
+    for &(code, mask) in &hashes {
+        h.write_u64(code);
+        h.write_u64(mask);
+    }
+    assert_eq!((hashes.len(), h.finish()), (37, 4219824914414849428));
 }
