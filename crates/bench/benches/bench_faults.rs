@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine};
+use casted_faults::{run, Campaign, CampaignConfig, CampaignResult, Engine, Runner};
 use casted_ir::vliw::ScheduledProgram;
 use casted_ir::MachineConfig;
 use casted_util::bench::median_mad;
@@ -78,15 +78,20 @@ fn cell_campaign(base: &CampaignConfig, cell: &Cell) -> CampaignConfig {
     }
 }
 
+/// `cfg` over `sp` on `runner`; the kernels always halt.
+fn run_on<'a>(
+    sp: &'a ScheduledProgram,
+    cfg: &CampaignConfig,
+    runner: impl Into<Runner<'a>>,
+) -> CampaignResult {
+    run(&mut Campaign::new(sp, cfg.clone()).on(runner)).expect("kernel halts")
+}
+
 /// Time one full pass over the grid with `engine`; returns trials/sec.
 fn sample(cells: &[Cell], campaign: &CampaignConfig, engine: Engine) -> f64 {
     let t0 = Instant::now();
     for cell in cells {
-        std::hint::black_box(run_campaign_engine(
-            &cell.sp,
-            &cell_campaign(campaign, cell),
-            engine,
-        ));
+        std::hint::black_box(run_on(&cell.sp, &cell_campaign(campaign, cell), engine));
     }
     let secs = t0.elapsed().as_secs_f64();
     (cells.len() * campaign.trials) as f64 / secs
@@ -133,8 +138,8 @@ fn main() {
     // tallies — otherwise trials/sec compares different work.
     for cell in &cells {
         let ccfg = cell_campaign(&campaign, cell);
-        let r = run_campaign_engine(&cell.sp, &ccfg, Engine::Reference);
-        let other = run_campaign_engine(&cell.sp, &ccfg, Engine::Checkpointed);
+        let r = run_on(&cell.sp, &ccfg, Engine::Reference);
+        let other = run_on(&cell.sp, &ccfg, Engine::Checkpointed);
         assert_eq!(r.tally, other.tally, "{}: checkpointed disagrees with reference", cell.label);
     }
 
@@ -161,7 +166,7 @@ fn main() {
                     cells.iter().filter(|c| c.scheme == scheme).collect();
                 let t0 = Instant::now();
                 for cell in &subset {
-                    std::hint::black_box(run_campaign_engine(
+                    std::hint::black_box(run_on(
                         &cell.sp,
                         &cell_campaign(&campaign, cell),
                         Engine::Checkpointed,
@@ -203,12 +208,12 @@ fn main() {
         let store = ArtifactStore::open(&dir).expect("open bench section store");
         let t0 = Instant::now();
         for cell in &inc_cells {
-            std::hint::black_box(run_campaign_incremental(&cell.sp, &campaign, &store));
+            std::hint::black_box(run_on(&cell.sp, &campaign, Runner::Sections(&store)));
         }
         cold_rates.push(trials_per_pass / t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for cell in &inc_edited {
-            let r = run_campaign_incremental(&cell.sp, &campaign, &store);
+            let r = run_on(&cell.sp, &campaign, Runner::Sections(&store));
             if s == 0 {
                 assert!(
                     r.engine.sections.hit > 0,

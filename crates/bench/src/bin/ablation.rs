@@ -12,7 +12,7 @@
 
 use casted::ir::MachineConfig;
 use casted::Scheme;
-use casted_faults::{run_campaign, CampaignConfig, Outcome};
+use casted_faults::{run, Campaign, CampaignConfig, Outcome};
 use casted_passes::errordetect::EdOptions;
 use casted_passes::pipeline::{prepare_custom, PrepareOptions};
 use casted_passes::Placement;
@@ -102,8 +102,8 @@ fn main() {
         let cfull = casted::measure(&full).stats.cycles;
         let csel = casted::measure(&sel).stats.cycles;
         let camp = CampaignConfig { trials, ..Default::default() };
-        let rf = run_campaign(&full.sp, &camp);
-        let rs = run_campaign(&sel.sp, &camp);
+        let rf = run(&mut Campaign::new(&full.sp, camp.clone())).expect("kernel halts");
+        let rs = run(&mut Campaign::new(&sel.sp, camp.clone())).expect("kernel halts");
         println!(
             "{:<12} {:>10} {:>10} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",
             name,

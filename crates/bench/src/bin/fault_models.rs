@@ -12,7 +12,7 @@
 
 use casted::ir::MachineConfig;
 use casted::Scheme;
-use casted_faults::{run_campaign_with_model, CampaignConfig, FaultModel, Outcome};
+use casted_faults::{run, Campaign, CampaignConfig, FaultModel, Outcome};
 
 fn main() {
     let opts = casted_bench::parse_args();
@@ -32,9 +32,12 @@ fn main() {
     for name in &names {
         let m = casted_workloads::by_name(name).unwrap().compile().unwrap();
         let prep = casted::build(&m, Scheme::Casted, &cfg).unwrap();
-        let camp = CampaignConfig { trials, ..Default::default() };
-        let out = run_campaign_with_model(&prep.sp, &camp, FaultModel::InstructionOutput);
-        let rf = run_campaign_with_model(&prep.sp, &camp, FaultModel::RegisterFile);
+        let campaign = |model| {
+            let camp = CampaignConfig { trials, model, ..Default::default() };
+            run(&mut Campaign::new(&prep.sp, camp)).expect("kernel halts")
+        };
+        let out = campaign(FaultModel::InstructionOutput);
+        let rf = campaign(FaultModel::RegisterFile);
         let pct = |t: &casted_faults::Tally, o| 100.0 * t.fraction(o);
         println!(
             "{:<12} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}% | {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",

@@ -2,7 +2,7 @@
 //! schemes across issue widths 1–4 and delays 1–4 — demonstrating that
 //! coverage is insensitive to the architecture configuration.
 
-use casted::experiments::{coverage_sweep_with, GridSpec};
+use casted::experiments::{coverage_sweep, GridSpec};
 use casted::report;
 use casted_faults::{CampaignConfig, Outcome};
 
@@ -28,7 +28,7 @@ fn main() {
         spec.issues.len() * spec.delays.len(),
         campaign.trials
     );
-    let points = coverage_sweep_with(&[w], &spec, &campaign, opts.engine);
+    let points = coverage_sweep(&[w], &spec, &campaign, || opts.engine.into());
     println!("{}", report::coverage_panel(&points));
     casted_bench::maybe_write(&opts, "fig10.csv", &report::coverage_csv(&points));
 

@@ -7,9 +7,10 @@
 //! sweeps the 4-cluster machine grid next to the paper's 2-cluster
 //! one.
 
-use casted::experiments::{coverage_sweep_incremental, coverage_sweep_with, GridSpec};
+use casted::experiments::{coverage_sweep, GridSpec};
 use casted::report;
-use casted_faults::CampaignConfig;
+use casted_faults::{CampaignConfig, Runner};
+use casted_util::store::ArtifactStore;
 
 fn main() {
     let opts = casted_bench::parse_args();
@@ -36,9 +37,12 @@ fn main() {
         }
     );
     let points = if opts.incremental {
-        coverage_sweep_incremental(&benchmarks, &spec, &campaign, &opts.section_cache)
+        let store = ArtifactStore::open(&opts.section_cache).unwrap_or_else(|e| {
+            panic!("cannot open section cache {}: {e}", opts.section_cache.display())
+        });
+        coverage_sweep(&benchmarks, &spec, &campaign, || Runner::Sections(&store))
     } else {
-        coverage_sweep_with(&benchmarks, &spec, &campaign, opts.engine)
+        coverage_sweep(&benchmarks, &spec, &campaign, || opts.engine.into())
     };
     println!("{}", report::coverage_panel(&points));
     casted_bench::maybe_write(&opts, "fig9.csv", &report::coverage_csv(&points));

@@ -16,7 +16,7 @@
 
 use casted::ir::MachineConfig;
 use casted::Scheme;
-use casted_faults::{run_campaign, CampaignConfig, Outcome};
+use casted_faults::{run, Campaign, CampaignConfig, Outcome};
 use casted_passes::opt;
 use casted_passes::pipeline::{prepare_custom, PrepareOptions};
 use casted_passes::Placement;
@@ -77,8 +77,8 @@ fn main() {
         let cse = prepare_custom(&m_cse, Scheme::Casted, None, Placement::Adaptive, &cfg, &PrepareOptions::default()).unwrap();
 
         let camp = CampaignConfig { trials, ..Default::default() };
-        let r_off = run_campaign(&off.sp, &camp);
-        let r_cse = run_campaign(&cse.sp, &camp);
+        let r_off = run(&mut Campaign::new(&off.sp, camp.clone())).expect("kernel halts");
+        let r_cse = run(&mut Campaign::new(&cse.sp, camp.clone())).expect("kernel halts");
         println!(
             "{:<12} {:>9.1}% {:>9.1}% {:>11.1}% {:>11.1}%",
             name,

@@ -41,6 +41,8 @@ use std::process::ExitCode;
 
 use casted::ir::MachineConfig;
 use casted::Scheme;
+use casted_faults::{Campaign, Runner};
+use casted_util::store::ArtifactStore;
 
 struct Args {
     cmd: String,
@@ -306,23 +308,26 @@ fn main() -> ExitCode {
             let cfg = casted_faults::CampaignConfig {
                 trials: args.trials,
                 seed: args.seed,
-                timeout_factor: 10,
                 flip: args.flip,
                 replay_detect: args.scheme.replay_detect(),
+                ..Default::default()
             };
-            let r = if args.incremental {
-                let store = match casted_util::store::ArtifactStore::open(std::path::Path::new(
-                    &args.section_cache,
-                )) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("castedc: cannot open section cache {}: {e}", args.section_cache);
-                        return ExitCode::from(1);
-                    }
-                };
-                casted_faults::run_campaign_incremental(&prep.sp, &cfg, &store)
-            } else {
-                casted_faults::run_campaign(&prep.sp, &cfg)
+            let dir = std::path::Path::new(&args.section_cache);
+            let store = match args.incremental.then(|| ArtifactStore::open(dir)).transpose() {
+                Ok(store) => store,
+                Err(e) => {
+                    eprintln!("castedc: cannot open section cache {}: {e}", args.section_cache);
+                    return ExitCode::from(1);
+                }
+            };
+            let runner = store.as_ref().map_or_else(Runner::default, Runner::Sections);
+            let mut campaign = Campaign::new(&prep.sp, cfg).on(runner);
+            let r = match casted_faults::run(&mut campaign) {
+                Ok(r) => r,
+                Err(stop) => {
+                    eprintln!("castedc: {}", campaign.refusal(&stop));
+                    return ExitCode::from(1);
+                }
             };
             if args.incremental {
                 let s = r.engine.sections;

@@ -19,8 +19,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use casted_faults::{CampaignConfig, Engine, Tally};
-use casted_ir::vliw::ScheduledProgram;
+use casted_faults::{run, Campaign, CampaignConfig, Runner, Tally};
 use casted_ir::MachineConfig;
 use casted_passes::Scheme;
 use casted_util::pool::{pool_threads, run_pool};
@@ -411,76 +410,59 @@ pub struct CoveragePoint {
     pub tally: Tally,
 }
 
-/// Run fault-injection campaigns over a grid (Figs. 9 and 10) with
-/// the default (checkpointed) engine.
-pub fn coverage_sweep(
+/// Run fault-injection campaigns over a grid (Figs. 9 and 10): compile
+/// each benchmark once, then per cell prepare the program and run the
+/// campaign on a fresh `runner()` in the pool, metered under the
+/// `core.coverage_sweep.*` counters.
+///
+/// Every runner gives byte-identical tallies (the difftest oracles and
+/// `scripts/ci.sh` enforce it): an engine choice exists for the CI
+/// cross-check and for benchmarking the reference path, and a
+/// [`Runner::Sections`] store lets a rerun of an unchanged grid
+/// recombine from cache and an edited benchmark re-inject only the
+/// sections it touched.
+pub fn coverage_sweep<'a>(
     benchmarks: &[Workload],
     spec: &GridSpec,
     campaign: &CampaignConfig,
+    runner: impl Fn() -> Runner<'a> + Sync,
 ) -> Vec<CoveragePoint> {
-    coverage_sweep_with(benchmarks, spec, campaign, Engine::default())
-}
-
-/// [`coverage_sweep`] with an explicit campaign engine. Both engines
-/// produce byte-identical tallies (the difftest oracles enforce it);
-/// the knob exists for the CI cross-check and for benchmarking the
-/// reference path.
-pub fn coverage_sweep_with(
-    benchmarks: &[Workload],
-    spec: &GridSpec,
-    campaign: &CampaignConfig,
-    engine: Engine,
-) -> Vec<CoveragePoint> {
-    coverage_grid(benchmarks, spec, campaign, |sp, cfg| {
-        casted_faults::run_campaign_engine(sp, cfg, engine).tally
-    })
-}
-
-/// The grid driver both coverage sweeps share: compile each benchmark
-/// once, then per cell prepare the program and run `campaign_of` on it
-/// in the pool, metered under the `core.coverage_sweep.*` counters.
-fn coverage_grid<F>(
-    benchmarks: &[Workload],
-    spec: &GridSpec,
-    campaign: &CampaignConfig,
-    campaign_of: F,
-) -> Vec<CoveragePoint>
-where
-    F: Fn(&ScheduledProgram, &CampaignConfig) -> Tally + Sync,
-{
     let modules: Vec<(String, casted_ir::Module)> = benchmarks
         .iter()
         .map(|w| (w.name.to_string(), w.compile().expect("compile failed")))
         .collect();
 
     let meter = SweepMeter::start("core.coverage_sweep.cell_ns");
-    let campaign_of = &campaign_of;
+    let runner = &runner;
     let mut tasks = Vec::new();
     for (name, module) in &modules {
         for &scheme in &spec.schemes {
             for &issue in &spec.issues {
                 for &delay in &spec.delays {
                     for &clusters in &spec.clusters {
-                        // Per-cell override: RBED cells must run the
-                        // replay-digest detector regardless of what the
-                        // grid-wide config says.
-                        let campaign = CampaignConfig {
-                            replay_detect: scheme.replay_detect(),
-                            ..campaign.clone()
-                        };
                         let meter = &meter;
                         tasks.push(move || meter.observe_cell(|| {
                             let mut config = MachineConfig::itanium2_like(issue, delay);
                             config.clusters = clusters;
                             let prep = casted_passes::prepare(module, scheme, &config)
                                 .expect("prepare failed");
+                            // Per-cell override: RBED cells must run the
+                            // replay-digest detector regardless of what
+                            // the grid-wide config says.
+                            let campaign = CampaignConfig {
+                                replay_detect: scheme.replay_detect(),
+                                ..campaign.clone()
+                            };
+                            let mut c = Campaign::new(&prep.sp, campaign).on(runner());
+                            let result = run(&mut c)
+                                .unwrap_or_else(|stop| panic!("{}", c.refusal(&stop)));
                             CoveragePoint {
                                 benchmark: name.clone(),
                                 scheme,
                                 issue,
                                 delay,
                                 clusters,
-                                tally: campaign_of(&prep.sp, &campaign),
+                                tally: result.tally,
                             }
                         }));
                     }
@@ -497,26 +479,6 @@ where
         "core.coverage_sweep.pool_utilization_permille",
     );
     points
-}
-
-/// [`coverage_sweep`] through the compositional section cache
-/// ([`casted_faults::run_campaign_incremental`]): every cell keys its
-/// sections into the shared on-disk store at `store_dir`, so a rerun
-/// of an unchanged grid recombines from cache and an edited benchmark
-/// re-injects only the sections it touched. Tallies are byte-identical
-/// to [`coverage_sweep_with`] on any engine — the fig9 incremental
-/// smoke in `scripts/ci.sh` byte-compares the CSVs.
-pub fn coverage_sweep_incremental(
-    benchmarks: &[Workload],
-    spec: &GridSpec,
-    campaign: &CampaignConfig,
-    store_dir: &std::path::Path,
-) -> Vec<CoveragePoint> {
-    let store = casted_util::store::ArtifactStore::open(store_dir)
-        .unwrap_or_else(|e| panic!("cannot open section cache {}: {e}", store_dir.display()));
-    coverage_grid(benchmarks, spec, campaign, |sp, cfg| {
-        casted_faults::run_campaign_incremental(sp, cfg, &store).tally
-    })
 }
 
 /// Headline slowdown statistics for one scheme (§IV-B quotes SCED
@@ -747,8 +709,8 @@ mod tests {
             trials: 30,
             ..Default::default()
         };
-        let a = coverage_sweep_with(&[tiny_workload()], &spec, &campaign, Engine::Reference);
-        let b = coverage_sweep_with(&[tiny_workload()], &spec, &campaign, Engine::Checkpointed);
+        let a = coverage_sweep(&[tiny_workload()], &spec, &campaign, || Runner::Reference);
+        let b = coverage_sweep(&[tiny_workload()], &spec, &campaign, Runner::default);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.tally, y.tally, "{} engines disagree", x.benchmark);
@@ -767,7 +729,7 @@ mod tests {
             trials: 20,
             ..Default::default()
         };
-        let pts = coverage_sweep(&[tiny_workload()], &spec, &campaign);
+        let pts = coverage_sweep(&[tiny_workload()], &spec, &campaign, Runner::default);
         assert_eq!(pts.len(), 2);
         for p in &pts {
             assert_eq!(p.tally.total(), 20);

@@ -9,8 +9,9 @@
 //! * [`simulate_stats`] — source → fault-free cycle-accurate run, with
 //!   the per-request **deadline enforced through the simulator's cycle
 //!   limit** (`SimOptions::max_cycles`) rather than wall-clock timers,
-//! * [`inject_tally`] — source → Monte-Carlo fault campaign on either
-//!   engine (PR 4's checkpointed engine by default).
+//! * [`inject`] — source → Monte-Carlo fault campaign on any
+//!   [`Runner`]: either engine, chunked with progress, or through a
+//!   section store.
 //!
 //! Everything is a total function from request to
 //! `Result<Reply, String>`: bad source, bad machine parameters, or a
@@ -21,9 +22,7 @@
 //! a recomputed one — the property `casted-serve`'s content-addressed
 //! cache rests on (see `docs/SERVING.md`).
 
-use casted_faults::{
-    run_campaign_incremental_within, run_campaign_within, CampaignConfig, Engine, Outcome,
-};
+use casted_faults::{run, Campaign, CampaignConfig, CampaignResult, Engine, Runner};
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::MachineConfig;
 use casted_passes::Scheme;
@@ -107,7 +106,7 @@ pub struct SimulateReply {
 pub struct InjectReply {
     /// Trials run.
     pub trials: u64,
-    /// Outcome counts in [`Outcome::ALL`] order.
+    /// Outcome counts in [`casted_faults::Outcome::ALL`] order.
     pub counts: [u64; 6],
     /// Fault-free cycle count of the target.
     pub golden_cycles: u64,
@@ -233,40 +232,43 @@ pub fn simulate_stats_with(
     }
 }
 
-/// The preamble every inject request shares: prepare `spec` and build
-/// the campaign configuration.
+/// *Inject* request: prepare `spec` and run a Monte-Carlo fault
+/// campaign of `trials` trials from `seed` on `runner`, optionally
+/// through the staged artifact pipeline.
 ///
 /// The campaign's own fault-free run is bounded by the request's cycle
 /// deadline, the same one [`simulate_stats`] applies: a
-/// non-terminating or trapping program comes back as `Err(stop)`,
-/// which [`refused`] turns into the reply text, never a worker panic.
-fn inject_setup(
+/// non-terminating or trapping program is refused with
+/// [`Campaign::refusal`]'s text, never a worker panic. Every runner
+/// gives the same reply (the byte-identical-tally contract), so a
+/// streamed reply, a reply recombined from a section store and a
+/// one-shot reply on either engine are indistinguishable — which is
+/// what lets `casted-serve` stream long campaigns and answer misses
+/// from its section store under its exact-reply cache. A runner that
+/// reports progress and cancels comes back with fewer than `trials`
+/// trials: the prefix campaign's exact reply.
+pub fn inject(
     spec: &JobSpec,
     trials: u64,
     seed: u64,
+    max_cycles: u64,
+    runner: Runner<'_>,
     pipeline: Option<&crate::stages::ArtifactPipeline>,
-) -> Result<(casted_passes::Prepared, CampaignConfig), String> {
+) -> Result<InjectReply, String> {
     let prep = prepare_via(spec, pipeline)?;
-    let cfg = CampaignConfig {
+    let config = CampaignConfig {
         trials: trials as usize,
         seed,
         replay_detect: spec.scheme.replay_detect(),
         ..Default::default()
     };
-    Ok((prep, cfg))
+    let mut campaign = Campaign { max_cycles, ..Campaign::new(&prep.sp, config).on(runner) };
+    let r = run(&mut campaign).map_err(|stop| campaign.refusal(&stop))?;
+    Ok(reply_of(&r))
 }
 
-/// The reply to a campaign target that did not halt within
-/// `max_cycles` of its fault-free run.
-fn refused(max_cycles: u64) -> impl FnOnce(StopReason) -> String {
-    move |stop| {
-        format!("campaign target must halt fault-free within {max_cycles} cycles, got {stop:?}")
-    }
-}
-
-/// *Inject* request: Monte-Carlo fault campaign with an explicit
-/// engine, trial count and seed. A target that does not halt within
-/// `max_cycles` is refused (see `inject_setup`).
+/// [`inject`] on `engine` without a pipeline. Exists only for
+/// perfbench, which calls it, until perfbench moves to [`inject`].
 pub fn inject_tally(
     spec: &JobSpec,
     trials: u64,
@@ -274,64 +276,12 @@ pub fn inject_tally(
     engine: Engine,
     max_cycles: u64,
 ) -> Result<InjectReply, String> {
-    inject_tally_with(spec, trials, seed, engine, max_cycles, None)
+    inject(spec, trials, seed, max_cycles, engine.into(), None)
 }
 
-/// [`inject_tally`], optionally through the staged artifact pipeline.
-pub fn inject_tally_with(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    engine: Engine,
-    max_cycles: u64,
-    pipeline: Option<&crate::stages::ArtifactPipeline>,
-) -> Result<InjectReply, String> {
-    let (prep, cfg) = inject_setup(spec, trials, seed, pipeline)?;
-    let r = run_campaign_within(&prep.sp, &cfg, engine, max_cycles).map_err(refused(max_cycles))?;
-    Ok(reply_of(&r))
-}
-
-/// [`inject_tally`] in streaming form: the campaign runs in chunks of
-/// `every` trials, reporting the running `(done, counts)` tally to
-/// `progress` at each chunk boundary short of the total; returning
-/// `false` cancels the campaign. The result's `completed` flag says
-/// whether every trial ran.
-///
-/// Exactness (from [`casted_faults::run_campaign_streaming`]): a
-/// completed streaming reply equals [`inject_tally`] under any engine
-/// field for field, and a partial tally at `done = M` equals
-/// [`inject_tally`] with `trials = M` — so `casted-serve` can stream
-/// long campaigns and still promise byte-identical terminal frames.
-pub fn inject_stream_with(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    max_cycles: u64,
-    every: u64,
-    pipeline: Option<&crate::stages::ArtifactPipeline>,
-    progress: &mut dyn FnMut(u64, &[u64; 6]) -> bool,
-) -> Result<(InjectReply, bool), String> {
-    let (prep, cfg) = inject_setup(spec, trials, seed, pipeline)?;
-    let (r, completed) = casted_faults::run_campaign_streaming(
-        &prep.sp,
-        &cfg,
-        max_cycles,
-        every.max(1) as usize,
-        &mut |done, tally| {
-            let mut counts = [0u64; 6];
-            for o in Outcome::ALL {
-                counts[o.index()] = tally.count(o) as u64;
-            }
-            progress(done, &counts)
-        },
-    )
-    .map_err(refused(max_cycles))?;
-    Ok((reply_of(&r), completed))
-}
-
-/// [`inject_tally_incremental_in`] on the section store at
-/// `section_cache`, opened for this one request. Long-lived hosts
-/// (`casted-serve`) open the store once and call the `_in` form.
+/// [`inject`] through the section store at `section_cache`, opened for
+/// this one request. Exists only for perfbench, which calls it, until
+/// perfbench moves to [`inject`].
 pub fn inject_tally_incremental_with(
     spec: &JobSpec,
     trials: u64,
@@ -342,43 +292,13 @@ pub fn inject_tally_incremental_with(
 ) -> Result<InjectReply, String> {
     let store = ArtifactStore::open(section_cache)
         .map_err(|e| format!("cannot open section cache {}: {e}", section_cache.display()))?;
-    inject_tally_incremental_in(spec, trials, seed, &store, max_cycles, pipeline)
+    inject(spec, trials, seed, max_cycles, Runner::Sections(&store), pipeline)
 }
 
-/// [`inject_tally`] through the compositional section cache: the
-/// campaign keys each golden-trace section into `store`, so a repeat
-/// request — or a request for an *edited* program sharing most
-/// sections — recombines cached section evidence and re-injects only
-/// what changed. The reply is byte-identical to [`inject_tally`] on
-/// any engine (the recombination exactness guarantee,
-/// `docs/INCREMENTAL.md`), which is what lets `casted-serve`
-/// substitute this path under its exact-reply cache: whole-request
-/// hits still come from the reply cache, and misses now degrade to
-/// *partial* section hits instead of cold campaigns. An optional
-/// staged artifact pipeline composes with it: compile artifacts
-/// memoize the front half, section evidence memoizes the campaign.
-pub fn inject_tally_incremental_in(
-    spec: &JobSpec,
-    trials: u64,
-    seed: u64,
-    store: &ArtifactStore,
-    max_cycles: u64,
-    pipeline: Option<&crate::stages::ArtifactPipeline>,
-) -> Result<InjectReply, String> {
-    let (prep, cfg) = inject_setup(spec, trials, seed, pipeline)?;
-    let r = run_campaign_incremental_within(&prep.sp, &cfg, store, max_cycles)
-        .map_err(refused(max_cycles))?;
-    Ok(reply_of(&r))
-}
-
-fn reply_of(r: &casted_faults::CampaignResult) -> InjectReply {
-    let mut counts = [0u64; 6];
-    for o in Outcome::ALL {
-        counts[o.index()] = r.tally.count(o) as u64;
-    }
+fn reply_of(r: &CampaignResult) -> InjectReply {
     InjectReply {
         trials: r.tally.total() as u64,
-        counts,
+        counts: r.tally.counts.map(|c| c as u64),
         golden_cycles: r.golden_cycles,
         golden_dyn: r.golden_dyn,
     }
@@ -387,6 +307,7 @@ fn reply_of(r: &casted_faults::CampaignResult) -> InjectReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casted_faults::{Progress, Tally};
 
     const SRC: &str = "fn main() { var s: int = 0; for i in 0..50 { s = s + i * i; } out(s); }";
 
@@ -444,36 +365,37 @@ mod tests {
     #[test]
     fn inject_tally_is_deterministic_and_engine_independent() {
         let s = spec(Scheme::Casted);
-        let a = inject_tally(&s, 40, 7, Engine::Checkpointed, u64::MAX).unwrap();
-        let b = inject_tally(&s, 40, 7, Engine::Checkpointed, u64::MAX).unwrap();
+        let a = inject(&s, 40, 7, u64::MAX, Engine::Checkpointed.into(), None).unwrap();
+        let b = inject(&s, 40, 7, u64::MAX, Engine::Checkpointed.into(), None).unwrap();
         assert_eq!(a, b);
-        let r = inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap();
+        let r = inject(&s, 40, 7, u64::MAX, Runner::Reference, None).unwrap();
         assert_eq!(a, r, "engines must agree field for field");
+        assert_eq!(a, inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap());
         assert_eq!(a.trials, 40);
         assert_eq!(a.counts.iter().sum::<u64>(), 40);
     }
 
     /// Streaming replies must be indistinguishable from one-shot
     /// replies at the facade level too: same final struct, and a
-    /// cancelled stream's last progress tally is a real prefix.
+    /// cancelled stream's reply is a real prefix.
     #[test]
     fn inject_stream_matches_one_shot_and_cancels_exactly() {
         let s = spec(Scheme::Casted);
-        let mut updates: Vec<(u64, [u64; 6])> = Vec::new();
-        let (reply, completed) =
-            inject_stream_with(&s, 40, 7, u64::MAX, 16, None, &mut |done, counts| {
-                updates.push((done, *counts));
-                true
-            })
-            .unwrap();
-        assert!(completed);
-        assert_eq!(reply, inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap());
+        let mut updates: Vec<(u64, [usize; 6])> = Vec::new();
+        let report = Box::new(|done, t: &Tally| {
+            updates.push((done, t.counts));
+            true
+        });
+        let streamed = Runner::Checkpointed(Some(Progress { chunk: 16, report }));
+        let reply = inject(&s, 40, 7, u64::MAX, streamed, None).unwrap();
+        assert_eq!(reply, inject(&s, 40, 7, u64::MAX, Runner::Reference, None).unwrap());
         assert_eq!(updates.iter().map(|(d, _)| *d).collect::<Vec<_>>(), vec![16, 32]);
 
-        let (partial, completed) =
-            inject_stream_with(&s, 40, 7, u64::MAX, 16, None, &mut |_, _| false).unwrap();
-        assert!(!completed);
-        assert_eq!(partial, inject_tally(&s, 16, 7, Engine::Reference, u64::MAX).unwrap());
+        let cancelled = Progress { chunk: 16, report: Box::new(|_, _| false) };
+        let partial =
+            inject(&s, 40, 7, u64::MAX, Runner::Checkpointed(Some(cancelled)), None).unwrap();
+        assert_eq!(partial.trials, 16);
+        assert_eq!(partial, inject(&s, 16, 7, u64::MAX, Runner::Reference, None).unwrap());
     }
 
     /// The serve-facing exactness contract: the incremental path's
@@ -486,7 +408,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("casted-api-sect-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cold = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
-        let full = inject_tally(&s, 40, 7, Engine::Reference, u64::MAX).unwrap();
+        let full = inject(&s, 40, 7, u64::MAX, Runner::Reference, None).unwrap();
         assert_eq!(cold, full, "incremental reply diverged from the engines");
         let warm = inject_tally_incremental_with(&s, 40, 7, &dir, u64::MAX, None).unwrap();
         assert_eq!(warm, cold, "warm recombination changed the reply");
@@ -517,10 +439,11 @@ mod tests {
     #[test]
     fn inject_screens_non_halting_targets() {
         for engine in [Engine::Checkpointed, Engine::Reference] {
-            let err = inject_tally(&non_halting(), 10, 1, engine, 100).unwrap_err();
+            let err = inject(&non_halting(), 10, 1, 100, engine.into(), None).unwrap_err();
             assert_eq!(err, REFUSED_100, "{engine:?}");
         }
-        let err = inject_stream_with(&non_halting(), 10, 1, 100, 4, None, &mut |_, _| true)
+        let streamed = Progress { chunk: 4, report: Box::new(|_, _| true) };
+        let err = inject(&non_halting(), 10, 1, 100, Runner::Checkpointed(Some(streamed)), None)
             .unwrap_err();
         assert_eq!(err, REFUSED_100);
     }

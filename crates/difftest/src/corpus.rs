@@ -9,12 +9,13 @@
 //! front end (generated modules never exercise the parser, inlining,
 //! or `lib fn` handling).
 
+use casted_faults::{Engine, Runner};
 use casted_ir::interp::{self, StopReason};
 use casted_ir::MachineConfig;
 use casted_passes::pipeline::{prepare, Scheme};
 use casted_sim::{simulate, SimOptions};
 
-use crate::oracle::{check_sim_against, Divergence};
+use crate::oracle::{campaign, check_sim_against, Divergence};
 
 /// Interpreter budget for workload kernels.
 const CORPUS_STEP_LIMIT: u64 = 200_000_000;
@@ -148,8 +149,8 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
                 seed: ENGINE_SEED ^ casted_util::hash::fnv1a(name.as_bytes()),
                 ..Default::default()
             };
-            let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-            let other = casted_faults::run_campaign(&prep.sp, &ccfg);
+            let reference = campaign(&prep.sp, &ccfg, Engine::Reference);
+            let other = campaign(&prep.sp, &ccfg, Engine::Checkpointed);
             if reference.tally != other.tally {
                 return Err(Divergence::new_corpus(
                     name,
@@ -176,7 +177,7 @@ fn check_module(name: &str, m: &casted_ir::Module) -> Result<usize, Divergence> 
                     usable = false;
                     break;
                 };
-                let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
+                let inc = campaign(&prep.sp, &ccfg, Runner::Sections(&store));
                 if inc.tally != reference.tally {
                     let detail = format!(
                         "incremental ({pass}) diverged: reference {:?} vs {:?} (sections {:?})",

@@ -2,7 +2,7 @@
 //! pipeline stage and cross-check each stage against the reference
 //! interpreter (see the crate docs for the layer list).
 
-use casted_faults::Outcome;
+use casted_faults::{Campaign, CampaignConfig, CampaignResult, Engine, Outcome, Runner};
 use casted_ir::insn::Provenance;
 use casted_ir::interp::{self, ExecResult, OutVal, StopReason};
 use casted_ir::testgen;
@@ -367,14 +367,13 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
     // it is not gated like the probe layer.
     for (scheme, prep) in &probe_targets {
         let stage = format!("engines:{scheme}:iw2d2");
-        let ccfg = casted_faults::CampaignConfig {
+        let ccfg = CampaignConfig {
             trials: ENGINE_TRIALS,
             seed: cfg.seed ^ ENGINE_SALT,
             ..Default::default()
         };
-        let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-        let checkpointed =
-            casted_faults::run_campaign_engine(&prep.sp, &ccfg, casted_faults::Engine::Checkpointed);
+        let reference = campaign(&prep.sp, &ccfg, Engine::Reference);
+        let checkpointed = campaign(&prep.sp, &ccfg, Engine::Checkpointed);
         if reference.tally != checkpointed.tally {
             return Err(Divergence::new(
                 stage,
@@ -413,7 +412,7 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
                 usable = false;
                 break;
             };
-            let inc = casted_faults::run_campaign_incremental(&prep.sp, &ccfg, &store);
+            let inc = campaign(&prep.sp, &ccfg, Runner::Sections(&store));
             if reference.tally != inc.tally {
                 let _ = std::fs::remove_dir_all(&dir);
                 return Err(Divergence::new(
@@ -544,14 +543,14 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         stages += 1;
         digest.write_u64(sim.stats.cycles);
 
-        let ccfg = casted_faults::CampaignConfig {
+        let ccfg = CampaignConfig {
             trials: ENGINE_TRIALS,
             seed: cfg.seed ^ ENGINE_SALT,
             replay_detect: scheme.replay_detect(),
             ..Default::default()
         };
-        let reference = casted_faults::run_campaign_reference(&prep.sp, &ccfg);
-        let got = casted_faults::run_campaign(&prep.sp, &ccfg);
+        let reference = campaign(&prep.sp, &ccfg, Engine::Reference);
+        let got = campaign(&prep.sp, &ccfg, Engine::Checkpointed);
         if reference.tally != got.tally {
             return Err(Divergence::new(
                 format!("engines:{stage}"),
@@ -661,6 +660,17 @@ fn probe_recovery_scheme(
         }
     }
     Ok(injections.len())
+}
+
+/// `ccfg` over `sp` on `runner`. Every earlier layer saw the target
+/// halt, so a refusal is a bug in the campaign runner: it panics.
+pub(crate) fn campaign<'a>(
+    sp: &'a casted_ir::vliw::ScheduledProgram,
+    ccfg: &CampaignConfig,
+    runner: impl Into<Runner<'a>>,
+) -> CampaignResult {
+    let mut c = Campaign::new(sp, ccfg.clone()).on(runner);
+    casted_faults::run(&mut c).unwrap_or_else(|stop| panic!("{}", c.refusal(&stop)))
 }
 
 /// A fresh on-disk store directory for one store-backed check. The

@@ -17,14 +17,16 @@ use casted_util::Rng;
 
 pub mod sections;
 
-pub use sections::{run_campaign_incremental, run_campaign_incremental_within, SectionStats};
+pub use sections::SectionStats;
 
 use casted_ir::interp::{OutVal, StopReason};
 use casted_ir::vliw::ScheduledProgram;
+use casted_ir::{Reg, RegClass};
 use casted_sim::{
     rbed_plan, replay_trial, simulate_golden, simulate_quiet, CampaignProgram, GoldenRun,
     GoldenTrace, Injection, RbedPlan, SimOptions, SimResult, TrialRun, GRID_STATES,
 };
+use casted_util::store::ArtifactStore;
 
 /// The paper's five outcome classes of §IV-C, plus the `Corrected`
 /// class the recovery-capable TMRED scheme introduces (appended last,
@@ -110,6 +112,9 @@ pub struct CampaignConfig {
     /// Replay-based detection (the RBED scheme): build a chunk-digest
     /// plan from the golden run and check every trial against it.
     pub replay_detect: bool,
+    /// Which hardware structure the fault strikes: the paper's
+    /// instruction outputs (the default) or the register file.
+    pub model: FaultModel,
 }
 
 impl Default for CampaignConfig {
@@ -120,8 +125,23 @@ impl Default for CampaignConfig {
             timeout_factor: 10,
             flip: FlipModel::Single,
             replay_detect: false,
+            model: FaultModel::InstructionOutput,
         }
     }
+}
+
+/// Which hardware structure the fault strikes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FaultModel {
+    /// The paper's model (§IV-C): flip a bit of a dynamic
+    /// instruction's output register right after writeback.
+    #[default]
+    InstructionOutput,
+    /// Extension: flip a bit of a uniformly random *architectural
+    /// register* at a random point in time — a register-file strike.
+    /// Dormant values (long-lived, rarely rewritten) are exposed much
+    /// longer under this model, so coverage differs.
+    RegisterFile,
 }
 
 /// Aggregated campaign outcome counts.
@@ -179,10 +199,8 @@ impl std::fmt::Display for Tally {
     }
 }
 
-/// Which campaign engine to run. Both engines produce byte-identical
-/// [`Tally`] results from the same seed — an invariant enforced by
-/// unit tests here, a difftest oracle layer and a `scripts/ci.sh`
-/// byte-compare (see docs/PERFORMANCE.md).
+/// The two campaign engines, as the `--engine` flag names them; each
+/// converts into its [`Runner`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Historical engine: every trial re-simulates from cycle 0. Kept
@@ -251,8 +269,8 @@ pub struct EngineStats {
     pub pruned_trials: u64,
     /// Always zero (see [`BatchStats`]).
     pub batch: BatchStats,
-    /// Incremental-campaign section accounting (zeroed unless the
-    /// campaign ran through [`run_campaign_incremental`]).
+    /// Section-store accounting (zeroed unless the campaign ran on
+    /// [`Runner::Sections`] within the store's vocabulary).
     pub sections: SectionStats,
 }
 
@@ -366,20 +384,6 @@ pub fn run_trials(
         .collect()
 }
 
-/// Draw one `(dynamic instruction, bit)` injection site — the frozen
-/// per-trial draw order shared by both campaign variants (see the
-/// stream-format notes on [`run_campaign`]).
-///
-/// ## Degenerate golden runs
-///
-/// When `golden_dyn_insns == 0` (an empty or immediately-trapping
-/// golden run) there is no dynamic instruction to strike. Instead of
-/// panicking on the empty range `1..=0`, the draw returns the
-/// documented degenerate site `at = u64::MAX` — a site past every
-/// dynamic instruction, so the injection never lands and the trial
-/// runs fault-free (classified Benign). The `bit` draw still consumes
-/// one value from the stream, keeping the RNG in a defined state for
-/// subsequent trials.
 /// Strike shape for the `--fault-model` flag: single-bit (the paper's
 /// model) or an adjacent multi-bit burst (charge sharing between
 /// neighbouring cells upsets several bits of one word; see MITRA et
@@ -433,11 +437,10 @@ impl FlipModel {
 
 /// [`draw_injection`] plus the burst draw: for a multi-bit model one
 /// extra value, `phase = gen_range(0..width)`, is drawn *after* the
-/// frozen `(at, bit)` pair (and after any model-specific draw, see
-/// [`run_campaign_with_model_engine`]), placing the drawn `bit` at
-/// offset `phase` inside the flipped window. Under
-/// [`FlipModel::Single`] no extra value is consumed, so the historical
-/// stream is reproduced byte for byte.
+/// frozen `(at, bit)` pair (and after the register-file model's victim
+/// draw, see [`run`]), placing the drawn `bit` at offset `phase` inside
+/// the flipped window. Under [`FlipModel::Single`] no extra value is
+/// consumed, so the historical stream is reproduced byte for byte.
 pub fn draw_burst_phase(rng: &mut Rng, flip: FlipModel) -> u8 {
     let w = flip.width();
     if w > 1 {
@@ -447,6 +450,20 @@ pub fn draw_burst_phase(rng: &mut Rng, flip: FlipModel) -> u8 {
     }
 }
 
+/// Draw one `(dynamic instruction, bit)` injection site — the frozen
+/// per-trial draw order every runner shares (see the stream-format
+/// notes on [`run`]).
+///
+/// ## Degenerate golden runs
+///
+/// When `golden_dyn_insns == 0` (an empty or immediately-trapping
+/// golden run) there is no dynamic instruction to strike. Instead of
+/// panicking on the empty range `1..=0`, the draw returns the
+/// documented degenerate site `at = u64::MAX` — a site past every
+/// dynamic instruction, so the injection never lands and the trial
+/// runs fault-free (classified Benign). The `bit` draw still consumes
+/// one value from the stream, keeping the RNG in a defined state for
+/// subsequent trials.
 pub fn draw_injection(rng: &mut Rng, golden_dyn_insns: u64) -> (u64, u32) {
     if golden_dyn_insns == 0 {
         let bit = rng.gen_range(0..64u32);
@@ -457,129 +474,253 @@ pub fn draw_injection(rng: &mut Rng, golden_dyn_insns: u64) -> (u64, u32) {
     (at, bit)
 }
 
-/// Run a full Monte-Carlo campaign over `sp`.
-///
-/// Each trial draws a uniformly random dynamic instruction of the run
-/// and a random bit of its output register. (The paper fixes the error
-/// *rate* to the original binary's dynamic length; we draw one fault
-/// per trial uniformly over the tested binary's own execution — the
-/// reported per-class *fractions* are directly comparable, see
-/// DESIGN.md.)
-///
-/// ## Injection stream format (frozen)
-///
-/// Campaigns are bit-reproducible across platforms and toolchains:
-/// the RNG is `casted_util::Rng` (xoshiro256++ seeded from
-/// `cfg.seed` via SplitMix64), and each trial draws, in order,
-///
-/// 1. `at`  = `gen_range(1..=golden_dyn_insns)` — the dynamic
-///    instruction whose output is struck, and
-/// 2. `bit` = `gen_range(0..64u32)` — the flipped bit.
-///
-/// (The [`FaultModel::RegisterFile`] variant draws a third value,
-/// `gen_range(0..total_allocated_regs)`, to pick the victim
-/// register.) The `stream_format_is_frozen` unit test pins golden
-/// values for this sequence; any change to the draw order, the RNG
-/// algorithm or the bounded-draw mapping is a format break and must
-/// be made deliberately there.
-pub fn run_campaign(sp: &ScheduledProgram, cfg: &CampaignConfig) -> CampaignResult {
-    run_campaign_engine(sp, cfg, Engine::default())
-}
-
-/// [`run_campaign`] on the historical engine: strictly serial, every
-/// trial re-simulated from cycle 0. Kept as the cross-check oracle
-/// for the checkpointed engine — same seed ⇒ byte-identical tally.
-pub fn run_campaign_reference(sp: &ScheduledProgram, cfg: &CampaignConfig) -> CampaignResult {
-    run_campaign_engine(sp, cfg, Engine::Reference)
-}
-
-/// [`run_campaign`] with an explicit engine choice. Panics unless the
-/// target halts fault-free; [`run_campaign_within`] bounds that run
-/// and returns the refusal instead.
-pub fn run_campaign_engine(sp: &ScheduledProgram, cfg: &CampaignConfig, engine: Engine) -> CampaignResult {
-    halted(run_campaign_within(sp, cfg, engine, u64::MAX))
-}
-
-/// [`run_campaign_engine`] with the fault-free run bounded by the
-/// watchdog `max_cycles`: a target that does not halt within it is
-/// refused with the stop it took (`Err(Timeout)` for a program that
-/// runs too long), before any trial runs and with the `sim.*` counters
-/// untouched.
-pub fn run_campaign_within(
+/// The campaign's frozen injection stream: `cfg.trials` injections
+/// drawn from `cfg.seed` over a golden run of `golden_dyn` dynamic
+/// instructions, in trial order (format on [`run`]).
+pub(crate) fn injection_stream(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
-    engine: Engine,
-    max_cycles: u64,
-) -> Result<CampaignResult, StopReason> {
-    campaign_core(sp, cfg, engine, max_cycles, &mut |rng, dyn_insns| {
-        draw_output_injection(rng, dyn_insns, cfg.flip)
-    })
+    golden_dyn: u64,
+) -> Vec<Injection> {
+    // Register-file victims are uniform over all allocated registers of
+    // all classes; the counts are a property of the function.
+    let victims = (cfg.model == FaultModel::RegisterFile).then(|| {
+        let func = sp.module.entry_fn();
+        [RegClass::Gp, RegClass::Fp, RegClass::Pr].map(|class| func.reg_count(class))
+    });
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    (0..cfg.trials)
+        .map(|_| {
+            let (at, bit) = draw_injection(&mut rng, golden_dyn);
+            let target = victims.map(|counts| draw_victim(&mut rng, counts));
+            Injection {
+                at_dyn_insn: at,
+                bit,
+                target,
+                width: cfg.flip.width(),
+                phase: draw_burst_phase(&mut rng, cfg.flip),
+            }
+        })
+        .collect()
 }
 
-/// One trial of the instruction-output model's frozen stream: the
-/// `(at, bit)` pair, then the burst phase.
-pub(crate) fn draw_output_injection(rng: &mut Rng, dyn_insns: u64, flip: FlipModel) -> Injection {
-    let (at, bit) = draw_injection(rng, dyn_insns);
-    Injection {
-        at_dyn_insn: at,
-        bit,
-        target: None,
-        width: flip.width(),
-        phase: draw_burst_phase(rng, flip),
+/// The register-file model's third draw: one register, uniform over
+/// the `[gp, fp, pr]` register counts.
+fn draw_victim(rng: &mut Rng, counts: [u32; 3]) -> Reg {
+    let total: u32 = counts.iter().sum();
+    let mut pick = rng.gen_range(0..total.max(1));
+    if pick < counts[0] {
+        return Reg::gp(pick);
+    }
+    pick -= counts[0];
+    if pick < counts[1] {
+        return Reg::fp(pick);
+    }
+    Reg::pr(pick - counts[1])
+}
+
+/// The default watchdog bound on a campaign's fault-free run, the same
+/// 200M cycles `casted-serve` caps requests at by default: far above
+/// every benchmark kernel, and a bound, so a target that never halts is
+/// refused instead of simulated forever. (`SimOptions::default()` runs
+/// unbounded.)
+pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
+
+/// One Monte-Carlo fault campaign: what to strike, how often, and how
+/// the trials run. [`run`] executes it.
+pub struct Campaign<'a> {
+    /// The program under test.
+    pub target: &'a ScheduledProgram,
+    /// Trials, seed, watchdog factor and fault shape.
+    pub config: CampaignConfig,
+    /// Watchdog bound on the fault-free run: a target that does not
+    /// halt within it is refused before any trial runs.
+    pub max_cycles: u64,
+    /// How the trials run.
+    pub runner: Runner<'a>,
+}
+
+impl<'a> Campaign<'a> {
+    /// `config` over `target` on the checkpointed engine, with the
+    /// fault-free run bounded by [`DEFAULT_MAX_CYCLES`].
+    pub fn new(target: &'a ScheduledProgram, config: CampaignConfig) -> Self {
+        Campaign {
+            target,
+            config,
+            max_cycles: DEFAULT_MAX_CYCLES,
+            runner: Runner::default(),
+        }
+    }
+
+    /// This campaign with its trials run on `runner`.
+    pub fn on(self, runner: impl Into<Runner<'a>>) -> Self {
+        Campaign { runner: runner.into(), ..self }
+    }
+
+    /// The text that reports [`run`]'s refusal of this campaign's
+    /// target, which stopped with `stop` instead of halting.
+    pub fn refusal(&self, stop: &StopReason) -> String {
+        format!(
+            "campaign target must halt fault-free within {} cycles, got {stop:?}",
+            self.max_cycles
+        )
     }
 }
 
-/// [`run_campaign`] in incremental chunks, reporting the running tally
-/// to `progress` every `chunk` trials — the engine behind the
-/// `casted-serve` streaming-inject protocol extension. The fault-free
-/// run is bounded by `max_cycles`, as in [`run_campaign_within`].
+/// How a campaign's trials run. Every runner reports the same tally
+/// for the same campaign — an invariant enforced by unit tests here, a
+/// difftest oracle layer and `scripts/ci.sh` byte-compares (see
+/// docs/PERFORMANCE.md and docs/INCREMENTAL.md).
+pub enum Runner<'a> {
+    /// [`Engine::Reference`]: strictly serial, every trial
+    /// re-simulated from cycle 0 — the independent oracle the other
+    /// runners are checked against.
+    Reference,
+    /// [`Engine::Checkpointed`], optionally in chunks with progress
+    /// reports between them.
+    Checkpointed(Option<Progress<'a>>),
+    /// Through the compositional section store ([`sections`]): cached
+    /// section evidence is recombined and only what changed is
+    /// re-injected. A campaign outside the store's vocabulary (a
+    /// multi-bit burst, RBED, a register-file strike or a program with
+    /// votes) runs on the checkpointed engine instead and leaves the
+    /// store untouched.
+    Sections(&'a ArtifactStore),
+}
+
+impl Default for Runner<'_> {
+    fn default() -> Self {
+        Engine::default().into()
+    }
+}
+
+impl From<Engine> for Runner<'_> {
+    fn from(engine: Engine) -> Self {
+        match engine {
+            Engine::Reference => Runner::Reference,
+            Engine::Checkpointed => Runner::Checkpointed(None),
+        }
+    }
+}
+
+/// Chunked progress of a checkpointed campaign — the engine behind the
+/// `casted-serve` streaming-inject protocol extension.
 ///
-/// `progress(done, tally)` is invoked after each completed chunk
-/// *except the last* (the caller's final reply carries the complete
-/// tally); returning `false` cancels the campaign, and the partial
-/// result comes back with `completed == false`.
+/// `report(done, tally)` is invoked after each completed chunk of
+/// `chunk` trials *except the last* (the caller's final reply carries
+/// the complete tally); returning `false` cancels the campaign, whose
+/// result then holds fewer than `config.trials` trials.
 ///
 /// Two exactness properties make streaming safe to expose:
 ///
 /// * **Prefix match** — injections are pre-drawn from the frozen
 ///   stream and trials are mutually independent, so the running tally
 ///   at `done = M` equals the tally of a whole campaign with
-///   `cfg.trials = M`. A cancelled campaign's partial tally is a real
+///   `trials = M`. A cancelled campaign's partial tally is a real
 ///   campaign result, not an approximation.
-/// * **Engine independence** — per-trial outcomes are engine-invariant
+/// * **Runner independence** — per-trial outcomes are runner-invariant
 ///   (the workspace-wide byte-identical-tally contract), so the final
-///   tally equals [`run_campaign_engine`] under *any* engine; chunks
-///   run on the checkpointed replay path.
-pub fn run_campaign_streaming(
+///   tally equals every runner's.
+#[allow(clippy::type_complexity)]
+pub struct Progress<'a> {
+    /// Trials per chunk (0 counts as 1).
+    pub chunk: usize,
+    /// Called between chunks with `(trials done, running tally)`.
+    pub report: Box<dyn FnMut(u64, &Tally) -> bool + 'a>,
+}
+
+/// Run a Monte-Carlo fault campaign.
+///
+/// The fault-free run comes first, under the watchdog
+/// `campaign.max_cycles`: a target that does not halt within it is
+/// refused with the stop it took (`Err(Timeout)` for a program that
+/// runs too long), before any trial runs and with the `sim.*` counters
+/// untouched. Each trial then draws a uniformly random dynamic
+/// instruction of the run and a random bit of its output register.
+/// (The paper fixes the error *rate* to the original binary's dynamic
+/// length; we draw one fault per trial uniformly over the tested
+/// binary's own execution — the reported per-class *fractions* are
+/// directly comparable, see DESIGN.md.)
+///
+/// ## Injection stream format (frozen)
+///
+/// Campaigns are bit-reproducible across platforms and toolchains:
+/// the RNG is `casted_util::Rng` (xoshiro256++ seeded from
+/// `config.seed` via SplitMix64), and each trial draws, in order,
+///
+/// 1. `at`  = `gen_range(1..=golden_dyn_insns)` — the dynamic
+///    instruction whose output is struck, and
+/// 2. `bit` = `gen_range(0..64u32)` — the flipped bit.
+///
+/// (The [`FaultModel::RegisterFile`] model draws a third value,
+/// `gen_range(0..total_allocated_regs)`, to pick the victim register,
+/// and a multi-bit [`FlipModel`] a last one, the burst phase.) The
+/// `stream_format_is_frozen` unit test pins golden values for this
+/// sequence; any change to the draw order, the RNG algorithm or the
+/// bounded-draw mapping is a format break and must be made
+/// deliberately there.
+pub fn run(campaign: &mut Campaign) -> Result<CampaignResult, StopReason> {
+    let Campaign { target, config, max_cycles, runner } = campaign;
+    match runner {
+        Runner::Reference => reference_campaign(target, config, *max_cycles),
+        Runner::Checkpointed(progress) => {
+            checkpointed_campaign(target, config, *max_cycles, progress.as_mut())
+        }
+        Runner::Sections(store) => sections::section_campaign(target, config, store, *max_cycles),
+    }
+}
+
+/// [`run`] of `cfg` on `engine` under the default bound, panicking on
+/// a refusal. Exists only for perfbench, which calls it, until perfbench
+/// moves to [`run`].
+pub fn run_campaign_engine(
+    sp: &ScheduledProgram,
+    cfg: &CampaignConfig,
+    engine: Engine,
+) -> CampaignResult {
+    let mut campaign = Campaign::new(sp, cfg.clone()).on(engine);
+    run(&mut campaign).unwrap_or_else(|stop| panic!("{}", campaign.refusal(&stop)))
+}
+
+/// The reference engine ([`Runner::Reference`]).
+fn reference_campaign(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     max_cycles: u64,
-    chunk: usize,
-    progress: &mut dyn FnMut(u64, &Tally) -> bool,
-) -> Result<(CampaignResult, bool), StopReason> {
-    let mut draw = |rng: &mut Rng, dyn_insns| draw_output_injection(rng, dyn_insns, cfg.flip);
-    checkpointed_campaign(sp, cfg, max_cycles, &mut draw, chunk, progress)
+) -> Result<CampaignResult, StopReason> {
+    let golden = simulate_golden(sp, max_cycles);
+    halts(&golden)?;
+    let rbed = cfg.replay_detect.then(|| rbed_plan(sp, golden.stats.dyn_insns));
+    let max_cycles = golden.stats.cycles.saturating_mul(cfg.timeout_factor);
+    let injections = injection_stream(sp, cfg, golden.stats.dyn_insns);
+    let mut tally = Tally::default();
+    let span = casted_obs::span("faults.campaign_ns");
+    for inj in injections {
+        tally.record(run_trial_with(sp, &golden, inj, max_cycles, rbed.as_ref()));
+    }
+    record_campaign_metrics(&tally, None, span);
+    Ok(CampaignResult {
+        tally,
+        golden_cycles: golden.stats.cycles,
+        golden_dyn: golden.stats.dyn_insns,
+        engine: EngineStats::default(),
+    })
 }
 
 /// The checkpointed engine: the golden run under the watchdog
 /// `max_cycles` (the campaign's one whole-program fault-free pass), the
 /// frozen injection stream drawn from its dynamic length, golden
 /// capture at the drawn sites ([`GoldenRun::capture`]), then the
-/// replays on
-/// [`casted_util::pool::run_pool`], `chunk` trials at a time with
-/// `progress` between chunks (see [`run_campaign_streaming`]). The
-/// per-trial draw order through `draw` is the frozen stream contract;
-/// results come back in input order, so the tally reduction is
-/// independent of thread interleaving and byte-identical to the
-/// reference engine's.
-fn checkpointed_campaign(
+/// replays on [`casted_util::pool::run_pool`], one chunk at a time with
+/// `progress` between chunks (see [`Progress`]). Results come back in
+/// input order, so the tally reduction is independent of thread
+/// interleaving and byte-identical to the reference engine's.
+pub(crate) fn checkpointed_campaign(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     max_cycles: u64,
-    draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
-    chunk: usize,
-    progress: &mut dyn FnMut(u64, &Tally) -> bool,
-) -> Result<(CampaignResult, bool), StopReason> {
+    mut progress: Option<&mut Progress>,
+) -> Result<CampaignResult, StopReason> {
     // Under RBED, pass 1 runs the digest accumulator, so its grid
     // states can restart a capture under the plan.
     let program = CampaignProgram::new(sp);
@@ -589,8 +730,7 @@ fn checkpointed_campaign(
     let golden_dyn = golden.result.stats.dyn_insns;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
     let rbed = cfg.replay_detect.then(|| golden.rbed_plan(sp));
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let injections: Vec<Injection> = (0..cfg.trials).map(|_| draw(&mut rng, golden_dyn)).collect();
+    let injections = injection_stream(sp, cfg, golden_dyn);
     let sites: Vec<u64> = injections.iter().map(|inj| inj.at_dyn_insn).collect();
     let trace = golden.capture(sp, &sites, rbed);
 
@@ -601,8 +741,8 @@ fn checkpointed_campaign(
         capture_insns: trace.capture_insns(),
         ..EngineStats::default()
     };
+    let chunk = progress.as_ref().map_or(cfg.trials, |p| p.chunk);
     let mut done: u64 = 0;
-    let mut completed = true;
     for injs in injections.chunks(chunk.max(1)) {
         let outcomes = run_pool(
             injs.iter()
@@ -629,74 +769,27 @@ fn checkpointed_campaign(
             engine_stats.pruned_trials += pruned as u64;
         }
         done += injs.len() as u64;
-        if done < cfg.trials as u64 && !progress(done, &tally) {
-            completed = false;
-            break;
+        if let Some(p) = progress.as_mut() {
+            if done < cfg.trials as u64 && !(p.report)(done, &tally) {
+                break;
+            }
         }
     }
     record_campaign_metrics(&tally, Some(&engine_stats), span);
-    Ok((
-        CampaignResult {
-            tally,
-            golden_cycles,
-            golden_dyn,
-            engine: engine_stats,
-        },
-        completed,
-    ))
+    Ok(CampaignResult {
+        tally,
+        golden_cycles,
+        golden_dyn,
+        engine: engine_stats,
+    })
 }
 
-/// The refusal every engine shares: a campaign target must halt
+/// The refusal every runner shares: a campaign target must halt
 /// fault-free, or no trial has a reference to be classified against.
 fn halts(golden: &SimResult) -> Result<(), StopReason> {
     match &golden.stop {
         StopReason::Halt(_) => Ok(()),
         stop => Err(stop.clone()),
-    }
-}
-
-/// The refusal as a panic, for the entry points that take no cycle
-/// bound.
-pub(crate) fn halted<T>(campaign: Result<T, StopReason>) -> T {
-    campaign.unwrap_or_else(|stop| {
-        panic!("campaign target must run fault-free to completion, got {stop:?}")
-    })
-}
-
-/// Shared campaign driver: draw the frozen injection stream, run
-/// every trial on the chosen engine, reduce the tally in trial order.
-fn campaign_core(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    engine: Engine,
-    max_cycles: u64,
-    draw: &mut dyn FnMut(&mut Rng, u64) -> Injection,
-) -> Result<CampaignResult, StopReason> {
-    match engine {
-        Engine::Reference => {
-            let golden = simulate_golden(sp, max_cycles);
-            halts(&golden)?;
-            let rbed = cfg.replay_detect.then(|| rbed_plan(sp, golden.stats.dyn_insns));
-            let max_cycles = golden.stats.cycles.saturating_mul(cfg.timeout_factor);
-            let mut rng = Rng::seed_from_u64(cfg.seed);
-            let mut tally = Tally::default();
-            let span = casted_obs::span("faults.campaign_ns");
-            for _ in 0..cfg.trials {
-                let inj = draw(&mut rng, golden.stats.dyn_insns);
-                tally.record(run_trial_with(sp, &golden, inj, max_cycles, rbed.as_ref()));
-            }
-            record_campaign_metrics(&tally, None, span);
-            Ok(CampaignResult {
-                tally,
-                golden_cycles: golden.stats.cycles,
-                golden_dyn: golden.stats.dyn_insns,
-                engine: EngineStats::default(),
-            })
-        }
-        Engine::Checkpointed => {
-            checkpointed_campaign(sp, cfg, max_cycles, draw, cfg.trials, &mut |_, _| true)
-                .map(|(result, _)| result)
-        }
     }
 }
 
@@ -792,7 +885,16 @@ mod tests {
         ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1))
     }
 
-    /// The injection stream format is frozen (see [`run_campaign`]
+    /// `cfg` over `sp` on `runner`, which must accept the target.
+    pub(crate) fn run_on<'a>(
+        sp: &'a ScheduledProgram,
+        cfg: &CampaignConfig,
+        runner: impl Into<Runner<'a>>,
+    ) -> CampaignResult {
+        run(&mut Campaign::new(sp, cfg.clone()).on(runner)).expect("target halts")
+    }
+
+    /// The injection stream format is frozen (see [`run`]
     /// docs): for a given seed and golden dynamic length, the sequence
     /// of `(dynamic instruction, bit)` injection sites is identical on
     /// every platform and toolchain, byte for byte. These golden
@@ -860,15 +962,14 @@ mod tests {
             ..CampaignConfig::default()
         };
         let mut updates: Vec<(u64, Tally)> = Vec::new();
-        let (res, completed) = run_campaign_streaming(&sp, &cfg, u64::MAX, 16, &mut |done, t| {
+        let report = Box::new(|done, t: &Tally| {
             updates.push((done, t.clone()));
             true
-        })
-        .unwrap();
-        assert!(completed);
+        });
+        let res = run_on(&sp, &cfg, Runner::Checkpointed(Some(Progress { chunk: 16, report })));
         assert_eq!(res.tally.total(), 40);
         for engine in [Engine::Reference, Engine::Checkpointed] {
-            let full = run_campaign_engine(&sp, &cfg, engine);
+            let full = run_on(&sp, &cfg, engine);
             assert_eq!(res.tally, full.tally, "streaming vs {engine:?}");
             assert_eq!(res.golden_cycles, full.golden_cycles);
             assert_eq!(res.golden_dyn, full.golden_dyn);
@@ -884,7 +985,7 @@ mod tests {
                 trials: *done as usize,
                 ..cfg.clone()
             };
-            let prefix = run_campaign(&sp, &prefix_cfg);
+            let prefix = run_on(&sp, &prefix_cfg, Engine::default());
             assert_eq!(t, &prefix.tally, "prefix mismatch at {done} trials");
         }
     }
@@ -900,17 +1001,10 @@ mod tests {
             timeout_factor: 10,
             ..CampaignConfig::default()
         };
-        let (partial, completed) =
-            run_campaign_streaming(&sp, &cfg, u64::MAX, 10, &mut |done, _| done < 20).unwrap();
-        assert!(!completed);
+        let report = Box::new(|done, _: &Tally| done < 20);
+        let partial = run_on(&sp, &cfg, Runner::Checkpointed(Some(Progress { chunk: 10, report })));
         assert_eq!(partial.tally.total(), 20);
-        let prefix = run_campaign(
-            &sp,
-            &CampaignConfig {
-                trials: 20,
-                ..cfg
-            },
-        );
+        let prefix = run_on(&sp, &CampaignConfig { trials: 20, ..cfg }, Engine::default());
         assert_eq!(partial.tally, prefix.tally);
     }
 
@@ -953,8 +1047,7 @@ mod tests {
     }
 
     /// Same-seed campaigns must agree between campaign variants too:
-    /// the `InstructionOutput` model inside `run_campaign_with_model`
-    /// delegates, so its draw sequence is the same stream.
+    /// every fault model and runner draws from the same stream.
     #[test]
     fn stream_is_platform_stable_across_dyn_lengths() {
         // The (at, bit) pair for trial 0 must depend only on the seed
@@ -975,30 +1068,17 @@ mod tests {
             trials: 50,
             ..Default::default()
         };
-        let a = run_campaign(&sp, &cfg);
-        let b = run_campaign(&sp, &cfg);
+        let a = run_on(&sp, &cfg, Engine::default());
+        let b = run_on(&sp, &cfg, Engine::default());
         assert_eq!(a.tally, b.tally);
     }
 
     #[test]
     fn different_seeds_differ() {
         let sp = unprotected();
-        let a = run_campaign(
-            &sp,
-            &CampaignConfig {
-                trials: 60,
-                seed: 1,
-                ..Default::default()
-            },
-        );
-        let b = run_campaign(
-            &sp,
-            &CampaignConfig {
-                trials: 60,
-                seed: 2,
-                ..Default::default()
-            },
-        );
+        let cfg = |seed| CampaignConfig { trials: 60, seed, ..Default::default() };
+        let a = run_on(&sp, &cfg(1), Engine::default());
+        let b = run_on(&sp, &cfg(2), Engine::default());
         // Overwhelmingly likely to differ in at least one class.
         assert_ne!(a.tally, b.tally);
     }
@@ -1006,13 +1086,8 @@ mod tests {
     #[test]
     fn unprotected_program_never_detects() {
         let sp = unprotected();
-        let r = run_campaign(
-            &sp,
-            &CampaignConfig {
-                trials: 80,
-                ..Default::default()
-            },
-        );
+        let cfg = CampaignConfig { trials: 80, ..Default::default() };
+        let r = run_on(&sp, &cfg, Engine::default());
         assert_eq!(r.tally.count(Outcome::Detected), 0);
         // And some faults must corrupt data or raise exceptions.
         assert!(
@@ -1026,13 +1101,8 @@ mod tests {
     #[test]
     fn tally_fractions_sum_to_one() {
         let sp = unprotected();
-        let r = run_campaign(
-            &sp,
-            &CampaignConfig {
-                trials: 40,
-                ..Default::default()
-            },
-        );
+        let cfg = CampaignConfig { trials: 40, ..Default::default() };
+        let r = run_on(&sp, &cfg, Engine::default());
         let sum: f64 = Outcome::ALL.iter().map(|&o| r.tally.fraction(o)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -1048,8 +1118,8 @@ mod tests {
             trials: 80,
             ..Default::default()
         };
-        let reference = run_campaign_reference(&sp, &cfg);
-        let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+        let reference = run_on(&sp, &cfg, Engine::Reference);
+        let checkpointed = run_on(&sp, &cfg, Engine::Checkpointed);
         assert_eq!(reference.tally, checkpointed.tally, "engines diverged");
         assert_eq!(reference.golden_cycles, checkpointed.golden_cycles);
         assert_eq!(reference.golden_dyn, checkpointed.golden_dyn);
@@ -1072,10 +1142,10 @@ mod tests {
             trials: 8,
             ..Default::default()
         };
-        let r = run_campaign(&sp, &cfg);
+        let r = run_on(&sp, &cfg, Engine::default());
         assert!(r.engine.checkpoints >= 1 && r.engine.checkpoints <= 9, "{:?}", r.engine);
         assert_eq!(r.engine.batch, BatchStats::default());
-        assert_eq!(r.tally, run_campaign_reference(&sp, &cfg).tally);
+        assert_eq!(r.tally, run_on(&sp, &cfg, Engine::Reference).tally);
         assert_eq!(Engine::default(), Engine::Checkpointed);
     }
 
@@ -1095,20 +1165,21 @@ mod tests {
             trials: 25,
             ..Default::default()
         };
-        let reference = run_campaign_reference(&sp, &cfg);
+        let reference = run_on(&sp, &cfg, Engine::Reference);
         assert_eq!(reference.golden_dyn, 1);
         assert_eq!(reference.tally.count(Outcome::Benign), 25);
-        let r = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+        let r = run_on(&sp, &cfg, Engine::Checkpointed);
         assert_eq!(r.tally, reference.tally);
     }
 
-    /// Regression (satellite): zero-dynamic-instruction programs (an
-    /// empty entry block that falls through) cannot be campaign
-    /// targets — the golden run never halts — and both engines must
-    /// refuse identically instead of panicking deep inside checkpoint
-    /// bookkeeping.
+    /// Regression: zero-dynamic-instruction programs (an empty entry
+    /// block that falls through) cannot be campaign targets — the
+    /// golden run never halts — and every runner must refuse them with
+    /// the same stop, as an `Err`, instead of panicking deep inside
+    /// checkpoint bookkeeping.
     #[test]
     fn zero_insn_program_is_refused_identically_by_all_engines() {
+        use casted_ir::semantics::ExecError;
         let mut m = Module::new("t");
         let mut b = FunctionBuilder::new("main");
         let _unreachable = b.new_block("dead");
@@ -1119,21 +1190,23 @@ mod tests {
             trials: 5,
             ..Default::default()
         };
-        for engine in [Engine::Reference, Engine::Checkpointed] {
-            let sp = sp.clone();
-            let cfg = cfg.clone();
-            let err = std::panic::catch_unwind(move || run_campaign_engine(&sp, &cfg, engine))
-                .expect_err("engine accepted a never-halting golden run");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                msg.contains("must run fault-free to completion"),
-                "{}: unexpected panic {msg:?}",
-                engine.name()
-            );
+        let dir = std::env::temp_dir().join(format!("casted-refusal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ArtifactStore::open(&dir).expect("open store");
+        let streamed = Progress { chunk: 2, report: Box::new(|_, _: &Tally| true) };
+        let runners = [
+            Runner::Reference,
+            Runner::Checkpointed(None),
+            Runner::Checkpointed(Some(streamed)),
+            Runner::Sections(&store),
+        ];
+        for runner in runners {
+            let err = run(&mut Campaign::new(&sp, cfg.clone()).on(runner))
+                .expect_err("runner accepted a never-halting golden run");
+            // Falling off the empty block fetches from address -1.
+            assert_eq!(err, StopReason::Exception(ExecError::MemOutOfBounds(-1)));
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Convergence-pruned trials classify identically to full-run
@@ -1148,13 +1221,13 @@ mod tests {
             trials: 120,
             ..Default::default()
         };
-        let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
+        let checkpointed = run_on(&sp, &cfg, Engine::Checkpointed);
         assert!(
             checkpointed.engine.pruned_trials > 0,
             "campaign never pruned — the test is vacuous: {:?}",
             checkpointed.engine
         );
-        let reference = run_campaign_reference(&sp, &cfg);
+        let reference = run_on(&sp, &cfg, Engine::Reference);
         assert_eq!(reference.tally, checkpointed.tally);
         // Pruned trials halt like the golden run: Benign, or Corrected
         // when a vote repaired the strike.
@@ -1240,80 +1313,16 @@ mod tests {
     }
 }
 
-/// Which hardware structure the fault strikes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultModel {
-    /// The paper's model (§IV-C): flip a bit of a dynamic
-    /// instruction's output register right after writeback.
-    #[default]
-    InstructionOutput,
-    /// Extension: flip a bit of a uniformly random *architectural
-    /// register* at a random point in time — a register-file strike.
-    /// Dormant values (long-lived, rarely rewritten) are exposed much
-    /// longer under this model, so coverage differs.
-    RegisterFile,
-}
-
-/// Run a campaign under a chosen [`FaultModel`].
-pub fn run_campaign_with_model(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    model: FaultModel,
-) -> CampaignResult {
-    run_campaign_with_model_engine(sp, cfg, model, Engine::default())
-}
-
-/// [`run_campaign_with_model`] with an explicit engine choice.
-pub fn run_campaign_with_model_engine(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    model: FaultModel,
-    engine: Engine,
-) -> CampaignResult {
-    if model == FaultModel::InstructionOutput {
-        return run_campaign_engine(sp, cfg, engine);
-    }
-    use casted_ir::{Reg, RegClass};
-    // Uniform over all allocated registers of all classes; the counts
-    // are a property of the function, hoisted out of the trial loop.
-    let func = sp.module.entry_fn();
-    let counts = [
-        func.reg_count(RegClass::Gp),
-        func.reg_count(RegClass::Fp),
-        func.reg_count(RegClass::Pr),
-    ];
-    let total: u32 = counts.iter().sum();
-    let flip = cfg.flip;
-    halted(campaign_core(sp, cfg, engine, u64::MAX, &mut |rng, dyn_insns| {
-        let (at, bit) = draw_injection(rng, dyn_insns);
-        let mut pick = rng.gen_range(0..total.max(1));
-        let target = if pick < counts[0] {
-            Reg::gp(pick)
-        } else if {
-            pick -= counts[0];
-            pick < counts[1]
-        } {
-            Reg::fp(pick)
-        } else {
-            pick -= counts[1];
-            Reg::pr(pick)
-        };
-        let phase = draw_burst_phase(rng, flip);
-        Injection {
-            at_dyn_insn: at,
-            bit,
-            target: Some(target),
-            width: flip.width(),
-            phase,
-        }
-    }))
-}
-
 #[cfg(test)]
 mod model_tests {
+    use super::tests::run_on;
     use super::*;
     use casted_ir::testgen::{random_module, GenOptions};
-    use casted_ir::MachineConfig;
+    use casted_ir::{FunctionBuilder, MachineConfig, Module};
+
+    fn register_file(cfg: &CampaignConfig) -> CampaignConfig {
+        CampaignConfig { model: FaultModel::RegisterFile, ..cfg.clone() }
+    }
 
     #[test]
     fn register_file_model_runs_and_is_deterministic() {
@@ -1323,8 +1332,8 @@ mod model_tests {
             trials: 30,
             ..Default::default()
         };
-        let a = run_campaign_with_model(&sp, &cfg, FaultModel::RegisterFile);
-        let b = run_campaign_with_model(&sp, &cfg, FaultModel::RegisterFile);
+        let a = run_on(&sp, &register_file(&cfg), Engine::default());
+        let b = run_on(&sp, &register_file(&cfg), Engine::default());
         assert_eq!(a.tally, b.tally);
         assert_eq!(a.tally.total(), 30);
     }
@@ -1337,9 +1346,32 @@ mod model_tests {
             trials: 20,
             ..Default::default()
         };
-        let a = run_campaign_with_model(&sp, &cfg, FaultModel::InstructionOutput);
-        let b = run_campaign(&sp, &cfg);
+        assert_eq!(cfg.model, FaultModel::InstructionOutput);
+        let explicit = CampaignConfig { model: FaultModel::InstructionOutput, ..cfg.clone() };
+        let a = run_on(&sp, &explicit, Engine::Reference);
+        let b = run_on(&sp, &cfg, Engine::default());
         assert_eq!(a.tally, b.tally);
+    }
+
+    /// A register-file campaign gets the fault-free bound too: a target
+    /// that never halts is refused as `Err(Timeout)` on both engines
+    /// instead of running forever.
+    #[test]
+    fn register_file_model_refuses_a_non_halting_target() {
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new("main");
+        let spin = b.new_block("spin");
+        b.br(spin);
+        b.switch_to(spin);
+        b.br(spin);
+        let id = m.add_function(b.finish());
+        m.entry = Some(id);
+        let sp = ScheduledProgram::sequential(&m, MachineConfig::perfect_memory(1, 1));
+        let cfg = register_file(&CampaignConfig { trials: 4, ..Default::default() });
+        for engine in [Engine::Reference, Engine::Checkpointed] {
+            let mut c = Campaign { max_cycles: 1000, ..Campaign::new(&sp, cfg.clone()).on(engine) };
+            assert_eq!(run(&mut c).unwrap_err(), StopReason::Timeout, "{engine:?}");
+        }
     }
 
     #[test]
@@ -1366,9 +1398,8 @@ mod model_tests {
             trials: 40,
             ..Default::default()
         };
-        let a = run_campaign_with_model_engine(&sp, &cfg, FaultModel::RegisterFile, Engine::Reference);
-        let b =
-            run_campaign_with_model_engine(&sp, &cfg, FaultModel::RegisterFile, Engine::Checkpointed);
+        let a = run_on(&sp, &register_file(&cfg), Engine::Reference);
+        let b = run_on(&sp, &register_file(&cfg), Engine::Checkpointed);
         assert_eq!(a.tally, b.tally, "register-file model engines diverged");
     }
 
@@ -1382,8 +1413,8 @@ mod model_tests {
             trials: 120,
             ..Default::default()
         };
-        let out = run_campaign_with_model(&sp, &cfg, FaultModel::InstructionOutput);
-        let rf = run_campaign_with_model(&sp, &cfg, FaultModel::RegisterFile);
+        let out = run_on(&sp, &cfg, Engine::default());
+        let rf = run_on(&sp, &register_file(&cfg), Engine::default());
         assert_ne!(out.tally, rf.tally, "models should produce different tallies");
     }
 }

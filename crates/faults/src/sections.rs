@@ -74,7 +74,6 @@ use casted_util::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use casted_util::hash::Fnv64;
 use casted_util::pool::run_pool;
 use casted_util::store::ArtifactStore;
-use casted_util::Rng;
 
 use crate::{CampaignConfig, CampaignResult, EngineStats, Outcome, Tally};
 
@@ -440,7 +439,7 @@ fn resolve(
     match entry {
         TrialEntry::Resolved(o) => Some(*o),
         // Section evidence carries no correction count: vote programs
-        // stay outside the vocabulary (`run_campaign_incremental`).
+        // stay outside the vocabulary (`section_campaign`).
         TrialEntry::Halted { code, stream } => Some(crate::classify_halt(
             &StopReason::Halt(golden_code),
             golden_stream,
@@ -453,15 +452,6 @@ fn resolve(
         }
         TrialEntry::Escaped(_) => None,
     }
-}
-
-/// The frozen injection stream: identical draw order to every other
-/// engine.
-fn frozen_stream(cfg: &CampaignConfig, golden_dyn: u64) -> Vec<Injection> {
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    (0..cfg.trials)
-        .map(|_| crate::draw_output_injection(&mut rng, golden_dyn, cfg.flip))
-        .collect()
 }
 
 /// Turn one replay verdict — a bounded section trial's or an escape's
@@ -489,49 +479,42 @@ fn entry_of(trial: TrialRun, golden: &casted_sim::SimResult) -> TrialEntry {
     }
 }
 
-/// Run a Monte-Carlo campaign through the section cache.
+/// A Monte-Carlo campaign through the section cache
+/// ([`crate::Runner::Sections`]).
 ///
-/// Draws the identical frozen injection stream as every other engine,
+/// Draws the identical frozen injection stream as every other runner,
 /// buckets trials by section, reuses validated cached records,
 /// injects only miss sections (bounded per-section runs), replays
 /// escapes whole-program, and reduces the tally **in trial order** —
-/// the recombined tally is byte-identical to
-/// [`crate::run_campaign_engine`] on any engine with the same config
-/// (the four-level gate stack enforces this; see `docs/INCREMENTAL.md`
-/// for the argument). Only the default `InstructionOutput` fault
-/// model is supported — the register-file model's third stream draw
-/// is not part of the section key vocabulary. Panics unless the target
-/// halts fault-free; [`run_campaign_incremental_within`] bounds that
-/// run and returns the refusal instead.
-pub fn run_campaign_incremental(
-    sp: &ScheduledProgram,
-    cfg: &CampaignConfig,
-    store: &ArtifactStore,
-) -> CampaignResult {
-    crate::halted(run_campaign_incremental_within(sp, cfg, store, u64::MAX))
-}
-
-/// [`run_campaign_incremental`] with the fault-free run bounded by the
-/// watchdog `max_cycles`, refusing a target that does not halt within
-/// it as [`crate::run_campaign_within`] does. A warm rerun still
-/// simulates nothing: its [`ProgramRecord`] proves the target halts
-/// within any bound of at least `golden_cycles`. Under a tighter bound
-/// the record is not used and the cold path's bounded golden run
+/// the recombined tally is byte-identical to every other runner's for
+/// the same campaign (the four-level gate stack enforces this; see
+/// `docs/INCREMENTAL.md` for the argument). The fault-free run is
+/// bounded by the watchdog `max_cycles`, and a target that does not
+/// halt within it is refused as [`crate::run`] refuses it. A warm rerun
+/// still simulates nothing: its [`ProgramRecord`] proves the target
+/// halts within any bound of at least `golden_cycles`. Under a tighter
+/// bound the record is not used and the cold path's bounded golden run
 /// decides.
-pub fn run_campaign_incremental_within(
+pub(crate) fn section_campaign(
     sp: &ScheduledProgram,
     cfg: &CampaignConfig,
     store: &ArtifactStore,
     max_cycles: u64,
 ) -> Result<CampaignResult, StopReason> {
     // The section evidence vocabulary predates the recovery-capable
-    // schemes: halt evidence is `(exit code, stream)` only, so a vote
-    // correction, a multi-bit burst or a replay-digest plan cannot be
-    // recombined from the store. Campaigns outside the vocabulary run
-    // on the standard engine instead — byte-identical tally, no
-    // caching — rather than silently misclassifying Corrected trials.
-    if cfg.flip != crate::FlipModel::Single || cfg.replay_detect || program_has_votes(sp) {
-        return crate::run_campaign_within(sp, cfg, crate::Engine::default(), max_cycles);
+    // schemes and the register-file model: halt evidence is
+    // `(exit code, stream)` only and the key hashes `(at, bit)` only, so
+    // a vote correction, a multi-bit burst, a replay-digest plan or a
+    // register-file victim cannot be recombined from the store.
+    // Campaigns outside the vocabulary run on the checkpointed engine
+    // instead — byte-identical tally, no caching — rather than silently
+    // misclassifying their trials.
+    if cfg.flip != crate::FlipModel::Single
+        || cfg.replay_detect
+        || cfg.model != crate::FaultModel::InstructionOutput
+        || program_has_votes(sp)
+    {
+        return crate::checkpointed_campaign(sp, cfg, max_cycles, None);
     }
     // One decode and one liveness analysis serve the validation hashes
     // and, on the cold path, every golden pass and replay.
@@ -549,7 +532,7 @@ pub fn run_campaign_incremental_within(
 
 /// Whether the scheduled program contains any majority-vote
 /// instruction (the TMRED transform) — see the vocabulary gate in
-/// [`run_campaign_incremental`].
+/// [`section_campaign`].
 fn program_has_votes(sp: &ScheduledProgram) -> bool {
     sp.module
         .entry_fn()
@@ -583,7 +566,7 @@ fn recombine_from_cache(
     let golden_cycles = prog.golden_cycles;
     let golden_dyn = prog.golden_dyn;
     let max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-    let injections = frozen_stream(cfg, golden_dyn);
+    let injections = crate::injection_stream(sp, cfg, golden_dyn);
 
     let span = casted_obs::span("faults.campaign_ns");
     let nsec = prog.partition.len();
@@ -651,7 +634,7 @@ fn run_campaign_cold(
     let golden_cycles = golden.result.stats.cycles;
     let golden_dyn = golden.result.stats.dyn_insns;
     let trial_max_cycles = golden_cycles.saturating_mul(cfg.timeout_factor);
-    let injections = frozen_stream(cfg, golden_dyn);
+    let injections = crate::injection_stream(sp, cfg, golden_dyn);
 
     let span = casted_obs::span("faults.campaign_ns");
 
@@ -846,7 +829,8 @@ fn run_campaign_cold(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_campaign_engine, Engine};
+    use crate::tests::run_on;
+    use crate::{Engine, FaultModel, Runner};
     use casted_ir::{FunctionBuilder, MachineConfig, Module, Opcode, Operand};
     use std::path::PathBuf;
 
@@ -944,9 +928,9 @@ mod tests {
         let sp = program();
         let cfg = CampaignConfig { trials: 120, ..Default::default() };
         let (dir, store) = tmp_store("coldwarm");
-        let cold = run_campaign_incremental(&sp, &cfg, &store);
+        let cold = run_on(&sp, &cfg, Runner::Sections(&store));
         for engine in [Engine::Reference, Engine::Checkpointed] {
-            let full = run_campaign_engine(&sp, &cfg, engine);
+            let full = run_on(&sp, &cfg, engine);
             assert_eq!(cold.tally, full.tally, "{} disagrees", engine.name());
             assert_eq!(cold.golden_cycles, full.golden_cycles);
             assert_eq!(cold.golden_dyn, full.golden_dyn);
@@ -955,7 +939,7 @@ mod tests {
         assert_eq!(cold.engine.sections.hit, 0);
         assert!(cold.engine.sections.miss > 0);
 
-        let warm = run_campaign_incremental(&sp, &cfg, &store);
+        let warm = run_on(&sp, &cfg, Runner::Sections(&store));
         assert_eq!(warm.tally, cold.tally, "warm recombination changed the tally");
         assert_eq!(warm.engine.sections.miss, 0, "warm rerun re-injected");
         assert_eq!(warm.engine.sections.hit, cold.engine.sections.miss);
@@ -974,11 +958,11 @@ mod tests {
         let sp = program();
         let cfg = CampaignConfig { trials: 300, ..Default::default() };
         let (dir, store) = tmp_store("escapes");
-        let cold = run_campaign_incremental(&sp, &cfg, &store);
+        let cold = run_on(&sp, &cfg, Runner::Sections(&store));
         let s = cold.engine.sections;
         assert!(s.escaped > 0, "no escape replayed: the test is vacuous ({s:?})");
         assert_eq!(cold.engine.checkpoints, s.total, "a snapshot beyond the section starts");
-        assert_eq!(cold.tally, run_campaign_engine(&sp, &cfg, Engine::Reference).tally);
+        assert_eq!(cold.tally, run_on(&sp, &cfg, Engine::Reference).tally);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1010,7 +994,7 @@ mod tests {
         let sp = program();
         let cfg = CampaignConfig { trials: 80, ..Default::default() };
         let (dir, store) = tmp_store("progsab");
-        let cold = run_campaign_incremental(&sp, &cfg, &store);
+        let cold = run_on(&sp, &cfg, Runner::Sections(&store));
 
         let victim = std::fs::read_dir(&dir)
             .expect("read cache dir")
@@ -1026,13 +1010,13 @@ mod tests {
         // Fresh handles from here on: the cold handle's write-through
         // front cache would answer from memory and never see the damage.
         let store = ArtifactStore::open(&dir).expect("reopen store");
-        let warm = run_campaign_incremental(&sp, &cfg, &store);
+        let warm = run_on(&sp, &cfg, Runner::Sections(&store));
         assert_eq!(warm.tally, cold.tally, "sabotaged program record changed the tally");
         assert!(warm.engine.checkpoints > 0, "damage must force the full path");
         assert_eq!(warm.engine.sections.miss, 0, "section records were untouched");
 
         let store = ArtifactStore::open(&dir).expect("reopen store");
-        let healed = run_campaign_incremental(&sp, &cfg, &store);
+        let healed = run_on(&sp, &cfg, Runner::Sections(&store));
         assert_eq!(healed.tally, cold.tally);
         assert_eq!(healed.engine.checkpoints, 0, "heal must restore the fast path");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1047,7 +1031,7 @@ mod tests {
         let sp = program();
         let cfg = CampaignConfig { trials: 150, ..Default::default() };
         let (dir, store) = tmp_store("edit");
-        let _ = run_campaign_incremental(&sp, &cfg, &store);
+        let _ = run_on(&sp, &cfg, Runner::Sections(&store));
 
         let mut m = summing_module(200);
         let func = m.entry_fn_mut();
@@ -1059,10 +1043,10 @@ mod tests {
         func.insns[halt].imm = 7;
         let edited = ScheduledProgram::sequential(&m, MachineConfig::itanium2_like(2, 2));
 
-        let warm = run_campaign_incremental(&edited, &cfg, &store);
+        let warm = run_on(&edited, &cfg, Runner::Sections(&store));
         assert!(warm.engine.sections.hit > 0, "epilogue edit invalidated everything");
         assert!(warm.engine.sections.miss > 0, "final-block sections must re-inject");
-        let full = run_campaign_engine(&edited, &cfg, Engine::Reference);
+        let full = run_on(&edited, &cfg, Engine::Reference);
         assert_eq!(warm.tally, full.tally, "recombined tally diverged after edit");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1077,7 +1061,7 @@ mod tests {
         let sp = program();
         let cfg = CampaignConfig { trials: 100, ..Default::default() };
         let (dir, store) = tmp_store("sabotage");
-        let cold = run_campaign_incremental(&sp, &cfg, &store);
+        let cold = run_on(&sp, &cfg, Runner::Sections(&store));
 
         // Flip one byte in the middle of one record's payload.
         let victim = std::fs::read_dir(&dir)
@@ -1094,7 +1078,7 @@ mod tests {
         // Fresh handles from here on: the cold handle's write-through
         // front cache would answer from memory and never see the damage.
         let store = ArtifactStore::open(&dir).expect("reopen store");
-        let warm = run_campaign_incremental(&sp, &cfg, &store);
+        let warm = run_on(&sp, &cfg, Runner::Sections(&store));
         assert_eq!(warm.tally, cold.tally, "sabotaged cache changed the tally");
         assert_eq!(
             warm.engine.sections.miss, 1,
@@ -1105,7 +1089,7 @@ mod tests {
 
         // And the re-injection healed the store on disk.
         let store = ArtifactStore::open(&dir).expect("reopen store");
-        let healed = run_campaign_incremental(&sp, &cfg, &store);
+        let healed = run_on(&sp, &cfg, Runner::Sections(&store));
         assert_eq!(healed.engine.sections.miss, 0);
         assert_eq!(healed.tally, cold.tally);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1119,11 +1103,29 @@ mod tests {
         let sp = program();
         let (dir, store) = tmp_store("keys");
         let a = CampaignConfig { trials: 60, ..Default::default() };
-        let _ = run_campaign_incremental(&sp, &a, &store);
+        let _ = run_on(&sp, &a, Runner::Sections(&store));
         let b = CampaignConfig { trials: 60, seed: 99, ..Default::default() };
-        let r = run_campaign_incremental(&sp, &b, &store);
+        let r = run_on(&sp, &b, Runner::Sections(&store));
         assert!(r.engine.sections.hit < r.engine.sections.total, "foreign seed fully hit");
-        assert_eq!(r.tally, run_campaign_engine(&sp, &b, Engine::Reference).tally);
+        assert_eq!(r.tally, run_on(&sp, &b, Engine::Reference).tally);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A register-file campaign is outside the section vocabulary (the
+    /// key hashes `(at, bit)`, not the victim register): given a store,
+    /// it runs on the checkpointed engine, gives that engine's tally and
+    /// writes nothing to the store.
+    #[test]
+    fn register_file_campaign_bypasses_the_store() {
+        let sp = program();
+        let model = FaultModel::RegisterFile;
+        let cfg = CampaignConfig { trials: 40, model, ..Default::default() };
+        let (dir, store) = tmp_store("regfile");
+        let r = run_on(&sp, &cfg, Runner::Sections(&store));
+        assert_eq!(r.tally, run_on(&sp, &cfg, Engine::Checkpointed).tally);
+        assert_eq!(r.engine.sections, SectionStats::default());
+        let written = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(written, 0, "a register-file campaign wrote to the store");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,7 @@
 //! stack (docs/INCREMENTAL.md); the integration, difftest and ci.sh
 //! levels enforce the same bytes at larger scales.
 
-use casted_faults::{run_campaign_engine, run_campaign_incremental, CampaignConfig, Engine};
+use casted_faults::{run, Campaign, CampaignConfig, CampaignResult, Engine, Runner};
 use casted_ir::interp::StopReason;
 use casted_ir::testgen::{random_module, GenOptions};
 use casted_ir::vliw::ScheduledProgram;
@@ -21,6 +21,15 @@ fn halts(sp: &ScheduledProgram) -> bool {
         simulate_quiet(sp, &SimOptions::default()).stop,
         StopReason::Halt(_)
     )
+}
+
+/// `cfg` over `sp` on `runner`, which must accept the target.
+fn run_on<'a>(
+    sp: &'a ScheduledProgram,
+    cfg: &CampaignConfig,
+    runner: impl Into<Runner<'a>>,
+) -> CampaignResult {
+    run(&mut Campaign::new(sp, cfg.clone()).on(runner)).expect("target halts")
 }
 
 fn fresh_store(tag: &str) -> (PathBuf, ArtifactStore) {
@@ -40,9 +49,9 @@ fn assert_exact(
     store: &ArtifactStore,
     seed_token: &str,
 ) -> u64 {
-    let inc = run_campaign_incremental(sp, cfg, store);
+    let inc = run_on(sp, cfg, Runner::Sections(store));
     for engine in [Engine::Reference, Engine::Checkpointed] {
-        let full = run_campaign_engine(sp, cfg, engine);
+        let full = run_on(sp, cfg, engine);
         assert_eq!(
             inc.tally,
             full.tally,
@@ -77,7 +86,7 @@ fn random_programs_cold_and_noop_edit_are_exact() {
         // the module — every section must hit and the bytes must not
         // move.
         let rebuilt = ScheduledProgram::sequential(&m.clone(), MachineConfig::itanium2_like(2, 2));
-        let warm = run_campaign_incremental(&rebuilt, &cfg, &store);
+        let warm = run_on(&rebuilt, &cfg, Runner::Sections(&store));
         assert_eq!(warm.engine.sections.miss, 0, "[gen:{seed}:noop] re-injected");
         assert_eq!(warm.engine.sections.recombined as usize, cfg.trials);
         assert_exact(&rebuilt, &cfg, &store, &format!("gen:{seed}:noop"));
@@ -104,7 +113,7 @@ fn random_edits_recombine_exactly() {
         }
         let cfg = CampaignConfig { trials: 50, seed: 0xED17 ^ seed, ..Default::default() };
         let (dir, store) = fresh_store(&format!("edit-{seed}"));
-        let _ = run_campaign_incremental(&sp, &cfg, &store);
+        let _ = run_on(&sp, &cfg, Runner::Sections(&store));
 
         // Candidate edits, in a deterministic order per seed: the
         // halt code (epilogue / final boundary), then immediates of
@@ -157,7 +166,7 @@ fn scheduled_random_programs_are_exact() {
             let token = format!("gen:{seed}:{}:cold", scheme.name());
             escaped += assert_exact(&prep.sp, &cfg, &store, &token);
             // Warm: full hit, same bytes.
-            let warm = run_campaign_incremental(&prep.sp, &cfg, &store);
+            let warm = run_on(&prep.sp, &cfg, Runner::Sections(&store));
             assert_eq!(warm.engine.sections.miss, 0);
             assert_exact(&prep.sp, &cfg, &store, &format!("gen:{seed}:{}:warm", scheme.name()));
             let _ = std::fs::remove_dir_all(&dir);

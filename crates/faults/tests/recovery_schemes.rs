@@ -20,8 +20,8 @@
 //!   produce NOED's exact output stream and halt code.
 
 use casted_faults::{
-    draw_injection, run_campaign, run_campaign_engine, run_campaign_streaming, CampaignConfig,
-    Engine, FlipModel, Outcome,
+    draw_injection, run, Campaign, CampaignConfig, CampaignResult, Engine, FlipModel, Outcome,
+    Progress, Runner,
 };
 use casted_ir::interp::StopReason;
 use casted_ir::vliw::ScheduledProgram;
@@ -80,13 +80,24 @@ fn campaign_cfg(scheme: Scheme, trials: usize) -> CampaignConfig {
         timeout_factor: 10,
         flip: FlipModel::Single,
         replay_detect: scheme.replay_detect(),
+        ..CampaignConfig::default()
     }
+}
+
+/// `cfg` over `sp` on `runner`, which must accept the target.
+fn run_on<'a>(
+    sp: &'a ScheduledProgram,
+    cfg: &CampaignConfig,
+    runner: impl Into<Runner<'a>>,
+) -> CampaignResult {
+    run(&mut Campaign::new(sp, cfg.clone()).on(runner)).expect("target halts")
 }
 
 #[test]
 fn tmred_corrects_where_dced_detects() {
-    let dced = run_campaign(&prepared(Scheme::Dced), &campaign_cfg(Scheme::Dced, 120));
-    let tmred = run_campaign(&prepared(Scheme::Tmred), &campaign_cfg(Scheme::Tmred, 120));
+    let campaign = |s| run_on(&prepared(s), &campaign_cfg(s, 120), Engine::default());
+    let dced = campaign(Scheme::Dced);
+    let tmred = campaign(Scheme::Tmred);
 
     // DCED's dup-and-compare only reports strikes.
     assert!(dced.tally.count(Outcome::Detected) > 0, "{:?}", dced.tally);
@@ -125,8 +136,8 @@ fn rbed_converts_noed_sdc_into_detection() {
     // stream — trials correspond one to one.
     let noed_sp = prepared(Scheme::Noed);
     let rbed_sp = prepared(Scheme::Rbed);
-    let noed = run_campaign(&noed_sp, &campaign_cfg(Scheme::Noed, 150));
-    let rbed = run_campaign(&rbed_sp, &campaign_cfg(Scheme::Rbed, 150));
+    let noed = run_on(&noed_sp, &campaign_cfg(Scheme::Noed, 150), Engine::default());
+    let rbed = run_on(&rbed_sp, &campaign_cfg(Scheme::Rbed, 150), Engine::default());
     assert_eq!(noed.golden_dyn, rbed.golden_dyn);
 
     assert!(noed.tally.count(Outcome::DataCorrupt) > 0, "{:?}", noed.tally);
@@ -153,11 +164,11 @@ fn three_engines_agree_for_recovery_schemes() {
                 flip,
                 ..campaign_cfg(scheme, 60)
             };
-            let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
-            let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
-            let (streamed, completed) =
-                run_campaign_streaming(&sp, &cfg, u64::MAX, 16, &mut |_, _| true).unwrap();
-            assert!(completed);
+            let reference = run_on(&sp, &cfg, Engine::Reference);
+            let checkpointed = run_on(&sp, &cfg, Engine::Checkpointed);
+            let progress = Progress { chunk: 16, report: Box::new(|_, _| true) };
+            let streamed = run_on(&sp, &cfg, Runner::Checkpointed(Some(progress)));
+            assert_eq!(streamed.tally.total(), cfg.trials);
             for (path, got) in [("checkpointed", checkpointed), ("streamed", streamed)] {
                 assert_eq!(
                     reference.tally, got.tally,
@@ -180,8 +191,8 @@ fn tmred_campaign_prunes_vote_repaired_trials_exactly() {
         .unwrap()
         .sp;
     let cfg = campaign_cfg(Scheme::Tmred, 24);
-    let checkpointed = run_campaign_engine(&sp, &cfg, Engine::Checkpointed);
-    let reference = run_campaign_engine(&sp, &cfg, Engine::Reference);
+    let checkpointed = run_on(&sp, &cfg, Engine::Checkpointed);
+    let reference = run_on(&sp, &cfg, Engine::Reference);
     assert_eq!(checkpointed.tally, reference.tally);
 
     // Replay the campaign's frozen stream trial by trial to see which
@@ -225,7 +236,7 @@ fn rbed_capture_restarts_from_pass_one_states() {
         .expect("kernel compiles");
     let campaign = |scheme: Scheme, engine| {
         let sp = prepare(&module, scheme, &MachineConfig::itanium2_like(2, 2)).unwrap().sp;
-        run_campaign_engine(&sp, &campaign_cfg(scheme, 16), engine)
+        run_on(&sp, &campaign_cfg(scheme, 16), engine)
     };
     let rbed = campaign(Scheme::Rbed, Engine::Checkpointed);
     let reference = campaign(Scheme::Rbed, Engine::Reference);

@@ -74,6 +74,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use casted::service_api;
+use casted_faults::{Progress, Runner, Tally};
 use casted_util::poll;
 use casted_util::pool::{pool_threads, run_pool};
 use casted_util::store::ArtifactStore;
@@ -107,7 +108,7 @@ pub struct ServerConfig {
     /// On-disk section store for inject requests, opened once by
     /// [`Server::start`] (which fails if the directory is unusable).
     /// When set, inject misses run through the compositional campaign
-    /// (`casted_faults::run_campaign_incremental`) keyed into this
+    /// (`casted_faults::Runner::Sections`) keyed into this
     /// directory, so requests for similar programs become *partial*
     /// cache hits (only changed sections re-inject) while replies stay
     /// byte-identical to the engines' — the exact-reply cache contract
@@ -409,19 +410,15 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .cancel
                     .clone()
                     .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-                let (terminal, cancelled) = execute_stream(
-                    shared,
-                    spec,
-                    *trials,
-                    *seed,
-                    *every,
-                    &cancel,
-                    &mut |frame| deliver(shared, &job, frame, false, false),
-                );
+                let resp = isolated("serve.inject_ns", || {
+                    let emit = &mut |frame| deliver(shared, &job, frame, false, false);
+                    run_stream(shared, spec, *trials, *seed, *every, &cancel, emit)
+                });
+                let cancelled = matches!(resp, Response::Cancelled { .. });
                 // Streaming replies are never cached: the terminal
                 // frame's would-be key is the InjectStream encoding,
                 // and progress frames are connection-specific.
-                deliver(shared, &job, terminal, true, cancelled);
+                deliver(shared, &job, encode_response(&resp), true, cancelled);
             }
             req => {
                 let bytes = execute_encoded(shared, req);
@@ -458,54 +455,30 @@ pub(crate) fn execute_encoded(shared: &Arc<Shared>, req: &Request) -> Encoded {
         Request::Inject { .. } => "serve.inject_ns",
         _ => "serve.other_ns",
     };
-    let span = casted_obs::span(hist);
-    let resp = match catch_unwind(AssertUnwindSafe(|| execute(shared, req))) {
-        Ok(resp) => resp,
-        Err(_) => {
-            casted_obs::inc("serve.panics");
-            Response::Err("internal error: request execution panicked".into())
-        }
-    };
-    drop(span);
-    if matches!(resp, Response::Err(_)) {
-        casted_obs::inc("serve.errors");
-    }
+    let resp = isolated(hist, || execute(shared, req));
     Encoded {
         cacheable: resp.cacheable(),
         payload: encode_response(&resp),
     }
 }
 
-/// Run a streaming campaign, emitting encoded Progress frames through
-/// `emit`; returns the encoded terminal frame and whether it is a
-/// `Cancelled` one. Panic-isolated like [`execute_encoded`].
-fn execute_stream(
-    shared: &Arc<Shared>,
-    spec: &service_api::JobSpec,
-    trials: u64,
-    seed: u64,
-    every: u64,
-    cancel: &Arc<AtomicBool>,
-    emit: &mut dyn FnMut(Vec<u8>),
-) -> (Vec<u8>, bool) {
-    let span = casted_obs::span("serve.inject_ns");
-    let resp = match catch_unwind(AssertUnwindSafe(|| {
-        run_stream(shared, spec, trials, seed, every, cancel, emit)
-    })) {
-        Ok(resp) => resp,
-        Err(_) => {
-            casted_obs::inc("serve.panics");
-            Response::Err("internal error: request execution panicked".into())
-        }
-    };
+/// Run `work` under the `hist` span with its panics caught and
+/// answered as an internal error; count panics and `Err` replies.
+fn isolated(hist: &'static str, work: impl FnOnce() -> Response) -> Response {
+    let span = casted_obs::span(hist);
+    let resp = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+        casted_obs::inc("serve.panics");
+        Response::Err("internal error: request execution panicked".into())
+    });
     drop(span);
     if matches!(resp, Response::Err(_)) {
         casted_obs::inc("serve.errors");
     }
-    let cancelled = matches!(resp, Response::Cancelled { .. });
-    (encode_response(&resp), cancelled)
+    resp
 }
 
+/// Run a streaming campaign, emitting encoded Progress frames through
+/// `emit`; the terminal reply is `Injected`, `Cancelled` or `Err`.
 fn run_stream(
     shared: &Arc<Shared>,
     spec: &service_api::JobSpec,
@@ -515,39 +488,30 @@ fn run_stream(
     cancel: &Arc<AtomicBool>,
     emit: &mut dyn FnMut(Vec<u8>),
 ) -> Response {
-    if trials > shared.cfg.max_trials {
-        return Response::Err(format!(
-            "{trials} trials exceeds the server's limit of {}",
-            shared.cfg.max_trials
-        ));
+    if let Err(e) = within_trial_limit(shared, trials) {
+        return Response::Err(e);
     }
     let every = if every == 0 { DEFAULT_STREAM_EVERY } else { every };
     casted_obs::inc("serve.stream.started");
-    let result = service_api::inject_stream_with(
-        spec,
-        trials,
-        seed,
-        shared.cfg.max_cycles,
-        every,
-        shared.pipeline.as_ref(),
-        &mut |done, counts| {
-            if cancel.load(Ordering::SeqCst) {
-                return false;
-            }
-            casted_obs::inc("serve.stream.progress");
-            emit(encode_response(&Response::Progress {
-                done,
-                counts: *counts,
-            }));
-            !cancel.load(Ordering::SeqCst)
-        },
-    );
-    match result {
-        Ok((reply, true)) => {
+    let report = Box::new(|done, tally: &Tally| {
+        if cancel.load(Ordering::SeqCst) {
+            return false;
+        }
+        casted_obs::inc("serve.stream.progress");
+        emit(encode_response(&Response::Progress {
+            done,
+            counts: tally.counts.map(|c| c as u64),
+        }));
+        !cancel.load(Ordering::SeqCst)
+    });
+    let streamed = Runner::Checkpointed(Some(Progress { chunk: every as usize, report }));
+    let (cap, pipeline) = (shared.cfg.max_cycles, shared.pipeline.as_ref());
+    match service_api::inject(spec, trials, seed, cap, streamed, pipeline) {
+        Ok(reply) if reply.trials == trials => {
             casted_obs::inc("serve.stream.completed");
             Response::Injected(reply)
         }
-        Ok((reply, false)) => {
+        Ok(reply) => {
             casted_obs::inc("serve.stream.cancelled");
             Response::Cancelled {
                 done: reply.trials,
@@ -556,6 +520,18 @@ fn run_stream(
         }
         Err(e) => Response::Err(e),
     }
+}
+
+/// The server's trial limit, which plain and streamed inject requests
+/// share.
+fn within_trial_limit(shared: &Shared, trials: u64) -> Result<(), String> {
+    if trials > shared.cfg.max_trials {
+        return Err(format!(
+            "{trials} trials exceeds the server's limit of {}",
+            shared.cfg.max_trials
+        ));
+    }
+    Ok(())
 }
 
 fn execute(shared: &Arc<Shared>, req: &Request) -> Response {
@@ -578,23 +554,15 @@ fn execute(shared: &Arc<Shared>, req: &Request) -> Response {
             seed,
             engine,
         } => {
-            if *trials > shared.cfg.max_trials {
-                return Response::Err(format!(
-                    "{trials} trials exceeds the server's limit of {}",
-                    shared.cfg.max_trials
-                ));
-            }
-            // The incremental path is engine-agnostic (its recombined
+            // The section-store path is engine-agnostic (its recombined
             // reply is byte-identical to every engine's), so the
-            // request's engine choice only matters on the cold path.
-            let result = match &shared.sections {
-                Some(store) => service_api::inject_tally_incremental_in(
-                    spec, *trials, *seed, store, cap, pipeline,
-                ),
-                None => {
-                    service_api::inject_tally_with(spec, *trials, *seed, *engine, cap, pipeline)
-                }
+            // request's engine choice only matters without a store.
+            let runner = match &shared.sections {
+                Some(store) => Runner::Sections(store),
+                None => (*engine).into(),
             };
+            let result = within_trial_limit(shared, *trials)
+                .and_then(|()| service_api::inject(spec, *trials, *seed, cap, runner, pipeline));
             match result {
                 Ok(r) => Response::Injected(r),
                 Err(e) => Response::Err(e),

@@ -6,7 +6,7 @@
 
 use casted::ir::MachineConfig;
 use casted::Scheme;
-use casted_faults::{run_campaign, CampaignConfig, Outcome};
+use casted_faults::{run, Campaign, CampaignConfig, Outcome};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "h263dec".to_string());
@@ -27,13 +27,11 @@ fn main() {
     );
     for scheme in Scheme::ALL {
         let prep = casted::build(&module, scheme, &config).expect("build");
-        let r = run_campaign(
-            &prep.sp,
-            &CampaignConfig {
-                trials,
-                ..Default::default()
-            },
-        );
+        let cfg = CampaignConfig {
+            trials,
+            ..Default::default()
+        };
+        let r = run(&mut Campaign::new(&prep.sp, cfg)).expect("benchmark halts");
         println!(
             "{:8} {:>7.1}% {:>8.1}% {:>9.1}% {:>11.1}% {:>7.1}%",
             scheme.name(),

@@ -230,6 +230,26 @@ if [ "$nl_hits" != 3 ]; then
 fi
 echo "staged compile byte-identical cold and warm ($warm_stage_hits warm stage hits, $copy_hits from another directory, $cfg_hits after a config-only change, $nl_hits after a newline edit)"
 
+echo "== castedc inject refuses a target that does not halt fault-free =="
+# A target whose fault-free run traps is refused under the campaign's
+# default cycle bound with the text casted-serve sends for the same
+# refusal, and castedc exits 1 — not 101 with a panic backtrace.
+trap_src="$log_dir/trap.mc"
+cat > "$trap_src" <<'EOF'
+global t: [int; 4]; fn main() -> int { var i: int = 100000000; out(t[i]); return 0; }
+EOF
+trap_status=0
+cargo run --release --offline -q -p casted --bin castedc -- \
+  inject "$trap_src" --trials 4 > /dev/null 2> "$log_dir/trap.err" || trap_status=$?
+if [ "$trap_status" != 1 ] \
+  || ! grep -q 'campaign target must halt fault-free within [0-9]* cycles, got Exception' \
+    "$log_dir/trap.err"; then
+  echo "castedc inject on a trapping target: expected exit 1 with the refusal, got $trap_status:" >&2
+  cat "$log_dir/trap.err" >&2
+  exit 1
+fi
+echo "castedc inject refused the trapping target (exit 1)"
+
 echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # Start the service on an ephemeral loopback port with both on-disk
 # stores (section cache + artifact cache), push one request of each

@@ -4,7 +4,7 @@
 //! rendered results, which is exactly what lands in `results/`.
 
 use casted::experiments::{coverage_sweep, perf_sweep, GridSpec};
-use casted::faults::CampaignConfig;
+use casted::faults::{CampaignConfig, Runner};
 use casted::{report, Scheme};
 
 fn suite() -> Vec<casted_workloads::Workload> {
@@ -47,8 +47,8 @@ fn seeded_coverage_sweep_is_byte_reproducible() {
         timeout_factor: 8,
         ..CampaignConfig::default()
     };
-    let a = coverage_sweep(&suite(), &spec, &campaign);
-    let b = coverage_sweep(&suite(), &spec, &campaign);
+    let a = coverage_sweep(&suite(), &spec, &campaign, Runner::default);
+    let b = coverage_sweep(&suite(), &spec, &campaign, Runner::default);
     assert_eq!(report::coverage_csv(&a), report::coverage_csv(&b));
     assert_eq!(report::coverage_panel(&a), report::coverage_panel(&b));
 }
@@ -73,6 +73,7 @@ fn coverage_sweep_depends_on_seed() {
                 timeout_factor: 8,
                 ..CampaignConfig::default()
             },
+            Runner::default,
         )
     };
     let a = mk(1);

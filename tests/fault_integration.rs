@@ -3,13 +3,23 @@
 
 use casted::ir::MachineConfig;
 use casted::Scheme;
-use casted_faults::{run_campaign, run_campaign_engine, CampaignConfig, Engine, Outcome};
+use casted_faults::{run, Campaign, CampaignConfig, CampaignResult, Engine, Outcome, Runner};
+use casted_ir::vliw::ScheduledProgram;
+
+/// `cfg` over `sp` on `runner`, which must accept the target.
+fn run_on<'a>(
+    sp: &'a ScheduledProgram,
+    cfg: &CampaignConfig,
+    runner: impl Into<Runner<'a>>,
+) -> CampaignResult {
+    run(&mut Campaign::new(sp, cfg.clone()).on(runner)).expect("target halts")
+}
 
 fn campaign(scheme: Scheme, trials: usize) -> casted_faults::CampaignResult {
     let module = casted_workloads::by_name("mpeg2dec").unwrap().compile().unwrap();
     let cfg = MachineConfig::itanium2_like(2, 2);
     let prep = casted::build(&module, scheme, &cfg).unwrap();
-    run_campaign(
+    run_on(
         &prep.sp,
         &CampaignConfig {
             trials,
@@ -17,6 +27,7 @@ fn campaign(scheme: Scheme, trials: usize) -> casted_faults::CampaignResult {
             timeout_factor: 8,
             ..CampaignConfig::default()
         },
+        Engine::default(),
     )
 }
 
@@ -72,8 +83,8 @@ fn engines_agree_on_real_workload_across_schemes() {
     };
     for scheme in Scheme::ALL {
         let prep = casted::build(&module, scheme, &cfg).unwrap();
-        let reference = run_campaign_engine(&prep.sp, &ccfg, Engine::Reference);
-        let checkpointed = run_campaign_engine(&prep.sp, &ccfg, Engine::Checkpointed);
+        let reference = run_on(&prep.sp, &ccfg, Engine::Reference);
+        let checkpointed = run_on(&prep.sp, &ccfg, Engine::Checkpointed);
         assert_eq!(reference.tally, checkpointed.tally, "{scheme}: engines diverged");
         assert_eq!(reference.golden_cycles, checkpointed.golden_cycles, "{scheme}");
         assert_eq!(reference.golden_dyn, checkpointed.golden_dyn, "{scheme}");
@@ -93,7 +104,6 @@ fn engines_agree_on_real_workload_across_schemes() {
 /// and property tests pin on generated modules.
 #[test]
 fn incremental_rerun_after_kernel_edit_is_exact() {
-    use casted_faults::run_campaign_incremental;
     use casted_util::store::ArtifactStore;
 
     let module = casted_workloads::by_name("mpeg2dec").unwrap().compile().unwrap();
@@ -118,8 +128,8 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
 
     // Cold run populates the store and must already match the engines.
     let prep = casted::build(&module, Scheme::Casted, &cfg).unwrap();
-    let cold = run_campaign_incremental(&prep.sp, &ccfg, &store);
-    let reference = run_campaign_engine(&prep.sp, &ccfg, Engine::Checkpointed);
+    let cold = run_on(&prep.sp, &ccfg, Runner::Sections(&store));
+    let reference = run_on(&prep.sp, &ccfg, Engine::Checkpointed);
     assert_eq!(cold.tally, reference.tally, "cold incremental != checkpointed");
     assert!(cold.engine.sections.total > 1, "workload should split into sections");
 
@@ -134,7 +144,7 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
         .expect("entry fn halts");
     f.insns[h].imm = 7;
     let eprep = casted::build(&edited, Scheme::Casted, &cfg).unwrap();
-    let warm = run_campaign_incremental(&eprep.sp, &ccfg, &store);
+    let warm = run_on(&eprep.sp, &ccfg, Runner::Sections(&store));
     assert!(
         warm.engine.sections.hit >= 1,
         "edit-one-kernel rerun reused nothing: {:?}",
@@ -145,7 +155,7 @@ fn incremental_rerun_after_kernel_edit_is_exact() {
         "edit did not invalidate any section: {:?}",
         warm.engine.sections
     );
-    let ereference = run_campaign_engine(&eprep.sp, &ccfg, Engine::Checkpointed);
+    let ereference = run_on(&eprep.sp, &ccfg, Engine::Checkpointed);
     assert_eq!(
         warm.tally, ereference.tally,
         "recombined tally != cold campaign of the edited program"
@@ -172,7 +182,7 @@ fn coverage_insensitive_to_configuration() {
     for (issue, delay) in [(1, 1), (4, 4)] {
         let cfg = MachineConfig::itanium2_like(issue, delay);
         let prep = casted::build(&module, Scheme::Casted, &cfg).unwrap();
-        let r = run_campaign(
+        let r = run_on(
             &prep.sp,
             &CampaignConfig {
                 trials: 60,
@@ -180,6 +190,7 @@ fn coverage_insensitive_to_configuration() {
                 timeout_factor: 8,
                 ..CampaignConfig::default()
             },
+            Engine::default(),
         );
         safes.push(r.tally.safe_fraction());
     }

@@ -7,7 +7,7 @@
 //! * per-scheme check-emission counters nonzero iff scheme ≠ NOED and
 //!   equal to the `EdStats` the pass reported.
 
-use casted::faults::{CampaignConfig, Outcome};
+use casted::faults::{Campaign, CampaignConfig, Outcome};
 use casted::ir::MachineConfig;
 use casted::{build, compile, measure, obs, Scheme};
 
@@ -68,15 +68,13 @@ fn fault_outcome_counters_match_tally() {
 
     obs::reset();
     obs::set_enabled(true);
-    let r = casted::faults::run_campaign(
-        &prep.sp,
-        &CampaignConfig {
-            trials: 40,
-            seed: 0xCA57ED,
-            timeout_factor: 8,
-            ..CampaignConfig::default()
-        },
-    );
+    let cfg = CampaignConfig {
+        trials: 40,
+        seed: 0xCA57ED,
+        timeout_factor: 8,
+        ..CampaignConfig::default()
+    };
+    let r = casted::faults::run(&mut Campaign::new(&prep.sp, cfg)).expect("target halts");
     obs::set_enabled(false);
 
     assert_eq!(counter("faults.trials"), 40);
@@ -151,8 +149,9 @@ fn check_emission_counters_are_nonzero_iff_scheme_has_error_detection() {
 /// comes from the campaigns.
 #[test]
 fn refused_inject_target_leaves_sim_counters_untouched() {
-    use casted::faults::Engine;
+    use casted::faults::{Progress, Runner};
     use casted::service_api::{self, JobSpec};
+    use casted_util::store::ArtifactStore;
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let spec = |source: &str| JobSpec {
         source: source.into(),
@@ -167,13 +166,17 @@ fn refused_inject_target_leaves_sim_counters_untouched() {
 
     obs::reset();
     obs::set_enabled(true);
-    for engine in [Engine::Checkpointed, Engine::Reference] {
-        assert!(service_api::inject_tally(&looping, 10, 1, engine, 1000).is_err());
+    let store = ArtifactStore::open(&dir).expect("open section store");
+    let streamed = Progress { chunk: 4, report: Box::new(|_, _| true) };
+    let runners = [
+        Runner::Checkpointed(None),
+        Runner::Reference,
+        Runner::Checkpointed(Some(streamed)),
+        Runner::Sections(&store),
+    ];
+    for runner in runners {
+        assert!(service_api::inject(&looping, 10, 1, 1000, runner, None).is_err());
     }
-    let streamed =
-        service_api::inject_stream_with(&looping, 10, 1, 1000, 4, None, &mut |_, _| true);
-    assert!(streamed.is_err());
-    assert!(service_api::inject_tally_incremental_with(&looping, 10, 1, &dir, 1000, None).is_err());
     obs::set_enabled(false);
     for name in sim_counters {
         assert_eq!(counter(name), 0, "a refused target moved {name}");
@@ -183,7 +186,7 @@ fn refused_inject_target_leaves_sim_counters_untouched() {
     obs::reset();
     obs::set_enabled(true);
     let halting = spec("fn main() { var s: int = 0; for i in 0..60 { s = s + i; } out(s); }");
-    let r = service_api::inject_tally(&halting, 10, 1, Engine::Checkpointed, 1_000_000).unwrap();
+    let r = service_api::inject(&halting, 10, 1, 1_000_000, Runner::default(), None).unwrap();
     obs::set_enabled(false);
     assert_eq!(counter("sim.runs"), 1, "one golden run per campaign");
     assert_eq!(counter("sim.cycles"), r.golden_cycles);

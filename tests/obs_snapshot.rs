@@ -17,8 +17,9 @@
 //! CASTED_UPDATE_SNAPSHOT=1 cargo test --offline --test obs_snapshot
 //! ```
 
-use casted::experiments::{coverage_sweep, coverage_sweep_incremental, perf_sweep, GridSpec};
-use casted::faults::CampaignConfig;
+use casted::experiments::{coverage_sweep, perf_sweep, GridSpec};
+use casted::faults::{CampaignConfig, Runner};
+use casted_util::store::ArtifactStore;
 use casted::{obs, Scheme};
 
 /// Tests in this binary share the process-global metrics registry;
@@ -52,7 +53,7 @@ fn run_quick_grid() -> String {
         timeout_factor: 8,
         ..CampaignConfig::default()
     };
-    let _cov = coverage_sweep(&suite(), &cov_spec, &campaign);
+    let _cov = coverage_sweep(&suite(), &cov_spec, &campaign, Runner::default);
     // Incremental section-cache path, cold then warm from a fresh
     // store: the `faults.sections.{total,hit,miss,recombined}`
     // counters depend only on the seeded stream and the section
@@ -60,8 +61,12 @@ fn run_quick_grid() -> String {
     // hit/miss split between them — byte-reproducible.
     let dir = std::env::temp_dir().join(format!("casted-obs-sections-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _cold = coverage_sweep_incremental(&suite(), &cov_spec, &campaign, &dir);
-    let _warm = coverage_sweep_incremental(&suite(), &cov_spec, &campaign, &dir);
+    // One store handle per sweep: the warm sweep reads the disk, not
+    // the cold handle's front cache.
+    for _pass in ["cold", "warm"] {
+        let store = ArtifactStore::open(&dir).expect("open section store");
+        let _ = coverage_sweep(&suite(), &cov_spec, &campaign, || Runner::Sections(&store));
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let snap = obs::snapshot_json();
     obs::set_enabled(false);
