@@ -152,6 +152,18 @@ fn write_metrics(args: &Args) {
     }
 }
 
+/// Exit 1 naming the bound when a fault-free run did not halt within
+/// it (`run` and `trace` simulate under `DEFAULT_MAX_CYCLES`).
+fn refuse_timeout(r: &casted::SimResult) -> Option<ExitCode> {
+    (r.stop == casted::ir::interp::StopReason::Timeout).then(|| {
+        eprintln!(
+            "castedc: the program did not halt within {} cycles",
+            casted_sim::DEFAULT_MAX_CYCLES
+        );
+        ExitCode::from(1)
+    })
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -274,6 +286,9 @@ fn main() -> ExitCode {
                 r.stats.cross_reads,
                 100.0 * r.stats.cache.l1_miss_ratio()
             );
+            if let Some(code) = refuse_timeout(&r) {
+                return code;
+            }
         }
         "schedule" => {
             let f = prep.sp.module.entry_fn();
@@ -286,6 +301,7 @@ fn main() -> ExitCode {
             let r = casted_sim::simulate(
                 &prep.sp,
                 &casted_sim::SimOptions {
+                    max_cycles: casted_sim::DEFAULT_MAX_CYCLES,
                     trace_limit: 200,
                     ..casted_sim::SimOptions::default()
                 },
@@ -303,6 +319,9 @@ fn main() -> ExitCode {
                 );
             }
             eprintln!("-- ({} of {} dynamic instructions)", r.trace.len(), r.stats.dyn_insns);
+            if let Some(code) = refuse_timeout(&r) {
+                return code;
+            }
         }
         "inject" => {
             let cfg = casted_faults::CampaignConfig {

@@ -70,8 +70,14 @@ pub fn build(module: &Module, scheme: Scheme, config: &MachineConfig) -> Result<
 }
 
 /// Simulate a prepared program fault-free and return timing + output.
+/// The run stops at [`casted_sim::DEFAULT_MAX_CYCLES`]: a program that
+/// never halts comes back as a `Timeout`.
 pub fn measure(prep: &Prepared) -> SimResult {
-    casted_sim::simulate(&prep.sp, &casted_sim::SimOptions::default())
+    let opts = casted_sim::SimOptions {
+        max_cycles: casted_sim::DEFAULT_MAX_CYCLES,
+        ..casted_sim::SimOptions::default()
+    };
+    casted_sim::simulate(&prep.sp, &opts)
 }
 
 #[cfg(test)]

@@ -26,6 +26,11 @@
 //!    stop reason) equal the interpreter's for every prepared program,
 //!    and ED-protected binaries under **zero** injected faults produce
 //!    outputs bit-identical to NOED.
+//!    5a. **costing walks** — for every adaptive schedule, the
+//!    candidates the scheduler costed, costed in one run (the first on
+//!    the full simulator, the rest walked through the timing rules
+//!    alone), report each candidate's full-simulation `SimStats` and
+//!    stop bit for bit.
 //! 6. **fault probe** — for library-free cases, single-bit faults
 //!    aimed at `Provenance::Original` instruction outputs must never
 //!    classify as `DataCorrupt` (protected code may mask, detect,
@@ -65,7 +70,7 @@ pub mod suite;
 
 pub use corpus::run_corpus;
 pub use minimize::minimize;
-pub use oracle::{run_case, run_case_with, CaseReport, Divergence, Hooks};
+pub use oracle::{check_walks, run_case, run_case_with, CaseReport, Divergence, Hooks};
 pub use suite::{run_suite, run_suite_with, SuiteOptions, SuiteReport};
 
 use casted_ir::testgen::GenOptions;

@@ -140,6 +140,7 @@ mod tests {
         let hooks = Hooks {
             post_ed: Some(sabotage::drop_first_out),
             probes: 0,
+            ..Hooks::default()
         };
         let min = minimize(&cfg, &hooks);
         assert_eq!(min.seed, cfg.seed, "seed is never changed");

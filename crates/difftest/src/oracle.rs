@@ -6,13 +6,15 @@ use casted_faults::{Campaign, CampaignConfig, CampaignResult, Engine, Outcome, R
 use casted_ir::insn::Provenance;
 use casted_ir::interp::{self, ExecResult, OutVal, StopReason};
 use casted_ir::testgen;
+use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{verify, MachineConfig, Module};
 use casted_passes::errordetect::{error_detection_with, EdOptions};
 use casted_passes::ifconvert::if_convert;
 use casted_passes::pipeline::{prepare, prepare_custom, Prepared, PrepareOptions, Scheme};
+use casted_passes::schedule::{candidates, Placement};
 use casted_passes::stages::{encode_ra_artifact, module_content_key, prepare_staged, StageStats};
 use casted_util::store::ArtifactStore;
-use casted_sim::{simulate, Injection, SimOptions, SimResult};
+use casted_sim::{cost_schedules, simulate, Injection, SimOptions, SimResult, TimingView};
 use casted_util::hash::Fnv64;
 use casted_util::Rng;
 
@@ -40,12 +42,16 @@ const SIM_MAX_CYCLES: u64 = 50_000_000;
 /// Test-only instrumentation points. `post_ed` runs on the module
 /// right after the error-detection pass (before scheduling) for every
 /// ED scheme and variant — the difftest self-tests use it to sabotage
-/// the pass and prove the oracle catches it. `probes` is the number of
-/// targeted fault injections aimed per probed scheme.
+/// the pass and prove the oracle catches it. `walked` runs on every
+/// candidate schedule the costing-walk layer walks, before its timing
+/// view is built, to sabotage the walk the same way. `probes` is the
+/// number of targeted fault injections aimed per probed scheme.
 #[derive(Clone, Copy)]
 pub struct Hooks {
     /// Mutation applied after error detection (None in production).
     pub post_ed: Option<fn(&mut Module)>,
+    /// Mutation applied to each walked candidate (None in production).
+    pub walked: Option<fn(&mut ScheduledProgram)>,
     /// Fault probes per ED scheme on library-free cases.
     pub probes: usize,
 }
@@ -54,6 +60,7 @@ impl Default for Hooks {
     fn default() -> Self {
         Hooks {
             post_ed: None,
+            walked: None,
             probes: 8,
         }
     }
@@ -339,6 +346,11 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
                 }
             }
 
+            if scheme.placement().is_adaptive() {
+                walk_layer(&prep, scheme, hooks, &format!("walk:{stage}"))?;
+                stages += 1;
+            }
+
             // Keep the balanced grid point's ED programs for probing.
             if (iw, delay) == (2, 2) && scheme.has_error_detection() {
                 probe_targets.push((scheme, prep));
@@ -542,6 +554,10 @@ pub fn run_case_with(cfg: &CaseConfig, hooks: &Hooks) -> Result<CaseReport, Dive
         }
         stages += 1;
         digest.write_u64(sim.stats.cycles);
+        if scheme.placement().is_adaptive() {
+            walk_layer(&prep, scheme, hooks, &format!("walk:{scheme}:iw2d2"))?;
+            stages += 1;
+        }
 
         let ccfg = CampaignConfig {
             trials: ENGINE_TRIALS,
@@ -660,6 +676,61 @@ fn probe_recovery_scheme(
         }
     }
     Ok(injections.len())
+}
+
+/// Costing-walk exactness: build the candidate schedules the adaptive
+/// scheduler costs for `module` (each one after the first passed
+/// through `walked`, if given, before its timing view is built), cost
+/// them in one run (the first on the full simulator, the rest walked
+/// through the timing rules alone) and require every candidate's
+/// `SimStats` and stop to equal a full `simulate` of that candidate
+/// under `max_cycles`, bit for bit. Returns the number of candidates,
+/// or what differed.
+pub fn check_walks(
+    module: &Module,
+    config: &MachineConfig,
+    placement: Placement,
+    walked: Option<fn(&mut ScheduledProgram)>,
+    max_cycles: u64,
+) -> Result<usize, String> {
+    let cands = candidates(module, config, placement);
+    let views: Vec<TimingView> = cands[1..]
+        .iter()
+        .map(|sp| match walked {
+            Some(h) => {
+                let mut sp = sp.clone();
+                h(&mut sp);
+                TimingView::new(&sp)
+            }
+            None => TimingView::new(sp),
+        })
+        .collect();
+    let costed = cost_schedules(&cands[0], &views, max_cycles);
+    let opts = SimOptions {
+        max_cycles,
+        ..SimOptions::default()
+    };
+    for (i, (sp, c)) in cands.iter().zip(&costed).enumerate() {
+        let full = simulate(sp, &opts);
+        if !c.as_ref().is_some_and(|c| c.stop == full.stop && c.stats == full.stats) {
+            return Err(format!(
+                "candidate {i} of {}: costed {c:?}, simulated {} {:?}",
+                cands.len(),
+                fmt_stop(&full.stop),
+                full.stats
+            ));
+        }
+    }
+    Ok(cands.len())
+}
+
+/// [`check_walks`] over `prep`'s final module: the candidates the
+/// scheduler costed for the program `prep` holds.
+fn walk_layer(prep: &Prepared, scheme: Scheme, hooks: &Hooks, stage: &str) -> Result<(), Divergence> {
+    let sp = &prep.sp;
+    check_walks(&sp.module, &sp.config, scheme.placement(), hooks.walked, SIM_MAX_CYCLES)
+        .map(|_| ())
+        .map_err(|detail| Divergence::new(stage, detail))
 }
 
 /// `ccfg` over `sp` on `runner`. Every earlier layer saw the target

@@ -17,8 +17,17 @@
 //!   Structure and semantics both still pass; only the targeted
 //!   fault-probe layer (`probe:*`) can notice, by finding an injection
 //!   at a protected site that now silently corrupts the output.
+//!
+//! One more breaks the adaptive scheduler's candidate costing rather
+//! than a pass:
+//!
+//! * [`drop_walk_delay`] — a timing-only walk that forgets the
+//!   inter-cluster delay. Every output is still right, so only the
+//!   costing-walk layer (`walk:*`) can notice, by comparing the walked
+//!   counters with a full simulation of the same candidate.
 
 use casted_ir::insn::Provenance;
+use casted_ir::vliw::ScheduledProgram;
 use casted_ir::{Module, Opcode};
 
 /// Delete the first `out`/`fout` of the entry function — an unsound
@@ -66,6 +75,12 @@ pub fn drop_one_check(m: &mut Module) {
             return;
         }
     }
+}
+
+/// Walk a candidate as if remote register reads cost nothing: its
+/// timing view is built from a machine without an inter-cluster delay.
+pub fn drop_walk_delay(sp: &mut ScheduledProgram) {
+    sp.config.inter_cluster_delay = 0;
 }
 
 #[cfg(test)]

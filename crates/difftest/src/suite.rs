@@ -204,6 +204,7 @@ mod tests {
         let h = Hooks {
             post_ed: Some(sabotage::drop_first_out),
             probes: 0,
+            ..Hooks::default()
         };
         let rep = run_suite_with(&small(2, 7), &h);
         assert!(!rep.ok());

@@ -26,6 +26,7 @@ fn semantic_sabotage_is_caught_by_the_interp_oracle() {
     let hooks = Hooks {
         post_ed: Some(sabotage::drop_first_out),
         probes: 0,
+        ..Hooks::default()
     };
     let div = run_case_with(&probe_gen(1), &hooks)
         .expect_err("deleting a live out must diverge");
@@ -46,6 +47,7 @@ fn check_deleting_dce_is_caught_by_the_structure_oracle() {
     let hooks = Hooks {
         post_ed: Some(sabotage::drop_all_checks),
         probes: 0,
+        ..Hooks::default()
     };
     let div = run_case_with(&probe_gen(2), &hooks)
         .expect_err("a check-free 'protected' module must be rejected");
@@ -69,6 +71,7 @@ fn single_deleted_check_is_caught_by_the_fault_probe_oracle() {
     let hooks = Hooks {
         post_ed: Some(sabotage::drop_one_check),
         probes: 24,
+        ..Hooks::default()
     };
     let mut caught = None;
     for seed in 0..24u64 {
@@ -102,10 +105,50 @@ fn clean_passes_survive_all_layers_including_probes() {
     let hooks = Hooks {
         post_ed: None,
         probes: 24,
+        ..Hooks::default()
     };
     for seed in 0..6u64 {
         let rep = run_case_with(&probe_gen(seed), &hooks)
             .unwrap_or_else(|d| panic!("seed {seed}: {} — {}", d.stage, d.detail));
         assert!(rep.probes >= 24, "probes must actually run");
     }
+}
+
+/// A costing walk that drops the inter-cluster delay leaves every
+/// output right, so no semantic layer can see it; the costing-walk
+/// layer must, by comparing the walked counters of an adaptive
+/// schedule's candidates with their full simulations. Only a walked
+/// candidate that splits the code across clusters and stalls on a
+/// remote read shows the sabotage, so the test scans a small seed
+/// range for one (deterministic: every draw is seeded). The failure is
+/// replayable from its `REPLAY` tokens alone.
+#[test]
+fn delay_dropping_walk_is_caught_by_the_costing_walk_oracle() {
+    let hooks = Hooks {
+        walked: Some(sabotage::drop_walk_delay),
+        probes: 0,
+        ..Hooks::default()
+    };
+    let mut caught = None;
+    for seed in 0..24u64 {
+        if let Err(div) = run_case_with(&probe_gen(seed), &hooks) {
+            assert!(
+                div.stage.starts_with("walk:"),
+                "seed {seed}: only the costing-walk layer should see a walk's timing, got {} ({})",
+                div.stage,
+                div.detail
+            );
+            caught = Some((seed, div));
+            break;
+        }
+    }
+    let (seed, div) =
+        caught.expect("no seed in 0..24 exposed the delay-free walk — the walk oracle has no teeth");
+    let line = probe_gen(seed).replay_line(Some(&div.stage));
+    let (parsed, stage) = CaseConfig::parse(&line).unwrap();
+    let again = run_case_with(&parsed, &hooks).unwrap_err();
+    assert_eq!((Some(again.stage), again.detail), (stage, div.detail));
+    // Without the sabotage the same case is clean.
+    run_case_with(&parsed, &Hooks { probes: 0, ..Hooks::default() })
+        .unwrap_or_else(|d| panic!("clean replay diverged: {} — {}", d.stage, d.detail));
 }

@@ -519,12 +519,10 @@ fn draw_victim(rng: &mut Rng, counts: [u32; 3]) -> Reg {
     Reg::pr(pick - counts[1])
 }
 
-/// The default watchdog bound on a campaign's fault-free run, the same
-/// 200M cycles `casted-serve` caps requests at by default: far above
-/// every benchmark kernel, and a bound, so a target that never halts is
-/// refused instead of simulated forever. (`SimOptions::default()` runs
-/// unbounded.)
-pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
+/// The default watchdog bound on a campaign's fault-free run: the
+/// simulator's one fault-free bound, so a target that never halts is
+/// refused instead of simulated forever.
+pub use casted_sim::DEFAULT_MAX_CYCLES;
 
 /// One Monte-Carlo fault campaign: what to strike, how often, and how
 /// the trials run. [`run`] executes it.

@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use casted_ir::dfg::{BlockDfg, DepKind};
 use casted_ir::vliw::{Bundle, ScheduledBlock, ScheduledProgram};
 use casted_ir::{Cluster, InsnId, MachineConfig, Module, Provenance, Reg};
+use casted_sim::DEFAULT_MAX_CYCLES;
 
 /// Cluster-placement policy for the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,90 +182,144 @@ fn weighted_cost(sp: &ScheduledProgram, freq: &[u64]) -> u64 {
 /// producing a simulator-ready [`ScheduledProgram`].
 ///
 /// Fixed placements (NOED/SCED/DCED) schedule in one pass. The
-/// adaptive placement (CASTED's BUG) runs up to three passes,
-/// feeding each pass's global register-placement view back into the
-/// next ([`Hints`]) and keeping the schedule with the lowest
-/// frequency-weighted static cost; it stops early once a pass
-/// reproduces the previous pass's schedule exactly.
+/// adaptive placements (CASTED's BUG, and TMRED's) choose among
+/// [`candidates`] by their cycles on the timing model. All of them are
+/// costed in one run (`casted_sim::cost_schedules`, bounded by
+/// [`DEFAULT_MAX_CYCLES`]): the first on the full simulator, the rest
+/// by a timing-only walk. A candidate that does not halt within the
+/// bound costs its frequency-weighted static length. The first
+/// candidate of least cost wins. Only the first candidate is kept
+/// whole while the others are costed: each of those is kept as its
+/// timing view and the placement and hints that schedule it, and the
+/// winner, if not the first, is scheduled again from them.
 pub fn schedule_function(
     module: &Module,
     config: &MachineConfig,
     placement: Placement,
 ) -> ScheduledProgram {
     let freq = casted_ir::cfg::frequency_estimate(module.entry_fn());
-    let mut best = schedule_once(module, config, placement, &Hints::default());
-    if placement.is_adaptive() {
-        let mut best_cost = schedule_cost(&best, &freq);
-        let mut hints = collect_hints(&best, &freq);
-        // The previous candidate when it lost to `best` (`None`: the
-        // previous candidate *is* `best`).
-        let mut prev: Option<ScheduledProgram> = None;
-        for _ in 0..2 {
-            let cand = schedule_once(module, config, placement, &hints);
-            // A candidate identical to the previous one has its cost
-            // (already weighed against `best`) and its hints, so every
-            // later candidate would repeat it: stop without simulating.
-            if same_schedule(&cand, prev.as_ref().unwrap_or(&best)) {
-                break;
+    let mut rest: Vec<(Recipe, u64)> = Vec::new();
+    let mut views = Vec::new();
+    let first = candidate_list(module, config, placement, &freq, |recipe, sp| {
+        rest.push((recipe, weighted_cost(sp, &freq)));
+        views.push(casted_sim::TimingView::new(sp));
+    });
+    if rest.is_empty() {
+        return first;
+    }
+    let costed = casted_sim::cost_schedules(&first, &views, DEFAULT_MAX_CYCLES);
+    drop(views);
+    let fallbacks = std::iter::once(weighted_cost(&first, &freq)).chain(rest.iter().map(|r| r.1));
+    let costs = costed.into_iter().zip(fallbacks).enumerate().map(|(i, (c, fallback))| {
+        let halted = match c {
+            Some(c) => c.halted_cycles(),
+            // A walk the costing run could not follow (its target
+            // traps) is simulated in full, so the `sim.*` counters
+            // stay those of one run per candidate.
+            None => {
+                let opts = casted_sim::SimOptions {
+                    max_cycles: DEFAULT_MAX_CYCLES,
+                    ..casted_sim::SimOptions::default()
+                };
+                let r = casted_sim::simulate(&rest[i - 1].0.schedule(module, config), &opts);
+                matches!(r.stop, casted_ir::interp::StopReason::Halt(_)).then_some(r.stats.cycles)
             }
-            let cost = schedule_cost(&cand, &freq);
-            hints = collect_hints(&cand, &freq);
-            if cost < best_cost {
-                best = cand;
-                best_cost = cost;
-                prev = None;
-            } else {
-                prev = Some(cand);
-            }
-        }
-        // The paper (§II-A): "CASTED uses these parameters to decide
-        // whether it is preferable to assign the whole error detection
-        // code in one core or it is more efficient to split the code
-        // into different cores." The degenerate whole-program-on-one-
-        // cluster placement is therefore always in the candidate set;
-        // at wide issue / high delay it wins and CASTED adapts to the
-        // SCED-like layout. (Not applicable to the pinned-checks
-        // ablation, whose whole point is the placement constraint.)
-        if placement == Placement::Adaptive {
-            let single = schedule_once(
-                module,
-                config,
-                Placement::AllOn(Cluster::MAIN),
-                &Hints::default(),
-            );
-            if schedule_cost(&single, &freq) < best_cost {
-                best = single;
-            }
+        };
+        halted.unwrap_or(fallback)
+    });
+    // `min_by_key` keeps the first of equal minima.
+    let (best, _) = costs.enumerate().min_by_key(|&(_, cost)| cost).expect("a first candidate");
+    match best {
+        0 => first,
+        i => {
+            drop(first);
+            rest[i - 1].0.schedule(module, config)
         }
     }
-    best
+}
+
+/// The candidate schedules [`schedule_function`] chooses among, in the
+/// order it compares them. A fixed placement has one. An adaptive one
+/// starts from a pass without [`Hints`], then runs up to two more, each
+/// fed the previous candidate's global register-placement view; it
+/// stops early once a pass reproduces its predecessor exactly, since
+/// every later pass would repeat it too. Costs never steer this list.
+///
+/// The paper (§II-A): "CASTED uses these parameters to decide whether
+/// it is preferable to assign the whole error detection code in one
+/// core or it is more efficient to split the code into different
+/// cores." So for [`Placement::Adaptive`] the whole-program-on-one-
+/// cluster placement comes last; at wide issue / high delay it wins
+/// and CASTED adapts to the SCED-like layout. (The pinned-checks
+/// ablation leaves it out: its whole point is the placement
+/// constraint.)
+pub fn candidates(
+    module: &Module,
+    config: &MachineConfig,
+    placement: Placement,
+) -> Vec<ScheduledProgram> {
+    let freq = casted_ir::cfg::frequency_estimate(module.entry_fn());
+    let mut rest = Vec::new();
+    let first = candidate_list(module, config, placement, &freq, |_, sp| rest.push(sp.clone()));
+    std::iter::once(first).chain(rest).collect()
+}
+
+/// How to schedule one candidate again: its placement and the hints it
+/// was scheduled from ([`schedule_once`] is a function of these).
+struct Recipe {
+    placement: Placement,
+    hints: Hints,
+}
+
+impl Recipe {
+    fn schedule(&self, module: &Module, config: &MachineConfig) -> ScheduledProgram {
+        schedule_once(module, config, self.placement, &self.hints)
+    }
+}
+
+/// Schedule [`candidates`] in order: return the first, and hand every
+/// later one to `visit` with its [`Recipe`].
+fn candidate_list(
+    module: &Module,
+    config: &MachineConfig,
+    placement: Placement,
+    freq: &[u64],
+    mut visit: impl FnMut(Recipe, &ScheduledProgram),
+) -> ScheduledProgram {
+    let first = schedule_once(module, config, placement, &Hints::default());
+    if !placement.is_adaptive() {
+        return first;
+    }
+    let mut prev: Option<ScheduledProgram> = None;
+    for _ in 0..2 {
+        let last = prev.as_ref().unwrap_or(&first);
+        let recipe = Recipe {
+            placement,
+            hints: collect_hints(last, freq),
+        };
+        let cand = recipe.schedule(module, config);
+        if same_schedule(&cand, last) {
+            break;
+        }
+        visit(recipe, &cand);
+        prev = Some(cand);
+    }
+    drop(prev);
+    if placement == Placement::Adaptive {
+        let recipe = Recipe {
+            placement: Placement::AllOn(Cluster::MAIN),
+            hints: Hints::default(),
+        };
+        let single = recipe.schedule(module, config);
+        visit(recipe, &single);
+    }
+    first
 }
 
 /// Two schedules of the same module place and bundle every
 /// instruction identically.
 fn same_schedule(a: &ScheduledProgram, b: &ScheduledProgram) -> bool {
     a.assignment == b.assignment && a.home == b.home && a.blocks == b.blocks
-}
-
-/// Cost of a candidate schedule for the refinement loop: the timing
-/// model's cycle count when the program terminates within the budget,
-/// otherwise the frequency-weighted static length. Evaluating the
-/// candidates on the machine timing model is what lets the adaptive
-/// scheme see *inter-block* communication stalls (loop-carried values
-/// bouncing between clusters) that per-block static lengths cannot
-/// express.
-fn schedule_cost(sp: &ScheduledProgram, freq: &[u64]) -> u64 {
-    let r = casted_sim::simulate(
-        sp,
-        &casted_sim::SimOptions {
-            max_cycles: 200_000_000,
-            ..casted_sim::SimOptions::default()
-        },
-    );
-    match r.stop {
-        casted_ir::interp::StopReason::Halt(_) => r.stats.cycles,
-        _ => weighted_cost(sp, freq),
-    }
 }
 
 fn schedule_once(
@@ -610,6 +665,39 @@ mod tests {
             weighted_static_cycles(&sp, &counts),
             5 * sp.blocks[0].length() as u64
         );
+    }
+
+    #[test]
+    fn a_trapping_target_costs_every_candidate_statically() {
+        // Two chains, then a load far past the globals: no candidate
+        // halts, so the least frequency-weighted static length wins
+        // (the first of equals), as if no candidate had been simulated.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new("main");
+        let (mut a, mut c) = (b.imm(1), b.imm(2));
+        for _ in 0..6 {
+            a = b.binop(Opcode::Add, Operand::Reg(a), Operand::Imm(1));
+            c = b.binop(Opcode::Add, Operand::Reg(c), Operand::Imm(1));
+        }
+        let wild = b.imm(1 << 30);
+        let v = b.load(wild, 0);
+        for r in [a, c, v] {
+            b.out(Operand::Reg(r));
+        }
+        b.halt_imm(0);
+        let id = m.add_function(b.finish());
+        m.entry = Some(id);
+        let cfg = MachineConfig::perfect_memory(1, 1);
+        let cands = candidates(&m, &cfg, Placement::Adaptive);
+        let freq = casted_ir::cfg::frequency_estimate(m.entry_fn());
+        let (want, _) = cands
+            .iter()
+            .map(|sp| weighted_cost(sp, &freq))
+            .enumerate()
+            .min_by_key(|&(_, c)| c)
+            .unwrap();
+        let got = schedule_function(&m, &cfg, Placement::Adaptive);
+        assert!(same_schedule(&got, &cands[want]));
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!   executing* — under overload the server sheds the work that
 //!   already missed its window instead of burning workers on it.
 //!
+//! Both read time from [`AdmissionConfig::clock`]: the host's monotonic
+//! clock, or a manual one that moves only when a test advances it, so
+//! refill and expiry can be tested without depending on host load.
+//!
 //! Both mechanisms are observable: `serve.admission.admitted`,
 //! `serve.admission.throttled`, `serve.admission.expired` counters
 //! (see `docs/OBSERVABILITY.md`). Both default **off** — admission is
@@ -32,9 +36,50 @@
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use casted_util::Mutex;
+
+/// The time source of admission control: the host's monotonic clock
+/// (the default), or a manual clock that stands still until
+/// [`Clock::advance`] moves it.
+#[derive(Clone, Default)]
+pub struct Clock {
+    manual: Option<Arc<Mutex<Instant>>>,
+}
+
+impl Clock {
+    /// A clock that reads the same instant until it is advanced.
+    pub fn manual() -> Clock {
+        Clock {
+            manual: Some(Arc::new(Mutex::new(Instant::now()))),
+        }
+    }
+
+    /// The current instant.
+    pub fn now(&self) -> Instant {
+        match &self.manual {
+            Some(t) => *t.lock(),
+            None => Instant::now(),
+        }
+    }
+
+    /// Move a manual clock forward by `by`; every copy of it moves.
+    ///
+    /// # Panics
+    ///
+    /// On the host clock, which only time moves.
+    pub fn advance(&self, by: Duration) {
+        *self.manual.as_ref().expect("only a manual clock can be advanced").lock() += by;
+    }
+}
+
+impl std::fmt::Debug for Clock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.manual.is_some() { "Clock::manual" } else { "Clock::host" })
+    }
+}
 
 /// Admission-control knobs. All default to 0 = disabled.
 #[derive(Clone, Debug, Default)]
@@ -47,6 +92,8 @@ pub struct AdmissionConfig {
     /// Maximum milliseconds a job may wait in the queue before a
     /// worker drops it unexecuted (0 disables deadlines).
     pub queue_deadline_ms: u64,
+    /// What refill and queue deadlines measure time with.
+    pub clock: Clock,
 }
 
 impl AdmissionConfig {
@@ -77,6 +124,7 @@ struct Bucket {
 pub struct TokenBuckets {
     burst: f64,
     refill_per_sec: f64,
+    clock: Clock,
     buckets: Mutex<HashMap<IpAddr, Bucket>>,
 }
 
@@ -99,13 +147,14 @@ impl TokenBuckets {
         TokenBuckets {
             burst: cfg.quota_burst as f64,
             refill_per_sec: cfg.quota_refill_per_sec as f64,
+            clock: cfg.clock.clone(),
             buckets: Mutex::new(HashMap::new()),
         }
     }
 
     /// Spend one token from `peer`'s bucket, refilling first.
     pub fn check(&self, peer: IpAddr) -> Admission {
-        self.check_at(peer, Instant::now())
+        self.check_at(peer, self.clock.now())
     }
 
     /// [`TokenBuckets::check`] against an explicit clock, so tests can
@@ -145,7 +194,6 @@ impl TokenBuckets {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
-    use std::time::Duration;
 
     fn ip(last: u8) -> IpAddr {
         IpAddr::V4(Ipv4Addr::new(127, 0, 0, last))
@@ -165,6 +213,7 @@ mod tests {
             quota_burst: 3,
             quota_refill_per_sec: 2,
             queue_deadline_ms: 0,
+            ..AdmissionConfig::default()
         };
         let b = TokenBuckets::new(&cfg);
         let t0 = Instant::now();
@@ -190,6 +239,7 @@ mod tests {
             quota_burst: 1,
             quota_refill_per_sec: 0,
             queue_deadline_ms: 0,
+            ..AdmissionConfig::default()
         };
         let b = TokenBuckets::new(&cfg);
         let t0 = Instant::now();
@@ -205,6 +255,7 @@ mod tests {
             quota_burst: 1,
             quota_refill_per_sec: 0,
             queue_deadline_ms: 0,
+            ..AdmissionConfig::default()
         };
         let b = TokenBuckets::new(&cfg);
         let t0 = Instant::now();
@@ -216,11 +267,29 @@ mod tests {
     }
 
     #[test]
+    fn a_manual_clock_drives_refill() {
+        let clock = Clock::manual();
+        let b = TokenBuckets::new(&AdmissionConfig {
+            quota_burst: 1,
+            quota_refill_per_sec: 1,
+            clock: clock.clone(),
+            ..AdmissionConfig::default()
+        });
+        assert_eq!(b.check(ip(1)), Admission::Admit);
+        assert_eq!(b.check(ip(1)), Admission::Throttle { retry_after_ms: 1000 });
+        clock.advance(Duration::from_millis(500));
+        assert_eq!(b.check(ip(1)), Admission::Throttle { retry_after_ms: 500 });
+        clock.advance(Duration::from_millis(500));
+        assert_eq!(b.check(ip(1)), Admission::Admit);
+    }
+
+    #[test]
     fn refill_never_exceeds_burst() {
         let cfg = AdmissionConfig {
             quota_burst: 2,
             quota_refill_per_sec: 1000,
             queue_deadline_ms: 0,
+            ..AdmissionConfig::default()
         };
         let b = TokenBuckets::new(&cfg);
         let t0 = Instant::now();

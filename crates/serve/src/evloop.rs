@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{IpAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use casted_util::poll::{Event, Poller};
 
@@ -303,7 +303,7 @@ fn dispatch(
             match shared.queue.try_push(Job {
                 req,
                 key: cache_key(&payload),
-                enqueued: Instant::now(),
+                enqueued: shared.cfg.admission.clock.now(),
                 cancel: Some(cancel.clone()),
                 conn: token,
             }) {
@@ -340,7 +340,7 @@ fn dispatch(
             match shared.queue.try_push(Job {
                 req,
                 key,
-                enqueued: Instant::now(),
+                enqueued: shared.cfg.admission.clock.now(),
                 cancel: None,
                 conn: token,
             }) {

@@ -138,7 +138,7 @@ impl Default for ServerConfig {
             workers: pool_threads(),
             queue_depth: 64,
             cache: CacheConfig::default(),
-            max_cycles: 200_000_000,
+            max_cycles: casted_faults::DEFAULT_MAX_CYCLES,
             max_trials: 20_000,
             section_cache: None,
             artifact_cache: None,
@@ -151,6 +151,7 @@ impl Default for ServerConfig {
 pub(crate) struct Job {
     pub(crate) req: Request,
     pub(crate) key: u64,
+    /// When the job was queued, on the admission clock.
     pub(crate) enqueued: Instant,
     /// Cancel flag for streaming jobs (checked at chunk boundaries).
     pub(crate) cancel: Option<Arc<AtomicBool>>,
@@ -391,8 +392,10 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, poller: poll::Poller) {
 /// until the queue closes.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
-        let deadline_ms = shared.cfg.admission.queue_deadline_ms;
-        if deadline_ms > 0 && job.enqueued.elapsed() > Duration::from_millis(deadline_ms) {
+        let admission = &shared.cfg.admission;
+        let deadline = Duration::from_millis(admission.queue_deadline_ms);
+        let waited = admission.clock.now().saturating_duration_since(job.enqueued);
+        if admission.queue_deadline_ms > 0 && waited > deadline {
             // Stale before it ever ran: shed it, visibly.
             casted_obs::inc("serve.admission.expired");
             deliver(shared, &job, encode_response(&Response::Expired), true, false);

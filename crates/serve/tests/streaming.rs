@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use casted::service_api::{self, JobSpec};
 use casted::Scheme;
 use casted_faults::Engine;
-use casted_serve::admission::AdmissionConfig;
+use casted_serve::admission::{AdmissionConfig, Clock};
 use casted_serve::client::Client;
 use casted_serve::protocol::{decode_response, encode_request, Request, Response};
 use casted_serve::server::{Server, ServerConfig};
@@ -269,6 +269,7 @@ fn quota_exhaustion_yields_throttled_with_retry_hint() {
             quota_burst: 2,
             quota_refill_per_sec: 1,
             queue_deadline_ms: 0,
+            ..AdmissionConfig::default()
         },
         ..ServerConfig::default()
     })
@@ -316,41 +317,34 @@ fn quota_exhaustion_yields_throttled_with_retry_hint() {
 #[test]
 fn queue_deadline_drops_stale_jobs_before_execution() {
     casted_obs::set_enabled(true);
+    // Admission time stands still until the test moves it, so no job
+    // expires because the host is slow, and the queued one expires
+    // because its deadline passed on the admission clock.
+    let clock = Clock::manual();
     let server = Server::start(ServerConfig {
         workers: 1, // single worker: the stream below occupies it
         admission: AdmissionConfig {
-            quota_burst: 0,
-            quota_refill_per_sec: 0,
-            queue_deadline_ms: 1,
+            queue_deadline_ms: 1_000,
+            clock: clock.clone(),
+            ..AdmissionConfig::default()
         },
         ..ServerConfig::default()
     })
     .expect("bind loopback");
     let addr = server.addr();
 
-    // Occupy the only worker with a streaming campaign... The 1 ms
-    // deadline applies to this job too: when other tests load the
-    // host, the idle worker can take longer than that to wake, and
-    // the stream is dropped as `Expired` — correct behaviour under
-    // this config, not the case this test is about — so resend it
-    // until it gets the worker.
+    // Occupy the only worker with a streaming campaign, long enough to
+    // outlast the steps below (it is cancelled after them)...
     let mut a = Client::connect(addr).unwrap();
-    let mut occupied = false;
-    for _ in 0..100 {
-        a.send_raw(&encode_request(&stream_req(3_000, 50))).unwrap();
-        let first = a.read_reply().unwrap().expect("stream start");
-        match decode_response(&first).unwrap() {
-            Response::Progress { .. } => {
-                occupied = true;
-                break;
-            }
-            Response::Expired => {}
-            other => panic!("unexpected first stream frame {other:?}"),
-        }
-    }
-    assert!(occupied, "the stream never reached the worker");
+    a.send_raw(&encode_request(&stream_req(20_000, 50))).unwrap();
+    let first = a.read_reply().unwrap().expect("stream start");
+    assert!(
+        matches!(decode_response(&first).unwrap(), Response::Progress { .. }),
+        "the stream must reach the worker"
+    );
 
-    // ...then queue a job that can only wait (and go stale).
+    // ...then queue a job that can only wait, and let more than its
+    // deadline pass once it is queued.
     let mut b = Client::connect(addr).unwrap();
     b.send_raw(&encode_request(&Request::Simulate {
         spec: JobSpec {
@@ -362,8 +356,15 @@ fn queue_deadline_drops_stale_jobs_before_execution() {
         max_cycles: u64::MAX,
     }))
     .unwrap();
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while server.queued_jobs() == 0 {
+        assert!(Instant::now() < give_up, "the second job was never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    clock.advance(Duration::from_millis(1_001));
 
-    // Drain A to its terminal so the worker reaches B's job.
+    // Cancel A and drain it to its terminal so the worker reaches B.
+    a.send_raw(&encode_request(&Request::Cancel)).unwrap();
     loop {
         let frame = a.read_reply().unwrap().expect("mid-stream EOF");
         if decode_response(&frame).unwrap().terminal() {

@@ -42,7 +42,7 @@
 //! are exactly what the state digests hash, so fingerprints are too.
 
 use casted_ir::vliw::ScheduledProgram;
-use casted_ir::{BlockId, Cluster, CmpKind, InsnId, Opcode, Operand, RegClass};
+use casted_ir::{BlockId, Cluster, CmpKind, InsnId, MachineConfig, Opcode, Operand, RegClass};
 
 pub(crate) use casted_ir::liveness::SlotLayout;
 
@@ -172,6 +172,32 @@ pub(crate) struct DecodedBundle {
     stalls: (u32, u32),
 }
 
+/// The machine-configuration constants the timing rules read
+/// (`crate::machine`), resolved once.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Latencies {
+    /// Inter-cluster register read delay.
+    pub(crate) delay: u64,
+    /// Minimum load latency (a cache hit's floor).
+    pub(crate) load_hit: u32,
+    /// First-level cache latency: a load slower than this is a miss
+    /// that occupies an MSHR entry.
+    pub(crate) l1_lat: u32,
+    pub(crate) mshr_entries: usize,
+}
+
+impl Latencies {
+    pub(crate) fn of(config: &MachineConfig) -> Self {
+        let load_hit = config.latency.load_hit;
+        Latencies {
+            delay: config.inter_cluster_delay as u64,
+            load_hit,
+            l1_lat: config.cache_levels.first().map(|c| c.latency).unwrap_or(load_hit),
+            mshr_entries: config.mshr_entries,
+        }
+    }
+}
+
 /// A [`ScheduledProgram`] flattened for the cycle loops, plus the
 /// machine-configuration constants they read per bundle.
 pub(crate) struct DecodedProgram {
@@ -185,14 +211,7 @@ pub(crate) struct DecodedProgram {
     bundles: Vec<DecodedBundle>,
     /// `bundles[block_start[b]..block_start[b + 1]]` is block `b`.
     block_start: Vec<u32>,
-    /// Inter-cluster register read delay.
-    pub(crate) delay: u64,
-    /// Minimum load latency (a cache hit's floor).
-    pub(crate) load_hit: u32,
-    /// First-level cache latency: a load slower than this is a miss
-    /// that occupies an MSHR entry.
-    pub(crate) l1_lat: u32,
-    pub(crate) mshr_entries: usize,
+    pub(crate) lat: Latencies,
 }
 
 impl DecodedProgram {
@@ -210,14 +229,7 @@ impl DecodedProgram {
             stalls: Vec::new(),
             bundles: Vec::new(),
             block_start: Vec::with_capacity(sp.blocks.len() + 1),
-            delay: config.inter_cluster_delay as u64,
-            load_hit: lat.load_hit,
-            l1_lat: config
-                .cache_levels
-                .first()
-                .map(|c| c.latency)
-                .unwrap_or(lat.load_hit),
-            mshr_entries: config.mshr_entries,
+            lat: Latencies::of(config),
         };
         for sb in &sp.blocks {
             dp.block_start.push(dp.bundles.len() as u32);
@@ -287,6 +299,17 @@ impl DecodedProgram {
     pub(crate) fn block(&self, b: BlockId) -> &[DecodedBundle] {
         let i = b.index();
         &self.bundles[self.block_start[i] as usize..self.block_start[i + 1] as usize]
+    }
+
+    /// Every bundle of the program, in block order.
+    pub(crate) fn bundles(&self) -> &[DecodedBundle] {
+        &self.bundles
+    }
+
+    /// Where each block's bundles start in [`DecodedProgram::bundles`],
+    /// plus one past the last.
+    pub(crate) fn block_starts(&self) -> &[u32] {
+        &self.block_start
     }
 
     /// The most instructions one bundle retires.

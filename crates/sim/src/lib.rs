@@ -33,6 +33,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod cost;
 mod decode;
 pub mod machine;
 pub mod rbed;
@@ -46,9 +47,10 @@ pub use checkpoint::{
     golden_with_checkpoints, golden_with_checkpoints_rbed, replay_trial, BlockSet, CampaignProgram,
     CheckpointPlan, GoldenRun, GoldenTrace, TrialRun, GRID_STATES, MAX_CHECKPOINTS,
 };
+pub use cost::{cost_schedules, Costed, TimingView};
 pub use machine::{
     simulate, simulate_golden, simulate_quiet, Injection, MachineState, SimOptions, SimResult,
-    TraceEntry,
+    TraceEntry, DEFAULT_MAX_CYCLES,
 };
 pub use rbed::{rbed_plan, RbedPlan};
 pub use section::{

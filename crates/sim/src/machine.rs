@@ -29,7 +29,7 @@ use casted_ir::Reg;
 use casted_util::hash::Fnv64;
 
 use crate::cache::CacheHierarchy;
-use crate::decode::{DecodedProgram, SlotLayout, WordOp};
+use crate::decode::{DecodedProgram, Latencies, SlotLayout, WordOp};
 use crate::stats::SimStats;
 
 /// A transient fault to inject (paper §IV-C): at the
@@ -97,6 +97,14 @@ impl Injection {
         out
     }
 }
+
+/// The default watchdog bound on a fault-free run: 200M cycles, far
+/// above every benchmark kernel. Compile-time candidate costing, a
+/// campaign's fault-free run, `casted-serve`'s request cap and
+/// `casted::measure` all stop there, so a program that never halts is
+/// reported as a timeout instead of simulated forever.
+/// (`SimOptions::default()` runs unbounded.)
+pub const DEFAULT_MAX_CYCLES: u64 = 200_000_000;
 
 /// Simulation options.
 #[derive(Clone, Debug)]
@@ -184,7 +192,7 @@ impl SimResult {
 /// Bulk-flush one finished run's counters into the global metrics
 /// registry. All values are deterministic functions of the program and
 /// seed, so they are part of the counter-only snapshot.
-fn record_run_metrics(stats: &SimStats) {
+pub(crate) fn record_run_metrics(stats: &SimStats) {
     if !casted_obs::enabled() {
         return;
     }
@@ -356,8 +364,89 @@ pub(crate) enum Boundary {
     /// Keep executing.
     Continue,
     /// Stop here: the caller has proven the remainder of the run
-    /// (convergence pruning). `run_machine` returns `None`.
+    /// (convergence pruning) or needs no more of it (costing, once
+    /// every schedule has timed out). `run_machine` returns `None`.
     Stop,
+}
+
+// ---- The timing rules ----
+//
+// Each rule has this one implementation: `run_machine` applies them
+// alongside the register words, and a costing walk (`crate::cost`)
+// applies them alone to another schedule of the same program.
+
+/// The watchdog, checked before each bundle issues (never at the
+/// halt): a run is past it once its cycle exceeds `max_cycles`.
+#[inline(always)]
+pub(crate) fn past_watchdog(cycle: u64, max_cycles: u64) -> bool {
+    cycle > max_cycles
+}
+
+/// The lockstep stall scan: the cycle at which a bundle reached at
+/// `cycle` issues — once every register it reads (`stalls`: each slot
+/// with its reading cluster) is ready, a read from the other cluster
+/// `delay` cycles after its producer's. It counts the bundle, its
+/// stall cycles and its cross-cluster reads.
+#[inline(always)]
+pub(crate) fn issue_cycle(
+    stalls: &[(u32, u8)],
+    delay: u64,
+    ready: &[(u64, u8)],
+    cycle: u64,
+    stats: &mut SimStats,
+) -> u64 {
+    let mut issue = cycle;
+    for &(slot, reader) in stalls {
+        let (mut avail, writer) = ready[slot as usize];
+        if writer != reader {
+            avail += delay;
+            stats.cross_reads += 1;
+        }
+        issue = issue.max(avail);
+    }
+    stats.stall_cycles += issue - cycle;
+    stats.bundles += 1;
+    issue
+}
+
+/// The latency of a load of `addr` issued at `issue`: the cache's,
+/// floored at a hit. Bounded MSHRs: a miss beyond the L1 latency
+/// occupies an entry; when all entries are busy the new miss queues
+/// behind the oldest.
+#[inline(always)]
+pub(crate) fn load_latency(
+    lat: &Latencies,
+    cache: &mut CacheHierarchy,
+    mshr: &mut Vec<u64>,
+    addr: u64,
+    issue: u64,
+) -> u32 {
+    let mut l = cache.access(addr).max(lat.load_hit);
+    if l > lat.l1_lat {
+        mshr.retain(|&c| c > issue);
+        if mshr.len() >= lat.mshr_entries {
+            if let Some(&min) = mshr.iter().min() {
+                l += (min.saturating_sub(issue)) as u32;
+            }
+        }
+        mshr.push(issue + l as u64);
+    }
+    l
+}
+
+/// The scoreboard: a result written by `cluster` at `issue` is ready
+/// there `latency` cycles later.
+#[inline(always)]
+pub(crate) fn mark_ready(ready: &mut [(u64, u8)], def: u32, issue: u64, latency: u32, cluster: u8) {
+    ready[def as usize] = (issue + latency as u64, cluster);
+}
+
+/// Close the statistics of a run that stopped at `cycle`: its final
+/// cycle and its cache's counters.
+#[inline]
+pub(crate) fn close_stats(stats: &mut SimStats, cycle: u64, cache: &CacheHierarchy) {
+    stats.cycles = cycle;
+    stats.cache.clone_from(&cache.stats);
 }
 
 /// Evaluate a pure word operation over its operand words `v`: the
@@ -432,7 +521,6 @@ pub(crate) fn run_machine(
     flush_metrics: bool,
     mut boundary: impl FnMut(&MachineState) -> Boundary,
 ) -> Option<SimResult> {
-    let delay = dp.delay;
     let inj = opts.injection;
     // The strike's victim slot when it targets one register.
     let inj_target = inj.and_then(|i| i.target).map(|r| dp.layout.slot(r));
@@ -468,8 +556,7 @@ pub(crate) fn run_machine(
         ($stop:expr, $cycle:expr) => {{
             let cycle = $cycle;
             st.cycle = cycle;
-            st.stats.cycles = cycle;
-            st.stats.cache = st.cache.stats.clone();
+            close_stats(&mut st.stats, cycle, &st.cache);
             if flush_metrics {
                 record_run_metrics(&st.stats);
             }
@@ -491,21 +578,12 @@ pub(crate) fn run_machine(
                 return None;
             }
             let bundle = &bundles[st.bundle_idx];
-            if st.cycle > opts.max_cycles {
+            if past_watchdog(st.cycle, opts.max_cycles) {
                 finish!(StopReason::Timeout, st.cycle);
             }
             // ---- stall until every operand of the bundle is usable ----
-            let mut issue = st.cycle;
-            for &(slot, reader) in dp.stalls(bundle) {
-                let (mut avail, writer) = st.ready[slot as usize];
-                if writer != reader {
-                    avail += delay;
-                    st.stats.cross_reads += 1;
-                }
-                issue = issue.max(avail);
-            }
-            st.stats.stall_cycles += issue - st.cycle;
-            st.stats.bundles += 1;
+            let issue =
+                issue_cycle(dp.stalls(bundle), dp.lat.delay, &st.ready, st.cycle, &mut st.stats);
 
             // ---- phase 1: read all operands (VLIW parallel read) ----
             val_buf.clear();
@@ -539,21 +617,13 @@ pub(crate) fn run_machine(
                         let addr = (vals[0] as i64).wrapping_add(insn.imm);
                         match st.mem.load_int(addr) {
                             Ok(w) => {
-                                let mut l = st.cache.access(addr as u64).max(dp.load_hit);
-                                // Bounded MSHRs: a miss beyond the L1
-                                // latency occupies an entry; when all
-                                // entries are busy the new miss queues
-                                // behind the oldest.
-                                if l > dp.l1_lat {
-                                    st.mshr.retain(|&c| c > issue);
-                                    if st.mshr.len() >= dp.mshr_entries {
-                                        if let Some(&min) = st.mshr.iter().min() {
-                                            l += (min.saturating_sub(issue)) as u32;
-                                        }
-                                    }
-                                    st.mshr.push(issue + l as u64);
-                                }
-                                latency = l;
+                                latency = load_latency(
+                                    &dp.lat,
+                                    &mut st.cache,
+                                    &mut st.mshr,
+                                    addr as u64,
+                                    issue,
+                                );
                                 Some(w as u64)
                             }
                             Err(e) => finish!(StopReason::Exception(e), issue + 1),
@@ -623,7 +693,7 @@ pub(crate) fn run_machine(
                 };
                 if let (Some(d), Some(w)) = (insn.def, retired) {
                     st.regs[d as usize] = w;
-                    st.ready[d as usize] = (issue + latency as u64, cluster.0);
+                    mark_ready(&mut st.ready, d, issue, latency, cluster.0);
                 }
 
                 // ---- RBED digest accumulation + bound check ----

@@ -250,6 +250,26 @@ if [ "$trap_status" != 1 ] \
 fi
 echo "castedc inject refused the trapping target (exit 1)"
 
+echo "== castedc run stops a program that never halts =="
+# The fault-free run, and the costing of CASTED's candidate schedules
+# before it, stop at the simulator's one fault-free bound
+# (DEFAULT_MAX_CYCLES): castedc exits 1 and names the bound instead of
+# simulating forever.
+loop_src="$log_dir/loop.mc"
+cat > "$loop_src" <<'EOF'
+fn main() { var x: int = 1; while x > 0 { x = x + 2; } out(x); }
+EOF
+loop_status=0
+cargo run --release --offline -q -p casted --bin castedc -- \
+  run "$loop_src" > /dev/null 2> "$log_dir/loop_run.err" || loop_status=$?
+if [ "$loop_status" != 1 ] \
+  || ! grep -q 'castedc: the program did not halt within 200000000 cycles' "$log_dir/loop_run.err"; then
+  echo "castedc run on a non-halting program: expected exit 1 naming the bound, got $loop_status:" >&2
+  cat "$log_dir/loop_run.err" >&2
+  exit 1
+fi
+echo "castedc run stopped the non-halting program at the bound (exit 1)"
+
 echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # Start the service on an ephemeral loopback port with both on-disk
 # stores (section cache + artifact cache), push one request of each

@@ -67,6 +67,7 @@ fn sabotaged_backend_fails_the_suite_with_a_replay_line() {
     let hooks = Hooks {
         post_ed: Some(sabotage::drop_first_out),
         probes: 0,
+        ..Hooks::default()
     };
     let rep = run_suite_with(&opts, &hooks);
     assert!(!rep.ok(), "a broken ED pass must fail the suite");
