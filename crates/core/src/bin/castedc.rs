@@ -153,13 +153,15 @@ fn write_metrics(args: &Args) {
 }
 
 /// Exit 1 naming the bound when a fault-free run did not halt within
-/// it (`run` and `trace` simulate under `DEFAULT_MAX_CYCLES`).
-fn refuse_timeout(r: &casted::SimResult) -> Option<ExitCode> {
+/// it (`run` and `trace` simulate under `DEFAULT_MAX_CYCLES`), after
+/// writing the metrics the run moved.
+fn refuse_timeout(args: &Args, r: &casted::SimResult) -> Option<ExitCode> {
     (r.stop == casted::ir::interp::StopReason::Timeout).then(|| {
         eprintln!(
             "castedc: the program did not halt within {} cycles",
             casted_sim::DEFAULT_MAX_CYCLES
         );
+        write_metrics(args);
         ExitCode::from(1)
     })
 }
@@ -286,7 +288,7 @@ fn main() -> ExitCode {
                 r.stats.cross_reads,
                 100.0 * r.stats.cache.l1_miss_ratio()
             );
-            if let Some(code) = refuse_timeout(&r) {
+            if let Some(code) = refuse_timeout(&args, &r) {
                 return code;
             }
         }
@@ -319,7 +321,7 @@ fn main() -> ExitCode {
                 );
             }
             eprintln!("-- ({} of {} dynamic instructions)", r.trace.len(), r.stats.dyn_insns);
-            if let Some(code) = refuse_timeout(&r) {
+            if let Some(code) = refuse_timeout(&args, &r) {
                 return code;
             }
         }
@@ -345,6 +347,7 @@ fn main() -> ExitCode {
                 Ok(r) => r,
                 Err(stop) => {
                     eprintln!("castedc: {}", campaign.refusal(&stop));
+                    write_metrics(&args);
                     return ExitCode::from(1);
                 }
             };

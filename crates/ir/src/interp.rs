@@ -72,21 +72,9 @@ impl ExecResult {
 
 /// Machine memory shared by interpreter and simulator: a flat array of
 /// 8-byte words with the module's globals materialized.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Memory {
     words: Vec<i64>,
-}
-
-/// `clone_from` copies into the existing image instead of allocating a
-/// new one: the simulator's golden pass reuses the states it frees.
-impl Clone for Memory {
-    fn clone(&self) -> Self {
-        Memory { words: self.words.clone() }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.words.clone_from(&source.words);
-    }
 }
 
 /// Extra words of addressable scratch space past the last global.

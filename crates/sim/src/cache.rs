@@ -39,6 +39,7 @@ impl CacheStats {
 
 /// One cache level: the reachable `sets × ways` of line tags with LRU
 /// stamps.
+#[derive(Clone)]
 struct Level {
     cfg: CacheLevelConfig,
     /// Set-index mask of the full geometry (`cfg.sets() - 1`).
@@ -58,34 +59,6 @@ struct Level {
     /// it lets `fingerprint_into` scale with residency instead of
     /// scanning every allocated way.
     touched: Vec<u32>,
-}
-
-/// `clone_from` copies into the existing tag and stamp arrays (see
-/// [`CacheHierarchy`]).
-impl Clone for Level {
-    fn clone(&self) -> Self {
-        Level {
-            cfg: self.cfg.clone(),
-            set_mask: self.set_mask,
-            lines: self.lines,
-            ways: self.ways,
-            tags: self.tags.clone(),
-            stamp: self.stamp.clone(),
-            tick: self.tick,
-            touched: self.touched.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.cfg.clone_from(&source.cfg);
-        self.set_mask = source.set_mask;
-        self.lines = source.lines;
-        self.ways = source.ways;
-        self.tags.clone_from(&source.tags);
-        self.stamp.clone_from(&source.stamp);
-        self.tick = source.tick;
-        self.touched.clone_from(&source.touched);
-    }
 }
 
 impl Level {
@@ -178,8 +151,7 @@ impl Level {
 /// with bit-identical cache timing (see `crate::checkpoint`). Sized to
 /// the reachable memory (module doc), a clone costs a few KB for a
 /// MiniC kernel instead of the ~430 KB of the full Table I geometry.
-/// `clone_from` reuses the target's arrays, so overwriting a kept
-/// machine state costs a copy and no allocation.
+#[derive(Clone)]
 pub struct CacheHierarchy {
     levels: Vec<Level>,
     memory_latency: u32,
@@ -187,24 +159,6 @@ pub struct CacheHierarchy {
     perfect_latency: u32,
     /// Public statistics.
     pub stats: CacheStats,
-}
-
-impl Clone for CacheHierarchy {
-    fn clone(&self) -> Self {
-        CacheHierarchy {
-            levels: self.levels.clone(),
-            memory_latency: self.memory_latency,
-            perfect_latency: self.perfect_latency,
-            stats: self.stats.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.levels.clone_from(&source.levels);
-        self.memory_latency = source.memory_latency;
-        self.perfect_latency = source.perfect_latency;
-        self.stats.clone_from(&source.stats);
-    }
 }
 
 impl CacheHierarchy {

@@ -41,24 +41,26 @@
 //! right there, and keeps an evenly thinned **grid** of at most
 //! [`GRID_STATES`] block-entry states: one every `stride`
 //! instructions, and when the grid is full every second state is
-//! dropped and the stride doubles. States the thinning frees are
-//! reused for the next ones (`clone_from`), so the grid never holds
-//! more than its cap.
+//! dropped and the stride doubles, so the grid never holds more than
+//! its cap.
 //!
 //! Pass 2 ([`GoldenRun::capture`]) starts at power-on with one
-//! boundary hook. **Restart rule:** whenever the next site anything
-//! still waits on (a snapshot or a window) changes, and no fingerprint
-//! window is open, the pass jumps ahead to the last grid state
-//! *strictly below* that site, if one lies ahead of the pass. (Until
-//! the site changes again, a later boundary could only find fewer
-//! such states, so the hook looks at these moments only.) Every
+//! boundary hook, which wakes (`crate::machine::run_machine`'s wake
+//! contract) only where a snapshot may be owed — within one bundle's
+//! worth of instructions of the next snapshot site — and at the block
+//! entries that may sample. **Restart rule:** whenever the next site
+//! anything still waits on (a snapshot or a window) changes, and no
+//! fingerprint window is open, the pass jumps ahead to the last grid
+//! state *strictly below* that site, if one lies ahead of the pass.
+//! (Until the site changes again, a later boundary could only find
+//! fewer such states, so the hook may look at every wake-up.) Every
 //! skipped boundary lies below that site too, so none of them would
-//! have taken a snapshot or opened a window. The only other thing the skipped stretch decides is the
-//! fingerprint schedule, the next multiple of `sample_every` a block
-//! entry must reach. A contiguous pass leaves a block entry at `d`
-//! with the next multiple above `d`, whether it sampled there or not,
-//! so a pass that resumes at a grid state, itself a block entry,
-//! resumes that schedule exactly. Every snapshot and every fingerprint
+//! have taken a snapshot or opened a window. The only other thing the
+//! skipped stretch decides is the fingerprint schedule, the next
+//! multiple of `sample_every` a block entry must reach. A contiguous
+//! pass leaves a block entry at `d` with the next multiple above `d`,
+//! whether it sampled there or not, so a pass that resumes at a grid
+//! state, itself a block entry, resumes that schedule exactly. Every snapshot and every fingerprint
 //! lands where a contiguous pass puts it, and the trace is the same.
 //! With an empty grid the pass is the contiguous one. An RBED
 //! campaign's pass 1 runs the digest accumulator (`crate::rbed`), so
@@ -121,7 +123,7 @@ use casted_util::hash::Fnv64;
 
 use crate::decode::DecodedProgram;
 use crate::machine::{
-    run_golden, run_machine, Boundary, Injection, MachineState, SimOptions, SimResult,
+    never, run_golden, run_machine, Injection, MachineState, SimOptions, SimResult,
 };
 
 /// Snapshot cadence and fingerprint cadence for one golden run.
@@ -508,8 +510,6 @@ const GRID_MIN_STRIDE: u64 = 32_768;
 /// turns out to be.
 struct Grid {
     points: Vec<MachineState>,
-    /// States freed by thinning, reused by later points.
-    spare: Vec<MachineState>,
     cap: usize,
     stride: u64,
 }
@@ -521,31 +521,15 @@ impl Grid {
     }
 
     /// Offer the block entry `st`, which has reached [`Grid::next`];
-    /// returns the new threshold. Out of line: it runs a few times a
-    /// pass, and the cycle loop it would be inlined into is the hot
-    /// path.
-    #[cold]
-    #[inline(never)]
+    /// returns the new threshold.
     fn offer(&mut self, st: &MachineState) -> u64 {
         if self.points.len() == self.cap {
-            for (i, p) in std::mem::take(&mut self.points).into_iter().enumerate() {
-                if i % 2 == 1 {
-                    self.points.push(p);
-                } else {
-                    self.spare.push(p);
-                }
-            }
+            // Keep every second point: those at the doubled stride.
+            self.points = std::mem::take(&mut self.points).into_iter().skip(1).step_by(2).collect();
             self.stride *= 2;
         }
         if st.stats.dyn_insns >= self.next() {
-            let state = match self.spare.pop() {
-                Some(mut s) => {
-                    s.clone_from(st);
-                    s
-                }
-                None => st.clone(),
-            };
-            self.points.push(state);
+            self.points.push(st.clone());
         }
         self.next()
     }
@@ -640,21 +624,23 @@ impl GoldenRun {
     ) -> Self {
         let dp = &program.decoded;
         if grid_states == 0 {
-            let result = run_golden(sp, dp, max_cycles, false, |_| Boundary::Continue);
+            let result = run_golden(sp, dp, max_cycles, false, &mut never);
             return GoldenRun { result, program, grid: Vec::new() };
         }
         let mut grid = Grid {
             points: Vec::with_capacity(grid_states),
-            spare: Vec::new(),
             cap: grid_states,
             stride: min_stride,
         };
-        let mut next = grid.next();
-        let result = run_golden(sp, dp, max_cycles, replay_detect, |st: &MachineState| {
-            if st.bundle_idx == 0 && st.stats.dyn_insns >= next {
-                next = grid.offer(st);
-            }
-            Boundary::Continue
+        // The hook wakes at the first block entry at or past each point.
+        let result = run_golden(sp, dp, max_cycles, replay_detect, &mut |st: &MachineState| {
+            Some(if st.stats.dyn_insns < grid.next() {
+                grid.next()
+            } else if st.bundle_idx == 0 {
+                grid.offer(st)
+            } else {
+                st.next_entry(dp)
+            })
         });
         GoldenRun { result, program, grid: grid.points }
     }
@@ -667,8 +653,9 @@ impl GoldenRun {
 
     /// The quiet instrumented pass both captures share: re-run the
     /// golden program from power-on (kept as the first snapshot) under
-    /// `rbed`, handing `hook` every bundle boundary to snapshot, sample
-    /// or stop at. A hook that picked a restart point
+    /// `rbed`, waking `hook` by the contract of
+    /// [`run_machine`](crate::machine::run_machine) to snapshot, sample
+    /// or stop. A hook that picked a restart point
     /// ([`Recorder::restart_below`]) stops the run, which resumes from
     /// that pass-1 state; any other stop ends the pass. Returns the
     /// filled trace and the pass's final state.
@@ -676,7 +663,7 @@ impl GoldenRun {
         self,
         sp: &ScheduledProgram,
         rbed: Option<std::sync::Arc<crate::rbed::RbedPlan>>,
-        mut hook: impl FnMut(&mut Recorder, &CampaignProgram, &MachineState) -> Boundary,
+        hook: &mut dyn FnMut(&mut Recorder, &CampaignProgram, &MachineState) -> Option<u64>,
     ) -> (GoldenTrace, MachineState) {
         let GoldenRun { result, program, grid } = self;
         let mut rec = Recorder {
@@ -694,7 +681,7 @@ impl GoldenRun {
         let finished = loop {
             let from = st.stats.dyn_insns;
             let finished =
-                run_machine(&program.decoded, &opts, &mut st, false, |st: &MachineState| {
+                run_machine(&program.decoded, &opts, &mut st, false, &mut |st: &MachineState| {
                     hook(&mut rec, &program, st)
                 });
             capture_insns += st.stats.dyn_insns - from;
@@ -781,25 +768,22 @@ impl GoldenRun {
         let mut useful = useful.into_iter();
         self.grid.retain(|_| useful.next() == Some(true));
 
-        // Most boundaries need nothing: the hook's first two tests skip
-        // them. A boundary can owe a snapshot only once `max_retired`
-        // more instructions reach the next snapshot site.
+        // A boundary can owe a snapshot only once `max_retired` more
+        // instructions reach the next snapshot site: the hook wakes from
+        // there on, and at the block entries that may sample.
         let max_retired = self.program.decoded.max_bundle_ops();
         let snap_from =
             |next_snap: usize| snap_sites.get(next_snap).map_or(u64::MAX, |&s| s - max_retired.min(s));
         let (mut next_snap, mut next_site, mut window) = (0usize, 0usize, 0u32);
         let mut next_sample = sample_every;
         let mut snap_at = snap_from(0);
-        // Whether what the pass waits for changed (and at power-on):
-        // only then can it be done, or have a grid state to jump to.
-        let mut changed = true;
         let hook = &mut |rec: &mut Recorder, program: &CampaignProgram, st: &MachineState| {
             let dyn_insns = st.stats.dyn_insns;
+            let decoded = &program.decoded;
             // This boundary is the last one strictly before every
             // pending snapshot site its bundle retires: the golden
             // run's next boundary is `dyn_insns + retired` onward.
             if dyn_insns >= snap_at {
-                let decoded = &program.decoded;
                 let bundle = &decoded.block(st.block)[st.bundle_idx];
                 let retired = decoded.ops(bundle).len() as u64;
                 let next_boundary = dyn_insns + retired;
@@ -812,7 +796,6 @@ impl GoldenRun {
                         next_snap += 1;
                     }
                     snap_at = snap_from(next_snap);
-                    changed = true;
                 }
             }
             // Fingerprints only at block entries, where the pending
@@ -829,17 +812,22 @@ impl GoldenRun {
                 if window > 0 {
                     window -= 1;
                     rec.sample(program, st);
-                    changed |= window == 0;
                 }
             }
-            if !changed || window > 0 {
-                return Boundary::Continue;
-            }
-            changed = false;
-            let pending = snap_sites.get(next_snap).into_iter().chain(sites.get(next_site)).min();
-            let Some(&pending) = pending else {
-                return Boundary::Stop;
+            // The next possible snapshot, or the first block entry at or
+            // past the next sample.
+            let sample_at = if dyn_insns < next_sample {
+                next_sample
+            } else {
+                st.next_entry(decoded)
             };
+            let wake = Some(snap_at.min(sample_at));
+            if window > 0 {
+                return wake;
+            }
+            let pending = snap_sites.get(next_snap).into_iter().chain(sites.get(next_site)).min();
+            // Nothing pending: the pass is done.
+            let &pending = pending?;
             // While the pending site stays the same, no later boundary
             // has a grid state to jump to that this one lacks.
             match rec.restart_below(st, pending) {
@@ -847,9 +835,9 @@ impl GoldenRun {
                 // state's block entry with (see the module docs).
                 Some(resume) => {
                     next_sample = (resume / sample_every + 1) * sample_every;
-                    Boundary::Stop
+                    None
                 }
-                None => Boundary::Continue,
+                None => wake,
             }
         };
         self.instrument(sp, rbed, hook).0
@@ -948,9 +936,14 @@ pub enum TrialRun {
 /// * `visited` collects every block the run visits after the fault
 ///   lands, plus its final block. The pre-landing stretch replays the
 ///   golden path, whose effect on the state at the site the cache key
-///   pins, so only post-injection blocks need recording. The
-///   checkpointed engine's hot path passes `None` and pays no
-///   per-bundle bookkeeping.
+///   pins, so only post-injection blocks need recording.
+///
+/// The hook wakes at the site (then at each boundary while the strike
+/// slides to an instruction with an output), at the first boundary
+/// after the fault lands, at each later block entry while a
+/// convergence probe or `visited` still wants one, and at `span_end`.
+/// The checkpointed engine's hot path passes no `visited`, so once its
+/// probes are spent the rest of the run never calls the hook.
 pub fn replay_trial(
     trace: &GoldenTrace,
     inj: Injection,
@@ -966,10 +959,15 @@ pub fn replay_trial(
         rbed: trace.rbed.clone(),
         ..SimOptions::default()
     };
+    let dp = &trace.program.decoded;
+    let end = span_end.unwrap_or(u64::MAX);
     let mut attempts = 0u32;
     let mut converged = None;
-    let finished = run_machine(&trace.program.decoded, &opts, &mut st, false, |st: &MachineState| {
-        if st.injected {
+    let finished = run_machine(dp, &opts, &mut st, false, &mut |st: &MachineState| {
+        let dyn_insns = st.stats.dyn_insns;
+        let wake = if st.injected {
+            // The first boundary after the fault lands, then every block
+            // entry while the visited set or a probe still wants one.
             if let Some(v) = visited.as_deref_mut() {
                 v.insert(st.block.index() as u32);
             }
@@ -979,19 +977,28 @@ pub fn replay_trial(
             // binds the block id, cycle and stream, so an aligned
             // count in a diverged run cannot false-match.
             if st.bundle_idx == 0 && attempts < MAX_CONVERGENCE_ATTEMPTS {
-                converged = trace.probe(st, &mut attempts).map(|c| (c, st.stats.dyn_insns));
+                converged = trace.probe(st, &mut attempts).map(|c| (c, dyn_insns));
                 if converged.is_some() {
-                    return Boundary::Stop;
+                    return None;
                 }
             }
+            if visited.is_some() || attempts < MAX_CONVERGENCE_ATTEMPTS {
+                st.next_entry(dp)
+            } else {
+                u64::MAX
+            }
+        } else {
+            // The site, then each boundary while the strike slides to
+            // an instruction with an output.
+            inj.at_dyn_insn.max(dyn_insns)
+        };
+        if dyn_insns >= end {
+            return None;
         }
-        if span_end.is_some_and(|end| st.stats.dyn_insns >= end) {
-            return Boundary::Stop;
-        }
-        Boundary::Continue
+        Some(wake.min(end))
     });
     // Final control position: the empty-block fallthrough stops
-    // without a boundary hook call.
+    // without a boundary.
     if let Some(v) = visited.filter(|_| st.injected) {
         v.insert(st.block.index() as u32);
     }

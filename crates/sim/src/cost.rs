@@ -8,12 +8,15 @@
 //! once on the full machine (`run_machine`) and walks every other one
 //! through the timing rules alone:
 //!
-//! * Before each bundle of the first schedule, its boundary hook reads
-//!   the words a walk cannot compute without values: each load's and
-//!   store's address, and whether each vote's copies disagree. A
-//!   bundle reads all its operands before it writes any, so these are
-//!   the words the bundle uses. They are kept per instruction, so what
-//!   a walk needs is bounded by one block visit, not by a trace.
+//! * Before each bundle of the first schedule that loads, stores or
+//!   votes, its boundary hook reads the words a walk cannot compute
+//!   without values: each load's and store's address, and whether each
+//!   vote's copies disagree. A bundle reads all its operands before it
+//!   writes any, so these are the words the bundle uses. They are kept
+//!   per instruction, so what a walk needs is bounded by one block
+//!   visit, not by a trace. The hook wakes only at those bundles and at
+//!   block entries: the decoded block tells how many instructions lie
+//!   before each.
 //! * When the first schedule enters a block, every other schedule
 //!   walks its own bundles of the block just finished: the watchdog,
 //!   the stall scan with the inter-cluster delay, each load's latency
@@ -28,9 +31,9 @@
 //! reason included:
 //!
 //! * A schedule past the bound times out while the others go on. The
-//!   first schedule's own run is unbounded; its hook records the
-//!   first schedule's timeout at the boundary where `simulate` would
-//!   have stopped, and stops the run once every schedule has stopped.
+//!   first schedule's run stops at its own watchdog, exactly where
+//!   `simulate` stops; its counters are recorded there, and the same
+//!   state runs on unbounded until every other schedule has stopped.
 //! * A run that stops any other way than a halt (a trap, a fault-free
 //!   detection, a block without successor) leaves the walks without
 //!   the words of the block it stopped in, and which instruction traps
@@ -51,7 +54,7 @@ use crate::cache::CacheHierarchy;
 use crate::decode::{DecodedProgram, Latencies, WordOp};
 use crate::machine::{
     close_stats, issue_cycle, load_latency, mark_ready, past_watchdog, record_run_metrics,
-    run_machine, Boundary, MachineState, SimOptions,
+    run_machine, MachineState, SimOptions,
 };
 use crate::stats::SimStats;
 
@@ -181,25 +184,24 @@ pub fn cost_schedules(
         walks: rest.iter().map(|v| Walk::new(v, reachable_bytes)).collect(),
         words: Words::new(&dp, insns),
         current: None,
+        entered: u64::MAX,
         first_timeout: None,
-        watch: max_cycles,
         max_cycles,
     };
-    let run = run_machine(
-        &dp,
-        &SimOptions::default(),
-        &mut st,
-        false,
-        |st: &MachineState| {
-            if (st.bundle_idx == 0 || past_watchdog(st.cycle, costing.watch))
-                && costing.rare_boundary(st) == Boundary::Stop
-            {
-                return Boundary::Stop;
-            }
-            costing.words.read(&dp, st);
-            Boundary::Continue
-        },
-    );
+    let opts = SimOptions {
+        max_cycles,
+        ..SimOptions::default()
+    };
+    let mut run = run_machine(&dp, &opts, &mut st, false, &mut |st| costing.boundary(&dp, st));
+    if let Some(timeout) = run.take_if(|r| r.stop == StopReason::Timeout) {
+        // The first schedule stopped where `simulate` stops; the other
+        // schedules still walking need the rest of its run.
+        costing.first_timeout = Some(timeout.stats);
+        if !costing.walks.iter().all(|w| w.stop.is_some()) {
+            let unbounded = SimOptions::default();
+            run = run_machine(&dp, &unbounded, &mut st, false, &mut |st| costing.boundary(&dp, st));
+        }
+    }
 
     let Costing {
         mut walks,
@@ -241,39 +243,37 @@ struct Costing<'a> {
     words: Words,
     /// The block the first schedule is executing.
     current: Option<BlockId>,
+    /// The cycle of the last block entry walked: the run resumed after
+    /// the first schedule's timeout wakes the hook at that boundary
+    /// again.
+    entered: u64,
     /// The first schedule's counters at its own watchdog, once past it.
     first_timeout: Option<SimStats>,
-    /// The first schedule's watchdog until it is past it, then never.
-    watch: u64,
     max_cycles: u64,
 }
 
 impl Costing<'_> {
-    /// The hook's work at a block entry or at the first schedule's
-    /// watchdog: walk the block just finished, or record the timeout.
-    /// Stops the run once every schedule has stopped. Kept out of line,
-    /// so the per-bundle hook stays small.
-    #[inline(never)]
-    fn rare_boundary(&mut self, st: &MachineState) -> Boundary {
-        if st.bundle_idx == 0 {
+    /// At a block entry, walk the block just finished, and stop the run
+    /// once the first schedule has timed out and every walk has
+    /// stopped. Then read the words of the bundle about to issue, and
+    /// wake at the next bundle with words to read or the next block
+    /// entry.
+    fn boundary(&mut self, dp: &DecodedProgram, st: &MachineState) -> Option<u64> {
+        if st.bundle_idx == 0 && st.cycle != self.entered {
+            self.entered = st.cycle;
             self.words.enter(st.block);
             if let Some(done) = self.current.replace(st.block) {
                 for w in &mut self.walks {
                     w.block(done, &self.words.by_insn, self.max_cycles);
                 }
             }
+            if self.first_timeout.is_some() && self.walks.iter().all(|w| w.stop.is_some()) {
+                return None;
+            }
         }
-        if past_watchdog(st.cycle, self.watch) {
-            let mut stats = st.stats.clone();
-            close_stats(&mut stats, st.cycle, &st.cache);
-            self.first_timeout = Some(stats);
-            self.watch = u64::MAX;
-        }
-        if self.first_timeout.is_some() && self.walks.iter().all(|w| w.stop.is_some()) {
-            Boundary::Stop
-        } else {
-            Boundary::Continue
-        }
+        self.words.read(dp, st);
+        let next = self.words.next_bundle().unwrap_or(dp.block(st.block).len());
+        Some(st.stats.dyn_insns + dp.ops_between(st.block, st.bundle_idx, next))
     }
 }
 
@@ -348,6 +348,11 @@ impl Words {
     fn enter(&mut self, b: BlockId) {
         self.next = self.block_start[b.index()] as usize;
         self.end = self.block_start[b.index() + 1] as usize;
+    }
+
+    /// The bundle of the current block whose words come next, if any.
+    fn next_bundle(&self) -> Option<usize> {
+        self.reads[self.next..self.end].first().map(|r| r.bundle as usize)
     }
 
     /// Read the words of the bundle `st` is about to issue.

@@ -301,6 +301,17 @@ impl DecodedProgram {
         &self.bundles[self.block_start[i] as usize..self.block_start[i + 1] as usize]
     }
 
+    /// The instructions that bundles `from..to` of block `b` retire
+    /// (`to` at most the block's bundle count). Bundles and their
+    /// instructions are laid out contiguously, so this is a difference
+    /// of two instruction indices.
+    pub(crate) fn ops_between(&self, b: BlockId, from: usize, to: usize) -> u64 {
+        let start = self.block_start[b.index()] as usize;
+        let first_op =
+            |k: usize| self.bundles.get(start + k).map_or(self.ops.len(), |g| g.ops.0 as usize);
+        (first_op(to) - first_op(from)) as u64
+    }
+
     /// Every bundle of the program, in block order.
     pub(crate) fn bundles(&self) -> &[DecodedBundle] {
         &self.bundles

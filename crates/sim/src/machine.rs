@@ -1,9 +1,12 @@
 //! The lockstep VLIW execution engine.
 //!
-//! [`run_machine`] is the one cycle loop: `simulate`, the golden
-//! passes, RBED digest planning and every replayed trial run it. It
-//! executes the decoded program (`crate::decode`) on raw `u64`
-//! register words:
+//! [`run_machine`] is the one cycle loop, compiled once: `simulate`,
+//! the golden passes, RBED digest planning, candidate costing and every
+//! replayed trial run it. Each caller hands it a boundary hook (a
+//! `&mut dyn` closure) that names the dynamic-instruction count at
+//! which it next wants to run, so the loop tests one `u64` per bundle
+//! and calls the hook only when the count reaches it. It executes the
+//! decoded program (`crate::decode`) on raw `u64` register words:
 //!
 //! * [`MachineState`] holds one word per register slot (Gp, then Fp,
 //!   then Pr; an integer's bits, a float's IEEE bits, a predicate as
@@ -219,6 +222,7 @@ pub(crate) fn record_run_metrics(stats: &SimStats) {
 /// Fields are crate-private: external code interacts through
 /// [`simulate`] and the `checkpoint` module, plus the read-only
 /// accessors below.
+#[derive(Clone)]
 pub struct MachineState {
     /// Where each register class sits in `regs` and `ready`.
     pub(crate) layout: SlotLayout,
@@ -255,49 +259,6 @@ pub struct MachineState {
     /// other scheme). The plan's bound cursor is not state: it is the
     /// number of bounds at or below `stats.dyn_insns`.
     pub(crate) rbed: Option<Fnv64>,
-}
-
-/// `clone_from` copies field by field into the target's existing
-/// buffers: pass 1's grid (`crate::checkpoint`) reuses the states its
-/// thinning frees instead of allocating fresh ones.
-impl Clone for MachineState {
-    fn clone(&self) -> Self {
-        MachineState {
-            layout: self.layout,
-            regs: self.regs.clone(),
-            mem: self.mem.clone(),
-            cache: self.cache.clone(),
-            ready: self.ready.clone(),
-            stats: self.stats.clone(),
-            stream: self.stream.clone(),
-            mshr: self.mshr.clone(),
-            cycle: self.cycle,
-            block: self.block,
-            bundle_idx: self.bundle_idx,
-            next_block: self.next_block,
-            halt: self.halt,
-            injected: self.injected,
-            rbed: self.rbed.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.layout = source.layout;
-        self.regs.clone_from(&source.regs);
-        self.mem.clone_from(&source.mem);
-        self.cache.clone_from(&source.cache);
-        self.ready.clone_from(&source.ready);
-        self.stats.clone_from(&source.stats);
-        self.stream.clone_from(&source.stream);
-        self.mshr.clone_from(&source.mshr);
-        self.cycle = source.cycle;
-        self.block = source.block;
-        self.bundle_idx = source.bundle_idx;
-        self.next_block = source.next_block;
-        self.halt = source.halt;
-        self.injected = source.injected;
-        self.rbed.clone_from(&source.rbed);
-    }
 }
 
 impl MachineState {
@@ -345,6 +306,15 @@ impl MachineState {
         self.stream.len()
     }
 
+    /// The dynamic-instruction count at which this boundary's run
+    /// enters its next block: the count so far plus the instructions
+    /// the block's remaining bundles retire. A hook that returns it
+    /// runs next at that block entry (see [`run_machine`]).
+    pub(crate) fn next_entry(&self, dp: &DecodedProgram) -> u64 {
+        let end = dp.block(self.block).len();
+        self.stats.dyn_insns + dp.ops_between(self.block, self.bundle_idx, end)
+    }
+
     /// Heap bytes this state owns, i.e. what a snapshot of it holds.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -356,17 +326,6 @@ impl MachineState {
             + self.stream.capacity() * size_of::<OutVal>()
             + self.mshr.capacity() * 8
     }
-}
-
-/// What the bundle-boundary hook wants the run to do next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Boundary {
-    /// Keep executing.
-    Continue,
-    /// Stop here: the caller has proven the remainder of the run
-    /// (convergence pruning) or needs no more of it (costing, once
-    /// every schedule has timed out). `run_machine` returns `None`.
-    Stop,
 }
 
 // ---- The timing rules ----
@@ -494,15 +453,25 @@ fn eval_word(op: WordOp, v: &[u64]) -> Result<u64, ExecError> {
 }
 
 /// Execute the decoded program `dp` starting from `st` until it
-/// stops, mutating `st` in place. `boundary` is invoked at every
-/// bundle boundary (immediately before the bundle at `st.bundle_idx`
-/// issues) and may stop the run early; the checkpoint engine uses it
-/// to capture snapshots during the golden run and to test convergence
-/// during replays. It is generic, so [`simulate`]'s no-op hook
-/// compiles away. When `flush_metrics` is false the run stays out of
-/// the `sim.*` counters (fault-injection trials would otherwise swamp
-/// them and make the two campaign engines' counter snapshots
-/// incomparable).
+/// stops, mutating `st` in place.
+///
+/// **The wake contract.** The run calls `hook` at a bundle boundary
+/// (immediately before the bundle at `st.bundle_idx` issues, and before
+/// the watchdog looks at it): first at the first boundary, then at the
+/// first boundary whose dynamic-instruction count reaches the count
+/// the last call returned. A hook that returns the current count runs
+/// again at the next boundary; one that returns
+/// [`MachineState::next_entry`] runs next at the following block
+/// entry; `u64::MAX` never again. A hook returns `None` to stop the run
+/// at that boundary. The checkpoint engine uses it to capture snapshots
+/// during the golden run and to test convergence during replays, and
+/// the costing (`crate::cost`) to read the words its walks need.
+///
+/// The function is not generic: every caller shares this one compiled
+/// loop, whose only per-bundle cost for the hook is one comparison.
+/// When `flush_metrics` is false the run stays out of the `sim.*`
+/// counters (fault-injection trials would otherwise swamp them and make
+/// the campaign engines' counter snapshots incomparable).
 ///
 /// The loop computes on raw register words: every operand is a slot
 /// index and every instruction a [`WordOp`], resolved by the decode
@@ -513,13 +482,14 @@ fn eval_word(op: WordOp, v: &[u64]) -> Result<u64, ExecError> {
 /// end-of-block branch/halt resolution, watchdog check per bundle,
 /// injection after writeback — are exactly those of the historical
 /// single-function `simulate`; `simulate` itself is a thin wrapper
-/// over one decode, a fresh state and a no-op hook.
+/// over one decode, a fresh state and a hook that never wakes again.
+#[inline(never)]
 pub(crate) fn run_machine(
     dp: &DecodedProgram,
     opts: &SimOptions,
     st: &mut MachineState,
     flush_metrics: bool,
-    mut boundary: impl FnMut(&MachineState) -> Boundary,
+    hook: &mut dyn FnMut(&MachineState) -> Option<u64>,
 ) -> Option<SimResult> {
     let inj = opts.injection;
     // The strike's victim slot when it targets one register.
@@ -543,6 +513,8 @@ pub(crate) fn run_machine(
     let mut val_buf: Vec<u64> = Vec::with_capacity(64);
 
     let mut trace: Vec<TraceEntry> = Vec::new();
+    // The count at which the hook runs next: at the first boundary.
+    let mut wake = 0;
     // Span-timed per run; counters are flushed in bulk on exit, so the
     // cycle loop itself carries no instrumentation (the disabled-
     // metrics fast path costs one relaxed load per whole run).
@@ -574,8 +546,8 @@ pub(crate) fn run_machine(
         let bundles = dp.block(st.block);
 
         while st.bundle_idx < bundles.len() {
-            if boundary(st) == Boundary::Stop {
-                return None;
+            if st.stats.dyn_insns >= wake {
+                wake = hook(st)?;
             }
             let bundle = &bundles[st.bundle_idx];
             if past_watchdog(st.cycle, opts.max_cycles) {
@@ -751,6 +723,11 @@ pub(crate) fn run_machine(
     }
 }
 
+/// The boundary hook of a run that needs none: it never wakes again.
+pub(crate) fn never(_: &MachineState) -> Option<u64> {
+    Some(u64::MAX)
+}
+
 /// Run `sp`, already decoded as `dp`, from power-on to its stop.
 fn run_decoded(
     sp: &ScheduledProgram,
@@ -759,22 +736,21 @@ fn run_decoded(
     flush_metrics: bool,
 ) -> SimResult {
     let mut st = MachineState::fresh(sp);
-    run_machine(dp, opts, &mut st, flush_metrics, |_| Boundary::Continue)
-        .expect("no boundary hook can stop this run")
+    run_machine(dp, opts, &mut st, flush_metrics, &mut never).expect("`never` does not stop a run")
 }
 
 /// A campaign's fault-free run of `sp` (decoded as `dp`) from power-on
-/// under the watchdog `max_cycles`, handing `hook` every bundle
-/// boundary; with `replay_detect` it accumulates the RBED digest. It
-/// flushes the `sim.*` counters only when the run halts: a campaign
-/// refuses any other target, and a refused target leaves the counters
-/// as they were.
+/// under the watchdog `max_cycles`, waking `hook` by the contract of
+/// [`run_machine`]; with `replay_detect` it accumulates the RBED
+/// digest. It flushes the `sim.*` counters only when the run halts: a
+/// campaign refuses any other target, and a refused target leaves the
+/// counters as they were.
 pub(crate) fn run_golden(
     sp: &ScheduledProgram,
     dp: &DecodedProgram,
     max_cycles: u64,
     replay_detect: bool,
-    hook: impl FnMut(&MachineState) -> Boundary,
+    hook: &mut dyn FnMut(&MachineState) -> Option<u64>,
 ) -> SimResult {
     let _run_span = casted_obs::span("sim.run_ns");
     let opts = SimOptions {
@@ -795,7 +771,7 @@ pub(crate) fn run_golden(
 /// bounded by `max_cycles`, which flushes the `sim.*` counters only
 /// when the run halts: a campaign refuses any other target.
 pub fn simulate_golden(sp: &ScheduledProgram, max_cycles: u64) -> SimResult {
-    run_golden(sp, &DecodedProgram::new(sp), max_cycles, false, |_| Boundary::Continue)
+    run_golden(sp, &DecodedProgram::new(sp), max_cycles, false, &mut never)
 }
 
 /// Run `sp` to completion (or exception/detection/timeout).
@@ -1066,5 +1042,125 @@ mod trace_tests {
         // And tracing off by default.
         let r2 = simulate(&sp, &SimOptions::default());
         assert!(r2.trace.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+    use casted_ir::{CmpKind, FunctionBuilder, MachineConfig, Module, Opcode, Operand};
+
+    /// A loop in bundles of up to three instructions whose exit branches
+    /// to an empty block: the run stops there, without a boundary, for
+    /// want of a successor.
+    fn program() -> ScheduledProgram {
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new("main");
+        let body = b.new_block("body");
+        let empty = b.new_block("empty");
+        let (acc, i) = (b.imm(0), b.imm(0));
+        b.br(body);
+        b.switch_to(body);
+        let acc1 = b.binop(Opcode::Add, Operand::Reg(acc), Operand::Reg(i));
+        b.push(Opcode::MovI, vec![acc], vec![Operand::Reg(acc1)]);
+        let i1 = b.binop(Opcode::Add, Operand::Reg(i), Operand::Imm(1));
+        b.push(Opcode::MovI, vec![i], vec![Operand::Reg(i1)]);
+        b.out(Operand::Reg(acc));
+        let p = b.cmp(CmpKind::Lt, Operand::Reg(i), Operand::Imm(12));
+        b.br_cond(p, body, empty);
+        let id = m.add_function(b.finish());
+        m.entry = Some(id);
+        ScheduledProgram::packed(&m, MachineConfig::itanium2_like(2, 2), 3)
+    }
+
+    /// A boundary as a hook sees it: instructions retired, cycle, block
+    /// and bundle index.
+    type Seen = (u64, u64, u32, usize);
+
+    /// Run `sp` from power-on with `hook`, recording each boundary it
+    /// was called at.
+    fn run(
+        sp: &ScheduledProgram,
+        mut hook: impl FnMut(&MachineState) -> Option<u64>,
+    ) -> (Option<SimResult>, Vec<Seen>, MachineState) {
+        let dp = DecodedProgram::new(sp);
+        let mut st = MachineState::fresh(sp);
+        let mut seen = Vec::new();
+        let r = run_machine(&dp, &SimOptions::default(), &mut st, false, &mut |st| {
+            seen.push((st.stats.dyn_insns, st.cycle, st.block.0, st.bundle_idx));
+            hook(st)
+        });
+        (r, seen, st)
+    }
+
+    /// Every boundary: a hook that asks for one more instruction each
+    /// time, on a program whose bundles all retire at least one.
+    fn reference(sp: &ScheduledProgram) -> (SimResult, Vec<Seen>) {
+        let (r, seen, _) = run(sp, |st| Some(st.stats.dyn_insns + 1));
+        let r = r.expect("the reference hook never stops");
+        assert_eq!(
+            r.stop,
+            StopReason::Exception(ExecError::MemOutOfBounds(-1)),
+            "the run ends in the empty block"
+        );
+        assert_eq!(seen.len() as u64, r.stats.bundles);
+        assert!(seen.windows(2).any(|w| w[1].0 > w[0].0 + 1), "no multi-instruction bundle");
+        (r, seen)
+    }
+
+    #[test]
+    fn a_hook_wakes_at_the_first_boundary_at_or_past_each_count() {
+        let sp = program();
+        let (_, all) = reference(&sp);
+        let total = all.last().unwrap().0;
+        let mut rng = casted_util::Rng::seed_from_u64(0x3A4E);
+        let mut counts: Vec<u64> = (0..16).map(|_| rng.gen_range(1..=total + 4)).collect();
+        counts.sort_unstable();
+        counts.dedup();
+        // The first call comes at the first boundary; each later one at
+        // the first boundary after it that reaches the count asked for.
+        let mut expected = vec![all[0]];
+        let mut at = 0;
+        for &c in &counts {
+            match (at + 1..all.len()).find(|&j| all[j].0 >= c) {
+                Some(j) => {
+                    expected.push(all[j]);
+                    at = j;
+                }
+                None => break,
+            }
+        }
+        let mut asks = counts.iter().copied();
+        let (r, seen, _) = run(&sp, |_| Some(asks.next().unwrap_or(u64::MAX)));
+        assert!(r.is_some());
+        assert_eq!(seen, expected, "counts {counts:?}");
+    }
+
+    #[test]
+    fn a_hook_that_asks_for_block_entries_sees_exactly_them() {
+        let sp = program();
+        let (_, all) = reference(&sp);
+        let dp = DecodedProgram::new(&sp);
+        let (_, seen, _) = run(&sp, |st| Some(st.next_entry(&dp)));
+        let entries: Vec<Seen> = all.into_iter().filter(|s| s.3 == 0).collect();
+        assert!(entries.len() > 2);
+        assert_eq!(seen, entries);
+    }
+
+    #[test]
+    fn a_stop_at_a_wake_up_leaves_the_state_at_that_boundary() {
+        let sp = program();
+        let (full, all) = reference(&sp);
+        let dp = DecodedProgram::new(&sp);
+        for k in [1, all.len() / 2, all.len() - 1] {
+            let target = all[k];
+            let (r, seen, mut st) = run(&sp, |st| (st.stats.dyn_insns < target.0).then_some(target.0));
+            assert!(r.is_none(), "stopped at boundary {k}");
+            assert_eq!(seen.last(), Some(&target));
+            assert_eq!((st.stats.dyn_insns, st.cycle, st.block.0, st.bundle_idx), target);
+            // Resumed, the same state finishes as the whole run does.
+            let rest = run_machine(&dp, &SimOptions::default(), &mut st, false, &mut never);
+            assert!(rest.expect("`never` does not stop a run").bit_identical(&full));
+        }
     }
 }

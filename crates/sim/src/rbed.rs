@@ -47,7 +47,7 @@ use std::sync::Arc;
 use casted_ir::vliw::ScheduledProgram;
 
 use crate::decode::DecodedProgram;
-use crate::machine::{run_machine, Boundary, MachineState, SimOptions};
+use crate::machine::{run_machine, MachineState, SimOptions};
 use crate::section::Cuts;
 
 /// A chunk-digest plan: the boundary schedule and the golden digest
@@ -82,14 +82,14 @@ pub fn rbed_plan(sp: &ScheduledProgram, golden_dyn: u64) -> Arc<RbedPlan> {
     rbed_plan_decoded(sp, &DecodedProgram::new(sp), golden_dyn)
 }
 
-/// [`rbed_plan`] on a program already decoded. The pass runs under
-/// the plan that only accumulates; the boundary hook places each
-/// bound at a cut ([`Cuts`]) and records the running digest right
-/// there. That is the digest a checking run compares at the crossing:
-/// the bound's instruction closed the bundle before the block entry,
-/// and nothing retires in between. The final bound's digest is the
-/// accumulator after the run, which the halt's bundle closes the same
-/// way.
+/// [`rbed_plan`] on a program already decoded. The pass runs under the
+/// plan that only accumulates; the boundary hook wakes at each block
+/// entry, places each bound at a cut ([`Cuts`]) and records the running
+/// digest right there. That is the digest a checking run compares at
+/// the crossing: the bound's instruction closed the bundle before the
+/// block entry, and nothing retires in between. The final bound's
+/// digest is the accumulator after the run, which the halt's bundle
+/// closes the same way.
 pub(crate) fn rbed_plan_decoded(
     sp: &ScheduledProgram,
     dp: &DecodedProgram,
@@ -104,12 +104,12 @@ pub(crate) fn rbed_plan_decoded(
             ..SimOptions::default()
         };
         let digest = |st: &MachineState| st.rbed.as_ref().expect("accumulator installed").finish();
-        run_machine(dp, &opts, &mut st, false, |st: &MachineState| {
+        run_machine(dp, &opts, &mut st, false, &mut |st: &MachineState| {
             if cuts.cut_at(st) {
                 bounds.push(st.stats.dyn_insns);
                 digests.push(digest(st));
             }
-            Boundary::Continue
+            Some(st.next_entry(dp))
         })
         .expect("golden digest capture cannot be stopped by the hook");
         debug_assert_eq!(st.stats.dyn_insns, golden_dyn);
@@ -167,7 +167,8 @@ mod tests {
     /// The two-pass construction the one-pass [`rbed_plan`] replaced:
     /// a plain pass places the bounds by the cut rule written out, and
     /// a second, accumulate-only pass reads the digest as each bound is
-    /// crossed. Kept as the oracle for the one-pass plan.
+    /// crossed. Kept as the oracle for the one-pass plan; its hooks wake
+    /// at every boundary.
     fn two_pass_plan(sp: &ScheduledProgram, golden_dyn: u64) -> RbedPlan {
         use crate::section::{MAX_SECTIONS, MIN_SECTION_SPAN};
         let dp = DecodedProgram::new(sp);
@@ -176,7 +177,7 @@ mod tests {
             let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
             let mut last = 0u64;
             let mut st = MachineState::fresh(sp);
-            run_machine(&dp, &SimOptions::default(), &mut st, false, |st: &MachineState| {
+            run_machine(&dp, &SimOptions::default(), &mut st, false, &mut |st: &MachineState| {
                 let dyn_insns = st.stats.dyn_insns;
                 if st.bundle_idx == 0
                     && dyn_insns > last
@@ -187,7 +188,7 @@ mod tests {
                     bounds.push(dyn_insns);
                     last = dyn_insns;
                 }
-                Boundary::Continue
+                Some(dyn_insns)
             })
             .unwrap();
             bounds.push(golden_dyn);
@@ -198,12 +199,12 @@ mod tests {
             rbed: Some(RbedPlan::accumulate_only()),
             ..SimOptions::default()
         };
-        run_machine(&dp, &opts, &mut st, false, |st: &MachineState| {
+        run_machine(&dp, &opts, &mut st, false, &mut |st: &MachineState| {
             let next = bounds.get(digests.len()).copied();
             if st.bundle_idx == 0 && Some(st.stats.dyn_insns) == next && next != Some(golden_dyn) {
                 digests.push(st.rbed.as_ref().expect("accumulator installed").finish());
             }
-            Boundary::Continue
+            Some(st.stats.dyn_insns)
         })
         .unwrap();
         if golden_dyn > 0 {

@@ -13,8 +13,10 @@
 //! The capture ([`GoldenRun::capture_sections`]) is one quiet pass
 //! that fills an ordinary [`GoldenTrace`]: its snapshots are the
 //! section starts and its fingerprint table is the union of the
-//! in-span samples. Everything else is `crate::checkpoint`'s
-//! [`replay_trial`](crate::checkpoint::replay_trial):
+//! in-span samples. Everything it records happens at block entries, so
+//! its boundary hook wakes at each block entry and no other boundary
+//! (`MachineState::next_entry`). Everything else is
+//! `crate::checkpoint`'s [`replay_trial`](crate::checkpoint::replay_trial):
 //!
 //! * A trial whose site lies in section `j` restores the golden state
 //!   at `b_j` — the last snapshot strictly before the site, the same
@@ -48,7 +50,7 @@ use casted_util::hash::Fnv64;
 use crate::checkpoint::{
     full_state_digest, BlockSet, CampaignProgram, GoldenRun, GoldenTrace, Recorder,
 };
-use crate::machine::{Boundary, MachineState};
+use crate::machine::MachineState;
 
 /// Upper bound on sections per program. More sections mean finer
 /// reuse after an edit but more start-state clones resident during a
@@ -177,11 +179,12 @@ impl GoldenRun {
                 next_sample = dyn_insns + cadence;
             }
             blocks.insert(st.block.index() as u32);
-            Boundary::Continue
+            // Everything above happens at block entries.
+            Some(st.next_entry(&program.decoded))
         };
         let (trace, end) = self.instrument(sp, None, hook);
         // The final control position: covers the empty-block
-        // fallthrough, which stops without a bundle-boundary hook call.
+        // fallthrough, which stops without a boundary.
         blocks.insert(end.block.index() as u32);
         spans.push((lo, golden_dyn, blocks));
 

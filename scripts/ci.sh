@@ -233,14 +233,17 @@ echo "staged compile byte-identical cold and warm ($warm_stage_hits warm stage h
 echo "== castedc inject refuses a target that does not halt fault-free =="
 # A target whose fault-free run traps is refused under the campaign's
 # default cycle bound with the text casted-serve sends for the same
-# refusal, and castedc exits 1 — not 101 with a panic backtrace.
+# refusal, and castedc exits 1 — not 101 with a panic backtrace. The
+# refusal still writes the requested counter snapshot (a refused target
+# moves no sim.* counter, so only the file is required).
 trap_src="$log_dir/trap.mc"
 cat > "$trap_src" <<'EOF'
 global t: [int; 4]; fn main() -> int { var i: int = 100000000; out(t[i]); return 0; }
 EOF
 trap_status=0
 cargo run --release --offline -q -p casted --bin castedc -- \
-  inject "$trap_src" --trials 4 > /dev/null 2> "$log_dir/trap.err" || trap_status=$?
+  inject "$trap_src" --trials 4 --metrics-counters "$log_dir/trap_counters.json" \
+  > /dev/null 2> "$log_dir/trap.err" || trap_status=$?
 if [ "$trap_status" != 1 ] \
   || ! grep -q 'campaign target must halt fault-free within [0-9]* cycles, got Exception' \
     "$log_dir/trap.err"; then
@@ -248,27 +251,60 @@ if [ "$trap_status" != 1 ] \
   cat "$log_dir/trap.err" >&2
   exit 1
 fi
-echo "castedc inject refused the trapping target (exit 1)"
+if [ ! -f "$log_dir/trap_counters.json" ]; then
+  echo "castedc inject refused the trapping target but wrote no --metrics-counters file" >&2
+  exit 1
+fi
+echo "castedc inject refused the trapping target (exit 1, counters written)"
 
 echo "== castedc run stops a program that never halts =="
 # The fault-free run, and the costing of CASTED's candidate schedules
 # before it, stop at the simulator's one fault-free bound
 # (DEFAULT_MAX_CYCLES): castedc exits 1 and names the bound instead of
-# simulating forever.
+# simulating forever. The counter snapshot is still written, with the
+# sim.* counters the costing flushed.
 loop_src="$log_dir/loop.mc"
 cat > "$loop_src" <<'EOF'
 fn main() { var x: int = 1; while x > 0 { x = x + 2; } out(x); }
 EOF
 loop_status=0
 cargo run --release --offline -q -p casted --bin castedc -- \
-  run "$loop_src" > /dev/null 2> "$log_dir/loop_run.err" || loop_status=$?
+  run "$loop_src" --metrics-counters "$log_dir/loop_counters.json" \
+  > /dev/null 2> "$log_dir/loop_run.err" || loop_status=$?
 if [ "$loop_status" != 1 ] \
   || ! grep -q 'castedc: the program did not halt within 200000000 cycles' "$log_dir/loop_run.err"; then
   echo "castedc run on a non-halting program: expected exit 1 naming the bound, got $loop_status:" >&2
   cat "$log_dir/loop_run.err" >&2
   exit 1
 fi
-echo "castedc run stopped the non-halting program at the bound (exit 1)"
+if ! grep -q '"sim\.runs"' "$log_dir/loop_counters.json" 2>/dev/null; then
+  echo "castedc run on a non-halting program: no sim.runs in its --metrics-counters file" >&2
+  exit 1
+fi
+echo "castedc run stopped the non-halting program at the bound (exit 1, counters written)"
+
+echo "== one compiled cycle loop (nm on the release castedc) =="
+# The simulator's cycle loop, casted_sim::machine::run_machine, is one
+# non-generic function that every run calls: the binary holds exactly
+# one copy of it, and none of its wrappers holds an inlined copy (a
+# wrapper past 2 KB would be one; the loop itself is about 13 KB).
+loop_copies=0
+while read -r _ size _ name; do
+  case "$name" in
+    casted_sim::machine::run_machine) loop_copies=$((loop_copies + 1)) ;;
+    casted_sim::machine::run_golden | casted_sim::machine::run_decoded \
+      | casted_sim::machine::simulate_golden)
+      if [ $((16#$size)) -gt 2048 ]; then
+        echo "$name is $((16#$size)) bytes: it holds a copy of the cycle loop" >&2
+        exit 1
+      fi ;;
+  esac
+done < <(nm -C -S --defined-only target/release/castedc)
+if [ "$loop_copies" != 1 ]; then
+  echo "expected exactly one casted_sim::machine::run_machine in castedc, found $loop_copies" >&2
+  exit 1
+fi
+echo "castedc holds one compiled cycle loop"
 
 echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # Start the service on an ephemeral loopback port with both on-disk
@@ -359,7 +395,18 @@ cmp "$log_dir/inject_rbed.out" "$log_dir/inject_rbed_final.out"
   --scheme casted --issue 2 --delay 2 --trials 2000 --seed 0xCA57ED \
   --stream --every 25 --cancel-after 25 > "$log_dir/stream_cancel.out"
 grep -q '^progress: ' "$log_dir/stream_cancel.out"
-grep -q '^cancelled$' "$log_dir/stream_cancel.out"
+# The partial's size races the next chunk, but it is whole chunks of 25
+# short of the 2000 asked for, and its six outcome counts add up to it.
+if ! awk '/^cancelled$/ { c = 1; next }
+  c && /^trials: / { n = $2 }
+  c && /^(benign|detected|exception|data_corrupt|timeout|corrected): / { s += $2; k++ }
+  END { exit !(c && n > 0 && n % 25 == 0 && n < 2000 && k == 6 && s == n) }' \
+  "$log_dir/stream_cancel.out"; then
+  echo "the cancelled stream's partial tally is not whole chunks below 2000 that add up:" >&2
+  cat "$log_dir/stream_cancel.out" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
 # A target that never halts: the campaign's own bounded golden run
 # refuses it on the section-store path and on the streamed path alike,
 # and the server keeps answering.
