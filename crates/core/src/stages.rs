@@ -101,8 +101,7 @@ pub struct ArtifactPipeline {
 }
 
 impl ArtifactPipeline {
-    /// Open (creating if needed) the artifact store at `dir` with no
-    /// byte budget.
+    /// Open (creating if needed) the artifact store at `dir`.
     pub fn open(dir: &Path) -> io::Result<ArtifactPipeline> {
         Ok(ArtifactPipeline {
             store: ArtifactStore::open(dir)?,

@@ -1,5 +1,5 @@
-//! Exporters: full JSON, deterministic counter-only snapshot JSON,
-//! and CSV. All hand-rolled (no serde in this workspace); key order
+//! Exporters: full JSON and deterministic counter-only snapshot JSON.
+//! Both hand-rolled (no serde in this workspace); key order
 //! is the registry's sorted order, and number formatting is plain
 //! decimal `u64` — no float formatting can creep into the snapshot.
 
@@ -20,16 +20,6 @@ pub fn escape_json(s: &str) -> String {
         }
     }
     out
-}
-
-/// Escape `s` for one CSV field: quoted iff it contains a comma,
-/// quote, or newline; embedded quotes doubled (RFC 4180).
-pub fn escape_csv(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 fn json_object(entries: &[(String, String)], indent: &str, out: &mut String) {
@@ -107,33 +97,6 @@ pub fn snapshot_json(r: &Registry) -> String {
     out
 }
 
-/// CSV export: header plus one `kind,name,field,value` row per scalar
-/// (counters/gauges one row, histograms one row per aggregate).
-pub fn export_csv(r: &Registry) -> String {
-    let mut out = String::from("kind,name,field,value\n");
-    for (name, metric) in r.collect() {
-        let n = escape_csv(name);
-        match metric {
-            Metric::Counter(c) => out.push_str(&format!("counter,{n},value,{}\n", c.get())),
-            Metric::Gauge(g) => out.push_str(&format!("gauge,{n},value,{}\n", g.get())),
-            Metric::Hist(h) => {
-                for (field, v) in [
-                    ("count", h.count()),
-                    ("sum", h.sum()),
-                    ("min", h.min()),
-                    ("max", h.max()),
-                    ("p50", h.p50()),
-                    ("p95", h.p95()),
-                    ("p99", h.p99()),
-                ] {
-                    out.push_str(&format!("timer_ns,{n},{field},{v}\n"));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,16 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_cover_every_metric() {
-        let csv = export_csv(&sample());
-        assert!(csv.starts_with("kind,name,field,value\n"));
-        assert!(csv.contains("counter,sim.cycles,value,123\n"));
-        assert!(csv.contains("gauge,core.pool.workers,value,8\n"));
-        assert!(csv.contains("timer_ns,frontend.lex_ns,count,1\n"));
-        assert!(csv.contains("timer_ns,frontend.lex_ns,p50,2048\n"));
-    }
-
-    #[test]
     fn json_escaping_handles_quotes_backslashes_and_controls() {
         assert_eq!(escape_json("plain.name"), "plain.name");
         assert_eq!(escape_json("a\"b"), "a\\\"b");
@@ -184,19 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_escaping_quotes_only_when_needed() {
-        assert_eq!(escape_csv("plain"), "plain");
-        assert_eq!(escape_csv("a,b"), "\"a,b\"");
-        assert_eq!(escape_csv("a\"b"), "\"a\"\"b\"");
-    }
-
-    #[test]
     fn escaped_names_round_trip_through_the_exporters() {
         let r = Registry::new();
         r.counter("weird\"name\\with\ncontrols").add(1);
         let snap = snapshot_json(&r);
         assert!(snap.contains("\"weird\\\"name\\\\with\\ncontrols\": 1"));
-        let csv = export_csv(&r);
-        assert!(csv.contains("\"weird\"\"name\\with\ncontrols\""));
+        let full = export_json(&r);
+        assert!(full.contains("\"weird\\\"name\\\\with\\ncontrols\": 1"));
     }
 }

@@ -149,11 +149,6 @@ pub fn snapshot_json() -> String {
     export::snapshot_json(global())
 }
 
-/// CSV export of the global registry (`kind,name,field,value` rows).
-pub fn export_csv() -> String {
-    export::export_csv(global())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
-//! Sharded content-addressed reply cache with LRU eviction under a
-//! byte budget.
+//! Content-addressed reply cache: one byte-budgeted LRU behind one
+//! lock.
 //!
 //! Keys are [`crate::protocol::cache_key`] digests of canonical
 //! request encodings; values are the **encoded reply frames** the cold
@@ -8,30 +8,24 @@
 //! bytes a recomputation would have written — the determinism gate in
 //! `tests/serve_determinism.rs` pins this end to end.
 //!
-//! The map is split into `SHARDS` independently locked shards (key →
-//! shard by high digest bits) so concurrent connection threads on the
-//! hit path do not serialize behind one lock. Each shard owns
-//! `byte_budget / SHARDS` bytes; inserting past the budget
-//! evicts least-recently-used entries first (recency is a per-shard
-//! monotonic tick stamped on every hit). Eviction scans the shard for
-//! the minimum stamp — O(entries) but only on the insert path, never
-//! on the hot hit path.
+//! The map is a [`casted_util::lru::ByteLru`], the LRU the artifact
+//! store's front cache uses: each entry is charged its bytes plus a
+//! fixed overhead, a reply larger than the whole budget is not
+//! cached, and inserting past the budget evicts least-recently-used
+//! entries first. Its only reader is the event-loop thread and its
+//! writers are the workers, so one mutex is all the locking it needs.
 //!
 //! Instrumented via `casted-obs`: `serve.cache.hit`, `serve.cache.miss`,
 //! `serve.cache.evict`, `serve.cache.insert` counters and the
 //! `serve.cache.bytes` gauge.
 
-use std::collections::HashMap;
-
+use casted_util::lru::ByteLru;
 use casted_util::Mutex;
-
-/// Independently locked shards of the map.
-const SHARDS: usize = 16;
 
 /// Cache sizing.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
-    /// Total byte budget across all shards (0 disables caching).
+    /// Total byte budget (0 disables caching).
     pub byte_budget: usize,
 }
 
@@ -43,96 +37,22 @@ impl Default for CacheConfig {
     }
 }
 
-struct Entry {
-    bytes: Vec<u8>,
-    stamp: u64,
-}
-
-/// Bookkeeping overhead charged per entry on top of the payload, so a
-/// flood of tiny replies still respects the budget.
-const ENTRY_OVERHEAD: usize = 64;
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, Entry>,
-    bytes: usize,
-    tick: u64,
-}
-
-impl Shard {
-    fn cost(bytes: &[u8]) -> usize {
-        bytes.len() + ENTRY_OVERHEAD
-    }
-
-    fn get(&mut self, key: u64) -> Option<Vec<u8>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let e = self.map.get_mut(&key)?;
-        e.stamp = tick;
-        Some(e.bytes.clone())
-    }
-
-    /// Insert, evicting LRU entries until the shard fits its budget.
-    /// Returns the number of evictions.
-    fn insert(&mut self, key: u64, bytes: Vec<u8>, budget: usize) -> u64 {
-        let cost = Self::cost(&bytes);
-        if cost > budget {
-            return 0; // An oversized reply just isn't cached.
-        }
-        self.tick += 1;
-        if let Some(old) = self.map.insert(
-            key,
-            Entry {
-                bytes,
-                stamp: self.tick,
-            },
-        ) {
-            self.bytes -= Self::cost(&old.bytes);
-        }
-        self.bytes += cost;
-        let mut evicted = 0;
-        while self.bytes > budget {
-            // Never evict the entry just inserted (it holds the
-            // maximum stamp anyway; the filter makes that a guarantee
-            // rather than a consequence).
-            let victim = self
-                .map
-                .iter()
-                .filter(|(&k, _)| k != key)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k);
-            let Some(victim) = victim else { break };
-            let gone = self.map.remove(&victim).unwrap();
-            self.bytes -= Self::cost(&gone.bytes);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
-/// The sharded content-addressed reply cache.
+/// The content-addressed reply cache.
 pub struct Cache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
+    lru: Mutex<ByteLru<u64>>,
 }
 
 impl Cache {
     /// Build a cache from its config.
     pub fn new(cfg: &CacheConfig) -> Cache {
         Cache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: cfg.byte_budget / SHARDS,
+            lru: Mutex::new(ByteLru::new(cfg.byte_budget)),
         }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // High bits: FNV's low bits are the least mixed.
-        &self.shards[(key >> 40) as usize % SHARDS]
     }
 
     /// Look up a reply. Records `serve.cache.{hit,miss}`.
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        let out = self.shard(key).lock().get(key);
+        let out = self.lru.lock().get(&key);
         casted_obs::inc(if out.is_some() {
             "serve.cache.hit"
         } else {
@@ -145,22 +65,25 @@ impl Cache {
     /// Records `serve.cache.insert` / `serve.cache.evict` and the
     /// `serve.cache.bytes` gauge.
     pub fn insert(&self, key: u64, bytes: Vec<u8>) {
-        let evicted = self.shard(key).lock().insert(key, bytes, self.shard_budget);
+        let (evicted, held) = {
+            let mut lru = self.lru.lock();
+            (lru.insert(key, bytes), lru.bytes())
+        };
         casted_obs::inc("serve.cache.insert");
         if evicted > 0 {
             casted_obs::add("serve.cache.evict", evicted);
         }
-        casted_obs::gauge_set("serve.cache.bytes", self.bytes() as u64);
+        casted_obs::gauge_set("serve.cache.bytes", held as u64);
     }
 
     /// Total cached payload bytes (incl. per-entry overhead).
     pub fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.lru.lock().bytes()
     }
 
     /// Total cached entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.lru.lock().len()
     }
 
     /// Is the cache empty?
@@ -172,12 +95,11 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casted_util::lru::ENTRY_OVERHEAD;
 
-    /// A cache whose shard 0 holds `budget` bytes. The tests' small
-    /// keys all land in shard 0 (their high bits are zero).
     fn tiny(budget: usize) -> Cache {
         Cache::new(&CacheConfig {
-            byte_budget: budget * SHARDS,
+            byte_budget: budget,
         })
     }
 
@@ -231,15 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_keys() {
-        let c = Cache::new(&CacheConfig {
-            byte_budget: 1 << 20,
-        });
-        for k in 0..1000u64 {
-            c.insert(k.wrapping_mul(0x9e37_79b9_7f4a_7c15), vec![0; 8]);
-        }
-        assert_eq!(c.len(), 1000);
-        let occupied = c.shards.iter().filter(|s| !s.lock().map.is_empty()).count();
-        assert_eq!(occupied, SHARDS, "keys should spread over every shard");
+    fn a_small_budget_still_caches_a_reply_an_eighth_its_size() {
+        let c = tiny(16 << 10);
+        c.insert(1, vec![5; 2 << 10]);
+        assert_eq!(c.get(1), Some(vec![5; 2 << 10]));
     }
 }

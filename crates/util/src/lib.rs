@@ -25,15 +25,18 @@
 //!   by the `casted-serve` binary protocol (see `docs/SERVING.md`).
 //! * [`poll`] — a readiness-polling (`epoll`) wrapper over raw
 //!   syscalls, the engine of `casted-serve`'s event-driven connection
-//!   layer; stubs out to `Unsupported` off Linux so callers fall back
-//!   to a readiness-thread model at runtime.
+//!   layer; off Linux it returns `Unsupported`, there is no fallback,
+//!   and `casted-serve` refuses to start.
+//! * [`lru`] — a byte-budgeted LRU map, the one LRU behind the
+//!   store's front cache and `casted-serve`'s reply cache.
 //! * [`store`] — the on-disk content-addressed artifact store of the
-//!   staged compile pipeline (checksummed envelopes, atomic writes,
-//!   shared LRU byte budget — see `docs/PIPELINE.md`).
+//!   staged compile pipeline and the section campaigns (checksummed
+//!   envelopes, atomic writes, an in-memory front cache — see
+//!   `docs/PIPELINE.md`).
 //!
 //! Its sibling `casted-obs` follows the same zero-dependency rule for
 //! observability (replacing `metrics`/`tracing`): atomic counters,
-//! ns-histograms, span timers and JSON/CSV export, disabled by
+//! ns-histograms, span timers and JSON export, disabled by
 //! default — see `docs/OBSERVABILITY.md`. It lives in its own crate,
 //! below everything, so any layer (including this one's `pool` users)
 //! can record without a dependency cycle.
@@ -41,6 +44,7 @@
 pub mod bench;
 pub mod codec;
 pub mod hash;
+pub mod lru;
 pub mod poll;
 pub mod pool;
 pub mod prop;

@@ -229,6 +229,19 @@ if [ "$nl_hits" != 3 ]; then
   exit 1
 fi
 echo "staged compile byte-identical cold and warm ($warm_stage_hits warm stage hits, $copy_hits from another directory, $cfg_hits after a config-only change, $nl_hits after a newline edit)"
+# Every store save either lands by rename or removes its temp file, so
+# no store directory may hold a leftover `.tmp-*` entry.
+no_temp_files() {
+  for dir in "$@"; do
+    [ -d "$dir" ] || { echo "store directory $dir is missing" >&2; exit 1; }
+    leftover="$(find "$dir" -maxdepth 1 -name '.tmp-*' -print -quit)"
+    if [ -n "$leftover" ]; then
+      echo "store left a temp file behind: $leftover" >&2
+      exit 1
+    fi
+  done
+}
+no_temp_files "$log_dir/artifacts" "$log_dir/section-store"
 
 echo "== castedc inject refuses a target that does not halt fault-free =="
 # A target whose fault-free run traps is refused under the campaign's
@@ -430,7 +443,8 @@ refuse_loop stream --stream --every 5
 "$client_bin" --addr "$addr" ping | grep -q pong
 "$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
 wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
+no_temp_files "$log_dir/serve-artifacts" "$log_dir/serve-sections"
 grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
-echo "serve smoke green (cache hits: $hits, section hits: $section_hits, RBED plain == streamed, stream cancelled cleanly, non-halting target refused, graceful exit 0)"
+echo "serve smoke green (cache hits: $hits, section hits: $section_hits, RBED plain == streamed, stream cancelled cleanly, non-halting target refused, graceful exit 0, no temp files left)"
 
 echo "tier-1 green"
