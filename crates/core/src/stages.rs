@@ -212,6 +212,25 @@ mod tests {
     }
 
     #[test]
+    fn staged_compile_refuses_an_inline_fan_out_like_the_monolithic_one() {
+        // Each function calls the one before twice: 2^22 inlined copies.
+        let src: String = (1..23)
+            .map(|k| format!("fn f{k}(x: int) -> int {{ return f{}(x) + f{}(x); }}\n", k - 1, k - 1))
+            .collect();
+        let src = format!("fn f0(x: int) -> int {{ return x + 1; }}\n{src}fn main() {{ out(f22(1)); }}");
+        let dir = temp_dir("fan_out");
+        let p = ArtifactPipeline::open(&dir).unwrap();
+        let legacy = casted_frontend::compile("m", &src).unwrap_err();
+        let limit = format!("exceeds limit {} IR instructions", casted_frontend::MAX_INLINED_INSNS);
+        assert!(legacy[0].msg.contains(&limit), "{legacy:?}");
+        match p.compile("m", &src, &mut StageStats::default()) {
+            Err(StagedError::Frontend(diags)) => assert_eq!(diags, legacy),
+            other => panic!("expected the front end's refusal, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn float_and_negative_literals_survive_the_module_artifact() {
         let dir = temp_dir("literals");
         let p = ArtifactPipeline::open(&dir).unwrap();

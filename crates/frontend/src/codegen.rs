@@ -20,6 +20,14 @@ use crate::parser::{nesting_error, MAX_NESTING};
 use crate::sema::{const_eval, ConstTable, ConstVal};
 use crate::Diag;
 
+/// Most IR instructions the entry function may hold when code
+/// generation enters an inlined call: 160 times the largest benchmark
+/// kernel (h263enc, 404 instructions). Inlining copies a body once per
+/// call site, so a source of a few hundred bytes whose functions each
+/// call the one before twice asks for exponentially many; it is
+/// refused here instead of exhausting memory.
+pub const MAX_INLINED_INSNS: usize = 1 << 16;
+
 /// What a name is bound to during code generation.
 #[derive(Clone, Debug)]
 enum Slot {
@@ -309,6 +317,14 @@ impl<'a> Cg<'a> {
         };
         if self.inline_depth > 64 {
             self.err(line, "inline depth exceeded (recursion?)");
+            return Err(());
+        }
+        if self.b.func().insns.len() > MAX_INLINED_INSNS {
+            casted_obs::inc("frontend.limit.inlined_insns");
+            self.err(
+                line,
+                format!("inlined code exceeds limit {MAX_INLINED_INSNS} IR instructions"),
+            );
             return Err(());
         }
         // Evaluate arguments in the caller's provenance, then bind them
@@ -951,6 +967,30 @@ mod tests {
     fn shadowing_in_nested_scopes() {
         let src = "fn main() { var x: int = 1; if x == 1 { var x: int = 2; out(x); } out(x); }";
         assert_eq!(run_ints(src), vec![2, 1]);
+    }
+
+    /// `n` functions, one a line, each calling the one before twice:
+    /// `main` inlines `f0`'s body 2^(n-1) times.
+    fn fan_out(n: usize) -> String {
+        let mut src = String::from("fn f0(x: int) -> int { return x + 1; }\n");
+        for k in 1..n {
+            src += &format!("fn f{k}(x: int) -> int {{ return f{}(x) + f{}(x); }}\n", k - 1, k - 1);
+        }
+        src + &format!("fn main() {{ out(f{}(1)); }}\n", n - 1)
+    }
+
+    #[test]
+    fn exponential_inlining_is_refused_at_the_instruction_limit() {
+        // 2^9 copies of `f0` are well within the limit.
+        assert_eq!(run_ints(&fan_out(10)), vec![1024]);
+        // 2^22 copies would need gigabytes: refused at a call, once.
+        let errs = crate::compile("t", &fan_out(23)).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(
+            errs[0].msg,
+            format!("inlined code exceeds limit {} IR instructions", super::MAX_INLINED_INSNS)
+        );
+        assert!((2..=24).contains(&errs[0].line), "not a call's line: {}", errs[0].line);
     }
 
     #[test]

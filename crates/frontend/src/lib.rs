@@ -51,7 +51,7 @@ pub mod parser;
 pub mod sema;
 
 pub use ast::Program;
-pub use codegen::compile_program;
+pub use codegen::{compile_program, MAX_INLINED_INSNS};
 pub use lexer::{lex, Token, TokenKind};
 pub use parser::{parse, MAX_NESTING};
 

@@ -1,14 +1,15 @@
 //! Hardening and backpressure tests: garbage bytes cannot panic or
 //! wedge a worker, sources nested past the parser's limit get a
-//! structured error instead of a stack overflow, queue-full returns
-//! `Busy` without buffering, and shutdown drains accepted work before
-//! exiting.
+//! structured error instead of a stack overflow (and one that inlines
+//! past the front end's size limit instead of an OOM), queue-full
+//! returns `Busy` without buffering, and shutdown drains accepted work
+//! before exiting.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use casted::frontend::MAX_NESTING;
+use casted::frontend::{MAX_INLINED_INSNS, MAX_NESTING};
 use casted::service_api::JobSpec;
 use casted::Scheme;
 use casted_faults::Engine;
@@ -115,10 +116,13 @@ fn garbage_bytes_get_structured_err_and_clean_close() {
 
 #[test]
 fn deeply_nested_sources_get_structured_err_and_server_stays_up() {
-    // Each of these overflowed a worker's stack before the nesting
-    // limit, taking the whole process down: in the parser, in codegen
-    // (32 shallow functions inlined into one another) or in sema's
-    // call-graph search (a 10,000-function call chain).
+    // The hostile-input corpus. The first five overflowed a worker's
+    // stack before the nesting limit, taking the whole process down:
+    // in the parser, in codegen (32 shallow functions inlined into one
+    // another) or in sema's call-graph search (a 10,000-function call
+    // chain). The last, 23 functions each calling the one before twice,
+    // asked inlining for gigabytes and aborted the process before the
+    // inline-size limit.
     let parens = format!(
         "fn main() {{ var x: int = {}1{}; out(x); }}",
         "(".repeat(3_000),
@@ -141,18 +145,29 @@ fn deeply_nested_sources_get_structured_err_and_server_stays_up() {
         .map(|k| format!("fn g{k}() {{ g{}(); }} ", k + 1))
         .collect::<String>()
         + "fn g10000() { } fn main() { g0(); }";
+    let fan_out: String = (1..23)
+        .map(|k| format!("fn f{k}(x: int) -> int {{ return f{}(x) + f{}(x); }}\n", k - 1, k - 1))
+        .collect();
+    let fan_out =
+        format!("fn f0(x: int) -> int {{ return x + 1; }}\n{fan_out}fn main() {{ out(f22(1)); }}");
+    let nesting = format!("compile failed: line 1: nesting depth exceeds limit {MAX_NESTING}");
+    let inline_size = format!("inlined code exceeds limit {MAX_INLINED_INSNS} IR instructions");
     let server = Server::start(ServerConfig::default()).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
     c.set_timeout(Some(Duration::from_secs(60))).unwrap();
-    for source in [parens, sum, ifs, inlined, chain] {
+    for (source, want) in [
+        (parens, &nesting),
+        (sum, &nesting),
+        (ifs, &nesting),
+        (inlined, &nesting),
+        (chain, &nesting),
+        (fan_out, &inline_size),
+    ] {
         let req = Request::Compile {
             spec: JobSpec { source, ..spec() },
         };
         match c.request(&req).unwrap() {
-            Response::Err(msg) => {
-                let want = format!("line 1: nesting depth exceeds limit {MAX_NESTING}");
-                assert!(msg.contains(&want), "{msg}");
-            }
+            Response::Err(msg) => assert!(msg.contains(want.as_str()), "{msg}"),
             other => panic!("expected Err, got {other:?}"),
         }
     }

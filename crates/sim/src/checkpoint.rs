@@ -667,7 +667,7 @@ impl GoldenRun {
     ) -> (GoldenTrace, MachineState) {
         let GoldenRun { result, program, grid } = self;
         let mut rec = Recorder {
-            checkpoints: vec![MachineState::fresh(sp)],
+            checkpoints: vec![MachineState::fresh(sp, &program.decoded)],
             fingerprints: HashMap::new(),
             grid,
             restart: None,

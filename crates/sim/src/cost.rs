@@ -26,9 +26,12 @@
 //!
 //! A walk reads its schedule from a [`TimingView`], a fraction of a
 //! decoded program's size, so the caller need not keep the schedules it
-//! walks. Each walk ends with the `SimStats` that a full
-//! [`crate::simulate`] of its schedule under the same bound gives, stop
-//! reason included:
+//! walks. The view copies the decode's stall lists, which hold only the
+//! reads that schedule cannot prove ready, and each bundle's count of
+//! proven cross-cluster reads, so a walk and `run_machine` scan the
+//! same reads by one rule (see `crate::decode`). Each walk ends with
+//! the `SimStats` that a full [`crate::simulate`] of its schedule under
+//! the same bound gives, stop reason included:
 //!
 //! * A schedule past the bound times out while the others go on. The
 //!   first schedule's run stops at its own watchdog, exactly where
@@ -74,8 +77,9 @@ impl Costed {
     }
 }
 
-/// A schedule as a costing walk reads it: per bundle, the registers it
-/// reads and, per instruction, what the timing rules need. It is a
+/// A schedule as a costing walk reads it: per bundle, the register
+/// reads it cannot prove ready and its proven cross-cluster reads and,
+/// per instruction, what the timing rules need. It is a
 /// fraction of a decoded program's size and holds no module, so a
 /// caller may drop the schedule once its view is built.
 pub struct TimingView {
@@ -88,6 +92,8 @@ pub struct TimingView {
     /// `(ops, stalls)` of bundle `g` start at `bundles[g]` and end at
     /// `bundles[g + 1]`.
     bundles: Vec<(u32, u32)>,
+    /// Per bundle, the cross-cluster reads its decode proved ready.
+    proven_cross: Vec<u32>,
     /// Bundles `block_start[b]..block_start[b + 1]` are block `b`'s.
     block_start: Vec<u32>,
 }
@@ -149,6 +155,7 @@ impl TimingView {
                 .collect(),
             stalls: all.iter().flat_map(|b| dp.stalls(b)).copied().collect(),
             bundles,
+            proven_cross: all.iter().map(|b| b.proven_cross).collect(),
             block_start: dp.block_starts().to_vec(),
         }
     }
@@ -178,7 +185,7 @@ pub fn cost_schedules(
     );
     let _run_span = casted_obs::span("sim.run_ns");
     let dp = DecodedProgram::new(first);
-    let mut st = MachineState::fresh(first);
+    let mut st = MachineState::fresh(first, &dp);
     let reachable_bytes = st.mem.len_words() as u64 * 8;
     let mut costing = Costing {
         walks: rest.iter().map(|v| Walk::new(v, reachable_bytes)).collect(),
@@ -271,7 +278,7 @@ impl Costing<'_> {
                 return None;
             }
         }
-        self.words.read(dp, st);
+        self.words.read(st);
         let next = self.words.next_bundle().unwrap_or(dp.block(st.block).len());
         Some(st.stats.dyn_insns + dp.ops_between(st.block, st.bundle_idx, next))
     }
@@ -357,12 +364,12 @@ impl Words {
 
     /// Read the words of the bundle `st` is about to issue.
     #[inline]
-    fn read(&mut self, dp: &DecodedProgram, st: &MachineState) {
+    fn read(&mut self, st: &MachineState) {
         while let Some(r) = self.reads[self.next..self.end].first() {
             if r.bundle as usize != st.bundle_idx {
                 return;
             }
-            let w = |i: usize| dp.word(&st.regs, r.slots[i]);
+            let w = |i: usize| st.regs[r.slots[i] as usize];
             self.by_insn[r.iid as usize] = if r.vote {
                 !(w(0) == w(1) && w(0) == w(2)) as u64
             } else {
@@ -421,6 +428,7 @@ impl<'a> Walk<'a> {
             let stalls = &v.stalls[stall_lo as usize..stall_hi as usize];
             let issue = issue_cycle(
                 stalls,
+                v.proven_cross[g],
                 v.lat.delay,
                 &self.ready,
                 self.cycle,

@@ -8,12 +8,15 @@
 //! and calls the hook only when the count reaches it. It executes the
 //! decoded program (`crate::decode`) on raw `u64` register words:
 //!
-//! * [`MachineState`] holds one word per register slot (Gp, then Fp,
-//!   then Pr; an integer's bits, a float's IEEE bits, a predicate as
-//!   0/1) and one flat `(ready, writer)` scoreboard indexed the same
-//!   way.
-//! * An operand is a slot index: a register slot reads the word file,
-//!   a constant slot past it reads the program's constant table.
+//! * [`MachineState`] holds the word file: one word per register slot
+//!   (Gp, then Fp, then Pr; an integer's bits, a float's IEEE bits, a
+//!   predicate as 0/1), then the program's constants. Its flat
+//!   `(ready, writer)` scoreboard is indexed by register slot.
+//! * An operand is one index into the word file, register or constant
+//!   alike.
+//! * The stall scan ([`issue_cycle`]) reads only the register reads
+//!   the decode could not prove ready; the proven ones still count as
+//!   cross-cluster reads through the bundle's static count.
 //! * An instruction is a `WordOp` whose operand class the decode has
 //!   already resolved, so the loop never matches on a register class
 //!   or builds a typed value. Results, RBED digests and the state
@@ -226,9 +229,10 @@ pub(crate) fn record_run_metrics(stats: &SimStats) {
 pub struct MachineState {
     /// Where each register class sits in `regs` and `ready`.
     pub(crate) layout: SlotLayout,
-    /// Every virtual register as a raw word, indexed by slot (see
-    /// `crate::decode`): integers as their bits, floats as IEEE bits,
-    /// predicates as 0/1.
+    /// The word file, indexed by operand slot (see `crate::decode`):
+    /// every virtual register as a raw word (integers as their bits,
+    /// floats as IEEE bits, predicates as 0/1), then the program's
+    /// constants, which no instruction writes.
     pub(crate) regs: Vec<u64>,
     pub(crate) mem: Memory,
     pub(crate) cache: CacheHierarchy,
@@ -262,17 +266,17 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    /// Power-on state for `sp`: cycle 0, entry block, zeroed register
-    /// files, globals materialized, cold caches.
-    pub fn fresh(sp: &ScheduledProgram) -> Self {
-        let func = sp.module.entry_fn();
+    /// Power-on state for `sp`, decoded as `dp`: cycle 0, entry block,
+    /// zeroed register files, the program's constants, globals
+    /// materialized, cold caches.
+    pub(crate) fn fresh(sp: &ScheduledProgram, dp: &DecodedProgram) -> Self {
         let mut stats = SimStats::default();
         stats.per_cluster = vec![0; sp.config.clusters];
         let mem = Memory::for_module(&sp.module);
-        let layout = SlotLayout::of(func);
+        let layout = dp.layout;
         MachineState {
             layout,
-            regs: vec![0; layout.len()],
+            regs: dp.word_file(),
             // Every cache access follows a `check_addr` against this
             // memory, so the cache need only cover its bytes.
             cache: CacheHierarchy::new(&sp.config, mem.len_words() as u64 * 8),
@@ -282,7 +286,7 @@ impl MachineState {
             stream: Vec::new(),
             mshr: Vec::new(),
             cycle: 0,
-            block: func.entry,
+            block: sp.module.entry_fn().entry,
             bundle_idx: 0,
             next_block: None,
             halt: None,
@@ -342,18 +346,22 @@ pub(crate) fn past_watchdog(cycle: u64, max_cycles: u64) -> bool {
 }
 
 /// The lockstep stall scan: the cycle at which a bundle reached at
-/// `cycle` issues — once every register it reads (`stalls`: each slot
-/// with its reading cluster) is ready, a read from the other cluster
-/// `delay` cycles after its producer's. It counts the bundle, its
-/// stall cycles and its cross-cluster reads.
+/// `cycle` issues — once every register it reads is ready, a read from
+/// the other cluster `delay` cycles after its producer's. `stalls`
+/// holds each read the decode could not prove ready (a slot with its
+/// reading cluster); `proven_cross` counts the proven reads that cross
+/// clusters. It counts the bundle, its stall cycles and all its
+/// cross-cluster reads.
 #[inline(always)]
 pub(crate) fn issue_cycle(
     stalls: &[(u32, u8)],
+    proven_cross: u32,
     delay: u64,
     ready: &[(u64, u8)],
     cycle: u64,
     stats: &mut SimStats,
 ) -> u64 {
+    stats.cross_reads += proven_cross as u64;
     let mut issue = cycle;
     for &(slot, reader) in stalls {
         let (mut avail, writer) = ready[slot as usize];
@@ -473,8 +481,8 @@ fn eval_word(op: WordOp, v: &[u64]) -> Result<u64, ExecError> {
 /// counters (fault-injection trials would otherwise swamp them and make
 /// the campaign engines' counter snapshots incomparable).
 ///
-/// The loop computes on raw register words: every operand is a slot
-/// index and every instruction a [`WordOp`], resolved by the decode
+/// The loop computes on raw words: every operand is an index into the
+/// word file and every instruction a [`WordOp`], resolved by the decode
 /// (`crate::decode`), so no register class is consulted here.
 ///
 /// Returns `Some(result)` when the run stopped by itself, `None` when
@@ -554,12 +562,18 @@ pub(crate) fn run_machine(
                 finish!(StopReason::Timeout, st.cycle);
             }
             // ---- stall until every operand of the bundle is usable ----
-            let issue =
-                issue_cycle(dp.stalls(bundle), dp.lat.delay, &st.ready, st.cycle, &mut st.stats);
+            let issue = issue_cycle(
+                dp.stalls(bundle),
+                bundle.proven_cross,
+                dp.lat.delay,
+                &st.ready,
+                st.cycle,
+                &mut st.stats,
+            );
 
             // ---- phase 1: read all operands (VLIW parallel read) ----
             val_buf.clear();
-            val_buf.extend(dp.operands(bundle).iter().map(|&o| dp.word(&st.regs, o)));
+            val_buf.extend(dp.operands(bundle).iter().map(|&o| st.regs[o as usize]));
 
             // ---- phase 2: execute and write back ----
             let mut detect_fired = false;
@@ -735,7 +749,7 @@ fn run_decoded(
     opts: &SimOptions,
     flush_metrics: bool,
 ) -> SimResult {
-    let mut st = MachineState::fresh(sp);
+    let mut st = MachineState::fresh(sp, dp);
     run_machine(dp, opts, &mut st, flush_metrics, &mut never).expect("`never` does not stop a run")
 }
 
@@ -758,7 +772,7 @@ pub(crate) fn run_golden(
         rbed: replay_detect.then(crate::rbed::RbedPlan::accumulate_only),
         ..SimOptions::default()
     };
-    let mut st = MachineState::fresh(sp);
+    let mut st = MachineState::fresh(sp, dp);
     let result = run_machine(dp, &opts, &mut st, false, hook)
         .expect("the golden pass's hook never stops the run");
     if matches!(result.stop, StopReason::Halt(_)) {
@@ -1084,7 +1098,7 @@ mod wake_tests {
         mut hook: impl FnMut(&MachineState) -> Option<u64>,
     ) -> (Option<SimResult>, Vec<Seen>, MachineState) {
         let dp = DecodedProgram::new(sp);
-        let mut st = MachineState::fresh(sp);
+        let mut st = MachineState::fresh(sp, &dp);
         let mut seen = Vec::new();
         let r = run_machine(&dp, &SimOptions::default(), &mut st, false, &mut |st| {
             seen.push((st.stats.dyn_insns, st.cycle, st.block.0, st.bundle_idx));

@@ -98,7 +98,7 @@ pub(crate) fn rbed_plan_decoded(
     let (mut bounds, mut digests) = (Vec::new(), Vec::new());
     if golden_dyn > 0 {
         let mut cuts = Cuts::new(golden_dyn);
-        let mut st = MachineState::fresh(sp);
+        let mut st = MachineState::fresh(sp, dp);
         let opts = SimOptions {
             rbed: Some(RbedPlan::accumulate_only()),
             ..SimOptions::default()
@@ -176,7 +176,7 @@ mod tests {
         if golden_dyn > 0 {
             let span_target = (golden_dyn / MAX_SECTIONS as u64).max(MIN_SECTION_SPAN);
             let mut last = 0u64;
-            let mut st = MachineState::fresh(sp);
+            let mut st = MachineState::fresh(sp, &dp);
             run_machine(&dp, &SimOptions::default(), &mut st, false, &mut |st: &MachineState| {
                 let dyn_insns = st.stats.dyn_insns;
                 if st.bundle_idx == 0
@@ -194,7 +194,7 @@ mod tests {
             bounds.push(golden_dyn);
         }
         let mut digests = Vec::new();
-        let mut st = MachineState::fresh(sp);
+        let mut st = MachineState::fresh(sp, &dp);
         let opts = SimOptions {
             rbed: Some(RbedPlan::accumulate_only()),
             ..SimOptions::default()

@@ -296,6 +296,31 @@ if ! grep -q '"sim\.runs"' "$log_dir/loop_counters.json" 2>/dev/null; then
 fi
 echo "castedc run stopped the non-halting program at the bound (exit 1, counters written)"
 
+echo "== castedc ir refuses an exponential inline fan-out =="
+# 23 functions, each calling the one before twice: inlining them into
+# main asks for 2^22 copies of the first. The front end refuses the
+# source at its inline-size limit (MAX_INLINED_INSNS) with exit 1 and
+# the limit named, instead of aborting (exit 134) on a multi-gigabyte
+# allocation. The address-space cap holds only in this stage's subshell.
+fan_src="$log_dir/fan_out.mc"
+{
+  echo 'fn f0(x: int) -> int { return x + 1; }'
+  for k in $(seq 1 22); do
+    echo "fn f$k(x: int) -> int { return f$((k - 1))(x) + f$((k - 1))(x); }"
+  done
+  echo 'fn main() { out(f22(1)); }'
+} > "$fan_src"
+fan_status=0
+(ulimit -v 3000000; exec target/release/castedc ir "$fan_src") \
+  > /dev/null 2> "$log_dir/fan_out.err" || fan_status=$?
+if [ "$fan_status" != 1 ] \
+  || ! grep -q 'inlined code exceeds limit 65536 IR instructions' "$log_dir/fan_out.err"; then
+  echo "castedc ir on the inline fan-out: expected exit 1 naming the limit, got $fan_status:" >&2
+  head -c 2000 "$log_dir/fan_out.err" >&2
+  exit 1
+fi
+echo "castedc ir refused the inline fan-out (exit 1, limit named)"
+
 echo "== one compiled cycle loop (nm on the release castedc) =="
 # The simulator's cycle loop, casted_sim::machine::run_machine, is one
 # non-generic function that every run calls: the binary holds exactly
@@ -328,7 +353,8 @@ echo "== casted-serve loopback smoke (offline, ephemeral port) =="
 # section store with a byte-identical reply, check that an RBED inject
 # ends with the same tally plain and streamed, cancel a streaming
 # campaign mid-run, refuse a non-halting campaign target under the
-# server's cycle limit (plain and streamed), then shut down gracefully
+# server's cycle limit (plain and streamed) and a source that inlines
+# past the front end's size limit, then shut down gracefully
 # — the server must drain and exit 0. Everything is local
 # TCP; no network access is involved. See docs/SERVING.md.
 serve_bin=target/release/casted-serve
@@ -440,11 +466,21 @@ refuse_loop() { # $1: label; the rest: extra client flags
 }
 refuse_loop plain
 refuse_loop stream --stream --every 5
+# The inline fan-out of the castedc stage above: the compile gets the
+# front end's structured refusal and the server keeps answering.
+if "$client_bin" --addr "$addr" compile --file "$fan_src" --scheme casted --issue 2 --delay 2 \
+  > /dev/null 2> "$log_dir/fan_out_serve.err"; then
+  echo "the inline fan-out compiled on casted-serve" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  exit 1
+fi
+grep -q 'compile failed: line [0-9]*: inlined code exceeds limit 65536 IR instructions' \
+  "$log_dir/fan_out_serve.err"
 "$client_bin" --addr "$addr" ping | grep -q pong
 "$client_bin" --addr "$addr" shutdown | grep -q 'shutting down'
 wait "$serve_pid"   # graceful drain must exit 0 (set -e enforces it)
 no_temp_files "$log_dir/serve-artifacts" "$log_dir/serve-sections"
 grep -q '"serve\.cache\.hit"' "$log_dir/serve.log"
-echo "serve smoke green (cache hits: $hits, section hits: $section_hits, RBED plain == streamed, stream cancelled cleanly, non-halting target refused, graceful exit 0, no temp files left)"
+echo "serve smoke green (cache hits: $hits, section hits: $section_hits, RBED plain == streamed, stream cancelled cleanly, non-halting target refused, inline fan-out refused, graceful exit 0, no temp files left)"
 
 echo "tier-1 green"
